@@ -13,9 +13,9 @@ import json
 import sys
 
 from .engine import Engine, build_engine
-from .errors import AlcoveHeckeError
+from .errors import AlcoveHeckeError, MalformedInput
 from .ext_weyl import ExtWeylElement
-from .groth_calc import COVERMA, FiltrationMultiset
+from .groth_calc import COVERMA, VERMA, FiltrationMultiset
 from .parabolic import in_awext, in_awext_res, in_awext_s, min_rep
 from .suite import run_suite
 
@@ -42,16 +42,28 @@ def _filtration_to_payload(eng: Engine, filt: FiltrationMultiset) -> dict:
 
 
 def _filtration_from_file(eng: Engine, path: str) -> FiltrationMultiset:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise MalformedInput(f"cannot read filtration file {path!r}: {exc}") from exc
     if isinstance(data, list):
         items, flavor = data, COVERMA
-    else:
+    elif isinstance(data, dict) and isinstance(data.get("items"), list):
         items, flavor = data["items"], data.get("flavor", COVERMA)
+    else:
+        raise MalformedInput("a filtration file holds a list of items or {\"items\": [...]}")
+    if flavor not in (COVERMA, VERMA):
+        raise MalformedInput(f"unknown filtration flavor {flavor!r}")
     mults: dict[ExtWeylElement, int] = {}
     for entry in items:
+        if not isinstance(entry, dict) or not isinstance(entry.get("label"), str):
+            raise MalformedInput(f"filtration entry {entry!r} has no string label")
+        m = entry.get("mult")
+        if type(m) is not int or m < 0:
+            raise MalformedInput(f"filtration entry {entry!r} needs a nonnegative integer mult")
         w = eng.ext.parse_element(entry["label"])
-        mults[w] = mults.get(w, 0) + int(entry["mult"])
+        mults[w] = mults.get(w, 0) + m
     return FiltrationMultiset(mults, flavor)
 
 
@@ -170,7 +182,10 @@ def cmd_hecke(args) -> int:
 
 def cmd_satake(args) -> int:
     eng = build_engine(args.datum)
-    mu = tuple(int(c) for c in args.mu.split(","))
+    try:
+        mu = tuple(int(c) for c in args.mu.split(","))
+    except ValueError as exc:
+        raise MalformedInput(f"bad coweight {args.mu!r}") from exc
     wm = eng.satake.weight_multiplicities(mu)
     if args.format == "json":
         _emit({",".join(map(str, nu)): m for nu, m in wm.items()}, "json")
@@ -215,7 +230,6 @@ def cmd_suite(args) -> int:
         seed=args.seed,
         samples=args.samples,
         kl_maxlen=args.maxlen,
-        window=args.window,
         fault=args.fault,
     )
     if args.format == "json":
@@ -315,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--samples", type=int, default=500)
     q.add_argument("--maxlen", type=int, default=None, help="KL sweep length bound")
-    q.add_argument("--window", type=int, default=2)
     q.add_argument("--format", choices=("json", "tsv"), default="tsv")
     q.add_argument("--timings", action="store_true")
     q.add_argument("--fault", default=None, help=argparse.SUPPRESS)

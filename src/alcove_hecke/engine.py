@@ -8,6 +8,7 @@ from .alcove import AlcoveModel
 from .ext_weyl import ExtWeyl
 from .groth_calc import GrothCalc
 from .hecke import HeckeAlgebra
+from .memo import Memo
 from .orders import PeriodicOrder
 from .parabolic import FinitarySubset, make_parabolic
 from .root_datum import RootDatum, load_root_datum
@@ -23,17 +24,18 @@ class Engine:
     hecke: HeckeAlgebra
     groth: GrothCalc
     satake: SatakeChar
-    _parabolics: dict = field(default_factory=dict, repr=False)
+    _parabolics: Memo = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._parabolics = Memo(
+            lambda names: make_parabolic(self.ext, [self.ext.gen_by_name(n) for n in names])
+        )
 
     def parabolic(self, gen_names) -> FinitarySubset:
-        """FinitarySubset from generator names like ["s1", "s0a"] (cached)."""
+        """FinitarySubset from generator names like ["s1", "s0a"] (memoized)."""
         if isinstance(gen_names, str):
             gen_names = [tok for tok in gen_names.replace(",", " ").split() if tok]
-        key = tuple(sorted(gen_names))
-        if key not in self._parabolics:
-            gens = [self.ext.gen_by_name(n) for n in gen_names]
-            self._parabolics[key] = make_parabolic(self.ext, gens)
-        return self._parabolics[key]
+        return self._parabolics[tuple(sorted(gen_names))]
 
 
 def build_engine(spec) -> Engine:

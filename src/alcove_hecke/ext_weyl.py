@@ -6,9 +6,9 @@ length.  On top of the group arithmetic this module provides the affine
 simple generators, the length-zero subgroup, reduced expressions, and the
 Bruhat order.
 
-All operations are pure over an immutable root datum.  The length and Bruhat
-memo tables are per-instance dicts: confine an instance to one execution
-context, or guard it for concurrent reads with exclusive writes.
+All operations are pure over an immutable root datum.  Lengths, the
+coroot-lattice test and Bruhat comparisons are memoized per instance in
+`Memo` tables, which carry that module's concurrency caveat.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import itertools
 from typing import Iterable, NamedTuple
 
 from .errors import MalformedInput
+from .memo import Memo
 from .root_datum import RootDatum, Vector, pair, vec_add, vec_neg
 
 GEN_LETTERS = "abcdefgh"
@@ -46,9 +47,11 @@ class ExtWeyl:
     def __init__(self, datum: RootDatum):
         self.datum = datum
         self.identity = ExtWeylElement(0, (0,) * datum.y_rank)
-        self._len_cache: dict[ExtWeylElement, int] = {}
-        self._bruhat_cache: dict[tuple[ExtWeylElement, ExtWeylElement], bool] = {}
-        self._waff_cache: dict[Vector, bool] = {}
+        self._lengths = Memo(self._length_formula)
+        self._bruhat = Memo(self._bruhat_descend)
+        # keyed on the translation: W_aff is the set of w t_lam with lam in
+        # the coroot lattice
+        self._in_coroot_lattice = Memo(datum.coroot_lattice_contains)
 
         self._simple_refl_index = []
         for i in range(datum.rank):
@@ -127,16 +130,15 @@ class ExtWeyl:
     # -- length and the length-zero subgroup -----------------------------
 
     def length(self, x: ExtWeylElement) -> int:
-        cached = self._len_cache.get(x)
-        if cached is not None:
-            return cached
+        return self._lengths[x]
+
+    def _length_formula(self, x: ExtWeylElement) -> int:
         d = self.datum
         flips = d.root_sign_flips(x.w)
         total = 0
         for k, alpha in enumerate(d.positive_roots):
             c = pair(alpha, x.t)
             total += abs(1 + c) if flips[k] else abs(c)
-        self._len_cache[x] = total
         return total
 
     def is_omega(self, x: ExtWeylElement) -> bool:
@@ -201,21 +203,11 @@ class ExtWeyl:
             out.append(self._gen_by_element[conj])
         return omega, out
 
-    def omega_right_split(self, x: ExtWeylElement) -> tuple[ExtWeylElement, ExtWeylElement]:
-        """Split x = a * omega with a in the affine Weyl group."""
-        _, omega = self.reduced_expression(x)
-        a = self.mul(x, self.inv(omega))
-        return a, omega
-
     def word_to_element(self, word: Iterable[AffineGenerator]) -> ExtWeylElement:
         return self.mul_many(*(self._gen_elements[g] for g in word))
 
     def in_affine_subgroup(self, x: ExtWeylElement) -> bool:
-        cached = self._waff_cache.get(x.t)
-        if cached is None:
-            cached = self.datum.coroot_lattice_contains(x.t)
-            self._waff_cache[x.t] = cached
-        return cached
+        return self._in_coroot_lattice[x.t]
 
     # -- Bruhat order ------------------------------------------------------
 
@@ -234,22 +226,17 @@ class ExtWeyl:
         ly = self.length(y)
         if self.length(x) >= ly:
             return False
-        if ly == 0:
-            return False
-        key = (x, y)
-        cached = self._bruhat_cache.get(key)
-        if cached is not None:
-            return cached
+        return self._bruhat[(x, y)]
+
+    def _bruhat_descend(self, key: tuple[ExtWeylElement, ExtWeylElement]) -> bool:
+        x, y = key
         g = self.left_descents(y)[0]
         ge = self._gen_elements[g]
         sy = self.mul(ge, y)
         sx = self.mul(ge, x)
         if self.length(sx) < self.length(x):
-            res = self._bruhat_aff(sx, sy)
-        else:
-            res = self._bruhat_aff(x, sy)
-        self._bruhat_cache[key] = res
-        return res
+            return self._bruhat_aff(sx, sy)
+        return self._bruhat_aff(x, sy)
 
     def bruhat_lower_set(self, x: ExtWeylElement) -> set[ExtWeylElement]:
         """All y <= x, via subword products of one reduced expression."""

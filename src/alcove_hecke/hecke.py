@@ -5,8 +5,7 @@ H_x H_y = H_{xy} when lengths add and H_s^2 = H_e + (v^{-1} - v) H_s.  The
 canonical basis is computed by the usual inductive algorithm on the affine
 part, with length-zero elements handled by relabeling.  Computations are
 interval-local: only the Bruhat lower set of the target element is ever
-materialized, and results live in a capacity-bounded LRU table (environment
-variable ALCOVE_HECKE_CACHE_CAP overrides the default of 10**5 entries).
+materialized, and results live in a bounded `Memo` table.
 
 The left spherical module is the quotient by the left ideal generated by
 H_s - v^{-1} for finite simple s; its standard and canonical bases are
@@ -17,15 +16,11 @@ Kazhdan-Lusztig polynomial of the *maximal* coset representatives.
 
 from __future__ import annotations
 
-import os
-from collections import OrderedDict
-
 from .alcove import AlcoveModel
 from .errors import NotSpherical
 from .ext_weyl import AffineGenerator, ExtWeylElement
 from .laurent import ONE, V, V_INV, ZERO, LaurentPolynomial
-
-DEFAULT_CACHE_CAP = 10**5
+from .memo import Memo
 
 _V_MINUS_VINV = V - V_INV
 _VINV_MINUS_V = V_INV - V
@@ -71,13 +66,10 @@ class HeckeElement:
 
 
 class HeckeAlgebra:
-    def __init__(self, alc: AlcoveModel, cache_cap: int | None = None):
+    def __init__(self, alc: AlcoveModel):
         self.alc = alc
         self.ext = alc.ext
-        if cache_cap is None:
-            cache_cap = int(os.environ.get("ALCOVE_HECKE_CACHE_CAP", DEFAULT_CACHE_CAP))
-        self.cache_cap = cache_cap
-        self._kl_cache: OrderedDict[ExtWeylElement, HeckeElement] = OrderedDict()
+        self._kl = Memo(self._kl_element)
 
     # -- standard basis arithmetic ---------------------------------------
 
@@ -155,10 +147,9 @@ class HeckeAlgebra:
 
     def kl_basis(self, x: ExtWeylElement) -> HeckeElement:
         """The canonical basis element attached to x, in the standard basis."""
-        cached = self._kl_cache.get(x)
-        if cached is not None:
-            self._kl_cache.move_to_end(x)
-            return cached
+        return self._kl[x]
+
+    def _kl_element(self, x: ExtWeylElement) -> HeckeElement:
         ext = self.ext
         if ext.length(x) == 0:
             result = self.standard(x)
@@ -188,9 +179,6 @@ class HeckeAlgebra:
         assert result.coeff(x) == ONE, f"canonical basis not unitriangular at {x}"
         for w, p in result.items():
             assert w == x or p.min_exponent() >= 1, f"lower coefficient {p} at {w}"
-        self._kl_cache[x] = result
-        if len(self._kl_cache) > self.cache_cap:
-            self._kl_cache.popitem(last=False)
         return result
 
     def kl_poly(self, y: ExtWeylElement, x: ExtWeylElement) -> LaurentPolynomial:

@@ -1,0 +1,34 @@
+"""The package's one memo table.
+
+Every memoized recursion in the engine (lengths, Bruhat and periodic-order
+comparisons, canonical-basis elements, characters, parabolic subgroups)
+keeps its results in a `Memo`.  A table never holds more than `MEMO_CAP`
+entries: when a new value would exceed the cap, the table is emptied first,
+so a long-running process stays bounded at the price of recomputation.
+Emptying is safe in the middle of a recursion because callers use the
+returned values, never the table's contents.
+
+A table is a plain dict and is not locked: confine its owner to one
+execution context, or guard it for concurrent reads with exclusive writes.
+"""
+
+from __future__ import annotations
+
+MEMO_CAP = 10**5
+
+
+class Memo(dict):
+    """A dict that fills a missing key with `fn(key)`."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self.fn(key)
+        if len(self) >= MEMO_CAP:
+            self.clear()
+        self[key] = value
+        return value

@@ -2,14 +2,16 @@
 
 Two elements are compared by translating both into the minimal-representative
 set W_ext^S with a common antidominant push and comparing there in Bruhat
-order; the result does not depend on the chosen push.  Comparisons are
-memoized because the multiplicity calculator asks the same ones repeatedly.
+order; the result does not depend on the chosen push.  Comparisons are kept
+in a `Memo` table because the multiplicity calculator asks the same ones
+repeatedly.
 """
 
 from __future__ import annotations
 
 from .alcove import AlcoveModel
 from .ext_weyl import ExtWeylElement
+from .memo import Memo
 from .root_datum import pair, vec_scale
 
 
@@ -17,7 +19,7 @@ class PeriodicOrder:
     def __init__(self, alc: AlcoveModel):
         self.alc = alc
         self.ext = alc.ext
-        self._cache: dict[tuple[ExtWeylElement, ExtWeylElement], bool] = {}
+        self._leq = Memo(self._compare)
 
     def _push_steps(self, x: ExtWeylElement) -> int:
         """Smallest N >= 0 with x t_{-N varsigma} in W_ext^S."""
@@ -29,15 +31,13 @@ class PeriodicOrder:
     def leq(self, x: ExtWeylElement, y: ExtWeylElement) -> bool:
         if x == y:
             return True
-        key = (x, y)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
+        return self._leq[(x, y)]
+
+    def _compare(self, key: tuple[ExtWeylElement, ExtWeylElement]) -> bool:
+        x, y = key
         n = max(self._push_steps(x), self._push_steps(y))
         push = self.ext.translation(vec_scale(-n, self.alc.datum.varsigma))
         xs = self.ext.mul(x, push)
         ys = self.ext.mul(y, push)
         assert self.alc.in_wexts(xs) and self.alc.in_wexts(ys)
-        res = self.ext.bruhat_leq(xs, ys)
-        self._cache[key] = res
-        return res
+        return self.ext.bruhat_leq(xs, ys)

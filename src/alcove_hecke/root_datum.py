@@ -27,6 +27,7 @@ from .errors import (
     CartanNotFiniteType,
     DimensionMismatch,
     MalformedInput,
+    NoLift,
     NoVarsigma,
     TorsionQuotient,
     UnknownPreset,
@@ -489,8 +490,11 @@ def load_root_datum(spec) -> RootDatum:
             name = spec
             spec = PRESETS[spec]
         elif spec.endswith(".json"):
-            with open(spec, encoding="utf-8") as fh:
-                spec = json.load(fh)
+            try:
+                with open(spec, encoding="utf-8") as fh:
+                    spec = json.load(fh)
+            except (OSError, ValueError) as exc:
+                raise MalformedInput(f"cannot read root-datum file {spec!r}: {exc}") from exc
         else:
             raise UnknownPreset(f"unknown preset {spec!r}; available: {', '.join(PRESETS)}")
     if not isinstance(spec, dict):
@@ -563,7 +567,10 @@ def load_root_datum(spec) -> RootDatum:
         raise MalformedInput("w0 does not send positive roots to negative roots")
 
     comps = cartan_components(cartan)
-    dual_sym = _dual_symmetrizer(cartan)
+    # with these d_i, B(lam, alpha_i^vee) = d_i * <alpha_i, lam> extends to the
+    # W-invariant integer form on the coroot lattice, used both for detecting
+    # short coroots and in the weight-multiplicity recursion
+    dual_sym = symmetrizer(cartan)
     coroot_rows = [[simple_coroots[j][i] for j in range(rank)] for i in range(dim)]
     coroot_coords = []
     for cv in pos_coroots:
@@ -621,21 +628,3 @@ def load_root_datum(spec) -> RootDatum:
     )
     object.__setattr__(datum, "_flips", flips)
     return datum
-
-
-def _dual_symmetrizer(cartan: Matrix) -> Vector:
-    """Minimal positive integers d making (d_i * C_ij) symmetric.
-
-    With this d the assignment B(lam, alpha_i^vee) = d_i * <alpha_i, lam>
-    extends to the W-invariant integer form on the coroot lattice used both
-    for detecting short coroots and in the weight-multiplicity recursion.
-    """
-    return symmetrizer(cartan)
-
-
-def is_dominant(lam: Vector, datum: RootDatum) -> bool:
-    return datum.is_dominant(lam)
-
-
-def is_strictly_dominant(lam: Vector, datum: RootDatum) -> bool:
-    return datum.is_strictly_dominant(lam)

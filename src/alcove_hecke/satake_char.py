@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NoLift, NotDominant
+from .memo import Memo
 from .root_datum import RootDatum, Vector, pair, vec_add, vec_scale, vec_sub
 
 
@@ -33,8 +34,8 @@ class WeightMultiset:
 class SatakeChar:
     def __init__(self, datum: RootDatum):
         self.datum = datum
-        self._char_cache: dict[Vector, WeightMultiset] = {}
-        self._partition_cache: dict[tuple, int] = {}
+        self._chars = Memo(self._freudenthal)
+        self._partitions = Memo(self._count_partitions)
         # coroot data in simple-coroot coordinates
         self._coroot_coords = list(datum.coroot_in_simple)
         self._two_rho_vee = (0,) * datum.y_rank
@@ -71,10 +72,9 @@ class SatakeChar:
         mu = self.datum.check_y(mu)
         if not self.datum.is_dominant(mu):
             raise NotDominant(f"{mu} is not dominant")
-        cached = self._char_cache.get(mu)
-        if cached is not None:
-            return cached
+        return self._chars[mu]
 
+    def _freudenthal(self, mu: Vector) -> WeightMultiset:
         d = self.datum
         lowest = d.act_y(d.w0, mu)
         span = self._gap_coords(mu, lowest)
@@ -130,7 +130,6 @@ class SatakeChar:
                 full[nu] = m
         result = WeightMultiset(full)
         assert result.mult(mu) == 1
-        self._char_cache[mu] = result
         return result
 
     # -- independent oracles --------------------------------------------------
@@ -150,19 +149,16 @@ class SatakeChar:
             return 1
         if idx >= len(self._coroot_coords):
             return 0
-        key = (coords, idx)
-        cached = self._partition_cache.get(key)
-        if cached is not None:
-            return cached
+        return self._partitions[(coords, idx)]
+
+    def _count_partitions(self, key: tuple[Vector, int]) -> int:
+        coords, idx = key
         beta = self._coroot_coords[idx]
         total = 0
-        k = 0
         cur = coords
         while all(c >= 0 for c in cur):
             total += self._partition_count(cur, idx + 1)
             cur = tuple(a - b for a, b in zip(cur, beta))
-            k += 1
-        self._partition_cache[key] = total
         return total
 
     def kostant_multiplicity(self, mu: Vector, nu: Vector) -> int:

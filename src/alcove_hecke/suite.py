@@ -26,7 +26,6 @@ from .parabolic import in_awext, in_awext_s, min_rep
 from .root_datum import pair, vec_add, vec_neg, vec_scale
 
 MAX_KL_LEN = 14
-MAX_WINDOW = 12
 MAX_SAMPLES = 20000
 
 DEFAULT_KL_LEN = {"A1_adj": 12, "A2_adj": 8, "B2_adj": 6, "A1xA1_adj": 8}
@@ -53,7 +52,6 @@ class SuiteReport:
     seed: int
     samples: int
     kl_maxlen: int
-    window: int
     checks: list[CheckResult] = field(default_factory=list)
 
     @property
@@ -66,7 +64,6 @@ class SuiteReport:
             "seed": self.seed,
             "samples": self.samples,
             "kl_maxlen": self.kl_maxlen,
-            "window": self.window,
             "passed": self.passed,
             "checks": [],
         }
@@ -93,13 +90,12 @@ class SuiteReport:
 
 
 class _Env:
-    def __init__(self, engine: Engine, preset, seed, samples, kl_maxlen, window, fault):
+    def __init__(self, engine: Engine, preset, seed, samples, kl_maxlen, fault):
         self.engine = engine
         self.preset = preset
         self.seed = seed
         self.samples = samples
         self.kl_maxlen = kl_maxlen
-        self.window = window
         self.fault = fault
         self.shared: dict = {}
 
@@ -220,17 +216,7 @@ def check_length_formula(env: _Env):
     eng = env.engine
     ext = eng.ext
     radius = 6
-    dist = {ext.identity: 0}
-    frontier = [ext.identity]
-    for step in range(1, radius + 1):
-        nxt = []
-        for x in frontier:
-            for g in ext.generators:
-                y = ext.mul(ext.gen_element(g), x)
-                if y not in dist:
-                    dist[y] = step
-                    nxt.append(y)
-        frontier = nxt
+    dist = _waff_ball(eng, radius)
     for x, d0 in dist.items():
         if ext.length(x) != d0:
             ce = {"element": env.fmt(x), "formula": ext.length(x), "bfs": d0,
@@ -519,7 +505,7 @@ def check_kl_dihedral(env: _Env):
     ext, hecke = eng.ext, eng.hecke
     maxlen = min(10, env.kl_maxlen)
     checked = 0
-    for x in _waff_ball(eng, maxlen):
+    for x in sorted(_waff_ball(eng, maxlen)):
         table = hecke.kl_basis(x)
         for y, p in table.items():
             want = LaurentPolynomial.monomial(ext.length(x) - ext.length(y))
@@ -536,20 +522,22 @@ def check_kl_dihedral(env: _Env):
     return True, f"{checked} elements against closed form (solver to length 6)", None
 
 
-def _waff_ball(engine: Engine, maxlen: int):
+def _waff_ball(engine: Engine, radius: int) -> dict[ExtWeylElement, int]:
+    """Cayley-graph distance from the identity, for every element of W_aff
+    within `radius` steps, in breadth-first order."""
     ext = engine.ext
-    seen = {ext.identity}
+    dist = {ext.identity: 0}
     frontier = [ext.identity]
-    for _ in range(maxlen):
+    for step in range(1, radius + 1):
         nxt = []
         for x in frontier:
             for g in ext.generators:
                 y = ext.mul(ext.gen_element(g), x)
-                if y not in seen:
-                    seen.add(y)
+                if y not in dist:
+                    dist[y] = step
                     nxt.append(y)
         frontier = nxt
-    return sorted(seen)
+    return dist
 
 
 def bar_invariance_solver(engine: Engine, x: ExtWeylElement):
@@ -925,7 +913,6 @@ def run_suite(
     seed: int = 0,
     samples: int = 500,
     kl_maxlen: int | None = None,
-    window: int = 2,
     fault: str | None = None,
     names: list[str] | None = None,
 ) -> SuiteReport:
@@ -933,13 +920,11 @@ def run_suite(
         kl_maxlen = DEFAULT_KL_LEN.get(preset, 6)
     if kl_maxlen > MAX_KL_LEN:
         raise BoundsTooLarge(f"kl_maxlen {kl_maxlen} > {MAX_KL_LEN}")
-    if window > MAX_WINDOW:
-        raise BoundsTooLarge(f"window {window} > {MAX_WINDOW}")
     if samples > MAX_SAMPLES:
         raise BoundsTooLarge(f"samples {samples} > {MAX_SAMPLES}")
     engine = build_engine(preset)
-    env = _Env(engine, preset, seed, samples, kl_maxlen, window, fault)
-    report = SuiteReport(preset, seed, samples, kl_maxlen, window)
+    env = _Env(engine, preset, seed, samples, kl_maxlen, fault)
+    report = SuiteReport(preset, seed, samples, kl_maxlen)
     for name, fn in CHECKS:
         if names is not None and name not in names:
             continue
@@ -953,7 +938,7 @@ def run_suite(
             ce.setdefault(
                 "command",
                 f"alcove-hecke suite run --preset {preset} --seed {seed} "
-                f"--samples {samples} --maxlen {kl_maxlen} --window {window}",
+                f"--samples {samples} --maxlen {kl_maxlen}",
             )
         report.checks.append(
             CheckResult(

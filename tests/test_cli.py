@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from alcove_hecke.cli import main
 
 
@@ -152,3 +154,48 @@ def test_suite_bounds_guard(capsys):
     code = main(["suite", "run", "--preset", "A1_adj", "--maxlen", "99"])
     err = capsys.readouterr().err
     assert code == 2 and "BoundsTooLarge" in err
+
+
+def malformed(capsys, *args):
+    code = main(list(args))
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "MalformedInput" in err
+    assert "Traceback" not in err
+
+
+def test_satake_char_bad_coweight(capsys):
+    malformed(capsys, "satake", "char", "--datum", "A1_adj", "--mu", "1,x")
+
+
+def test_datum_file_missing(capsys, tmp_path):
+    malformed(capsys, "datum", "check", "--datum", str(tmp_path / "missing.json"))
+
+
+def test_datum_file_not_json(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{simple_roots: [[1]]")
+    malformed(capsys, "datum", "check", "--datum", str(bad))
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "not json",
+        json.dumps([{"label": "e : 0"}]),
+        json.dumps([{"label": "e : 0", "mult": "x"}]),
+        json.dumps([{"label": "e : 0", "mult": 1.5}]),
+        json.dumps([{"label": "e : 0", "mult": -1}]),
+        json.dumps({"flavor": "Tilting", "items": [{"label": "e : 0", "mult": 1}]}),
+        json.dumps([{"mult": 1}]),
+        json.dumps({"items": 3}),
+    ],
+    ids=[
+        "not-json", "no-mult", "string-mult", "fractional-mult", "negative-mult",
+        "unknown-flavor", "no-label", "items-not-a-list",
+    ],
+)
+def test_groth_bad_filtration_file(capsys, tmp_path, content):
+    filt = tmp_path / "filt.json"
+    filt.write_text(content)
+    malformed(capsys, "groth", "avpsi", "--datum", "A1_adj", "--gens", "s1", "--filt", str(filt))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from alcove_hecke import memo
 from alcove_hecke.errors import NotSpherical
 from alcove_hecke.hecke import HeckeAlgebra, HeckeElement
 from alcove_hecke.laurent import ONE, V, V_INV, ZERO, LaurentPolynomial
@@ -208,16 +209,26 @@ def test_spherical_image_quotient(a1):
     assert img2 == {ext.identity: ONE}
 
 
-def test_cache_capacity_env(monkeypatch, a1):
-    monkeypatch.setenv("ALCOVE_HECKE_CACHE_CAP", "4")
+def test_kl_table_stays_bounded(monkeypatch, a1):
+    monkeypatch.setattr(memo, "MEMO_CAP", 4)
     hecke = HeckeAlgebra(a1.alc)
-    assert hecke.cache_cap == 4
     ext = a1.ext
+    memoized = hecke.kl_basis
+    calls = []
+
+    def checked(x):
+        result = memoized(x)
+        calls.append(x)
+        assert len(hecke._kl) <= 4
+        return result
+
+    hecke.kl_basis = checked  # the recursion calls back through the instance
     for n in range(8):
-        hecke.kl_basis(ext.translation((-2 * n,)))
-    assert len(hecke._kl_cache) <= 4
-    # results stay correct after eviction
-    assert hecke.kl_basis(ext.translation((-2,))).coeff(ext.identity) == LaurentPolynomial.monomial(2)
+        x = ext.translation((-2 * n,))
+        # dihedral closed form, also after the table has been emptied
+        for y, p in checked(x).items():
+            assert p == LaurentPolynomial.monomial(ext.length(x) - ext.length(y))
+    assert len(set(calls)) > 4
 
 
 def test_degree_bound_assertion(a2):

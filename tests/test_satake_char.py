@@ -95,3 +95,8 @@ def test_partition_function_base_cases(a2):
     # alpha1^vee + alpha2^vee: as itself, or as the highest coroot
     assert sat.kostant_partition((1, 1)) == 2
     assert sat.kostant_partition((-1, 0)) == 0
+
+
+def test_kostant_off_the_coroot_lattice(a1):
+    # (1,) is no weight of V(2): every Kostant argument lies off the coroot lattice
+    assert a1.satake.kostant_multiplicity((2,), (1,)) == 0

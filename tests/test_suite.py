@@ -31,8 +31,6 @@ def test_bounds_guards():
     with pytest.raises(BoundsTooLarge):
         run_suite("A1_adj", kl_maxlen=20)
     with pytest.raises(BoundsTooLarge):
-        run_suite("A1_adj", window=40)
-    with pytest.raises(BoundsTooLarge):
         run_suite("A1_adj", samples=10**6)
 
 
