@@ -59,3 +59,7 @@ class FlavorMismatch(AlcoveHeckeError):
 
 class BoundsTooLarge(AlcoveHeckeError):
     """Requested sweep bounds exceed the guard rails of the suite runner."""
+
+
+class InvariantViolation(AlcoveHeckeError):
+    """A computed result fails an invariant the library checks on itself."""

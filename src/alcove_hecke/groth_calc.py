@@ -67,7 +67,8 @@ class FiltrationMultiset:
     flavor: str = COVERMA
 
     def __post_init__(self):
-        assert self.flavor in (COVERMA, VERMA)
+        if self.flavor not in (COVERMA, VERMA):
+            raise FlavorMismatch(f"unknown filtration flavor {self.flavor!r}")
         clean = {}
         for w, m in self.mults.items():
             if m < 0:

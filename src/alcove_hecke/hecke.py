@@ -1,8 +1,11 @@
 """The extended Hecke algebra, its canonical basis, and the spherical module.
 
 Standard basis elements H_w are indexed by W_ext; multiplication follows
-H_x H_y = H_{xy} when lengths add and H_s^2 = H_e + (v^{-1} - v) H_s.  The
-canonical basis is computed by the usual inductive algorithm on the affine
+H_x H_y = H_{xy} when lengths add and H_s^2 = H_e + (v^{-1} - v) H_s.  Every
+product is a chain of one-pass left products (H_s + c) a, with c = v for the
+canonical element C_s and c = v - v^{-1} for H_s^{-1}, and the bar involution
+follows its own recursion bar(H_s b) = H_s^{-1} bar(b), bar(H_omega) = H_omega.
+The canonical basis is computed by the usual inductive algorithm on the affine
 part, with length-zero elements handled by relabeling.  Computations are
 interval-local: only the Bruhat lower set of the target element is ever
 materialized, and results live in a bounded `Memo` table.
@@ -17,13 +20,19 @@ Kazhdan-Lusztig polynomial of the *maximal* coset representatives.
 from __future__ import annotations
 
 from .alcove import AlcoveModel
-from .errors import NotSpherical
+from .errors import InvariantViolation, NotSpherical
 from .ext_weyl import AffineGenerator, ExtWeylElement
 from .laurent import ONE, V, V_INV, ZERO, LaurentPolynomial
 from .memo import Memo
 
 _V_MINUS_VINV = V - V_INV
 _VINV_MINUS_V = V_INV - V
+
+
+def _accumulate(out: dict, w: ExtWeylElement, p: LaurentPolynomial) -> None:
+    """out[w] += p, in place."""
+    acc = out.get(w)
+    out[w] = p if acc is None else acc + p
 
 
 class HeckeElement:
@@ -49,13 +58,7 @@ class HeckeElement:
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
         out = dict(self.support)
         for w, p in other.support.items():
-            out[w] = out.get(w, ZERO) + p
-        return HeckeElement(out)
-
-    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        out = dict(self.support)
-        for w, p in other.support.items():
-            out[w] = out.get(w, ZERO) - p
+            _accumulate(out, w, p)
         return HeckeElement(out)
 
     def scaled(self, p: LaurentPolynomial) -> "HeckeElement":
@@ -80,68 +83,72 @@ class HeckeAlgebra:
         return HeckeElement({w: ONE})
 
     def right_mul_gen(self, a: HeckeElement, g: AffineGenerator) -> HeckeElement:
+        """a * H_s for the generator s = g."""
         ext = self.ext
         ge = ext.gen_element(g)
         out: dict[ExtWeylElement, LaurentPolynomial] = {}
-
-        def bump(w, p):
-            acc = out.get(w)
-            out[w] = p if acc is None else acc + p
-
         for w, p in a.support.items():
             ws = ext.mul(w, ge)
-            bump(ws, p)
+            _accumulate(out, ws, p)
             if ext.length(ws) < ext.length(w):
-                bump(w, _VINV_MINUS_V * p)
+                _accumulate(out, w, _VINV_MINUS_V * p)
         return HeckeElement(out)
 
-    def left_mul_gen(self, g: AffineGenerator, a: HeckeElement) -> HeckeElement:
+    def left_mul_gen(
+        self, g: AffineGenerator, a: HeckeElement, c: LaurentPolynomial = ZERO
+    ) -> HeckeElement:
+        """(H_s + c) * a for the generator s = g, in one pass over a."""
         ext = self.ext
         ge = ext.gen_element(g)
+        down = _VINV_MINUS_V + c  # H_s H_w = H_{sw} + (v^{-1} - v) H_w when sw < w
         out: dict[ExtWeylElement, LaurentPolynomial] = {}
-
-        def bump(w, p):
-            acc = out.get(w)
-            out[w] = p if acc is None else acc + p
-
         for w, p in a.support.items():
             sw = ext.mul(ge, w)
-            bump(sw, p)
-            if ext.length(sw) < ext.length(w):
-                bump(w, _VINV_MINUS_V * p)
+            _accumulate(out, sw, p)
+            q = down if ext.length(sw) < ext.length(w) else c
+            if q:
+                _accumulate(out, w, q * p)
         return HeckeElement(out)
 
-    def right_mul_element(self, a: HeckeElement, x: ExtWeylElement) -> HeckeElement:
-        """a * H_x, via a reduced expression of x."""
-        word, omega = self.ext.reduced_expression(x)
-        for g in word:
-            a = self.right_mul_gen(a, g)
-        if omega != self.ext.identity:
-            a = HeckeElement({self.ext.mul(w, omega): p for w, p in a.support.items()})
-        return a
-
     def mul(self, a: HeckeElement, b: HeckeElement) -> HeckeElement:
-        out = HeckeElement()
-        for y, p in b.support.items():
-            out = out + self.right_mul_element(a.scaled(p), y)
-        return out
+        """a * b, each term p H_x of a acting as p H_{s_1} ... H_{s_r} H_omega."""
+        ext = self.ext
+        out: dict[ExtWeylElement, LaurentPolynomial] = {}
+        for x, p in a.support.items():
+            word, omega = ext.reduced_expression(x)
+            acc = HeckeElement({ext.mul(omega, w): p * q for w, q in b.support.items()})
+            for g in reversed(word):
+                acc = self.left_mul_gen(g, acc)
+            for w, q in acc.support.items():
+                _accumulate(out, w, q)
+        return HeckeElement(out)
 
     def standard_inverse(self, x: ExtWeylElement) -> HeckeElement:
-        """H_x^{-1} = H_omega^{-1} H_{s_r}^{-1} ... H_{s_1}^{-1}."""
-        ext = self.ext
-        word, omega = ext.reduced_expression(x)
-        acc = HeckeElement({ext.inv(omega): ONE})
-        for g in reversed(word):
-            # a * H_s^{-1} = a * H_s + (v - v^{-1}) a
-            acc = self.right_mul_gen(acc, g) + acc.scaled(_V_MINUS_VINV)
-        return acc
+        """H_x^{-1}, which is bar(H_{x^{-1}})."""
+        return self.bar(self.standard(self.ext.inv(x)))
 
     def bar(self, a: HeckeElement) -> HeckeElement:
-        """The bar involution: v -> v^{-1}, H_w -> (H_{w^{-1}})^{-1}."""
-        out = HeckeElement()
+        """The bar involution: v -> v^{-1}, H_w -> (H_{w^{-1}})^{-1}.
+
+        A ring map with bar(H_s) = H_s^{-1} = H_s + v - v^{-1} and
+        bar(H_omega) = H_omega.  Each term of positive length is split as
+        H_w = H_s H_{sw} at its first left descent s; the terms sharing s are
+        barred together as H_s^{-1} times the bar of their rest.
+        """
+        ext = self.ext
+        out: dict[ExtWeylElement, LaurentPolynomial] = {}
+        groups: dict[AffineGenerator, dict[ExtWeylElement, LaurentPolynomial]] = {}
         for w, p in a.support.items():
-            out = out + self.standard_inverse(self.ext.inv(w)).scaled(p.bar())
-        return out
+            if ext.length(w) == 0:
+                _accumulate(out, w, p.bar())
+            else:
+                g = ext.left_descents(w)[0]
+                groups.setdefault(g, {})[ext.mul(ext.gen_element(g), w)] = p
+        for g, rest in groups.items():
+            barred = self.left_mul_gen(g, self.bar(HeckeElement(rest)), _V_MINUS_VINV)
+            for w, p in barred.support.items():
+                _accumulate(out, w, p)
+        return HeckeElement(out)
 
     # -- canonical basis ---------------------------------------------------
 
@@ -163,19 +170,16 @@ class HeckeAlgebra:
         else:
             g = ext.left_descents(x)[0]
             rest = ext.mul(ext.gen_element(g), x)
-            base = self.kl_basis(rest)
-            cand = self.left_mul_gen(g, base) + base.scaled(V)
+            out = self.left_mul_gen(g, self.kl_basis(rest), V).support
             # subtract mu-coefficient corrections: constant terms never move
             # once created, so one pass over the snapshot suffices
             corrections = [
-                (w, p.coeff(0))
-                for w, p in cand.support.items()
-                if w != x and p.coeff(0) != 0
+                (w, p.coeff(0)) for w, p in out.items() if w != x and p.coeff(0) != 0
             ]
-            corrections.sort(key=lambda t: -ext.length(t[0]))
             for w, c0 in corrections:
-                cand = cand - self.kl_basis(w).scaled(LaurentPolynomial({0: c0}))
-            result = cand
+                for y, q in self.kl_basis(w).support.items():
+                    _accumulate(out, y, q * -c0)
+            result = HeckeElement(out)
         assert result.coeff(x) == ONE, f"canonical basis not unitriangular at {x}"
         for w, p in result.items():
             assert w == x or p.min_exponent() >= 1, f"lower coefficient {p} at {w}"
@@ -194,26 +198,23 @@ class HeckeAlgebra:
         if p:
             assert -bound <= p.min_exponent() and p.max_exponent() <= bound
 
-    def spherical_m(
-        self, y: ExtWeylElement, w: ExtWeylElement, verify: bool = True
-    ) -> LaurentPolynomial:
+    def spherical_m(self, y: ExtWeylElement, w: ExtWeylElement) -> LaurentPolynomial:
         """Canonical-basis coefficient mbar(y, w) of the left spherical module.
 
-        Computed as h(y w0, w w0).  When `verify` is set, the value is checked
-        against the representative y itself: the identity
-        h(y u, w w0) = v^{len(w0) - len(u)} * mbar(y, w) for u in W pins the
-        whole coset, so data computed through a second representative must
-        agree after the corresponding power shift.
+        Computed as h(y w0, w w0) and checked against the representative y
+        itself: the identity h(y u, w w0) = v^{len(w0) - len(u)} * mbar(y, w)
+        for u in W pins the whole coset, so data computed through a second
+        representative must agree after the corresponding power shift.
         """
         self._require_spherical(y)
         self._require_spherical(w)
         ext = self.ext
         table = self.kl_basis(ext.mul(w, ext.w0))
         m = table.coeff(ext.mul(y, ext.w0))
-        if verify:
-            lw0 = ext.length(ext.w0)
-            assert table.coeff(y) == LaurentPolynomial.monomial(lw0) * m
-        self._check_degree(m, ext.length(w) + ext.length(ext.w0))
+        lw0 = ext.length(ext.w0)
+        if table.coeff(y) != LaurentPolynomial.monomial(lw0) * m:
+            raise InvariantViolation(f"coset check fails for mbar({y}, {w})")
+        self._check_degree(m, ext.length(w) + lw0)
         return m
 
     def spherical_lower_set(self, x: ExtWeylElement) -> list[ExtWeylElement]:
@@ -232,26 +233,21 @@ class HeckeAlgebra:
         self._require_spherical(x)
         self._require_spherical(y)
         ext = self.ext
-        lower = self.spherical_lower_set(x)
-        mtables = {
-            u: self.kl_basis(ext.mul(u, ext.w0)) for u in lower
-        }
-
-        def mbar(z: ExtWeylElement, u: ExtWeylElement) -> LaurentPolynomial:
-            return mtables[u].coeff(ext.mul(z, ext.w0))
-
-        values: dict[ExtWeylElement, LaurentPolynomial] = {}
-        for z in lower:
-            lz = ext.length(z)
-            if z == x:
-                values[z] = ONE
-                continue
+        # (u, len(u), canonical element of u w0), by decreasing length: x first
+        rows = [
+            (u, ext.length(u), self.kl_basis(ext.mul(u, ext.w0)))
+            for u in self.spherical_lower_set(x)
+        ]
+        values: dict[ExtWeylElement, LaurentPolynomial] = {x: ONE}
+        for z, lz, _ in rows[1:]:
+            if y in values:
+                break
+            zw0 = ext.mul(z, ext.w0)
             acc = ZERO
-            for u in lower:
-                lu = ext.length(u)
+            for u, lu, table in rows:
                 if lu <= lz:
-                    continue
-                coeff = mbar(z, u)
+                    break
+                coeff = table.coeff(zw0)
                 if coeff:
                     term = values[u] * coeff
                     acc = acc + (term if (lz + lu) % 2 else -term)
@@ -274,6 +270,5 @@ class HeckeAlgebra:
                     break
             assert y is not None
             drop = ext.length(w) - ext.length(y)
-            contrib = LaurentPolynomial.monomial(-drop) * p
-            out[y] = out.get(y, ZERO) + contrib
+            _accumulate(out, y, LaurentPolynomial.monomial(-drop) * p)
         return {y: p for y, p in out.items() if p}

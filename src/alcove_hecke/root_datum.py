@@ -44,8 +44,6 @@ PRESETS: dict[str, dict] = {
     "A1xA1_adj": {"simple_roots": [[1, 0], [0, 1]], "simple_coroots": [[2, 0], [0, 2]]},
 }
 
-SEMISIMPLE_PRESETS = ("A1_adj", "A2_adj", "B2_adj", "A1xA1_adj")
-
 
 def pair(xvec: Vector, yvec: Vector) -> int:
     """The pairing <.,.>: X x Y -> Z (coordinate dot product)."""

@@ -422,10 +422,11 @@ def check_awext_representatives(env: _Env):
             try:
                 rep = min_rep(eng.alc, x, a)
             except Unrepresentable as exc:
+                gens = ("--gens", ",".join(g.name for g in a.generators)) if a.generators else ()
                 return False, f"A={label}: {exc}", {
                     "element": env.fmt(x),
                     "command": env.cmd("parabolic", "rep", "--datum", env.preset,
-                                       "--gens", label, "--elt", f"'{env.fmt(x)}'")}
+                                       *gens, "--elt", f"'{env.fmt(x)}'")}
             for v in a.elements:
                 if min_rep(eng.alc, ext.mul(v, x), a) != rep:
                     return False, f"A={label}: representative not coset-constant", {
@@ -626,13 +627,13 @@ def check_kl_invariance(env: _Env):
     rng = env.rng("kl-bar")
     positive = True
     solver_hits = 0
+    omegas = ext.enumerate_omega(2)
     for _ in range(min(40, env.samples)):
         x = ext.random_element(rng, 3)
         table = hecke.kl_basis(x)
         if hecke.bar(table) != table:
             return False, "canonical basis element is not bar invariant", {
                 "element": env.fmt(x)}
-        omegas = ext.enumerate_omega(2)
         om = omegas[rng.randrange(len(omegas))]
         shifted = hecke.kl_basis(ext.mul(om, x))
         if {ext.mul(om, y): p for y, p in table.items()} != dict(shifted.items()):
@@ -661,7 +662,7 @@ def check_spherical_identities(env: _Env):
         acc = ZERO
         for z in lower:
             imz = hecke.inverse_m(x, z)
-            mz = hecke.spherical_m(y, z, verify=False)
+            mz = hecke.spherical_m(y, z)
             if imz and mz:
                 term = imz * mz
                 acc = acc + (term if (ext.length(z) + ext.length(x)) % 2 == 0 else -term)
@@ -671,7 +672,7 @@ def check_spherical_identities(env: _Env):
                 "x": env.fmt(x), "y": env.fmt(y),
                 "command": env.cmd("hecke", "inverse-m", "--datum", env.preset,
                                    "--x", f"'{env.fmt(x)}'", "--y", f"'{env.fmt(y)}'")}
-    # coset-representative consistency built into spherical_m(verify=True)
+    # the coset-representative check inside spherical_m raises on failure
     for _ in range(20):
         w = window[rng.randrange(len(window))]
         y = window[rng.randrange(len(window))]
@@ -683,7 +684,7 @@ def check_spherical_identities(env: _Env):
     w = window[min(3, len(window) - 1)]
     total = HeckeElement()
     for y in hecke.spherical_lower_set(w):
-        m = hecke.spherical_m(y, w, verify=False)
+        m = hecke.spherical_m(y, w)
         if m:
             total = total + hecke.mul(hecke.standard(y), hecke.kl_basis(ext.w0)).scaled(m)
     if total != hecke.kl_basis(ext.mul(w, ext.w0)):

@@ -51,6 +51,11 @@ def test_xi_requires_coverma(a1):
         groth.xi_omega(verma, a1.ext.identity)
 
 
+def test_unknown_flavor_is_rejected():
+    with pytest.raises(FlavorMismatch):
+        FiltrationMultiset({}, "Tilting")
+
+
 def test_grading_shift(a1):
     ext, groth = a1.ext, a1.groth
     f = FiltrationMultiset({ext.identity: 1}, COVERMA)

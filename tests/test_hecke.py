@@ -3,7 +3,8 @@ import random
 import pytest
 
 from alcove_hecke import memo
-from alcove_hecke.errors import NotSpherical
+from alcove_hecke.engine import build_engine
+from alcove_hecke.errors import InvariantViolation, NotSpherical
 from alcove_hecke.hecke import HeckeAlgebra, HeckeElement
 from alcove_hecke.laurent import ONE, V, V_INV, ZERO, LaurentPolynomial
 
@@ -56,6 +57,59 @@ def test_bar_is_involutive(any_engine):
         x = ext.random_element(rng, 2)
         a = HeckeElement({x: V + ONE, ext.identity: V_INV})
         assert hecke.bar(hecke.bar(a)) == a
+
+
+# -- the reversed-word construction of H_x^{-1}, kept as an oracle ------------
+
+G2 = {"simple_roots": [[1, 0], [0, 1]], "simple_coroots": [[2, -1], [-3, 2]]}
+
+
+def _inverse_by_word(hecke, x):
+    """H_x^{-1} = H_omega^{-1} H_{s_r}^{-1} ... H_{s_1}^{-1} for x = s_1 ... s_r omega."""
+    ext = hecke.ext
+    word, omega = ext.reduced_expression(x)
+    acc = hecke.standard(ext.inv(omega))
+    for g in reversed(word):
+        # a * H_s^{-1} = a * H_s + (v - v^{-1}) a
+        acc = hecke.right_mul_gen(acc, g) + acc.scaled(V - V_INV)
+    return acc
+
+
+def _bar_by_terms(hecke, a):
+    """bar(sum p_w H_w) = sum bar(p_w) (H_{w^{-1}})^{-1}, one term at a time."""
+    total = HeckeElement()
+    for w, p in a.items():
+        total = total + _inverse_by_word(hecke, hecke.ext.inv(w)).scaled(p.bar())
+    return total
+
+
+def _random_poly(rng):
+    return LaurentPolynomial({rng.randint(-3, 3): rng.randint(-4, 4) for _ in range(3)})
+
+
+@pytest.fixture(scope="module", params=["A1_adj", "A2_adj", "B2_adj", "A1xA1_adj", "G2"])
+def oracle_engine(request):
+    return build_engine(G2 if request.param == "G2" else request.param)
+
+
+def test_standard_inverse_matches_reversed_word(oracle_engine):
+    ext, hecke = oracle_engine.ext, oracle_engine.hecke
+    rng = random.Random(19)
+    for _ in range(15):
+        x = ext.random_element(rng, 2)
+        assert hecke.standard_inverse(x) == _inverse_by_word(hecke, x)
+
+
+def test_bar_matches_term_oracle(oracle_engine):
+    ext, hecke = oracle_engine.ext, oracle_engine.hecke
+    rng = random.Random(23)
+    for _ in range(10):
+        a = HeckeElement(
+            {ext.random_element(rng, 1): _random_poly(rng) for _ in range(rng.randint(1, 4))}
+        )
+        assert hecke.bar(a) == _bar_by_terms(hecke, a)
+    x = ext.random_element(rng, 2)
+    assert hecke.bar(hecke.kl_basis(x)) == _bar_by_terms(hecke, hecke.kl_basis(x))
 
 
 def test_kl_normalization(any_engine):
@@ -141,7 +195,19 @@ def test_spherical_m_coset_independence(a1, a2):
         for _ in range(50):
             w = window[rng.randrange(len(window))]
             y = window[rng.randrange(len(window))]
-            e.hecke.spherical_m(y, w, verify=True)
+            e.hecke.spherical_m(y, w)
+
+
+def test_spherical_m_coset_check_raises(a1):
+    ext = a1.ext
+    hecke = HeckeAlgebra(a1.alc)
+    s0 = ext.parse_element("s1 : -2")
+    top = ext.mul(s0, ext.w0)
+    wrong = dict(hecke.kl_basis(top).items())
+    del wrong[ext.identity]  # h(e, s0 w0) no longer matches h(w0, s0 w0)
+    hecke._kl[top] = HeckeElement(wrong)
+    with pytest.raises(InvariantViolation):
+        hecke.spherical_m(ext.identity, s0)
 
 
 def test_inverse_m_unitriangular(any_engine):
@@ -177,7 +243,7 @@ def test_matrix_identity(any_engine):
             acc = ZERO
             for z in lower:
                 imz = hecke.inverse_m(x, z)
-                mz = hecke.spherical_m(y, z, verify=False)
+                mz = hecke.spherical_m(y, z)
                 if imz and mz:
                     term = imz * mz
                     acc = acc + (term if (ext.length(z) + ext.length(x)) % 2 == 0 else -term)
@@ -193,7 +259,7 @@ def test_zeta_compatibility(a2):
     for w in spherical_window(a2, 2):
         total = HeckeElement()
         for y in hecke.spherical_lower_set(w):
-            m = hecke.spherical_m(y, w, verify=False)
+            m = hecke.spherical_m(y, w)
             if m:
                 total = total + hecke.mul(hecke.standard(y), hecke.kl_basis(ext.w0)).scaled(m)
         assert total == hecke.kl_basis(ext.mul(w, ext.w0))
@@ -238,7 +304,7 @@ def test_degree_bound_assertion(a2):
     lw0 = ext.length(ext.w0)
     for w in spherical_window(a2, 3):
         for y in hecke.spherical_lower_set(w):
-            m = hecke.spherical_m(y, w, verify=False)
+            m = hecke.spherical_m(y, w)
             if m:
                 assert -(ext.length(w) + lw0) <= m.min_exponent()
                 assert m.max_exponent() <= ext.length(w) + lw0

@@ -1,0 +1,48 @@
+"""The library's own invariant checks must survive `python -O`."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SCRIPT = """
+from alcove_hecke.engine import build_engine
+from alcove_hecke.errors import FlavorMismatch, InvariantViolation
+from alcove_hecke.groth_calc import FiltrationMultiset
+from alcove_hecke.hecke import HeckeElement
+
+if __debug__:
+    raise SystemExit("not running under -O")
+try:
+    FiltrationMultiset({}, "Tilting")
+except FlavorMismatch:
+    pass
+else:
+    raise SystemExit("flavor check vanished")
+
+eng = build_engine("A1_adj")
+ext, hecke = eng.ext, eng.hecke
+s0 = ext.parse_element("s1 : -2")
+top = ext.mul(s0, ext.w0)
+wrong = dict(hecke.kl_basis(top).items())
+del wrong[ext.identity]
+hecke._kl[top] = HeckeElement(wrong)
+try:
+    hecke.spherical_m(ext.identity, s0)
+except InvariantViolation:
+    pass
+else:
+    raise SystemExit("coset check vanished")
+print("checks raise under -O")
+"""
+
+
+def test_checks_survive_optimized_mode():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "checks raise under -O"

@@ -1,6 +1,9 @@
+import shlex
+
 import pytest
 
-from alcove_hecke.errors import BoundsTooLarge
+from alcove_hecke import cli, suite
+from alcove_hecke.errors import BoundsTooLarge, Unrepresentable
 from alcove_hecke.laurent import LaurentPolynomial
 from alcove_hecke.suite import bar_invariance_solver, run_suite, spherical_window
 
@@ -69,3 +72,23 @@ def test_full_suite_a1_defaults_fast():
     elapsed = time.monotonic() - start
     assert report.passed, [c.name for c in report.checks if c.status != "pass"]
     assert elapsed < 60
+
+
+@pytest.mark.parametrize("preset,gens", [("A1_adj", 0), ("B2_adj", 2)])
+def test_awext_counterexample_command_runs(monkeypatch, preset, gens):
+    # a failing coset with `gens` generators: the empty subset, then s1+s2
+    real = suite.min_rep
+
+    def failing(alc, x, a):
+        if len(a.generators) == gens:
+            raise Unrepresentable("injected")
+        return real(alc, x, a)
+
+    monkeypatch.setattr(suite, "min_rep", failing)
+    check = run_suite(preset, names=["awext-representatives"]).checks[0]
+    assert check.status == "fail"
+    argv = shlex.split(check.counterexample["command"])
+    assert argv[0] == "alcove-hecke"
+    assert ("--gens" in argv) == (gens > 0)
+    monkeypatch.undo()
+    assert cli.main(argv[1:]) == 0
