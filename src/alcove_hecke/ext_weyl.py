@@ -160,6 +160,14 @@ class ExtWeyl:
         lx = self.length(x)
         return [g for g in self.generators if self.length(self.mul(self._gen_elements[g], x)) < lx]
 
+    def first_left_descent(self, x: ExtWeylElement) -> AffineGenerator | None:
+        """The first generator s with sx < x, or None for length zero."""
+        lx = self.length(x)
+        for g in self.generators:
+            if self.length(self.mul(self._gen_elements[g], x)) < lx:
+                return g
+        return None
+
     def reduced_expression(
         self, x: ExtWeylElement, strategy: str = "min"
     ) -> tuple[list[AffineGenerator], ExtWeylElement]:
@@ -178,11 +186,11 @@ class ExtWeyl:
         word: list[AffineGenerator] = []
         cur = x
         while self.length(cur) > 0:
-            descents = self.left_descents(cur)
-            if rng is not None:
-                g = descents[rng.randrange(len(descents))]
+            if strategy == "min":
+                g = self.first_left_descent(cur)
             else:
-                g = descents[0] if strategy == "min" else descents[-1]
+                descents = self.left_descents(cur)
+                g = descents[-1] if rng is None else descents[rng.randrange(len(descents))]
             word.append(g)
             cur = self.mul(self._gen_elements[g], cur)
         return word, cur
@@ -230,8 +238,7 @@ class ExtWeyl:
 
     def _bruhat_descend(self, key: tuple[ExtWeylElement, ExtWeylElement]) -> bool:
         x, y = key
-        g = self.left_descents(y)[0]
-        ge = self._gen_elements[g]
+        ge = self._gen_elements[self.first_left_descent(y)]
         sy = self.mul(ge, y)
         sx = self.mul(ge, x)
         if self.length(sx) < self.length(x):

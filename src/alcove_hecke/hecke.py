@@ -12,12 +12,26 @@ materialized, and results live in a bounded `Memo` table.
 
 The left spherical module is the quotient by the left ideal generated by
 H_s - v^{-1} for finite simple s; its standard and canonical bases are
-indexed by the minimal representatives W_ext^S.  Writing mbar(y, w) for the
-canonical-basis coefficients there, one has mbar(y, w) = h(y w0, w w0): the
-Kazhdan-Lusztig polynomial of the *maximal* coset representatives.
+indexed by the minimal representatives W_ext^S.  Its canonical basis is
+computed natively, by the same inductive algorithm with C_s = H_s + v acting
+on M_y (y in W_ext^S) in three cases:
+
+    sy < y:                  M_sy + v^{-1} M_y
+    sy > y, sy in W_ext^S:   M_sy + v M_y
+    sy not in W_ext^S:       (v + v^{-1}) M_y   (then sy = y t, t finite simple)
+
+The inverse polynomials m^{x,y} are back-substituted from these elements.
+Writing mbar(y, w) for the canonical-basis coefficients, one also has
+mbar(y, w) = h(y w0, w w0), the Kazhdan-Lusztig polynomial of the *maximal*
+coset representatives; `spherical_m` takes that full-group route and serves
+as the independent oracle for the native one.
 """
 
 from __future__ import annotations
+
+import heapq
+from types import MappingProxyType
+from typing import Mapping
 
 from .alcove import AlcoveModel
 from .errors import InvariantViolation, NotSpherical
@@ -26,6 +40,7 @@ from .laurent import ONE, V, V_INV, ZERO, LaurentPolynomial
 from .memo import Memo
 
 _V_MINUS_VINV = V - V_INV
+_V_PLUS_VINV = V + V_INV
 _VINV_MINUS_V = V_INV - V
 
 
@@ -33,6 +48,28 @@ def _accumulate(out: dict, w: ExtWeylElement, p: LaurentPolynomial) -> None:
     """out[w] += p, in place."""
     acc = out.get(w)
     out[w] = p if acc is None else acc + p
+
+
+def _subtract_corrections(out: dict, x: ExtWeylElement, element_of) -> None:
+    """Subtract c0 times the canonical element of w from out, for every w != x
+    whose coefficient has constant term c0, with element_of(w) its support.
+
+    A subtracted element changes no constant term but the one at w, so one
+    pass over the snapshot suffices.
+    """
+    corrections = [(w, p.coeff(0)) for w, p in out.items() if w != x and p.coeff(0) != 0]
+    for w, c0 in corrections:
+        for y, q in element_of(w).items():
+            _accumulate(out, y, q * -c0)
+
+
+def _check_canonical(x: ExtWeylElement, support: Mapping) -> None:
+    """Coefficient 1 at x and every other coefficient in vZ[v]."""
+    if support.get(x) != ONE:
+        raise InvariantViolation(f"canonical basis not unitriangular at {x}")
+    for w, p in support.items():
+        if w != x and p.min_exponent() < 1:
+            raise InvariantViolation(f"lower coefficient {p} at {w} in the canonical element of {x}")
 
 
 class HeckeElement:
@@ -73,6 +110,7 @@ class HeckeAlgebra:
         self.alc = alc
         self.ext = alc.ext
         self._kl = Memo(self._kl_element)
+        self._spherical = Memo(self._spherical_element)
 
     # -- standard basis arithmetic ---------------------------------------
 
@@ -142,7 +180,7 @@ class HeckeAlgebra:
             if ext.length(w) == 0:
                 _accumulate(out, w, p.bar())
             else:
-                g = ext.left_descents(w)[0]
+                g = ext.first_left_descent(w)
                 groups.setdefault(g, {})[ext.mul(ext.gen_element(g), w)] = p
         for g, rest in groups.items():
             barred = self.left_mul_gen(g, self.bar(HeckeElement(rest)), _V_MINUS_VINV)
@@ -161,29 +199,29 @@ class HeckeAlgebra:
         if ext.length(x) == 0:
             result = self.standard(x)
         elif not ext.in_affine_subgroup(x):
-            # peel the length-zero left factor; it relabels the support
-            _, omega = ext.reduced_expression(x)
-            aff = ext.mul(ext.inv(omega), x)  # in W_aff: the subgroup is normal
-            assert ext.in_affine_subgroup(aff)
+            omega, aff = self._split_omega(x)
             base = self.kl_basis(aff)
             result = HeckeElement({ext.mul(omega, w): p for w, p in base.support.items()})
         else:
-            g = ext.left_descents(x)[0]
+            g = ext.first_left_descent(x)
             rest = ext.mul(ext.gen_element(g), x)
             out = self.left_mul_gen(g, self.kl_basis(rest), V).support
-            # subtract mu-coefficient corrections: constant terms never move
-            # once created, so one pass over the snapshot suffices
-            corrections = [
-                (w, p.coeff(0)) for w, p in out.items() if w != x and p.coeff(0) != 0
-            ]
-            for w, c0 in corrections:
-                for y, q in self.kl_basis(w).support.items():
-                    _accumulate(out, y, q * -c0)
+            _subtract_corrections(out, x, lambda w: self.kl_basis(w).support)
             result = HeckeElement(out)
-        assert result.coeff(x) == ONE, f"canonical basis not unitriangular at {x}"
-        for w, p in result.items():
-            assert w == x or p.min_exponent() >= 1, f"lower coefficient {p} at {w}"
+        _check_canonical(x, result.support)
         return result
+
+    def _split_omega(self, x: ExtWeylElement) -> tuple[ExtWeylElement, ExtWeylElement]:
+        """x = omega * aff with omega of length zero and aff in W_aff.
+
+        Left multiplication by omega relabels a canonical element's support.
+        """
+        ext = self.ext
+        _, omega = ext.reduced_expression(x)
+        aff = ext.mul(ext.inv(omega), x)  # in W_aff: the subgroup is normal
+        if not ext.in_affine_subgroup(aff):
+            raise InvariantViolation(f"{x} has no length-zero left factor leaving W_aff")
+        return omega, aff
 
     def kl_poly(self, y: ExtWeylElement, x: ExtWeylElement) -> LaurentPolynomial:
         return self.kl_basis(x).coeff(y)
@@ -195,13 +233,46 @@ class HeckeAlgebra:
             raise NotSpherical(f"{x} is not a minimal coset representative")
 
     def _check_degree(self, p: LaurentPolynomial, bound: int) -> None:
-        if p:
-            assert -bound <= p.min_exponent() and p.max_exponent() <= bound
+        if p and not (-bound <= p.min_exponent() and p.max_exponent() <= bound):
+            raise InvariantViolation(f"{p} exceeds the degree bound {bound}")
+
+    def spherical_basis(self, w: ExtWeylElement) -> Mapping[ExtWeylElement, LaurentPolynomial]:
+        """The canonical element N_w = sum_y mbar(y, w) M_y, as a read-only map y -> mbar(y, w)."""
+        self._require_spherical(w)
+        return self._spherical[w]
+
+    def _spherical_element(self, w: ExtWeylElement) -> Mapping[ExtWeylElement, LaurentPolynomial]:
+        ext = self.ext
+        if ext.length(w) == 0:
+            out = {w: ONE}
+        elif not ext.in_affine_subgroup(w):
+            omega, aff = self._split_omega(w)  # aff is minimal in its coset too
+            out = {ext.mul(omega, y): p for y, p in self._spherical[aff].items()}
+        else:
+            g = ext.first_left_descent(w)
+            ge = ext.gen_element(g)
+            out = {}
+            # (H_s + v) M_y on the three kinds of y in W_ext^S
+            for y, p in self._spherical[ext.mul(ge, w)].items():
+                sy = ext.mul(ge, y)
+                if ext.length(sy) < ext.length(y):
+                    _accumulate(out, sy, p)
+                    _accumulate(out, y, V_INV * p)
+                elif self.alc.in_wexts(sy):
+                    _accumulate(out, sy, p)
+                    _accumulate(out, y, V * p)
+                else:  # sy = y t with t finite simple, and H_t acts by v^{-1}
+                    _accumulate(out, y, _V_PLUS_VINV * p)
+            _subtract_corrections(out, w, self._spherical.__getitem__)
+            out = {y: p for y, p in out.items() if p}
+        _check_canonical(w, out)
+        return MappingProxyType(out)
 
     def spherical_m(self, y: ExtWeylElement, w: ExtWeylElement) -> LaurentPolynomial:
         """Canonical-basis coefficient mbar(y, w) of the left spherical module.
 
-        Computed as h(y w0, w w0) and checked against the representative y
+        The full-group route, kept as the oracle for `spherical_basis`:
+        computed as h(y w0, w w0) and checked against the representative y
         itself: the identity h(y u, w w0) = v^{len(w0) - len(u)} * mbar(y, w)
         for u in W pins the whole coset, so data computed through a second
         representative must agree after the corresponding power shift.
@@ -226,33 +297,35 @@ class HeckeAlgebra:
     def inverse_m(self, x: ExtWeylElement, y: ExtWeylElement) -> LaurentPolynomial:
         """Entry m^{x,y} of the inverse of the spherical canonical matrix.
 
-        Defined by M_x = sum_y (-1)^{len(y)+len(x)} m^{x,y} Mbar_y and computed
-        by unitriangular back-substitution over the Bruhat lower set of x
-        inside W_ext^S.
+        Defined by M_x = sum_y (-1)^{len(y)+len(x)} m^{x,y} N_y and computed
+        by unitriangular back-substitution over the transitive support
+        closure of N_x, by decreasing length: m^{x,z} is zero off it.  Each
+        m^{x,u}, once complete, is pushed onto the support of N_u; the
+        closure is walked no lower than y.
         """
         self._require_spherical(x)
         self._require_spherical(y)
         ext = self.ext
-        # (u, len(u), canonical element of u w0), by decreasing length: x first
-        rows = [
-            (u, ext.length(u), self.kl_basis(ext.mul(u, ext.w0)))
-            for u in self.spherical_lower_set(x)
-        ]
+        ly = ext.length(y)
         values: dict[ExtWeylElement, LaurentPolynomial] = {x: ONE}
-        for z, lz, _ in rows[1:]:
-            if y in values:
+        heap = [(-ext.length(x), x)]  # every longer member of the closure pops first
+        result = ZERO
+        while heap:
+            neg_lu, u = heapq.heappop(heap)
+            m = values.pop(u)
+            if u == y:
+                result = m
                 break
-            zw0 = ext.mul(z, ext.w0)
-            acc = ZERO
-            for u, lu, table in rows:
-                if lu <= lz:
-                    break
-                coeff = table.coeff(zw0)
-                if coeff:
-                    term = values[u] * coeff
-                    acc = acc + (term if (lz + lu) % 2 else -term)
-            values[z] = acc
-        result = values.get(y, ZERO)
+            if not m:
+                continue
+            for z, p in self.spherical_basis(u).items():
+                lz = ext.length(z)
+                if z == u or (lz <= ly and z != y):
+                    continue
+                if z not in values:
+                    heapq.heappush(heap, (-lz, z))
+                term = m * p
+                _accumulate(values, z, term if (lz - neg_lu) % 2 else -term)
         self._check_degree(result, ext.length(x) + ext.length(ext.w0))
         return result
 
@@ -268,7 +341,8 @@ class HeckeAlgebra:
                 if self.alc.in_wexts(cand):
                     y = cand
                     break
-            assert y is not None
+            if y is None:
+                raise InvariantViolation(f"no minimal representative found in the coset of {w}")
             drop = ext.length(w) - ext.length(y)
             _accumulate(out, y, LaurentPolynomial.monomial(-drop) * p)
         return {y: p for y, p in out.items() if p}

@@ -655,7 +655,9 @@ def check_spherical_identities(env: _Env):
     ext, hecke = eng.ext, eng.hecke
     window = spherical_window(eng, min(4, env.kl_maxlen))
     rng = env.rng("spherical")
-    # matrix identity on one interval
+    # matrix identity on one interval: it checks the native inverse_m, built
+    # from the spherical canonical basis on W_ext^S, against the full-group
+    # spherical_m, read off kl_basis(w w0)
     x = window[-1]
     lower = hecke.spherical_lower_set(x)
     for y in lower:

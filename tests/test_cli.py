@@ -73,6 +73,30 @@ def test_hecke_ops(capsys):
     assert len(rows) > 0
 
 
+CUSTOM_DATA = {
+    "G2": ({"simple_roots": [[1, 0], [0, 1]], "simple_coroots": [[2, -1], [-3, 2]]}, 6, 6),
+    "A3": (
+        {
+            "simple_roots": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            "simple_coroots": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+        },
+        4,
+        6,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CUSTOM_DATA))
+def test_mtriangle_sweep_on_custom_data(capsys, tmp_path, name):
+    descriptor, maxlen, len_w0 = CUSTOM_DATA[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(descriptor), encoding="utf-8")
+    code, out = run_cli(capsys, "hecke", "mtriangle-sweep", "--datum", str(path), "--maxlen", str(maxlen))
+    assert code == 0
+    rows = [line.split("\t") for line in out.strip().splitlines()]
+    assert rows and all(r[2] == f"1*v^{len_w0}" for r in rows)
+
+
 def test_satake_char(capsys):
     code, out = run_cli(capsys, "satake", "char", "--datum", "A1_adj", "--mu", "2")
     rows = dict(line.split("\t") for line in out.strip().splitlines())

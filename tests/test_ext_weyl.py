@@ -84,6 +84,16 @@ def test_reduced_expression_examples(a1):
     assert word == [] and omega == ext.parse_element("s1 : -1")
 
 
+def test_first_left_descent(any_engine):
+    ext = any_engine.ext
+    rng = random.Random(29)
+    for _ in range(200):
+        x = ext.random_element(rng, 3)
+        descents = ext.left_descents(x)
+        assert ext.first_left_descent(x) == (descents[0] if descents else None)
+        assert (not descents) == (ext.length(x) == 0)
+
+
 def test_reduced_expression_round_trip(any_engine):
     ext = any_engine.ext
     rng = random.Random(17)

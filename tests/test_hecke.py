@@ -5,6 +5,7 @@ import pytest
 from alcove_hecke import memo
 from alcove_hecke.engine import build_engine
 from alcove_hecke.errors import InvariantViolation, NotSpherical
+from alcove_hecke.suite import spherical_window
 from alcove_hecke.hecke import HeckeAlgebra, HeckeElement
 from alcove_hecke.laurent import ONE, V, V_INV, ZERO, LaurentPolynomial
 
@@ -62,6 +63,10 @@ def test_bar_is_involutive(any_engine):
 # -- the reversed-word construction of H_x^{-1}, kept as an oracle ------------
 
 G2 = {"simple_roots": [[1, 0], [0, 1]], "simple_coroots": [[2, -1], [-3, 2]]}
+A3 = {
+    "simple_roots": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    "simple_coroots": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+}
 
 
 def _inverse_by_word(hecke, x):
@@ -308,3 +313,83 @@ def test_degree_bound_assertion(a2):
             if m:
                 assert -(ext.length(w) + lw0) <= m.min_exponent()
                 assert m.max_exponent() <= ext.length(w) + lw0
+
+
+# -- the native spherical module against the full-group route -----------------
+
+# datum -> (window length for spherical_basis, window length and number of
+# triangle tops for inverse_m); the G2 and A3 tops are long (length 23-25 and
+# 12-13), so one each
+SPHERICAL_ORACLE = {
+    "A1_adj": (8, 4, 3),
+    "A2_adj": (8, 4, 3),
+    "B2_adj": (8, 4, 3),
+    "A1xA1_adj": (6, 4, 3),
+    "G2": (7, 3, 1),
+    "A3": (5, 2, 1),
+}
+
+
+@pytest.fixture(scope="module", params=list(SPHERICAL_ORACLE))
+def spherical_engine(request):
+    return request.param, build_engine({"G2": G2, "A3": A3}.get(request.param, request.param))
+
+
+def _inverse_m_full_group(hecke, x):
+    """m^{x,z} for every z in the spherical lower set of x, by back-substitution
+    over the full-group canonical elements C_{u w0}, u below x."""
+    ext = hecke.ext
+    rows = [
+        (u, ext.length(u), hecke.kl_basis(ext.mul(u, ext.w0)))
+        for u in hecke.spherical_lower_set(x)
+    ]
+    values = {x: ONE}
+    for z, lz, _ in rows[1:]:
+        zw0 = ext.mul(z, ext.w0)
+        acc = ZERO
+        for u, lu, table in rows:
+            if lu <= lz:
+                break
+            coeff = table.coeff(zw0)
+            if coeff:
+                term = values[u] * coeff
+                acc = acc + (term if (lz + lu) % 2 else -term)
+        values[z] = acc
+    return values
+
+
+def test_spherical_basis_matches_full_group(spherical_engine):
+    name, eng = spherical_engine
+    hecke = eng.hecke
+    for w in spherical_window(eng, SPHERICAL_ORACLE[name][0]):
+        element = hecke.spherical_basis(w)
+        lower = hecke.spherical_lower_set(w)
+        assert set(element) <= set(lower)
+        for y in lower:
+            assert element.get(y, ZERO) == hecke.spherical_m(y, w), (w, y)
+
+
+def test_inverse_m_matches_full_group(spherical_engine):
+    name, eng = spherical_engine
+    _, maxlen, tops = SPHERICAL_ORACLE[name]
+    for w in spherical_window(eng, maxlen)[-tops:]:
+        x = eng.alc.triangle(w)
+        want = _inverse_m_full_group(eng.hecke, x)
+        assert {z: eng.hecke.inverse_m(x, z) for z in want} == want
+
+
+def test_spherical_basis_rejects_non_minimal(a1):
+    with pytest.raises(NotSpherical):
+        a1.hecke.spherical_basis(a1.ext.parse_element("s1 : 0"))
+
+
+def test_spherical_basis_unitriangularity_check_raises(a1):
+    ext = a1.ext
+    hecke = HeckeAlgebra(a1.alc)
+    w = ext.parse_element("s1 : -4")
+    rest = ext.mul(ext.gen_element(ext.first_left_descent(w)), w)
+    wrong = dict(hecke.spherical_basis(rest))
+    del wrong[rest]  # (H_s + v) N_rest then has no M_w term
+    hecke._spherical[rest] = wrong
+    with pytest.raises(InvariantViolation):
+        hecke.spherical_basis(w)

@@ -35,6 +35,18 @@ except InvariantViolation:
     pass
 else:
     raise SystemExit("coset check vanished")
+
+w = ext.parse_element("s1 : -4")
+rest = ext.mul(ext.gen_element(ext.first_left_descent(w)), w)
+wrong = dict(hecke.spherical_basis(rest))
+del wrong[rest]
+hecke._spherical[rest] = wrong
+try:
+    hecke.spherical_basis(w)
+except InvariantViolation:
+    pass
+else:
+    raise SystemExit("spherical unitriangularity check vanished")
 print("checks raise under -O")
 """
 
