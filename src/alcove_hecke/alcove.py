@@ -4,12 +4,28 @@ Every test is decided on the single interior sample point p0 = varsigma / h,
 where h is one plus the maximal height of a positive root, so all pairings
 <beta, p0> = height(beta) / h are exact with one shared denominator.  Points
 are stored as integer numerator vectors over that denominator.
+
+The tests look at x^{-1}.p0, and for x = w t_lambda that point is
+x^{-1}.p0 = w^{-1}(p0) - h lambda (in numerators).  The model therefore keeps
+one row per finite Weyl index w, holding <beta, w^{-1}(p0)> for the positive
+and for the simple roots, and decides each test from that row and one small
+dot product per root: <beta, x^{-1}.p0> = row[k] - h <beta_k, lambda>.
+
+>>> from alcove_hecke.engine import build_engine
+>>> eng = build_engine("A1_adj")
+>>> alc, ext = eng.alc, eng.ext
+>>> [alc.in_wexts(ext.translation((n,))) for n in (-1, 0, 1)]
+[True, True, False]
+>>> alc.box_coords(ext.translation((-2,))), alc.box_coords(ext.parse_element("s1 : 0"))
+((3,), (0,))
 """
 
 from __future__ import annotations
 
+from operator import mul as scalar_mul
 from typing import NamedTuple
 
+from .errors import InvariantViolation
 from .ext_weyl import ExtWeyl, ExtWeylElement
 from .root_datum import Vector, pair, vec_add, vec_neg, vec_scale, vec_sub
 
@@ -23,13 +39,21 @@ class AlcovePoint(NamedTuple):
 class AlcoveModel:
     def __init__(self, ext: ExtWeyl):
         self.ext = ext
-        self.datum = ext.datum
-        self.denominator = 1 + max(self.datum.root_heights)
-        self.base_point = AlcovePoint(self.datum.varsigma)
-        # p0 lies in the fundamental alcove: 0 < <beta, p0> < 1 for beta > 0
-        for beta in self.datum.positive_roots:
-            c = pair(beta, self.base_point.nums)
-            assert 0 < c < self.denominator
+        d = self.datum = ext.datum
+        h = self.denominator = 1 + max(d.root_heights)
+        self.base_point = AlcovePoint(d.varsigma)
+        # p0 lies in the fundamental alcove: 0 < <beta, p0> < h for beta > 0
+        for beta in d.positive_roots:
+            if not 0 < pair(beta, d.varsigma) < h:
+                raise InvariantViolation(f"base point {d.varsigma} leaves the fundamental alcove")
+        # per Weyl index w: <beta, w^{-1}(p0)> for the positive resp. simple roots
+        positive_rows, simple_rows = [], []
+        for w in range(d.weyl_order):
+            q = d.act_y(d.weyl_inv[w], d.varsigma)
+            positive_rows.append(tuple(pair(beta, q) for beta in d.positive_roots))
+            simple_rows.append(tuple(pair(alpha, q) for alpha in d.simple_roots))
+        self._positive_rows = tuple(positive_rows)
+        self._simple_rows = tuple(simple_rows)
 
     def act(self, x: ExtWeylElement, p: AlcovePoint) -> AlcovePoint:
         """(w t_lambda) . p = w(p) + w(lambda), exactly."""
@@ -38,22 +62,27 @@ class AlcoveModel:
         shift = vec_scale(self.denominator, d.act_y(x.w, x.t))
         return AlcovePoint(vec_add(moved, shift))
 
-    def _inverse_base_pairings(self, x: ExtWeylElement, roots) -> list[int]:
-        p = self.act(self.ext.inv(x), self.base_point)
-        return [pair(beta, p.nums) for beta in roots]
-
     def in_wexts(self, x: ExtWeylElement) -> bool:
         """Minimal-coset-representative test: x^{-1}(A_fund) in the dominant cone."""
-        return all(c > 0 for c in self._inverse_base_pairings(x, self.datum.positive_roots))
+        h, t = self.denominator, x.t
+        for r, beta in zip(self._positive_rows[x.w], self.datum.positive_roots):
+            if r <= h * sum(map(scalar_mul, beta, t)):
+                return False
+        return True
 
     def in_wres(self, x: ExtWeylElement) -> bool:
         """Restricted test: x^{-1}(A_fund) inside the fundamental box."""
-        h = self.denominator
-        return all(0 < c < h for c in self._inverse_base_pairings(x, self.datum.simple_roots))
+        h, t = self.denominator, x.t
+        for r, alpha in zip(self._simple_rows[x.w], self.datum.simple_roots):
+            if not 0 < r - h * sum(map(scalar_mul, alpha, t)) < h:
+                return False
+        return True
 
     def box_coords(self, x: ExtWeylElement) -> tuple[int, ...]:
-        h = self.denominator
-        return tuple(-((-c) // h) for c in self._inverse_base_pairings(x, self.datum.simple_roots))
+        """ceil <alpha, x^{-1}.p0> / h for each simple root alpha."""
+        h, t = self.denominator, x.t
+        rows = zip(self._simple_rows[x.w], self.datum.simple_roots)
+        return tuple([-((h * sum(map(scalar_mul, alpha, t)) - r) // h) for r, alpha in rows])
 
     def box_of(self, x: ExtWeylElement) -> Vector:
         """Canonical mu in Y with <alpha, mu> = ceil <alpha, x^{-1}.p0>."""
@@ -79,7 +108,8 @@ class AlcoveModel:
         coords = self.box_coords(x)
         lam = self.datum.section_lift(tuple(1 - c for c in coords))
         y = self.ext.mul(x, self.ext.translation(vec_neg(lam)))
-        assert self.in_wres(y), (x, y, lam)
+        if not self.in_wres(y):
+            raise InvariantViolation(f"{x} t_{vec_neg(lam)} = {y} is not restricted")
         return y, lam
 
     def restricted_elements(self) -> list[ExtWeylElement]:

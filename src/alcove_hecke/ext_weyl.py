@@ -14,11 +14,12 @@ coroot-lattice test and Bruhat comparisons are memoized per instance in
 from __future__ import annotations
 
 import itertools
+from operator import mul as scalar_mul
 from typing import Iterable, NamedTuple
 
 from .errors import MalformedInput
 from .memo import Memo
-from .root_datum import RootDatum, Vector, pair, vec_add, vec_neg
+from .root_datum import RootDatum, Vector, pair, vec_neg
 
 GEN_LETTERS = "abcdefgh"
 
@@ -52,6 +53,10 @@ class ExtWeyl:
         # keyed on the translation: W_aff is the set of w t_lam with lam in
         # the coroot lattice
         self._in_coroot_lattice = Memo(datum.coroot_lattice_contains)
+        # Y-action matrix of w^{-1}, per Weyl index w: the rows `mul` reads
+        self._inv_y_action = tuple(
+            datum.weyl_elements[datum.weyl_inv[w]].y_action for w in range(datum.weyl_order)
+        )
 
         self._simple_refl_index = []
         for i in range(datum.rank):
@@ -111,11 +116,12 @@ class ExtWeyl:
             raise MalformedInput(f"unknown generator {name!r}") from None
 
     def mul(self, a: ExtWeylElement, b: ExtWeylElement) -> ExtWeylElement:
-        # (w1 t1)(w2 t2) = (w1 w2) t_{w2^{-1}(t1) + t2}
-        d = self.datum
-        w = d.weyl_mult[a.w][b.w]
-        t = vec_add(d.act_y(d.weyl_inv[b.w], a.t), b.t)
-        return ExtWeylElement(w, t)
+        # (w1 t1)(w2 t2) = (w1 w2) t_{w2^{-1}(t1) + t2}, in one pass over the rows
+        t1 = a.t
+        t = tuple(
+            [sum(map(scalar_mul, row, t1)) + c for row, c in zip(self._inv_y_action[b.w], b.t)]
+        )
+        return ExtWeylElement(self.datum.weyl_mult[a.w][b.w], t)
 
     def mul_many(self, *els: ExtWeylElement) -> ExtWeylElement:
         acc = self.identity
@@ -176,13 +182,15 @@ class ExtWeyl:
         Descents are peeled greedily; `strategy` picks the smallest ("min",
         default) or largest ("max") available generator index at each step,
         or a seeded randomized choice ("random:<seed>"), so every choice is
-        reproducible.
+        reproducible.  Any other strategy raises `MalformedInput`.
         """
         rng = None
-        if strategy.startswith("random"):
+        if strategy.startswith("random:"):
             import random
 
             rng = random.Random(strategy)
+        elif strategy not in ("min", "max"):
+            raise MalformedInput(f"unknown reduced-expression strategy {strategy!r}")
         word: list[AffineGenerator] = []
         cur = x
         while self.length(cur) > 0:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .alcove import AlcoveModel
-from .errors import FlavorMismatch, NotRestricted, NotSpherical
+from .errors import FlavorMismatch, InvariantViolation, NotRestricted, NotSpherical
 from .ext_weyl import AffineGenerator, ExtWeylElement
 from .orders import PeriodicOrder
 from .parabolic import FinitarySubset, in_awext, in_awext_s, min_rep
@@ -193,7 +193,8 @@ class GrothCalc:
     def xi_omega(self, f: FiltrationMultiset, omega: ExtWeylElement) -> FiltrationMultiset:
         """Wall-crossing along a length-zero element: relabel w -> omega w."""
         self._require_coverma(f)
-        assert self.ext.length(omega) == 0
+        if self.ext.length(omega) != 0:
+            raise InvariantViolation(f"{omega} does not have length zero")
         return FiltrationMultiset(
             {self.ext.mul(omega, w): m for w, m in f.mults.items()}, COVERMA
         )
@@ -218,10 +219,13 @@ class GrothCalc:
         for g in word:
             f = self.xi_s(f, g)
         tri = self.alc.triangle(x)
-        assert f.mult(x) == 1, f"bottom multiplicity {f.mult(x)} at {x}"
-        assert f.mult(tri) == 1, f"top multiplicity {f.mult(tri)} at {tri}"
+        if f.mult(x) != 1:
+            raise InvariantViolation(f"bottom multiplicity {f.mult(x)} at {x}")
+        if f.mult(tri) != 1:
+            raise InvariantViolation(f"top multiplicity {f.mult(tri)} at {tri}")
         for z in f.support():
-            assert self.order.leq(x, z) and self.order.leq(z, tri), (x, z, tri)
+            if not (self.order.leq(x, z) and self.order.leq(z, tri)):
+                raise InvariantViolation(f"{z} is not between {x} and {tri} in the periodic order")
         return f
 
     # -- averaging ---------------------------------------------------------------

@@ -10,9 +10,10 @@ repeatedly.
 from __future__ import annotations
 
 from .alcove import AlcoveModel
+from .errors import InvariantViolation
 from .ext_weyl import ExtWeylElement
 from .memo import Memo
-from .root_datum import pair, vec_scale
+from .root_datum import vec_scale
 
 
 class PeriodicOrder:
@@ -23,10 +24,11 @@ class PeriodicOrder:
 
     def _push_steps(self, x: ExtWeylElement) -> int:
         """Smallest N >= 0 with x t_{-N varsigma} in W_ext^S."""
-        _, lam = self.alc.res_decompose(x)
-        return max(
-            [0] + [pair(alpha, lam) for alpha in self.alc.datum.simple_roots]
-        )
+        # x = y t_lambda with y restricted lies in W_ext^S exactly when lambda
+        # is antidominant, and res_decompose's lambda has <alpha_i, lambda> =
+        # 1 - c_i for the box coordinates c_i of x; pushing by N varsigma
+        # lowers every <alpha_i, lambda> by N
+        return max([0] + [1 - c for c in self.alc.box_coords(x)])
 
     def leq(self, x: ExtWeylElement, y: ExtWeylElement) -> bool:
         if x == y:
@@ -39,5 +41,6 @@ class PeriodicOrder:
         push = self.ext.translation(vec_scale(-n, self.alc.datum.varsigma))
         xs = self.ext.mul(x, push)
         ys = self.ext.mul(y, push)
-        assert self.alc.in_wexts(xs) and self.alc.in_wexts(ys)
+        if not (self.alc.in_wexts(xs) and self.alc.in_wexts(ys)):
+            raise InvariantViolation(f"pushing {x}, {y} by {n} varsigma leaves W_ext^S")
         return self.ext.bruhat_leq(xs, ys)

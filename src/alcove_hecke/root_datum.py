@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import (
     CartanNotFiniteType,
@@ -69,7 +70,7 @@ def vec_scale(c: int, a: Vector) -> Vector:
 
 
 def mat_apply(m: Matrix, v: Vector) -> Vector:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+    return tuple([sum(map(mul, row, v)) for row in m])
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -739,7 +739,7 @@ def check_proj_filtration(env: _Env):
     base = ext.mul(ext.translation(eng.datum.varsigma), ext.w0)
     for x in alc.restricted_elements():
         y = ext.mul(base, ext.inv(x))
-        filt = groth.projective_filtration(x)  # endpoint/sandwich asserted inside
+        filt = groth.projective_filtration(x)  # endpoint/sandwich checked inside
         if filt.total() != eng.datum.weyl_order * 2 ** ext.length(y):
             return False, "total multiplicity is off", {
                 "element": env.fmt(x), "total": filt.total(),

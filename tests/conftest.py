@@ -3,14 +3,24 @@ import pytest
 from alcove_hecke.engine import build_engine
 
 SEMISIMPLE = ["A1_adj", "A2_adj", "B2_adj", "A1xA1_adj"]
+# inline descriptors: rank 2 and 3 beyond the presets, and a datum with a
+# central torus direction (GL2-style)
+CUSTOM = {
+    "G2": {"simple_roots": [[1, 0], [0, 1]], "simple_coroots": [[2, -1], [-3, 2]]},
+    "A3": {
+        "simple_roots": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        "simple_coroots": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+    },
+    "GL2": {"simple_roots": [[1, -1]], "simple_coroots": [[1, -1]]},
+}
 
 _cache = {}
 
 
-def engine_for(preset):
-    if preset not in _cache:
-        _cache[preset] = build_engine(preset)
-    return _cache[preset]
+def engine_for(name):
+    if name not in _cache:
+        _cache[name] = build_engine(CUSTOM.get(name, name))
+    return _cache[name]
 
 
 @pytest.fixture(scope="session")
@@ -30,4 +40,9 @@ def b2():
 
 @pytest.fixture(scope="session", params=SEMISIMPLE)
 def any_engine(request):
+    return engine_for(request.param)
+
+
+@pytest.fixture(scope="session", params=SEMISIMPLE + list(CUSTOM))
+def datum_engine(request):
     return engine_for(request.param)

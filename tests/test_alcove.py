@@ -1,7 +1,12 @@
 import itertools
 import random
 
+import pytest
+
+from alcove_hecke.engine import build_engine
+from alcove_hecke.errors import InvariantViolation
 from alcove_hecke.ext_weyl import ExtWeylElement
+from alcove_hecke.root_datum import pair, vec_scale
 
 
 def res_decompose_oracle(eng, x, bound=6):
@@ -24,8 +29,8 @@ def test_act_examples(a1):
     )
 
 
-def test_act_group_law(any_engine):
-    alc, ext = any_engine.alc, any_engine.ext
+def test_act_group_law(datum_engine):
+    alc, ext = datum_engine.alc, datum_engine.ext
     rng = random.Random(3)
     for _ in range(300):
         x = ext.random_element(rng, 3)
@@ -148,3 +153,55 @@ def test_base_point_is_interior(any_engine):
     for beta in any_engine.datum.positive_roots:
         c = pair(beta, alc.base_point.nums)
         assert 0 < c < alc.denominator
+
+
+# -- the per-Weyl-index tables against the action on the base point ----------
+
+
+def _oracle_pairings(alc, x, roots):
+    """<beta, x^{-1}.p0> for each beta, through `inv` and `act`."""
+    p = alc.act(alc.ext.inv(x), alc.base_point)
+    return [pair(beta, p.nums) for beta in roots]
+
+
+def _oracle_in_wexts(alc, x):
+    return all(c > 0 for c in _oracle_pairings(alc, x, alc.datum.positive_roots))
+
+
+def test_alcove_tests_match_action_oracle(datum_engine):
+    alc, ext, d = datum_engine.alc, datum_engine.ext, datum_engine.datum
+    h = alc.denominator
+    rng = random.Random(101)
+    for _ in range(1000):
+        x = ext.random_element(rng, 5)
+        simple = _oracle_pairings(alc, x, d.simple_roots)
+        assert alc.in_wexts(x) == _oracle_in_wexts(alc, x)
+        assert alc.in_wres(x) == all(0 < c < h for c in simple)
+        assert alc.box_coords(x) == tuple(-((-c) // h) for c in simple)
+
+
+def test_push_steps_is_smallest_push(datum_engine):
+    alc, ext, order = datum_engine.alc, datum_engine.ext, datum_engine.order
+    varsigma = datum_engine.datum.varsigma
+    rng = random.Random(103)
+    for _ in range(1000):
+        x = ext.random_element(rng, 4)
+        n = 0
+        while not _oracle_in_wexts(alc, ext.mul(x, ext.translation(vec_scale(-n, varsigma)))):
+            n += 1
+        assert order._push_steps(x) == n
+
+
+def test_push_check_raises():
+    order = build_engine("A1_adj").order
+    ext = order.ext
+    order._push_steps = lambda x: 0
+    with pytest.raises(InvariantViolation):
+        order.leq(ext.translation((1,)), ext.identity)
+
+
+def test_res_decompose_check_raises():
+    alc = build_engine("A1_adj").alc
+    alc.box_coords = lambda x: (0,)
+    with pytest.raises(InvariantViolation):
+        alc.res_decompose(alc.ext.identity)

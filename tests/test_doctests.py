@@ -1,6 +1,11 @@
 import doctest
 
-from alcove_hecke import laurent, root_datum
+from alcove_hecke import alcove, laurent, root_datum
+
+
+def test_alcove_doctests():
+    failures, tested = doctest.testmod(alcove, verbose=False)
+    assert failures == 0 and tested > 0
 
 
 def test_laurent_doctests():

@@ -84,6 +84,14 @@ def test_reduced_expression_examples(a1):
     assert word == [] and omega == ext.parse_element("s1 : -1")
 
 
+@pytest.mark.parametrize("strategy", ["mni", "", "random"])
+def test_unknown_strategy_is_rejected(b2, strategy):
+    ext = b2.ext
+    for x in (ext.parse_element("s1 s2 : -2,1"), ext.identity):
+        with pytest.raises(MalformedInput):
+            ext.reduced_expression(x, strategy=strategy)
+
+
 def test_first_left_descent(any_engine):
     ext = any_engine.ext
     rng = random.Random(29)

@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from alcove_hecke.errors import FlavorMismatch, NotRestricted, NotSpherical
+from alcove_hecke.engine import build_engine
+from alcove_hecke.errors import (
+    FlavorMismatch,
+    InvariantViolation,
+    MalformedInput,
+    NotRestricted,
+    NotSpherical,
+)
 from alcove_hecke.groth_calc import COVERMA, VERMA, FiltrationMultiset
 from alcove_hecke.parabolic import min_rep
 
@@ -32,6 +39,12 @@ def test_xi_omega_example(a1):
     omega_inv = ext.inv(ext.parse_element("s1 : -1"))  # (t_varsigma s)^{-1}
     out = groth.xi_omega(groth.seed_filtration(), omega_inv)
     assert out.mults == {ext.identity: 1, ext.parse_element("s1 : -2"): 1}
+
+
+def test_xi_omega_rejects_positive_length(a1):
+    groth, ext = a1.groth, a1.ext
+    with pytest.raises(InvariantViolation):
+        groth.xi_omega(groth.seed_filtration(), ext.gen_element(ext.generators[0]))
 
 
 def test_xi_s_doubles(any_engine):
@@ -100,6 +113,21 @@ def test_word_independence(any_engine):
             assert groth.dim_hom(groth.duality(a), a) == groth.dim_hom(
                 groth.duality(b), b
             )
+
+
+@pytest.mark.parametrize("strategy", ["mni", ""])
+def test_unknown_strategy_is_rejected(a1, strategy):
+    with pytest.raises(MalformedInput):
+        a1.groth.projective_filtration(a1.ext.identity, strategy=strategy)
+
+
+def test_projective_filtration_sandwich_check_raises():
+    eng = build_engine("A2_adj")
+    x = eng.ext.identity
+    z = next(z for z in sorted(eng.groth.projective_filtration(x).support()) if z != x)
+    eng.order._leq[(x, z)] = False
+    with pytest.raises(InvariantViolation):
+        eng.groth.projective_filtration(x)
 
 
 def test_reciprocity_shape(any_engine):

@@ -47,6 +47,24 @@ except InvariantViolation:
     pass
 else:
     raise SystemExit("spherical unitriangularity check vanished")
+
+groth = eng.groth
+try:
+    groth.xi_omega(groth.seed_filtration(), ext.gen_element(ext.generators[0]))
+except InvariantViolation:
+    pass
+else:
+    raise SystemExit("xi_omega length-zero check vanished")
+
+x = ext.identity
+z = next(z for z in sorted(groth.projective_filtration(x).support()) if z != x)
+eng.order._leq[(x, z)] = False
+try:
+    groth.projective_filtration(x)
+except InvariantViolation:
+    pass
+else:
+    raise SystemExit("projective filtration sandwich check vanished")
 print("checks raise under -O")
 """
 
