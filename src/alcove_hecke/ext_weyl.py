@@ -6,9 +6,13 @@ length.  On top of the group arithmetic this module provides the affine
 simple generators, the length-zero subgroup, reduced expressions, and the
 Bruhat order.
 
-All operations are pure over an immutable root datum.  Lengths, the
-coroot-lattice test and Bruhat comparisons are memoized per instance in
-`Memo` tables, which carry that module's concurrency caveat.
+All operations are pure over an immutable root datum.  Lengths, left-step
+rows, the coroot-lattice test and Bruhat comparisons are memoized per
+instance in `Memo` tables, which carry that module's concurrency caveat.
+The left-step row of x holds (s x, s x < x) for every affine generator s, in
+the order of `ExtWeyl.generators`: descents, reduced words and the Hecke
+recursions read their products and descent bits from it, so an element
+visited again costs one lookup instead of a product and two lengths.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ class ExtWeyl:
         self.datum = datum
         self.identity = ExtWeylElement(0, (0,) * datum.y_rank)
         self._lengths = Memo(self._length_formula)
+        self._left_steps = Memo(self._left_step_row)
         self._bruhat = Memo(self._bruhat_descend)
         # keyed on the translation: W_aff is the set of w t_lam with lam in
         # the coroot lattice
@@ -147,6 +152,18 @@ class ExtWeyl:
             total += abs(1 + c) if flips[k] else abs(c)
         return total
 
+    def _left_step_row(self, x: ExtWeylElement) -> tuple[tuple[ExtWeylElement, bool], ...]:
+        lx = self.length(x)
+        row = []
+        for g in self.generators:
+            sx = self.mul(self._gen_elements[g], x)
+            row.append((sx, self.length(sx) < lx))
+        return tuple(row)
+
+    def left_steps(self, x: ExtWeylElement) -> tuple[tuple[ExtWeylElement, bool], ...]:
+        """The row of (s x, s x < x) over `generators`, in generator order."""
+        return self._left_steps[x]
+
     def is_omega(self, x: ExtWeylElement) -> bool:
         return self.length(x) == 0
 
@@ -163,14 +180,12 @@ class ExtWeyl:
     # -- reduced expressions ----------------------------------------------
 
     def left_descents(self, x: ExtWeylElement) -> list[AffineGenerator]:
-        lx = self.length(x)
-        return [g for g in self.generators if self.length(self.mul(self._gen_elements[g], x)) < lx]
+        return [g for g, (_, down) in zip(self.generators, self._left_steps[x]) if down]
 
     def first_left_descent(self, x: ExtWeylElement) -> AffineGenerator | None:
         """The first generator s with sx < x, or None for length zero."""
-        lx = self.length(x)
-        for g in self.generators:
-            if self.length(self.mul(self._gen_elements[g], x)) < lx:
+        for g, (_, down) in zip(self.generators, self._left_steps[x]):
+            if down:
                 return g
         return None
 
@@ -193,15 +208,17 @@ class ExtWeyl:
             raise MalformedInput(f"unknown reduced-expression strategy {strategy!r}")
         word: list[AffineGenerator] = []
         cur = x
-        while self.length(cur) > 0:
+        while True:
+            row = self._left_steps[cur]
+            descents = [k for k, (_, down) in enumerate(row) if down]
+            if not descents:
+                return word, cur
             if strategy == "min":
-                g = self.first_left_descent(cur)
+                k = descents[0]
             else:
-                descents = self.left_descents(cur)
-                g = descents[-1] if rng is None else descents[rng.randrange(len(descents))]
-            word.append(g)
-            cur = self.mul(self._gen_elements[g], cur)
-        return word, cur
+                k = descents[-1] if rng is None else descents[rng.randrange(len(descents))]
+            word.append(self.generators[k])
+            cur = row[k][0]
 
     def omega_left_form(
         self, x: ExtWeylElement, strategy: str = "min"
@@ -246,9 +263,8 @@ class ExtWeyl:
 
     def _bruhat_descend(self, key: tuple[ExtWeylElement, ExtWeylElement]) -> bool:
         x, y = key
-        ge = self._gen_elements[self.first_left_descent(y)]
-        sy = self.mul(ge, y)
-        sx = self.mul(ge, x)
+        g, sy = next((g, sy) for g, (sy, down) in zip(self.generators, self._left_steps[y]) if down)
+        sx = self.mul(self._gen_elements[g], x)
         if self.length(sx) < self.length(x):
             return self._bruhat_aff(sx, sy)
         return self._bruhat_aff(x, sy)

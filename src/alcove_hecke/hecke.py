@@ -8,7 +8,10 @@ follows its own recursion bar(H_s b) = H_s^{-1} bar(b), bar(H_omega) = H_omega.
 The canonical basis is computed by the usual inductive algorithm on the affine
 part, with length-zero elements handled by relabeling.  Computations are
 interval-local: only the Bruhat lower set of the target element is ever
-materialized, and results live in a bounded `Memo` table.
+materialized, and results live in a bounded `Memo` table.  Every step from w
+to s w, with its descent bit, is read from the left-step row of w that
+`ExtWeyl.left_steps` keeps, so the recursions, which revisit the same
+elements many times, pay no group product or length per term.
 
 The left spherical module is the quotient by the left ideal generated by
 H_s - v^{-1} for finite simple s; its standard and canonical bases are
@@ -61,6 +64,14 @@ def _subtract_corrections(out: dict, x: ExtWeylElement, element_of) -> None:
     for w, c0 in corrections:
         for y, q in element_of(w).items():
             _accumulate(out, y, q * -c0)
+
+
+def _first_step(ext, x: ExtWeylElement) -> tuple[AffineGenerator, ExtWeylElement] | None:
+    """(s, s x) for the first left descent s of x, or None at length zero."""
+    for g, (sx, down) in zip(ext.generators, ext.left_steps(x)):
+        if down:
+            return g, sx
+    return None
 
 
 def _check_canonical(x: ExtWeylElement, support: Mapping) -> None:
@@ -137,13 +148,13 @@ class HeckeAlgebra:
     ) -> HeckeElement:
         """(H_s + c) * a for the generator s = g, in one pass over a."""
         ext = self.ext
-        ge = ext.gen_element(g)
+        i = ext.generators.index(g)
         down = _VINV_MINUS_V + c  # H_s H_w = H_{sw} + (v^{-1} - v) H_w when sw < w
         out: dict[ExtWeylElement, LaurentPolynomial] = {}
         for w, p in a.support.items():
-            sw = ext.mul(ge, w)
+            sw, is_down = ext.left_steps(w)[i]
             _accumulate(out, sw, p)
-            q = down if ext.length(sw) < ext.length(w) else c
+            q = down if is_down else c
             if q:
                 _accumulate(out, w, q * p)
         return HeckeElement(out)
@@ -177,11 +188,12 @@ class HeckeAlgebra:
         out: dict[ExtWeylElement, LaurentPolynomial] = {}
         groups: dict[AffineGenerator, dict[ExtWeylElement, LaurentPolynomial]] = {}
         for w, p in a.support.items():
-            if ext.length(w) == 0:
+            step = _first_step(ext, w)
+            if step is None:
                 _accumulate(out, w, p.bar())
             else:
-                g = ext.first_left_descent(w)
-                groups.setdefault(g, {})[ext.mul(ext.gen_element(g), w)] = p
+                g, sw = step
+                groups.setdefault(g, {})[sw] = p
         for g, rest in groups.items():
             barred = self.left_mul_gen(g, self.bar(HeckeElement(rest)), _V_MINUS_VINV)
             for w, p in barred.support.items():
@@ -203,8 +215,7 @@ class HeckeAlgebra:
             base = self.kl_basis(aff)
             result = HeckeElement({ext.mul(omega, w): p for w, p in base.support.items()})
         else:
-            g = ext.first_left_descent(x)
-            rest = ext.mul(ext.gen_element(g), x)
+            g, rest = _first_step(ext, x)
             out = self.left_mul_gen(g, self.kl_basis(rest), V).support
             _subtract_corrections(out, x, lambda w: self.kl_basis(w).support)
             result = HeckeElement(out)
@@ -249,13 +260,13 @@ class HeckeAlgebra:
             omega, aff = self._split_omega(w)  # aff is minimal in its coset too
             out = {ext.mul(omega, y): p for y, p in self._spherical[aff].items()}
         else:
-            g = ext.first_left_descent(w)
-            ge = ext.gen_element(g)
+            g, rest = _first_step(ext, w)
+            i = ext.generators.index(g)
             out = {}
             # (H_s + v) M_y on the three kinds of y in W_ext^S
-            for y, p in self._spherical[ext.mul(ge, w)].items():
-                sy = ext.mul(ge, y)
-                if ext.length(sy) < ext.length(y):
+            for y, p in self._spherical[rest].items():
+                sy, down = ext.left_steps(y)[i]
+                if down:
                     _accumulate(out, sy, p)
                     _accumulate(out, y, V_INV * p)
                 elif self.alc.in_wexts(sy):

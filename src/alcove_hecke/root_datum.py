@@ -27,6 +27,7 @@ from operator import mul
 from .errors import (
     CartanNotFiniteType,
     DimensionMismatch,
+    InvariantViolation,
     MalformedInput,
     NoLift,
     NoVarsigma,
@@ -165,9 +166,13 @@ def smith_normal_form(mat: list[list[int]]) -> tuple[list[list[int]], list[list[
 
 def solve_integer(mat: list[list[int]], rhs: list[int]) -> list[int] | None:
     """One integer solution x of mat*x = rhs, or None; deterministic."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    u, d, v = smith_normal_form(mat)
+    return solve_smith(smith_normal_form(mat), rhs)
+
+
+def solve_smith(factors, rhs) -> list[int] | None:
+    """`solve_integer` for the matrix whose Smith factors (U, D, V) are given."""
+    u, d, v = factors
+    rows, cols = len(u), len(v)
     c = [sum(u[i][k] * rhs[k] for k in range(rows)) for i in range(rows)]
     y = [0] * cols
     for i in range(rows):
@@ -317,6 +322,8 @@ class RootDatum:
     section: Matrix  # right inverse of Y -> Hom(ZR, Z), one column per simple root
     orthogonal_basis: Matrix  # basis of {y in Y : <alpha, y> = 0 for all roots}
     dual_symmetrizer: Vector
+    # Smith factors (U, D, V) of the matrix with the simple coroots as columns
+    coroot_smith: tuple[Matrix, Matrix, Matrix]
     name: str = "custom"
 
     # -- basic queries ---------------------------------------------------
@@ -367,14 +374,11 @@ class RootDatum:
         )
 
     def coroot_lattice_contains(self, lam: Vector) -> bool:
-        lam = self.check_y(lam)
-        mat = [[self.simple_coroots[j][i] for j in range(self.rank)] for i in range(self.y_rank)]
-        return solve_integer(mat, list(lam)) is not None
+        return solve_smith(self.coroot_smith, self.check_y(lam)) is not None
 
     def coroot_coordinates(self, corootvec: Vector) -> Vector:
         """Coordinates of a coroot-lattice vector in the simple coroots."""
-        mat = [[self.simple_coroots[j][i] for j in range(self.rank)] for i in range(self.y_rank)]
-        sol = solve_integer(mat, list(corootvec))
+        sol = solve_smith(self.coroot_smith, corootvec)
         if sol is None:
             raise NoLift(f"{corootvec} is not in the coroot lattice")
         return tuple(sol)
@@ -571,10 +575,12 @@ def load_root_datum(spec) -> RootDatum:
     # short coroots and in the weight-multiplicity recursion
     dual_sym = symmetrizer(cartan)
     coroot_rows = [[simple_coroots[j][i] for j in range(rank)] for i in range(dim)]
+    coroot_smith = tuple(tuple(map(tuple, f)) for f in smith_normal_form(coroot_rows))
     coroot_coords = []
     for cv in pos_coroots:
-        sol = solve_integer(coroot_rows, list(cv))
-        assert sol is not None
+        sol = solve_smith(coroot_smith, cv)
+        if sol is None:
+            raise InvariantViolation(f"positive coroot {cv} outside the coroot lattice")
         coroot_coords.append(tuple(sol))
     highest_roots, highest_short = [], []
     for comp in comps:
@@ -619,6 +625,7 @@ def load_root_datum(spec) -> RootDatum:
         section=section,
         orthogonal_basis=tuple(kernel_basis(root_rows)),
         dual_symmetrizer=dual_sym,
+        coroot_smith=coroot_smith,
         name=name,
     )
     flips = tuple(

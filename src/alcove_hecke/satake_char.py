@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NoLift, NotDominant
+from .errors import InvariantViolation, NoLift, NotDominant
 from .memo import Memo
 from .root_datum import RootDatum, Vector, pair, vec_add, vec_scale, vec_sub
 
@@ -78,7 +78,8 @@ class SatakeChar:
         d = self.datum
         lowest = d.act_y(d.w0, mu)
         span = self._gap_coords(mu, lowest)
-        assert span is not None and all(c >= 0 for c in span)
+        if span is None or any(c < 0 for c in span):
+            raise InvariantViolation(f"lowest weight {lowest} is not below {mu}")
 
         # candidate weights: mu minus box combinations of simple coroots
         import itertools
@@ -117,8 +118,12 @@ class SatakeChar:
             denom = d.dual_form(
                 vec_add(vec_add(mu, nu), self._two_rho_vee), cs
             )
-            assert denom > 0, (mu, nu)
-            assert numerator % denom == 0, (mu, nu, numerator, denom)
+            if denom <= 0:
+                raise InvariantViolation(f"Freudenthal denominator {denom} at {nu} in {mu}")
+            if numerator % denom:
+                raise InvariantViolation(
+                    f"Freudenthal quotient {numerator}/{denom} at {nu} in {mu} is not integral"
+                )
             m = numerator // denom
             if m:
                 mult[nu] = m
@@ -129,7 +134,8 @@ class SatakeChar:
             if m:
                 full[nu] = m
         result = WeightMultiset(full)
-        assert result.mult(mu) == 1
+        if result.mult(mu) != 1:
+            raise InvariantViolation(f"highest weight {mu} has multiplicity {result.mult(mu)}")
         return result
 
     # -- independent oracles --------------------------------------------------
@@ -171,7 +177,8 @@ class SatakeChar:
         total = 0
         for el in d.weyl_elements:
             shifted = vec_sub(d.act_y(el.index, self._two_rho_vee), self._two_rho_vee)
-            assert all(c % 2 == 0 for c in shifted)
+            if any(c % 2 for c in shifted):
+                raise InvariantViolation(f"w(2rho) - 2rho = {shifted} is not even")
             r_w = tuple(c // 2 for c in shifted)  # w(rho_vee) - rho_vee
             arg = vec_add(d.act_y(el.index, mu), vec_sub(r_w, nu))
             coords = self._gap_coords(arg, (0,) * d.y_rank)
@@ -191,5 +198,6 @@ class SatakeChar:
         top = vec_add(vec_scale(2, mu), self._two_rho_vee)
         for bc in self._coroot_coords:
             dim *= Fraction(d.dual_form(top, bc), d.dual_form(self._two_rho_vee, bc))
-        assert dim.denominator == 1
+        if dim.denominator != 1:
+            raise InvariantViolation(f"Weyl dimension {dim} of {mu} is not integral")
         return int(dim)

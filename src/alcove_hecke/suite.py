@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .engine import Engine, build_engine
-from .errors import BoundsTooLarge, Unrepresentable
+from .errors import BoundsTooLarge, InvariantViolation, Unrepresentable
 from .ext_weyl import ExtWeylElement
 from .groth_calc import COVERMA, FiltrationMultiset
 from .laurent import ONE, ZERO, LaurentPolynomial
@@ -546,71 +546,62 @@ def bar_invariance_solver(engine: Engine, x: ExtWeylElement):
 
     Unknown polynomials c_y in v*Z[v] for y < x are determined by the linear
     system bar(H_x + sum c_y H_y) = H_x + sum c_y H_y, assembled through the
-    standard-basis bar expansion and solved by Gaussian elimination over Q.
+    standard-basis bar expansion and solved by sparse Gauss-Jordan elimination
+    over Q: each equation is kept as a dict of its nonzero exact entries.
     Independent of the mu-coefficient recursion and valid over any preset.
     """
     ext, hecke = engine.ext, engine.hecke
     lower = sorted(ext.bruhat_lower_set(x) - {x}, key=lambda z: (ext.length(z), z))
     lx = ext.length(x)
-    variables = []
-    for y in lower:
-        for k in range(1, lx - ext.length(y) + 1):
-            variables.append((y, k))
+    variables = [(y, k) for y in lower for k in range(1, lx - ext.length(y) + 1)]
+    rhs = len(variables)  # the column holding the right-hand side
     bars = {y: hecke.bar(hecke.standard(y)) for y in lower + [x]}
-    # rows: (z, exponent) -> linear equation sum coef*var = rhs
-    rows: dict[tuple, dict] = {}
+    # rows: (z, exponent) -> linear equation {column: coefficient}
+    rows: dict[tuple, dict[int, int]] = {}
 
-    def add_term(z, exp, var, coef):
-        rows.setdefault((z, exp), {})[var] = rows.get((z, exp), {}).get(var, 0) + coef
-
-    def add_rhs(z, exp, value):
-        rows.setdefault((z, exp), {})
-        rows[(z, exp)]["__rhs__"] = rows[(z, exp)].get("__rhs__", 0) + value
+    def add(z, exp, col, value):
+        row = rows.setdefault((z, exp), {})
+        row[col] = row.get(col, 0) + value
 
     # bar(u) - u = 0 with u = H_x + sum a_{y,k} v^k H_y
     for z, p in bars[x].items():
         for exp, c in p.coeffs.items():
-            add_rhs(z, exp, -c)  # move constants to the rhs with a sign flip
-    add_rhs(x, 0, 1)
-    for (y, k) in variables:
+            add(z, exp, rhs, -c)  # move constants to the rhs with a sign flip
+    add(x, 0, rhs, 1)
+    for col, (y, k) in enumerate(variables):
         for z, p in bars[y].items():
             for exp, c in p.coeffs.items():
-                add_term(z, exp - k, (y, k), c)
-        add_term(y, k, (y, k), -1)
-    # Gaussian elimination over Q
-    var_index = {v: i for i, v in enumerate(variables)}
-    matrix = []
-    for (z, exp), entries in sorted(rows.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
-        row = [Fraction(0)] * (len(variables) + 1)
-        for var, c in entries.items():
-            if var == "__rhs__":
-                row[-1] = Fraction(c)
-            else:
-                row[var_index[var]] = Fraction(c)
-        matrix.append(row)
-    ncols = len(variables)
-    pivot_rows = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(matrix)) if matrix[i][col] != 0), None)
+                add(z, exp - k, col, c)
+        add(y, k, col, -1)
+    # Gauss-Jordan elimination over Q; column col is pivoted in row col
+    matrix = [
+        {col: Fraction(c) for col, c in entries.items() if c}
+        for _, entries in sorted(rows.items(), key=lambda kv: (str(kv[0][0]), kv[0][1]))
+    ]
+    for col in range(rhs):
+        piv = next((i for i in range(col, len(matrix)) if col in matrix[i]), None)
         if piv is None:
             raise ArithmeticError("underdetermined bar-invariance system")
-        matrix[r], matrix[piv] = matrix[piv], matrix[r]
-        matrix[r] = [c / matrix[r][col] for c in matrix[r]]
-        for i in range(len(matrix)):
-            if i != r and matrix[i][col] != 0:
-                f = matrix[i][col]
-                matrix[i] = [a - f * b for a, b in zip(matrix[i], matrix[r])]
-        pivot_rows.append((r, col))
-        r += 1
-    for i in range(r, len(matrix)):
-        if matrix[i][-1] != 0:
-            raise ArithmeticError("inconsistent bar-invariance system")
+        matrix[col], matrix[piv] = matrix[piv], matrix[col]
+        f = matrix[col][col]
+        pivot = matrix[col] = {k: c / f for k, c in matrix[col].items()}
+        for i, row in enumerate(matrix):
+            if i != col and col in row:
+                f = row[col]
+                for k, c in pivot.items():
+                    val = row.get(k, 0) - f * c
+                    if val:
+                        row[k] = val
+                    else:
+                        del row[k]
+    if any(row.get(rhs, 0) != 0 for row in matrix[rhs:]):
+        raise ArithmeticError("inconsistent bar-invariance system")
     solution = {}
-    for rrow, col in pivot_rows:
-        val = matrix[rrow][-1]
-        assert val.denominator == 1
-        solution[variables[col]] = int(val)
+    for col, var in enumerate(variables):
+        val = matrix[col].get(rhs, 0)
+        if val.denominator != 1:
+            raise InvariantViolation(f"non-integral coefficient {val} for {var} in the solver")
+        solution[var] = int(val)
     out = {x: ONE}
     for y in lower:
         poly = LaurentPolynomial(

@@ -92,12 +92,29 @@ def test_unknown_strategy_is_rejected(b2, strategy):
             ext.reduced_expression(x, strategy=strategy)
 
 
+def _left_steps_by_products(ext, x):
+    """The left-step row computed directly: one product and one length per generator."""
+    lx = ext.length(x)
+    steps = [ext.mul(ext.gen_element(g), x) for g in ext.generators]
+    return [(sx, ext.length(sx) < lx) for sx in steps]
+
+
+def test_left_steps_match_products(datum_engine):
+    ext = datum_engine.ext
+    rng = random.Random(37)
+    for _ in range(500):
+        x = ext.random_element(rng, 3)
+        assert list(ext.left_steps(x)) == _left_steps_by_products(ext, x)
+
+
 def test_first_left_descent(any_engine):
     ext = any_engine.ext
     rng = random.Random(29)
     for _ in range(200):
         x = ext.random_element(rng, 3)
-        descents = ext.left_descents(x)
+        row = _left_steps_by_products(ext, x)
+        descents = [g for g, (_, down) in zip(ext.generators, row) if down]
+        assert ext.left_descents(x) == descents
         assert ext.first_left_descent(x) == (descents[0] if descents else None)
         assert (not descents) == (ext.length(x) == 0)
 

@@ -302,6 +302,24 @@ def test_kl_table_stays_bounded(monkeypatch, a1):
     assert len(set(calls)) > 4
 
 
+def test_kl_and_bar_agree_under_tiny_memo_cap(monkeypatch, b2):
+    # every table, left-step rows included, is emptied again and again in the
+    # middle of the recursions; the results must not change
+    ext = b2.ext
+    rng = random.Random(41)
+    xs = [x for x in (ext.random_element(rng, 2) for _ in range(40)) if 2 <= ext.length(x) <= 5]
+    assert len(xs) >= 8
+    kl = {x: b2.hecke.kl_basis(x) for x in xs}
+    bars = {x: b2.hecke.bar(b2.hecke.standard(x)) for x in xs}
+    monkeypatch.setattr(memo, "MEMO_CAP", 4)
+    tiny = build_engine("B2_adj")
+    for x in xs:
+        assert tiny.hecke.kl_basis(x) == kl[x]
+        assert tiny.hecke.bar(tiny.hecke.standard(x)) == bars[x]
+        assert tiny.hecke.bar(kl[x]) == kl[x]
+    assert len(tiny.ext._left_steps) <= 4
+
+
 def test_degree_bound_assertion(a2):
     from alcove_hecke.suite import spherical_window
 

@@ -65,6 +65,33 @@ except InvariantViolation:
     pass
 else:
     raise SystemExit("projective filtration sandwich check vanished")
+from fractions import Fraction
+from alcove_hecke.laurent import LaurentPolynomial
+from alcove_hecke.root_datum import vec_scale
+from alcove_hecke.satake_char import SatakeChar
+from alcove_hecke.suite import bar_invariance_solver
+
+sat = SatakeChar(build_engine("A2_adj").datum)
+sat._two_rho_vee = vec_scale(2, sat._two_rho_vee)
+try:
+    sat.weight_multiplicities((1, 1))
+except InvariantViolation:
+    pass
+else:
+    raise SystemExit("Freudenthal divisibility check vanished")
+
+x = ext.parse_element("e : -2")
+real_bar = hecke.bar
+half = LaurentPolynomial({0: Fraction(1, 2)})
+hecke.bar = lambda a: HeckeElement(
+    {w: p if w == x or x not in a.support else p * half for w, p in real_bar(a).items()}
+)
+try:
+    bar_invariance_solver(eng, x)
+except InvariantViolation:
+    pass
+else:
+    raise SystemExit("solver integrality check vanished")
 print("checks raise under -O")
 """
 

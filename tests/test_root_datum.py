@@ -5,10 +5,12 @@ import pytest
 from alcove_hecke.errors import (
     CartanNotFiniteType,
     DimensionMismatch,
+    InvariantViolation,
     MalformedInput,
     TorsionQuotient,
     UnknownPreset,
 )
+from alcove_hecke import root_datum
 from alcove_hecke.laurent import ONE, LaurentPolynomial
 from alcove_hecke.root_datum import (
     load_root_datum,
@@ -164,3 +166,30 @@ def test_solve_integer_round_trip():
         sol = solve_integer(mat, rhs)
         assert sol is not None
         assert [sum(mat[i][j] * sol[j] for j in range(cols)) for i in range(rows)] == rhs
+
+
+def test_coroot_solves_use_the_stored_factors(monkeypatch, any_engine):
+    d = any_engine.datum
+
+    def refactor(mat):
+        raise AssertionError("smith_normal_form called after load")
+
+    monkeypatch.setattr(root_datum, "smith_normal_form", refactor)
+    for k, cv in enumerate(d.positive_coroots):
+        assert d.coroot_coordinates(cv) == d.coroot_in_simple[k]
+        assert d.coroot_lattice_contains(cv)
+    assert d.coroot_lattice_contains(vec_neg(d.positive_coroots[-1]))
+
+
+def test_coroot_lattice_check_at_load_raises(monkeypatch):
+    # a generated positive coroot outside the coroot lattice: (1, 0) is a
+    # fundamental coweight of A2_adj, of index 3 over the coroot lattice
+    real = root_datum._generate_root_system
+
+    def planted(simple_roots, simple_coroots):
+        roots, coroots, heights = real(simple_roots, simple_coroots)
+        return roots, coroots[:-1] + ((1, 0),), heights
+
+    monkeypatch.setattr(root_datum, "_generate_root_system", planted)
+    with pytest.raises(InvariantViolation, match="outside the coroot lattice"):
+        load_root_datum("A2_adj")

@@ -2,7 +2,9 @@ import itertools
 
 import pytest
 
-from alcove_hecke.errors import NotDominant
+from alcove_hecke.errors import InvariantViolation, NotDominant
+from alcove_hecke.root_datum import vec_scale
+from alcove_hecke.satake_char import SatakeChar
 
 
 def test_trivial_module(any_engine):
@@ -100,3 +102,49 @@ def test_partition_function_base_cases(a2):
 def test_kostant_off_the_coroot_lattice(a1):
     # (1,) is no weight of V(2): every Kostant argument lies off the coroot lattice
     assert a1.satake.kostant_multiplicity((2,), (1,)) == 0
+
+
+# -- planted faults: each library check raises InvariantViolation --------------
+
+
+def _faulty(a2, **attrs):
+    sat = SatakeChar(a2.datum)
+    for name, value in attrs.items():
+        setattr(sat, name, value)
+    return sat
+
+
+def test_lowest_weight_check_raises(a2):
+    sat = _faulty(a2, _gap_coords=lambda mu, nu: None)
+    with pytest.raises(InvariantViolation, match="lowest weight"):
+        sat.weight_multiplicities((1, 1))
+
+
+@pytest.mark.parametrize("scale,match", [(-1, "denominator"), (2, "not integral")])
+def test_freudenthal_checks_raise(a2, scale, match):
+    # a wrong rho shifts the Freudenthal denominators: negative, or no
+    # longer dividing the numerators
+    sat = SatakeChar(a2.datum)
+    sat._two_rho_vee = vec_scale(scale, sat._two_rho_vee)
+    with pytest.raises(InvariantViolation, match=match):
+        sat.weight_multiplicities((1, 1))
+
+
+def test_highest_weight_multiplicity_check_raises(a2):
+    sat = _faulty(a2, dominant_representative=lambda nu: None)
+    with pytest.raises(InvariantViolation, match="highest weight"):
+        sat.weight_multiplicities((1, 1))
+
+
+def test_kostant_parity_check_raises(a2):
+    sat = SatakeChar(a2.datum)
+    sat._two_rho_vee = a2.datum.simple_coroots[0]
+    with pytest.raises(InvariantViolation, match="not even"):
+        sat.kostant_multiplicity((1, 1), (1, 1))
+
+
+def test_weyl_dimension_integrality_check_raises(a2):
+    sat = SatakeChar(a2.datum)
+    sat._two_rho_vee = vec_scale(2, sat._two_rho_vee)
+    with pytest.raises(InvariantViolation, match="not integral"):
+        sat.weyl_dimension((1, 1))

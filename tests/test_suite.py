@@ -1,9 +1,13 @@
+import random
 import shlex
+from fractions import Fraction
 
 import pytest
 
 from alcove_hecke import cli, suite
-from alcove_hecke.errors import BoundsTooLarge, Unrepresentable
+from alcove_hecke.engine import build_engine
+from alcove_hecke.errors import BoundsTooLarge, InvariantViolation, Unrepresentable
+from alcove_hecke.hecke import HeckeElement
 from alcove_hecke.laurent import LaurentPolynomial
 from alcove_hecke.suite import bar_invariance_solver, run_suite, spherical_window
 
@@ -61,6 +65,60 @@ def test_dihedral_solver_matches_engine(a1):
         assert solved == dict(table.items())
         for y, p in solved.items():
             assert p == LaurentPolynomial.monomial(ext.length(x) - ext.length(y))
+
+
+def _solver_elements(eng, per_length=2):
+    """Seeded elements of W_aff of each length 2..5, `per_length` of each."""
+    ball = suite._waff_ball(eng, 5)  # Cayley-graph distance is the length
+    rng = random.Random(43)
+    out = []
+    for n in range(2, 6):
+        out += rng.sample(sorted(x for x, d in ball.items() if d == n), per_length)
+    return out
+
+
+def test_solver_matches_kl_basis(datum_engine):
+    for x in _solver_elements(datum_engine):
+        assert bar_invariance_solver(datum_engine, x) == dict(datum_engine.hecke.kl_basis(x).items())
+
+
+@pytest.mark.parametrize("preset", ["A2_adj", "B2_adj"])
+def test_solver_catches_dropped_bar_term(monkeypatch, preset):
+    eng = build_engine(preset)
+    hecke = eng.hecke
+    real = hecke.bar
+
+    def dropped(a):
+        out = real(a)
+        return HeckeElement(dict(list(out.items())[:-1]))
+
+    want = {x: dict(hecke.kl_basis(x).items()) for x in _solver_elements(eng, 1)}
+    monkeypatch.setattr(hecke, "bar", dropped)
+    for x, table in want.items():
+        try:
+            solved = bar_invariance_solver(eng, x)
+        except ArithmeticError:
+            continue
+        assert solved != table, eng.ext.format_element(x)
+
+
+def test_solver_integrality_check_raises(monkeypatch, a1):
+    # a bar expansion of the top element with half-integral lower entries
+    # has a consistent system whose solution is not integral
+    ext, hecke = a1.ext, a1.hecke
+    x = ext.parse_element("e : -2")
+    real = hecke.bar
+    half = LaurentPolynomial({0: Fraction(1, 2)})
+
+    def halved(a):
+        out = real(a)
+        if x not in a.support:
+            return out
+        return HeckeElement({w: p if w == x else p * half for w, p in out.items()})
+
+    monkeypatch.setattr(hecke, "bar", halved)
+    with pytest.raises(InvariantViolation, match="non-integral"):
+        bar_invariance_solver(a1, x)
 
 
 def test_full_suite_a1_defaults_fast():
