@@ -141,7 +141,8 @@ class GrothCalc:
             raise NotSpherical(f"{w} fails the Whittaker minimality test")
         x, lam = self.alc.res_decompose(w)
         mu = self.datum.act_y(self.datum.w0, lam)
-        assert self.datum.is_dominant(mu)
+        if not self.datum.is_dominant(mu):
+            raise InvariantViolation(f"w0 lambda = {mu} is not dominant for {w} = {x} t_{lam}")
         weights = self.satake.weight_multiplicities(mu)
         out: dict[SimpleLabel, int] = {}
         for xi, m in weights.items():

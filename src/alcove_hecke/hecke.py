@@ -13,6 +13,19 @@ to s w, with its descent bit, is read from the left-step row of w that
 `ExtWeyl.left_steps` keeps, so the recursions, which revisit the same
 elements many times, pay no group product or length per term.
 
+Coefficients are built in raw accumulators: plain dicts mapping an element
+to its coefficient dict {exponent: integer}.  Every update goes through
+`_addmul(out, w, coeffs, q)`, which adds q * coeffs to out[w] in place for a
+small raw multiplier q (1, v^{+-1}, v +- v^{-1}, an integer, or the running
+polynomial of `inverse_m`), and `_freeze` drops zeros and wraps each finished
+coefficient in one `LaurentPolynomial`; no polynomial is built per term.  The
+accumulators read the `coeffs` dicts of memoized polynomials and of the module
+constants directly, so those dicts are never written to: an accumulator entry
+is a dict of its own from its first write on (`_addmul` copies, or builds a
+fresh product), and only later writes land in place.  A memoized spherical
+element also keeps the length of each term of its support, carried through
+its recursion, so `inverse_m` looks up no length per term.
+
 The left spherical module is the quotient by the left ideal generated by
 H_s - v^{-1} for finite simple s; its standard and canonical bases are
 indexed by the minimal representatives W_ext^S.  Its canonical basis is
@@ -34,23 +47,84 @@ from __future__ import annotations
 
 import heapq
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .alcove import AlcoveModel
 from .errors import InvariantViolation, NotSpherical
 from .ext_weyl import AffineGenerator, ExtWeylElement
-from .laurent import ONE, V, V_INV, ZERO, LaurentPolynomial
+from .laurent import ONE, ZERO, LaurentPolynomial
 from .memo import Memo
 
-_V_MINUS_VINV = V - V_INV
-_V_PLUS_VINV = V + V_INV
-_VINV_MINUS_V = V_INV - V
+Coeffs = dict[int, int]  # a raw coefficient, exponent -> integer; zeros stay until it is frozen
+
+_UNIT: Coeffs = {0: 1}
+_V: Coeffs = {1: 1}
+_V_INV: Coeffs = {-1: 1}
+_V_PLUS_VINV: Coeffs = {1: 1, -1: 1}
+_VINV_MINUS_V: Coeffs = {-1: 1, 1: -1}
+# (c, v^{-1} - v + c) for the left factor H_s + c, since H_s H_w = H_{sw} +
+# (v^{-1} - v) H_w when sw < w: H_s itself, C_s = H_s + v, H_s^{-1} = H_s + v - v^{-1}
+_PLAIN = ({}, _VINV_MINUS_V)
+_CANONICAL = (_V, _V_INV)
+_INVERSE = ({1: 1, -1: -1}, {})
 
 
-def _accumulate(out: dict, w: ExtWeylElement, p: LaurentPolynomial) -> None:
-    """out[w] += p, in place."""
+def _addmul(out: dict, w: ExtWeylElement, coeffs: Coeffs, q: Coeffs) -> None:
+    """out[w] += q * coeffs, in place; a new entry is a fresh dict."""
     acc = out.get(w)
-    out[w] = p if acc is None else acc + p
+    if acc is None:
+        if q is _UNIT:
+            out[w] = coeffs.copy()
+            return
+        out[w] = acc = {}
+    for j, d in q.items():
+        for k, c in coeffs.items():
+            k += j
+            acc[k] = acc.get(k, 0) + d * c
+
+
+def _freeze(out: dict) -> dict[ExtWeylElement, LaurentPolynomial]:
+    """The finished accumulator, each nonzero coefficient wrapped once."""
+    return {w: LaurentPolynomial(c) for w, c in out.items() if any(c.values())}
+
+
+def _raw(a: "HeckeElement") -> dict[ExtWeylElement, Coeffs]:
+    return {w: p.coeffs for w, p in a.support.items()}
+
+
+def _left_mul(ext, i: int, a: dict, c: Coeffs, down: Coeffs) -> dict:
+    """(H_s + c) a for s = ext.generators[i], in one pass over the raw a;
+    down = v^{-1} - v + c is the factor at w when sw < w."""
+    out: dict[ExtWeylElement, Coeffs] = {}
+    for w, p in a.items():
+        sw, is_down = ext.left_steps(w)[i]
+        _addmul(out, sw, p, _UNIT)
+        q = down if is_down else c
+        if q:
+            _addmul(out, w, p, q)
+    return out
+
+
+def _bar(ext, a: dict) -> dict:
+    """The bar involution on a raw element; see `HeckeAlgebra.bar`."""
+    leaves: dict[ExtWeylElement, Coeffs] = {}
+    groups: dict[int, dict[ExtWeylElement, Coeffs]] = {}
+    for w, p in a.items():
+        step = _first_step(ext, w)
+        if step is None:
+            leaves[w] = {-k: c for k, c in p.items()}
+        else:
+            i, sw = step
+            groups.setdefault(i, {})[sw] = p
+    parts = [leaves] + [_left_mul(ext, i, _bar(ext, rest), *_INVERSE) for i, rest in groups.items()]
+    # every part is a fresh accumulator of this call's own: the largest is
+    # taken over and the others are added into it
+    out = max(parts, key=len)
+    for part in parts:
+        if part is not out:
+            for w, p in part.items():
+                _addmul(out, w, p, _UNIT)
+    return out
 
 
 def _subtract_corrections(out: dict, x: ExtWeylElement, element_of) -> None:
@@ -60,17 +134,19 @@ def _subtract_corrections(out: dict, x: ExtWeylElement, element_of) -> None:
     A subtracted element changes no constant term but the one at w, so one
     pass over the snapshot suffices.
     """
-    corrections = [(w, p.coeff(0)) for w, p in out.items() if w != x and p.coeff(0) != 0]
+    corrections = [(w, p[0]) for w, p in out.items() if w != x and p.get(0)]
     for w, c0 in corrections:
+        minus_c0 = {0: -c0}
         for y, q in element_of(w).items():
-            _accumulate(out, y, q * -c0)
+            _addmul(out, y, q.coeffs, minus_c0)
 
 
-def _first_step(ext, x: ExtWeylElement) -> tuple[AffineGenerator, ExtWeylElement] | None:
-    """(s, s x) for the first left descent s of x, or None at length zero."""
-    for g, (sx, down) in zip(ext.generators, ext.left_steps(x)):
+def _first_step(ext, x: ExtWeylElement) -> tuple[int, ExtWeylElement] | None:
+    """(i, s x) for the first left descent s = ext.generators[i] of x, or None
+    at length zero."""
+    for i, (sx, down) in enumerate(ext.left_steps(x)):
         if down:
-            return g, sx
+            return i, sx
     return None
 
 
@@ -81,6 +157,14 @@ def _check_canonical(x: ExtWeylElement, support: Mapping) -> None:
     for w, p in support.items():
         if w != x and p.min_exponent() < 1:
             raise InvariantViolation(f"lower coefficient {p} at {w} in the canonical element of {x}")
+
+
+class _Spherical(NamedTuple):
+    """A memoized N_w: the read-only map y -> mbar(y, w), and len y for each y
+    in the map's order."""
+
+    support: Mapping[ExtWeylElement, LaurentPolynomial]
+    lengths: tuple[int, ...]
 
 
 class HeckeElement:
@@ -104,10 +188,11 @@ class HeckeElement:
         return bool(self.support)
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        out = dict(self.support)
-        for w, p in other.support.items():
-            _accumulate(out, w, p)
-        return HeckeElement(out)
+        out: dict[ExtWeylElement, Coeffs] = {}
+        for a in (self, other):
+            for w, p in a.support.items():
+                _addmul(out, w, p.coeffs, _UNIT)
+        return HeckeElement(_freeze(out))
 
     def scaled(self, p: LaurentPolynomial) -> "HeckeElement":
         return HeckeElement({w: p * q for w, q in self.support.items()})
@@ -135,42 +220,36 @@ class HeckeAlgebra:
         """a * H_s for the generator s = g."""
         ext = self.ext
         ge = ext.gen_element(g)
-        out: dict[ExtWeylElement, LaurentPolynomial] = {}
+        out: dict[ExtWeylElement, Coeffs] = {}
         for w, p in a.support.items():
             ws = ext.mul(w, ge)
-            _accumulate(out, ws, p)
+            _addmul(out, ws, p.coeffs, _UNIT)
             if ext.length(ws) < ext.length(w):
-                _accumulate(out, w, _VINV_MINUS_V * p)
-        return HeckeElement(out)
+                _addmul(out, w, p.coeffs, _VINV_MINUS_V)
+        return HeckeElement(_freeze(out))
 
     def left_mul_gen(
         self, g: AffineGenerator, a: HeckeElement, c: LaurentPolynomial = ZERO
     ) -> HeckeElement:
         """(H_s + c) * a for the generator s = g, in one pass over a."""
-        ext = self.ext
-        i = ext.generators.index(g)
-        down = _VINV_MINUS_V + c  # H_s H_w = H_{sw} + (v^{-1} - v) H_w when sw < w
-        out: dict[ExtWeylElement, LaurentPolynomial] = {}
-        for w, p in a.support.items():
-            sw, is_down = ext.left_steps(w)[i]
-            _accumulate(out, sw, p)
-            q = down if is_down else c
-            if q:
-                _accumulate(out, w, q * p)
-        return HeckeElement(out)
+        down = c + LaurentPolynomial(_VINV_MINUS_V)
+        out = _left_mul(self.ext, self.ext.generators.index(g), _raw(a), c.coeffs, down.coeffs)
+        return HeckeElement(_freeze(out))
 
     def mul(self, a: HeckeElement, b: HeckeElement) -> HeckeElement:
         """a * b, each term p H_x of a acting as p H_{s_1} ... H_{s_r} H_omega."""
         ext = self.ext
-        out: dict[ExtWeylElement, LaurentPolynomial] = {}
+        out: dict[ExtWeylElement, Coeffs] = {}
         for x, p in a.support.items():
             word, omega = ext.reduced_expression(x)
-            acc = HeckeElement({ext.mul(omega, w): p * q for w, q in b.support.items()})
+            acc: dict[ExtWeylElement, Coeffs] = {}
+            for w, q in b.support.items():
+                _addmul(acc, ext.mul(omega, w), q.coeffs, p.coeffs)
             for g in reversed(word):
-                acc = self.left_mul_gen(g, acc)
-            for w, q in acc.support.items():
-                _accumulate(out, w, q)
-        return HeckeElement(out)
+                acc = _left_mul(ext, ext.generators.index(g), acc, *_PLAIN)
+            for w, q in acc.items():
+                _addmul(out, w, q, _UNIT)
+        return HeckeElement(_freeze(out))
 
     def standard_inverse(self, x: ExtWeylElement) -> HeckeElement:
         """H_x^{-1}, which is bar(H_{x^{-1}})."""
@@ -184,21 +263,7 @@ class HeckeAlgebra:
         H_w = H_s H_{sw} at its first left descent s; the terms sharing s are
         barred together as H_s^{-1} times the bar of their rest.
         """
-        ext = self.ext
-        out: dict[ExtWeylElement, LaurentPolynomial] = {}
-        groups: dict[AffineGenerator, dict[ExtWeylElement, LaurentPolynomial]] = {}
-        for w, p in a.support.items():
-            step = _first_step(ext, w)
-            if step is None:
-                _accumulate(out, w, p.bar())
-            else:
-                g, sw = step
-                groups.setdefault(g, {})[sw] = p
-        for g, rest in groups.items():
-            barred = self.left_mul_gen(g, self.bar(HeckeElement(rest)), _V_MINUS_VINV)
-            for w, p in barred.support.items():
-                _accumulate(out, w, p)
-        return HeckeElement(out)
+        return HeckeElement(_freeze(_bar(self.ext, _raw(a))))
 
     # -- canonical basis ---------------------------------------------------
 
@@ -215,10 +280,10 @@ class HeckeAlgebra:
             base = self.kl_basis(aff)
             result = HeckeElement({ext.mul(omega, w): p for w, p in base.support.items()})
         else:
-            g, rest = _first_step(ext, x)
-            out = self.left_mul_gen(g, self.kl_basis(rest), V).support
+            i, rest = _first_step(ext, x)
+            out = _left_mul(ext, i, _raw(self.kl_basis(rest)), *_CANONICAL)
             _subtract_corrections(out, x, lambda w: self.kl_basis(w).support)
-            result = HeckeElement(out)
+            result = HeckeElement(_freeze(out))
         _check_canonical(x, result.support)
         return result
 
@@ -250,34 +315,46 @@ class HeckeAlgebra:
     def spherical_basis(self, w: ExtWeylElement) -> Mapping[ExtWeylElement, LaurentPolynomial]:
         """The canonical element N_w = sum_y mbar(y, w) M_y, as a read-only map y -> mbar(y, w)."""
         self._require_spherical(w)
-        return self._spherical[w]
+        return self._spherical[w].support
 
-    def _spherical_element(self, w: ExtWeylElement) -> Mapping[ExtWeylElement, LaurentPolynomial]:
+    def _spherical_element(self, w: ExtWeylElement) -> _Spherical:
         ext = self.ext
-        if ext.length(w) == 0:
-            out = {w: ONE}
-        elif not ext.in_affine_subgroup(w):
+        lw = ext.length(w)
+        if lw == 0:
+            return _Spherical(MappingProxyType({w: ONE}), (0,))
+        if not ext.in_affine_subgroup(w):
             omega, aff = self._split_omega(w)  # aff is minimal in its coset too
-            out = {ext.mul(omega, y): p for y, p in self._spherical[aff].items()}
-        else:
-            g, rest = _first_step(ext, w)
-            i = ext.generators.index(g)
-            out = {}
-            # (H_s + v) M_y on the three kinds of y in W_ext^S
-            for y, p in self._spherical[rest].items():
-                sy, down = ext.left_steps(y)[i]
-                if down:
-                    _accumulate(out, sy, p)
-                    _accumulate(out, y, V_INV * p)
-                elif self.alc.in_wexts(sy):
-                    _accumulate(out, sy, p)
-                    _accumulate(out, y, V * p)
-                else:  # sy = y t with t finite simple, and H_t acts by v^{-1}
-                    _accumulate(out, y, _V_PLUS_VINV * p)
-            _subtract_corrections(out, w, self._spherical.__getitem__)
-            out = {y: p for y, p in out.items() if p}
-        _check_canonical(w, out)
-        return MappingProxyType(out)
+            base = self._spherical[aff]
+            support = {ext.mul(omega, y): p for y, p in base.support.items()}
+            _check_canonical(w, support)
+            return _Spherical(MappingProxyType(support), base.lengths)
+        i, rest = _first_step(ext, w)
+        base = self._spherical[rest]
+        out: dict[ExtWeylElement, Coeffs] = {}
+        lengths = {}  # len y and len s y for every y in N_rest
+        # (H_s + v) M_y on the three kinds of y in W_ext^S
+        for (y, p), ly in zip(base.support.items(), base.lengths):
+            p = p.coeffs
+            sy, down = ext.left_steps(y)[i]
+            lengths[y] = ly
+            if down:
+                lengths[sy] = ly - 1
+                _addmul(out, sy, p, _UNIT)
+                _addmul(out, y, p, _V_INV)
+            elif self.alc.in_wexts(sy):
+                lengths[sy] = ly + 1
+                _addmul(out, sy, p, _UNIT)
+                _addmul(out, y, p, _V)
+            else:  # sy = y t with t finite simple, and H_t acts by v^{-1}
+                _addmul(out, y, p, _V_PLUS_VINV)
+        _subtract_corrections(out, w, lambda u: self._spherical[u].support)
+        support = _freeze(out)
+        _check_canonical(w, support)
+        # only a term first reached by a correction has its length looked up
+        return _Spherical(
+            MappingProxyType(support),
+            tuple(lengths[z] if z in lengths else ext.length(z) for z in support),
+        )
 
     def spherical_m(self, y: ExtWeylElement, w: ExtWeylElement) -> LaurentPolynomial:
         """Canonical-basis coefficient mbar(y, w) of the left spherical module.
@@ -312,38 +389,40 @@ class HeckeAlgebra:
         by unitriangular back-substitution over the transitive support
         closure of N_x, by decreasing length: m^{x,z} is zero off it.  Each
         m^{x,u}, once complete, is pushed onto the support of N_u; the
-        closure is walked no lower than y.
+        closure is walked no lower than y.  Closure members lie in W_ext^S
+        by construction, so their elements are read from the table directly.
         """
         self._require_spherical(x)
         self._require_spherical(y)
         ext = self.ext
         ly = ext.length(y)
-        values: dict[ExtWeylElement, LaurentPolynomial] = {x: ONE}
+        values: dict[ExtWeylElement, Coeffs] = {x: {0: 1}}
         heap = [(-ext.length(x), x)]  # every longer member of the closure pops first
-        result = ZERO
+        result: Coeffs = {}
         while heap:
             neg_lu, u = heapq.heappop(heap)
             m = values.pop(u)
             if u == y:
                 result = m
                 break
-            if not m:
+            if not any(m.values()):
                 continue
-            for z, p in self.spherical_basis(u).items():
-                lz = ext.length(z)
+            minus_m = {k: -c for k, c in m.items()}
+            entry = self._spherical[u]
+            for (z, p), lz in zip(entry.support.items(), entry.lengths):
                 if z == u or (lz <= ly and z != y):
                     continue
                 if z not in values:
                     heapq.heappush(heap, (-lz, z))
-                term = m * p
-                _accumulate(values, z, term if (lz - neg_lu) % 2 else -term)
+                _addmul(values, z, p.coeffs, m if (lz - neg_lu) % 2 else minus_m)
+        result = LaurentPolynomial(result)
         self._check_degree(result, ext.length(x) + ext.length(ext.w0))
         return result
 
     def spherical_image(self, a: HeckeElement) -> dict[ExtWeylElement, LaurentPolynomial]:
         """Image of a Hecke element in the spherical quotient, on the M basis."""
         ext = self.ext
-        out: dict[ExtWeylElement, LaurentPolynomial] = {}
+        out: dict[ExtWeylElement, Coeffs] = {}
         for w, p in a.support.items():
             # split w = y u with y the minimal representative of wW
             y = None
@@ -355,5 +434,5 @@ class HeckeAlgebra:
             if y is None:
                 raise InvariantViolation(f"no minimal representative found in the coset of {w}")
             drop = ext.length(w) - ext.length(y)
-            _accumulate(out, y, LaurentPolynomial.monomial(-drop) * p)
-        return {y: p for y, p in out.items() if p}
+            _addmul(out, y, p.coeffs, {-drop: 1})
+        return _freeze(out)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .alcove import AlcoveModel
-from .errors import NotFinitary, Unrepresentable
+from .errors import InvariantViolation, NotFinitary, Unrepresentable
 from .ext_weyl import AffineGenerator, ExtWeyl, ExtWeylElement
 from .root_datum import pair, vec_neg
 
@@ -66,7 +66,8 @@ def make_parabolic(ext: ExtWeyl, gens) -> FinitarySubset:
     ordered = sorted(elements, key=lambda e: (ext.length(e), e))
     longest = ordered[-1]
     lengths = [ext.length(e) for e in ordered]
-    assert lengths.count(lengths[-1]) == 1, "longest element must be unique"
+    if lengths.count(lengths[-1]) != 1:
+        raise InvariantViolation(f"generators {[g.name for g in gens]} have no unique longest element")
     return FinitarySubset(generators=gens, elements=tuple(ordered), longest=longest)
 
 

@@ -556,7 +556,8 @@ def load_root_datum(spec) -> RootDatum:
         section_cols.append(col)
     section = tuple(tuple(section_cols[j][i] for j in range(rank)) for i in range(dim))
     varsigma = tuple(sum(section[i][j] for j in range(rank)) for i in range(dim))
-    assert all(pair(alpha, varsigma) == 1 for alpha in simple_roots)
+    if any(pair(alpha, varsigma) != 1 for alpha in simple_roots):
+        raise InvariantViolation(f"varsigma {varsigma} does not pair to 1 with every simple root")
 
     pos_roots, pos_coroots, heights = _generate_root_system(simple_roots, simple_coroots)
     two_rho = tuple(sum(beta[i] for beta in pos_roots) for i in range(dim))

@@ -173,6 +173,17 @@ def test_phi_of_simple_examples(a1):
         groth.phi_of_simple(ext.translation((1,)))
 
 
+def test_phi_of_simple_dominance_check_raises():
+    # res_decompose planted to return -lambda, so w0 lambda is antidominant
+    eng = build_engine("A1_adj")
+    ext, alc = eng.ext, eng.alc
+    w = ext.translation((-2,))
+    x, lam = alc.res_decompose(w)
+    alc.res_decompose = lambda z: (x, tuple(-c for c in lam))
+    with pytest.raises(InvariantViolation, match="not dominant"):
+        eng.groth.phi_of_simple(w)
+
+
 def test_phi_order_and_total(any_engine):
     from alcove_hecke.suite import spherical_window
 

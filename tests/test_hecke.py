@@ -5,7 +5,8 @@ import pytest
 from alcove_hecke import memo
 from alcove_hecke.engine import build_engine
 from alcove_hecke.errors import InvariantViolation, NotSpherical
-from alcove_hecke.suite import spherical_window
+from alcove_hecke import hecke as hecke_module
+from alcove_hecke.suite import _waff_ball, spherical_window
 from alcove_hecke.hecke import HeckeAlgebra, HeckeElement
 from alcove_hecke.laurent import ONE, V, V_INV, ZERO, LaurentPolynomial
 
@@ -115,6 +116,76 @@ def test_bar_matches_term_oracle(oracle_engine):
         assert hecke.bar(a) == _bar_by_terms(hecke, a)
     x = ext.random_element(rng, 2)
     assert hecke.bar(hecke.kl_basis(x)) == _bar_by_terms(hecke, hecke.kl_basis(x))
+
+
+# -- the Laurent-operator products, kept as oracles for the raw path ---------
+
+
+def _acc(out, w, p):
+    out[w] = out[w] + p if w in out else p
+
+
+def _left_mul_gen_by_operators(hecke, g, a, c=ZERO):
+    """(H_s + c) a one term at a time, with group products and lengths."""
+    ext = hecke.ext
+    out = {}
+    for w, p in a.items():
+        sw = ext.mul(ext.gen_element(g), w)
+        _acc(out, sw, p)
+        # H_s H_w = H_{sw} + (v^{-1} - v) H_w when sw < w
+        _acc(out, w, (V_INV - V + c if ext.length(sw) < ext.length(w) else c) * p)
+    return HeckeElement(out)
+
+
+def _bar_by_operators(hecke, a):
+    """bar(H_s b) = H_s^{-1} bar(b) and bar(H_omega) = H_omega, term by term."""
+    ext = hecke.ext
+    out = {}
+    for w, p in a.items():
+        g = next(
+            (g for g in ext.generators if ext.length(ext.mul(ext.gen_element(g), w)) < ext.length(w)),
+            None,
+        )
+        if g is None:
+            _acc(out, w, p.bar())
+            continue
+        rest = HeckeElement({ext.mul(ext.gen_element(g), w): p})
+        for z, q in _left_mul_gen_by_operators(hecke, g, _bar_by_operators(hecke, rest), V - V_INV).items():
+            _acc(out, z, q)
+    return HeckeElement(out)
+
+
+def _random_elements(ext, rng, count, maxlen):
+    """`count` random-coefficient elements on random group elements of length <= maxlen."""
+    out = []
+    while len(out) < count:
+        support = {}
+        while len(support) < rng.randint(1, 4):
+            x = ext.random_element(rng, 2)
+            if ext.length(x) <= maxlen:
+                support[x] = _random_poly(rng)
+        out.append(HeckeElement(support))
+    return out
+
+
+def test_left_mul_gen_matches_operator_oracle(datum_engine):
+    ext, hecke = datum_engine.ext, datum_engine.hecke
+    rng = random.Random(29)
+    for a in _random_elements(ext, rng, 8, 8):
+        for g in ext.generators:
+            for c in (ZERO, V, V - V_INV, _random_poly(rng)):
+                assert hecke.left_mul_gen(g, a, c) == _left_mul_gen_by_operators(hecke, g, a, c)
+
+
+def test_bar_matches_operator_oracle(datum_engine):
+    ext, hecke = datum_engine.ext, datum_engine.hecke
+    rng = random.Random(31)
+    for a in _random_elements(ext, rng, 8, 7):
+        assert hecke.bar(a) == _bar_by_operators(hecke, a)
+    ball = _waff_ball(datum_engine, 5)  # Cayley-graph distance is the length
+    for x in rng.sample(sorted(x for x, d in ball.items() if d == 5), 2):
+        c = hecke.kl_basis(x)
+        assert hecke.bar(c) == _bar_by_operators(hecke, c) == c
 
 
 def test_kl_normalization(any_engine):
@@ -311,13 +382,103 @@ def test_kl_and_bar_agree_under_tiny_memo_cap(monkeypatch, b2):
     assert len(xs) >= 8
     kl = {x: b2.hecke.kl_basis(x) for x in xs}
     bars = {x: b2.hecke.bar(b2.hecke.standard(x)) for x in xs}
+    window = spherical_window(b2, 5)
+    spherical = {w: dict(b2.hecke.spherical_basis(w)) for w in window}
+    top = b2.alc.triangle(window[-1])
+    inverse = {z: b2.hecke.inverse_m(top, z) for z in b2.hecke.spherical_lower_set(top)}
     monkeypatch.setattr(memo, "MEMO_CAP", 4)
     tiny = build_engine("B2_adj")
     for x in xs:
         assert tiny.hecke.kl_basis(x) == kl[x]
         assert tiny.hecke.bar(tiny.hecke.standard(x)) == bars[x]
         assert tiny.hecke.bar(kl[x]) == kl[x]
+    for w in window:
+        assert dict(tiny.hecke.spherical_basis(w)) == spherical[w]
+    for z, m in inverse.items():
+        assert tiny.hecke.inverse_m(top, z) == m
     assert len(tiny.ext._left_steps) <= 4
+    assert len(tiny.hecke._spherical) <= 4
+
+
+@pytest.mark.parametrize("name", ["B2_adj", "G2"])
+def test_memoized_values_are_never_written(name):
+    # the raw accumulators read memoized coefficient dicts and the module's
+    # constants in place: using them in every product must leave them as they were
+    eng = build_engine(G2 if name == "G2" else name)
+    ext, alc, hecke = eng.ext, eng.alc, eng.hecke
+    rng = random.Random(37)
+    xs = rng.sample(sorted(x for x, d in _waff_ball(eng, 5).items() if d >= 3), 6)
+    window = spherical_window(eng, 6)
+    for x in xs:
+        hecke.kl_basis(x)
+    for w in window:
+        hecke.spherical_basis(w)
+
+    def snapshot():
+        return {
+            **{("kl", x): str(c.support) for x, c in hecke._kl.items()},
+            **{("spherical", w): str(dict(e.support)) for w, e in hecke._spherical.items()},
+            "laurent": str((ONE, V, V_INV, ZERO)),
+            **{
+                n: str(c)
+                for n, c in vars(hecke_module).items()
+                if n.startswith("_") and not n.startswith("__") and isinstance(c, (dict, tuple))
+            },
+        }
+
+    before = snapshot()
+    for x in xs:
+        c = hecke.kl_basis(x)
+        hecke.bar(c)
+        hecke.mul(c, c)
+        hecke.mul(hecke.standard(x), c)
+        for g in ext.generators:
+            hecke.left_mul_gen(g, c)
+            hecke.left_mul_gen(g, c, V)
+    for w in window[-4:]:
+        hecke.inverse_m(alc.triangle(w), w)
+        for y in hecke.spherical_lower_set(w):
+            hecke.inverse_m(w, y)
+    after = snapshot()  # new entries made on the way are not compared
+    assert {k: after[k] for k in before} == before
+
+
+def test_no_laurent_temporaries_in_the_hot_loops(monkeypatch):
+    # kl_basis, bar(C_x) and one sweep inverse_m on B2 build every coefficient
+    # in raw dicts: no Laurent operator runs, and a polynomial is constructed
+    # only for a finished coefficient
+    eng = build_engine("B2_adj")
+    ext, alc, hecke = eng.ext, eng.alc, eng.hecke
+    x = min(x for x, d in _waff_ball(eng, 6).items() if d == 6)
+    w = spherical_window(eng, 8)[-1]
+    tri = alc.triangle(w)
+    want = LaurentPolynomial.monomial(ext.length(ext.w0))
+    ops = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            ops[name] = ops.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("__init__", "__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "bar"):
+        monkeypatch.setattr(LaurentPolynomial, name, counted(name, getattr(LaurentPolynomial, name)))
+    frozen = []
+    real_freeze = hecke_module._freeze
+
+    def freeze(out):
+        result = real_freeze(out)
+        frozen.append(len(result))
+        return result
+
+    monkeypatch.setattr(hecke_module, "_freeze", freeze)
+    c = hecke.kl_basis(x)
+    assert hecke.bar(c) == c
+    assert hecke.inverse_m(tri, w) == want
+    constructed = ops.pop("__init__")
+    assert ops == {}
+    assert 0 < constructed <= sum(frozen) + 1  # and the value inverse_m returns
 
 
 def test_degree_bound_assertion(a2):
@@ -406,8 +567,10 @@ def test_spherical_basis_unitriangularity_check_raises(a1):
     hecke = HeckeAlgebra(a1.alc)
     w = ext.parse_element("s1 : -4")
     rest = ext.mul(ext.gen_element(ext.first_left_descent(w)), w)
-    wrong = dict(hecke.spherical_basis(rest))
+    entry = hecke._spherical[rest]  # N_rest with the lengths of its support, in order
+    wrong = dict(entry.support)
+    lengths = tuple(n for y, n in zip(wrong, entry.lengths) if y != rest)
     del wrong[rest]  # (H_s + v) N_rest then has no M_w term
-    hecke._spherical[rest] = wrong
+    hecke._spherical[rest] = entry._replace(support=wrong, lengths=lengths)
     with pytest.raises(InvariantViolation):
         hecke.spherical_basis(w)

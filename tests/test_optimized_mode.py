@@ -38,9 +38,11 @@ else:
 
 w = ext.parse_element("s1 : -4")
 rest = ext.mul(ext.gen_element(ext.first_left_descent(w)), w)
-wrong = dict(hecke.spherical_basis(rest))
+entry = hecke._spherical[rest]
+wrong = dict(entry.support)
+lengths = tuple(n for y, n in zip(wrong, entry.lengths) if y != rest)
 del wrong[rest]
-hecke._spherical[rest] = wrong
+hecke._spherical[rest] = entry._replace(support=wrong, lengths=lengths)
 try:
     hecke.spherical_basis(w)
 except InvariantViolation:
@@ -92,6 +94,38 @@ except InvariantViolation:
     pass
 else:
     raise SystemExit("solver integrality check vanished")
+
+from alcove_hecke import root_datum
+from alcove_hecke.parabolic import make_parabolic
+
+eng = build_engine("A1_adj")
+w = eng.ext.translation((-2,))
+x, lam = eng.alc.res_decompose(w)
+eng.alc.res_decompose = lambda z: (x, tuple(-c for c in lam))
+try:
+    eng.groth.phi_of_simple(w)
+except InvariantViolation:
+    pass
+else:
+    raise SystemExit("phi_of_simple dominance check vanished")
+
+ext = build_engine("A1_adj").ext
+ext.length = lambda z: 0
+try:
+    make_parabolic(ext, [ext.gen_by_name("s1")])
+except InvariantViolation:
+    pass
+else:
+    raise SystemExit("unique longest element check vanished")
+
+real_solve = root_datum.solve_integer
+root_datum.solve_integer = lambda mat, rhs: [2 * c for c in real_solve(mat, rhs)]
+try:
+    build_engine("A2_adj")
+except InvariantViolation:
+    pass
+else:
+    raise SystemExit("varsigma check vanished")
 print("checks raise under -O")
 """
 

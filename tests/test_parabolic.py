@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from alcove_hecke.errors import NotFinitary
+from alcove_hecke.engine import build_engine
+from alcove_hecke.errors import InvariantViolation, NotFinitary
 from alcove_hecke.parabolic import (
     in_awext,
     in_awext_res,
@@ -136,3 +137,11 @@ def test_awext_subset_of_wexts(any_engine):
             # all coset members land in the minimal-representative set
             for v in p.elements:
                 assert alc.in_wexts(ext.mul(v, x))
+
+
+def test_unique_longest_element_check_raises():
+    # every element planted at length 0: {e, s1} has no unique longest element
+    ext = build_engine("A1_adj").ext
+    ext.length = lambda x: 0
+    with pytest.raises(InvariantViolation, match="unique longest"):
+        make_parabolic(ext, [ext.gen_by_name("s1")])

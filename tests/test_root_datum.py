@@ -193,3 +193,11 @@ def test_coroot_lattice_check_at_load_raises(monkeypatch):
     monkeypatch.setattr(root_datum, "_generate_root_system", planted)
     with pytest.raises(InvariantViolation, match="outside the coroot lattice"):
         load_root_datum("A2_adj")
+
+
+def test_varsigma_check_at_load_raises(monkeypatch):
+    # a doubled section of Y -> Hom(ZR, Z): varsigma pairs to 2 with each simple root
+    real = root_datum.solve_integer
+    monkeypatch.setattr(root_datum, "solve_integer", lambda mat, rhs: [2 * c for c in real(mat, rhs)])
+    with pytest.raises(InvariantViolation, match="varsigma"):
+        load_root_datum("A2_adj")

@@ -1,3 +1,4 @@
+import json
 import random
 import shlex
 from fractions import Fraction
@@ -10,6 +11,7 @@ from alcove_hecke.errors import BoundsTooLarge, InvariantViolation, Unrepresenta
 from alcove_hecke.hecke import HeckeElement
 from alcove_hecke.laurent import LaurentPolynomial
 from alcove_hecke.suite import bar_invariance_solver, run_suite, spherical_window
+from conftest import CUSTOM
 
 
 def test_report_structure():
@@ -119,6 +121,17 @@ def test_solver_integrality_check_raises(monkeypatch, a1):
     monkeypatch.setattr(hecke, "bar", halved)
     with pytest.raises(InvariantViolation, match="non-integral"):
         bar_invariance_solver(a1, x)
+
+
+@pytest.mark.parametrize("name", ["G2", "A3"])
+def test_solver_cross_check_tops_up_on_custom_data(tmp_path, name):
+    # one draw is almost never of length 2-5 on G2 or A3: the check tops up
+    # from the Cayley ball to its three solver elements
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(CUSTOM[name]), encoding="utf-8")
+    report = run_suite(str(path), samples=1, names=["kl-bar-invariance"])
+    assert report.passed
+    assert report.checks[0].detail.endswith("solver cross-check on 3 elements")
 
 
 def test_full_suite_a1_defaults_fast():
