@@ -13,15 +13,39 @@ The left-step row of x holds (s x, s x < x) for every affine generator s, in
 the order of `ExtWeyl.generators`: descents, reduced words and the Hecke
 recursions read their products and descent bits from it, so an element
 visited again costs one lookup instead of a product and two lengths.
+
+Descents need no length.  For x = w t_lambda and a generator s, let
+a = w^{-1} alpha, where alpha is the simple root of s, or the highest root
+theta of its component when s is affine, and let n = <a, lambda>:
+
+- finite s: s x < x exactly when n < t, with t = 0 if a > 0 and t = 1
+  otherwise;
+- affine s: s x < x exactly when n >= t, with t = 1 if a > 0 and t = 2
+  otherwise.
+
+(Both say that x^{-1} sends the affine simple root of s to a negative
+affine root.)  A table per Weyl index stores, for each generator, the pair
+(b, c) with s x < x exactly when <b, lambda> < c: (a, t) for finite s and
+(-a, 1 - t) for affine s.  The left-step rows read their descent bits from
+it, and the Bruhat recursion reads them from the rows.
+
+`mul` takes two O(1) paths before the general product: a left factor with
+zero translation (a finite generator, an element of a finite parabolic
+subgroup, w0) only multiplies Weyl indices, and a right factor with the
+identity Weyl index (a translation) only adds translations.  The Bruhat
+order compares x and y only within one W_aff-coset, and x y^{-1} lies in
+W_aff exactly when lambda_x - lambda_y lies in the coroot lattice.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from operator import add, sub
 from operator import mul as scalar_mul
 from typing import Iterable, NamedTuple
 
-from .errors import MalformedInput
+from .errors import InvariantViolation, MalformedInput
 from .memo import Memo
 from .root_datum import RootDatum, Vector, pair, vec_neg
 
@@ -92,6 +116,22 @@ class ExtWeyl:
 
         self.w0 = ExtWeylElement(datum.w0, self.identity.t)
 
+        # per Weyl index w and generator s: (b, c) with s (w t_lam) < w t_lam
+        # exactly when <b, lam> < c (see the module docstring)
+        positive = set(datum.positive_roots)
+        descent_rows = []
+        for w in range(datum.weyl_order):
+            row = []
+            for g in self.generators:
+                if g.kind == "finite":
+                    a = datum.act_x(datum.weyl_inv[w], datum.simple_roots[g.index])
+                    row.append((a, 0 if a in positive else 1))
+                else:
+                    a = datum.act_x(datum.weyl_inv[w], datum.highest_roots[g.index])
+                    row.append((vec_neg(a), 0 if a in positive else -1))
+            descent_rows.append(tuple(row))
+        self._descent_rows = tuple(descent_rows)
+
     def _reflection_index(self, root: Vector, coroot: Vector) -> int:
         n = self.datum.x_rank
         mat = tuple(
@@ -121,18 +161,19 @@ class ExtWeyl:
             raise MalformedInput(f"unknown generator {name!r}") from None
 
     def mul(self, a: ExtWeylElement, b: ExtWeylElement) -> ExtWeylElement:
-        # (w1 t1)(w2 t2) = (w1 w2) t_{w2^{-1}(t1) + t2}, in one pass over the rows
         t1 = a.t
+        if t1 == self.identity.t:  # a = w1: (w1)(w2 t2) = (w1 w2) t2
+            return ExtWeylElement(self.datum.weyl_mult[a.w][b.w], b.t)
+        if not b.w:  # b = t2: (w1 t1) t2 = w1 t_{t1 + t2}
+            return ExtWeylElement(a.w, tuple(map(add, t1, b.t)))
+        # (w1 t1)(w2 t2) = (w1 w2) t_{w2^{-1}(t1) + t2}, in one pass over the rows
         t = tuple(
             [sum(map(scalar_mul, row, t1)) + c for row, c in zip(self._inv_y_action[b.w], b.t)]
         )
         return ExtWeylElement(self.datum.weyl_mult[a.w][b.w], t)
 
     def mul_many(self, *els: ExtWeylElement) -> ExtWeylElement:
-        acc = self.identity
-        for e in els:
-            acc = self.mul(acc, e)
-        return acc
+        return functools.reduce(self.mul, els) if els else self.identity
 
     def inv(self, a: ExtWeylElement) -> ExtWeylElement:
         d = self.datum
@@ -153,12 +194,13 @@ class ExtWeyl:
         return total
 
     def _left_step_row(self, x: ExtWeylElement) -> tuple[tuple[ExtWeylElement, bool], ...]:
-        lx = self.length(x)
-        row = []
-        for g in self.generators:
-            sx = self.mul(self._gen_elements[g], x)
-            row.append((sx, self.length(sx) < lx))
-        return tuple(row)
+        t = x.t
+        return tuple(
+            [
+                (self.mul(self._gen_elements[g], x), sum(map(scalar_mul, b, t)) < c)
+                for g, (b, c) in zip(self.generators, self._descent_rows[x.w])
+            ]
+        )
 
     def left_steps(self, x: ExtWeylElement) -> tuple[tuple[ExtWeylElement, bool], ...]:
         """The row of (s x, s x < x) over `generators`, in generator order."""
@@ -208,7 +250,9 @@ class ExtWeyl:
             raise MalformedInput(f"unknown reduced-expression strategy {strategy!r}")
         word: list[AffineGenerator] = []
         cur = x
-        while True:
+        # each descent lowers the length by one, so a descent table that is
+        # wrong shows up as more than length(x) steps, not as an endless loop
+        for _ in range(self.length(x) + 1):
             row = self._left_steps[cur]
             descents = [k for k, (_, down) in enumerate(row) if down]
             if not descents:
@@ -219,6 +263,7 @@ class ExtWeyl:
                 k = descents[-1] if rng is None else descents[rng.randrange(len(descents))]
             word.append(self.generators[k])
             cur = row[k][0]
+        raise InvariantViolation(f"{x} of length {self.length(x)} has more left descents in a row")
 
     def omega_left_form(
         self, x: ExtWeylElement, strategy: str = "min"
@@ -248,7 +293,8 @@ class ExtWeyl:
         """Extended Bruhat order: comparable only within one W_aff-coset."""
         if x == y:
             return True
-        if not self.in_affine_subgroup(self.mul(x, self.inv(y))):
+        # x y^{-1} lies in W_aff exactly when lam_x - lam_y is in the coroot lattice
+        if not self._in_coroot_lattice[tuple(map(sub, x.t, y.t))]:
             return False
         return self._bruhat_aff(x, y)
 
@@ -263,11 +309,9 @@ class ExtWeyl:
 
     def _bruhat_descend(self, key: tuple[ExtWeylElement, ExtWeylElement]) -> bool:
         x, y = key
-        g, sy = next((g, sy) for g, (sy, down) in zip(self.generators, self._left_steps[y]) if down)
-        sx = self.mul(self._gen_elements[g], x)
-        if self.length(sx) < self.length(x):
-            return self._bruhat_aff(sx, sy)
-        return self._bruhat_aff(x, sy)
+        k, sy = next((k, sy) for k, (sy, down) in enumerate(self._left_steps[y]) if down)
+        sx, down = self._left_steps[x][k]
+        return self._bruhat_aff(sx if down else x, sy)
 
     def bruhat_lower_set(self, x: ExtWeylElement) -> set[ExtWeylElement]:
         """All y <= x, via subword products of one reduced expression."""

@@ -85,7 +85,12 @@ def _addmul(out: dict, w: ExtWeylElement, coeffs: Coeffs, q: Coeffs) -> None:
 
 def _freeze(out: dict) -> dict[ExtWeylElement, LaurentPolynomial]:
     """The finished accumulator, each nonzero coefficient wrapped once."""
-    return {w: LaurentPolynomial(c) for w, c in out.items() if any(c.values())}
+    frozen = {}
+    for w, c in out.items():
+        p = LaurentPolynomial(c)
+        if p:
+            frozen[w] = p
+    return frozen
 
 
 def _raw(a: "HeckeElement") -> dict[ExtWeylElement, Coeffs]:

@@ -368,10 +368,7 @@ class RootDatum:
         """Lift a functional on ZR (values on the simple roots) to Y."""
         if len(coords) != self.rank:
             raise DimensionMismatch("one value per simple root required")
-        return tuple(
-            sum(self.section[i][j] * coords[j] for j in range(self.rank))
-            for i in range(self.y_rank)
-        )
+        return mat_apply(self.section, coords)
 
     def coroot_lattice_contains(self, lam: Vector) -> bool:
         return solve_smith(self.coroot_smith, self.check_y(lam)) is not None

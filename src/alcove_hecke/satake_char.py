@@ -5,16 +5,24 @@ multiplicities are those of the characteristic-zero simple module (equal to
 the Weyl/induced-module character), computed by the Freudenthal recursion in
 exact integer arithmetic; a brute-force Kostant-partition evaluation and the
 Weyl dimension formula are provided as independent cross-checks.
+
+The recursion runs over the dominant weights below the highest weight only,
+in order of depth below it.  Each multiplicity, once known, is written onto
+the whole W-orbit of its dominant weight, so the weights nu + k beta that the
+recursion reads at nu are looked up directly: their dominant representatives
+lie higher and were filled in first.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import le
 
 from .errors import InvariantViolation, NoLift, NotDominant
 from .memo import Memo
-from .root_datum import RootDatum, Vector, pair, vec_add, vec_scale, vec_sub
+from .root_datum import RootDatum, Vector, mat_apply, pair, vec_add, vec_scale, vec_sub
 
 
 @dataclass(frozen=True)
@@ -38,25 +46,16 @@ class SatakeChar:
         self._partitions = Memo(self._count_partitions)
         # coroot data in simple-coroot coordinates
         self._coroot_coords = list(datum.coroot_in_simple)
+        # the simple coroots as columns, and the Y-action of every Weyl element
+        self._coroot_columns = tuple(
+            tuple(cv[r] for cv in datum.simple_coroots) for r in range(datum.y_rank)
+        )
+        self._y_actions = tuple(el.y_action for el in datum.weyl_elements)
         self._two_rho_vee = (0,) * datum.y_rank
         for cv in datum.positive_coroots:
             self._two_rho_vee = vec_add(self._two_rho_vee, cv)
 
     # -- lattice helpers ---------------------------------------------------
-
-    def _simple_reflect(self, i: int, nu: Vector) -> Vector:
-        c = pair(self.datum.simple_roots[i], nu)
-        return vec_sub(nu, vec_scale(c, self.datum.simple_coroots[i]))
-
-    def dominant_representative(self, nu: Vector) -> Vector:
-        cur = tuple(nu)
-        while True:
-            for i, alpha in enumerate(self.datum.simple_roots):
-                if pair(alpha, cur) < 0:
-                    cur = self._simple_reflect(i, cur)
-                    break
-            else:
-                return cur
 
     def _gap_coords(self, mu: Vector, nu: Vector) -> Vector | None:
         """Coordinates of mu - nu in the simple coroots, or None."""
@@ -81,58 +80,48 @@ class SatakeChar:
         if span is None or any(c < 0 for c in span):
             raise InvariantViolation(f"lowest weight {lowest} is not below {mu}")
 
-        # candidate weights: mu minus box combinations of simple coroots
-        import itertools
-
-        grid: list[tuple[Vector, Vector]] = []  # (weight, gap coords)
+        # dominant candidates: mu minus box combinations of simple coroots, each
+        # decided by one row product, <alpha_i, nu> = <alpha_i, mu> - (C cs)_i
+        top = [pair(alpha, mu) for alpha in d.simple_roots]
+        dominant: list[tuple[Vector, Vector]] = []  # (weight, gap coords)
         for cs in itertools.product(*(range(c + 1) for c in span)):
-            nu = mu
-            for i, k in enumerate(cs):
-                nu = vec_sub(nu, vec_scale(k, d.simple_coroots[i]))
-            grid.append((nu, cs))
-
-        dominant = [(nu, cs) for nu, cs in grid if d.is_dominant(nu)]
+            if all(map(le, mat_apply(d.cartan, cs), top)):
+                dominant.append((vec_sub(mu, mat_apply(self._coroot_columns, cs)), cs))
         dominant.sort(key=lambda t: (sum(t[1]), t[0]))
 
-        mult: dict[Vector, int] = {}
+        # each multiplicity is written onto the whole W-orbit of its dominant
+        # weight; a weight nu + k beta above nu has its dominant representative
+        # at a smaller gap depth, so it is already filled in when nu reads it
+        full: dict[Vector, int] = {}
         for nu, cs in dominant:
             if nu == mu:
-                mult[nu] = 1
-                continue
-            numerator = 0
-            for idx, beta in enumerate(d.positive_coroots):
-                bc = self._coroot_coords[idx]
-                k = 1
-                while True:
-                    higher = vec_add(nu, vec_scale(k, beta))
-                    gap = tuple(
-                        a - k * b for a, b in zip(cs, bc)
+                m = 1
+            else:
+                numerator = 0
+                for idx, beta in enumerate(d.positive_coroots):
+                    bc = self._coroot_coords[idx]
+                    k = 1
+                    while True:
+                        higher = vec_add(nu, vec_scale(k, beta))
+                        gap = tuple(a - k * b for a, b in zip(cs, bc))
+                        if any(g < 0 for g in gap):
+                            break
+                        m_h = full.get(higher, 0)
+                        if m_h:
+                            numerator += 2 * m_h * d.dual_form(higher, bc)
+                        k += 1
+                # denominator |mu+rho|^2 - |nu+rho|^2 = B(mu+nu+2rho, mu-nu)
+                denom = d.dual_form(vec_add(vec_add(mu, nu), self._two_rho_vee), cs)
+                if denom <= 0:
+                    raise InvariantViolation(f"Freudenthal denominator {denom} at {nu} in {mu}")
+                if numerator % denom:
+                    raise InvariantViolation(
+                        f"Freudenthal quotient {numerator}/{denom} at {nu} in {mu} is not integral"
                     )
-                    if any(g < 0 for g in gap):
-                        break
-                    m_h = mult.get(self.dominant_representative(higher), 0)
-                    if m_h:
-                        numerator += 2 * m_h * d.dual_form(higher, bc)
-                    k += 1
-            # denominator |mu+rho|^2 - |nu+rho|^2 = B(mu+nu+2rho, mu-nu)
-            denom = d.dual_form(
-                vec_add(vec_add(mu, nu), self._two_rho_vee), cs
-            )
-            if denom <= 0:
-                raise InvariantViolation(f"Freudenthal denominator {denom} at {nu} in {mu}")
-            if numerator % denom:
-                raise InvariantViolation(
-                    f"Freudenthal quotient {numerator}/{denom} at {nu} in {mu} is not integral"
-                )
-            m = numerator // denom
+                m = numerator // denom
             if m:
-                mult[nu] = m
-
-        full: dict[Vector, int] = {}
-        for nu, _ in grid:
-            m = mult.get(self.dominant_representative(nu), 0)
-            if m:
-                full[nu] = m
+                for action in self._y_actions:
+                    full[mat_apply(action, nu)] = m
         result = WeightMultiset(full)
         if result.mult(mu) != 1:
             raise InvariantViolation(f"highest weight {mu} has multiplicity {result.mult(mu)}")

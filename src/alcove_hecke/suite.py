@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .engine import Engine, build_engine
-from .errors import BoundsTooLarge, InvariantViolation, Unrepresentable
+from .errors import BoundsTooLarge, InvariantViolation, MalformedInput, Unrepresentable
 from .ext_weyl import ExtWeylElement
 from .groth_calc import COVERMA, FiltrationMultiset
 from .laurent import ONE, ZERO, LaurentPolynomial
@@ -921,6 +921,11 @@ def run_suite(
     fault: str | None = None,
     names: list[str] | None = None,
 ) -> SuiteReport:
+    if not isinstance(preset, str):
+        # failure payloads quote the preset as a command-line argument
+        raise MalformedInput(
+            f"run_suite takes a preset name or a JSON path, not a {type(preset).__name__}"
+        )
     if kl_maxlen is None:
         kl_maxlen = DEFAULT_KL_LEN.get(preset, 6)
     if kl_maxlen > MAX_KL_LEN:

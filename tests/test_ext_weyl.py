@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from alcove_hecke.errors import MalformedInput
-from alcove_hecke.ext_weyl import ExtWeylElement
+from alcove_hecke.errors import InvariantViolation, MalformedInput
+from alcove_hecke.ext_weyl import ExtWeyl, ExtWeylElement
 
 
 def bfs_lengths(eng, radius):
@@ -100,10 +100,14 @@ def _left_steps_by_products(ext, x):
 
 
 def test_left_steps_match_products(datum_engine):
+    # the descent bits come from the per-datum table: check them against lengths
+    # on Weyl-only elements and on translations far from the origin too
     ext = datum_engine.ext
     rng = random.Random(37)
-    for _ in range(500):
-        x = ext.random_element(rng, 3)
+    for k in range(700):
+        x = ext.random_element(rng, 6 if k % 2 else 3)
+        if k % 5 == 0:
+            x = ExtWeylElement(x.w, ext.identity.t)
         assert list(ext.left_steps(x)) == _left_steps_by_products(ext, x)
 
 
@@ -157,6 +161,14 @@ def test_bruhat_examples(a1):
     assert not ext.bruhat_leq(ts_s, ext.identity)
 
 
+def _short_elements(ext, rng, count, maxlen):
+    """Seeded elements s_1 ... s_r omega with r <= maxlen, over several W_aff-cosets."""
+    omegas = ext.enumerate_omega(1)
+    for _ in range(count):
+        word = [rng.choice(ext.generators) for _ in range(rng.randint(0, maxlen))]
+        yield ext.mul(ext.word_to_element(word), rng.choice(omegas))
+
+
 def test_bruhat_vs_subword_oracle(any_engine):
     ext = any_engine.ext
     rng = random.Random(31)
@@ -168,6 +180,21 @@ def test_bruhat_vs_subword_oracle(any_engine):
         probes = list(lower) + [ext.random_element(rng, 2) for _ in range(15)]
         for y in probes:
             assert ext.bruhat_leq(y, x) == (y in lower)
+
+
+def test_bruhat_across_cosets_vs_subword_oracle(datum_engine):
+    # tops and probes are words times length-zero elements, so many pairs lie
+    # in different W_aff-cosets and the coset test on translations decides them
+    ext = datum_engine.ext
+    rng = random.Random(41)
+    tops = list(_short_elements(ext, rng, 40, 8))
+    probes = list(_short_elements(ext, rng, 30, 5))
+    probes += [ext.random_element(rng, 2) for _ in range(15)]
+    for x in tops:
+        lower = subword_lower(datum_engine, x)
+        assert ext.bruhat_lower_set(x) == lower
+        for y in list(lower) + probes:
+            assert ext.bruhat_leq(y, x) == (y in lower), (y, x)
 
 
 def test_bruhat_dihedral_is_length_comparison(a1):
@@ -224,3 +251,59 @@ def test_element_is_named_tuple(a1):
     x = a1.ext.translation((3,))
     assert isinstance(x, ExtWeylElement)
     assert x.w == 0 and x.t == (3,)
+
+
+# -- the group-step fast paths, on every datum -----------------------------------
+
+
+def _product_by_rows(ext, a, b):
+    """(w1 t1)(w2 t2) = (w1 w2) t_{w2^{-1}(t1) + t2}, by the general formula."""
+    d = ext.datum
+    t = tuple(c + e for c, e in zip(d.act_y(d.weyl_inv[b.w], a.t), b.t))
+    return ExtWeylElement(d.weyl_mult[a.w][b.w], t)
+
+
+def _seeded_pairs(ext, rng, count, bound):
+    zero = ext.identity.t
+    for k in range(count):
+        a = ext.random_element(rng, bound)
+        b = ext.random_element(rng, bound)
+        if k % 3 == 0:
+            a = ExtWeylElement(a.w, zero)  # Weyl-only left factor
+        elif k % 3 == 1:
+            b = ExtWeylElement(0, b.t)  # translation-only right factor
+        yield a, b
+
+
+def test_mul_fast_paths_match_row_formula(datum_engine):
+    ext = datum_engine.ext
+    rng = random.Random(53)
+    for a, b in _seeded_pairs(ext, rng, 900, 4):
+        assert ext.mul(a, b) == _product_by_rows(ext, a, b)
+    for g in ext.generators:
+        s = ext.gen_element(g)
+        for x in (ext.identity, ext.w0, ext.translation(ext.datum.varsigma)):
+            assert ext.mul(s, x) == _product_by_rows(ext, s, x)
+            assert ext.mul(x, s) == _product_by_rows(ext, x, s)
+
+
+def test_coset_test_matches_product(datum_engine):
+    # bruhat_leq decides the coset on lam_x - lam_y, then recurses within it
+    ext = datum_engine.ext
+    rng = random.Random(67)
+    tops = list(_short_elements(ext, rng, 8, 4))
+    elements = [y for x in tops for y in sorted(ext.bruhat_lower_set(x))[:8]]
+    elements += [ext.random_element(rng, 3) for _ in range(30)]
+    for x in elements:
+        for y in tops + elements[:10]:
+            same = ext.in_affine_subgroup(ext.mul(x, ext.inv(y)))
+            assert ext._in_coroot_lattice[tuple(a - b for a, b in zip(x.t, y.t))] == same
+            assert ext.bruhat_leq(x, y) == (same and ext._bruhat_aff(x, y)), (x, y)
+
+
+def test_wrong_descent_table_raises(b2):
+    # a table that makes every generator a descent would peel letters forever
+    ext = ExtWeyl(b2.datum)
+    ext._descent_rows = tuple(tuple((b, 10**6) for b, _ in row) for row in ext._descent_rows)
+    with pytest.raises(InvariantViolation, match="more left descents"):
+        ext.reduced_expression(ext.parse_element("s1 s2 : -2,1"))

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from alcove_hecke.errors import InvariantViolation, NotDominant
-from alcove_hecke.root_datum import vec_scale
+from alcove_hecke.root_datum import pair, vec_add, vec_scale, vec_sub
 from alcove_hecke.satake_char import SatakeChar
 
 
@@ -104,6 +104,68 @@ def test_kostant_off_the_coroot_lattice(a1):
     assert a1.satake.kostant_multiplicity((2,), (1,)) == 0
 
 
+# -- the former grid route, kept as an oracle for the orbit fill ---------------
+
+
+def dominant_representative(d, nu):
+    """The dominant W-conjugate of nu, by simple reflections."""
+    cur = tuple(nu)
+    while True:
+        for alpha, coroot in zip(d.simple_roots, d.simple_coroots):
+            c = pair(alpha, cur)
+            if c < 0:
+                cur = vec_sub(cur, vec_scale(c, coroot))
+                break
+        else:
+            return cur
+
+
+def grid_multiplicities(sat, mu):
+    """Freudenthal on the dominant points of the gap grid, then one dominant
+    representative per grid point to fill in every other weight."""
+    d = sat.datum
+    span = sat._gap_coords(mu, d.act_y(d.w0, mu))
+    grid = []
+    for cs in itertools.product(*(range(c + 1) for c in span)):
+        nu = mu
+        for i, k in enumerate(cs):
+            nu = vec_sub(nu, vec_scale(k, d.simple_coroots[i]))
+        grid.append((nu, cs))
+    dominant = sorted(
+        ((nu, cs) for nu, cs in grid if d.is_dominant(nu)), key=lambda t: (sum(t[1]), t[0])
+    )
+    mult = {}
+    for nu, cs in dominant:
+        if nu == mu:
+            mult[nu] = 1
+            continue
+        numerator = 0
+        for beta, bc in zip(d.positive_coroots, d.coroot_in_simple):
+            k = 1
+            while all(a - k * b >= 0 for a, b in zip(cs, bc)):
+                higher = vec_add(nu, vec_scale(k, beta))
+                m_h = mult.get(dominant_representative(d, higher), 0)
+                numerator += 2 * m_h * d.dual_form(higher, bc)
+                k += 1
+        denom = d.dual_form(vec_add(vec_add(mu, nu), sat._two_rho_vee), cs)
+        assert numerator % denom == 0
+        mult[nu] = numerator // denom
+    full = {nu: mult.get(dominant_representative(d, nu), 0) for nu, _ in grid}
+    return {nu: m for nu, m in full.items() if m}
+
+
+def test_orbit_fill_matches_grid_route(datum_engine):
+    d, sat = datum_engine.datum, datum_engine.satake
+    bound = 2 if d.rank > 1 else 5
+    for cs in itertools.product(range(bound + 1), repeat=d.rank):
+        mu = d.section_lift(cs)
+        assert dict(sat.weight_multiplicities(mu).items()) == grid_multiplicities(sat, mu)
+    for nu in [d.section_lift(cs) for cs in itertools.product(range(-3, 4), repeat=d.rank)]:
+        rep = dominant_representative(d, nu)
+        assert d.is_dominant(rep)
+        assert any(d.act_y(w, nu) == rep for w in range(d.weyl_order))
+
+
 # -- planted faults: each library check raises InvariantViolation --------------
 
 
@@ -131,7 +193,9 @@ def test_freudenthal_checks_raise(a2, scale, match):
 
 
 def test_highest_weight_multiplicity_check_raises(a2):
-    sat = _faulty(a2, dominant_representative=lambda nu: None)
+    # a wrong Weyl action sends every orbit fill to -nu, so mu itself stays empty
+    minus = tuple(vec_scale(-1, row) for row in ((1, 0), (0, 1)))
+    sat = _faulty(a2, _y_actions=(minus,) * a2.datum.weyl_order)
     with pytest.raises(InvariantViolation, match="highest weight"):
         sat.weight_multiplicities((1, 1))
 

@@ -7,7 +7,7 @@ import pytest
 
 from alcove_hecke import cli, suite
 from alcove_hecke.engine import build_engine
-from alcove_hecke.errors import BoundsTooLarge, InvariantViolation, Unrepresentable
+from alcove_hecke.errors import BoundsTooLarge, InvariantViolation, MalformedInput, Unrepresentable
 from alcove_hecke.hecke import HeckeElement
 from alcove_hecke.laurent import LaurentPolynomial
 from alcove_hecke.suite import bar_invariance_solver, run_suite, spherical_window
@@ -48,6 +48,16 @@ def test_unknown_preset():
 
     with pytest.raises(UnknownPreset):
         run_suite("nope")
+
+
+def test_descriptor_dict_rejected(monkeypatch):
+    # a dict has no command-line form for the failure payload: rejected before any build
+    def no_build(spec):
+        raise AssertionError("built an engine")
+
+    monkeypatch.setattr(suite, "build_engine", no_build)
+    with pytest.raises(MalformedInput, match="preset name or a JSON path"):
+        run_suite(CUSTOM["G2"], names=["kl-bar-invariance"])
 
 
 def test_spherical_window_lengths(a2):
