@@ -2,7 +2,7 @@
 Kazhdan-Lusztig data of the spherical module, and a Grothendieck-group
 multiplicity calculator for the associated graded module categories."""
 
-from .alcove import AlcoveModel, AlcovePoint
+from .alcove import AlcoveModel
 from .engine import Engine, build_engine
 from .ext_weyl import AffineGenerator, ExtWeyl, ExtWeylElement
 from .groth_calc import ClassVector, FiltrationMultiset, GrothCalc, SimpleLabel
@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineGenerator",
     "AlcoveModel",
-    "AlcovePoint",
     "ClassVector",
     "Engine",
     "ExtWeyl",

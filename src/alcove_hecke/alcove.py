@@ -23,17 +23,10 @@ dot product per root: <beta, x^{-1}.p0> = row[k] - h <beta_k, lambda>.
 from __future__ import annotations
 
 from operator import mul as scalar_mul
-from typing import NamedTuple
 
 from .errors import InvariantViolation
 from .ext_weyl import ExtWeyl, ExtWeylElement
-from .root_datum import Vector, pair, vec_add, vec_neg, vec_scale, vec_sub
-
-
-class AlcovePoint(NamedTuple):
-    """Numerators of a rational point of Y x R over the model denominator."""
-
-    nums: Vector
+from .root_datum import Vector, pair, vec_neg, vec_sub
 
 
 class AlcoveModel:
@@ -41,7 +34,6 @@ class AlcoveModel:
         self.ext = ext
         d = self.datum = ext.datum
         h = self.denominator = 1 + max(d.root_heights)
-        self.base_point = AlcovePoint(d.varsigma)
         # p0 lies in the fundamental alcove: 0 < <beta, p0> < h for beta > 0
         for beta in d.positive_roots:
             if not 0 < pair(beta, d.varsigma) < h:
@@ -54,13 +46,6 @@ class AlcoveModel:
             simple_rows.append(tuple(pair(alpha, q) for alpha in d.simple_roots))
         self._positive_rows = tuple(positive_rows)
         self._simple_rows = tuple(simple_rows)
-
-    def act(self, x: ExtWeylElement, p: AlcovePoint) -> AlcovePoint:
-        """(w t_lambda) . p = w(p) + w(lambda), exactly."""
-        d = self.datum
-        moved = d.act_y(x.w, p.nums)
-        shift = vec_scale(self.denominator, d.act_y(x.w, x.t))
-        return AlcovePoint(vec_add(moved, shift))
 
     def in_wexts(self, x: ExtWeylElement) -> bool:
         """Minimal-coset-representative test: x^{-1}(A_fund) in the dominant cone."""

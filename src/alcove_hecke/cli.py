@@ -13,7 +13,7 @@ import json
 import sys
 
 from .engine import Engine, build_engine
-from .errors import AlcoveHeckeError, MalformedInput
+from .errors import AlcoveHeckeError, BoundsTooLarge, MalformedInput
 from .ext_weyl import ExtWeylElement
 from .groth_calc import COVERMA, VERMA, FiltrationMultiset
 from .parabolic import in_awext, in_awext_res, in_awext_s, min_rep
@@ -168,8 +168,10 @@ def cmd_hecke(args) -> int:
         payload = {"m_inv": str(eng.hecke.inverse_m(x, y))}
         _emit(payload, args.format)
     else:  # mtriangle-sweep
-        from .suite import spherical_window
+        from .suite import MAX_KL_LEN, spherical_window
 
+        if args.maxlen > MAX_KL_LEN:
+            raise BoundsTooLarge(f"maxlen {args.maxlen} > {MAX_KL_LEN}")
         rows = []
         for w in spherical_window(eng, args.maxlen):
             tri = eng.alc.triangle(w)

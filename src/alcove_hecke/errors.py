@@ -21,16 +21,8 @@ class TorsionQuotient(AlcoveHeckeError):
     """The quotient of the character lattice by the root lattice has torsion."""
 
 
-class NoVarsigma(AlcoveHeckeError):
-    """The pairing-one system for the distinguished coweight has no solution."""
-
-
 class DimensionMismatch(AlcoveHeckeError):
     """A vector has the wrong number of coordinates."""
-
-
-class NoLift(AlcoveHeckeError):
-    """A functional on the root lattice has no lift to the coweight lattice."""
 
 
 class NotFinitary(AlcoveHeckeError):

@@ -145,9 +145,6 @@ class ExtWeyl:
 
     # -- group arithmetic ------------------------------------------------
 
-    def element(self, w: int, t: Iterable[int]) -> ExtWeylElement:
-        return ExtWeylElement(w, self.datum.check_y(tuple(t)))
-
     def translation(self, lam: Iterable[int]) -> ExtWeylElement:
         return ExtWeylElement(0, self.datum.check_y(tuple(lam)))
 
@@ -206,9 +203,6 @@ class ExtWeyl:
         """The row of (s x, s x < x) over `generators`, in generator order."""
         return self._left_steps[x]
 
-    def is_omega(self, x: ExtWeylElement) -> bool:
-        return self.length(x) == 0
-
     def enumerate_omega(self, bound: int) -> list[ExtWeylElement]:
         """All length-zero elements whose translation has sup-norm <= bound."""
         found = []
@@ -220,16 +214,6 @@ class ExtWeyl:
         return sorted(found)
 
     # -- reduced expressions ----------------------------------------------
-
-    def left_descents(self, x: ExtWeylElement) -> list[AffineGenerator]:
-        return [g for g, (_, down) in zip(self.generators, self._left_steps[x]) if down]
-
-    def first_left_descent(self, x: ExtWeylElement) -> AffineGenerator | None:
-        """The first generator s with sx < x, or None for length zero."""
-        for g, (_, down) in zip(self.generators, self._left_steps[x]):
-            if down:
-                return g
-        return None
 
     def reduced_expression(
         self, x: ExtWeylElement, strategy: str = "min"

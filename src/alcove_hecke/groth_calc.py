@@ -91,11 +91,11 @@ class FiltrationMultiset:
 
 
 class GrothCalc:
-    def __init__(self, alc: AlcoveModel, order: PeriodicOrder | None = None):
+    def __init__(self, alc: AlcoveModel, order: PeriodicOrder):
         self.alc = alc
         self.ext = alc.ext
         self.datum = alc.datum
-        self.order = order if order is not None else PeriodicOrder(alc)
+        self.order = order
         self.satake = SatakeChar(alc.datum)
         self._orth_rows = _hermite_rows(self.datum.orthogonal_basis)
 
@@ -249,10 +249,6 @@ class GrothCalc:
                 vw = self.ext.mul(v, w)
                 out[vw] = out.get(vw, 0) + m
         return FiltrationMultiset(out, f.flavor)
-
-    # av_! has the same effect on multiplicity data as av_star (their classes
-    # in the Grothendieck group agree), so it is exposed as an alias
-    av_shriek = av_star
 
     # -- pairings and duality ---------------------------------------------------
 

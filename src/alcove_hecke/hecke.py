@@ -215,9 +215,6 @@ class HeckeAlgebra:
 
     # -- standard basis arithmetic ---------------------------------------
 
-    def unit(self) -> HeckeElement:
-        return HeckeElement({self.ext.identity: ONE})
-
     def standard(self, w: ExtWeylElement) -> HeckeElement:
         return HeckeElement({w: ONE})
 
@@ -231,14 +228,6 @@ class HeckeAlgebra:
             _addmul(out, ws, p.coeffs, _UNIT)
             if ext.length(ws) < ext.length(w):
                 _addmul(out, w, p.coeffs, _VINV_MINUS_V)
-        return HeckeElement(_freeze(out))
-
-    def left_mul_gen(
-        self, g: AffineGenerator, a: HeckeElement, c: LaurentPolynomial = ZERO
-    ) -> HeckeElement:
-        """(H_s + c) * a for the generator s = g, in one pass over a."""
-        down = c + LaurentPolynomial(_VINV_MINUS_V)
-        out = _left_mul(self.ext, self.ext.generators.index(g), _raw(a), c.coeffs, down.coeffs)
         return HeckeElement(_freeze(out))
 
     def mul(self, a: HeckeElement, b: HeckeElement) -> HeckeElement:
@@ -423,21 +412,3 @@ class HeckeAlgebra:
         result = LaurentPolynomial(result)
         self._check_degree(result, ext.length(x) + ext.length(ext.w0))
         return result
-
-    def spherical_image(self, a: HeckeElement) -> dict[ExtWeylElement, LaurentPolynomial]:
-        """Image of a Hecke element in the spherical quotient, on the M basis."""
-        ext = self.ext
-        out: dict[ExtWeylElement, Coeffs] = {}
-        for w, p in a.support.items():
-            # split w = y u with y the minimal representative of wW
-            y = None
-            for u in range(self.alc.datum.weyl_order):
-                cand = ext.mul(w, ExtWeylElement(u, ext.identity.t))
-                if self.alc.in_wexts(cand):
-                    y = cand
-                    break
-            if y is None:
-                raise InvariantViolation(f"no minimal representative found in the coset of {w}")
-            drop = ext.length(w) - ext.length(y)
-            _addmul(out, y, p.coeffs, {-drop: 1})
-        return _freeze(out)

@@ -6,9 +6,9 @@ zeros; all arithmetic is exact.
 >>> v = LaurentPolynomial.monomial(1)
 >>> str((v + v.bar()) * v)
 '1*v^0+1*v^2'
->>> (v - v).is_zero()
+>>> v - v == 0
 True
->>> parse_poly("1*v^-1-1*v^1").evaluate(-1)
+>>> (v.bar() - v).evaluate(-1)
 0
 """
 
@@ -27,9 +27,6 @@ class LaurentPolynomial:
 
     def coeff(self, exponent: int) -> int:
         return self.coeffs.get(exponent, 0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -114,31 +111,3 @@ ONE = LaurentPolynomial({0: 1})
 V = LaurentPolynomial({1: 1})
 V_INV = LaurentPolynomial({-1: 1})
 
-
-def parse_poly(text: str) -> LaurentPolynomial:
-    """Parse the serialization produced by str(): "c*v^k" terms joined by +/-."""
-    s = text.strip().replace(" ", "")
-    if s in ("", "0"):
-        return ZERO
-    terms: list[str] = []
-    cur = ""
-    for i, ch in enumerate(s):
-        # a sign starts a new term unless it follows '^' or '*' or leads
-        if ch in "+-" and i > 0 and s[i - 1] not in "^*":
-            terms.append(cur)
-            cur = "" if ch == "+" else "-"
-        else:
-            cur += ch
-    terms.append(cur)
-    out: dict[int, int] = {}
-    for t in terms:
-        coeff_text, sep, exp_text = t.partition("*v^")
-        if not sep:
-            raise ValueError(f"bad polynomial term {t!r}")
-        try:
-            c = int(coeff_text)
-            k = int(exp_text)
-        except ValueError as exc:
-            raise ValueError(f"bad polynomial term {t!r}") from exc
-        out[k] = out.get(k, 0) + c
-    return LaurentPolynomial(out)

@@ -29,8 +29,6 @@ from .errors import (
     DimensionMismatch,
     InvariantViolation,
     MalformedInput,
-    NoLift,
-    NoVarsigma,
     TorsionQuotient,
     UnknownPreset,
 )
@@ -164,13 +162,9 @@ def smith_normal_form(mat: list[list[int]]) -> tuple[list[list[int]], list[list[
     return u, d, v
 
 
-def solve_integer(mat: list[list[int]], rhs: list[int]) -> list[int] | None:
-    """One integer solution x of mat*x = rhs, or None; deterministic."""
-    return solve_smith(smith_normal_form(mat), rhs)
-
-
 def solve_smith(factors, rhs) -> list[int] | None:
-    """`solve_integer` for the matrix whose Smith factors (U, D, V) are given."""
+    """One integer solution x of mat*x = rhs, or None, for the matrix whose
+    Smith factors (U, D, V) are given; deterministic."""
     u, d, v = factors
     rows, cols = len(u), len(v)
     c = [sum(u[i][k] * rhs[k] for k in range(rows)) for i in range(rows)]
@@ -185,25 +179,6 @@ def solve_smith(factors, rhs) -> list[int] | None:
                 return None
             y[i] = c[i] // di
     return [sum(v[i][k] * y[k] for k in range(cols)) for i in range(cols)]
-
-
-def kernel_basis(mat: list[list[int]]) -> list[Vector]:
-    """Basis of the integer kernel of x |-> mat*x."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    _, d, v = smith_normal_form(mat)
-    basis = []
-    for k in range(cols):
-        dk = d[k][k] if k < rows else 0
-        if dk == 0:
-            basis.append(tuple(v[i][k] for i in range(cols)))
-    return basis
-
-
-def _invariant_factors(mat: list[list[int]]) -> list[int]:
-    _, d, _ = smith_normal_form(mat)
-    n = min(len(d), len(d[0]) if d else 0)
-    return [d[i][i] for i in range(n) if d[i][i] != 0]
 
 
 def _principal_minors_positive(c: list[list[int]]) -> bool:
@@ -346,14 +321,6 @@ class RootDatum:
         lam = self.check_y(lam)
         return all(pair(alpha, lam) >= 0 for alpha in self.simple_roots)
 
-    def is_strictly_dominant(self, lam: Vector) -> bool:
-        lam = self.check_y(lam)
-        return all(pair(alpha, lam) > 0 for alpha in self.simple_roots)
-
-    def is_antidominant(self, lam: Vector) -> bool:
-        lam = self.check_y(lam)
-        return all(pair(alpha, lam) <= 0 for alpha in self.simple_roots)
-
     def act_x(self, w: int, v: Vector) -> Vector:
         return mat_apply(self.weyl_elements[w].x_action, v)
 
@@ -373,13 +340,6 @@ class RootDatum:
     def coroot_lattice_contains(self, lam: Vector) -> bool:
         return solve_smith(self.coroot_smith, self.check_y(lam)) is not None
 
-    def coroot_coordinates(self, corootvec: Vector) -> Vector:
-        """Coordinates of a coroot-lattice vector in the simple coroots."""
-        sol = solve_smith(self.coroot_smith, corootvec)
-        if sol is None:
-            raise NoLift(f"{corootvec} is not in the coroot lattice")
-        return tuple(sol)
-
     def dual_form(self, lam: Vector, coroot_coords: Vector) -> int:
         """W-invariant form B(lam, beta^vee) with beta^vee given in simple-coroot coordinates."""
         return sum(
@@ -389,39 +349,35 @@ class RootDatum:
 
 
 def _generate_root_system(simple_roots: Matrix, simple_coroots: Matrix):
-    """Closure of the simple root/coroot pairs under simple reflections."""
+    """Closure of the simple root/coroot pairs under simple reflections.
+
+    s_i permutes the positive roots other than alpha_i, so the closure from
+    the simple roots, skipping s_i(alpha_i) = -alpha_i, meets only positive
+    roots.  Each root carries its simple-root coordinates, of which s_i
+    lowers the i-th by <beta, alpha_i^vee>; their sum is the height.
+    """
     rank = len(simple_roots)
-    pos = {simple_roots[i]: simple_coroots[i] for i in range(rank)}
+    unit = identity_matrix(rank)
+    pos = {simple_roots[i]: (simple_coroots[i], unit[i]) for i in range(rank)}
     frontier = list(simple_roots)
     while frontier:
         beta = frontier.pop()
-        beta_vee = pos[beta]
+        beta_vee, coords = pos[beta]
         for i in range(rank):
             # s_i(beta) = beta - <beta, alpha_i^vee> alpha_i, same shape on coroots
             c = pair(beta, simple_coroots[i])
             new_root = vec_sub(beta, vec_scale(c, simple_roots[i]))
-            cc = pair(simple_roots[i], beta_vee)
-            new_coroot = vec_sub(beta_vee, vec_scale(cc, simple_coroots[i]))
             if new_root in pos or vec_neg(new_root) in pos:
                 continue
-            pos[new_root] = new_coroot
+            cc = pair(simple_roots[i], beta_vee)
+            new_coroot = vec_sub(beta_vee, vec_scale(cc, simple_coroots[i]))
+            pos[new_root] = (new_coroot, vec_sub(coords, vec_scale(c, unit[i])))
             frontier.append(new_root)
-    # keep only the positive ones (nonnegative simple-root coordinates)
-    root_mat = [[simple_roots[j][i] for j in range(rank)] for i in range(len(simple_roots[0]))]
-    roots, coroots, heights = [], [], []
-    for beta, beta_vee in pos.items():
-        coords = solve_integer(root_mat, list(beta))
-        if coords is None:
-            raise MalformedInput(f"generated root {beta} outside the root lattice")
-        if all(c >= 0 for c in coords):
-            roots.append(beta)
-            coroots.append(beta_vee)
-            heights.append(sum(coords))
-    order = sorted(range(len(roots)), key=lambda k: (heights[k], roots[k]))
+    order = sorted(pos, key=lambda beta: (sum(pos[beta][1]), beta))
     return (
-        tuple(roots[k] for k in order),
-        tuple(coroots[k] for k in order),
-        tuple(heights[k] for k in order),
+        tuple(order),
+        tuple(pos[beta][0] for beta in order),
+        tuple(sum(pos[beta][1]) for beta in order),
     )
 
 
@@ -501,16 +457,20 @@ def load_root_datum(spec) -> RootDatum:
         raise MalformedInput("descriptor must be a preset name or a dict")
     if "preset" in spec:
         pname = spec["preset"]
+        if not isinstance(pname, str):
+            raise MalformedInput(f"preset must be a name, not {pname!r}")
         if pname not in PRESETS:
             raise UnknownPreset(f"unknown preset {pname!r}; available: {', '.join(PRESETS)}")
         name = pname
         spec = PRESETS[pname]
 
     try:
-        simple_roots = tuple(tuple(int(c) for c in row) for row in spec["simple_roots"])
-        simple_coroots = tuple(tuple(int(c) for c in row) for row in spec["simple_coroots"])
-    except (KeyError, TypeError, ValueError) as exc:
+        simple_roots = tuple(tuple(row) for row in spec["simple_roots"])
+        simple_coroots = tuple(tuple(row) for row in spec["simple_coroots"])
+    except (KeyError, TypeError) as exc:
         raise MalformedInput(f"bad root-datum descriptor: {exc}") from exc
+    if any(type(c) is not int for row in simple_roots + simple_coroots for c in row):
+        raise MalformedInput("root-datum coordinates must be integers")
     if len(simple_roots) != len(simple_coroots):
         raise MalformedInput("must give equally many simple roots and coroots")
     if not simple_roots:
@@ -537,20 +497,15 @@ def load_root_datum(spec) -> RootDatum:
     if not _principal_minors_positive([list(r) for r in cartan]):
         raise CartanNotFiniteType("Cartan matrix is not of finite type")
 
-    root_rows = [list(r) for r in simple_roots]
-    if any(f != 1 for f in _invariant_factors(root_rows)) or len(
-        _invariant_factors(root_rows)
-    ) != rank:
+    # one Smith form U A V = D of the simple roots as rows: D = (I 0) exactly
+    # when X/ZR is torsion-free, and then A has a right inverse, the fixed
+    # section of the restriction Y -> Hom(ZR, Z), and its kernel, the
+    # root-orthogonal sublattice, is spanned by the trailing columns of V
+    root_smith = smith_normal_form([list(r) for r in simple_roots])
+    _, diag, v = root_smith
+    if any(diag[i][i] != 1 for i in range(rank)):
         raise TorsionQuotient("X/ZR has torsion (Smith form has invariant factor != 1)")
-
-    # fixed right inverse of the restriction Y -> Hom(ZR, Z)
-    section_cols = []
-    for j in range(rank):
-        rhs = [1 if i == j else 0 for i in range(rank)]
-        col = solve_integer(root_rows, rhs)
-        if col is None:
-            raise NoVarsigma("restriction Y -> Hom(ZR, Z) is not surjective")
-        section_cols.append(col)
+    section_cols = [solve_smith(root_smith, unit) for unit in identity_matrix(rank)]
     section = tuple(tuple(section_cols[j][i] for j in range(rank)) for i in range(dim))
     varsigma = tuple(sum(section[i][j] for j in range(rank)) for i in range(dim))
     if any(pair(alpha, varsigma) != 1 for alpha in simple_roots):
@@ -621,7 +576,7 @@ def load_root_datum(spec) -> RootDatum:
         highest_roots=tuple(highest_roots),
         highest_short_coroots=tuple(highest_short),
         section=section,
-        orthogonal_basis=tuple(kernel_basis(root_rows)),
+        orthogonal_basis=tuple(tuple(row[k] for row in v) for k in range(rank, dim)),
         dual_symmetrizer=dual_sym,
         coroot_smith=coroot_smith,
         name=name,

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import le
 
-from .errors import InvariantViolation, NoLift, NotDominant
+from .errors import InvariantViolation, NotDominant
 from .memo import Memo
-from .root_datum import RootDatum, Vector, mat_apply, pair, vec_add, vec_scale, vec_sub
+from .root_datum import RootDatum, Vector, mat_apply, pair, solve_smith, vec_add, vec_scale, vec_sub
 
 
 @dataclass(frozen=True)
@@ -57,13 +57,9 @@ class SatakeChar:
 
     # -- lattice helpers ---------------------------------------------------
 
-    def _gap_coords(self, mu: Vector, nu: Vector) -> Vector | None:
+    def _gap_coords(self, mu: Vector, nu: Vector) -> list[int] | None:
         """Coordinates of mu - nu in the simple coroots, or None."""
-        diff = vec_sub(mu, nu)
-        try:
-            return self.datum.coroot_coordinates(diff)
-        except NoLift:
-            return None
+        return solve_smith(self.datum.coroot_smith, vec_sub(mu, nu))
 
     # -- Freudenthal recursion ----------------------------------------------
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import shlex
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,12 +30,6 @@ MAX_KL_LEN = 14
 MAX_SAMPLES = 20000
 
 DEFAULT_KL_LEN = {"A1_adj": 12, "A2_adj": 8, "B2_adj": 6, "A1xA1_adj": 8}
-POINCARE_DEGREES = {
-    "A1_adj": (2,),
-    "A2_adj": (2, 3),
-    "B2_adj": (2, 4),
-    "A1xA1_adj": (2, 2),
-}
 
 
 @dataclass
@@ -89,6 +84,11 @@ class SuiteReport:
         return "\n".join(lines) + "\n"
 
 
+def _command(*args) -> str:
+    """A reproducer command line, every argument shell-quoted."""
+    return shlex.join(["alcove-hecke", *map(str, args)])
+
+
 class _Env:
     def __init__(self, engine: Engine, preset, seed, samples, kl_maxlen, fault):
         self.engine = engine
@@ -105,8 +105,10 @@ class _Env:
     def fmt(self, x: ExtWeylElement) -> str:
         return self.engine.ext.format_element(x)
 
-    def cmd(self, *parts: str) -> str:
-        return "alcove-hecke " + " ".join(parts)
+    def cmd(self, group: str, op: str, *args) -> str:
+        """The command line running `group op` on this datum; elements are formatted."""
+        args = [self.fmt(a) if isinstance(a, ExtWeylElement) else a for a in args]
+        return _command(group, op, "--datum", self.preset, *args)
 
     def length_fn(self):
         if self.fault == "length-sign-flip":
@@ -198,17 +200,18 @@ def check_datum_invariants(env: _Env):
             image.add(refl)
         if not image <= pos or len(image) != len(pos) - 1:
             return False, f"reflection in simple root {beta} does not permute the rest", None
-    degrees = POINCARE_DEGREES.get(env.preset)
-    if degrees is not None:
-        got = LaurentPolynomial()
-        for el in d.weyl_elements:
-            got = got + LaurentPolynomial.monomial(2 * el.length)
-        want = ONE
-        for deg in degrees:
-            factor = LaurentPolynomial({2 * i: 1 for i in range(deg)})
-            want = want * factor
-        if got != want:
-            return False, f"Poincare polynomial {got} != {want}", None
+    # the degrees of the fundamental invariants are 1 + the exponents, and the
+    # exponents are the dual partition of the count of positive roots per height
+    counts = [d.root_heights.count(k) for k in range(1, max(d.root_heights) + 1)]
+    degrees = [1 + sum(1 for n in counts if n > j) for j in range(d.rank)]
+    got = LaurentPolynomial()
+    for el in d.weyl_elements:
+        got = got + LaurentPolynomial.monomial(2 * el.length)
+    want = ONE
+    for deg in degrees:
+        want = want * LaurentPolynomial({2 * i: 1 for i in range(deg)})
+    if got != want:
+        return False, f"Poincare polynomial {got} != {want}", None
     return True, f"|W|={d.weyl_order}, |R+|={len(d.positive_roots)}", None
 
 
@@ -220,7 +223,7 @@ def check_length_formula(env: _Env):
     for x, d0 in dist.items():
         if ext.length(x) != d0:
             ce = {"element": env.fmt(x), "formula": ext.length(x), "bfs": d0,
-                  "command": env.cmd("wext", "len", "--datum", env.preset, "--elt", f"'{env.fmt(x)}'")}
+                  "command": env.cmd("wext", "len", "--elt", x)}
             return False, "length formula disagrees with Cayley-graph distance", ce
     rng = env.rng("length-formula")
     omegas = ext.enumerate_omega(2)
@@ -251,7 +254,7 @@ def check_res_complement(env: _Env):
                 "x": env.fmt(x),
                 "y": env.fmt(y),
                 "lengths": [length(x), length(y), total],
-                "command": env.cmd("wext", "len", "--datum", env.preset, "--elt", f"'{env.fmt(x)}'"),
+                "command": env.cmd("wext", "len", "--elt", x),
             }
             return False, "length complement identity fails", ce
     return True, f"exhaustive over {len(eng.alc.restricted_elements())} restricted elements", None
@@ -267,7 +270,7 @@ def check_lengths_add(env: _Env):
             t = ext.translation(lam)
             if ext.length(ext.mul(w, t)) != ext.length(w) + ext.length(t):
                 ce = {"w": env.fmt(w), "lambda": list(lam),
-                      "command": env.cmd("wext", "len", "--datum", env.preset, "--elt", f"'{env.fmt(ext.mul(w, t))}'")}
+                      "command": env.cmd("wext", "len", "--elt", ext.mul(w, t))}
                 return False, "lengths do not add", ce
             count += 1
     return True, f"exhaustive over {count} pairs (bound {bound})", None
@@ -287,8 +290,7 @@ def check_per_order_properties(env: _Env):
         g = gens[rng.randrange(len(gens))]
         sy = ext.mul(ext.gen_element(g), y)
         ce = {"y": env.fmt(y), "gen": g.name,
-              "command": env.cmd("wext", "porder", "--datum", env.preset,
-                                 "--lhs", f"'{env.fmt(sy)}'", "--rhs", f"'{env.fmt(y)}'")}
+              "command": env.cmd("wext", "porder", "--lhs", sy, "--rhs", y)}
         if counts[1] < target:
             if not (order.leq(sy, y) or order.leq(y, sy)):
                 return False, "part 1: neither sy nor y is below the other", ce
@@ -353,8 +355,7 @@ def check_per_order_lambda_independence(env: _Env):
         if len(set(results)) != 1:
             return False, "comparison depends on the pushdown", {
                 "lhs": env.fmt(x), "rhs": env.fmt(y),
-                "command": env.cmd("wext", "porder", "--datum", env.preset,
-                                   "--lhs", f"'{env.fmt(x)}'", "--rhs", f"'{env.fmt(y)}'")}
+                "command": env.cmd("wext", "porder", "--lhs", x, "--rhs", y)}
     return True, "200 random pairs, three pushdowns each", None
 
 
@@ -374,8 +375,7 @@ def check_per_order_weights(env: _Env):
         if not eng.order.leq(lhs, rhs):
             return False, "dominance-order monotonicity fails", {
                 "lhs": env.fmt(lhs), "rhs": env.fmt(rhs),
-                "command": env.cmd("wext", "porder", "--datum", env.preset,
-                                   "--lhs", f"'{env.fmt(lhs)}'", "--rhs", f"'{env.fmt(rhs)}'")}
+                "command": env.cmd("wext", "porder", "--lhs", lhs, "--rhs", rhs)}
     return True, "random dominance steps from restricted elements", None
 
 
@@ -392,8 +392,7 @@ def check_bruhat_order(env: _Env):
             if ext.bruhat_leq(y, x) != (y in lower):
                 return False, "lifting recursion disagrees with subword test", {
                     "lhs": env.fmt(y), "rhs": env.fmt(x),
-                    "command": env.cmd("wext", "bruhat", "--datum", env.preset,
-                                       "--lhs", f"'{env.fmt(y)}'", "--rhs", f"'{env.fmt(x)}'")}
+                    "command": env.cmd("wext", "bruhat", "--lhs", y, "--rhs", x)}
     # antisymmetry and transitivity on a small window
     window = spherical_window(eng, 4)
     for x in window:
@@ -425,13 +424,11 @@ def check_awext_representatives(env: _Env):
                 gens = ("--gens", ",".join(g.name for g in a.generators)) if a.generators else ()
                 return False, f"A={label}: {exc}", {
                     "element": env.fmt(x),
-                    "command": env.cmd("parabolic", "rep", "--datum", env.preset,
-                                       *gens, "--elt", f"'{env.fmt(x)}'")}
+                    "command": env.cmd("parabolic", "rep", *gens, "--elt", x)}
             for v in a.elements:
                 if min_rep(eng.alc, ext.mul(v, x), a) != rep:
                     return False, f"A={label}: representative not coset-constant", {
                         "element": env.fmt(x)}
-        env.shared[f"cosets-{label}"] = len(seen)
     return True, "unique representative on all sampled cosets", None
 
 
@@ -459,8 +456,7 @@ def check_tri_bijection(env: _Env):
             if not in_awext(alc, w, a) or ext.mul(a.longest, alc.triangle(w)) != v:
                 return False, f"A={label}: inversion fails", {
                     "element": env.fmt(v),
-                    "command": env.cmd("wext", "triangle", "--datum", env.preset,
-                                       "--elt", f"'{env.fmt(w)}'")}
+                    "command": env.cmd("wext", "triangle", "--elt", w)}
         del image
     return True, "bijection verified pointwise on translation windows", None
 
@@ -513,8 +509,7 @@ def check_kl_dihedral(env: _Env):
             if p != want:
                 return False, "closed form fails", {
                     "x": env.fmt(x), "y": env.fmt(y), "got": str(p),
-                    "command": env.cmd("hecke", "kl", "--datum", env.preset,
-                                       "--x", f"'{env.fmt(y)}'", "--y", f"'{env.fmt(x)}'")}
+                    "command": env.cmd("hecke", "kl", "--x", y, "--y", x)}
         if ext.length(x) <= 6:
             solved = bar_invariance_solver(eng, x)
             if solved != {y: p for y, p in table.items()}:
@@ -674,8 +669,7 @@ def check_spherical_identities(env: _Env):
         if acc != want:
             return False, "inverse matrix identity fails", {
                 "x": env.fmt(x), "y": env.fmt(y),
-                "command": env.cmd("hecke", "inverse-m", "--datum", env.preset,
-                                   "--x", f"'{env.fmt(x)}'", "--y", f"'{env.fmt(y)}'")}
+                "command": env.cmd("hecke", "inverse-m", "--x", x, "--y", y)}
     # the coset-representative check inside spherical_m raises on failure
     for _ in range(20):
         w = window[rng.randrange(len(window))]
@@ -709,8 +703,7 @@ def check_m_triangle(env: _Env):
         if got != want:
             return False, "inverse polynomial is not v^{len(w0)}", {
                 "w": env.fmt(w), "triangle": env.fmt(tri), "got": str(got),
-                "command": env.cmd("hecke", "inverse-m", "--datum", env.preset,
-                                   "--x", f"'{env.fmt(tri)}'", "--y", f"'{env.fmt(w)}'")}
+                "command": env.cmd("hecke", "inverse-m", "--x", tri, "--y", w)}
     env.shared["mtriangle"] = values
     return True, f"exact on {len(values)} elements up to length {env.kl_maxlen}", None
 
@@ -745,8 +738,7 @@ def check_proj_filtration(env: _Env):
         if filt.total() != eng.datum.weyl_order * 2 ** ext.length(y):
             return False, "total multiplicity is off", {
                 "element": env.fmt(x), "total": filt.total(),
-                "command": env.cmd("groth", "proj-filtration", "--datum", env.preset,
-                                   "--elt", f"'{env.fmt(x)}'")}
+                "command": env.cmd("groth", "proj-filtration", "--elt", x)}
         if groth.duality(filt).mults != filt.mults:
             return False, "dual multiset differs", {"element": env.fmt(x)}
     return True, f"exhaustive over {len(alc.restricted_elements())} restricted elements", None
@@ -761,8 +753,7 @@ def check_word_independence(env: _Env):
         if any(r.mults != results[0].mults for r in results[1:]):
             return False, "filtration depends on the reduced expression", {
                 "element": env.fmt(x),
-                "command": env.cmd("groth", "proj-filtration", "--datum", env.preset,
-                                   "--elt", f"'{env.fmt(x)}'")}
+                "command": env.cmd("groth", "proj-filtration", "--elt", x)}
         pairings = {groth.dim_hom(groth.duality(r), r) for r in results}
         if len(pairings) != 1:
             return False, "self-pairing depends on the reduced expression", {
@@ -784,8 +775,7 @@ def check_whittaker_compat(env: _Env):
             if filt.mult(bottom) == 0 or filt.mult(top) == 0:
                 return False, f"A={label}: endpoint labels missing", {
                     "element": env.fmt(x),
-                    "command": env.cmd("groth", "proj-filtration", "--datum", env.preset,
-                                       "--elt", f"'{env.fmt(x)}'")}
+                    "command": env.cmd("groth", "proj-filtration", "--elt", x)}
             # collapsing rule: output multiplicity is the coset sum of inputs
             for z in filt.support():
                 if filt.mult(z) != sum(base.mult(ext.mul(v, z)) for v in a.elements):
@@ -819,8 +809,7 @@ def check_freudenthal_kostant(env: _Env):
         if wm.total() != sat.weyl_dimension(mu):
             return False, "dimension formula mismatch", {
                 "mu": list(mu),
-                "command": env.cmd("satake", "char", "--datum", env.preset,
-                                   "--mu", ",".join(map(str, mu)))}
+                "command": env.cmd("satake", "char", "--mu", ",".join(map(str, mu)))}
         for nu, m in wm.items():
             if sat.kostant_multiplicity(mu, nu) != m:
                 return False, "Kostant oracle disagrees", {"mu": list(mu), "nu": list(nu)}
@@ -841,8 +830,7 @@ def check_phi_order(env: _Env):
         if cv.total() != eng.satake.weyl_dimension(mu):
             return False, "class total does not match the module dimension", {
                 "element": env.fmt(w),
-                "command": env.cmd("groth", "phi-simple", "--datum", env.preset,
-                                   "--elt", f"'{env.fmt(w)}'")}
+                "command": env.cmd("groth", "phi-simple", "--elt", w)}
         for label in cv.coords:
             if not order.leq(groth.label_element(label), w):
                 return False, "output label not below the input", {
@@ -928,6 +916,8 @@ def run_suite(
         )
     if kl_maxlen is None:
         kl_maxlen = DEFAULT_KL_LEN.get(preset, 6)
+    if kl_maxlen < 0 or samples < 0:
+        raise MalformedInput(f"negative bound: kl_maxlen {kl_maxlen}, samples {samples}")
     if kl_maxlen > MAX_KL_LEN:
         raise BoundsTooLarge(f"kl_maxlen {kl_maxlen} > {MAX_KL_LEN}")
     if samples > MAX_SAMPLES:
@@ -945,11 +935,10 @@ def run_suite(
             ok, detail, ce = False, f"exception: {exc!r}", None
         if not ok:
             ce = dict(ce or {})
-            ce.setdefault(
-                "command",
-                f"alcove-hecke suite run --preset {preset} --seed {seed} "
-                f"--samples {samples} --maxlen {kl_maxlen}",
-            )
+            ce.setdefault("command", _command(
+                "suite", "run", "--preset", preset, "--seed", seed, "--samples", samples,
+                "--maxlen", kl_maxlen,
+            ))
         report.checks.append(
             CheckResult(
                 name=name,

@@ -14,6 +14,19 @@ CUSTOM = {
     "GL2": {"simple_roots": [[1, -1]], "simple_coroots": [[1, -1]]},
 }
 
+# adjoint rank-3 data of types B and C (named by their roots); only loaded by
+# the tests that name them, too slow for the per-datum fixtures
+RANK3 = {
+    "B3": {
+        "simple_roots": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        "simple_coroots": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+    },
+    "C3": {
+        "simple_roots": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        "simple_coroots": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+    },
+}
+
 _cache = {}
 
 

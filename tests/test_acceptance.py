@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 from alcove_hecke.engine import build_engine
+from alcove_hecke.ext_weyl import ExtWeylElement
 from alcove_hecke.laurent import LaurentPolynomial
 from alcove_hecke.parabolic import in_awext, min_rep
 from alcove_hecke.root_datum import vec_scale
@@ -161,7 +162,7 @@ def test_criterion_6_representatives_and_tri_bijection():
             seen = set()
             for w in range(e.datum.weyl_order):
                 for t in itertools.product(range(-2, 3), repeat=e.datum.y_rank):
-                    x = ext.element(w, t)
+                    x = ExtWeylElement(w, t)
                     coset = frozenset(ext.mul(v, x) for v in a.elements)
                     if coset in seen:
                         continue

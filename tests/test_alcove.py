@@ -1,12 +1,35 @@
 import itertools
 import random
+from typing import NamedTuple
 
 import pytest
 
 from alcove_hecke.engine import build_engine
 from alcove_hecke.errors import InvariantViolation
 from alcove_hecke.ext_weyl import ExtWeylElement
-from alcove_hecke.root_datum import pair, vec_scale
+from alcove_hecke.root_datum import Vector, pair, vec_add, vec_scale
+
+
+# -- the action on rational points, the oracle for the per-Weyl-index tables --
+
+
+class AlcovePoint(NamedTuple):
+    """Numerators of a rational point of Y x R over the model denominator."""
+
+    nums: Vector
+
+
+def base_point(alc):
+    """p0 = varsigma / h, the interior sample point of the fundamental alcove."""
+    return AlcovePoint(alc.datum.varsigma)
+
+
+def act(alc, x, p):
+    """(w t_lambda) . p = w(p) + w(lambda), exactly."""
+    d = alc.datum
+    moved = d.act_y(x.w, p.nums)
+    shift = vec_scale(alc.denominator, d.act_y(x.w, x.t))
+    return AlcovePoint(vec_add(moved, shift))
 
 
 def res_decompose_oracle(eng, x, bound=6):
@@ -21,9 +44,9 @@ def res_decompose_oracle(eng, x, bound=6):
 
 def test_act_examples(a1):
     alc, ext = a1.alc, a1.ext
-    p0 = alc.base_point
-    assert alc.act(ext.identity, p0) == p0
-    moved = alc.act(ext.translation(a1.datum.varsigma), p0)
+    p0 = base_point(alc)
+    assert act(alc, ext.identity, p0) == p0
+    moved = act(alc, ext.translation(a1.datum.varsigma), p0)
     assert moved.nums == tuple(
         a + alc.denominator * b for a, b in zip(p0.nums, a1.datum.varsigma)
     )
@@ -35,8 +58,8 @@ def test_act_group_law(datum_engine):
     for _ in range(300):
         x = ext.random_element(rng, 3)
         y = ext.random_element(rng, 3)
-        p = alc.act(ext.random_element(rng, 2), alc.base_point)
-        assert alc.act(ext.mul(x, y), p) == alc.act(x, alc.act(y, p))
+        p = act(alc, ext.random_element(rng, 2), base_point(alc))
+        assert act(alc, ext.mul(x, y), p) == act(alc, x, act(alc, y, p))
 
 
 def test_in_wexts_intervals(a1):
@@ -129,7 +152,7 @@ def test_ws_wres_equivalence(any_engine):
     for _ in range(500):
         x = ext.random_element(rng, 4)
         _, lam = alc.res_decompose(x)
-        assert alc.in_wexts(x) == any_engine.datum.is_antidominant(lam)
+        assert alc.in_wexts(x) == all(pair(a, lam) <= 0 for a in any_engine.datum.simple_roots)
 
 
 def test_complement_length_relations(any_engine):
@@ -151,7 +174,7 @@ def test_base_point_is_interior(any_engine):
     from alcove_hecke.root_datum import pair
 
     for beta in any_engine.datum.positive_roots:
-        c = pair(beta, alc.base_point.nums)
+        c = pair(beta, base_point(alc).nums)
         assert 0 < c < alc.denominator
 
 
@@ -160,7 +183,7 @@ def test_base_point_is_interior(any_engine):
 
 def _oracle_pairings(alc, x, roots):
     """<beta, x^{-1}.p0> for each beta, through `inv` and `act`."""
-    p = alc.act(alc.ext.inv(x), alc.base_point)
+    p = act(alc, alc.ext.inv(x), base_point(alc))
     return [pair(beta, p.nums) for beta in roots]
 
 

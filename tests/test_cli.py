@@ -223,3 +223,34 @@ def test_groth_bad_filtration_file(capsys, tmp_path, content):
     filt = tmp_path / "filt.json"
     filt.write_text(content)
     malformed(capsys, "groth", "avpsi", "--datum", "A1_adj", "--gens", "s1", "--filt", str(filt))
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        '{"preset": []}',
+        '{"preset": {"name": "A2_adj"}}',
+        '{"simple_roots": [[1]], "simple_coroots": [[1e400]]}',
+        '{"simple_roots": [[1.7]], "simple_coroots": [[2]]}',
+        '{"simple_roots": [[true]], "simple_coroots": [[2]]}',
+        '{"simple_roots": [["1"]], "simple_coroots": [[2]]}',
+    ],
+    ids=["preset-list", "preset-dict", "overflow", "float", "bool", "string"],
+)
+def test_datum_descriptor_typed_error(capsys, tmp_path, content):
+    path = tmp_path / "datum.json"
+    path.write_text(content)
+    malformed(capsys, "datum", "check", "--datum", str(path))
+
+
+@pytest.mark.parametrize("flag", ["--maxlen", "--samples"])
+def test_suite_negative_bound(capsys, flag):
+    malformed(capsys, "suite", "run", "--preset", "A1_adj", flag, "-1")
+
+
+def test_mtriangle_sweep_bounds_guard(capsys):
+    code = main(["hecke", "mtriangle-sweep", "--datum", "A1_adj", "--maxlen", "15"])
+    err = capsys.readouterr().err
+    assert code == 2 and "BoundsTooLarge" in err
+    code, out = run_cli(capsys, "hecke", "mtriangle-sweep", "--datum", "A1_adj", "--maxlen", "14")
+    assert code == 0 and out

@@ -5,6 +5,7 @@ import pytest
 
 from alcove_hecke.errors import InvariantViolation, MalformedInput
 from alcove_hecke.ext_weyl import ExtWeyl, ExtWeylElement
+from alcove_hecke.hecke import _first_step
 
 
 def bfs_lengths(eng, radius):
@@ -60,8 +61,8 @@ def test_length_formula_vs_bfs(any_engine):
 def test_omega_membership(a1, a2):
     ext = a1.ext
     ts_s = ext.parse_element("s1 : -1")  # = t_varsigma * s
-    assert ext.is_omega(ts_s)
-    assert not ext.is_omega(ext.parse_element("s1 : 0"))
+    assert ext.length(ts_s) == 0
+    assert ext.length(ext.parse_element("s1 : 0")) != 0
     assert len(ext.enumerate_omega(2)) == 2
     assert len(a2.ext.enumerate_omega(2)) == 3
 
@@ -117,9 +118,9 @@ def test_first_left_descent(any_engine):
     for _ in range(200):
         x = ext.random_element(rng, 3)
         row = _left_steps_by_products(ext, x)
-        descents = [g for g, (_, down) in zip(ext.generators, row) if down]
-        assert ext.left_descents(x) == descents
-        assert ext.first_left_descent(x) == (descents[0] if descents else None)
+        descents = [k for k, (_, down) in enumerate(row) if down]
+        first = (descents[0], row[descents[0]][0]) if descents else None
+        assert _first_step(ext, x) == first
         assert (not descents) == (ext.length(x) == 0)
 
 

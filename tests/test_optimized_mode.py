@@ -37,7 +37,7 @@ else:
     raise SystemExit("coset check vanished")
 
 w = ext.parse_element("s1 : -4")
-rest = ext.mul(ext.gen_element(ext.first_left_descent(w)), w)
+rest = next(sw for sw, down in ext.left_steps(w) if down)
 entry = hecke._spherical[rest]
 wrong = dict(entry.support)
 lengths = tuple(n for y, n in zip(wrong, entry.lengths) if y != rest)
@@ -118,8 +118,8 @@ except InvariantViolation:
 else:
     raise SystemExit("unique longest element check vanished")
 
-real_solve = root_datum.solve_integer
-root_datum.solve_integer = lambda mat, rhs: [2 * c for c in real_solve(mat, rhs)]
+real_solve = root_datum.solve_smith
+root_datum.solve_smith = lambda factors, rhs: [2 * c for c in real_solve(factors, rhs)]
 try:
     build_engine("A2_adj")
 except InvariantViolation:

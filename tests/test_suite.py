@@ -2,6 +2,7 @@ import json
 import random
 import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +12,7 @@ from alcove_hecke.errors import BoundsTooLarge, InvariantViolation, MalformedInp
 from alcove_hecke.hecke import HeckeElement
 from alcove_hecke.laurent import LaurentPolynomial
 from alcove_hecke.suite import bar_invariance_solver, run_suite, spherical_window
-from conftest import CUSTOM
+from conftest import CUSTOM, RANK3, SEMISIMPLE
 
 
 def test_report_structure():
@@ -34,6 +35,31 @@ def test_fault_injection_counterexample():
     assert ce is not None
     assert ce["command"].startswith("alcove-hecke ")
     assert "x" in ce and "y" in ce
+
+
+@pytest.mark.parametrize("preset", SEMISIMPLE)
+def test_report_matches_golden(preset):
+    # the default `suite run` report, byte for byte, as recorded in tests/data
+    golden = Path(__file__).parent / "data" / f"suite_{preset}.tsv"
+    assert run_suite(preset).to_tsv() == golden.read_text(encoding="utf-8")
+
+
+def test_commands_quote_a_datum_path_with_a_space(monkeypatch, tmp_path):
+    folder = tmp_path / "a b"
+    folder.mkdir()
+    path = str(folder / "A2.json")
+    Path(path).write_text('{"preset": "A2_adj"}', encoding="utf-8")
+    # a check's own reproducer: `wext len` on the offending element
+    report = run_suite(path, fault="length-sign-flip", names=["res-complement"])
+    argv = shlex.split(report.checks[0].counterexample["command"])
+    assert argv[:3] == ["alcove-hecke", "wext", "len"]
+    assert argv[argv.index("--datum") + 1] == path
+    assert cli.main(argv[1:]) == 0
+    # the runner's fallback for a crashing check: the whole suite run
+    monkeypatch.setattr(suite, "CHECKS", [("crash", lambda env: 1 / 0)])
+    argv = shlex.split(run_suite(path, samples=7).checks[0].counterexample["command"])
+    args = cli.build_parser().parse_args(argv[1:])
+    assert (args.preset, args.samples) == (path, 7)
 
 
 def test_bounds_guards():
@@ -142,6 +168,32 @@ def test_solver_cross_check_tops_up_on_custom_data(tmp_path, name):
     report = run_suite(str(path), samples=1, names=["kl-bar-invariance"])
     assert report.passed
     assert report.checks[0].detail.endswith("solver cross-check on 3 elements")
+
+
+@pytest.mark.parametrize("name", ["G2", "A3", "GL2", "B3", "C3"])
+def test_datum_invariants_check_poincare_degrees_on_custom_data(tmp_path, name):
+    # the degrees come from the root heights, so the Poincare check runs here too
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({**CUSTOM, **RANK3}[name]), encoding="utf-8")
+    check = run_suite(str(path), names=["datum-invariants"]).checks[0]
+    assert check.status == "pass", check.detail
+
+
+def test_datum_invariants_check_catches_wrong_heights(monkeypatch, tmp_path):
+    # heights that give the degrees (2, 2, 5) of a wrong group: the Poincare
+    # series of A3's Weyl group (order 24) then disagrees
+    path = tmp_path / "A3.json"
+    path.write_text(json.dumps(CUSTOM["A3"]), encoding="utf-8")
+    real = suite.build_engine
+
+    def wrong_heights(spec):
+        eng = real(spec)
+        object.__setattr__(eng.datum, "root_heights", (1, 1, 1, 2, 3, 4))
+        return eng
+
+    monkeypatch.setattr(suite, "build_engine", wrong_heights)
+    check = run_suite(str(path), names=["datum-invariants"]).checks[0]
+    assert check.status == "fail" and "Poincare" in check.detail
 
 
 def test_full_suite_a1_defaults_fast():
