@@ -11,6 +11,12 @@ one row per finite Weyl index w, holding <beta, w^{-1}(p0)> for the positive
 and for the simple roots, and decides each test from that row and one small
 dot product per root: <beta, x^{-1}.p0> = row[k] - h <beta_k, lambda>.
 
+What the order and the parabolic tests ask about an element, its box
+coordinates and its restricted split x = y t_lambda, is decided once per x
+and kept in a bounded `Memo` table of `AlcoveData`: the periodic order asks
+for the same elements' boxes thousands of times.  The split is checked to be
+restricted when it is first computed.
+
 >>> from alcove_hecke.engine import build_engine
 >>> eng = build_engine("A1_adj")
 >>> alc, ext = eng.alc, eng.ext
@@ -23,10 +29,21 @@ dot product per root: <beta, x^{-1}.p0> = row[k] - h <beta_k, lambda>.
 from __future__ import annotations
 
 from operator import mul as scalar_mul
+from typing import NamedTuple
 
 from .errors import InvariantViolation
 from .ext_weyl import ExtWeyl, ExtWeylElement
+from .memo import Memo
 from .root_datum import Vector, pair, vec_neg, vec_sub
+
+
+class AlcoveData(NamedTuple):
+    """Per-element alcove data: x = restricted * t_lam, with the box
+    coordinates of x, from which lam is read."""
+
+    coords: tuple[int, ...]
+    restricted: ExtWeylElement
+    lam: Vector
 
 
 class AlcoveModel:
@@ -46,6 +63,7 @@ class AlcoveModel:
             simple_rows.append(tuple(pair(alpha, q) for alpha in d.simple_roots))
         self._positive_rows = tuple(positive_rows)
         self._simple_rows = tuple(simple_rows)
+        self.data = Memo(self._alcove_data)
 
     def in_wexts(self, x: ExtWeylElement) -> bool:
         """Minimal-coset-representative test: x^{-1}(A_fund) in the dominant cone."""
@@ -65,37 +83,46 @@ class AlcoveModel:
 
     def box_coords(self, x: ExtWeylElement) -> tuple[int, ...]:
         """ceil <alpha, x^{-1}.p0> / h for each simple root alpha."""
+        return self.data[x].coords
+
+    def _box_coords(self, x: ExtWeylElement) -> tuple[int, ...]:
         h, t = self.denominator, x.t
         rows = zip(self._simple_rows[x.w], self.datum.simple_roots)
         return tuple([-((h * sum(map(scalar_mul, alpha, t)) - r) // h) for r, alpha in rows])
 
+    def _alcove_data(self, x: ExtWeylElement) -> AlcoveData:
+        """x's box coordinates c and its split x = y t_lambda with y restricted.
+
+        lambda is the canonical lift of alpha |-> 1 - c_alpha, and then
+        y = x t_{-lambda} keeps x's Weyl part and subtracts lambda from its
+        translation.
+        """
+        coords = self._box_coords(x)
+        lam = self.datum.section_lift(tuple([1 - c for c in coords]))
+        y = ExtWeylElement(x.w, vec_sub(x.t, lam))
+        if not self.in_wres(y):
+            raise InvariantViolation(f"{x} t_{vec_neg(lam)} = {y} is not restricted")
+        return AlcoveData(coords, y, lam)
+
     def box_of(self, x: ExtWeylElement) -> Vector:
         """Canonical mu in Y with <alpha, mu> = ceil <alpha, x^{-1}.p0>."""
-        return self.datum.section_lift(self.box_coords(x))
+        return self.datum.section_lift(self.data[x].coords)
 
     def triangle(self, x: ExtWeylElement) -> ExtWeylElement:
         e = self.ext
         mu = self.box_of(x)
-        return e.mul_many(x, e.translation(mu), e.w0, e.translation(vec_neg(mu)))
+        return e.mul_many(x, ExtWeylElement(0, mu), e.w0, ExtWeylElement(0, vec_neg(mu)))
 
     def triangle_inverse(self, v: ExtWeylElement) -> ExtWeylElement:
         e = self.ext
-        nu = self.box_of(v)
-        shift = vec_sub(nu, self.datum.varsigma)
-        return e.mul_many(v, e.translation(shift), e.w0, e.translation(vec_neg(shift)))
+        shift = vec_sub(self.box_of(v), self.datum.varsigma)
+        return e.mul_many(v, ExtWeylElement(0, shift), e.w0, ExtWeylElement(0, vec_neg(shift)))
 
     def res_decompose(self, x: ExtWeylElement) -> tuple[ExtWeylElement, Vector]:
-        """Split x = y t_lambda with y restricted, deterministically.
-
-        lambda is the canonical lift of alpha |-> 1 - <alpha, box_of(x)>; the
-        restricted factor is then y = x t_{-lambda}.
-        """
-        coords = self.box_coords(x)
-        lam = self.datum.section_lift(tuple(1 - c for c in coords))
-        y = self.ext.mul(x, self.ext.translation(vec_neg(lam)))
-        if not self.in_wres(y):
-            raise InvariantViolation(f"{x} t_{vec_neg(lam)} = {y} is not restricted")
-        return y, lam
+        """Split x = y t_lambda with y restricted, deterministically (see
+        `_alcove_data`)."""
+        data = self.data[x]
+        return data.restricted, data.lam
 
     def restricted_elements(self) -> list[ExtWeylElement]:
         """All restricted elements (finite for semisimple data).

@@ -50,7 +50,8 @@ class FlavorMismatch(AlcoveHeckeError):
 
 
 class BoundsTooLarge(AlcoveHeckeError):
-    """Requested sweep bounds exceed the guard rails of the suite runner."""
+    """A request exceeds a stated bound: the suite's sweep bounds, or the
+    element length the canonical-basis recursions accept."""
 
 
 class InvariantViolation(AlcoveHeckeError):

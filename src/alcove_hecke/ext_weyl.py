@@ -27,14 +27,17 @@ theta of its component when s is affine, and let n = <a, lambda>:
 affine root.)  A table per Weyl index stores, for each generator, the pair
 (b, c) with s x < x exactly when <b, lambda> < c: (a, t) for finite s and
 (-a, 1 - t) for affine s.  The left-step rows read their descent bits from
-it, and the Bruhat recursion reads them from the rows.
+it, and the Bruhat walk reads them from the rows.
 
 `mul` takes two O(1) paths before the general product: a left factor with
 zero translation (a finite generator, an element of a finite parabolic
 subgroup, w0) only multiplies Weyl indices, and a right factor with the
 identity Weyl index (a translation) only adds translations.  The Bruhat
 order compares x and y only within one W_aff-coset, and x y^{-1} lies in
-W_aff exactly when lambda_x - lambda_y lies in the coroot lattice.
+W_aff exactly when lambda_x - lambda_y lies in the coroot lattice.  Within
+a coset, `_bruhat_aff` decides x <= y by a loop down y's descent chain, so
+its depth is not bounded by Python's recursion limit, and it stores its one
+answer under every pair of the chain it passed.
 """
 
 from __future__ import annotations
@@ -78,7 +81,8 @@ class ExtWeyl:
         self.identity = ExtWeylElement(0, (0,) * datum.y_rank)
         self._lengths = Memo(self._length_formula)
         self._left_steps = Memo(self._left_step_row)
-        self._bruhat = Memo(self._bruhat_descend)
+        # (x, y) -> x <= y within one coset; the walk fills it with `put`
+        self._bruhat = Memo(lambda key: self._bruhat_aff(*key))
         # keyed on the translation: W_aff is the set of w t_lam with lam in
         # the coroot lattice
         self._in_coroot_lattice = Memo(datum.coroot_lattice_contains)
@@ -115,6 +119,9 @@ class ExtWeyl:
             self._gen_by_name.setdefault("s0", self.generators[-1])
 
         self.w0 = ExtWeylElement(datum.w0, self.identity.t)
+        # (u, x) -> whether lengths add in u x w0; `parabolic.in_awext_s` asks
+        # it with u the longest element of a finite parabolic subgroup
+        self.lengths_add_w0 = Memo(self._lengths_add_w0)
 
         # per Weyl index w and generator s: (b, c) with s (w t_lam) < w t_lam
         # exactly when <b, lam> < c (see the module docstring)
@@ -189,6 +196,11 @@ class ExtWeyl:
             c = pair(alpha, x.t)
             total += abs(1 + c) if flips[k] else abs(c)
         return total
+
+    def _lengths_add_w0(self, key: tuple[ExtWeylElement, ExtWeylElement]) -> bool:
+        u, x = key
+        total = self.length(u) + self.length(x) + self.length(self.w0)
+        return self.length(self.mul_many(u, x, self.w0)) == total
 
     def _left_step_row(self, x: ExtWeylElement) -> tuple[tuple[ExtWeylElement, bool], ...]:
         t = x.t
@@ -283,19 +295,37 @@ class ExtWeyl:
         return self._bruhat_aff(x, y)
 
     def _bruhat_aff(self, x: ExtWeylElement, y: ExtWeylElement) -> bool:
-        # x and y lie in one coset W_aff * omega; lifting-property recursion
-        if x == y:
-            return True
-        ly = self.length(y)
-        if self.length(x) >= ly:
-            return False
-        return self._bruhat[(x, y)]
+        """x <= y for x, y in one coset W_aff * omega, by the lifting property.
 
-    def _bruhat_descend(self, key: tuple[ExtWeylElement, ExtWeylElement]) -> bool:
-        x, y = key
-        k, sy = next((k, sy) for k, (sy, down) in enumerate(self._left_steps[y]) if down)
-        sx, down = self._left_steps[x][k]
-        return self._bruhat_aff(sx if down else x, sy)
+        Walk down y's first left descents s: when s x < x, x <= y exactly when
+        s x <= s y, and otherwise exactly when x <= s y.  The walk carries both
+        lengths (y's drops by one per step, x's when it descends too) and ends
+        at x == y, at len x >= len y, or at a pair already in the table.  Every
+        pair it passed has that same answer, so each is stored with `put`.
+        """
+        table, steps = self._bruhat, self._left_steps
+        lx, ly = self.length(x), self.length(y)
+        passed = []
+        while True:
+            if x == y:
+                answer = True
+                break
+            if lx >= ly:
+                answer = False
+                break
+            key = (x, y)
+            answer = table.get(key)
+            if answer is not None:
+                break
+            passed.append(key)
+            k, y = next((k, sy) for k, (sy, down) in enumerate(steps[y]) if down)
+            ly -= 1
+            sx, down = steps[x][k]
+            if down:
+                x, lx = sx, lx - 1
+        for key in passed:
+            table.put(key, answer)
+        return answer
 
     def bruhat_lower_set(self, x: ExtWeylElement) -> set[ExtWeylElement]:
         """All y <= x, via subword products of one reduced expression."""

@@ -120,7 +120,7 @@ class GrothCalc:
         return SimpleLabel(rep, vec_add(moved, lam))
 
     def label_element(self, label: SimpleLabel) -> ExtWeylElement:
-        return self.ext.mul(label.rep, self.ext.translation(label.shift))
+        return self.ext.mul(label.rep, ExtWeylElement(0, label.shift))
 
     def forget_grading(self, x: ExtWeylElement) -> ExtWeylElement:
         """The equivalence class of x: its canonical section representative."""
@@ -147,7 +147,7 @@ class GrothCalc:
         out: dict[SimpleLabel, int] = {}
         for xi, m in weights.items():
             nu = self.datum.act_y(self.datum.w0, xi)
-            label = self.simple_label(self.ext.mul(x, self.ext.translation(nu)))
+            label = self.simple_label(self.ext.mul(x, ExtWeylElement(0, nu)))
             out[label] = out.get(label, 0) + m
         return ClassVector(out)
 
@@ -155,8 +155,7 @@ class GrothCalc:
 
     def grading_shift(self, obj, nu: Vector):
         """The shift-of-grading transform: relabels w -> w t_{-nu}."""
-        nu = self.datum.check_y(nu)
-        tneg = self.ext.translation(vec_neg(nu))
+        tneg = ExtWeylElement(0, vec_neg(self.datum.check_y(nu)))
         if isinstance(obj, ClassVector):
             out: dict[SimpleLabel, int] = {}
             for label, m in obj.coords.items():
@@ -170,7 +169,7 @@ class GrothCalc:
     def seed_filtration(self) -> FiltrationMultiset:
         """Costandard filtration of the free module on the fundamental-box
         tilting seed: one label w t_{w0(varsigma)} for each finite Weyl w."""
-        shift = self.ext.translation(self.datum.act_y(self.datum.w0, self.datum.varsigma))
+        shift = ExtWeylElement(0, self.datum.act_y(self.datum.w0, self.datum.varsigma))
         mults = {}
         for el in self.datum.weyl_elements:
             w = ExtWeylElement(el.index, self.ext.identity.t)
@@ -214,7 +213,7 @@ class GrothCalc:
         if not self.alc.in_wres(x):
             raise NotRestricted(f"{x} is not restricted")
         ext = self.ext
-        y = ext.mul_many(ext.translation(self.datum.varsigma), ext.w0, ext.inv(x))
+        y = ext.mul_many(ExtWeylElement(0, self.datum.varsigma), ext.w0, ext.inv(x))
         omega, word = ext.omega_left_form(y, strategy=strategy)
         f = self.xi_omega(self.seed_filtration(), ext.inv(omega))
         for g in word:

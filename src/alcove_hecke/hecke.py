@@ -50,10 +50,14 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .alcove import AlcoveModel
-from .errors import InvariantViolation, NotSpherical
+from .errors import BoundsTooLarge, InvariantViolation, NotSpherical
 from .ext_weyl import AffineGenerator, ExtWeylElement
 from .laurent import ONE, ZERO, LaurentPolynomial
 from .memo import Memo
+
+# the canonical-basis recursions nest a few Python frames per length step, so
+# longer elements are refused up front rather than failing deep in a recursion
+MAX_HECKE_LENGTH = 150
 
 Coeffs = dict[int, int]  # a raw coefficient, exponent -> integer; zeros stay until it is frozen
 
@@ -153,6 +157,11 @@ def _first_step(ext, x: ExtWeylElement) -> tuple[int, ExtWeylElement] | None:
         if down:
             return i, sx
     return None
+
+
+def _check_length(lx: int, x: ExtWeylElement) -> None:
+    if lx > MAX_HECKE_LENGTH:
+        raise BoundsTooLarge(f"{x} has length {lx} > {MAX_HECKE_LENGTH}")
 
 
 def _check_canonical(x: ExtWeylElement, support: Mapping) -> None:
@@ -262,12 +271,17 @@ class HeckeAlgebra:
     # -- canonical basis ---------------------------------------------------
 
     def kl_basis(self, x: ExtWeylElement) -> HeckeElement:
-        """The canonical basis element attached to x, in the standard basis."""
+        """The canonical basis element attached to x, in the standard basis.
+
+        Raises `BoundsTooLarge` when x is longer than `MAX_HECKE_LENGTH`.
+        """
         return self._kl[x]
 
     def _kl_element(self, x: ExtWeylElement) -> HeckeElement:
         ext = self.ext
-        if ext.length(x) == 0:
+        lx = ext.length(x)
+        _check_length(lx, x)
+        if lx == 0:
             result = self.standard(x)
         elif not ext.in_affine_subgroup(x):
             omega, aff = self._split_omega(x)
@@ -307,13 +321,15 @@ class HeckeAlgebra:
             raise InvariantViolation(f"{p} exceeds the degree bound {bound}")
 
     def spherical_basis(self, w: ExtWeylElement) -> Mapping[ExtWeylElement, LaurentPolynomial]:
-        """The canonical element N_w = sum_y mbar(y, w) M_y, as a read-only map y -> mbar(y, w)."""
+        """The canonical element N_w = sum_y mbar(y, w) M_y, as a read-only map
+        y -> mbar(y, w); w is at most `MAX_HECKE_LENGTH` long."""
         self._require_spherical(w)
         return self._spherical[w].support
 
     def _spherical_element(self, w: ExtWeylElement) -> _Spherical:
         ext = self.ext
         lw = ext.length(w)
+        _check_length(lw, w)
         if lw == 0:
             return _Spherical(MappingProxyType({w: ONE}), (0,))
         if not ext.in_affine_subgroup(w):

@@ -1,10 +1,11 @@
 """The package's one memo table.
 
-Every memoized recursion in the engine (lengths, Bruhat and periodic-order
-comparisons, canonical-basis elements, characters, parabolic subgroups)
-keeps its results in a `Memo`.  A table never holds more than `MEMO_CAP`
+Every memoized recursion in the engine (lengths, alcove data, Bruhat and
+periodic-order comparisons, spherical tests, canonical-basis elements,
+characters, parabolic subgroups) keeps its results in a `Memo`.  A table never holds more than `MEMO_CAP`
 entries: when a new value would exceed the cap, the table is emptied first,
 so a long-running process stays bounded at the price of recomputation.
+`Memo.put` stores a value computed outside the table under the same cap.
 Emptying is safe in the middle of a recursion because callers use the
 returned values, never the table's contents.
 
@@ -28,7 +29,13 @@ class Memo(dict):
 
     def __missing__(self, key):
         value = self.fn(key)
+        self.put(key, value)
+        return value
+
+    def put(self, key, value) -> None:
+        """Store a value computed elsewhere, under the same cap: a full table
+        is emptied first.  For recursions that learn several keys' values in
+        one pass, such as a walk whose every step has the same answer."""
         if len(self) >= MEMO_CAP:
             self.clear()
         self[key] = value
-        return value

@@ -74,11 +74,10 @@ def make_parabolic(ext: ExtWeyl, gens) -> FinitarySubset:
 def in_awext_s(alc: AlcoveModel, x: ExtWeylElement, a: FinitarySubset) -> bool:
     """Membership in the Whittaker-spherical representative set.
 
-    Characterized by lengths adding in w_A * x * w0.
+    Characterized by lengths adding in w_A * x * w0, decided once per
+    (w_A, x) in the `ExtWeyl.lengths_add_w0` table.
     """
-    ext = alc.ext
-    prod = ext.mul_many(a.longest, x, ext.w0)
-    return ext.length(prod) == ext.length(a.longest) + ext.length(x) + ext.length(ext.w0)
+    return alc.ext.lengths_add_w0[(a.longest, x)]
 
 
 def in_awext_res(alc: AlcoveModel, x: ExtWeylElement, a: FinitarySubset) -> bool:
@@ -86,9 +85,13 @@ def in_awext_res(alc: AlcoveModel, x: ExtWeylElement, a: FinitarySubset) -> bool
 
 
 def in_awext(alc: AlcoveModel, x: ExtWeylElement, a: FinitarySubset) -> bool:
-    """Membership in the periodic representative set for W_A cosets."""
+    """Membership in the periodic representative set for W_A cosets.
+
+    The restricted factor y of x is restricted by construction, so only the
+    spherical test is left to decide on it.
+    """
     y, _ = alc.res_decompose(x)
-    return in_awext_res(alc, y, a)
+    return in_awext_s(alc, y, a)
 
 
 def min_rep(alc: AlcoveModel, x: ExtWeylElement, a: FinitarySubset) -> ExtWeylElement:

@@ -219,12 +219,13 @@ def test_push_check_raises():
     order = build_engine("A1_adj").order
     ext = order.ext
     order._push_steps = lambda x: 0
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="leaves W_ext"):
         order.leq(ext.translation((1,)), ext.identity)
 
 
 def test_res_decompose_check_raises():
+    # the per-element table computes box coordinates with the private helper
     alc = build_engine("A1_adj").alc
-    alc.box_coords = lambda x: (0,)
-    with pytest.raises(InvariantViolation):
+    alc._box_coords = lambda x: (0,)
+    with pytest.raises(InvariantViolation, match="is not restricted"):
         alc.res_decompose(alc.ext.identity)

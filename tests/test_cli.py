@@ -3,6 +3,9 @@ import json
 import pytest
 
 from alcove_hecke.cli import main
+from alcove_hecke.engine import build_engine
+from alcove_hecke.hecke import MAX_HECKE_LENGTH
+from oracles import bruhat_recursive, deep_recursion, porder_recursive
 
 
 def run_cli(capsys, *args):
@@ -254,3 +257,34 @@ def test_mtriangle_sweep_bounds_guard(capsys):
     assert code == 2 and "BoundsTooLarge" in err
     code, out = run_cli(capsys, "hecke", "mtriangle-sweep", "--datum", "A1_adj", "--maxlen", "14")
     assert code == 0 and out
+
+
+# A2_adj pairs whose Bruhat walk is 320 and 600 steps long; the
+# `s1 s2 s1` elements lie in the same W_aff-coset but not below
+LONG_PAIRS = [
+    ("e : -2,-2", "e : -80,-80"),
+    ("s1 s2 s1 : -82,-79", "e : -80,-80"),
+    ("e : -2,-2", "e : -150,-150"),
+    ("s1 s2 s1 : -152,-149", "e : -150,-150"),
+]
+
+
+@pytest.mark.parametrize("op", ["bruhat", "porder"])
+@pytest.mark.parametrize("lhs,rhs", LONG_PAIRS)
+def test_long_chain_queries_answer(capsys, op, lhs, rhs):
+    code, out = run_cli(capsys, "wext", op, "--datum", "A2_adj", "--lhs", lhs, "--rhs", rhs)
+    assert code == 0
+    eng = build_engine("A2_adj")
+    x, y = eng.ext.parse_element(lhs), eng.ext.parse_element(rhs)
+    with deep_recursion():
+        want = bruhat_recursive(eng.ext, x, y) if op == "bruhat" else porder_recursive(eng, x, y)
+    assert json.loads(out)["leq"] is want
+
+
+def test_hecke_length_bound(capsys):
+    at = f"e : {-MAX_HECKE_LENGTH}"
+    code, out = run_cli(capsys, "hecke", "kl", "--datum", "A1_adj", "--x", "e : 0", "--y", at)
+    assert code == 0 and json.loads(out)["h"] == f"1*v^{MAX_HECKE_LENGTH}"
+    code = main(["hecke", "kl", "--datum", "A1_adj", "--x", "e : 0", "--y", "e : -250"])
+    err = capsys.readouterr().err
+    assert code == 2 and "BoundsTooLarge" in err and "Traceback" not in err

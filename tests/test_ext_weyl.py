@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from alcove_hecke.engine import build_engine
 from alcove_hecke.errors import InvariantViolation, MalformedInput
 from alcove_hecke.ext_weyl import ExtWeyl, ExtWeylElement
 from alcove_hecke.hecke import _first_step
+from oracles import bruhat_recursive, deep_recursion
 
 
 def bfs_lengths(eng, radius):
@@ -196,6 +198,36 @@ def test_bruhat_across_cosets_vs_subword_oracle(datum_engine):
         assert ext.bruhat_lower_set(x) == lower
         for y in list(lower) + probes:
             assert ext.bruhat_leq(y, x) == (y in lower), (y, x)
+
+
+def test_bruhat_walk_matches_recursive_oracle(datum_engine):
+    # a fresh context, so the walk starts from an empty pair table and later
+    # pairs end on pairs that earlier walks stored
+    ext = ExtWeyl(datum_engine.datum)
+    rng = random.Random(43)
+    tops = list(_short_elements(ext, rng, 12, 10))
+    elements = [y for x in tops for y in sorted(ext.bruhat_lower_set(x))[::5]]
+    elements += list(_short_elements(ext, rng, 30, 10))
+    oracle_table = {}
+    for x in elements:
+        for y in tops + elements[:12]:
+            want = bruhat_recursive(ext, x, y, oracle_table)
+            assert ext.bruhat_leq(x, y) == want, (x, y)
+            assert ext.bruhat_leq(y, x) == bruhat_recursive(ext, y, x, oracle_table), (y, x)
+
+
+@pytest.mark.parametrize("n", [80, 150])
+def test_long_bruhat_chains(n):
+    # y = t_{(-n,-n)} on A2_adj has length 4n (320 and 600); the walk runs
+    # under the default recursion limit, the recursive oracle under a raised one
+    ext = build_engine("A2_adj").ext
+    y = ext.translation((-n, -n))
+    assert ext.length(y) == 4 * n
+    xs = [ext.parse_element(s) for s in ("e : -2,-2", f"s1 s2 s1 : {-n - 2},{1 - n}", "s2 : -1,-1")]
+    got = [ext.bruhat_leq(x, y) for x in xs]
+    with deep_recursion():
+        assert got == [bruhat_recursive(ext, x, y) for x in xs]
+    assert True in got and False in got
 
 
 def test_bruhat_dihedral_is_length_comparison(a1):

@@ -4,10 +4,10 @@ import pytest
 
 from alcove_hecke import memo
 from alcove_hecke.engine import build_engine
-from alcove_hecke.errors import InvariantViolation, NotSpherical
+from alcove_hecke.errors import BoundsTooLarge, InvariantViolation, NotSpherical
 from alcove_hecke import hecke as hecke_module
 from alcove_hecke.suite import _waff_ball, spherical_window
-from alcove_hecke.hecke import HeckeAlgebra, HeckeElement
+from alcove_hecke.hecke import MAX_HECKE_LENGTH, HeckeAlgebra, HeckeElement
 from alcove_hecke.laurent import ONE, V, V_INV, ZERO, LaurentPolynomial
 
 
@@ -567,3 +567,19 @@ def test_spherical_basis_unitriangularity_check_raises(a1):
     hecke._spherical[rest] = entry._replace(support=wrong, lengths=lengths)
     with pytest.raises(InvariantViolation):
         hecke.spherical_basis(w)
+
+
+def test_length_bound_is_a_typed_error():
+    # at the bound both recursions finish under the default recursion limit;
+    # one step above it they refuse before recursing
+    eng = build_engine("A1_adj")
+    ext, hecke = eng.ext, eng.hecke
+    at = ext.translation((-MAX_HECKE_LENGTH,))
+    above = ext.translation((-MAX_HECKE_LENGTH - 1,))
+    assert ext.length(at) == MAX_HECKE_LENGTH and ext.length(above) == MAX_HECKE_LENGTH + 1
+    assert hecke.kl_poly(ext.identity, at) == LaurentPolynomial.monomial(MAX_HECKE_LENGTH)
+    assert hecke.spherical_basis(at)[ext.identity] == LaurentPolynomial.monomial(MAX_HECKE_LENGTH)
+    with pytest.raises(BoundsTooLarge):
+        hecke.kl_basis(above)
+    with pytest.raises(BoundsTooLarge):
+        hecke.spherical_basis(above)

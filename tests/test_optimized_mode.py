@@ -95,6 +95,24 @@ except InvariantViolation:
 else:
     raise SystemExit("solver integrality check vanished")
 
+order = build_engine("A1_adj").order
+order._push_steps = lambda z: 0
+try:
+    order.leq(order.ext.translation((1,)), order.ext.identity)
+except InvariantViolation:
+    pass
+else:
+    raise SystemExit("periodic-order push check vanished")
+
+alc = build_engine("A1_adj").alc
+alc._box_coords = lambda z: (0,)
+try:
+    alc.res_decompose(alc.ext.identity)
+except InvariantViolation:
+    pass
+else:
+    raise SystemExit("restricted split check vanished")
+
 from alcove_hecke import root_datum
 from alcove_hecke.parabolic import make_parabolic
 

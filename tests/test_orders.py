@@ -1,6 +1,10 @@
 import random
 
+import pytest
+
+from alcove_hecke.engine import build_engine
 from alcove_hecke.root_datum import vec_add, vec_scale
+from oracles import deep_recursion, porder_recursive, pushed
 
 
 def test_examples(a1):
@@ -99,3 +103,32 @@ def test_antisymmetry_and_transitivity(any_engine):
         x, y, z = (window[rng.randrange(len(window))] for _ in range(3))
         if order.leq(x, y) and order.leq(y, z):
             assert order.leq(x, z)
+
+
+def test_direct_push_matches_group_product(datum_engine):
+    # the pair handed to the Bruhat test is x t_{-N varsigma}, y t_{-N varsigma}
+    eng = build_engine(datum_engine.datum)
+    ext, order = eng.ext, eng.order
+    handed = []
+    real = ext.bruhat_leq
+    ext.bruhat_leq = lambda xs, ys: handed.append((xs, ys)) or real(xs, ys)
+    rng = random.Random(89)
+    for _ in range(150):
+        x, y = ext.random_element(rng, 3), ext.random_element(rng, 3)
+        if x == y or (x, y) in order._leq:
+            continue
+        answer = order.leq(x, y)
+        n = max(order._push_steps(x), order._push_steps(y))
+        assert handed[-1] == (pushed(eng, x, n), pushed(eng, y, n))
+        assert answer == porder_recursive(eng, x, y)
+
+
+@pytest.mark.parametrize("n", [80, 150])
+def test_long_periodic_order_queries(n):
+    eng = build_engine("A2_adj")
+    ext = eng.ext
+    y = ext.translation((-n, -n))
+    xs = [ext.parse_element(s) for s in ("e : -2,-2", f"s1 s2 s1 : {-n - 2},{1 - n}")]
+    got = [eng.order.leq(x, y) for x in xs]
+    with deep_recursion():
+        assert got == [porder_recursive(eng, x, y) for x in xs] == [True, False]

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -139,6 +140,34 @@ def test_awext_subset_of_wexts(any_engine):
             # all coset members land in the minimal-representative set
             for v in p.elements:
                 assert alc.in_wexts(ext.mul(v, x))
+
+
+def _length_sum(ext, x, a):
+    """The spherical test by its definition: lengths add in w_A x w0."""
+    prod = ext.mul_many(a.longest, x, ext.w0)
+    return ext.length(prod) == ext.length(a.longest) + ext.length(x) + ext.length(ext.w0)
+
+
+def test_memoized_spherical_test_matches_length_sum(any_engine):
+    # one fresh engine, so every answer is computed and stored here; the
+    # subsets share one table, keyed on their longest elements
+    eng = build_engine(any_engine.datum)
+    alc, ext = eng.alc, eng.ext
+    subsets = [eng.parabolic([g.name]) for g in ext.generators]
+    pairs = [(g, h) for g, h in itertools.combinations(ext.generators, 2) if is_finitary(ext, (g, h))]
+    if pairs:
+        subsets.append(eng.parabolic([g.name for g in pairs[0]]))
+    restricted = alc.restricted_elements()
+    for a in subsets:
+        for x in restricted:
+            want = _length_sum(ext, x, a)
+            assert in_awext_s(alc, x, a) == want
+            assert ext.lengths_add_w0[(a.longest, x)] == want
+    rng = random.Random(97)
+    for _ in range(200):
+        # in_awext skips the restricted test on res_decompose's factor
+        x, a = ext.random_element(rng, 3), rng.choice(subsets)
+        assert in_awext(alc, x, a) == in_awext_res(alc, alc.res_decompose(x)[0], a)
 
 
 def test_unique_longest_element_check_raises():
