@@ -31,7 +31,7 @@ from __future__ import annotations
 from operator import mul as scalar_mul
 from typing import NamedTuple
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, NotFinitary
 from .ext_weyl import ExtWeyl, ExtWeylElement
 from .memo import Memo
 from .root_datum import Vector, pair, vec_neg, vec_sub
@@ -125,7 +125,7 @@ class AlcoveModel:
         return data.restricted, data.lam
 
     def restricted_elements(self) -> list[ExtWeylElement]:
-        """All restricted elements (finite for semisimple data).
+        """All restricted elements; `NotFinitary` unless the datum is semisimple.
 
         A restricted element w t_lambda has <alpha, lambda> in {-1, 0} for
         every simple alpha, so for semisimple data it is enough to scan the
@@ -135,7 +135,7 @@ class AlcoveModel:
 
         d = self.datum
         if d.orthogonal_basis:
-            raise ValueError("restricted elements form an infinite set for this datum")
+            raise NotFinitary("restricted elements form an infinite set for this datum")
         out = []
         for w in range(d.weyl_order):
             for cs in itertools.product((-1, 0), repeat=d.rank):

@@ -232,7 +232,6 @@ def cmd_suite(args) -> int:
         seed=args.seed,
         samples=args.samples,
         kl_maxlen=args.maxlen,
-        fault=args.fault,
     )
     if args.format == "json":
         print(json.dumps(report.to_dict(timings=args.timings), sort_keys=True))
@@ -333,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--maxlen", type=int, default=None, help="KL sweep length bound")
     q.add_argument("--format", choices=("json", "tsv"), default="tsv")
     q.add_argument("--timings", action="store_true")
-    q.add_argument("--fault", default=None, help=argparse.SUPPRESS)
     q.set_defaults(func=cmd_suite)
 
     return parser

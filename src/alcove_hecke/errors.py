@@ -26,7 +26,8 @@ class DimensionMismatch(AlcoveHeckeError):
 
 
 class NotFinitary(AlcoveHeckeError):
-    """A generator subset spans an infinite parabolic subgroup."""
+    """A set to enumerate is infinite: the parabolic subgroup of a generator
+    subset, or the restricted elements of a datum that is not semisimple."""
 
 
 class Unrepresentable(AlcoveHeckeError):

@@ -2,16 +2,14 @@
 
 Standard basis elements H_w are indexed by W_ext; multiplication follows
 H_x H_y = H_{xy} when lengths add and H_s^2 = H_e + (v^{-1} - v) H_s.  Every
-product is a chain of one-pass left products (H_s + c) a, with c = v for the
-canonical element C_s and c = v - v^{-1} for H_s^{-1}, and the bar involution
-follows its own recursion bar(H_s b) = H_s^{-1} bar(b), bar(H_omega) = H_omega.
-The canonical basis is computed by the usual inductive algorithm on the affine
-part, with length-zero elements handled by relabeling.  Computations are
-interval-local: only the Bruhat lower set of the target element is ever
-materialized, and results live in a bounded `Memo` table.  Every step from w
-to s w, with its descent bit, is read from the left-step row of w that
-`ExtWeyl.left_steps` keeps, so the recursions, which revisit the same
-elements many times, pay no group product or length per term.
+product is a chain of one-pass left products (H_s + c) a, with c = 0 for H_s
+and c = v - v^{-1} for H_s^{-1}, and the bar involution follows its own
+recursion bar(H_s b) = H_s^{-1} bar(b), bar(H_omega) = H_omega.
+Computations are interval-local: only the Bruhat lower set of the target
+element is ever materialized, and results live in bounded `Memo` tables.
+Every step from w to s w, with its descent bit, is read from the left-step
+row of w that `ExtWeyl.left_steps` keeps, so the recursions, which revisit
+the same elements many times, pay no group product or length per term.
 
 Coefficients are built in raw accumulators: plain dicts mapping an element
 to its coefficient dict {exponent: integer}.  Every update goes through
@@ -22,25 +20,35 @@ coefficient in one `LaurentPolynomial`; no polynomial is built per term.  The
 accumulators read the `coeffs` dicts of memoized polynomials and of the module
 constants directly, so those dicts are never written to: an accumulator entry
 is a dict of its own from its first write on (`_addmul` copies, or builds a
-fresh product), and only later writes land in place.  A memoized spherical
-element also keeps the length of each term of its support, carried through
-its recursion, so `inverse_m` looks up no length per term.
+fresh product), and only later writes land in place.
 
 The left spherical module is the quotient by the left ideal generated by
-H_s - v^{-1} for finite simple s; its standard and canonical bases are
-indexed by the minimal representatives W_ext^S.  Its canonical basis is
-computed natively, by the same inductive algorithm with C_s = H_s + v acting
-on M_y (y in W_ext^S) in three cases:
+H_s - v^{-1} for finite simple s; its standard basis M_y is indexed by the
+minimal representatives W_ext^S.  The regular module is the parabolic module
+for the empty set of finite reflections, with M_y = H_y, so one recursion,
+`HeckeAlgebra._canonical`, computes the canonical elements of both, each
+module with its own table.  A length-zero element is its own canonical
+element; outside W_aff the element of x = omega aff is that of aff relabeled
+by the length-zero omega; otherwise C_s = H_s + v, for the first left descent
+s of x, acts on the element of s x, term by term in three cases:
 
     sy < y:                  M_sy + v^{-1} M_y
-    sy > y, sy in W_ext^S:   M_sy + v M_y
-    sy not in W_ext^S:       (v + v^{-1}) M_y   (then sy = y t, t finite simple)
+    sy > y, sy in module:    M_sy + v M_y
+    sy not in module:        (v + v^{-1}) M_y   (then sy = y t, t finite simple)
 
-The inverse polynomials m^{x,y} are back-substituted from these elements.
-Writing mbar(y, w) for the canonical-basis coefficients, one also has
-mbar(y, w) = h(y w0, w w0), the Kazhdan-Lusztig polynomial of the *maximal*
-coset representatives; `spherical_m` takes that full-group route and serves
-as the independent oracle for the native one.
+The third case never occurs in the regular module.  Constant terms below x
+are then cleared by subtracting canonical elements read from the same table,
+and the result is checked to be unitriangular with lower coefficients in
+vZ[v].  Each memoized element keeps the length of each term of its support,
+carried through the recursion, so `inverse_m`, which back-substitutes the
+inverse polynomials m^{x,y} from the spherical elements, looks up no length
+per term.
+
+Two independent routes check the recursion.  `suite.bar_invariance_solver`
+re-derives `kl_basis` from bar invariance alone, which covers every step the
+modules share.  `spherical_m` reads mbar(y, w) = h(y w0, w w0), the
+Kazhdan-Lusztig polynomial of the *maximal* coset representatives, off the
+full group, which also covers the third case.
 """
 
 from __future__ import annotations
@@ -55,8 +63,8 @@ from .ext_weyl import AffineGenerator, ExtWeylElement
 from .laurent import ONE, ZERO, LaurentPolynomial
 from .memo import Memo
 
-# the canonical-basis recursions nest a few Python frames per length step, so
-# longer elements are refused up front rather than failing deep in a recursion
+# the canonical-basis recursion nests a few Python frames per length step, so
+# longer elements are refused up front rather than failing deep in it
 MAX_HECKE_LENGTH = 150
 
 Coeffs = dict[int, int]  # a raw coefficient, exponent -> integer; zeros stay until it is frozen
@@ -67,9 +75,8 @@ _V_INV: Coeffs = {-1: 1}
 _V_PLUS_VINV: Coeffs = {1: 1, -1: 1}
 _VINV_MINUS_V: Coeffs = {-1: 1, 1: -1}
 # (c, v^{-1} - v + c) for the left factor H_s + c, since H_s H_w = H_{sw} +
-# (v^{-1} - v) H_w when sw < w: H_s itself, C_s = H_s + v, H_s^{-1} = H_s + v - v^{-1}
+# (v^{-1} - v) H_w when sw < w: H_s itself and H_s^{-1} = H_s + v - v^{-1}
 _PLAIN = ({}, _VINV_MINUS_V)
-_CANONICAL = (_V, _V_INV)
 _INVERSE = ({1: 1, -1: -1}, {})
 
 
@@ -136,20 +143,6 @@ def _bar(ext, a: dict) -> dict:
     return out
 
 
-def _subtract_corrections(out: dict, x: ExtWeylElement, element_of) -> None:
-    """Subtract c0 times the canonical element of w from out, for every w != x
-    whose coefficient has constant term c0, with element_of(w) its support.
-
-    A subtracted element changes no constant term but the one at w, so one
-    pass over the snapshot suffices.
-    """
-    corrections = [(w, p[0]) for w, p in out.items() if w != x and p.get(0)]
-    for w, c0 in corrections:
-        minus_c0 = {0: -c0}
-        for y, q in element_of(w).items():
-            _addmul(out, y, q.coeffs, minus_c0)
-
-
 def _first_step(ext, x: ExtWeylElement) -> tuple[int, ExtWeylElement] | None:
     """(i, s x) for the first left descent s = ext.generators[i] of x, or None
     at length zero."""
@@ -159,23 +152,9 @@ def _first_step(ext, x: ExtWeylElement) -> tuple[int, ExtWeylElement] | None:
     return None
 
 
-def _check_length(lx: int, x: ExtWeylElement) -> None:
-    if lx > MAX_HECKE_LENGTH:
-        raise BoundsTooLarge(f"{x} has length {lx} > {MAX_HECKE_LENGTH}")
-
-
-def _check_canonical(x: ExtWeylElement, support: Mapping) -> None:
-    """Coefficient 1 at x and every other coefficient in vZ[v]."""
-    if support.get(x) != ONE:
-        raise InvariantViolation(f"canonical basis not unitriangular at {x}")
-    for w, p in support.items():
-        if w != x and p.min_exponent() < 1:
-            raise InvariantViolation(f"lower coefficient {p} at {w} in the canonical element of {x}")
-
-
-class _Spherical(NamedTuple):
-    """A memoized N_w: the read-only map y -> mbar(y, w), and len y for each y
-    in the map's order."""
+class _Canonical(NamedTuple):
+    """A memoized canonical element: the read-only map y -> coefficient, and
+    len y for each y in the map's order."""
 
     support: Mapping[ExtWeylElement, LaurentPolynomial]
     lengths: tuple[int, ...]
@@ -215,12 +194,19 @@ class HeckeElement:
         return f"HeckeElement({self.support!r})"
 
 
+def _shared(support: Mapping[ExtWeylElement, LaurentPolynomial]) -> HeckeElement:
+    """A HeckeElement over a memoized read-only support, not copied."""
+    a = HeckeElement.__new__(HeckeElement)
+    a.support = support
+    return a
+
+
 class HeckeAlgebra:
     def __init__(self, alc: AlcoveModel):
         self.alc = alc
         self.ext = alc.ext
-        self._kl = Memo(self._kl_element)
-        self._spherical = Memo(self._spherical_element)
+        self._kl = Memo(lambda x: self._canonical(x, self._kl, None))
+        self._spherical = Memo(lambda w: self._canonical(w, self._spherical, alc.in_wexts))
 
     # -- standard basis arithmetic ---------------------------------------
 
@@ -275,37 +261,70 @@ class HeckeAlgebra:
 
         Raises `BoundsTooLarge` when x is longer than `MAX_HECKE_LENGTH`.
         """
-        return self._kl[x]
+        return _shared(self._kl[x].support)
 
-    def _kl_element(self, x: ExtWeylElement) -> HeckeElement:
+    def _canonical(self, x: ExtWeylElement, table: Memo, in_module) -> _Canonical:
+        """The canonical element of x in the module whose elements `table`
+        memoizes: the regular module on W_ext when in_module is None, the
+        spherical module on W_ext^S when in_module is its membership test."""
         ext = self.ext
         lx = ext.length(x)
-        _check_length(lx, x)
+        if lx > MAX_HECKE_LENGTH:
+            raise BoundsTooLarge(f"{x} has length {lx} > {MAX_HECKE_LENGTH}")
         if lx == 0:
-            result = self.standard(x)
-        elif not ext.in_affine_subgroup(x):
-            omega, aff = self._split_omega(x)
-            base = self.kl_basis(aff)
-            result = HeckeElement({ext.mul(omega, w): p for w, p in base.support.items()})
+            return _Canonical(MappingProxyType({x: ONE}), (0,))
+        if not ext.in_affine_subgroup(x):
+            # x = omega aff with omega of length zero, and left multiplication
+            # by omega relabels; aff is in W_aff, the subgroup being normal,
+            # and in W_ext^S when x is
+            _, omega = ext.reduced_expression(x)
+            aff = ext.mul(ext.inv(omega), x)
+            if not ext.in_affine_subgroup(aff):
+                raise InvariantViolation(f"{x} has no length-zero left factor leaving W_aff")
+            base = table[aff]
+            support = {ext.mul(omega, y): p for y, p in base.support.items()}
+            lengths = base.lengths
         else:
             i, rest = _first_step(ext, x)
-            out = _left_mul(ext, i, _raw(self.kl_basis(rest)), *_CANONICAL)
-            _subtract_corrections(out, x, lambda w: self.kl_basis(w).support)
-            result = HeckeElement(_freeze(out))
-        _check_canonical(x, result.support)
-        return result
-
-    def _split_omega(self, x: ExtWeylElement) -> tuple[ExtWeylElement, ExtWeylElement]:
-        """x = omega * aff with omega of length zero and aff in W_aff.
-
-        Left multiplication by omega relabels a canonical element's support.
-        """
-        ext = self.ext
-        _, omega = ext.reduced_expression(x)
-        aff = ext.mul(ext.inv(omega), x)  # in W_aff: the subgroup is normal
-        if not ext.in_affine_subgroup(aff):
-            raise InvariantViolation(f"{x} has no length-zero left factor leaving W_aff")
-        return omega, aff
+            base = table[rest]
+            out: dict[ExtWeylElement, Coeffs] = {}
+            known = {}  # len y for every y reached
+            # (H_s + v) M_y on the three kinds of y in the module
+            for (y, p), ly in zip(base.support.items(), base.lengths):
+                p = p.coeffs
+                sy, down = ext.left_steps(y)[i]
+                known[y] = ly
+                if down:
+                    known[sy] = ly - 1
+                    _addmul(out, sy, p, _UNIT)
+                    _addmul(out, y, p, _V_INV)
+                elif in_module is None or in_module(sy):
+                    known[sy] = ly + 1
+                    _addmul(out, sy, p, _UNIT)
+                    _addmul(out, y, p, _V)
+                else:  # sy = y t with t finite simple, and H_t acts by v^{-1}
+                    _addmul(out, y, p, _V_PLUS_VINV)
+            # subtract c0 times the canonical element of w for every w != x
+            # whose coefficient has constant term c0; a subtracted element
+            # changes no constant term but the one at w, so one pass over the
+            # snapshot suffices
+            for w, c0 in [(w, p[0]) for w, p in out.items() if w != x and p.get(0)]:
+                minus_c0 = {0: -c0}
+                entry = table[w]
+                for (y, q), ly in zip(entry.support.items(), entry.lengths):
+                    known[y] = ly
+                    _addmul(out, y, q.coeffs, minus_c0)
+            support = _freeze(out)
+            lengths = tuple(known[y] for y in support)
+        # unitriangular, with every lower coefficient in vZ[v]
+        if support.get(x) != ONE:
+            raise InvariantViolation(f"canonical basis not unitriangular at {x}")
+        for y, p in support.items():
+            if y != x and p.min_exponent() < 1:
+                raise InvariantViolation(
+                    f"lower coefficient {p} at {y} in the canonical element of {x}"
+                )
+        return _Canonical(MappingProxyType(support), lengths)
 
     def kl_poly(self, y: ExtWeylElement, x: ExtWeylElement) -> LaurentPolynomial:
         return self.kl_basis(x).coeff(y)
@@ -325,46 +344,6 @@ class HeckeAlgebra:
         y -> mbar(y, w); w is at most `MAX_HECKE_LENGTH` long."""
         self._require_spherical(w)
         return self._spherical[w].support
-
-    def _spherical_element(self, w: ExtWeylElement) -> _Spherical:
-        ext = self.ext
-        lw = ext.length(w)
-        _check_length(lw, w)
-        if lw == 0:
-            return _Spherical(MappingProxyType({w: ONE}), (0,))
-        if not ext.in_affine_subgroup(w):
-            omega, aff = self._split_omega(w)  # aff is minimal in its coset too
-            base = self._spherical[aff]
-            support = {ext.mul(omega, y): p for y, p in base.support.items()}
-            _check_canonical(w, support)
-            return _Spherical(MappingProxyType(support), base.lengths)
-        i, rest = _first_step(ext, w)
-        base = self._spherical[rest]
-        out: dict[ExtWeylElement, Coeffs] = {}
-        lengths = {}  # len y and len s y for every y in N_rest
-        # (H_s + v) M_y on the three kinds of y in W_ext^S
-        for (y, p), ly in zip(base.support.items(), base.lengths):
-            p = p.coeffs
-            sy, down = ext.left_steps(y)[i]
-            lengths[y] = ly
-            if down:
-                lengths[sy] = ly - 1
-                _addmul(out, sy, p, _UNIT)
-                _addmul(out, y, p, _V_INV)
-            elif self.alc.in_wexts(sy):
-                lengths[sy] = ly + 1
-                _addmul(out, sy, p, _UNIT)
-                _addmul(out, y, p, _V)
-            else:  # sy = y t with t finite simple, and H_t acts by v^{-1}
-                _addmul(out, y, p, _V_PLUS_VINV)
-        _subtract_corrections(out, w, lambda u: self._spherical[u].support)
-        support = _freeze(out)
-        _check_canonical(w, support)
-        # only a term first reached by a correction has its length looked up
-        return _Spherical(
-            MappingProxyType(support),
-            tuple(lengths[z] if z in lengths else ext.length(z) for z in support),
-        )
 
     def spherical_m(self, y: ExtWeylElement, w: ExtWeylElement) -> LaurentPolynomial:
         """Canonical-basis coefficient mbar(y, w) of the left spherical module.

@@ -231,35 +231,6 @@ def cartan_components(cartan: Matrix) -> list[list[int]]:
     return comps
 
 
-def symmetrizer(cartan: Matrix) -> tuple[int, ...]:
-    """Minimal positive integers d with d_i * C_ij == d_j * C_ji."""
-    from fractions import Fraction
-    from math import gcd
-
-    n = len(cartan)
-    d: list[Fraction | None] = [None] * n
-    for comp in cartan_components(cartan):
-        d[comp[0]] = Fraction(1)
-        stack = [comp[0]]
-        while stack:
-            i = stack.pop()
-            for j in comp:
-                if j != i and cartan[i][j] != 0 and d[j] is None:
-                    d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
-                    stack.append(j)
-        denom = 1
-        for i in comp:
-            denom = denom * d[i].denominator // gcd(denom, d[i].denominator)
-        for i in comp:
-            d[i] = d[i] * denom
-        g = 0
-        for i in comp:
-            g = gcd(g, int(d[i]))
-        for i in comp:
-            d[i] = Fraction(int(d[i]) // g)
-    return tuple(int(x) for x in d)
-
-
 @dataclass(frozen=True)
 class WeylElement:
     """One element of the finite Weyl group, with cached action data."""
@@ -296,7 +267,6 @@ class RootDatum:
     highest_short_coroots: Matrix  # per component; translation part of affine generators
     section: Matrix  # right inverse of Y -> Hom(ZR, Z), one column per simple root
     orthogonal_basis: Matrix  # basis of {y in Y : <alpha, y> = 0 for all roots}
-    dual_symmetrizer: Vector
     # Smith factors (U, D, V) of the matrix with the simple coroots as columns
     coroot_smith: tuple[Matrix, Matrix, Matrix]
     name: str = "custom"
@@ -339,13 +309,6 @@ class RootDatum:
 
     def coroot_lattice_contains(self, lam: Vector) -> bool:
         return solve_smith(self.coroot_smith, self.check_y(lam)) is not None
-
-    def dual_form(self, lam: Vector, coroot_coords: Vector) -> int:
-        """W-invariant form B(lam, beta^vee) with beta^vee given in simple-coroot coordinates."""
-        return sum(
-            c * self.dual_symmetrizer[i] * pair(self.simple_roots[i], lam)
-            for i, c in enumerate(coroot_coords)
-        )
 
 
 def _generate_root_system(simple_roots: Matrix, simple_coroots: Matrix):
@@ -523,10 +486,6 @@ def load_root_datum(spec) -> RootDatum:
         raise MalformedInput("w0 does not send positive roots to negative roots")
 
     comps = cartan_components(cartan)
-    # with these d_i, B(lam, alpha_i^vee) = d_i * <alpha_i, lam> extends to the
-    # W-invariant integer form on the coroot lattice, used both for detecting
-    # short coroots and in the weight-multiplicity recursion
-    dual_sym = symmetrizer(cartan)
     coroot_rows = [[simple_coroots[j][i] for j in range(rank)] for i in range(dim)]
     coroot_smith = tuple(tuple(map(tuple, f)) for f in smith_normal_form(coroot_rows))
     coroot_coords = []
@@ -543,12 +502,9 @@ def load_root_datum(spec) -> RootDatum:
             if all(coroot_coords[k][i] == 0 for i in range(rank) if i not in comp)
         ]
         # maximal short coroot: maximize height among coroots of minimal
-        # squared length under the symmetrized invariant form
+        # squared length under the W-invariant form sum_alpha <alpha, .>^2
         def sq(k):
-            cc = coroot_coords[k]
-            return sum(
-                cc[i] * cc[j] * dual_sym[i] * cartan[i][j] for i in comp for j in comp
-            )
+            return sum(pair(alpha, pos_coroots[k]) ** 2 for alpha in pos_roots)
 
         min_sq = min(sq(k) for k in in_comp)
         short = [k for k in in_comp if sq(k) == min_sq]
@@ -577,7 +533,6 @@ def load_root_datum(spec) -> RootDatum:
         highest_short_coroots=tuple(highest_short),
         section=section,
         orthogonal_basis=tuple(tuple(row[k] for row in v) for k in range(rank, dim)),
-        dual_symmetrizer=dual_sym,
         coroot_smith=coroot_smith,
         name=name,
     )

@@ -54,6 +54,14 @@ class SatakeChar:
         self._two_rho_vee = (0,) * datum.y_rank
         for cv in datum.positive_coroots:
             self._two_rho_vee = vec_add(self._two_rho_vee, cv)
+        # the W-invariant form B(lam, mu) = sum_{alpha > 0} <alpha, lam><alpha, mu>
+        # on Y, read against each positive coroot beta as one pairing:
+        # B(lam, beta) = <b_beta, lam> with b_beta = sum_{alpha > 0} <alpha, beta> alpha
+        self._form_rows = tuple(
+            tuple(sum(pair(alpha, beta) * alpha[r] for alpha in datum.positive_roots)
+                  for r in range(datum.x_rank))
+            for beta in datum.positive_coroots
+        )
 
     # -- lattice helpers ---------------------------------------------------
 
@@ -94,8 +102,7 @@ class SatakeChar:
                 m = 1
             else:
                 numerator = 0
-                for idx, beta in enumerate(d.positive_coroots):
-                    bc = self._coroot_coords[idx]
+                for beta, bc, row in zip(d.positive_coroots, self._coroot_coords, self._form_rows):
                     k = 1
                     while True:
                         higher = vec_add(nu, vec_scale(k, beta))
@@ -104,10 +111,11 @@ class SatakeChar:
                             break
                         m_h = full.get(higher, 0)
                         if m_h:
-                            numerator += 2 * m_h * d.dual_form(higher, bc)
+                            numerator += 2 * m_h * pair(row, higher)
                         k += 1
                 # denominator |mu+rho|^2 - |nu+rho|^2 = B(mu+nu+2rho, mu-nu)
-                denom = d.dual_form(vec_add(vec_add(mu, nu), self._two_rho_vee), cs)
+                lhs, rhs = vec_add(vec_add(mu, nu), self._two_rho_vee), vec_sub(mu, nu)
+                denom = sum(pair(alpha, lhs) * pair(alpha, rhs) for alpha in d.positive_roots)
                 if denom <= 0:
                     raise InvariantViolation(f"Freudenthal denominator {denom} at {nu} in {mu}")
                 if numerator % denom:
@@ -178,11 +186,10 @@ class SatakeChar:
         mu = self.datum.check_y(mu)
         if not self.datum.is_dominant(mu):
             raise NotDominant(f"{mu} is not dominant")
-        d = self.datum
         dim = Fraction(1)
         top = vec_add(vec_scale(2, mu), self._two_rho_vee)
-        for bc in self._coroot_coords:
-            dim *= Fraction(d.dual_form(top, bc), d.dual_form(self._two_rho_vee, bc))
+        for row in self._form_rows:
+            dim *= Fraction(pair(row, top), pair(row, self._two_rho_vee))
         if dim.denominator != 1:
             raise InvariantViolation(f"Weyl dimension {dim} of {mu} is not integral")
         return int(dim)

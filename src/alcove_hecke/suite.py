@@ -90,13 +90,12 @@ def _command(*args) -> str:
 
 
 class _Env:
-    def __init__(self, engine: Engine, preset, seed, samples, kl_maxlen, fault):
+    def __init__(self, engine: Engine, preset, seed, samples, kl_maxlen):
         self.engine = engine
         self.preset = preset
         self.seed = seed
         self.samples = samples
         self.kl_maxlen = kl_maxlen
-        self.fault = fault
         self.shared: dict = {}
 
     def rng(self, name: str) -> random.Random:
@@ -110,25 +109,6 @@ class _Env:
         args = [self.fmt(a) if isinstance(a, ExtWeylElement) else a for a in args]
         return _command(group, op, "--datum", self.preset, *args)
 
-    def length_fn(self):
-        if self.fault == "length-sign-flip":
-            # flip the sign condition on w(alpha) in the length formula;
-            # note the naive |1+c| -> |1-c| flip is absorbed by the
-            # complement identity and would not be detected there
-            eng = self.engine
-
-            def flipped(x: ExtWeylElement) -> int:
-                d = eng.datum
-                flips = d.root_sign_flips(x.w)
-                total = 0
-                for k, alpha in enumerate(d.positive_roots):
-                    c = pair(alpha, x.t)
-                    total += abs(c) if flips[k] else abs(1 + c)
-                return total
-
-            return flipped
-        return self.engine.ext.length
-
 
 # -- enumeration helpers ----------------------------------------------------
 
@@ -137,7 +117,7 @@ def antidominant_translations(engine: Engine, maxlen: int):
     d = engine.datum
     for cs in itertools.product(range(-maxlen, 1), repeat=d.rank):
         lam = d.section_lift(cs)
-        if engine.ext.length(engine.ext.translation(lam)) <= maxlen:
+        if engine.ext.length(ExtWeylElement(0, lam)) <= maxlen:
             yield lam
 
 
@@ -145,7 +125,7 @@ def spherical_window(engine: Engine, maxlen: int) -> list[ExtWeylElement]:
     out = set()
     for y in engine.alc.restricted_elements():
         for lam in antidominant_translations(engine, maxlen):
-            w = engine.ext.mul(y, engine.ext.translation(lam))
+            w = engine.ext.mul(y, ExtWeylElement(0, lam))
             if engine.ext.length(w) <= maxlen:
                 out.add(w)
     return sorted(out)
@@ -158,7 +138,7 @@ def awext_window(engine: Engine, a, bound: int) -> list[ExtWeylElement]:
     ]
     for y in reps:
         for t in itertools.product(range(-bound, bound + 1), repeat=engine.datum.y_rank):
-            out.append(engine.ext.mul(y, engine.ext.translation(t)))
+            out.append(engine.ext.mul(y, ExtWeylElement(0, t)))
     return sorted(set(out))
 
 
@@ -244,16 +224,15 @@ def check_length_formula(env: _Env):
 def check_res_complement(env: _Env):
     eng = env.engine
     ext = eng.ext
-    length = env.length_fn()
-    base = ext.mul(ext.translation(eng.datum.varsigma), ext.w0)
-    total = length(base)
+    base = ext.mul(ExtWeylElement(0, eng.datum.varsigma), ext.w0)
+    total = ext.length(base)
     for x in eng.alc.restricted_elements():
         y = ext.mul(base, ext.inv(x))
-        if length(x) + length(y) != total:
+        if ext.length(x) + ext.length(y) != total:
             ce = {
                 "x": env.fmt(x),
                 "y": env.fmt(y),
-                "lengths": [length(x), length(y), total],
+                "lengths": [ext.length(x), ext.length(y), total],
                 "command": env.cmd("wext", "len", "--elt", x),
             }
             return False, "length complement identity fails", ce
@@ -267,7 +246,7 @@ def check_lengths_add(env: _Env):
     count = 0
     for w in spherical_window(eng, bound):
         for lam in antidominant_translations(eng, bound):
-            t = ext.translation(lam)
+            t = ExtWeylElement(0, lam)
             if ext.length(ext.mul(w, t)) != ext.length(w) + ext.length(t):
                 ce = {"w": env.fmt(w), "lambda": list(lam),
                       "command": env.cmd("wext", "len", "--elt", ext.mul(w, t))}
@@ -300,11 +279,11 @@ def check_per_order_properties(env: _Env):
         y2 = ext.mul(ext.word_to_element(word), y)
         if rng.randrange(2):
             shift = eng.datum.simple_coroots[rng.randrange(eng.datum.rank)]
-            y2 = ext.mul(y2, ext.translation(vec_scale(rng.randint(-1, 1), shift)))
+            y2 = ext.mul(y2, ExtWeylElement(0, vec_scale(rng.randint(-1, 1), shift)))
         ce["y2"] = env.fmt(y2)
         if counts[2] < target:
             mu = tuple(rng.randint(-2, 2) for _ in range(eng.datum.y_rank))
-            tmu = ext.translation(mu)
+            tmu = ExtWeylElement(0, mu)
             if order.leq(y, y2) != order.leq(ext.mul(y, tmu), ext.mul(y2, tmu)):
                 return False, "part 2: order not translation invariant", ce
             counts[2] += 1
@@ -347,7 +326,7 @@ def check_per_order_lambda_independence(env: _Env):
         npush = max(eng.order._push_steps(x), eng.order._push_steps(y))
         results = []
         for extra in (0, 1, 3):
-            push = ext.translation(vec_scale(-(npush + extra), eng.datum.varsigma))
+            push = ExtWeylElement(0, vec_scale(-(npush + extra), eng.datum.varsigma))
             xs, ys = ext.mul(x, push), ext.mul(y, push)
             if not (eng.alc.in_wexts(xs) and eng.alc.in_wexts(ys)):
                 return False, "pushdown landed outside W_ext^S", {"lhs": env.fmt(x)}
@@ -370,8 +349,8 @@ def check_per_order_weights(env: _Env):
         mu = nu
         for cv in d.positive_coroots:
             mu = vec_add(mu, vec_scale(rng.randint(0, 1), cv))
-        lhs = ext.mul(y, ext.translation(d.act_y(w0, nu)))
-        rhs = ext.mul(y, ext.translation(d.act_y(w0, mu)))
+        lhs = ext.mul(y, ExtWeylElement(0, d.act_y(w0, nu)))
+        rhs = ext.mul(y, ExtWeylElement(0, d.act_y(w0, mu)))
         if not eng.order.leq(lhs, rhs):
             return False, "dominance-order monotonicity fails", {
                 "lhs": env.fmt(lhs), "rhs": env.fmt(rhs),
@@ -474,13 +453,13 @@ def check_triangle_geometry(env: _Env):
         if (ext.length(x) + ext.length(tri) + lw0) % 2 != 0:
             return False, "parity of the length sum fails", {"element": env.fmt(x)}
         lam = tuple(rng.randint(-2, 2) for _ in range(eng.datum.y_rank))
-        if alc.triangle(ext.mul(x, ext.translation(lam))) != ext.mul(tri, ext.translation(lam)):
+        if alc.triangle(ext.mul(x, ExtWeylElement(0, lam))) != ext.mul(tri, ExtWeylElement(0, lam)):
             return False, "triangle does not commute with translations", {"element": env.fmt(x)}
         if alc.in_wexts(x) and not alc.in_wexts(tri):
             return False, "triangle leaves W_ext^S", {"element": env.fmt(x)}
     # the complement element sends x to t_varsigma w0 and the triangle to its twist
-    base = ext.mul(ext.translation(eng.datum.varsigma), ext.w0)
-    top = ext.translation(eng.datum.act_y(eng.datum.w0, eng.datum.varsigma))
+    base = ext.mul(ExtWeylElement(0, eng.datum.varsigma), ext.w0)
+    top = ExtWeylElement(0, eng.datum.act_y(eng.datum.w0, eng.datum.varsigma))
     for x in alc.restricted_elements():
         y = ext.mul(base, ext.inv(x))
         if ext.mul(y, x) != base:
@@ -731,7 +710,7 @@ def check_mult_triangle(env: _Env):
 def check_proj_filtration(env: _Env):
     eng = env.engine
     ext, alc, groth = eng.ext, eng.alc, eng.groth
-    base = ext.mul(ext.translation(eng.datum.varsigma), ext.w0)
+    base = ext.mul(ExtWeylElement(0, eng.datum.varsigma), ext.w0)
     for x in alc.restricted_elements():
         y = ext.mul(base, ext.inv(x))
         filt = groth.projective_filtration(x)  # endpoint/sandwich checked inside
@@ -865,7 +844,7 @@ def check_groth_basics(env: _Env):
         if groth.label_element(lbl) != x:
             return False, "canonical split does not reassemble", {"element": env.fmt(x)}
         # right translations are absorbed by the class
-        if groth.forget_grading(ext.mul(x, ext.translation(nu))) != groth.forget_grading(x):
+        if groth.forget_grading(ext.mul(x, ExtWeylElement(0, nu))) != groth.forget_grading(x):
             return False, "forget-grading not shift absorbing", {"element": env.fmt(x)}
     om = omegas[-1]
     relabeled = groth.xi_omega(seed, om)
@@ -906,7 +885,6 @@ def run_suite(
     seed: int = 0,
     samples: int = 500,
     kl_maxlen: int | None = None,
-    fault: str | None = None,
     names: list[str] | None = None,
 ) -> SuiteReport:
     if not isinstance(preset, str):
@@ -923,7 +901,7 @@ def run_suite(
     if samples > MAX_SAMPLES:
         raise BoundsTooLarge(f"samples {samples} > {MAX_SAMPLES}")
     engine = build_engine(preset)
-    env = _Env(engine, preset, seed, samples, kl_maxlen, fault)
+    env = _Env(engine, preset, seed, samples, kl_maxlen)
     report = SuiteReport(preset, seed, samples, kl_maxlen)
     for name, fn in CHECKS:
         if names is not None and name not in names:

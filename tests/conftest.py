@@ -1,6 +1,8 @@
 import pytest
 
 from alcove_hecke.engine import build_engine
+from alcove_hecke.ext_weyl import ExtWeyl
+from alcove_hecke.root_datum import pair
 
 SEMISIMPLE = ["A1_adj", "A2_adj", "B2_adj", "A1xA1_adj"]
 # inline descriptors: rank 2 and 3 beyond the presets, and a datum with a
@@ -28,6 +30,22 @@ RANK3 = {
 }
 
 _cache = {}
+
+
+def plant_length_sign_flip(monkeypatch):
+    """Flip the sign condition on w(alpha) in the length formula of every
+    `ExtWeyl` built from now on.  The naive |1+c| -> |1-c| flip would be
+    absorbed by the length complement identity and go unnoticed there."""
+
+    def flipped(ext, x):
+        flips = ext.datum.root_sign_flips(x.w)
+        total = 0
+        for k, alpha in enumerate(ext.datum.positive_roots):
+            c = pair(alpha, x.t)
+            total += abs(c) if flips[k] else abs(1 + c)
+        return total
+
+    monkeypatch.setattr(ExtWeyl, "_length_formula", flipped)
 
 
 def engine_for(name):

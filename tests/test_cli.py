@@ -5,6 +5,7 @@ import pytest
 from alcove_hecke.cli import main
 from alcove_hecke.engine import build_engine
 from alcove_hecke.hecke import MAX_HECKE_LENGTH
+from conftest import CUSTOM, plant_length_sign_flip
 from oracles import bruhat_recursive, deep_recursion, porder_recursive
 
 
@@ -150,16 +151,16 @@ def test_groth_error_exit_code(capsys):
     assert code == 2 and "NotRestricted" in err
 
 
-def test_suite_run_and_exit_codes(capsys):
+def test_suite_run_and_exit_codes(capsys, monkeypatch):
     code, out = run_cli(
         capsys, "suite", "run", "--preset", "A1_adj", "--maxlen", "4", "--samples", "60",
     )
     assert code == 0
     assert "overall\tpass" in out
-    # injected fault flips the exit code and carries a counterexample
+    # a planted fault flips the exit code and carries a counterexample
+    plant_length_sign_flip(monkeypatch)
     code, out = run_cli(
         capsys, "suite", "run", "--preset", "A1_adj", "--maxlen", "4", "--samples", "60",
-        "--fault", "length-sign-flip",
     )
     assert code == 1
     assert "res-complement\tfail" in out
@@ -288,3 +289,12 @@ def test_hecke_length_bound(capsys):
     code = main(["hecke", "kl", "--datum", "A1_adj", "--x", "e : 0", "--y", "e : -250"])
     err = capsys.readouterr().err
     assert code == 2 and "BoundsTooLarge" in err and "Traceback" not in err
+
+
+def test_mtriangle_sweep_on_a_datum_with_a_central_torus(capsys, tmp_path):
+    # the sweep enumerates the restricted elements, an infinite set on GL2
+    path = tmp_path / "gl2.json"
+    path.write_text(json.dumps(CUSTOM["GL2"]), encoding="utf-8")
+    code = main(["hecke", "mtriangle-sweep", "--datum", str(path), "--maxlen", "2"])
+    err = capsys.readouterr().err
+    assert code == 2 and "NotFinitary" in err and "Traceback" not in err

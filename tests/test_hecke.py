@@ -6,7 +6,7 @@ from alcove_hecke import memo
 from alcove_hecke.engine import build_engine
 from alcove_hecke.errors import BoundsTooLarge, InvariantViolation, NotSpherical
 from alcove_hecke import hecke as hecke_module
-from alcove_hecke.suite import _waff_ball, spherical_window
+from alcove_hecke.suite import _waff_ball, run_suite, spherical_window
 from alcove_hecke.hecke import MAX_HECKE_LENGTH, HeckeAlgebra, HeckeElement
 from alcove_hecke.laurent import ONE, V, V_INV, ZERO, LaurentPolynomial
 
@@ -282,9 +282,11 @@ def test_spherical_m_coset_check_raises(a1):
     hecke = HeckeAlgebra(a1.alc)
     s0 = ext.parse_element("s1 : -2")
     top = ext.mul(s0, ext.w0)
-    wrong = dict(hecke.kl_basis(top).items())
+    entry = hecke._kl[top]  # C_top with the lengths of its support, in order
+    wrong = dict(entry.support)
+    lengths = tuple(n for y, n in zip(wrong, entry.lengths) if y != ext.identity)
     del wrong[ext.identity]  # h(e, s0 w0) no longer matches h(w0, s0 w0)
-    hecke._kl[top] = HeckeElement(wrong)
+    hecke._kl[top] = entry._replace(support=wrong, lengths=lengths)
     with pytest.raises(InvariantViolation):
         hecke.spherical_m(ext.identity, s0)
 
@@ -348,22 +350,23 @@ def test_kl_table_stays_bounded(monkeypatch, a1):
     monkeypatch.setattr(memo, "MEMO_CAP", 4)
     hecke = HeckeAlgebra(a1.alc)
     ext = a1.ext
-    memoized = hecke.kl_basis
-    calls = []
+    real_put = memo.Memo.put
+    writes = []
 
-    def checked(x):
-        result = memoized(x)
-        calls.append(x)
-        assert len(hecke._kl) <= 4
-        return result
+    def checked_put(table, key, value):
+        # every write into the KL table, also those deep in the recursion
+        real_put(table, key, value)
+        if table is hecke._kl:
+            writes.append(key)
+            assert len(table) <= 4
 
-    hecke.kl_basis = checked  # the recursion calls back through the instance
+    monkeypatch.setattr(memo.Memo, "put", checked_put)
     for n in range(8):
         x = ext.translation((-2 * n,))
         # dihedral closed form, also after the table has been emptied
-        for y, p in checked(x).items():
+        for y, p in hecke.kl_basis(x).items():
             assert p == LaurentPolynomial.monomial(ext.length(x) - ext.length(y))
-    assert len(set(calls)) > 4
+    assert len(set(writes)) > 4
 
 
 def test_kl_and_bar_agree_under_tiny_memo_cap(monkeypatch, b2):
@@ -409,7 +412,7 @@ def test_memoized_values_are_never_written(name):
 
     def snapshot():
         return {
-            **{("kl", x): str(c.support) for x, c in hecke._kl.items()},
+            **{("kl", x): str(dict(e.support)) for x, e in hecke._kl.items()},
             **{("spherical", w): str(dict(e.support)) for w, e in hecke._spherical.items()},
             "laurent": str((ONE, V, V_INV, ZERO)),
             **{
@@ -427,7 +430,7 @@ def test_memoized_values_are_never_written(name):
         hecke.mul(hecke.standard(x), c)
         for i in range(len(ext.generators)):
             hecke_module._left_mul(ext, i, hecke_module._raw(c), *hecke_module._PLAIN)
-            hecke_module._left_mul(ext, i, hecke_module._raw(c), *hecke_module._CANONICAL)
+            hecke_module._left_mul(ext, i, hecke_module._raw(c), hecke_module._V, hecke_module._V_INV)
     for w in window[-4:]:
         hecke.inverse_m(alc.triangle(w), w)
         for y in hecke.spherical_lower_set(w):
@@ -583,3 +586,14 @@ def test_length_bound_is_a_typed_error():
         hecke.kl_basis(above)
     with pytest.raises(BoundsTooLarge):
         hecke.spherical_basis(above)
+
+
+@pytest.mark.parametrize("preset", ["A1_adj", "A1xA1_adj"])
+def test_planted_down_case_fails_bar_invariance(monkeypatch, preset):
+    # the regular and the spherical module share one recursion, so a fault in
+    # its down case, (H_s + v) M_y = M_sy + v^{-1} M_y planted as M_sy + v M_y,
+    # reaches kl_basis and the suite's bar-invariance check must report it
+    monkeypatch.setattr(hecke_module, "_V_INV", {1: 1})
+    report = run_suite(preset, names=["kl-bar-invariance"])
+    assert [c.name for c in report.checks] == ["kl-bar-invariance"]
+    assert not report.passed

@@ -26,9 +26,11 @@ eng = build_engine("A1_adj")
 ext, hecke = eng.ext, eng.hecke
 s0 = ext.parse_element("s1 : -2")
 top = ext.mul(s0, ext.w0)
-wrong = dict(hecke.kl_basis(top).items())
+entry = hecke._kl[top]
+wrong = dict(entry.support)
+lengths = tuple(n for y, n in zip(wrong, entry.lengths) if y != ext.identity)
 del wrong[ext.identity]
-hecke._kl[top] = HeckeElement(wrong)
+hecke._kl[top] = entry._replace(support=wrong, lengths=lengths)
 try:
     hecke.spherical_m(ext.identity, s0)
 except InvariantViolation:

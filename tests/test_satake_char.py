@@ -134,6 +134,10 @@ def grid_multiplicities(sat, mu):
     dominant = sorted(
         ((nu, cs) for nu, cs in grid if d.is_dominant(nu)), key=lambda t: (sum(t[1]), t[0])
     )
+
+    def form(x, y):  # the W-invariant form, summed over the positive roots
+        return sum(pair(alpha, x) * pair(alpha, y) for alpha in d.positive_roots)
+
     mult = {}
     for nu, cs in dominant:
         if nu == mu:
@@ -145,9 +149,9 @@ def grid_multiplicities(sat, mu):
             while all(a - k * b >= 0 for a, b in zip(cs, bc)):
                 higher = vec_add(nu, vec_scale(k, beta))
                 m_h = mult.get(dominant_representative(d, higher), 0)
-                numerator += 2 * m_h * d.dual_form(higher, bc)
+                numerator += 2 * m_h * form(higher, beta)
                 k += 1
-        denom = d.dual_form(vec_add(vec_add(mu, nu), sat._two_rho_vee), cs)
+        denom = form(vec_add(vec_add(mu, nu), sat._two_rho_vee), vec_sub(mu, nu))
         assert numerator % denom == 0
         mult[nu] = numerator // denom
     full = {nu: mult.get(dominant_representative(d, nu), 0) for nu, _ in grid}

@@ -12,7 +12,7 @@ from alcove_hecke.errors import BoundsTooLarge, InvariantViolation, MalformedInp
 from alcove_hecke.hecke import HeckeElement
 from alcove_hecke.laurent import LaurentPolynomial
 from alcove_hecke.suite import bar_invariance_solver, run_suite, spherical_window
-from conftest import CUSTOM, RANK3, SEMISIMPLE
+from conftest import CUSTOM, RANK3, SEMISIMPLE, plant_length_sign_flip
 
 
 def test_report_structure():
@@ -26,10 +26,9 @@ def test_report_structure():
     assert tsv.endswith("overall\tpass\t\n")
 
 
-def test_fault_injection_counterexample():
-    report = run_suite(
-        "A2_adj", kl_maxlen=4, samples=60, fault="length-sign-flip", names=["res-complement"]
-    )
+def test_fault_injection_counterexample(monkeypatch):
+    plant_length_sign_flip(monkeypatch)
+    report = run_suite("A2_adj", kl_maxlen=4, samples=60, names=["res-complement"])
     assert not report.passed
     ce = report.checks[0].counterexample
     assert ce is not None
@@ -50,7 +49,9 @@ def test_commands_quote_a_datum_path_with_a_space(monkeypatch, tmp_path):
     path = str(folder / "A2.json")
     Path(path).write_text('{"preset": "A2_adj"}', encoding="utf-8")
     # a check's own reproducer: `wext len` on the offending element
-    report = run_suite(path, fault="length-sign-flip", names=["res-complement"])
+    with monkeypatch.context() as planted:
+        plant_length_sign_flip(planted)
+        report = run_suite(path, names=["res-complement"])
     argv = shlex.split(report.checks[0].counterexample["command"])
     assert argv[:3] == ["alcove-hecke", "wext", "len"]
     assert argv[argv.index("--datum") + 1] == path

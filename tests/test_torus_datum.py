@@ -12,6 +12,7 @@ import random
 import pytest
 
 from alcove_hecke.engine import build_engine
+from alcove_hecke.errors import NotFinitary
 from alcove_hecke.root_datum import load_root_datum, pair
 
 GL2 = {"simple_roots": [[1, -1]], "simple_coroots": [[1, -1]]}
@@ -88,7 +89,7 @@ def test_class_canonicalization_collapses_orthogonal_shifts(gl2):
 
 
 def test_restricted_enumeration_refuses_infinite_set(gl2):
-    with pytest.raises(ValueError):
+    with pytest.raises(NotFinitary):
         gl2.alc.restricted_elements()
 
 
