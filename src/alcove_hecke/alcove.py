@@ -7,9 +7,12 @@ are stored as integer numerator vectors over that denominator.
 
 The tests look at x^{-1}.p0, and for x = w t_lambda that point is
 x^{-1}.p0 = w^{-1}(p0) - h lambda (in numerators).  The model therefore keeps
-one row per finite Weyl index w, holding <beta, w^{-1}(p0)> for the positive
-and for the simple roots, and decides each test from that row and one small
-dot product per root: <beta, x^{-1}.p0> = row[k] - h <beta_k, lambda>.
+one row per finite Weyl index w, holding <alpha, w^{-1}(p0)> for the simple
+roots, and decides each test from that row and one small dot product per
+simple root: <alpha_i, x^{-1}.p0> = row[i] - h <alpha_i, lambda>.  Simple
+roots suffice for the chamber test too: every positive root is a
+nonnegative integer combination of simple roots, so a point pairs positively
+with every positive root exactly when it does with every simple root.
 
 What the order and the parabolic tests ask about an element, its box
 coordinates and its restricted split x = y t_lambda, is decided once per x
@@ -55,21 +58,18 @@ class AlcoveModel:
         for beta in d.positive_roots:
             if not 0 < pair(beta, d.varsigma) < h:
                 raise InvariantViolation(f"base point {d.varsigma} leaves the fundamental alcove")
-        # per Weyl index w: <beta, w^{-1}(p0)> for the positive resp. simple roots
-        positive_rows, simple_rows = [], []
-        for w in range(d.weyl_order):
-            q = d.act_y(d.weyl_inv[w], d.varsigma)
-            positive_rows.append(tuple(pair(beta, q) for beta in d.positive_roots))
-            simple_rows.append(tuple(pair(alpha, q) for alpha in d.simple_roots))
-        self._positive_rows = tuple(positive_rows)
-        self._simple_rows = tuple(simple_rows)
+        # per Weyl index w: <alpha, w^{-1}(p0)> for the simple roots alpha
+        self._simple_rows = tuple(
+            tuple(pair(alpha, d.act_y(d.weyl_inv[w], d.varsigma)) for alpha in d.simple_roots)
+            for w in range(d.weyl_order)
+        )
         self.data = Memo(self._alcove_data)
 
     def in_wexts(self, x: ExtWeylElement) -> bool:
         """Minimal-coset-representative test: x^{-1}(A_fund) in the dominant cone."""
         h, t = self.denominator, x.t
-        for r, beta in zip(self._positive_rows[x.w], self.datum.positive_roots):
-            if r <= h * sum(map(scalar_mul, beta, t)):
+        for r, alpha in zip(self._simple_rows[x.w], self.datum.simple_roots):
+            if r <= h * sum(map(scalar_mul, alpha, t)):
                 return False
         return True
 

@@ -50,7 +50,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import InvariantViolation, MalformedInput
 from .memo import Memo
-from .root_datum import RootDatum, Vector, pair, vec_neg
+from .root_datum import RootDatum, Vector, pair, reflection, vec_neg
 
 GEN_LETTERS = "abcdefgh"
 
@@ -91,22 +91,16 @@ class ExtWeyl:
             datum.weyl_elements[datum.weyl_inv[w]].y_action for w in range(datum.weyl_order)
         )
 
-        self._simple_refl_index = []
-        for i in range(datum.rank):
-            for el in datum.weyl_elements:
-                if el.word == (i,):
-                    self._simple_refl_index.append(el.index)
-                    break
-
         self.generators: list[AffineGenerator] = [
             AffineGenerator("finite", i) for i in range(datum.rank)
         ] + [AffineGenerator("affine", c) for c in range(len(datum.components))]
         self._gen_elements: dict[AffineGenerator, ExtWeylElement] = {}
         for g in self.generators:
             if g.kind == "finite":
-                self._gen_elements[g] = ExtWeylElement(
-                    self._simple_refl_index[g.index], self.identity.t
+                widx = self._reflection_index(
+                    datum.simple_roots[g.index], datum.simple_coroots[g.index]
                 )
+                self._gen_elements[g] = ExtWeylElement(widx, self.identity.t)
             else:
                 theta = datum.highest_roots[g.index]
                 theta_vee = datum.highest_short_coroots[g.index]
@@ -140,11 +134,7 @@ class ExtWeyl:
         self._descent_rows = tuple(descent_rows)
 
     def _reflection_index(self, root: Vector, coroot: Vector) -> int:
-        n = self.datum.x_rank
-        mat = tuple(
-            tuple((1 if r == c else 0) - root[r] * coroot[c] for c in range(n))
-            for r in range(n)
-        )
+        mat = reflection(root, coroot)
         for el in self.datum.weyl_elements:
             if el.x_action == mat:
                 return el.index
@@ -190,7 +180,7 @@ class ExtWeyl:
 
     def _length_formula(self, x: ExtWeylElement) -> int:
         d = self.datum
-        flips = d.root_sign_flips(x.w)
+        flips = d.root_sign_flips[x.w]
         total = 0
         for k, alpha in enumerate(d.positive_roots):
             c = pair(alpha, x.t)

@@ -28,7 +28,7 @@ from .errors import FlavorMismatch, InvariantViolation, NotRestricted, NotSpheri
 from .ext_weyl import AffineGenerator, ExtWeylElement
 from .orders import PeriodicOrder
 from .parabolic import FinitarySubset, in_awext, in_awext_s, min_rep
-from .root_datum import Vector, vec_add, vec_neg, vec_sub
+from .root_datum import Vector, pair, vec_add, vec_neg, vec_sub
 from .satake_char import SatakeChar
 
 COVERMA = "coVerma"
@@ -97,33 +97,33 @@ class GrothCalc:
         self.datum = alc.datum
         self.order = order
         self.satake = SatakeChar(alc.datum)
-        self._orth_rows = _hermite_rows(self.datum.orthogonal_basis)
 
     # -- labels ------------------------------------------------------------
 
-    def _reduce_orthogonal(self, tau: Vector) -> Vector:
-        """Canonical representative of tau modulo the root-orthogonal sublattice."""
-        cur = list(tau)
-        for row, pivot_col in self._orth_rows:
-            q = cur[pivot_col] // row[pivot_col]
-            if q:
-                for i in range(len(cur)):
-                    cur[i] -= q * row[i]
-        return tuple(cur)
-
     def simple_label(self, x: ExtWeylElement) -> SimpleLabel:
-        """Canonical split x = rep * t_shift through the fixed section."""
+        """Canonical split x = rep * t_shift through the fixed section.
+
+        With x = y t_lam and y = w t_tau restricted, rep is w t_{tau'} with
+        tau' = section_lift(<alpha_i, tau>).  The section is a right inverse
+        of the simple roots, so tau' pairs with every simple root as tau does,
+        and tau - tau' lies in the root-orthogonal sublattice: tau' is the
+        canonical representative of tau modulo it, and it moves into the
+        shift.  On semisimple data tau' = tau.
+        """
+        d = self.datum
         y, lam = self.alc.res_decompose(x)
-        tau_red = self._reduce_orthogonal(y.t)
-        moved = vec_sub(y.t, tau_red)
-        rep = ExtWeylElement(y.w, tau_red)
-        return SimpleLabel(rep, vec_add(moved, lam))
+        tau = d.section_lift(tuple([pair(alpha, y.t) for alpha in d.simple_roots]))
+        return SimpleLabel(ExtWeylElement(y.w, tau), vec_add(vec_sub(y.t, tau), lam))
 
     def label_element(self, label: SimpleLabel) -> ExtWeylElement:
         return self.ext.mul(label.rep, ExtWeylElement(0, label.shift))
 
     def forget_grading(self, x: ExtWeylElement) -> ExtWeylElement:
-        """The equivalence class of x: its canonical section representative."""
+        """The equivalence class of x: its canonical section representative.
+
+        Forgetting the grading divides out the translations, so x and x t_nu
+        share the class `simple_label(x).rep` for every nu in Y.
+        """
         return self.simple_label(x).rep
 
     # -- class vectors -------------------------------------------------------
@@ -264,34 +264,3 @@ class GrothCalc:
             return obj
         return FiltrationMultiset(dict(obj.mults), VERMA if obj.flavor == COVERMA else COVERMA)
 
-
-def _hermite_rows(basis) -> list[tuple[list[int], int]]:
-    """Row-echelon form over Z of the given lattice basis, with pivot columns.
-
-    Used to pick canonical coset representatives modulo the lattice; empty
-    for semisimple data.
-    """
-    rows = [list(v) for v in basis]
-    out: list[tuple[list[int], int]] = []
-    col = 0
-    ncols = len(rows[0]) if rows else 0
-    while rows and col < ncols:
-        nonzero = [r for r in rows if r[col] != 0]
-        if not nonzero:
-            col += 1
-            continue
-        piv = min(nonzero, key=lambda r: abs(r[col]))
-        rows.remove(piv)
-        if piv[col] < 0:
-            piv = [-c for c in piv]
-        reduced = []
-        for r in rows:
-            q = r[col] // piv[col]
-            reduced.append([a - q * b for a, b in zip(r, piv)])
-        rows = [r for r in reduced if any(r)]
-        if any(r[col] != 0 for r in rows):
-            rows.append(piv)
-            continue
-        out.append((piv, col))
-        col += 1
-    return out

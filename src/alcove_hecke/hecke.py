@@ -48,7 +48,8 @@ Two independent routes check the recursion.  `suite.bar_invariance_solver`
 re-derives `kl_basis` from bar invariance alone, which covers every step the
 modules share.  `spherical_m` reads mbar(y, w) = h(y w0, w w0), the
 Kazhdan-Lusztig polynomial of the *maximal* coset representatives, off the
-full group, which also covers the third case.
+full group, which also covers the third case; the suite's
+`spherical-identities` check compares the two entry by entry.
 """
 
 from __future__ import annotations

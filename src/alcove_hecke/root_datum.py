@@ -5,8 +5,10 @@ character lattice X) and simple coroots (coordinates in the cocharacter
 lattice Y); the pairing X x Y -> Z is the coordinate dot product.  The loader
 validates the data (finite-type Cartan matrix, torsion-free X/ZR) and derives
 everything downstream modules need: positive roots and coroots, the finite
-Weyl group with its action matrices, the longest element, the sum of positive
-roots, and the distinguished coweight pairing to 1 with every simple root.
+Weyl group with its action matrices and root sign flips, the longest element,
+the sum of positive roots, the section of Y -> Hom(ZR, Z), and the
+distinguished coweight pairing to 1 with every simple root.  Downstream
+modules read these facts and do not re-derive them.
 
 >>> d = load_root_datum("A2_adj")
 >>> d.weyl_order, len(d.positive_roots), d.two_rho, d.varsigma
@@ -81,6 +83,12 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def reflection(root: Vector, coroot: Vector) -> Matrix:
+    """The action x -> x - <x, coroot> root on X."""
+    n = len(root)
+    return tuple(tuple(int(r == c) - root[r] * coroot[c] for c in range(n)) for r in range(n))
 
 
 # --- small exact integer linear algebra (Smith normal form based) ---
@@ -259,6 +267,8 @@ class RootDatum:
     weyl_elements: tuple[WeylElement, ...]
     weyl_mult: Matrix  # multiplication table on Weyl indices
     weyl_inv: Vector
+    # per Weyl index w, for each positive root alpha: whether w(alpha) < 0
+    root_sign_flips: tuple[tuple[bool, ...], ...]
     w0: int
     two_rho: Vector
     varsigma: Vector
@@ -296,10 +306,6 @@ class RootDatum:
 
     def act_y(self, w: int, v: Vector) -> Vector:
         return mat_apply(self.weyl_elements[w].y_action, v)
-
-    def root_sign_flips(self, w: int) -> tuple[bool, ...]:
-        """For each positive root alpha, whether w(alpha) is negative."""
-        return self._flips[w]
 
     def section_lift(self, coords: tuple[int, ...]) -> Vector:
         """Lift a functional on ZR (values on the simple roots) to Y."""
@@ -344,56 +350,35 @@ def _generate_root_system(simple_roots: Matrix, simple_coroots: Matrix):
     )
 
 
-def _enumerate_weyl(datum_dim: int, simple_roots: Matrix, simple_coroots: Matrix):
-    rank = len(simple_roots)
-    n = datum_dim
+def _enumerate_weyl(n: int, simple_roots: Matrix, simple_coroots: Matrix):
+    """The finite Weyl group by breadth-first products of simple reflections.
 
-    def refl_x(i) -> Matrix:
-        return tuple(
-            tuple(
-                (1 if r == c else 0) - simple_roots[i][r] * simple_coroots[i][c]
-                for c in range(n)
-            )
-            for r in range(n)
-        )
-
-    def refl_y(i) -> Matrix:
-        return tuple(
-            tuple(
-                (1 if r == c else 0) - simple_coroots[i][r] * simple_roots[i][c]
-                for c in range(n)
-            )
-            for r in range(n)
-        )
-
-    gens_x = [refl_x(i) for i in range(rank)]
-    gens_y = [refl_y(i) for i in range(rank)]
+    Only the action on X is enumerated.  The pairing is W-invariant, so
+    <w x, y> = <x, w^{-1} y>: the Y-action of w is the transpose of the
+    X-action of w^{-1}.
+    """
     ident = identity_matrix(n)
-    elements = [WeylElement(0, (), ident, ident)]
+    gens = [reflection(alpha, coroot) for alpha, coroot in zip(simple_roots, simple_coroots)]
+    words, actions = [()], [ident]
     index_of = {ident: 0}
     queue = [0]
     while queue:
         cur = queue.pop(0)
-        el = elements[cur]
-        for i in range(rank):
-            mx = mat_mul(el.x_action, gens_x[i])
+        for i, gen in enumerate(gens):
+            mx = mat_mul(actions[cur], gen)
             if mx in index_of:
                 continue
-            my = mat_mul(el.y_action, gens_y[i])
-            idx = len(elements)
-            elements.append(WeylElement(idx, el.word + (i,), mx, my))
-            index_of[mx] = idx
-            queue.append(idx)
-    mult = tuple(
-        tuple(index_of[mat_mul(a.x_action, b.x_action)] for b in elements) for a in elements
+            index_of[mx] = len(actions)
+            words.append(words[cur] + (i,))
+            actions.append(mx)
+            queue.append(index_of[mx])
+    mult = tuple(tuple(index_of[mat_mul(a, b)] for b in actions) for a in actions)
+    inv = tuple(row.index(0) for row in mult)
+    elements = tuple(
+        WeylElement(k, words[k], actions[k], tuple(zip(*actions[inv[k]])))
+        for k in range(len(actions))
     )
-    inv = []
-    for a in elements:
-        for j, b in enumerate(elements):
-            if mult[a.index][j] == 0:
-                inv.append(j)
-                break
-    return tuple(elements), mult, tuple(inv)
+    return elements, mult, inv
 
 
 def load_root_datum(spec) -> RootDatum:
@@ -512,7 +497,8 @@ def load_root_datum(spec) -> RootDatum:
         highest_short.append(pos_coroots[top])
         highest_roots.append(pos_roots[top])
 
-    datum = RootDatum(
+    positive = set(pos_roots)
+    return RootDatum(
         x_rank=dim,
         y_rank=dim,
         simple_roots=simple_roots,
@@ -525,6 +511,10 @@ def load_root_datum(spec) -> RootDatum:
         weyl_elements=elements,
         weyl_mult=mult,
         weyl_inv=inv,
+        root_sign_flips=tuple(
+            tuple(mat_apply(w.x_action, beta) not in positive for beta in pos_roots)
+            for w in elements
+        ),
         w0=w0,
         two_rho=two_rho,
         varsigma=varsigma,
@@ -536,9 +526,3 @@ def load_root_datum(spec) -> RootDatum:
         coroot_smith=coroot_smith,
         name=name,
     )
-    flips = tuple(
-        tuple(mat_apply(w.x_action, beta) not in set(pos_roots) for beta in pos_roots)
-        for w in elements
-    )
-    object.__setattr__(datum, "_flips", flips)
-    return datum

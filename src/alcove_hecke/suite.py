@@ -24,7 +24,7 @@ from .ext_weyl import ExtWeylElement
 from .groth_calc import COVERMA, FiltrationMultiset
 from .laurent import ONE, ZERO, LaurentPolynomial
 from .parabolic import in_awext, in_awext_s, min_rep
-from .root_datum import pair, vec_add, vec_neg, vec_scale
+from .root_datum import load_root_datum, pair, vec_add, vec_neg, vec_scale
 
 MAX_KL_LEN = 14
 MAX_SAMPLES = 20000
@@ -144,14 +144,15 @@ def awext_window(engine: Engine, a, bound: int) -> list[ExtWeylElement]:
 
 def _parabolic_cases(env: _Env):
     eng = env.engine
+    name = eng.datum.name
     cases = [("empty", eng.parabolic([]))]
     first = eng.ext.generators[0]
     cases.append((first.name, eng.parabolic([first.name])))
-    if env.preset == "A1_adj":
+    if name == "A1_adj":
         cases.append(("s0a", eng.parabolic(["s0a"])))
-    if env.preset == "A2_adj":
+    if name == "A2_adj":
         cases.append(("s1+s2", eng.parabolic(["s1", "s2"])))
-    if env.preset == "B2_adj":
+    if name == "B2_adj":
         cases.append(("s1+s2", eng.parabolic(["s1", "s2"])))
         cases.append(("s1+s0a", eng.parabolic(["s1", "s0a"])))
     return cases
@@ -475,7 +476,7 @@ def check_triangle_geometry(env: _Env):
 
 
 def check_kl_dihedral(env: _Env):
-    if env.preset != "A1_adj":
+    if env.engine.datum.name != "A1_adj":
         return True, "dihedral closed form is specific to A1_adj; skipped", None
     eng = env.engine
     ext, hecke = eng.ext, eng.hecke
@@ -630,7 +631,6 @@ def check_spherical_identities(env: _Env):
     eng = env.engine
     ext, hecke = eng.ext, eng.hecke
     window = spherical_window(eng, min(4, env.kl_maxlen))
-    rng = env.rng("spherical")
     # matrix identity on one interval: it checks the native inverse_m, built
     # from the spherical canonical basis on W_ext^S, against the full-group
     # spherical_m, read off kl_basis(w w0)
@@ -649,11 +649,16 @@ def check_spherical_identities(env: _Env):
             return False, "inverse matrix identity fails", {
                 "x": env.fmt(x), "y": env.fmt(y),
                 "command": env.cmd("hecke", "inverse-m", "--x", x, "--y", y)}
-    # the coset-representative check inside spherical_m raises on failure
-    for _ in range(20):
-        w = window[rng.randrange(len(window))]
-        y = window[rng.randrange(len(window))]
-        hecke.spherical_m(y, w)
+    # the native N_w against the full-group route, entry by entry over the
+    # spherical lower set; the coset-representative check inside spherical_m
+    # raises on failure
+    for w in window:
+        basis = hecke.spherical_basis(w)
+        for y in hecke.spherical_lower_set(w):
+            got, want = basis.get(y, ZERO), hecke.spherical_m(y, w)
+            if got != want:
+                return False, "spherical basis disagrees with the full-group route", {
+                    "x": env.fmt(w), "y": env.fmt(y), "got": str(got), "want": str(want)}
     # zeta: the spherical canonical element pairs with the longest-element
     # canonical element to the canonical element of w w0
     from .hecke import HeckeElement
@@ -892,15 +897,18 @@ def run_suite(
         raise MalformedInput(
             f"run_suite takes a preset name or a JSON path, not a {type(preset).__name__}"
         )
+    # the defaults follow the loaded datum, so a file naming a preset runs
+    # as that preset does
+    datum = load_root_datum(preset)
     if kl_maxlen is None:
-        kl_maxlen = DEFAULT_KL_LEN.get(preset, 6)
+        kl_maxlen = DEFAULT_KL_LEN.get(datum.name, 6)
     if kl_maxlen < 0 or samples < 0:
         raise MalformedInput(f"negative bound: kl_maxlen {kl_maxlen}, samples {samples}")
     if kl_maxlen > MAX_KL_LEN:
         raise BoundsTooLarge(f"kl_maxlen {kl_maxlen} > {MAX_KL_LEN}")
     if samples > MAX_SAMPLES:
         raise BoundsTooLarge(f"samples {samples} > {MAX_SAMPLES}")
-    engine = build_engine(preset)
+    engine = build_engine(datum)
     env = _Env(engine, preset, seed, samples, kl_maxlen)
     report = SuiteReport(preset, seed, samples, kl_maxlen)
     for name, fn in CHECKS:

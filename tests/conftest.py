@@ -38,7 +38,7 @@ def plant_length_sign_flip(monkeypatch):
     absorbed by the length complement identity and go unnoticed there."""
 
     def flipped(ext, x):
-        flips = ext.datum.root_sign_flips(x.w)
+        flips = ext.datum.root_sign_flips[x.w]
         total = 0
         for k, alpha in enumerate(ext.datum.positive_roots):
             c = pair(alpha, x.t)

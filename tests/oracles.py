@@ -7,7 +7,7 @@ only to check the current one against.
 import contextlib
 import sys
 
-from alcove_hecke.root_datum import vec_scale
+from alcove_hecke.root_datum import pair, vec_scale
 
 
 @contextlib.contextmanager
@@ -55,3 +55,49 @@ def porder_recursive(eng, x, y):
     Bruhat comparison."""
     n = max(eng.order._push_steps(x), eng.order._push_steps(y))
     return bruhat_recursive(eng.ext, pushed(eng, x, n), pushed(eng, y, n))
+
+
+def in_wexts_positive_roots(alc, x):
+    """The chamber test over every positive root: x^{-1}.p0 pairs positively
+    with each beta > 0, from the point w^{-1}(p0) - h lambda itself."""
+    d, h = alc.datum, alc.denominator
+    q = d.act_y(d.weyl_inv[x.w], d.varsigma)
+    return all(pair(beta, q) > h * pair(beta, x.t) for beta in d.positive_roots)
+
+
+def hermite_rows(basis):
+    """Row-echelon form over Z of a lattice basis, with pivot columns."""
+    rows = [list(v) for v in basis]
+    out = []
+    col = 0
+    ncols = len(rows[0]) if rows else 0
+    while rows and col < ncols:
+        nonzero = [r for r in rows if r[col] != 0]
+        if not nonzero:
+            col += 1
+            continue
+        piv = min(nonzero, key=lambda r: abs(r[col]))
+        rows.remove(piv)
+        if piv[col] < 0:
+            piv = [-c for c in piv]
+        reduced = []
+        for r in rows:
+            q = r[col] // piv[col]
+            reduced.append([a - q * b for a, b in zip(r, piv)])
+        rows = [r for r in reduced if any(r)]
+        if any(r[col] != 0 for r in rows):
+            rows.append(piv)
+            continue
+        out.append((piv, col))
+        col += 1
+    return out
+
+
+def hermite_reduce(rows, tau):
+    """The representative of tau modulo the lattice of `hermite_rows`: each
+    pivot coordinate reduced into [0, pivot)."""
+    cur = list(tau)
+    for row, pivot_col in rows:
+        q = cur[pivot_col] // row[pivot_col]
+        cur = [a - q * b for a, b in zip(cur, row)]
+    return tuple(cur)

@@ -8,6 +8,7 @@ from alcove_hecke.engine import build_engine
 from alcove_hecke.errors import InvariantViolation
 from alcove_hecke.ext_weyl import ExtWeylElement
 from alcove_hecke.root_datum import Vector, pair, vec_add, vec_scale
+from oracles import in_wexts_positive_roots
 
 
 # -- the action on rational points, the oracle for the per-Weyl-index tables --
@@ -229,3 +230,13 @@ def test_res_decompose_check_raises():
     alc._box_coords = lambda x: (0,)
     with pytest.raises(InvariantViolation, match="is not restricted"):
         alc.res_decompose(alc.ext.identity)
+
+
+def test_in_wexts_matches_positive_root_oracle(datum_engine):
+    # the simple-root chamber test against every positive root, on W times a
+    # translation box
+    alc, d = datum_engine.alc, datum_engine.datum
+    for w in range(d.weyl_order):
+        for t in itertools.product(range(-2, 3), repeat=d.y_rank):
+            x = ExtWeylElement(w, t)
+            assert alc.in_wexts(x) == in_wexts_positive_roots(alc, x), x

@@ -9,6 +9,7 @@ from alcove_hecke import hecke as hecke_module
 from alcove_hecke.suite import _waff_ball, run_suite, spherical_window
 from alcove_hecke.hecke import MAX_HECKE_LENGTH, HeckeAlgebra, HeckeElement
 from alcove_hecke.laurent import ONE, V, V_INV, ZERO, LaurentPolynomial
+from conftest import SEMISIMPLE
 
 
 def test_quadratic_relation(a1):
@@ -596,4 +597,15 @@ def test_planted_down_case_fails_bar_invariance(monkeypatch, preset):
     monkeypatch.setattr(hecke_module, "_V_INV", {1: 1})
     report = run_suite(preset, names=["kl-bar-invariance"])
     assert [c.name for c in report.checks] == ["kl-bar-invariance"]
+    assert not report.passed
+
+
+@pytest.mark.parametrize("preset", SEMISIMPLE)
+def test_planted_third_case_fails_spherical_identities(monkeypatch, preset):
+    # the spherical-only third case, (H_s + v) M_y = (v + v^{-1}) M_y when
+    # s y = y t, planted as v^{-1} M_y: the regular module never takes it, so
+    # only the comparison against the full-group route can see it
+    monkeypatch.setattr(hecke_module, "_V_PLUS_VINV", {-1: 1})
+    report = run_suite(preset, names=["spherical-identities"])
+    assert [c.name for c in report.checks] == ["spherical-identities"]
     assert not report.passed

@@ -1,4 +1,8 @@
+import dataclasses
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +23,7 @@ from alcove_hecke.root_datum import (
     solve_smith,
     vec_neg,
 )
-from conftest import CUSTOM, RANK3
+from conftest import CUSTOM, RANK3, SEMISIMPLE
 
 # degrees of the fundamental invariants, used as the Poincare-series oracle
 DEGREES = {
@@ -211,3 +215,23 @@ def test_varsigma_check_at_load_raises(monkeypatch):
     monkeypatch.setattr(root_datum, "solve_smith", lambda factors, rhs: [2 * c for c in real(factors, rhs)])
     with pytest.raises(InvariantViolation, match="varsigma"):
         load_root_datum("A2_adj")
+
+
+def field_digests(d):
+    """A short digest of every `RootDatum` field, the Weyl elements spelled
+    out as (index, word, X-action, Y-action)."""
+    values = {f.name: getattr(d, f.name) for f in dataclasses.fields(d)}
+    values["weyl_elements"] = [(e.index, e.word, e.x_action, e.y_action) for e in d.weyl_elements]
+    return {k: hashlib.sha256(json.dumps(v).encode()).hexdigest()[:16] for k, v in values.items()}
+
+
+LOADER_DIGESTS = Path(__file__).parent / "data" / "loader_digests.json"
+
+
+@pytest.mark.parametrize("name", SEMISIMPLE + list(CUSTOM) + list(RANK3))
+def test_loaded_fields_match_pinned_digests(name):
+    # every field the loader derives, against the digests in tests/data; a
+    # mismatch names the field that changed
+    want = json.loads(LOADER_DIGESTS.read_text(encoding="utf-8"))[name]
+    spec = CUSTOM.get(name) or RANK3.get(name) or name
+    assert field_digests(load_root_datum(spec)) == want

@@ -36,11 +36,20 @@ def test_fault_injection_counterexample(monkeypatch):
     assert "x" in ce and "y" in ce
 
 
-@pytest.mark.parametrize("preset", SEMISIMPLE)
-def test_report_matches_golden(preset):
-    # the default `suite run` report, byte for byte, as recorded in tests/data
+@pytest.mark.parametrize(
+    "preset, as_file",
+    [pytest.param(p, False, id=p) for p in SEMISIMPLE]
+    + [pytest.param(p, True, id=f"{p}-file") for p in SEMISIMPLE],
+)
+def test_report_matches_golden(preset, as_file, tmp_path):
+    # the default `suite run` report, byte for byte, as recorded in tests/data;
+    # a JSON file holding {"preset": ...} runs with that preset's defaults
     golden = Path(__file__).parent / "data" / f"suite_{preset}.tsv"
-    assert run_suite(preset).to_tsv() == golden.read_text(encoding="utf-8")
+    arg = preset
+    if as_file:
+        arg = str(tmp_path / f"{preset}.json")
+        Path(arg).write_text(json.dumps({"preset": preset}), encoding="utf-8")
+    assert run_suite(arg).to_tsv() == golden.read_text(encoding="utf-8")
 
 
 def test_commands_quote_a_datum_path_with_a_space(monkeypatch, tmp_path):

@@ -1,4 +1,4 @@
-"""A rank-1 datum with a central torus direction (GL2-style).
+"""Data with a central torus direction (GL2- and GL3-style).
 
 The exhaustive sweeps elsewhere restrict to the semisimple presets; this
 module exercises the lattice machinery that only wakes up when the
@@ -14,8 +14,10 @@ import pytest
 from alcove_hecke.engine import build_engine
 from alcove_hecke.errors import NotFinitary
 from alcove_hecke.root_datum import load_root_datum, pair
+from oracles import hermite_reduce, hermite_rows
 
 GL2 = {"simple_roots": [[1, -1]], "simple_coroots": [[1, -1]]}
+GL3 = {"simple_roots": [[1, -1, 0], [0, 1, -1]], "simple_coroots": [[1, -1, 0], [0, 1, -1]]}
 
 
 @pytest.fixture(scope="module")
@@ -117,3 +119,28 @@ def test_weight_multiplicities_for_torus_datum(gl2):
     assert wm.total() == sat.weyl_dimension(mu) == 3
     for nu, m in wm.items():
         assert sat.kostant_multiplicity(mu, nu) == m
+
+
+@pytest.mark.parametrize("spec", [GL2, GL3], ids=["GL2", "GL3"])
+def test_section_representative_matches_hermite_oracle(spec):
+    # the class representative is the section lift of tau's pairings; the
+    # oracle reduces tau modulo the root-orthogonal sublattice by its Hermite
+    # form.  Both pick one point per coset, so the Hermite forms agree and
+    # the class partitions are the same.
+    eng = build_engine(load_root_datum(spec))
+    ext, alc, groth, d = eng.ext, eng.alc, eng.groth, eng.datum
+    rows = hermite_rows(d.orthogonal_basis)
+    rng = random.Random(13)
+    central = [ext.translation([k] * d.y_rank) for k in (-2, 0, 1)]
+    pairs = set()
+    for _ in range(150):
+        x0 = ext.random_element(rng, 3)
+        for c in central:
+            x = ext.mul(x0, c)
+            label = groth.simple_label(x)
+            y, _ = alc.res_decompose(x)
+            assert groth.label_element(label) == x
+            assert label.rep.w == y.w
+            assert hermite_reduce(rows, label.rep.t) == hermite_reduce(rows, y.t)
+            pairs.add((groth.forget_grading(x), (y.w, hermite_reduce(rows, y.t))))
+    assert len({a for a, _ in pairs}) == len({b for _, b in pairs}) == len(pairs)
