@@ -4,6 +4,10 @@ Element literals are "w : t" with w a word over named generators (s1, s2,
 ..., plus s0a, s0b, ... for the affine generators) and t a comma-separated
 coweight, e.g. "s1 : -2,0".  Output is JSON by default; table-producing
 commands default to TSV.  `suite run` exits nonzero iff any check fails.
+
+Every operation is one entry of `OPS`: its flags, its default format and a
+handler `(engine, args) -> payload`.  The runner builds the engine, resolves
+`--gens` and parses the element-literal flags before the handler runs.
 """
 
 from __future__ import annotations
@@ -17,28 +21,36 @@ from .errors import AlcoveHeckeError, BoundsTooLarge, MalformedInput
 from .ext_weyl import ExtWeylElement
 from .groth_calc import COVERMA, VERMA, FiltrationMultiset
 from .parabolic import in_awext, in_awext_res, in_awext_s, min_rep
-from .suite import run_suite
+from .suite import MAX_KL_LEN, run_suite, spherical_window
+
+# the flags holding element literals, parsed in this order after --gens
+ELEMENT_FLAGS = ("elt", "lhs", "rhs", "x", "y")
 
 
 def _emit(payload, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True))
+    elif isinstance(payload, dict):
+        for k in sorted(payload):
+            print(f"{k}\t{payload[k]}")
     else:
-        if isinstance(payload, dict):
-            for k in sorted(payload):
-                print(f"{k}\t{payload[k]}")
-        else:
-            for row in payload:
-                print("\t".join(str(c) for c in row))
+        for row in payload:
+            print("\t".join(str(c) for c in row))
 
 
-def _filtration_to_payload(eng: Engine, filt: FiltrationMultiset) -> dict:
-    return {
-        "flavor": filt.flavor,
-        "items": [
-            {"label": eng.ext.format_element(w), "mult": m} for w, m in filt.items()
-        ],
-    }
+def _printable(eng: Engine, value):
+    """value with every element written as its literal, every filtration as its
+    flavor and labelled items, and every tuple as a list."""
+    if isinstance(value, ExtWeylElement):
+        return eng.ext.format_element(value)
+    if isinstance(value, FiltrationMultiset):
+        items = [{"label": w, "mult": m} for w, m in value.items()]
+        value = {"flavor": value.flavor, "items": items}
+    if isinstance(value, dict):
+        return {k: _printable(eng, v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_printable(eng, v) for v in value]
+    return value
 
 
 def _filtration_from_file(eng: Engine, path: str) -> FiltrationMultiset:
@@ -67,162 +79,154 @@ def _filtration_from_file(eng: Engine, path: str) -> FiltrationMultiset:
     return FiltrationMultiset(mults, flavor)
 
 
-def cmd_datum_check(args) -> int:
-    eng = build_engine(args.datum)
+def _datum_check(eng: Engine, args) -> dict:
     d = eng.datum
-    payload = {
+    return {
         "name": d.name,
         "rank": d.rank,
         "x_rank": d.x_rank,
         "weyl_order": d.weyl_order,
         "positive_roots": len(d.positive_roots),
         "longest_length": d.weyl_elements[d.w0].length,
-        "two_rho": list(d.two_rho),
-        "varsigma": list(d.varsigma),
-        "cartan": [list(r) for r in d.cartan],
-        "components": [list(c) for c in d.components],
+        "two_rho": d.two_rho,
+        "varsigma": d.varsigma,
+        "cartan": d.cartan,
+        "components": d.components,
         "valid": True,
     }
-    _emit(payload, args.format)
-    return 0
 
 
-def cmd_wext(args) -> int:
-    eng = build_engine(args.datum)
-    ext, alc = eng.ext, eng.alc
-    op = args.op
-    fmt = eng.ext.format_element
-    if op in ("len", "inv", "reduce", "triangle", "res-decompose", "in-wexts", "in-wres"):
-        x = ext.parse_element(args.elt)
-        if op == "len":
-            payload = {"element": fmt(x), "length": ext.length(x)}
-        elif op == "inv":
-            payload = {"element": fmt(ext.inv(x))}
-        elif op == "reduce":
-            word, omega = ext.reduced_expression(x)
-            payload = {
-                "word": [g.name for g in word],
-                "omega": fmt(omega),
-                "length": len(word),
-            }
-        elif op == "triangle":
-            payload = {"element": fmt(alc.triangle(x))}
-        elif op == "res-decompose":
-            y, lam = alc.res_decompose(x)
-            payload = {"restricted": fmt(y), "translation": list(lam)}
-        elif op == "in-wexts":
-            payload = {"element": fmt(x), "in_wexts": alc.in_wexts(x)}
-        else:
-            payload = {"element": fmt(x), "in_wres": alc.in_wres(x)}
-    elif op == "mul":
-        payload = {"element": fmt(ext.mul(ext.parse_element(args.lhs), ext.parse_element(args.rhs)))}
-    elif op == "bruhat":
-        payload = {
-            "leq": ext.bruhat_leq(ext.parse_element(args.lhs), ext.parse_element(args.rhs))
-        }
-    elif op == "porder":
-        payload = {
-            "leq": eng.order.leq(ext.parse_element(args.lhs), ext.parse_element(args.rhs))
-        }
-    else:
-        raise AlcoveHeckeError(f"unknown wext operation {op}")
-    _emit(payload, args.format)
-    return 0
+def _reduce(eng: Engine, args) -> dict:
+    word, omega = eng.ext.reduced_expression(args.elt)
+    return {"word": [g.name for g in word], "omega": omega, "length": len(word)}
 
 
-def cmd_parabolic(args) -> int:
-    eng = build_engine(args.datum)
-    a = eng.parabolic(args.gens or "")
-    if args.op == "list":
-        payload = {
-            "generators": [g.name for g in a.generators],
-            "order": a.order,
-            "longest": eng.ext.format_element(a.longest),
-            "elements": [eng.ext.format_element(e) for e in a.elements],
-        }
-    else:
-        x = eng.ext.parse_element(args.elt)
-        rep = min_rep(eng.alc, x, a)
-        payload = {
-            "element": eng.ext.format_element(x),
-            "representative": eng.ext.format_element(rep),
-            "in_awext": in_awext(eng.alc, x, a),
-            "in_awext_s": in_awext_s(eng.alc, x, a),
-            "in_awext_res": in_awext_res(eng.alc, x, a),
-        }
-    _emit(payload, args.format)
-    return 0
+def _res_decompose(eng: Engine, args) -> dict:
+    y, lam = eng.alc.res_decompose(args.elt)
+    return {"restricted": y, "translation": lam}
 
 
-def cmd_hecke(args) -> int:
-    eng = build_engine(args.datum)
-    ext = eng.ext
-    if args.op == "kl":
-        x = ext.parse_element(args.x)
-        y = ext.parse_element(args.y)
-        payload = {"h": str(eng.hecke.kl_poly(x, y))}
-        _emit(payload, args.format)
-    elif args.op == "inverse-m":
-        x = ext.parse_element(args.x)
-        y = ext.parse_element(args.y)
-        payload = {"m_inv": str(eng.hecke.inverse_m(x, y))}
-        _emit(payload, args.format)
-    else:  # mtriangle-sweep
-        from .suite import MAX_KL_LEN, spherical_window
-
-        if args.maxlen > MAX_KL_LEN:
-            raise BoundsTooLarge(f"maxlen {args.maxlen} > {MAX_KL_LEN}")
-        rows = []
-        for w in spherical_window(eng, args.maxlen):
-            tri = eng.alc.triangle(w)
-            rows.append(
-                (ext.format_element(tri), ext.format_element(w), str(eng.hecke.inverse_m(tri, w)))
-            )
-        _emit(rows, "tsv" if args.format != "json" else "json")
-    return 0
+def _parabolic_list(eng: Engine, args) -> dict:
+    a = args.gens
+    return {
+        "generators": [g.name for g in a.generators],
+        "order": a.order,
+        "longest": a.longest,
+        "elements": a.elements,
+    }
 
 
-def cmd_satake(args) -> int:
-    eng = build_engine(args.datum)
+def _parabolic_rep(eng: Engine, args) -> dict:
+    x, a = args.elt, args.gens
+    return {
+        "element": x,
+        "representative": min_rep(eng.alc, x, a),
+        "in_awext": in_awext(eng.alc, x, a),
+        "in_awext_s": in_awext_s(eng.alc, x, a),
+        "in_awext_res": in_awext_res(eng.alc, x, a),
+    }
+
+
+def _mtriangle_sweep(eng: Engine, args) -> list:
+    if args.maxlen < 0:
+        raise MalformedInput(f"negative bound: maxlen {args.maxlen}")
+    if args.maxlen > MAX_KL_LEN:
+        raise BoundsTooLarge(f"maxlen {args.maxlen} > {MAX_KL_LEN}")
+    rows = []
+    for w in spherical_window(eng, args.maxlen):
+        tri = eng.alc.triangle(w)
+        rows.append((tri, w, str(eng.hecke.inverse_m(tri, w))))
+    return rows
+
+
+def _satake_char(eng: Engine, args):
     try:
         mu = tuple(int(c) for c in args.mu.split(","))
     except ValueError as exc:
         raise MalformedInput(f"bad coweight {args.mu!r}") from exc
     wm = eng.satake.weight_multiplicities(mu)
-    if args.format == "json":
-        _emit({",".join(map(str, nu)): m for nu, m in wm.items()}, "json")
-    else:
-        _emit([( ",".join(map(str, nu)), m) for nu, m in wm.items()], "tsv")
-    return 0
+    rows = [(",".join(map(str, nu)), m) for nu, m in wm.items()]
+    return dict(rows) if args.format == "json" else rows
 
 
-def cmd_groth(args) -> int:
+def _phi_simple(eng: Engine, args) -> dict:
+    groth = eng.groth
+    items = groth.phi_of_simple(args.elt).items()
+    return {"items": [{"label": groth.label_element(l), "mult": m} for l, m in items]}
+
+
+def _dimend(eng: Engine, args) -> dict:
+    filt = eng.groth.projective_filtration(args.elt)
+    return {"dim_end": eng.groth.dim_hom(eng.groth.duality(filt), filt)}
+
+
+ELT = ("--elt", {"required": True})
+PAIR = (("--lhs", {"required": True}), ("--rhs", {"required": True}))
+GENS = ("--gens", {"default": ""})
+FILT = ("--filt", {"required": True, "help": "filtration multiset JSON file"})
+
+# group -> (help, op -> (flags, default format, handler)); each flag is
+# (name, add_argument keywords)
+OPS = {
+    "datum": ("root datum loading and validation", {
+        "check": ((), "json", _datum_check),
+    }),
+    "wext": ("extended affine Weyl group operations", {
+        "len": ((ELT,), "json", lambda eng, a: {"element": a.elt, "length": eng.ext.length(a.elt)}),
+        "inv": ((ELT,), "json", lambda eng, a: {"element": eng.ext.inv(a.elt)}),
+        "reduce": ((ELT,), "json", _reduce),
+        "triangle": ((ELT,), "json", lambda eng, a: {"element": eng.alc.triangle(a.elt)}),
+        "res-decompose": ((ELT,), "json", _res_decompose),
+        "in-wexts": ((ELT,), "json",
+                     lambda eng, a: {"element": a.elt, "in_wexts": eng.alc.in_wexts(a.elt)}),
+        "in-wres": ((ELT,), "json",
+                    lambda eng, a: {"element": a.elt, "in_wres": eng.alc.in_wres(a.elt)}),
+        "mul": (PAIR, "json", lambda eng, a: {"element": eng.ext.mul(a.lhs, a.rhs)}),
+        "bruhat": (PAIR, "json", lambda eng, a: {"leq": eng.ext.bruhat_leq(a.lhs, a.rhs)}),
+        "porder": (PAIR, "json", lambda eng, a: {"leq": eng.order.leq(a.lhs, a.rhs)}),
+    }),
+    "parabolic": ("finitary subsets and coset representatives", {
+        "list": ((("--gens", {"default": "", "help": "comma-separated generator names"}),),
+                 "json", _parabolic_list),
+        "rep": ((GENS, ELT), "json", _parabolic_rep),
+    }),
+    "hecke": ("Kazhdan-Lusztig and spherical polynomials", {
+        "kl": ((("--x", {"required": True, "help": "lower label"}),
+                ("--y", {"required": True, "help": "upper label"})),
+               "json", lambda eng, a: {"h": str(eng.hecke.kl_poly(a.x, a.y))}),
+        "inverse-m": ((("--x", {"required": True}), ("--y", {"required": True})),
+                      "json", lambda eng, a: {"m_inv": str(eng.hecke.inverse_m(a.x, a.y))}),
+        "mtriangle-sweep": ((("--maxlen", {"type": int, "default": 6}),), "tsv",
+                            _mtriangle_sweep),
+    }),
+    "satake": ("weight multiplicities for the dual group", {
+        "char": ((("--mu", {"required": True, "help": "dominant coweight, comma-separated"}),),
+                 "tsv", _satake_char),
+    }),
+    "groth": ("multiplicity calculator", {
+        "phi-simple": ((ELT,), "json", _phi_simple),
+        "proj-filtration": (
+            (ELT, ("--strategy", {"choices": ("min", "max"), "default": "min"})), "json",
+            lambda eng, a: eng.groth.projective_filtration(a.elt, strategy=a.strategy)),
+        "dimend": ((ELT,), "json", _dimend),
+        "seed": ((), "json", lambda eng, a: eng.groth.seed_filtration()),
+        "avpsi": ((GENS, FILT), "json",
+                  lambda eng, a: eng.groth.av_psi(_filtration_from_file(eng, a.filt), a.gens)),
+        "avstar": ((GENS, FILT), "json",
+                   lambda eng, a: eng.groth.av_star(_filtration_from_file(eng, a.filt), a.gens)),
+    }),
+}
+
+
+def run_op(args) -> int:
+    """Run a table operation: one engine, parsed elements, one emitted payload."""
     eng = build_engine(args.datum)
-    groth, ext = eng.groth, eng.ext
-    if args.op == "phi-simple":
-        cv = groth.phi_of_simple(ext.parse_element(args.elt))
-        payload = {
-            "items": [
-                {"label": ext.format_element(groth.label_element(l)), "mult": m}
-                for l, m in cv.items()
-            ]
-        }
-    elif args.op == "proj-filtration":
-        filt = groth.projective_filtration(ext.parse_element(args.elt), strategy=args.strategy)
-        payload = _filtration_to_payload(eng, filt)
-    elif args.op == "dimend":
-        filt = groth.projective_filtration(ext.parse_element(args.elt))
-        payload = {"dim_end": groth.dim_hom(groth.duality(filt), filt)}
-    elif args.op == "seed":
-        payload = _filtration_to_payload(eng, groth.seed_filtration())
-    elif args.op in ("avpsi", "avstar"):
-        a = eng.parabolic(args.gens or "")
-        filt = _filtration_from_file(eng, args.filt)
-        out = groth.av_psi(filt, a) if args.op == "avpsi" else groth.av_star(filt, a)
-        payload = _filtration_to_payload(eng, out)
-    else:
-        raise AlcoveHeckeError(f"unknown groth operation {args.op}")
-    _emit(payload, args.format)
+    if "gens" in vars(args):
+        args.gens = eng.parabolic(args.gens)
+    for flag in ELEMENT_FLAGS:
+        if flag in vars(args):
+            setattr(args, flag, eng.ext.parse_element(getattr(args, flag)))
+    _emit(_printable(eng, args.handler(eng, args)), args.format)
     return 0
 
 
@@ -243,89 +247,18 @@ def cmd_suite(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="alcove-hecke")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, fmt_default="json"):
-        p.add_argument("--datum", default="A1_adj", help="preset name or descriptor JSON path")
-        p.add_argument("--format", choices=("json", "tsv"), default=fmt_default)
-
-    p = sub.add_parser("datum", help="root datum loading and validation")
-    dsub = p.add_subparsers(dest="op", required=True)
-    pc = dsub.add_parser("check")
-    add_common(pc)
-    pc.set_defaults(func=cmd_datum_check)
-
-    p = sub.add_parser("wext", help="extended affine Weyl group operations")
-    wsub = p.add_subparsers(dest="op", required=True)
-    for op in ("len", "inv", "reduce", "triangle", "res-decompose", "in-wexts", "in-wres"):
-        q = wsub.add_parser(op)
-        add_common(q)
-        q.add_argument("--elt", required=True)
-        q.set_defaults(func=cmd_wext)
-    for op in ("mul", "bruhat", "porder"):
-        q = wsub.add_parser(op)
-        add_common(q)
-        q.add_argument("--lhs", required=True)
-        q.add_argument("--rhs", required=True)
-        q.set_defaults(func=cmd_wext)
-
-    p = sub.add_parser("parabolic", help="finitary subsets and coset representatives")
-    psub = p.add_subparsers(dest="op", required=True)
-    q = psub.add_parser("list")
-    add_common(q)
-    q.add_argument("--gens", default="", help="comma-separated generator names")
-    q.set_defaults(func=cmd_parabolic)
-    q = psub.add_parser("rep")
-    add_common(q)
-    q.add_argument("--gens", default="")
-    q.add_argument("--elt", required=True)
-    q.set_defaults(func=cmd_parabolic)
-
-    p = sub.add_parser("hecke", help="Kazhdan-Lusztig and spherical polynomials")
-    hsub = p.add_subparsers(dest="op", required=True)
-    q = hsub.add_parser("kl")
-    add_common(q)
-    q.add_argument("--x", required=True, help="lower label")
-    q.add_argument("--y", required=True, help="upper label")
-    q.set_defaults(func=cmd_hecke)
-    q = hsub.add_parser("inverse-m")
-    add_common(q)
-    q.add_argument("--x", required=True)
-    q.add_argument("--y", required=True)
-    q.set_defaults(func=cmd_hecke)
-    q = hsub.add_parser("mtriangle-sweep")
-    add_common(q, fmt_default="tsv")
-    q.add_argument("--maxlen", type=int, default=6)
-    q.set_defaults(func=cmd_hecke)
-
-    p = sub.add_parser("satake", help="weight multiplicities for the dual group")
-    ssub = p.add_subparsers(dest="op", required=True)
-    q = ssub.add_parser("char")
-    add_common(q, fmt_default="tsv")
-    q.add_argument("--mu", required=True, help="dominant coweight, comma-separated")
-    q.set_defaults(func=cmd_satake)
-
-    p = sub.add_parser("groth", help="multiplicity calculator")
-    gsub = p.add_subparsers(dest="op", required=True)
-    for op in ("phi-simple", "proj-filtration", "dimend"):
-        q = gsub.add_parser(op)
-        add_common(q)
-        q.add_argument("--elt", required=True)
-        if op == "proj-filtration":
-            q.add_argument("--strategy", choices=("min", "max"), default="min")
-        q.set_defaults(func=cmd_groth)
-    q = gsub.add_parser("seed")
-    add_common(q)
-    q.set_defaults(func=cmd_groth)
-    for op in ("avpsi", "avstar"):
-        q = gsub.add_parser(op)
-        add_common(q)
-        q.add_argument("--gens", default="")
-        q.add_argument("--filt", required=True, help="filtration multiset JSON file")
-        q.set_defaults(func=cmd_groth)
+    for group, (group_help, ops) in OPS.items():
+        gsub = sub.add_parser(group, help=group_help).add_subparsers(dest="op", required=True)
+        for op, (flags, fmt, handler) in ops.items():
+            q = gsub.add_parser(op)
+            q.add_argument("--datum", default="A1_adj", help="preset name or descriptor JSON path")
+            q.add_argument("--format", choices=("json", "tsv"), default=fmt)
+            for name, kw in flags:
+                q.add_argument(name, **kw)
+            q.set_defaults(func=run_op, handler=handler)
 
     p = sub.add_parser("suite", help="property and acceptance suite")
-    usub = p.add_subparsers(dest="op", required=True)
-    q = usub.add_parser("run")
+    q = p.add_subparsers(dest="op", required=True).add_parser("run")
     q.add_argument("--preset", default="A1_adj")
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--samples", type=int, default=500)

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .alcove import AlcoveModel
-from .errors import FlavorMismatch, InvariantViolation, NotRestricted, NotSpherical
+from .errors import FlavorMismatch, InvariantViolation, MalformedInput, NotRestricted, NotSpherical
 from .ext_weyl import AffineGenerator, ExtWeylElement
 from .orders import PeriodicOrder
-from .parabolic import FinitarySubset, in_awext, in_awext_s, min_rep
+from .parabolic import FinitarySubset, in_awext, min_rep
 from .root_datum import Vector, pair, vec_add, vec_neg, vec_sub
 from .satake_char import SatakeChar
 
@@ -72,7 +72,7 @@ class FiltrationMultiset:
         clean = {}
         for w, m in self.mults.items():
             if m < 0:
-                raise ValueError(f"negative multiplicity at {w}")
+                raise MalformedInput(f"negative multiplicity at {w}")
             if m:
                 clean[w] = m
         object.__setattr__(self, "mults", clean)
@@ -128,17 +128,14 @@ class GrothCalc:
 
     # -- class vectors -------------------------------------------------------
 
-    def phi_of_simple(self, w: ExtWeylElement, a: FinitarySubset | None = None) -> ClassVector:
+    def phi_of_simple(self, w: ExtWeylElement) -> ClassVector:
         """Class of the free module on the simple object labeled by w.
 
         Valid at the level of characteristic-zero character data; the labels
         and the translation pattern are characteristic-free.
         """
-        if a is None:
-            if not self.alc.in_wexts(w):
-                raise NotSpherical(f"{w} is not a minimal coset representative")
-        elif not in_awext_s(self.alc, w, a):
-            raise NotSpherical(f"{w} fails the Whittaker minimality test")
+        if not self.alc.in_wexts(w):
+            raise NotSpherical(f"{w} is not a minimal coset representative")
         x, lam = self.alc.res_decompose(w)
         mu = self.datum.act_y(self.datum.w0, lam)
         if not self.datum.is_dominant(mu):

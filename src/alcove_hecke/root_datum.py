@@ -481,21 +481,15 @@ def load_root_datum(spec) -> RootDatum:
         coroot_coords.append(tuple(sol))
     highest_roots, highest_short = [], []
     for comp in comps:
-        in_comp = [
-            k
-            for k in range(len(pos_roots))
-            if all(coroot_coords[k][i] == 0 for i in range(rank) if i not in comp)
-        ]
-        # maximal short coroot: maximize height among coroots of minimal
-        # squared length under the W-invariant form sum_alpha <alpha, .>^2
-        def sq(k):
-            return sum(pair(alpha, pos_coroots[k]) ** 2 for alpha in pos_roots)
-
-        min_sq = min(sq(k) for k in in_comp)
-        short = [k for k in in_comp if sq(k) == min_sq]
-        top = max(short, key=lambda k: sum(coroot_coords[k]))
-        highest_short.append(pos_coroots[top])
+        # the highest root is the component's root of greatest height; its
+        # coroot is the highest short coroot
+        top = max(
+            (k for k in range(len(pos_roots))
+             if all(coroot_coords[k][i] == 0 for i in range(rank) if i not in comp)),
+            key=heights.__getitem__,
+        )
         highest_roots.append(pos_roots[top])
+        highest_short.append(pos_coroots[top])
 
     positive = set(pos_roots)
     return RootDatum(

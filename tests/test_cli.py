@@ -1,7 +1,13 @@
+import ast
+import io
 import json
+import re
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+from alcove_hecke import suite
 from alcove_hecke.cli import main
 from alcove_hecke.engine import build_engine
 from alcove_hecke.hecke import MAX_HECKE_LENGTH
@@ -13,6 +19,46 @@ def run_cli(capsys, *args):
     code = main(list(args))
     out = capsys.readouterr().out
     return code, out
+
+
+CLI_GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+# help screens wrap at the terminal width, which argparse reads from COLUMNS
+GOLDEN_COLUMNS = "100"
+
+
+def write_golden_files(folder: Path) -> None:
+    """The filtration files that the golden invocations name as `{dir}/...`."""
+    seed = [{"label": "e : -1", "mult": 1}, {"label": "s1 : -1", "mult": 1}]
+    (folder / "seed.json").write_text(json.dumps({"flavor": "coVerma", "items": seed}))
+    (folder / "rep.json").write_text(json.dumps([{"label": "s1 : 0", "mult": 1}]))
+    (folder / "bad.json").write_text("not json")
+
+
+def run_golden(argv, folder) -> dict:
+    """stdout, exit code and the error type named on stderr of one invocation."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main([a.replace("{dir}", str(folder)) for a in argv])
+        except SystemExit as exc:  # argparse: --help, or a usage error
+            code = exc.code
+    typed = re.match(r"error: (\w+):", err.getvalue())
+    error = typed.group(1) if typed else ("usage" if "usage:" in err.getvalue() else None)
+    return {"stdout": out.getvalue(), "code": code, "error": error}
+
+
+GOLDEN_CASES = json.loads(CLI_GOLDEN.read_text(encoding="utf-8"))
+GOLDEN_IDS = [f"{i:03d}-{'-'.join(c['argv'][:2])}" for i, c in enumerate(GOLDEN_CASES)]
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=GOLDEN_IDS)
+def test_cli_matches_golden(case, tmp_path, monkeypatch):
+    # every op of every group in each format, typed errors and help screens,
+    # as recorded in tests/data
+    monkeypatch.setenv("COLUMNS", GOLDEN_COLUMNS)
+    write_golden_files(tmp_path)
+    want = {k: case[k] for k in ("stdout", "code", "error")}
+    assert run_golden(case["argv"], tmp_path) == want
 
 
 def test_datum_check(capsys):
@@ -258,6 +304,7 @@ def test_mtriangle_sweep_bounds_guard(capsys):
     assert code == 2 and "BoundsTooLarge" in err
     code, out = run_cli(capsys, "hecke", "mtriangle-sweep", "--datum", "A1_adj", "--maxlen", "14")
     assert code == 0 and out
+    malformed(capsys, "hecke", "mtriangle-sweep", "--datum", "A1_adj", "--maxlen", "-1")
 
 
 # A2_adj pairs whose Bruhat walk is 320 and 600 steps long; the
@@ -298,3 +345,42 @@ def test_mtriangle_sweep_on_a_datum_with_a_central_torus(capsys, tmp_path):
     code = main(["hecke", "mtriangle-sweep", "--datum", str(path), "--maxlen", "2"])
     err = capsys.readouterr().err
     assert code == 2 and "NotFinitary" in err and "Traceback" not in err
+
+
+# an A1_adj value for each flag of a suite reproducer on which it exits 0
+REPRODUCER_VALUES = {
+    "--elt": "e : 0", "--lhs": "e : 0", "--rhs": "s1 : -2", "--x": "s1 : -2", "--y": "e : 0",
+    "--mu": "2",
+}
+
+
+def suite_reproducers():
+    """argv of every `env.cmd(...)` form in suite.py, its elements filled in."""
+    tree = ast.parse(Path(suite.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        if not (isinstance(func, ast.Attribute) and func.attr == "cmd"
+                and isinstance(func.value, ast.Name) and func.value.id == "env"):
+            continue
+        group, op, *rest = node.args
+        argv = [group.value, op.value, "--datum", "A1_adj"]
+        for arg in rest:
+            if isinstance(arg, ast.Constant):
+                argv.append(arg.value)
+            elif isinstance(arg, ast.Starred):  # the parabolic's generators
+                argv += ["--gens", "s1"]
+            else:
+                argv.append(REPRODUCER_VALUES[argv[-1]])
+        yield argv
+
+
+def test_every_suite_reproducer_parses(capsys):
+    # the flag names the suite quotes in its counterexamples parse as the CLI's
+    forms = list(suite_reproducers())
+    assert {tuple(f[:2]) for f in forms} >= {
+        ("wext", "len"), ("wext", "porder"), ("wext", "bruhat"), ("wext", "triangle"),
+        ("parabolic", "rep"), ("hecke", "kl"), ("hecke", "inverse-m"),
+        ("groth", "proj-filtration"), ("groth", "phi-simple"), ("satake", "char"),
+    }
+    for argv in forms:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
