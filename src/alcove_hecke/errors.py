@@ -51,8 +51,9 @@ class FlavorMismatch(AlcoveHeckeError):
 
 
 class BoundsTooLarge(AlcoveHeckeError):
-    """A request exceeds a stated bound: the suite's sweep bounds, or the
-    element length the canonical-basis recursions accept."""
+    """A request exceeds a stated bound: the suite's sweep bounds, the
+    element length the canonical-basis recursions accept, or the number of
+    candidate weights a character computation enumerates."""
 
 
 class InvariantViolation(AlcoveHeckeError):

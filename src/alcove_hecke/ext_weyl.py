@@ -32,12 +32,16 @@ it, and the Bruhat walk reads them from the rows.
 `mul` takes two O(1) paths before the general product: a left factor with
 zero translation (a finite generator, an element of a finite parabolic
 subgroup, w0) only multiplies Weyl indices, and a right factor with the
-identity Weyl index (a translation) only adds translations.  The Bruhat
-order compares x and y only within one W_aff-coset, and x y^{-1} lies in
-W_aff exactly when lambda_x - lambda_y lies in the coroot lattice.  Within
-a coset, `_bruhat_aff` decides x <= y by a loop down y's descent chain, so
-its depth is not bounded by Python's recursion limit, and it stores its one
-answer under every pair of the chain it passed.
+identity Weyl index (a translation) only adds translations.
+
+The Bruhat order compares x and y only within one W_aff-coset, and
+x y^{-1} lies in W_aff exactly when lambda_x - lambda_y lies in the coroot
+lattice (`same_coset`, memoized per difference; the periodic order asks it
+before it translates a pair).  Within a coset, `_bruhat_aff` reads the pair
+from its table before it looks up either length, so a pair asked again
+costs one lookup.  Otherwise it decides x <= y by a loop down y's descent
+chain, so its depth is not bounded by Python's recursion limit, and it
+stores its one answer under every pair of the chain it passed.
 """
 
 from __future__ import annotations
@@ -275,12 +279,16 @@ class ExtWeyl:
 
     # -- Bruhat order ------------------------------------------------------
 
+    def same_coset(self, x: ExtWeylElement, y: ExtWeylElement) -> bool:
+        """Whether x and y lie in one W_aff-coset."""
+        # x y^{-1} lies in W_aff exactly when lam_x - lam_y is in the coroot lattice
+        return self._in_coroot_lattice[tuple(map(sub, x.t, y.t))]
+
     def bruhat_leq(self, x: ExtWeylElement, y: ExtWeylElement) -> bool:
         """Extended Bruhat order: comparable only within one W_aff-coset."""
         if x == y:
             return True
-        # x y^{-1} lies in W_aff exactly when lam_x - lam_y is in the coroot lattice
-        if not self._in_coroot_lattice[tuple(map(sub, x.t, y.t))]:
+        if not self.same_coset(x, y):
             return False
         return self._bruhat_aff(x, y)
 
@@ -292,8 +300,12 @@ class ExtWeyl:
         lengths (y's drops by one per step, x's when it descends too) and ends
         at x == y, at len x >= len y, or at a pair already in the table.  Every
         pair it passed has that same answer, so each is stored with `put`.
+        A pair asked again is read from the table before either length.
         """
         table, steps = self._bruhat, self._left_steps
+        answer = table.get((x, y))
+        if answer is not None:
+            return answer
         lx, ly = self.length(x), self.length(y)
         passed = []
         while True:

@@ -1,24 +1,32 @@
 """The periodic order on W_ext.
 
 Two elements are compared by translating both into the minimal-representative
-set W_ext^S with a common antidominant push and comparing there in Bruhat
-order; the result does not depend on the chosen push.  Comparisons are kept
-in a `Memo` table because the multiplicity calculator asks the same ones
+set W_ext^S by one common coweight and comparing there in Bruhat order; the
+result does not depend on the chosen translation.  Comparisons are kept in a
+`Memo` table because the multiplicity calculator asks the same ones
 repeatedly.
 
-The push is plain arithmetic: x t_{-N varsigma} = w t_{lambda - N varsigma}
-for x = w t_lambda, so it keeps the Weyl part and subtracts N varsigma from
-the translation.  N is read from the box coordinates that `AlcoveModel`
-keeps per element.
+A pair in two W_aff-cosets is incomparable, which the coroot-lattice test on
+lambda_x - lambda_y decides with no translation.  Otherwise the pair is
+translated by the smallest common coweight.  For x = w t_lambda,
+x t_mu = w t_{lambda + mu} keeps the Weyl part, and it lies in W_ext^S exactly
+when <alpha_i, lambda_x + mu> <= 0 for every simple root, where lambda_x is
+the translation of x's restricted split, with <alpha_i, lambda_x> = 1 - c_i
+for the box coordinates c_i of x.  So mu is the lift of the pairings
+min(c_i(x), c_i(y)) - 1, read from the box coordinates that `AlcoveModel`
+keeps per element.  mu may be positive: a pair that lies deep in W_ext^S is
+pulled back up to where the Bruhat walk is shortest.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 from .alcove import AlcoveModel
 from .errors import InvariantViolation
 from .ext_weyl import ExtWeylElement
 from .memo import Memo
-from .root_datum import vec_scale, vec_sub
+from .root_datum import Vector
 
 
 class PeriodicOrder:
@@ -29,11 +37,14 @@ class PeriodicOrder:
 
     def _push_steps(self, x: ExtWeylElement) -> int:
         """Smallest N >= 0 with x t_{-N varsigma} in W_ext^S."""
-        # x = y t_lambda with y restricted lies in W_ext^S exactly when lambda
-        # is antidominant, and res_decompose's lambda has <alpha_i, lambda> =
-        # 1 - c_i for the box coordinates c_i of x; pushing by N varsigma
-        # lowers every <alpha_i, lambda> by N
+        # pushing by N varsigma lowers every <alpha_i, lambda_x> = 1 - c_i by N
         return max([0] + [1 - c for c in self.alc.data[x].coords])
+
+    def _common_push(self, x: ExtWeylElement, y: ExtWeylElement) -> Vector:
+        """The largest mu with x t_mu and y t_mu both in W_ext^S."""
+        data = self.alc.data
+        low = [min(a, b) - 1 for a, b in zip(data[x].coords, data[y].coords)]
+        return self.alc.datum.section_lift(tuple(low))
 
     def leq(self, x: ExtWeylElement, y: ExtWeylElement) -> bool:
         if x == y:
@@ -42,10 +53,11 @@ class PeriodicOrder:
 
     def _compare(self, key: tuple[ExtWeylElement, ExtWeylElement]) -> bool:
         x, y = key
-        n = max(self._push_steps(x), self._push_steps(y))
-        push = vec_scale(n, self.alc.datum.varsigma)
-        xs = ExtWeylElement(x.w, vec_sub(x.t, push))
-        ys = ExtWeylElement(y.w, vec_sub(y.t, push))
+        if not self.ext.same_coset(x, y):
+            return False
+        mu = self._common_push(x, y)
+        xs = ExtWeylElement(x.w, tuple(map(add, x.t, mu)))
+        ys = ExtWeylElement(y.w, tuple(map(add, y.t, mu)))
         if not (self.alc.in_wexts(xs) and self.alc.in_wexts(ys)):
-            raise InvariantViolation(f"pushing {x}, {y} by {n} varsigma leaves W_ext^S")
+            raise InvariantViolation(f"translating {x}, {y} by {mu} leaves W_ext^S")
         return self.ext.bruhat_leq(xs, ys)

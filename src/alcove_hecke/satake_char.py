@@ -16,13 +16,18 @@ lie higher and were filled in first.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import le
 
-from .errors import InvariantViolation, NotDominant
+from .errors import BoundsTooLarge, InvariantViolation, NotDominant
 from .memo import Memo
 from .root_datum import RootDatum, Vector, mat_apply, pair, solve_smith, vec_add, vec_scale, vec_sub
+
+# the recursion enumerates a box of candidate weights below the highest one,
+# so a highest weight whose box is larger is refused before it is enumerated
+MAX_CHAR_BOX = 40_000
 
 
 @dataclass(frozen=True)
@@ -72,6 +77,8 @@ class SatakeChar:
     # -- Freudenthal recursion ----------------------------------------------
 
     def weight_multiplicities(self, mu: Vector) -> WeightMultiset:
+        """The character of highest weight mu; `BoundsTooLarge` when its box of
+        candidate weights holds more than `MAX_CHAR_BOX`."""
         mu = self.datum.check_y(mu)
         if not self.datum.is_dominant(mu):
             raise NotDominant(f"{mu} is not dominant")
@@ -83,6 +90,9 @@ class SatakeChar:
         span = self._gap_coords(mu, lowest)
         if span is None or any(c < 0 for c in span):
             raise InvariantViolation(f"lowest weight {lowest} is not below {mu}")
+        box = math.prod(c + 1 for c in span)
+        if box > MAX_CHAR_BOX:
+            raise BoundsTooLarge(f"{mu} has {box} > {MAX_CHAR_BOX} candidate weights")
 
         # dominant candidates: mu minus box combinations of simple coroots, each
         # decided by one row product, <alpha_i, nu> = <alpha_i, mu> - (C cs)_i

@@ -332,6 +332,8 @@ def check_per_order_lambda_independence(env: _Env):
             if not (eng.alc.in_wexts(xs) and eng.alc.in_wexts(ys)):
                 return False, "pushdown landed outside W_ext^S", {"lhs": env.fmt(x)}
             results.append(ext.bruhat_leq(xs, ys))
+        # the order's own smallest common push is one more pushdown
+        results.append(eng.order.leq(x, y))
         if len(set(results)) != 1:
             return False, "comparison depends on the pushdown", {
                 "lhs": env.fmt(x), "rhs": env.fmt(y),

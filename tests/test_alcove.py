@@ -216,12 +216,27 @@ def test_push_steps_is_smallest_push(datum_engine):
         assert order._push_steps(x) == n
 
 
+def test_common_push_is_smallest(datum_engine):
+    # x t_mu and y t_mu lie in W_ext^S, and raising any simple-root pairing of
+    # mu by one takes one of them out
+    alc, ext, order, d = datum_engine.alc, datum_engine.ext, datum_engine.order, datum_engine.datum
+    rng = random.Random(107)
+    for _ in range(300):
+        x, y = ext.random_element(rng, 4), ext.random_element(rng, 4)
+        mu = order._common_push(x, y)
+        assert all(_oracle_in_wexts(alc, ext.mul(z, ext.translation(mu))) for z in (x, y))
+        for i in range(d.rank):
+            up = vec_add(mu, d.section_lift(tuple(int(i == j) for j in range(d.rank))))
+            assert not all(_oracle_in_wexts(alc, ext.mul(z, ext.translation(up))) for z in (x, y))
+
+
 def test_push_check_raises():
     order = build_engine("A1_adj").order
     ext = order.ext
-    order._push_steps = lambda x: 0
+    # t_2 and e share a coset, and t_2 lies outside W_ext^S
+    order._common_push = lambda x, y: (0,)
     with pytest.raises(InvariantViolation, match="leaves W_ext"):
-        order.leq(ext.translation((1,)), ext.identity)
+        order.leq(ext.translation((2,)), ext.identity)
 
 
 def test_res_decompose_check_raises():

@@ -11,6 +11,7 @@ from alcove_hecke import suite
 from alcove_hecke.cli import main
 from alcove_hecke.engine import build_engine
 from alcove_hecke.hecke import MAX_HECKE_LENGTH
+from alcove_hecke.satake_char import MAX_CHAR_BOX
 from conftest import CUSTOM, plant_length_sign_flip
 from oracles import bruhat_recursive, deep_recursion, porder_recursive
 
@@ -240,6 +241,32 @@ def malformed(capsys, *args):
 
 def test_satake_char_bad_coweight(capsys):
     malformed(capsys, "satake", "char", "--datum", "A1_adj", "--mu", "1,x")
+
+
+def test_satake_char_box_bound(capsys):
+    # (100, 100) on A2 has 201^2 = 40401 candidate weights
+    code = main(["satake", "char", "--datum", "A2_adj", "--mu", "100,100"])
+    err = capsys.readouterr().err
+    assert MAX_CHAR_BOX == 40_000
+    assert code == 2 and "BoundsTooLarge" in err and "Traceback" not in err
+    code = main(["satake", "char", "--datum", "A2_adj", "--mu", "400,400"])
+    assert code == 2 and "BoundsTooLarge" in capsys.readouterr().err
+    code, out = run_cli(
+        capsys, "satake", "char", "--datum", "A1_adj", "--mu", "200", "--format", "json"
+    )
+    assert code == 0 and len(json.loads(out)) == 201
+
+
+def test_satake_char_negative_coweight(capsys):
+    # joined by "=" the coweight reaches the dominance check; written apart,
+    # argparse takes it for an option
+    code = main(["satake", "char", "--datum", "A2_adj", "--mu=-1,0"])
+    err = capsys.readouterr().err
+    assert code == 2 and "NotDominant" in err and "Traceback" not in err
+    with pytest.raises(SystemExit) as exc:
+        main(["satake", "char", "--datum", "A2_adj", "--mu", "-1,0"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
 
 
 def test_datum_file_missing(capsys, tmp_path):

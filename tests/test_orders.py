@@ -3,7 +3,8 @@ import random
 import pytest
 
 from alcove_hecke.engine import build_engine
-from alcove_hecke.root_datum import vec_add, vec_scale
+from alcove_hecke.ext_weyl import ExtWeylElement
+from alcove_hecke.root_datum import pair, vec_add, vec_scale
 from oracles import deep_recursion, porder_recursive, pushed
 
 
@@ -105,8 +106,13 @@ def test_antisymmetry_and_transitivity(any_engine):
             assert order.leq(x, z)
 
 
+def same_coset(ext, x, y):
+    return ext.in_affine_subgroup(ext.mul(x, ext.inv(y)))
+
+
 def test_direct_push_matches_group_product(datum_engine):
-    # the pair handed to the Bruhat test is x t_{-N varsigma}, y t_{-N varsigma}
+    # the pair handed to the Bruhat test is x t_mu, y t_mu for the common push
+    # mu; a pair in two cosets is handed over not at all
     eng = build_engine(datum_engine.datum)
     ext, order = eng.ext, eng.order
     handed = []
@@ -117,10 +123,61 @@ def test_direct_push_matches_group_product(datum_engine):
         x, y = ext.random_element(rng, 3), ext.random_element(rng, 3)
         if x == y or (x, y) in order._leq:
             continue
+        before = len(handed)
         answer = order.leq(x, y)
-        n = max(order._push_steps(x), order._push_steps(y))
-        assert handed[-1] == (pushed(eng, x, n), pushed(eng, y, n))
+        if same_coset(ext, x, y):
+            t_mu = ext.translation(order._common_push(x, y))
+            assert handed[before:] == [(ext.mul(x, t_mu), ext.mul(y, t_mu))]
+        else:
+            assert handed[before:] == []
         assert answer == porder_recursive(eng, x, y)
+
+
+def test_leq_matches_push_oracle(datum_engine):
+    # the smallest common push against the N varsigma push of the oracle, on
+    # random pairs, pairs with far-apart boxes, pairs deep in W_ext^S (where
+    # the common push is a pull) and pairs in two cosets
+    eng = build_engine(datum_engine.datum)
+    ext, order, alc, d = eng.ext, eng.order, eng.alc, eng.datum
+    calls = []
+    real_push, real_in_wexts = order._common_push, alc.in_wexts
+    order._common_push = lambda x, y: calls.append("push") or real_push(x, y)
+    alc.in_wexts = lambda z: calls.append("in_wexts") or real_in_wexts(z)
+    rng = random.Random(97)
+
+    def far(x):
+        # x u for u in W_aff with a long translation: same coset, far box
+        lam = (0,) * d.y_rank
+        for cv in d.simple_coroots:
+            lam = vec_add(lam, vec_scale(rng.randint(-6, 6), cv))
+        return ext.mul(x, ExtWeylElement(rng.randrange(d.weyl_order), lam))
+
+    def deep(x, y):
+        n = max(order._push_steps(x), order._push_steps(y)) + 4
+        return pushed(eng, x, n), pushed(eng, y, n), True
+
+    pairs = []
+    for _ in range(60):
+        x, y = ext.random_element(rng, 3), ext.random_element(rng, 3)
+        pairs += [(x, y, False), (x, far(x), False), (far(y), y, False), deep(x, far(x))]
+    crossed = 0
+    for x, y, pull in pairs:
+        if x == y or (x, y) in order._leq:
+            continue
+        del calls[:]
+        got = order.leq(x, y)
+        if not same_coset(ext, x, y):
+            crossed += 1
+            assert got is False and calls == []
+            continue
+        assert calls == ["push", "in_wexts", "in_wexts"]
+        if pull:
+            assert all(pair(alpha, order._common_push(x, y)) > 0 for alpha in d.simple_roots)
+        with deep_recursion():
+            assert got == porder_recursive(eng, x, y), (x, y)
+    # two cosets meet unless the coroots span Y (G2 here)
+    unit = [tuple(int(i == j) for j in range(d.y_rank)) for i in range(d.y_rank)]
+    assert crossed or all(ext.in_affine_subgroup(ext.translation(e)) for e in unit)
 
 
 @pytest.mark.parametrize("n", [80, 150])
