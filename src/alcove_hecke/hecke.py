@@ -2,9 +2,12 @@
 
 Standard basis elements H_w are indexed by W_ext; multiplication follows
 H_x H_y = H_{xy} when lengths add and H_s^2 = H_e + (v^{-1} - v) H_s.  Every
-product is a chain of one-pass left products (H_s + c) a, with c = 0 for H_s
-and c = v - v^{-1} for H_s^{-1}, and the bar involution follows its own
-recursion bar(H_s b) = H_s^{-1} bar(b), bar(H_omega) = H_omega.
+product is a chain of one-pass left products H_s a.  The bar involution
+follows its own recursion bar(H_s b) = H_s^{-1} bar(b), bar(H_omega) =
+H_omega, and writes into one accumulator: a length-zero term is added with
+its exponents negated, and each group of terms sharing a first left descent s
+is barred as a whole and multiplied by H_s^{-1} straight into the output, by
+H_s^{-1} H_w = H_sw, plus (v - v^{-1}) H_w when sw > w.
 Computations are interval-local: only the Bruhat lower set of the target
 element is ever materialized, and results live in bounded `Memo` tables.
 Every step from w to s w, with its descent bit, is read from the left-step
@@ -12,15 +15,17 @@ row of w that `ExtWeyl.left_steps` keeps, so the recursions, which revisit
 the same elements many times, pay no group product or length per term.
 
 Coefficients are built in raw accumulators: plain dicts mapping an element
-to its coefficient dict {exponent: integer}.  Every update goes through
+to its coefficient dict {exponent: integer}.  Updates go through
 `_addmul(out, w, coeffs, q)`, which adds q * coeffs to out[w] in place for a
 small raw multiplier q (1, v^{+-1}, v +- v^{-1}, an integer, or the running
-polynomial of `inverse_m`), and `_freeze` drops zeros and wraps each finished
-coefficient in one `LaurentPolynomial`; no polynomial is built per term.  The
-accumulators read the `coeffs` dicts of memoized polynomials and of the module
-constants directly, so those dicts are never written to: an accumulator entry
-is a dict of its own from its first write on (`_addmul` copies, or builds a
-fresh product), and only later writes land in place.
+polynomial of `inverse_m`), or, in `_bar`, are exponent shifts written in
+place; `_freeze` drops zeros and wraps each finished coefficient in one
+`LaurentPolynomial`, so no polynomial is built per term.  The accumulators
+read the `coeffs` dicts of memoized polynomials and of the module constants
+directly, so those dicts are never written to: an accumulator entry is a dict
+of its own from its first write on (`_addmul` copies or builds a fresh
+product, and `_bar` hands over only dicts its own recursion built), and only
+later writes land in place.
 
 The left spherical module is the quotient by the left ideal generated by
 H_s - v^{-1} for finite simple s; its standard basis M_y is indexed by the
@@ -39,13 +44,15 @@ s of x, acts on the element of s x, term by term in three cases:
 The third case never occurs in the regular module.  Constant terms below x
 are then cleared by subtracting canonical elements read from the same table,
 and the result is checked to be unitriangular with lower coefficients in
-vZ[v].  Each memoized element keeps the length of each term of its support,
-carried through the recursion, so `inverse_m`, which back-substitutes the
-inverse polynomials m^{x,y} from the spherical elements, looks up no length
-per term.
+vZ[v].  Each memoized element keeps its support in order of decreasing length,
+with the length of each term, carried through the recursion, so `inverse_m`,
+which back-substitutes the inverse polynomials m^{x,y} from the spherical
+elements, looks up no length per term and stops at the first term shorter
+than y.
 
 Two independent routes check the recursion.  `suite.bar_invariance_solver`
-re-derives `kl_basis` from bar invariance alone, which covers every step the
+re-derives `kl_basis` from bar invariance alone, by back-substitution against
+the expansions `bar` gives of the H_y below x, which covers every step the
 modules share.  `spherical_m` reads mbar(y, w) = h(y w0, w w0), the
 Kazhdan-Lusztig polynomial of the *maximal* coset representatives, off the
 full group, which also covers the third case; the suite's
@@ -75,10 +82,6 @@ _V: Coeffs = {1: 1}
 _V_INV: Coeffs = {-1: 1}
 _V_PLUS_VINV: Coeffs = {1: 1, -1: 1}
 _VINV_MINUS_V: Coeffs = {-1: 1, 1: -1}
-# (c, v^{-1} - v + c) for the left factor H_s + c, since H_s H_w = H_{sw} +
-# (v^{-1} - v) H_w when sw < w: H_s itself and H_s^{-1} = H_s + v - v^{-1}
-_PLAIN = ({}, _VINV_MINUS_V)
-_INVERSE = ({1: 1, -1: -1}, {})
 
 
 def _addmul(out: dict, w: ExtWeylElement, coeffs: Coeffs, q: Coeffs) -> None:
@@ -109,39 +112,56 @@ def _raw(a: "HeckeElement") -> dict[ExtWeylElement, Coeffs]:
     return {w: p.coeffs for w, p in a.support.items()}
 
 
-def _left_mul(ext, i: int, a: dict, c: Coeffs, down: Coeffs) -> dict:
-    """(H_s + c) a for s = ext.generators[i], in one pass over the raw a;
-    down = v^{-1} - v + c is the factor at w when sw < w."""
+def _left_mul(ext, i: int, a: dict) -> dict:
+    """H_s a for s = ext.generators[i], in one pass over the raw a, since
+    H_s H_w = H_sw, plus (v^{-1} - v) H_w when sw < w."""
     out: dict[ExtWeylElement, Coeffs] = {}
     for w, p in a.items():
-        sw, is_down = ext.left_steps(w)[i]
+        sw, down = ext.left_steps(w)[i]
         _addmul(out, sw, p, _UNIT)
-        q = down if is_down else c
-        if q:
-            _addmul(out, w, p, q)
+        if down:
+            _addmul(out, w, p, _VINV_MINUS_V)
     return out
 
 
-def _bar(ext, a: dict) -> dict:
-    """The bar involution on a raw element; see `HeckeAlgebra.bar`."""
-    leaves: dict[ExtWeylElement, Coeffs] = {}
+def _bar(ext, a: dict, out: dict) -> None:
+    """Adds the bar involution of the raw a into the raw accumulator out, in
+    place; see `HeckeAlgebra.bar`.  The dicts of a are only read, and every
+    dict handed over to out is a fresh one of this call's own."""
     groups: dict[int, dict[ExtWeylElement, Coeffs]] = {}
     for w, p in a.items():
         step = _first_step(ext, w)
-        if step is None:
-            leaves[w] = {-k: c for k, c in p.items()}
+        if step is None:  # a length-zero leaf: v -> v^{-1}
+            acc = out.get(w)
+            if acc is None:
+                out[w] = {-k: c for k, c in p.items()}
+            else:
+                for k, c in p.items():
+                    acc[-k] = acc.get(-k, 0) + c
         else:
             i, sw = step
             groups.setdefault(i, {})[sw] = p
-    parts = [leaves] + [_left_mul(ext, i, _bar(ext, rest), *_INVERSE) for i, rest in groups.items()]
-    # every part is a fresh accumulator of this call's own: the largest is
-    # taken over and the others are added into it
-    out = max(parts, key=len)
-    for part in parts:
-        if part is not out:
-            for w, p in part.items():
-                _addmul(out, w, p, _UNIT)
-    return out
+    for i, rest in groups.items():
+        barred: dict[ExtWeylElement, Coeffs] = {}
+        _bar(ext, rest, barred)
+        # H_s^{-1} H_w = H_sw, plus (v - v^{-1}) H_w when sw > w
+        for w, p in barred.items():
+            sw, down = ext.left_steps(w)[i]
+            if not down:
+                acc = out.get(w)
+                if acc is None:
+                    out[w] = acc = {}
+                get = acc.get
+                for k, c in p.items():
+                    acc[k + 1] = get(k + 1, 0) + c
+                    acc[k - 1] = get(k - 1, 0) - c
+            acc = out.get(sw)
+            if acc is None:
+                out[sw] = p  # no longer read here
+            else:
+                get = acc.get
+                for k, c in p.items():
+                    acc[k] = get(k, 0) + c
 
 
 def _first_step(ext, x: ExtWeylElement) -> tuple[int, ExtWeylElement] | None:
@@ -154,8 +174,8 @@ def _first_step(ext, x: ExtWeylElement) -> tuple[int, ExtWeylElement] | None:
 
 
 class _Canonical(NamedTuple):
-    """A memoized canonical element: the read-only map y -> coefficient, and
-    len y for each y in the map's order."""
+    """A memoized canonical element: the read-only map y -> coefficient, in
+    order of decreasing len y, and len y for each y in the map's order."""
 
     support: Mapping[ExtWeylElement, LaurentPolynomial]
     lengths: tuple[int, ...]
@@ -236,7 +256,7 @@ class HeckeAlgebra:
             for w, q in b.support.items():
                 _addmul(acc, ext.mul(omega, w), q.coeffs, p.coeffs)
             for g in reversed(word):
-                acc = _left_mul(ext, ext.generators.index(g), acc, *_PLAIN)
+                acc = _left_mul(ext, ext.generators.index(g), acc)
             for w, q in acc.items():
                 _addmul(out, w, q, _UNIT)
         return HeckeElement(_freeze(out))
@@ -251,9 +271,12 @@ class HeckeAlgebra:
         A ring map with bar(H_s) = H_s^{-1} = H_s + v - v^{-1} and
         bar(H_omega) = H_omega.  Each term of positive length is split as
         H_w = H_s H_{sw} at its first left descent s; the terms sharing s are
-        barred together as H_s^{-1} times the bar of their rest.
+        barred together as H_s^{-1} times the bar of their rest, which is
+        added into the one accumulator of the result.
         """
-        return HeckeElement(_freeze(_bar(self.ext, _raw(a))))
+        out: dict[ExtWeylElement, Coeffs] = {}
+        _bar(self.ext, _raw(a), out)
+        return HeckeElement(_freeze(out))
 
     # -- canonical basis ---------------------------------------------------
 
@@ -316,7 +339,9 @@ class HeckeAlgebra:
                     known[y] = ly
                     _addmul(out, y, q.coeffs, minus_c0)
             support = _freeze(out)
-            lengths = tuple(known[y] for y in support)
+            order = sorted(support, key=known.__getitem__, reverse=True)
+            support = {y: support[y] for y in order}
+            lengths = tuple(known[y] for y in order)
         # unitriangular, with every lower coefficient in vZ[v]
         if support.get(x) != ONE:
             raise InvariantViolation(f"canonical basis not unitriangular at {x}")
@@ -378,8 +403,9 @@ class HeckeAlgebra:
         Defined by M_x = sum_y (-1)^{len(y)+len(x)} m^{x,y} N_y and computed
         by unitriangular back-substitution over the transitive support
         closure of N_x, by decreasing length: m^{x,z} is zero off it.  Each
-        m^{x,u}, once complete, is pushed onto the support of N_u; the
-        closure is walked no lower than y.  Closure members lie in W_ext^S
+        m^{x,u}, once complete, is pushed onto the support of N_u, whose
+        terms come by decreasing length, up to the first one shorter than y;
+        the closure is walked no lower than y.  Closure members lie in W_ext^S
         by construction, so their elements are read from the table directly.
         """
         self._require_spherical(x)
@@ -400,7 +426,9 @@ class HeckeAlgebra:
             minus_m = {k: -c for k, c in m.items()}
             entry = self._spherical[u]
             for (z, p), lz in zip(entry.support.items(), entry.lengths):
-                if z == u or (lz <= ly and z != y):
+                if lz < ly:
+                    break  # the rest is shorter still
+                if z == u or (lz == ly and z != y):
                     continue
                 if z not in values:
                     heapq.heappush(heap, (-lz, z))

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import le
 
 from .errors import BoundsTooLarge, InvariantViolation, NotDominant
@@ -196,10 +195,9 @@ class SatakeChar:
         mu = self.datum.check_y(mu)
         if not self.datum.is_dominant(mu):
             raise NotDominant(f"{mu} is not dominant")
-        dim = Fraction(1)
         top = vec_add(vec_scale(2, mu), self._two_rho_vee)
-        for row in self._form_rows:
-            dim *= Fraction(pair(row, top), pair(row, self._two_rho_vee))
-        if dim.denominator != 1:
-            raise InvariantViolation(f"Weyl dimension {dim} of {mu} is not integral")
-        return int(dim)
+        num = math.prod(pair(row, top) for row in self._form_rows)
+        den = math.prod(pair(row, self._two_rho_vee) for row in self._form_rows)
+        if num % den:
+            raise InvariantViolation(f"Weyl dimension {num}/{den} of {mu} is not integral")
+        return num // den

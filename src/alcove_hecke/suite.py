@@ -16,7 +16,6 @@ import random
 import shlex
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .engine import Engine, build_engine
 from .errors import BoundsTooLarge, InvariantViolation, MalformedInput, Unrepresentable
@@ -521,72 +520,46 @@ def _waff_ball(engine: Engine, radius: int) -> dict[ExtWeylElement, int]:
 def bar_invariance_solver(engine: Engine, x: ExtWeylElement):
     """Solve the defining conditions of the canonical basis directly.
 
-    Unknown polynomials c_y in v*Z[v] for y < x are determined by the linear
-    system bar(H_x + sum c_y H_y) = H_x + sum c_y H_y, assembled through the
-    standard-basis bar expansion and solved by sparse Gauss-Jordan elimination
-    over Q: each equation is kept as a dict of its nonzero exact entries.
-    Independent of the mu-coefficient recursion and valid over any preset.
+    The unknowns are the polynomials c_y in v*Z[v], for y < x, of
+    u = H_x + sum c_y H_y with bar(u) = u.  Since bar(H_y) is H_y plus
+    shorter terms, they are found by back-substitution in order of decreasing
+    length (Kazhdan-Lusztig 1979): c_y is minus the bar of the negative-degree
+    part of the coefficient at H_y of the running raw sum
+    bar(H_x) + sum bar(c_y') bar(H_y') over the longer y' already solved.
+    Every equation of bar(u) = u, at every element and every exponent, is
+    checked at the end (`ArithmeticError` when one fails), and a
+    non-integral coefficient raises `InvariantViolation`.  Each bar(H_y) comes
+    from `HeckeAlgebra.bar`, so this is independent of the canonical-basis
+    recursion and valid over any preset.
     """
     ext, hecke = engine.ext, engine.hecke
-    lower = sorted(ext.bruhat_lower_set(x) - {x}, key=lambda z: (ext.length(z), z))
-    lx = ext.length(x)
-    variables = [(y, k) for y in lower for k in range(1, lx - ext.length(y) + 1)]
-    rhs = len(variables)  # the column holding the right-hand side
-    bars = {y: hecke.bar(hecke.standard(y)) for y in lower + [x]}
-    # rows: (z, exponent) -> linear equation {column: coefficient}
-    rows: dict[tuple, dict[int, int]] = {}
-
-    def add(z, exp, col, value):
-        row = rows.setdefault((z, exp), {})
-        row[col] = row.get(col, 0) + value
-
-    # bar(u) - u = 0 with u = H_x + sum a_{y,k} v^k H_y
-    for z, p in bars[x].items():
-        for exp, c in p.coeffs.items():
-            add(z, exp, rhs, -c)  # move constants to the rhs with a sign flip
-    add(x, 0, rhs, 1)
-    for col, (y, k) in enumerate(variables):
-        for z, p in bars[y].items():
-            for exp, c in p.coeffs.items():
-                add(z, exp - k, col, c)
-        add(y, k, col, -1)
-    # Gauss-Jordan elimination over Q; column col is pivoted in row col
-    matrix = [
-        {col: Fraction(c) for col, c in entries.items() if c}
-        for _, entries in sorted(rows.items(), key=lambda kv: (str(kv[0][0]), kv[0][1]))
-    ]
-    for col in range(rhs):
-        piv = next((i for i in range(col, len(matrix)) if col in matrix[i]), None)
-        if piv is None:
-            raise ArithmeticError("underdetermined bar-invariance system")
-        matrix[col], matrix[piv] = matrix[piv], matrix[col]
-        f = matrix[col][col]
-        pivot = matrix[col] = {k: c / f for k, c in matrix[col].items()}
-        for i, row in enumerate(matrix):
-            if i != col and col in row:
-                f = row[col]
-                for k, c in pivot.items():
-                    val = row.get(k, 0) - f * c
-                    if val:
-                        row[k] = val
-                    else:
-                        del row[k]
-    if any(row.get(rhs, 0) != 0 for row in matrix[rhs:]):
-        raise ArithmeticError("inconsistent bar-invariance system")
-    solution = {}
-    for col, var in enumerate(variables):
-        val = matrix[col].get(rhs, 0)
-        if val.denominator != 1:
-            raise InvariantViolation(f"non-integral coefficient {val} for {var} in the solver")
-        solution[var] = int(val)
-    out = {x: ONE}
+    fmt = ext.format_element
+    lower = sorted(ext.bruhat_lower_set(x) - {x}, key=lambda z: (-ext.length(z), z))
+    total = {z: dict(p.coeffs) for z, p in hecke.bar(hecke.standard(x)).items()}
+    u = {x: {0: 1}}  # the raw coefficients of u found so far
     for y in lower:
-        poly = LaurentPolynomial(
-            {k: solution[(y, k)] for k in range(1, lx - ext.length(y) + 1)}
-        )
-        if poly:
-            out[y] = poly
-    return out
+        c = {}
+        for k, a in total.get(y, {}).items():
+            if k < 0 and a:
+                if a.denominator != 1:
+                    raise InvariantViolation(
+                        f"non-integral coefficient {-a} of v^{-k} in c_y, y = {fmt(y)}, in the solver")
+                c[-k] = -int(a)
+        u[y] = c
+        for z, p in hecke.bar(hecke.standard(y)).items():
+            acc = total.setdefault(z, {})
+            for k, a in c.items():
+                for j, b in p.coeffs.items():
+                    acc[j - k] = acc.get(j - k, 0) + a * b
+    for y, c in u.items():
+        acc = total.setdefault(y, {})
+        for k, a in c.items():
+            acc[k] = acc.get(k, 0) - a
+    for z, acc in total.items():
+        for k, a in acc.items():
+            if a:
+                raise ArithmeticError(f"bar(u) - u has {a} at v^{k} H_{fmt(z)} for x = {fmt(x)}")
+    return {y: LaurentPolynomial(c) for y, c in u.items() if c}
 
 
 def check_kl_invariance(env: _Env):

@@ -6,7 +6,10 @@ only to check the current one against.
 
 import contextlib
 import sys
+from fractions import Fraction
 
+from alcove_hecke.errors import InvariantViolation
+from alcove_hecke.laurent import ONE, LaurentPolynomial
 from alcove_hecke.root_datum import pair, vec_scale
 
 
@@ -101,3 +104,74 @@ def hermite_reduce(rows, tau):
         q = cur[pivot_col] // row[pivot_col]
         cur = [a - q * b for a, b in zip(cur, row)]
     return tuple(cur)
+
+
+def bar_invariance_gauss_jordan(engine, x):
+    """The canonical element of x as the solution of its bar-invariance system.
+
+    Unknown polynomials c_y in v*Z[v] for y < x are determined by the linear
+    system bar(H_x + sum c_y H_y) = H_x + sum c_y H_y, assembled through the
+    standard-basis bar expansion and solved by sparse Gauss-Jordan elimination
+    over Q: each equation is kept as a dict of its nonzero exact entries.
+    The library's solver back-substitutes instead.
+    """
+    ext, hecke = engine.ext, engine.hecke
+    lower = sorted(ext.bruhat_lower_set(x) - {x}, key=lambda z: (ext.length(z), z))
+    lx = ext.length(x)
+    variables = [(y, k) for y in lower for k in range(1, lx - ext.length(y) + 1)]
+    rhs = len(variables)  # the column holding the right-hand side
+    bars = {y: hecke.bar(hecke.standard(y)) for y in lower + [x]}
+    # rows: (z, exponent) -> linear equation {column: coefficient}
+    rows: dict[tuple, dict[int, int]] = {}
+
+    def add(z, exp, col, value):
+        row = rows.setdefault((z, exp), {})
+        row[col] = row.get(col, 0) + value
+
+    # bar(u) - u = 0 with u = H_x + sum a_{y,k} v^k H_y
+    for z, p in bars[x].items():
+        for exp, c in p.coeffs.items():
+            add(z, exp, rhs, -c)  # move constants to the rhs with a sign flip
+    add(x, 0, rhs, 1)
+    for col, (y, k) in enumerate(variables):
+        for z, p in bars[y].items():
+            for exp, c in p.coeffs.items():
+                add(z, exp - k, col, c)
+        add(y, k, col, -1)
+    # Gauss-Jordan elimination over Q; column col is pivoted in row col
+    matrix = [
+        {col: Fraction(c) for col, c in entries.items() if c}
+        for _, entries in sorted(rows.items(), key=lambda kv: (str(kv[0][0]), kv[0][1]))
+    ]
+    for col in range(rhs):
+        piv = next((i for i in range(col, len(matrix)) if col in matrix[i]), None)
+        if piv is None:
+            raise ArithmeticError("underdetermined bar-invariance system")
+        matrix[col], matrix[piv] = matrix[piv], matrix[col]
+        f = matrix[col][col]
+        pivot = matrix[col] = {k: c / f for k, c in matrix[col].items()}
+        for i, row in enumerate(matrix):
+            if i != col and col in row:
+                f = row[col]
+                for k, c in pivot.items():
+                    val = row.get(k, 0) - f * c
+                    if val:
+                        row[k] = val
+                    else:
+                        del row[k]
+    if any(row.get(rhs, 0) != 0 for row in matrix[rhs:]):
+        raise ArithmeticError("inconsistent bar-invariance system")
+    solution = {}
+    for col, var in enumerate(variables):
+        val = matrix[col].get(rhs, 0)
+        if val.denominator != 1:
+            raise InvariantViolation(f"non-integral coefficient {val} for {var} in the solver")
+        solution[var] = int(val)
+    out = {x: ONE}
+    for y in lower:
+        poly = LaurentPolynomial(
+            {k: solution[(y, k)] for k in range(1, lx - ext.length(y) + 1)}
+        )
+        if poly:
+            out[y] = poly
+    return out

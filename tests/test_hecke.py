@@ -6,7 +6,7 @@ from alcove_hecke import memo
 from alcove_hecke.engine import build_engine
 from alcove_hecke.errors import BoundsTooLarge, InvariantViolation, NotSpherical
 from alcove_hecke import hecke as hecke_module
-from alcove_hecke.suite import _waff_ball, run_suite, spherical_window
+from alcove_hecke.suite import _waff_ball, bar_invariance_solver, run_suite, spherical_window
 from alcove_hecke.hecke import MAX_HECKE_LENGTH, HeckeAlgebra, HeckeElement
 from alcove_hecke.laurent import ONE, V, V_INV, ZERO, LaurentPolynomial
 from conftest import SEMISIMPLE
@@ -174,11 +174,8 @@ def test_left_mul_gen_matches_operator_oracle(datum_engine):
     rng = random.Random(29)
     for a in _random_elements(ext, rng, 8, 8):
         for i, g in enumerate(ext.generators):
-            for c in (ZERO, V, V - V_INV, _random_poly(rng)):
-                down = c + V_INV - V  # the factor at w when sw < w
-                raw = hecke_module._left_mul(ext, i, hecke_module._raw(a), c.coeffs, down.coeffs)
-                got = HeckeElement(hecke_module._freeze(raw))
-                assert got == _left_mul_gen_by_operators(hecke, g, a, c)
+            raw = hecke_module._left_mul(ext, i, hecke_module._raw(a))
+            assert HeckeElement(hecke_module._freeze(raw)) == _left_mul_gen_by_operators(hecke, g, a)
 
 
 def test_bar_matches_operator_oracle(datum_engine):
@@ -400,7 +397,8 @@ def test_kl_and_bar_agree_under_tiny_memo_cap(monkeypatch, b2):
 @pytest.mark.parametrize("name", ["B2_adj", "G2"])
 def test_memoized_values_are_never_written(name):
     # the raw accumulators read memoized coefficient dicts and the module's
-    # constants in place: using them in every product must leave them as they were
+    # constants in place: using them in every product, in bar and in the
+    # bar-invariance solver must leave them as they were
     eng = build_engine(G2 if name == "G2" else name)
     ext, alc, hecke = eng.ext, eng.alc, eng.hecke
     rng = random.Random(37)
@@ -427,11 +425,23 @@ def test_memoized_values_are_never_written(name):
     for x in xs:
         c = hecke.kl_basis(x)
         hecke.bar(c)
+        bar_invariance_solver(eng, x)
+        # bar hands over to its output only dicts it built itself: none of
+        # its input's, and none memoized or constant
+        raw = hecke_module._raw(c)
+        out = {}
+        hecke_module._bar(ext, raw, out)
+        read_only = {id(d) for d in raw.values()} | {
+            id(p.coeffs)
+            for table in (hecke._kl, hecke._spherical)
+            for e in table.values()
+            for p in e.support.values()
+        } | {id(p.coeffs) for p in (ONE, V, V_INV, ZERO)}
+        assert not read_only & {id(d) for d in out.values()}
         hecke.mul(c, c)
         hecke.mul(hecke.standard(x), c)
         for i in range(len(ext.generators)):
-            hecke_module._left_mul(ext, i, hecke_module._raw(c), *hecke_module._PLAIN)
-            hecke_module._left_mul(ext, i, hecke_module._raw(c), hecke_module._V, hecke_module._V_INV)
+            hecke_module._left_mul(ext, i, hecke_module._raw(c))
     for w in window[-4:]:
         hecke.inverse_m(alc.triangle(w), w)
         for y in hecke.spherical_lower_set(w):
@@ -441,9 +451,9 @@ def test_memoized_values_are_never_written(name):
 
 
 def test_no_laurent_temporaries_in_the_hot_loops(monkeypatch):
-    # kl_basis, bar(C_x) and one sweep inverse_m on B2 build every coefficient
-    # in raw dicts: no Laurent operator runs, and a polynomial is constructed
-    # only for a finished coefficient
+    # kl_basis, bar(C_x), one sweep inverse_m and the bar-invariance solver
+    # on B2 build every coefficient in raw dicts: no Laurent operator runs,
+    # and a polynomial is constructed only for a finished coefficient
     eng = build_engine("B2_adj")
     ext, alc, hecke = eng.ext, eng.alc, eng.hecke
     x = min(x for x, d in _waff_ball(eng, 6).items() if d == 6)
@@ -476,6 +486,13 @@ def test_no_laurent_temporaries_in_the_hot_loops(monkeypatch):
     constructed = ops.pop("__init__")
     assert ops == {}
     assert 0 < constructed <= sum(frozen) + 1  # and the value inverse_m returns
+    frozen.clear()
+    solved = bar_invariance_solver(eng, x)
+    assert solved == dict(c.items())
+    constructed = ops.pop("__init__")
+    assert ops == {}
+    # the bar expansions of the H_y, and one polynomial per solved coefficient
+    assert len(solved) < constructed <= sum(frozen) + len(solved)
 
 
 def test_degree_bound_assertion(a2):

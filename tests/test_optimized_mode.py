@@ -97,6 +97,16 @@ except InvariantViolation:
 else:
     raise SystemExit("solver integrality check vanished")
 
+hecke.bar = lambda a: HeckeElement(
+    {w: p for w, p in real_bar(a).items() if x in a.support or w not in a.support}
+)
+try:
+    bar_invariance_solver(eng, x)
+except ArithmeticError:
+    pass
+else:
+    raise SystemExit("solver equation check vanished")
+
 order = build_engine("A1_adj").order
 order._common_push = lambda x, y: (0,)
 try:

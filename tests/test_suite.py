@@ -13,6 +13,7 @@ from alcove_hecke.hecke import HeckeElement
 from alcove_hecke.laurent import LaurentPolynomial
 from alcove_hecke.suite import bar_invariance_solver, run_suite, spherical_window
 from conftest import CUSTOM, RANK3, SEMISIMPLE, plant_length_sign_flip
+from oracles import bar_invariance_gauss_jordan
 
 
 def test_report_structure():
@@ -115,12 +116,12 @@ def test_dihedral_solver_matches_engine(a1):
             assert p == LaurentPolynomial.monomial(ext.length(x) - ext.length(y))
 
 
-def _solver_elements(eng, per_length=2):
-    """Seeded elements of W_aff of each length 2..5, `per_length` of each."""
-    ball = suite._waff_ball(eng, 5)  # Cayley-graph distance is the length
+def _solver_elements(eng, per_length=2, maxlen=5):
+    """Seeded elements of W_aff of each length 2..maxlen, `per_length` of each."""
+    ball = suite._waff_ball(eng, maxlen)  # Cayley-graph distance is the length
     rng = random.Random(43)
     out = []
-    for n in range(2, 6):
+    for n in range(2, maxlen + 1):
         out += rng.sample(sorted(x for x, d in ball.items() if d == n), per_length)
     return out
 
@@ -128,6 +129,32 @@ def _solver_elements(eng, per_length=2):
 def test_solver_matches_kl_basis(datum_engine):
     for x in _solver_elements(datum_engine):
         assert bar_invariance_solver(datum_engine, x) == dict(datum_engine.hecke.kl_basis(x).items())
+
+
+def test_solver_matches_gauss_jordan_oracle(datum_engine):
+    # back-substitution against the old elimination over the whole system
+    for x in _solver_elements(datum_engine, 2, maxlen=6):
+        assert bar_invariance_solver(datum_engine, x) == bar_invariance_gauss_jordan(datum_engine, x)
+
+
+@pytest.mark.parametrize("preset", ["A2_adj", "B2_adj"])
+def test_solver_catches_lost_leading_term(monkeypatch, preset):
+    # bar(H_y) without its H_y term, for every y below x: only the final
+    # check of the equations can notice
+    eng = build_engine(preset)
+    hecke = eng.hecke
+    real = hecke.bar
+    for x in _solver_elements(eng, 1):
+
+        def headless(a, x=x):
+            out = real(a)
+            if x in a.support:
+                return out
+            return HeckeElement({w: p for w, p in out.items() if w not in a.support})
+
+        monkeypatch.setattr(hecke, "bar", headless)
+        with pytest.raises(ArithmeticError, match="bar\\(u\\) - u"):
+            bar_invariance_solver(eng, x)
 
 
 @pytest.mark.parametrize("preset", ["A2_adj", "B2_adj"])
