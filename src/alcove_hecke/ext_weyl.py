@@ -227,16 +227,11 @@ class ExtWeyl:
         """Write x = s_1 ... s_r * omega with r = length(x), omega length zero.
 
         Descents are peeled greedily; `strategy` picks the smallest ("min",
-        default) or largest ("max") available generator index at each step,
-        or a seeded randomized choice ("random:<seed>"), so every choice is
-        reproducible.  Any other strategy raises `MalformedInput`.
+        default) or largest ("max") available generator index at each step;
+        the two words differ exactly when x has more than one reduced word.
+        Any other strategy raises `MalformedInput`.
         """
-        rng = None
-        if strategy.startswith("random:"):
-            import random
-
-            rng = random.Random(strategy)
-        elif strategy not in ("min", "max"):
+        if strategy not in ("min", "max"):
             raise MalformedInput(f"unknown reduced-expression strategy {strategy!r}")
         word: list[AffineGenerator] = []
         cur = x
@@ -247,10 +242,7 @@ class ExtWeyl:
             descents = [k for k, (_, down) in enumerate(row) if down]
             if not descents:
                 return word, cur
-            if strategy == "min":
-                k = descents[0]
-            else:
-                k = descents[-1] if rng is None else descents[rng.randrange(len(descents))]
+            k = descents[0] if strategy == "min" else descents[-1]
             word.append(self.generators[k])
             cur = row[k][0]
         raise InvariantViolation(f"{x} of length {self.length(x)} has more left descents in a row")

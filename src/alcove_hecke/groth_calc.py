@@ -202,10 +202,12 @@ class GrothCalc:
         """Costandard filtration of the constructive projective-injective
         object attached to a restricted x.
 
-        The wall-crossing word is read off a reduced expression of
-        t_varsigma w0 x^{-1}; the result has x and its triangle image each
-        with multiplicity one and support sandwiched between them in the
-        periodic order.
+        The wall-crossing word is read off the `strategy` reduced expression
+        of t_varsigma w0 x^{-1}, and the multiset belongs to that word, since
+        products of (1 + s) obey no braid relation: on B3 the min and max
+        words differ for 34 of the 48 restricted x, and their multisets for 20.
+        The result has x and its triangle image each with multiplicity one
+        and support sandwiched between them in the periodic order.
         """
         if not self.alc.in_wres(x):
             raise NotRestricted(f"{x} is not restricted")

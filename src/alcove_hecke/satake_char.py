@@ -18,11 +18,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import le
+from operator import le, mul as scalar_mul
 
 from .errors import BoundsTooLarge, InvariantViolation, NotDominant
 from .memo import Memo
-from .root_datum import RootDatum, Vector, mat_apply, pair, solve_smith, vec_add, vec_scale, vec_sub
+from .root_datum import (RootDatum, Vector, identity_matrix, mat_apply, pair, solve_smith,
+                         vec_add, vec_scale, vec_sub)
 
 # the recursion enumerates a box of candidate weights below the highest one,
 # so a highest weight whose box is larger is refused before it is enumerated
@@ -48,6 +49,8 @@ class SatakeChar:
         self.datum = datum
         self._chars = Memo(self._freudenthal)
         self._partitions = Memo(self._count_partitions)
+        # per Weyl index, the Kostant term in linear form
+        self._kostant_rows = Memo(self._kostant_row)
         # coroot data in simple-coroot coordinates
         self._coroot_coords = list(datum.coroot_in_simple)
         # the simple coroots as columns, and the Y-action of every Weyl element
@@ -148,8 +151,6 @@ class SatakeChar:
         coords = tuple(coords)
         if any(c < 0 for c in coords):
             return 0
-        if all(c == 0 for c in coords):
-            return 1
         return self._partition_count(coords, 0)
 
     def _partition_count(self, coords: Vector, idx: int) -> int:
@@ -175,20 +176,26 @@ class SatakeChar:
         nu = self.datum.check_y(nu)
         if not self.datum.is_dominant(mu):
             raise NotDominant(f"{mu} is not dominant")
-        d = self.datum
+        gap = self._gap_coords(mu, nu)
+        if gap is None:
+            return 0
         total = 0
-        for el in d.weyl_elements:
-            shifted = vec_sub(d.act_y(el.index, self._two_rho_vee), self._two_rho_vee)
-            if any(c % 2 for c in shifted):
-                raise InvariantViolation(f"w(2rho) - 2rho = {shifted} is not even")
-            r_w = tuple(c // 2 for c in shifted)  # w(rho_vee) - rho_vee
-            arg = vec_add(d.act_y(el.index, mu), vec_sub(r_w, nu))
-            coords = self._gap_coords(arg, (0,) * d.y_rank)
-            if coords is None:
-                continue
-            p = self.kostant_partition(coords)
-            total += -p if el.length % 2 else p
+        for w in range(self.datum.weyl_order):
+            sign, shift, rows = self._kostant_rows[w]
+            coords = [s + g + sum(map(scalar_mul, row, mu)) for s, g, row in zip(shift, gap, rows)]
+            total += sign * self.kostant_partition(coords)
         return total
+
+    def _kostant_row(self, w: int) -> tuple[int, list[int], list[Vector]]:
+        """sign(w), the coordinates of w(rho) - rho, and the rows of the map taking
+        mu to those of w(mu) - mu: the Kostant term of w partitions w(mu + rho) -
+        (nu + rho), whose coordinates are these plus those of mu - nu."""
+        d = self.datum
+        doubled = self._gap_coords(d.act_y(w, self._two_rho_vee), self._two_rho_vee)
+        if any(c % 2 for c in doubled):
+            raise InvariantViolation(f"w(2rho) - 2rho = {doubled} is not even")
+        columns = [self._gap_coords(d.act_y(w, e), e) for e in identity_matrix(d.y_rank)]
+        return (-1) ** d.weyl_elements[w].length, [c // 2 for c in doubled], list(zip(*columns))
 
     def weyl_dimension(self, mu: Vector) -> int:
         """Dimension of the highest-weight module, as an exact integer."""

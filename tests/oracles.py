@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from alcove_hecke.errors import InvariantViolation
 from alcove_hecke.laurent import ONE, LaurentPolynomial
-from alcove_hecke.root_datum import pair, vec_scale
+from alcove_hecke.root_datum import pair, solve_smith, vec_add, vec_scale, vec_sub
 
 
 @contextlib.contextmanager
@@ -175,3 +175,23 @@ def bar_invariance_gauss_jordan(engine, x):
         if poly:
             out[y] = poly
     return out
+
+
+def kostant_multiplicity_per_term(sat, mu, nu):
+    """The Kostant alternating sum with one lattice solve per Weyl element:
+    the coordinates of w(mu + rho) - (nu + rho), solved afresh for every w."""
+    d = sat.datum
+    two_rho = sat._two_rho_vee
+    total = 0
+    for el in d.weyl_elements:
+        shifted = vec_sub(d.act_y(el.index, two_rho), two_rho)
+        if any(c % 2 for c in shifted):
+            raise InvariantViolation(f"w(2rho) - 2rho = {shifted} is not even")
+        r_w = tuple(c // 2 for c in shifted)  # w(rho_vee) - rho_vee
+        arg = vec_add(d.act_y(el.index, mu), vec_sub(r_w, nu))
+        coords = solve_smith(d.coroot_smith, arg)
+        if coords is None:
+            continue
+        p = sat.kostant_partition(coords)
+        total += -p if el.length % 2 else p
+    return total

@@ -377,7 +377,7 @@ def test_mtriangle_sweep_on_a_datum_with_a_central_torus(capsys, tmp_path):
 # an A1_adj value for each flag of a suite reproducer on which it exits 0
 REPRODUCER_VALUES = {
     "--elt": "e : 0", "--lhs": "e : 0", "--rhs": "s1 : -2", "--x": "s1 : -2", "--y": "e : 0",
-    "--mu": "2",
+    "--mu": "2", "--strategy": "max",
 }
 
 

@@ -87,7 +87,7 @@ def test_reduced_expression_examples(a1):
     assert word == [] and omega == ext.parse_element("s1 : -1")
 
 
-@pytest.mark.parametrize("strategy", ["mni", "", "random"])
+@pytest.mark.parametrize("strategy", ["mni", "", "random", "random:0"])
 def test_unknown_strategy_is_rejected(b2, strategy):
     ext = b2.ext
     for x in (ext.parse_element("s1 s2 : -2,1"), ext.identity):

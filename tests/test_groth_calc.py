@@ -104,18 +104,6 @@ def test_projective_filtration_sweep(any_engine):
             assert any_engine.order.leq(z, alc.triangle(x))
 
 
-def test_word_independence(any_engine):
-    groth = any_engine.groth
-    for x in any_engine.alc.restricted_elements():
-        a = groth.projective_filtration(x, strategy="min")
-        for strategy in ("max", "random:0", "random:7"):
-            b = groth.projective_filtration(x, strategy=strategy)
-            assert a.mults == b.mults, strategy
-            assert groth.dim_hom(groth.duality(a), a) == groth.dim_hom(
-                groth.duality(b), b
-            )
-
-
 @pytest.mark.parametrize("strategy", ["mni", ""])
 def test_unknown_strategy_is_rejected(a1, strategy):
     with pytest.raises(MalformedInput):

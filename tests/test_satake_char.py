@@ -2,9 +2,11 @@ import itertools
 
 import pytest
 
+from alcove_hecke import satake_char
 from alcove_hecke.errors import InvariantViolation, NotDominant
 from alcove_hecke.root_datum import pair, solve_smith, vec_add, vec_scale, vec_sub
 from alcove_hecke.satake_char import SatakeChar
+from oracles import kostant_multiplicity_per_term
 
 
 def test_trivial_module(any_engine):
@@ -168,6 +170,30 @@ def test_orbit_fill_matches_grid_route(datum_engine):
         rep = dominant_representative(d, nu)
         assert d.is_dominant(rep)
         assert any(d.act_y(w, nu) == rep for w in range(d.weyl_order))
+
+
+def test_kostant_linear_form_matches_per_term_oracle(datum_engine, monkeypatch):
+    # nu runs over a box of Y, off the support and off mu's coroot coset too;
+    # once the Weyl rows are filled, a query solves the lattice once
+    d = datum_engine.datum
+    sat = SatakeChar(d)
+    zero = (0,) * d.y_rank
+    assert sat.kostant_multiplicity(zero, zero) == 1
+    solves = []
+
+    def counted(factors, rhs):
+        solves.append(rhs)
+        return solve_smith(factors, rhs)
+
+    monkeypatch.setattr(satake_char, "solve_smith", counted)
+    queries = 0
+    bound = 2 if d.rank > 2 else 3
+    for cs in itertools.product(range(bound), repeat=d.rank):
+        mu = d.section_lift(cs)
+        for nu in itertools.product(range(-2, 3), repeat=d.y_rank):
+            assert sat.kostant_multiplicity(mu, nu) == kostant_multiplicity_per_term(sat, mu, nu)
+            queries += 1
+    assert len(solves) == queries
 
 
 # -- planted faults: each library check raises InvariantViolation --------------

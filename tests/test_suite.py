@@ -9,6 +9,7 @@ import pytest
 from alcove_hecke import cli, suite
 from alcove_hecke.engine import build_engine
 from alcove_hecke.errors import BoundsTooLarge, InvariantViolation, MalformedInput, Unrepresentable
+from alcove_hecke.ext_weyl import ExtWeyl
 from alcove_hecke.hecke import HeckeElement
 from alcove_hecke.laurent import LaurentPolynomial
 from alcove_hecke.suite import bar_invariance_solver, run_suite, spherical_window
@@ -95,6 +96,53 @@ def test_descriptor_dict_rejected(monkeypatch):
     monkeypatch.setattr(suite, "build_engine", no_build)
     with pytest.raises(MalformedInput, match="preset name or a JSON path"):
         run_suite(CUSTOM["G2"], names=["kl-bar-invariance"])
+
+
+def test_unknown_check_names_rejected(monkeypatch):
+    # a retired or misspelt name would otherwise leave out its check and pass
+    monkeypatch.setattr(suite, "build_engine", None)
+    with pytest.raises(MalformedInput, match="proj-word-independence"):
+        run_suite("A1_adj", names=["res-complement", "proj-word-independence"])
+
+
+@pytest.mark.parametrize("name, differ", [("B3", 20), ("C3", 0)])
+def test_proj_filtration_on_rank3_data(tmp_path, name, differ):
+    # t_varsigma w0 x^{-1} has more than one reduced word for 34 of the 48
+    # restricted x; on B3 the min and max words give different multisets for
+    # 20 of them, and each multiset has every word-free property
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(RANK3[name]), encoding="utf-8")
+    check = run_suite(str(path), names=["proj-filtration"]).checks[0]
+    assert check.status == "pass", check.counterexample
+    assert check.detail == (
+        "exhaustive over 48 restricted elements; 34 with more than one reduced word,"
+        f" {differ} whose min and max multisets differ"
+    )
+
+
+def test_proj_filtration_fault_on_the_max_word(monkeypatch, tmp_path, capsys):
+    # a max word that loses its last letter misses an endpoint label; the min
+    # word is sound, so only an x with two reduced words (on G2) shows it
+    path = tmp_path / "G2.json"
+    path.write_text(json.dumps(CUSTOM["G2"]), encoding="utf-8")
+    real = ExtWeyl.omega_left_form
+
+    def short_max(ext, x, strategy="min"):
+        omega, word = real(ext, x, strategy)
+        return omega, word[:-1] if strategy == "max" else word
+
+    monkeypatch.setattr(ExtWeyl, "omega_left_form", short_max)
+    check = run_suite(str(path), names=["proj-filtration"]).checks[0]
+    assert check.status == "fail" and check.detail.startswith("max word: ")
+    argv = shlex.split(check.counterexample["command"])
+    assert argv[1:3] == ["groth", "proj-filtration"]
+    assert argv[argv.index("--strategy") + 1] == "max"
+    # the command reproduces the fault under the plant, and runs clean without it
+    assert cli.main(argv[1:]) == 2
+    fault = check.detail.removeprefix("max word: ")
+    assert f"InvariantViolation: {fault}" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert cli.main(argv[1:]) == 0
 
 
 def test_spherical_window_lengths(a2):
