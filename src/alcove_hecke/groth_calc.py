@@ -206,6 +206,9 @@ class GrothCalc:
         of t_varsigma w0 x^{-1}, and the multiset belongs to that word, since
         products of (1 + s) obey no braid relation: on B3 the min and max
         words differ for 34 of the 48 restricted x, and their multisets for 20.
+        Comparing these two words bounds the word dependence only from below:
+        on C3 they agree on all 48 x, yet over all reduced words 16 x have
+        more than one multiset (on B3, 20 x, as many as the two words show).
         The result has x and its triangle image each with multiplicity one
         and support sandwiched between them in the periodic order.
         """

@@ -1,10 +1,10 @@
 """The extended Hecke algebra, its canonical basis, and the spherical module.
 
 Standard basis elements H_w are indexed by W_ext; multiplication follows
-H_x H_y = H_{xy} when lengths add and H_s^2 = H_e + (v^{-1} - v) H_s.  Every
-product is a chain of one-pass left products H_s a.  The bar involution
-follows its own recursion bar(H_s b) = H_s^{-1} bar(b), bar(H_omega) =
-H_omega, and writes into one accumulator: a length-zero term is added with
+H_x H_y = H_{xy} when lengths add and H_s^2 = H_e + (v^{-1} - v) H_s; the
+one product offered is by a generator, a H_s in `right_mul_gen`.  The bar
+involution follows its own recursion bar(H_s b) = H_s^{-1} bar(b),
+bar(H_omega) = H_omega, and writes into one accumulator: a length-zero term is added with
 its exponents negated, and each group of terms sharing a first left descent s
 is barred as a whole and multiplied by H_s^{-1} straight into the output, by
 H_s^{-1} H_w = H_sw, plus (v - v^{-1}) H_w when sw > w.
@@ -53,10 +53,11 @@ than y.
 Two independent routes check the recursion.  `suite.bar_invariance_solver`
 re-derives `kl_basis` from bar invariance alone, by back-substitution against
 the expansions `bar` gives of the H_y below x, which covers every step the
-modules share.  `spherical_m` reads mbar(y, w) = h(y w0, w w0), the
-Kazhdan-Lusztig polynomial of the *maximal* coset representatives, off the
-full group, which also covers the third case; the suite's
-`spherical-identities` check compares the two entry by entry.
+modules share.  The suite's `spherical-identities` check also covers the
+third case: it expands sum_y mbar(y, w) H_y C_{w0} from `spherical_basis(w)`
+and `kl_basis(w0)` and compares it with the full-group C_{w w0} coefficient
+by coefficient, so mbar(y, w) must be h(y w0, w w0), the Kazhdan-Lusztig
+polynomial of the *maximal* coset representatives.
 """
 
 from __future__ import annotations
@@ -110,18 +111,6 @@ def _freeze(out: dict) -> dict[ExtWeylElement, LaurentPolynomial]:
 
 def _raw(a: "HeckeElement") -> dict[ExtWeylElement, Coeffs]:
     return {w: p.coeffs for w, p in a.support.items()}
-
-
-def _left_mul(ext, i: int, a: dict) -> dict:
-    """H_s a for s = ext.generators[i], in one pass over the raw a, since
-    H_s H_w = H_sw, plus (v^{-1} - v) H_w when sw < w."""
-    out: dict[ExtWeylElement, Coeffs] = {}
-    for w, p in a.items():
-        sw, down = ext.left_steps(w)[i]
-        _addmul(out, sw, p, _UNIT)
-        if down:
-            _addmul(out, w, p, _VINV_MINUS_V)
-    return out
 
 
 def _bar(ext, a: dict, out: dict) -> None:
@@ -201,16 +190,6 @@ class HeckeElement:
     def __bool__(self) -> bool:
         return bool(self.support)
 
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        out: dict[ExtWeylElement, Coeffs] = {}
-        for a in (self, other):
-            for w, p in a.support.items():
-                _addmul(out, w, p.coeffs, _UNIT)
-        return HeckeElement(_freeze(out))
-
-    def scaled(self, p: LaurentPolynomial) -> "HeckeElement":
-        return HeckeElement({w: p * q for w, q in self.support.items()})
-
     def __repr__(self) -> str:
         return f"HeckeElement({self.support!r})"
 
@@ -244,21 +223,6 @@ class HeckeAlgebra:
             _addmul(out, ws, p.coeffs, _UNIT)
             if ext.length(ws) < ext.length(w):
                 _addmul(out, w, p.coeffs, _VINV_MINUS_V)
-        return HeckeElement(_freeze(out))
-
-    def mul(self, a: HeckeElement, b: HeckeElement) -> HeckeElement:
-        """a * b, each term p H_x of a acting as p H_{s_1} ... H_{s_r} H_omega."""
-        ext = self.ext
-        out: dict[ExtWeylElement, Coeffs] = {}
-        for x, p in a.support.items():
-            word, omega = ext.reduced_expression(x)
-            acc: dict[ExtWeylElement, Coeffs] = {}
-            for w, q in b.support.items():
-                _addmul(acc, ext.mul(omega, w), q.coeffs, p.coeffs)
-            for g in reversed(word):
-                acc = _left_mul(ext, ext.generators.index(g), acc)
-            for w, q in acc.items():
-                _addmul(out, w, q, _UNIT)
         return HeckeElement(_freeze(out))
 
     def standard_inverse(self, x: ExtWeylElement) -> HeckeElement:
@@ -370,26 +334,6 @@ class HeckeAlgebra:
         y -> mbar(y, w); w is at most `MAX_HECKE_LENGTH` long."""
         self._require_spherical(w)
         return self._spherical[w].support
-
-    def spherical_m(self, y: ExtWeylElement, w: ExtWeylElement) -> LaurentPolynomial:
-        """Canonical-basis coefficient mbar(y, w) of the left spherical module.
-
-        The full-group route, kept as the oracle for `spherical_basis`:
-        computed as h(y w0, w w0) and checked against the representative y
-        itself: the identity h(y u, w w0) = v^{len(w0) - len(u)} * mbar(y, w)
-        for u in W pins the whole coset, so data computed through a second
-        representative must agree after the corresponding power shift.
-        """
-        self._require_spherical(y)
-        self._require_spherical(w)
-        ext = self.ext
-        table = self.kl_basis(ext.mul(w, ext.w0))
-        m = table.coeff(ext.mul(y, ext.w0))
-        lw0 = ext.length(ext.w0)
-        if table.coeff(y) != LaurentPolynomial.monomial(lw0) * m:
-            raise InvariantViolation(f"coset check fails for mbar({y}, {w})")
-        self._check_degree(m, ext.length(w) + lw0)
-        return m
 
     def spherical_lower_set(self, x: ExtWeylElement) -> list[ExtWeylElement]:
         """Minimal representatives below x, sorted by decreasing length."""

@@ -438,7 +438,6 @@ def check_tri_bijection(env: _Env):
                 return False, f"A={label}: inversion fails", {
                     "element": env.fmt(v),
                     "command": env.cmd("wext", "triangle", "--elt", w)}
-        del image
     return True, "bijection verified pointwise on translation windows", None
 
 
@@ -469,8 +468,6 @@ def check_triangle_geometry(env: _Env):
         if ext.mul(y, alc.triangle(x)) != top:
             return False, "complement does not send the triangle to the twist", {
                 "element": env.fmt(x)}
-        if ext.length(ext.mul(y, x)) != ext.length(y) + ext.length(x):
-            return False, "lengths do not add against the complement", {"element": env.fmt(x)}
         if ext.length(ext.mul(y, alc.triangle(x))) != ext.length(alc.triangle(x)) - ext.length(y):
             return False, "triangle length drop is off", {"element": env.fmt(x)}
     return True, "round trips, parity, translation equivariance, complements", None
@@ -606,16 +603,15 @@ def check_spherical_identities(env: _Env):
     eng = env.engine
     ext, hecke = eng.ext, eng.hecke
     window = spherical_window(eng, min(4, env.kl_maxlen))
-    # matrix identity on one interval: it checks the native inverse_m, built
-    # from the spherical canonical basis on W_ext^S, against the full-group
-    # spherical_m, read off kl_basis(w w0)
+    # matrix identity on one interval: the inverse family m^{x,z} against the
+    # canonical elements N_z
     x = window[-1]
     lower = hecke.spherical_lower_set(x)
     for y in lower:
         acc = ZERO
         for z in lower:
             imz = hecke.inverse_m(x, z)
-            mz = hecke.spherical_m(y, z)
+            mz = hecke.spherical_basis(z).get(y, ZERO)
             if imz and mz:
                 term = imz * mz
                 acc = acc + (term if (ext.length(z) + ext.length(x)) % 2 == 0 else -term)
@@ -624,29 +620,24 @@ def check_spherical_identities(env: _Env):
             return False, "inverse matrix identity fails", {
                 "x": env.fmt(x), "y": env.fmt(y),
                 "command": env.cmd("hecke", "inverse-m", "--x", x, "--y", y)}
-    # the native N_w against the full-group route, entry by entry over the
-    # spherical lower set; the coset-representative check inside spherical_m
-    # raises on failure
+    # zeta: C_{w w0} = sum_y mbar(y, w) H_y C_{w0} = sum_{y, u} mbar(y, w)
+    # h(u, w0) H_{y u} over u in W, as lengths add in y u for y in W_ext^S;
+    # the y u are distinct, so every coefficient of the full-group C_{w w0}
+    # is compared, and its support
+    longest = hecke.kl_basis(ext.w0).support
     for w in window:
-        basis = hecke.spherical_basis(w)
-        for y in hecke.spherical_lower_set(w):
-            got, want = basis.get(y, ZERO), hecke.spherical_m(y, w)
-            if got != want:
-                return False, "spherical basis disagrees with the full-group route", {
-                    "x": env.fmt(w), "y": env.fmt(y), "got": str(got), "want": str(want)}
-    # zeta: the spherical canonical element pairs with the longest-element
-    # canonical element to the canonical element of w w0
-    from .hecke import HeckeElement
-
-    w = window[min(3, len(window) - 1)]
-    total = HeckeElement()
-    for y in hecke.spherical_lower_set(w):
-        m = hecke.spherical_m(y, w)
-        if m:
-            total = total + hecke.mul(hecke.standard(y), hecke.kl_basis(ext.w0)).scaled(m)
-    if total != hecke.kl_basis(ext.mul(w, ext.w0)):
-        return False, "zeta compatibility fails", {"element": env.fmt(w)}
-    return True, f"matrix identity on {len(lower)} labels; zeta at {env.fmt(w)}", None
+        top = ext.mul(w, ext.w0)
+        got = {ext.mul(y, u): m * h
+               for y, m in hecke.spherical_basis(w).items() for u, h in longest.items()}
+        want = dict(hecke.kl_basis(top).items())
+        if got != want:
+            z = min(z for z in got.keys() | want.keys() if got.get(z) != want.get(z))
+            return False, "zeta compatibility fails", {
+                "w": env.fmt(w), "label": env.fmt(z),
+                "got": str(got.get(z, ZERO)), "want": str(want.get(z, ZERO)),
+                "command": env.cmd("hecke", "kl", "--x", z, "--y", top)}
+    shown = window[min(3, len(window) - 1)]  # one element named, for byte-stable reports
+    return True, f"matrix identity on {len(lower)} labels; zeta at {env.fmt(shown)}", None
 
 
 def check_m_triangle(env: _Env):
@@ -708,8 +699,6 @@ def check_proj_filtration(env: _Env):
                 return False, f"{strategy} word: {exc}", ce
             if filts[-1].total() != eng.datum.weyl_order * 2 ** ext.length(y):
                 return False, "total multiplicity is off", {**ce, "total": filts[-1].total()}
-            if groth.duality(filts[-1]).mults != filts[-1].mults:
-                return False, "dual multiset differs", ce
         several += both
         differ += filts[0].mults != filts[-1].mults
     return True, (f"exhaustive over {len(restricted)} restricted elements; {several} with more"

@@ -9,7 +9,8 @@ import sys
 from fractions import Fraction
 
 from alcove_hecke.errors import InvariantViolation
-from alcove_hecke.laurent import ONE, LaurentPolynomial
+from alcove_hecke.hecke import HeckeElement
+from alcove_hecke.laurent import ONE, V, V_INV, ZERO, LaurentPolynomial
 from alcove_hecke.root_datum import pair, solve_smith, vec_add, vec_scale, vec_sub
 
 
@@ -195,3 +196,41 @@ def kostant_multiplicity_per_term(sat, mu, nu):
         p = sat.kostant_partition(coords)
         total += -p if el.length % 2 else p
     return total
+
+
+def mbar(hecke, y, w):
+    """mbar(y, w) off the full group, as h(y w0, w w0): the Kazhdan-Lusztig
+    polynomial of the maximal coset representatives."""
+    ext = hecke.ext
+    return hecke.kl_basis(ext.mul(w, ext.w0)).coeff(ext.mul(y, ext.w0))
+
+
+def hecke_combination(terms):
+    """sum p a over the pairs (p, a) of a polynomial and a Hecke element."""
+    out = {}
+    for p, a in terms:
+        for w, q in a.items():
+            out[w] = out.get(w, ZERO) + p * q
+    return HeckeElement(out)
+
+
+def hecke_product(ext, a, b):
+    """a b, each term p H_x of a acting as p H_{s_1} ... H_{s_r} H_omega on b,
+    one generator at a time: H_s H_w = H_sw, plus (v^{-1} - v) H_w when
+    sw < w, with group products and lengths."""
+    out = {}
+    for x, p in a.items():
+        word, omega = ext.reduced_expression(x)
+        acc = {ext.mul(omega, w): p * q for w, q in b.items()}
+        for g in reversed(word):
+            s = ext.gen_element(g)
+            step = {}
+            for w, q in acc.items():
+                sw = ext.mul(s, w)
+                step[sw] = step.get(sw, ZERO) + q
+                if ext.length(sw) < ext.length(w):
+                    step[w] = step.get(w, ZERO) + (V_INV - V) * q
+            acc = step
+        for w, q in acc.items():
+            out[w] = out.get(w, ZERO) + q
+    return HeckeElement(out)

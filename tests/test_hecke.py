@@ -1,22 +1,26 @@
+import json
 import random
+import shlex
+from pathlib import Path
 
 import pytest
 
-from alcove_hecke import memo
+from alcove_hecke import cli, memo, suite
 from alcove_hecke.engine import build_engine
 from alcove_hecke.errors import BoundsTooLarge, InvariantViolation, NotSpherical
 from alcove_hecke import hecke as hecke_module
 from alcove_hecke.suite import _waff_ball, bar_invariance_solver, run_suite, spherical_window
 from alcove_hecke.hecke import MAX_HECKE_LENGTH, HeckeAlgebra, HeckeElement
 from alcove_hecke.laurent import ONE, V, V_INV, ZERO, LaurentPolynomial
-from conftest import SEMISIMPLE
+from conftest import CUSTOM, SEMISIMPLE, engine_for
+from oracles import hecke_combination, hecke_product, mbar
 
 
 def test_quadratic_relation(a1):
     # H_s^2 = H_e + (v^{-1} - v) H_s
     ext, hecke = a1.ext, a1.hecke
     s = ext.parse_element("s1 : 0")
-    sq = hecke.mul(hecke.standard(s), hecke.standard(s))
+    sq = hecke_product(ext, hecke.standard(s), hecke.standard(s))
     assert sq.coeff(ext.identity) == ONE
     assert sq.coeff(s) == V_INV - V
     assert len(sq.support) == 2
@@ -25,13 +29,13 @@ def test_quadratic_relation(a1):
 def test_unit_and_length_additive_products(a1):
     ext, hecke = a1.ext, a1.hecke
     x = ext.parse_element("s1 : 3")
-    assert hecke.mul(hecke.standard(ext.identity), hecke.standard(x)) == hecke.standard(x)
+    assert hecke_product(ext, hecke.standard(ext.identity), hecke.standard(x)) == hecke.standard(x)
     # H_s * H_{s0 s} = H_{s s0 s} since lengths add
     s = ext.parse_element("s1 : 0")
     s0 = ext.parse_element("s1 : -2")
     rhs = ext.mul(s0, s)
     assert ext.length(ext.mul(s, rhs)) == 1 + ext.length(rhs)
-    assert hecke.mul(hecke.standard(s), hecke.standard(rhs)) == hecke.standard(
+    assert hecke_product(ext, hecke.standard(s), hecke.standard(rhs)) == hecke.standard(
         ext.mul(s, rhs)
     )
 
@@ -41,7 +45,9 @@ def test_mul_associative(any_engine):
     rng = random.Random(3)
     for _ in range(25):
         a, b, c = (hecke.standard(ext.random_element(rng, 1)) for _ in range(3))
-        assert hecke.mul(hecke.mul(a, b), c) == hecke.mul(a, hecke.mul(b, c))
+        assert hecke_product(ext, hecke_product(ext, a, b), c) == hecke_product(
+            ext, a, hecke_product(ext, b, c)
+        )
 
 
 def test_standard_inverse(any_engine):
@@ -49,7 +55,7 @@ def test_standard_inverse(any_engine):
     rng = random.Random(5)
     for _ in range(30):
         x = ext.random_element(rng, 2)
-        prod = hecke.mul(hecke.standard_inverse(x), hecke.standard(x))
+        prod = hecke_product(ext, hecke.standard_inverse(x), hecke.standard(x))
         assert prod == hecke.standard(ext.identity)
 
 
@@ -78,16 +84,15 @@ def _inverse_by_word(hecke, x):
     acc = hecke.standard(ext.inv(omega))
     for g in reversed(word):
         # a * H_s^{-1} = a * H_s + (v - v^{-1}) a
-        acc = hecke.right_mul_gen(acc, g) + acc.scaled(V - V_INV)
+        acc = hecke_combination([(ONE, hecke.right_mul_gen(acc, g)), (V - V_INV, acc)])
     return acc
 
 
 def _bar_by_terms(hecke, a):
     """bar(sum p_w H_w) = sum bar(p_w) (H_{w^{-1}})^{-1}, one term at a time."""
-    total = HeckeElement()
-    for w, p in a.items():
-        total = total + _inverse_by_word(hecke, hecke.ext.inv(w)).scaled(p.bar())
-    return total
+    return hecke_combination(
+        (p.bar(), _inverse_by_word(hecke, hecke.ext.inv(w))) for w, p in a.items()
+    )
 
 
 def _random_poly(rng):
@@ -170,12 +175,13 @@ def _random_elements(ext, rng, count, maxlen):
 
 
 def test_left_mul_gen_matches_operator_oracle(datum_engine):
+    # the product oracle the tests above multiply with, one generator at a time
     ext, hecke = datum_engine.ext, datum_engine.hecke
     rng = random.Random(29)
     for a in _random_elements(ext, rng, 8, 8):
-        for i, g in enumerate(ext.generators):
-            raw = hecke_module._left_mul(ext, i, hecke_module._raw(a))
-            assert HeckeElement(hecke_module._freeze(raw)) == _left_mul_gen_by_operators(hecke, g, a)
+        for g in ext.generators:
+            h_s = hecke.standard(ext.gen_element(g))
+            assert hecke_product(ext, h_s, a) == _left_mul_gen_by_operators(hecke, g, a)
 
 
 def test_bar_matches_operator_oracle(datum_engine):
@@ -240,11 +246,9 @@ def test_dihedral_closed_form(a1):
 def test_spherical_m_examples(a1):
     ext, hecke = a1.ext, a1.hecke
     s0 = ext.parse_element("s1 : -2")
-    assert hecke.spherical_m(s0, s0) == ONE
     # dihedral closed form for the spherical family: v^{len(w)-len(y)}
-    assert hecke.spherical_m(ext.identity, s0) == V
-    with pytest.raises(NotSpherical):
-        hecke.spherical_m(ext.parse_element("s1 : 0"), s0)
+    assert dict(hecke.spherical_basis(s0)) == {s0: ONE, ext.identity: V}
+    assert mbar(hecke, s0, s0) == ONE and mbar(hecke, ext.identity, s0) == V
 
 
 def test_spherical_m_dihedral_closed_form(a1):
@@ -254,39 +258,12 @@ def test_spherical_m_dihedral_closed_form(a1):
     window = spherical_window(a1, 8)
     for w in window:
         for y in window:
-            m = hecke.spherical_m(y, w)
+            m = hecke.spherical_basis(w).get(y, ZERO)
+            assert m == mbar(hecke, y, w)
             if ext.bruhat_leq(y, w):
                 assert m == LaurentPolynomial.monomial(ext.length(w) - ext.length(y))
             else:
                 assert m == ZERO
-
-
-def test_spherical_m_coset_independence(a1, a2):
-    # the second-representative consistency check inside spherical_m pins the
-    # whole coset; exercise it on 100 random pairs
-    for e in (a1, a2):
-        from alcove_hecke.suite import spherical_window
-
-        window = spherical_window(e, 5)
-        rng = random.Random(97)
-        for _ in range(50):
-            w = window[rng.randrange(len(window))]
-            y = window[rng.randrange(len(window))]
-            e.hecke.spherical_m(y, w)
-
-
-def test_spherical_m_coset_check_raises(a1):
-    ext = a1.ext
-    hecke = HeckeAlgebra(a1.alc)
-    s0 = ext.parse_element("s1 : -2")
-    top = ext.mul(s0, ext.w0)
-    entry = hecke._kl[top]  # C_top with the lengths of its support, in order
-    wrong = dict(entry.support)
-    lengths = tuple(n for y, n in zip(wrong, entry.lengths) if y != ext.identity)
-    del wrong[ext.identity]  # h(e, s0 w0) no longer matches h(w0, s0 w0)
-    hecke._kl[top] = entry._replace(support=wrong, lengths=lengths)
-    with pytest.raises(InvariantViolation):
-        hecke.spherical_m(ext.identity, s0)
 
 
 def test_inverse_m_unitriangular(any_engine):
@@ -322,7 +299,7 @@ def test_matrix_identity(any_engine):
             acc = ZERO
             for z in lower:
                 imz = hecke.inverse_m(x, z)
-                mz = hecke.spherical_m(y, z)
+                mz = mbar(hecke, y, z)
                 if imz and mz:
                     term = imz * mz
                     acc = acc + (term if (ext.length(z) + ext.length(x)) % 2 == 0 else -term)
@@ -336,11 +313,11 @@ def test_zeta_compatibility(a2):
 
     ext, hecke = a2.ext, a2.hecke
     for w in spherical_window(a2, 2):
-        total = HeckeElement()
-        for y in hecke.spherical_lower_set(w):
-            m = hecke.spherical_m(y, w)
-            if m:
-                total = total + hecke.mul(hecke.standard(y), hecke.kl_basis(ext.w0)).scaled(m)
+        c_w0 = hecke.kl_basis(ext.w0)
+        total = hecke_combination(
+            (m, hecke_product(ext, hecke.standard(y), c_w0))
+            for y, m in hecke.spherical_basis(w).items()
+        )
         assert total == hecke.kl_basis(ext.mul(w, ext.w0))
 
 
@@ -438,10 +415,8 @@ def test_memoized_values_are_never_written(name):
             for p in e.support.values()
         } | {id(p.coeffs) for p in (ONE, V, V_INV, ZERO)}
         assert not read_only & {id(d) for d in out.values()}
-        hecke.mul(c, c)
-        hecke.mul(hecke.standard(x), c)
-        for i in range(len(ext.generators)):
-            hecke_module._left_mul(ext, i, hecke_module._raw(c))
+        for g in ext.generators:
+            hecke.right_mul_gen(c, g)
     for w in window[-4:]:
         hecke.inverse_m(alc.triangle(w), w)
         for y in hecke.spherical_lower_set(w):
@@ -501,11 +476,9 @@ def test_degree_bound_assertion(a2):
     ext, hecke = a2.ext, a2.hecke
     lw0 = ext.length(ext.w0)
     for w in spherical_window(a2, 3):
-        for y in hecke.spherical_lower_set(w):
-            m = hecke.spherical_m(y, w)
-            if m:
-                assert -(ext.length(w) + lw0) <= m.min_exponent()
-                assert m.max_exponent() <= ext.length(w) + lw0
+        for m in hecke.spherical_basis(w).values():
+            assert -(ext.length(w) + lw0) <= m.min_exponent()
+            assert m.max_exponent() <= ext.length(w) + lw0
 
 
 # -- the native spherical module against the full-group route -----------------
@@ -559,7 +532,7 @@ def test_spherical_basis_matches_full_group(spherical_engine):
         lower = hecke.spherical_lower_set(w)
         assert set(element) <= set(lower)
         for y in lower:
-            assert element.get(y, ZERO) == hecke.spherical_m(y, w), (w, y)
+            assert element.get(y, ZERO) == mbar(hecke, y, w), (w, y)
 
 
 def test_inverse_m_matches_full_group(spherical_engine):
@@ -626,3 +599,51 @@ def test_planted_third_case_fails_spherical_identities(monkeypatch, preset):
     report = run_suite(preset, names=["spherical-identities"])
     assert [c.name for c in report.checks] == ["spherical-identities"]
     assert not report.passed
+
+
+def _drop_identity_term(eng):
+    """C_{s0 w0} on A1 without its H_e term, so h(e, s0 w0) no longer matches
+    h(w0, s0 w0) = mbar(e, s0)."""
+    ext = eng.ext
+    top = ext.mul(ext.parse_element("s1 : -2"), ext.w0)
+    entry = eng.hecke._kl[top]  # C_top with the lengths of its support, in order
+    wrong = dict(entry.support)
+    lengths = tuple(n for y, n in zip(wrong, entry.lengths) if y != ext.identity)
+    del wrong[ext.identity]
+    eng.hecke._kl[top] = entry._replace(support=wrong, lengths=lengths)
+    return eng
+
+
+@pytest.mark.parametrize("plant, name", [
+    *(("third-case", name) for name in SEMISIMPLE + ["G2", "A3"]),
+    ("coset", "A1_adj"),
+])
+def test_spherical_identities_catches_planted_faults(monkeypatch, tmp_path, capsys, plant, name):
+    # the third case of the spherical recursion planted as v^{-1} M_y on every
+    # datum, and one full-group coefficient off a coset of W: the zeta
+    # identity, compared on every coefficient, must see both
+    preset = name
+    if name in CUSTOM:
+        preset = str(tmp_path / f"{name}.json")
+        Path(preset).write_text(json.dumps(CUSTOM[name]), encoding="utf-8")
+    if plant == "third-case":
+        monkeypatch.setattr(hecke_module, "_V_PLUS_VINV", {-1: 1})
+    else:
+        build = suite.build_engine
+        monkeypatch.setattr(suite, "build_engine", lambda datum: _drop_identity_term(build(datum)))
+    check = run_suite(preset, names=["spherical-identities"]).checks[0]
+    assert (check.status, check.detail) == ("fail", "zeta compatibility fails")
+    # the payload names w and the first differing label y u of C_{w w0}
+    ce = check.counterexample
+    argv = shlex.split(ce["command"])
+    ext = engine_for(name).ext
+    top = ext.mul(ext.parse_element(ce["w"]), ext.w0)
+    assert argv[1:3] == ["hecke", "kl"]
+    assert argv[argv.index("--x") + 1] == ce["label"]
+    assert argv[argv.index("--y") + 1] == ext.format_element(top)
+    # without the plant the command prints the true coefficient: the
+    # full-group one when the spherical side is planted, and vice versa
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert cli.main(argv[1:]) == 0
+    assert json.loads(capsys.readouterr().out)["h"] == ce["want" if plant == "third-case" else "got"]
