@@ -15,6 +15,9 @@ modules read these facts and do not re-derive them.
 (6, 3, (2, 2), (1, 1))
 >>> pair(d.two_rho, d.simple_coroots[0])
 2
+>>> e = load_root_datum("A1xA1_adj")
+>>> e.components, e.highest_roots
+(((0,), (1,)), ((1, 0), (0, 1)))
 
 All structures are immutable after construction and safe for concurrent
 reads.
@@ -216,29 +219,6 @@ def _det(m: list[list[int]]) -> int:
     return total
 
 
-def cartan_components(cartan: Matrix) -> list[list[int]]:
-    """Connected components of the Dynkin graph, as sorted index lists."""
-    n = len(cartan)
-    seen: set[int] = set()
-    comps = []
-    for start in range(n):
-        if start in seen:
-            continue
-        comp = []
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            if i in seen:
-                continue
-            seen.add(i)
-            comp.append(i)
-            for j in range(n):
-                if j != i and cartan[i][j] != 0:
-                    stack.append(j)
-        comps.append(sorted(comp))
-    return comps
-
-
 @dataclass(frozen=True)
 class WeylElement:
     """One element of the finite Weyl group, with cached action data."""
@@ -323,15 +303,20 @@ def _generate_root_system(simple_roots: Matrix, simple_coroots: Matrix):
     s_i permutes the positive roots other than alpha_i, so the closure from
     the simple roots, skipping s_i(alpha_i) = -alpha_i, meets only positive
     roots.  Each root carries its simple-root coordinates, of which s_i
-    lowers the i-th by <beta, alpha_i^vee>; their sum is the height.
+    lowers the i-th by <beta, alpha_i^vee>, and its coroot carries its
+    simple-coroot coordinates, of which s_i lowers the i-th by
+    <alpha_i, beta^vee>.  The roots come in order of increasing height, the
+    sum of their coordinates, so the supports give the Dynkin components:
+    each component is a maximal support, and its highest root is the last
+    root supported on all of it.
     """
     rank = len(simple_roots)
     unit = identity_matrix(rank)
-    pos = {simple_roots[i]: (simple_coroots[i], unit[i]) for i in range(rank)}
+    pos = {simple_roots[i]: (simple_coroots[i], unit[i], unit[i]) for i in range(rank)}
     frontier = list(simple_roots)
     while frontier:
         beta = frontier.pop()
-        beta_vee, coords = pos[beta]
+        beta_vee, coords, coords_vee = pos[beta]
         for i in range(rank):
             # s_i(beta) = beta - <beta, alpha_i^vee> alpha_i, same shape on coroots
             c = pair(beta, simple_coroots[i])
@@ -339,15 +324,15 @@ def _generate_root_system(simple_roots: Matrix, simple_coroots: Matrix):
             if new_root in pos or vec_neg(new_root) in pos:
                 continue
             cc = pair(simple_roots[i], beta_vee)
-            new_coroot = vec_sub(beta_vee, vec_scale(cc, simple_coroots[i]))
-            pos[new_root] = (new_coroot, vec_sub(coords, vec_scale(c, unit[i])))
+            pos[new_root] = (
+                vec_sub(beta_vee, vec_scale(cc, simple_coroots[i])),
+                vec_sub(coords, vec_scale(c, unit[i])),
+                vec_sub(coords_vee, vec_scale(cc, unit[i])),
+            )
             frontier.append(new_root)
     order = sorted(pos, key=lambda beta: (sum(pos[beta][1]), beta))
-    return (
-        tuple(order),
-        tuple(pos[beta][0] for beta in order),
-        tuple(sum(pos[beta][1]) for beta in order),
-    )
+    # the roots, then their coroots, simple-root and simple-coroot coordinates
+    return (tuple(order), *(tuple(pos[beta][k] for beta in order) for k in range(3)))
 
 
 def _enumerate_weyl(n: int, simple_roots: Matrix, simple_coroots: Matrix):
@@ -389,18 +374,14 @@ def load_root_datum(spec) -> RootDatum:
     containing such a dict.
     """
     name = "custom"
-    if isinstance(spec, str):
-        if spec in PRESETS:
-            name = spec
-            spec = PRESETS[spec]
-        elif spec.endswith(".json"):
-            try:
-                with open(spec, encoding="utf-8") as fh:
-                    spec = json.load(fh)
-            except (OSError, ValueError) as exc:
-                raise MalformedInput(f"cannot read root-datum file {spec!r}: {exc}") from exc
-        else:
-            raise UnknownPreset(f"unknown preset {spec!r}; available: {', '.join(PRESETS)}")
+    if isinstance(spec, str) and spec.endswith(".json"):
+        try:
+            with open(spec, encoding="utf-8") as fh:
+                spec = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise MalformedInput(f"cannot read root-datum file {spec!r}: {exc}") from exc
+    elif isinstance(spec, str):
+        spec = {"preset": spec}
     if not isinstance(spec, dict):
         raise MalformedInput("descriptor must be a preset name or a dict")
     if "preset" in spec:
@@ -459,7 +440,10 @@ def load_root_datum(spec) -> RootDatum:
     if any(pair(alpha, varsigma) != 1 for alpha in simple_roots):
         raise InvariantViolation(f"varsigma {varsigma} does not pair to 1 with every simple root")
 
-    pos_roots, pos_coroots, heights = _generate_root_system(simple_roots, simple_coroots)
+    pos_roots, pos_coroots, root_coords, coroot_coords = _generate_root_system(
+        simple_roots, simple_coroots
+    )
+    heights = tuple(map(sum, root_coords))
     two_rho = tuple(sum(beta[i] for beta in pos_roots) for i in range(dim))
 
     elements, mult, inv = _enumerate_weyl(dim, simple_roots, simple_coroots)
@@ -470,26 +454,17 @@ def load_root_datum(spec) -> RootDatum:
     if {mat_apply(elements[w0].x_action, beta) for beta in pos_roots} != neg:
         raise MalformedInput("w0 does not send positive roots to negative roots")
 
-    comps = cartan_components(cartan)
     coroot_rows = [[simple_coroots[j][i] for j in range(rank)] for i in range(dim)]
     coroot_smith = tuple(tuple(map(tuple, f)) for f in smith_normal_form(coroot_rows))
-    coroot_coords = []
-    for cv in pos_coroots:
-        sol = solve_smith(coroot_smith, cv)
-        if sol is None:
-            raise InvariantViolation(f"positive coroot {cv} outside the coroot lattice")
-        coroot_coords.append(tuple(sol))
-    highest_roots, highest_short = [], []
-    for comp in comps:
-        # the highest root is the component's root of greatest height; its
-        # coroot is the highest short coroot
-        top = max(
-            (k for k in range(len(pos_roots))
-             if all(coroot_coords[k][i] == 0 for i in range(rank) if i not in comp)),
-            key=heights.__getitem__,
-        )
-        highest_roots.append(pos_roots[top])
-        highest_short.append(pos_coroots[top])
+    for cv, coords in zip(pos_coroots, coroot_coords):
+        if mat_apply(coroot_rows, coords) != cv:
+            raise InvariantViolation(f"coroot coordinates {coords} do not rebuild coroot {cv}")
+    # the Dynkin components are the maximal root supports; each one's highest
+    # root is the last root supported on all of it, and that root's coroot is
+    # the component's highest short coroot
+    supports = [frozenset(i for i, c in enumerate(coords) if c) for coords in root_coords]
+    comps = sorted({s for s in supports if not any(s < t for t in supports)}, key=sorted)
+    tops = [max(k for k, s in enumerate(supports) if s == comp) for comp in comps]
 
     positive = set(pos_roots)
     return RootDatum(
@@ -501,7 +476,7 @@ def load_root_datum(spec) -> RootDatum:
         positive_roots=pos_roots,
         positive_coroots=pos_coroots,
         root_heights=heights,
-        coroot_in_simple=tuple(coroot_coords),
+        coroot_in_simple=coroot_coords,
         weyl_elements=elements,
         weyl_mult=mult,
         weyl_inv=inv,
@@ -512,9 +487,9 @@ def load_root_datum(spec) -> RootDatum:
         w0=w0,
         two_rho=two_rho,
         varsigma=varsigma,
-        components=tuple(tuple(c) for c in comps),
-        highest_roots=tuple(highest_roots),
-        highest_short_coroots=tuple(highest_short),
+        components=tuple(tuple(sorted(c)) for c in comps),
+        highest_roots=tuple(pos_roots[k] for k in tops),
+        highest_short_coroots=tuple(pos_coroots[k] for k in tops),
         section=section,
         orthogonal_basis=tuple(tuple(row[k] for row in v) for k in range(rank, dim)),
         coroot_smith=coroot_smith,

@@ -23,12 +23,17 @@ from .ext_weyl import ExtWeylElement
 from .groth_calc import COVERMA, FiltrationMultiset
 from .laurent import ONE, ZERO, LaurentPolynomial
 from .parabolic import in_awext, in_awext_s, min_rep
-from .root_datum import load_root_datum, pair, vec_add, vec_neg, vec_scale
+from .root_datum import PRESETS, load_root_datum, pair, vec_add, vec_neg, vec_scale
 
 MAX_KL_LEN = 14
 MAX_SAMPLES = 20000
 
+# per preset type: the default KL length, and the parabolic cases beyond the
+# empty one and the first generator
 DEFAULT_KL_LEN = {"A1_adj": 12, "A2_adj": 8, "B2_adj": 6, "A1xA1_adj": 8}
+_MORE_PARABOLICS = {
+    "A1_adj": [["s0a"]], "A2_adj": [["s1", "s2"]], "B2_adj": [["s1", "s2"], ["s1", "s0a"]],
+}
 
 
 @dataclass
@@ -88,10 +93,20 @@ def _command(*args) -> str:
     return shlex.join(["alcove-hecke", *map(str, args)])
 
 
+def _preset_type(datum) -> str | None:
+    """The preset whose Cartan matrix the datum has, if any."""
+    for name, spec in PRESETS.items():
+        roots, coroots = spec["simple_roots"], spec["simple_coroots"]
+        if datum.cartan == tuple(tuple(pair(a, c) for c in coroots) for a in roots):
+            return name
+    return None
+
+
 class _Env:
-    def __init__(self, engine: Engine, preset, seed, samples, kl_maxlen):
+    def __init__(self, engine: Engine, preset, kind, seed, samples, kl_maxlen):
         self.engine = engine
         self.preset = preset
+        self.kind = kind  # the preset type of the datum, or None
         self.seed = seed
         self.samples = samples
         self.kl_maxlen = kl_maxlen
@@ -121,9 +136,10 @@ def antidominant_translations(engine: Engine, maxlen: int):
 
 
 def spherical_window(engine: Engine, maxlen: int) -> list[ExtWeylElement]:
+    lams = list(antidominant_translations(engine, maxlen))
     out = set()
     for y in engine.alc.restricted_elements():
-        for lam in antidominant_translations(engine, maxlen):
+        for lam in lams:
             w = engine.ext.mul(y, ExtWeylElement(0, lam))
             if engine.ext.length(w) <= maxlen:
                 out.add(w)
@@ -143,18 +159,8 @@ def awext_window(engine: Engine, a, bound: int) -> list[ExtWeylElement]:
 
 def _parabolic_cases(env: _Env):
     eng = env.engine
-    name = eng.datum.name
-    cases = [("empty", eng.parabolic([]))]
-    first = eng.ext.generators[0]
-    cases.append((first.name, eng.parabolic([first.name])))
-    if name == "A1_adj":
-        cases.append(("s0a", eng.parabolic(["s0a"])))
-    if name == "A2_adj":
-        cases.append(("s1+s2", eng.parabolic(["s1", "s2"])))
-    if name == "B2_adj":
-        cases.append(("s1+s2", eng.parabolic(["s1", "s2"])))
-        cases.append(("s1+s0a", eng.parabolic(["s1", "s0a"])))
-    return cases
+    gens = [[], [eng.ext.generators[0].name], *_MORE_PARABOLICS.get(env.kind, ())]
+    return [("+".join(names) or "empty", eng.parabolic(names)) for names in gens]
 
 
 # -- individual checks --------------------------------------------------------
@@ -474,7 +480,7 @@ def check_triangle_geometry(env: _Env):
 
 
 def check_kl_dihedral(env: _Env):
-    if env.engine.datum.name != "A1_adj":
+    if env.kind != "A1_adj":
         return True, "dihedral closed form is specific to A1_adj; skipped", None
     eng = env.engine
     ext, hecke = eng.ext, eng.hecke
@@ -859,11 +865,12 @@ def run_suite(
     unknown = sorted(set(names or ()) - {name for name, _ in CHECKS})
     if unknown:
         raise MalformedInput(f"unknown suite checks {unknown}")
-    # the defaults follow the loaded datum, so a file naming a preset runs
-    # as that preset does
+    # the per-datum choices follow the type, so a file naming a preset or
+    # writing out its roots runs as that preset does
     datum = load_root_datum(preset)
+    kind = _preset_type(datum)
     if kl_maxlen is None:
-        kl_maxlen = DEFAULT_KL_LEN.get(datum.name, 6)
+        kl_maxlen = DEFAULT_KL_LEN.get(kind, 6)
     if kl_maxlen < 0 or samples < 0:
         raise MalformedInput(f"negative bound: kl_maxlen {kl_maxlen}, samples {samples}")
     if kl_maxlen > MAX_KL_LEN:
@@ -871,7 +878,7 @@ def run_suite(
     if samples > MAX_SAMPLES:
         raise BoundsTooLarge(f"samples {samples} > {MAX_SAMPLES}")
     engine = build_engine(datum)
-    env = _Env(engine, preset, seed, samples, kl_maxlen)
+    env = _Env(engine, preset, kind, seed, samples, kl_maxlen)
     report = SuiteReport(preset, seed, samples, kl_maxlen)
     for name, fn in CHECKS:
         if names is not None and name not in names:

@@ -234,3 +234,38 @@ def hecke_product(ext, a, b):
         for w, q in acc.items():
             out[w] = out.get(w, ZERO) + q
     return HeckeElement(out)
+
+
+def cartan_components(cartan):
+    """Connected components of the Dynkin graph, as sorted index lists, by a
+    depth-first search over the Cartan matrix."""
+    n = len(cartan)
+    seen: set[int] = set()
+    comps = []
+    for start in range(n):
+        if start in seen:
+            continue
+        comp = []
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            if i in seen:
+                continue
+            seen.add(i)
+            comp.append(i)
+            for j in range(n):
+                if j != i and cartan[i][j] != 0:
+                    stack.append(j)
+        comps.append(sorted(comp))
+    return comps
+
+
+def highest_root_index(d, comp):
+    """The index of the component's highest root: the root of greatest height
+    whose coroot, solved in the simple coroots through the Smith factors, is
+    supported in the component."""
+    return max(
+        (k for k, cv in enumerate(d.positive_coroots)
+         if all(c == 0 for i, c in enumerate(solve_smith(d.coroot_smith, cv)) if i not in comp)),
+        key=d.root_heights.__getitem__,
+    )

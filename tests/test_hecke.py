@@ -590,17 +590,6 @@ def test_planted_down_case_fails_bar_invariance(monkeypatch, preset):
     assert not report.passed
 
 
-@pytest.mark.parametrize("preset", SEMISIMPLE)
-def test_planted_third_case_fails_spherical_identities(monkeypatch, preset):
-    # the spherical-only third case, (H_s + v) M_y = (v + v^{-1}) M_y when
-    # s y = y t, planted as v^{-1} M_y: the regular module never takes it, so
-    # only the comparison against the full-group route can see it
-    monkeypatch.setattr(hecke_module, "_V_PLUS_VINV", {-1: 1})
-    report = run_suite(preset, names=["spherical-identities"])
-    assert [c.name for c in report.checks] == ["spherical-identities"]
-    assert not report.passed
-
-
 def _drop_identity_term(eng):
     """C_{s0 w0} on A1 without its H_e term, so h(e, s0 w0) no longer matches
     h(w0, s0 w0) = mbar(e, s0)."""

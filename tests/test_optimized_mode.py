@@ -150,6 +150,23 @@ except InvariantViolation:
 else:
     raise SystemExit("unique longest element check vanished")
 
+real_closure = root_datum._generate_root_system
+
+
+def planted_closure(simple_roots, simple_coroots):
+    roots, coroots, coords, coroot_coords = real_closure(simple_roots, simple_coroots)
+    return roots, coroots, coords, coroot_coords[:-1] + ((1, 0),)
+
+
+root_datum._generate_root_system = planted_closure
+try:
+    build_engine("A2_adj")
+except InvariantViolation:
+    pass
+else:
+    raise SystemExit("coroot coordinate check vanished")
+root_datum._generate_root_system = real_closure
+
 real_solve = root_datum.solve_smith
 root_datum.solve_smith = lambda factors, rhs: [2 * c for c in real_solve(factors, rhs)]
 try:

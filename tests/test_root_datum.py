@@ -24,6 +24,7 @@ from alcove_hecke.root_datum import (
     vec_neg,
 )
 from conftest import CUSTOM, RANK3, SEMISIMPLE
+from oracles import cartan_components, highest_root_index
 
 # degrees of the fundamental invariants, used as the Poincare-series oracle
 DEGREES = {
@@ -182,8 +183,10 @@ def test_solve_integer_round_trip():
         assert [sum(mat[i][j] * sol[j] for j in range(cols)) for i in range(rows)] == rhs
 
 
-def test_coroot_solves_use_the_stored_factors(monkeypatch, any_engine):
-    d = any_engine.datum
+def test_coroot_solves_use_the_stored_factors(monkeypatch, datum_engine):
+    # the Smith solve is an independent route to the coroot coordinates the
+    # closure carries
+    d = datum_engine.datum
 
     def refactor(mat):
         raise AssertionError("smith_normal_form called after load")
@@ -196,17 +199,45 @@ def test_coroot_solves_use_the_stored_factors(monkeypatch, any_engine):
 
 
 def test_coroot_lattice_check_at_load_raises(monkeypatch):
-    # a generated positive coroot outside the coroot lattice: (1, 0) is a
-    # fundamental coweight of A2_adj, of index 3 over the coroot lattice
+    # a closure whose last carried coroot coordinates, those of the highest
+    # coroot (1, 1) of A2_adj, are (1, 0): they rebuild the simple coroot
+    # (2, -1) instead
     real = root_datum._generate_root_system
 
     def planted(simple_roots, simple_coroots):
-        roots, coroots, heights = real(simple_roots, simple_coroots)
-        return roots, coroots[:-1] + ((1, 0),), heights
+        roots, coroots, coords, coroot_coords = real(simple_roots, simple_coroots)
+        return roots, coroots, coords, coroot_coords[:-1] + ((1, 0),)
 
     monkeypatch.setattr(root_datum, "_generate_root_system", planted)
-    with pytest.raises(InvariantViolation, match="outside the coroot lattice"):
+    with pytest.raises(InvariantViolation, match=r"\(1, 0\) do not rebuild coroot \(1, 1\)"):
         load_root_datum("A2_adj")
+
+
+# simple coroots of adjoint data whose Dynkin components interleave their
+# indices; the simple roots are the unit vectors
+INTERLEAVED = {
+    "A1xA2": [[2, 0, -1], [0, 2, 0], [-1, 0, 2]],
+    "A1xA1xA1": [[2, 0, 0], [0, 2, 0], [0, 0, 2]],
+    "B2xA1": [[2, 0, -1], [0, 2, 0], [-2, 0, 2]],
+    "G2xA1": [[2, 0, -1], [0, 2, 0], [-3, 0, 2]],
+}
+
+
+@pytest.mark.parametrize("name", SEMISIMPLE + list(CUSTOM) + list(RANK3) + list(INTERLEAVED))
+def test_components_and_highest_roots_from_supports(name):
+    # the maximal root supports and the last root on each against a search of
+    # the Dynkin graph and the root of greatest height on each component
+    if name in INTERLEAVED:
+        spec = {"simple_roots": [[int(i == j) for j in range(3)] for i in range(3)],
+                "simple_coroots": INTERLEAVED[name]}
+    else:
+        spec = CUSTOM.get(name) or RANK3.get(name) or name
+    d = load_root_datum(spec)
+    comps = cartan_components(d.cartan)
+    assert d.components == tuple(map(tuple, comps))
+    tops = [highest_root_index(d, comp) for comp in comps]
+    assert d.highest_roots == tuple(d.positive_roots[k] for k in tops)
+    assert d.highest_short_coroots == tuple(d.positive_coroots[k] for k in tops)
 
 
 def test_varsigma_check_at_load_raises(monkeypatch):

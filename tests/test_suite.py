@@ -12,6 +12,7 @@ from alcove_hecke.errors import BoundsTooLarge, InvariantViolation, MalformedInp
 from alcove_hecke.ext_weyl import ExtWeyl
 from alcove_hecke.hecke import HeckeElement
 from alcove_hecke.laurent import LaurentPolynomial
+from alcove_hecke.root_datum import PRESETS
 from alcove_hecke.suite import bar_invariance_solver, run_suite, spherical_window
 from conftest import CUSTOM, RANK3, SEMISIMPLE, plant_length_sign_flip
 from oracles import bar_invariance_gauss_jordan
@@ -52,6 +53,19 @@ def test_report_matches_golden(preset, as_file, tmp_path):
         arg = str(tmp_path / f"{preset}.json")
         Path(arg).write_text(json.dumps({"preset": preset}), encoding="utf-8")
     assert run_suite(arg).to_tsv() == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("preset", ["A1_adj", "B2_adj"])
+def test_written_out_preset_runs_as_the_preset(preset, tmp_path, capsys):
+    # the per-datum choices (default KL length, parabolic cases, the dihedral
+    # check) follow the Cartan matrix, not the preset name
+    path = tmp_path / f"{preset}.json"
+    path.write_text(json.dumps(PRESETS[preset]), encoding="utf-8")
+    outs = []
+    for arg in (preset, str(path)):
+        assert cli.main(["suite", "run", "--preset", arg]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_commands_quote_a_datum_path_with_a_space(monkeypatch, tmp_path):
