@@ -14,20 +14,22 @@ the order of `ExtWeyl.generators`: descents, reduced words and the Hecke
 recursions read their products and descent bits from it, so an element
 visited again costs one lookup instead of a product and two lengths.
 
-Descents need no length.  For x = w t_lambda and a generator s, let
-a = w^{-1} alpha, where alpha is the simple root of s, or the highest root
-theta of its component when s is affine, and let n = <a, lambda>:
+Each generator s reflects in an affine simple root beta + k delta; its entry
+(beta, beta^vee, k) in `affine_roots` is (alpha_i, alpha_i^vee, 0) for s_i and
+(-theta, -theta^vee, 1) for the affine generator of a component with highest
+root theta, and s = s_beta t_{k beta^vee} (t_{theta^vee} s_theta when affine).
+Descents need no length: for x = w t_lambda and a = w^{-1} beta, s x < x
+exactly when <a, lambda> < [a < 0] - k, i.e. when x^{-1} sends beta + k delta
+to a negative affine root.  A table per Weyl index stores (a, [a < 0] - k)
+for each generator; the left-step rows read their descent bits from it, and
+the Bruhat walk reads them from the rows.
 
-- finite s: s x < x exactly when n < t, with t = 0 if a > 0 and t = 1
-  otherwise;
-- affine s: s x < x exactly when n >= t, with t = 1 if a > 0 and t = 2
-  otherwise.
-
-(Both say that x^{-1} sends the affine simple root of s to a negative
-affine root.)  A table per Weyl index stores, for each generator, the pair
-(b, c) with s x < x exactly when <b, lambda> < c: (a, t) for finite s and
-(-a, 1 - t) for affine s.  The left-step rows read their descent bits from
-it, and the Bruhat walk reads them from the rows.
+>>> from alcove_hecke.root_datum import load_root_datum
+>>> for g, root in ExtWeyl(load_root_datum("A2_adj")).affine_roots.items():
+...     print((g.name, root))
+('s1', ((1, 0), (2, -1), 0))
+('s2', ((0, 1), (-1, 2), 0))
+('s0a', ((-1, -1), (-1, -1), 1))
 
 `mul` takes two O(1) paths before the general product: a left factor with
 zero translation (a finite generator, an element of a finite parabolic
@@ -54,7 +56,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import InvariantViolation, MalformedInput
 from .memo import Memo
-from .root_datum import RootDatum, Vector, pair, reflection, vec_neg
+from .root_datum import RootDatum, Vector, pair, reflection, vec_neg, vec_scale
 
 GEN_LETTERS = "abcdefgh"
 
@@ -91,26 +93,21 @@ class ExtWeyl:
         # the coroot lattice
         self._in_coroot_lattice = Memo(datum.coroot_lattice_contains)
         # Y-action matrix of w^{-1}, per Weyl index w: the rows `mul` reads
-        self._inv_y_action = tuple(
-            datum.weyl_elements[datum.weyl_inv[w]].y_action for w in range(datum.weyl_order)
-        )
+        self._inv_y_action = tuple(datum.weyl_elements[i].y_action for i in datum.weyl_inv)
 
-        self.generators: list[AffineGenerator] = [
-            AffineGenerator("finite", i) for i in range(datum.rank)
-        ] + [AffineGenerator("affine", c) for c in range(len(datum.components))]
-        self._gen_elements: dict[AffineGenerator, ExtWeylElement] = {}
-        for g in self.generators:
-            if g.kind == "finite":
-                widx = self._reflection_index(
-                    datum.simple_roots[g.index], datum.simple_coroots[g.index]
-                )
-                self._gen_elements[g] = ExtWeylElement(widx, self.identity.t)
-            else:
-                theta = datum.highest_roots[g.index]
-                theta_vee = datum.highest_short_coroots[g.index]
-                widx = self._reflection_index(theta, theta_vee)
-                # t_{theta^vee} s_theta  =  s_theta t_{-theta^vee}
-                self._gen_elements[g] = ExtWeylElement(widx, vec_neg(theta_vee))
+        # generator -> (beta, beta^vee, k), as in the module docstring
+        self.affine_roots: dict[AffineGenerator, tuple[Vector, Vector, int]] = {
+            AffineGenerator("finite", i): (alpha, alpha_vee, 0)
+            for i, (alpha, alpha_vee) in enumerate(zip(datum.simple_roots, datum.simple_coroots))
+        }
+        for c, (theta, theta_vee) in enumerate(zip(datum.highest_roots, datum.highest_short_coroots)):
+            self.affine_roots[AffineGenerator("affine", c)] = (vec_neg(theta), vec_neg(theta_vee), 1)
+        self.generators: list[AffineGenerator] = list(self.affine_roots)
+        weyl_index = {el.x_action: el.index for el in datum.weyl_elements}
+        self._gen_elements = {
+            g: ExtWeylElement(weyl_index[reflection(beta, beta_vee)], vec_scale(k, beta_vee))
+            for g, (beta, beta_vee, k) in self.affine_roots.items()
+        }
         self._gen_by_element = {el: g for g, el in self._gen_elements.items()}
         self._gen_by_name = {g.name: g for g in self.generators}
         if len(datum.components) == 1:
@@ -121,28 +118,13 @@ class ExtWeyl:
         # it with u the longest element of a finite parabolic subgroup
         self.lengths_add_w0 = Memo(self._lengths_add_w0)
 
-        # per Weyl index w and generator s: (b, c) with s (w t_lam) < w t_lam
-        # exactly when <b, lam> < c (see the module docstring)
+        # per Weyl index, each generator's descent pair (a, [a < 0] - k)
         positive = set(datum.positive_roots)
-        descent_rows = []
-        for w in range(datum.weyl_order):
-            row = []
-            for g in self.generators:
-                if g.kind == "finite":
-                    a = datum.act_x(datum.weyl_inv[w], datum.simple_roots[g.index])
-                    row.append((a, 0 if a in positive else 1))
-                else:
-                    a = datum.act_x(datum.weyl_inv[w], datum.highest_roots[g.index])
-                    row.append((vec_neg(a), 0 if a in positive else -1))
-            descent_rows.append(tuple(row))
-        self._descent_rows = tuple(descent_rows)
-
-    def _reflection_index(self, root: Vector, coroot: Vector) -> int:
-        mat = reflection(root, coroot)
-        for el in self.datum.weyl_elements:
-            if el.x_action == mat:
-                return el.index
-        raise MalformedInput(f"reflection in {root} not found in the Weyl group")
+        rows = []
+        for w_inv in datum.weyl_inv:
+            moved = [(datum.act_x(w_inv, beta), k) for beta, _, k in self.affine_roots.values()]
+            rows.append(tuple((a, (a not in positive) - k) for a, k in moved))
+        self._descent_rows = tuple(rows)
 
     # -- group arithmetic ------------------------------------------------
 

@@ -135,7 +135,7 @@ class GrothCalc:
         and the translation pattern are characteristic-free.
         """
         if not self.alc.in_wexts(w):
-            raise NotSpherical(f"{w} is not a minimal coset representative")
+            raise NotSpherical(f"{self.ext.format_element(w)} is not a minimal coset representative")
         x, lam = self.alc.res_decompose(w)
         mu = self.datum.act_y(self.datum.w0, lam)
         if not self.datum.is_dominant(mu):
@@ -213,7 +213,7 @@ class GrothCalc:
         and support sandwiched between them in the periodic order.
         """
         if not self.alc.in_wres(x):
-            raise NotRestricted(f"{x} is not restricted")
+            raise NotRestricted(f"{self.ext.format_element(x)} is not restricted")
         ext = self.ext
         y = ext.mul_many(ExtWeylElement(0, self.datum.varsigma), ext.w0, ext.inv(x))
         omega, word = ext.omega_left_form(y, strategy=strategy)
@@ -245,7 +245,8 @@ class GrothCalc:
         out: dict[ExtWeylElement, int] = {}
         for w, m in f.mults.items():
             if not in_awext(self.alc, w, a):
-                raise NotSpherical(f"label {w} is not a periodic coset representative")
+                raise NotSpherical(
+                    f"label {self.ext.format_element(w)} is not a periodic coset representative")
             for v in a.elements:
                 vw = self.ext.mul(v, w)
                 out[vw] = out.get(vw, 0) + m

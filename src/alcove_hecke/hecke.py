@@ -258,7 +258,7 @@ class HeckeAlgebra:
         ext = self.ext
         lx = ext.length(x)
         if lx > MAX_HECKE_LENGTH:
-            raise BoundsTooLarge(f"{x} has length {lx} > {MAX_HECKE_LENGTH}")
+            raise BoundsTooLarge(f"{ext.format_element(x)} has length {lx} > {MAX_HECKE_LENGTH}")
         if lx == 0:
             return _Canonical(MappingProxyType({x: ONE}), (0,))
         if not ext.in_affine_subgroup(x):
@@ -323,7 +323,7 @@ class HeckeAlgebra:
 
     def _require_spherical(self, x: ExtWeylElement) -> None:
         if not self.alc.in_wexts(x):
-            raise NotSpherical(f"{x} is not a minimal coset representative")
+            raise NotSpherical(f"{self.ext.format_element(x)} is not a minimal coset representative")
 
     def _check_degree(self, p: LaurentPolynomial, bound: int) -> None:
         if p and not (-bound <= p.min_exponent() and p.max_exponent() <= bound):

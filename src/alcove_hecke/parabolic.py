@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .alcove import AlcoveModel
 from .errors import InvariantViolation, NotFinitary, Unrepresentable
 from .ext_weyl import AffineGenerator, ExtWeyl, ExtWeylElement
-from .root_datum import pair, vec_neg
+from .root_datum import _principal_minors_positive, pair
 
 
 @dataclass(frozen=True)
@@ -27,27 +27,11 @@ class FinitarySubset:
         return len(self.elements)
 
 
-def _affine_cartan_entry(ext: ExtWeyl, a: AffineGenerator, b: AffineGenerator) -> int:
-    d = ext.datum
-
-    def root_coroot(g: AffineGenerator):
-        if g.kind == "finite":
-            return d.simple_roots[g.index], d.simple_coroots[g.index]
-        return vec_neg(d.highest_roots[g.index]), vec_neg(d.highest_short_coroots[g.index])
-
-    root_a, _ = root_coroot(a)
-    _, coroot_b = root_coroot(b)
-    return pair(root_a, coroot_b)
-
-
 def is_finitary(ext: ExtWeyl, gens) -> bool:
-    """Exact finite-type test on the affine Cartan submatrix (no size cap)."""
-    gens = tuple(gens)
-    n = len(gens)
-    cartan = [[_affine_cartan_entry(ext, a, b) for b in gens] for a in gens]
-    from .root_datum import _principal_minors_positive
-
-    return n == 0 or _principal_minors_positive(cartan)
+    """Exact finite-type test (no size cap) on the Cartan matrix
+    <beta_g, beta_h^vee> of the affine simple roots of `gens`."""
+    roots = [ext.affine_roots[g] for g in gens]
+    return _principal_minors_positive([[pair(b, cv) for _, cv, _ in roots] for b, _, _ in roots])
 
 
 def make_parabolic(ext: ExtWeyl, gens) -> FinitarySubset:

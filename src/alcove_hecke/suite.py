@@ -565,17 +565,28 @@ def bar_invariance_solver(engine: Engine, x: ExtWeylElement):
     return {y: LaurentPolynomial(c) for y, c in u.items() if c}
 
 
+def _negative_coefficient(env: _Env, x: ExtWeylElement, table):
+    """A failure naming x if its canonical element has a negative coefficient,
+    which can only be a fault (Kazhdan-Lusztig 1980: they are nonnegative)."""
+    for y, p in table.items():
+        if any(c < 0 for c in p.coeffs.values()):
+            return False, "negative Kazhdan-Lusztig coefficient", {
+                "element": env.fmt(x), "label": env.fmt(y), "polynomial": str(p),
+                "command": env.cmd("hecke", "kl", "--x", y, "--y", x)}
+
+
 def check_kl_invariance(env: _Env):
     eng = env.engine
     ext, hecke = eng.ext, eng.hecke
     rng = env.rng("kl-bar")
-    positive = True
     solver_hits = 0
     solved = set()
     omegas = ext.enumerate_omega(2)
     for _ in range(min(40, env.samples)):
         x = ext.random_element(rng, 3)
         table = hecke.kl_basis(x)
+        if failure := _negative_coefficient(env, x, table):
+            return failure
         if hecke.bar(table) != table:
             return False, "canonical basis element is not bar invariant", {
                 "element": env.fmt(x)}
@@ -583,9 +594,6 @@ def check_kl_invariance(env: _Env):
         shifted = hecke.kl_basis(ext.mul(om, x))
         if {ext.mul(om, y): p for y, p in table.items()} != dict(shifted.items()):
             return False, "length-zero relabeling fails", {"element": env.fmt(x)}
-        for _, p in table.items():
-            if any(c < 0 for c in p.coeffs.values()):
-                positive = False
         # independent cross-check: re-derive the element from bar invariance
         if solver_hits < 3 and 2 <= ext.length(x) <= 5:
             if bar_invariance_solver(eng, x) != dict(table.items()):
@@ -598,11 +606,13 @@ def check_kl_invariance(env: _Env):
         ball = _waff_ball(eng, 5)
         short = sorted(x for x, d in ball.items() if d >= 2 and x not in solved)
         for x in rng.sample(short, min(3 - solver_hits, len(short))):
-            if bar_invariance_solver(eng, x) != dict(hecke.kl_basis(x).items()):
+            table = hecke.kl_basis(x)
+            if failure := _negative_coefficient(env, x, table):
+                return failure
+            if bar_invariance_solver(eng, x) != dict(table.items()):
                 return False, "bar-invariance solver disagrees", {"element": env.fmt(x)}
             solver_hits += 1
-    note = "all computed coefficients nonnegative" if positive else "negative coefficient observed (recorded, not asserted)"
-    return True, f"{note}; solver cross-check on {solver_hits} elements", None
+    return True, f"all computed coefficients nonnegative; solver cross-check on {solver_hits} elements", None
 
 
 def check_spherical_identities(env: _Env):

@@ -29,6 +29,19 @@ RANK3 = {
     },
 }
 
+# adjoint data whose Dynkin components interleave their indices: the simple
+# roots are the unit vectors, the simple coroots as listed
+INTERLEAVED = {
+    name: {"simple_roots": [[int(i == j) for j in range(3)] for i in range(3)],
+           "simple_coroots": coroots}
+    for name, coroots in {
+        "A1xA2": [[2, 0, -1], [0, 2, 0], [-1, 0, 2]],
+        "A1xA1xA1": [[2, 0, 0], [0, 2, 0], [0, 0, 2]],
+        "B2xA1": [[2, 0, -1], [0, 2, 0], [-2, 0, 2]],
+        "G2xA1": [[2, 0, -1], [0, 2, 0], [-3, 0, 2]],
+    }.items()
+}
+
 _cache = {}
 
 

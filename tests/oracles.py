@@ -9,9 +9,10 @@ import sys
 from fractions import Fraction
 
 from alcove_hecke.errors import InvariantViolation
+from alcove_hecke.ext_weyl import ExtWeylElement
 from alcove_hecke.hecke import HeckeElement
 from alcove_hecke.laurent import ONE, V, V_INV, ZERO, LaurentPolynomial
-from alcove_hecke.root_datum import pair, solve_smith, vec_add, vec_scale, vec_sub
+from alcove_hecke.root_datum import pair, reflection, solve_smith, vec_add, vec_neg, vec_scale, vec_sub
 
 
 @contextlib.contextmanager
@@ -269,3 +270,58 @@ def highest_root_index(d, comp):
          if all(c == 0 for i, c in enumerate(solve_smith(d.coroot_smith, cv)) if i not in comp)),
         key=d.root_heights.__getitem__,
     )
+
+
+def generator_elements_by_kind(ext):
+    """Each generator as a group element, one branch per kind: s_i is the
+    simple reflection, and the affine generator of a component with highest
+    root theta is t_{theta^vee} s_theta = s_theta t_{-theta^vee}."""
+    d = ext.datum
+
+    def reflection_index(root, coroot):
+        return next(el.index for el in d.weyl_elements if el.x_action == reflection(root, coroot))
+
+    out = {}
+    for g in ext.generators:
+        if g.kind == "finite":
+            root, coroot = d.simple_roots[g.index], d.simple_coroots[g.index]
+            out[g] = ExtWeylElement(reflection_index(root, coroot), ext.identity.t)
+        else:
+            theta, theta_vee = d.highest_roots[g.index], d.highest_short_coroots[g.index]
+            out[g] = ExtWeylElement(reflection_index(theta, theta_vee), vec_neg(theta_vee))
+    return out
+
+
+def descent_rows_by_kind(ext):
+    """Per Weyl index w, the pairs (b, c) with s (w t_lam) < w t_lam exactly
+    when <b, lam> < c, one threshold rule per kind.  With a = w^{-1} alpha_i,
+    s_i x < x when <a, lam> < t, t = [a < 0]; with a = w^{-1} theta, the
+    affine s x < x when <a, lam> >= t, t = 1 + [a < 0], stored as
+    (-a, 1 - t)."""
+    d = ext.datum
+    positive = set(d.positive_roots)
+    rows = []
+    for w in range(d.weyl_order):
+        row = []
+        for g in ext.generators:
+            if g.kind == "finite":
+                a = d.act_x(d.weyl_inv[w], d.simple_roots[g.index])
+                row.append((a, 0 if a in positive else 1))
+            else:
+                a = d.act_x(d.weyl_inv[w], d.highest_roots[g.index])
+                row.append((vec_neg(a), 0 if a in positive else -1))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def affine_cartan_entry(ext, a, b):
+    """<root of a, coroot of b>, with (alpha_i, alpha_i^vee) for s_i and
+    (-theta, -theta^vee) for the affine generator of a component."""
+    d = ext.datum
+
+    def root_coroot(g):
+        if g.kind == "finite":
+            return d.simple_roots[g.index], d.simple_coroots[g.index]
+        return vec_neg(d.highest_roots[g.index]), vec_neg(d.highest_short_coroots[g.index])
+
+    return pair(root_coroot(a)[0], root_coroot(b)[1])

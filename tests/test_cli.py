@@ -365,6 +365,21 @@ def test_hecke_length_bound(capsys):
     assert code == 2 and "BoundsTooLarge" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, literal, error", [
+    (["hecke", "inverse-m", "--x", "e : 1", "--y", "e : 0"], "e : 1", "NotSpherical"),
+    (["hecke", "kl", "--x", "e : 0", "--y", "e : -250"], "e : -250", "BoundsTooLarge"),
+    (["groth", "phi-simple", "--elt", "e : 1"], "e : 1", "NotSpherical"),
+    (["groth", "proj-filtration", "--elt", "e : -2"], "e : -2 is not restricted", "NotRestricted"),
+    (["groth", "avstar", "--gens", "s1", "--filt", "{dir}/e0.json"], "e : 0", "NotSpherical"),
+], ids=["inverse-m", "kl-length", "phi-simple", "proj-filtration", "avstar"])
+def test_typed_errors_name_the_typed_literal(capsys, tmp_path, argv, literal, error):
+    # the element in a typed error reads as the literal on the command line
+    (tmp_path / "e0.json").write_text(json.dumps([{"label": "e : 0", "mult": 1}]))
+    code = main([a.replace("{dir}", str(tmp_path)) for a in argv] + ["--datum", "A1_adj"])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith(f"error: {error}: ") and literal in err, err
+
+
 def test_mtriangle_sweep_on_a_datum_with_a_central_torus(capsys, tmp_path):
     # the sweep enumerates the restricted elements, an infinite set on GL2
     path = tmp_path / "gl2.json"

@@ -1,18 +1,18 @@
 import doctest
+import importlib
+import pkgutil
 
-from alcove_hecke import alcove, laurent, root_datum
+import pytest
 
+import alcove_hecke
 
-def test_alcove_doctests():
-    failures, tested = doctest.testmod(alcove, verbose=False)
-    assert failures == 0 and tested > 0
-
-
-def test_laurent_doctests():
-    failures, tested = doctest.testmod(laurent, verbose=False)
-    assert failures == 0 and tested > 0
+MODULES = sorted(m.name for m in pkgutil.iter_modules(alcove_hecke.__path__))
+# modules whose docstrings carry worked examples
+WITH_EXAMPLES = {"alcove", "laurent", "root_datum", "ext_weyl"}
 
 
-def test_root_datum_doctests():
-    failures, tested = doctest.testmod(root_datum, verbose=False)
-    assert failures == 0 and tested > 0
+@pytest.mark.parametrize("name", MODULES)
+def test_module_doctests(name):
+    failures, tested = doctest.testmod(importlib.import_module(f"alcove_hecke.{name}"))
+    assert failures == 0
+    assert tested > 0 or name not in WITH_EXAMPLES

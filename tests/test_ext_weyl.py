@@ -7,7 +7,16 @@ from alcove_hecke.engine import build_engine
 from alcove_hecke.errors import InvariantViolation, MalformedInput
 from alcove_hecke.ext_weyl import ExtWeyl, ExtWeylElement
 from alcove_hecke.hecke import _first_step
-from oracles import bruhat_recursive, deep_recursion
+from alcove_hecke.parabolic import is_finitary
+from alcove_hecke.root_datum import _principal_minors_positive, load_root_datum, pair
+from conftest import CUSTOM, INTERLEAVED, RANK3, SEMISIMPLE
+from oracles import (
+    affine_cartan_entry,
+    bruhat_recursive,
+    deep_recursion,
+    descent_rows_by_kind,
+    generator_elements_by_kind,
+)
 
 
 def bfs_lengths(eng, radius):
@@ -266,6 +275,23 @@ def test_affine_generator_names(b2):
     names = [g.name for g in b2.ext.generators]
     assert names == ["s1", "s2", "s0a"]
     assert b2.ext.gen_by_name("s0") == b2.ext.gen_by_name("s0a")
+
+
+@pytest.mark.parametrize("name", SEMISIMPLE + list(CUSTOM) + list(RANK3) + list(INTERLEAVED))
+def test_affine_roots_give_the_tables_by_kind(name):
+    # generator elements, descent rows and affine Cartan entries read off the
+    # one table of affine simple roots, against one branch per generator kind
+    ext = ExtWeyl(load_root_datum({**CUSTOM, **RANK3, **INTERLEAVED}.get(name, name)))
+    assert {g: ext.gen_element(g) for g in ext.generators} == generator_elements_by_kind(ext)
+    assert ext._descent_rows == descent_rows_by_kind(ext)
+    roots = ext.affine_roots
+    pairs = list(itertools.product(ext.generators, repeat=2))
+    assert [pair(roots[g][0], roots[h][1]) for g, h in pairs] == [
+        affine_cartan_entry(ext, g, h) for g, h in pairs]
+    for r in range(len(ext.generators) + 1):
+        for gens in itertools.combinations(ext.generators, r):
+            cartan = [[affine_cartan_entry(ext, g, h) for h in gens] for g in gens]
+            assert is_finitary(ext, gens) == _principal_minors_positive(cartan), gens
 
 
 def test_group_axioms_random(any_engine):

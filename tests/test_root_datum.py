@@ -23,7 +23,7 @@ from alcove_hecke.root_datum import (
     solve_smith,
     vec_neg,
 )
-from conftest import CUSTOM, RANK3, SEMISIMPLE
+from conftest import CUSTOM, INTERLEAVED, RANK3, SEMISIMPLE
 from oracles import cartan_components, highest_root_index
 
 # degrees of the fundamental invariants, used as the Poincare-series oracle
@@ -213,26 +213,11 @@ def test_coroot_lattice_check_at_load_raises(monkeypatch):
         load_root_datum("A2_adj")
 
 
-# simple coroots of adjoint data whose Dynkin components interleave their
-# indices; the simple roots are the unit vectors
-INTERLEAVED = {
-    "A1xA2": [[2, 0, -1], [0, 2, 0], [-1, 0, 2]],
-    "A1xA1xA1": [[2, 0, 0], [0, 2, 0], [0, 0, 2]],
-    "B2xA1": [[2, 0, -1], [0, 2, 0], [-2, 0, 2]],
-    "G2xA1": [[2, 0, -1], [0, 2, 0], [-3, 0, 2]],
-}
-
-
 @pytest.mark.parametrize("name", SEMISIMPLE + list(CUSTOM) + list(RANK3) + list(INTERLEAVED))
 def test_components_and_highest_roots_from_supports(name):
     # the maximal root supports and the last root on each against a search of
     # the Dynkin graph and the root of greatest height on each component
-    if name in INTERLEAVED:
-        spec = {"simple_roots": [[int(i == j) for j in range(3)] for i in range(3)],
-                "simple_coroots": INTERLEAVED[name]}
-    else:
-        spec = CUSTOM.get(name) or RANK3.get(name) or name
-    d = load_root_datum(spec)
+    d = load_root_datum({**CUSTOM, **RANK3, **INTERLEAVED}.get(name, name))
     comps = cartan_components(d.cartan)
     assert d.components == tuple(map(tuple, comps))
     tops = [highest_root_index(d, comp) for comp in comps]

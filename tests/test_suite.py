@@ -10,8 +10,8 @@ from alcove_hecke import cli, suite
 from alcove_hecke.engine import build_engine
 from alcove_hecke.errors import BoundsTooLarge, InvariantViolation, MalformedInput, Unrepresentable
 from alcove_hecke.ext_weyl import ExtWeyl
-from alcove_hecke.hecke import HeckeElement
-from alcove_hecke.laurent import LaurentPolynomial
+from alcove_hecke.hecke import HeckeAlgebra, HeckeElement
+from alcove_hecke.laurent import ONE, LaurentPolynomial
 from alcove_hecke.root_datum import PRESETS
 from alcove_hecke.suite import bar_invariance_solver, run_suite, spherical_window
 from conftest import CUSTOM, RANK3, SEMISIMPLE, plant_length_sign_flip
@@ -256,6 +256,43 @@ def test_solver_integrality_check_raises(monkeypatch, a1):
     monkeypatch.setattr(hecke, "bar", halved)
     with pytest.raises(InvariantViolation, match="non-integral"):
         bar_invariance_solver(a1, x)
+
+
+def test_kl_bar_invariance_fails_on_a_negative_coefficient(monkeypatch):
+    # the least lower coefficient negated: the check names the element before
+    # its bar test, which the negated element would fail too
+    real = HeckeAlgebra.kl_basis
+
+    def negated(hecke, x):
+        table = real(hecke, x)
+        lower = min((y for y, _ in table.items() if y != x), default=None)
+        return HeckeElement({y: -p if y == lower else p for y, p in table.items()})
+
+    monkeypatch.setattr(HeckeAlgebra, "kl_basis", negated)
+    check = run_suite("A1_adj", names=["kl-bar-invariance"]).checks[0]
+    assert (check.status, check.detail) == ("fail", "negative Kazhdan-Lusztig coefficient")
+    monkeypatch.undo()
+    ce = check.counterexample
+    eng = build_engine("A1_adj")
+    ext, hecke = eng.ext, eng.hecke
+    x, y = ext.parse_element(ce["element"]), ext.parse_element(ce["label"])
+    assert y == min(z for z, _ in hecke.kl_basis(x).items() if z != x)
+    assert ce["polynomial"] == str(-hecke.kl_basis(x).coeff(y))
+    argv = shlex.split(ce["command"])
+    assert argv[1:3] == ["hecke", "kl"] and argv[argv.index("--y") + 1] == ce["element"]
+
+
+def test_mult_triangle_runs_alone():
+    # with no m-triangle values shared, the check computes them itself
+    check = run_suite("A1_adj", names=["mult-triangle"]).checks[0]
+    assert (check.status, check.detail) == ("pass", "exact on 26 elements")
+
+
+def test_mult_triangle_alone_reports_the_m_triangle_failure(monkeypatch):
+    monkeypatch.setattr(HeckeAlgebra, "inverse_m", lambda hecke, x, y: ONE)
+    check = run_suite("A1_adj", names=["mult-triangle"]).checks[0]
+    assert (check.status, check.detail) == ("fail", "inverse polynomial is not v^{len(w0)}")
+    assert shlex.split(check.counterexample["command"])[1:3] == ["hecke", "inverse-m"]
 
 
 @pytest.mark.parametrize("name", ["G2", "A3"])
