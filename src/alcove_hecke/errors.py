@@ -52,8 +52,9 @@ class FlavorMismatch(AlcoveHeckeError):
 
 class BoundsTooLarge(AlcoveHeckeError):
     """A request exceeds a stated bound: the suite's sweep bounds, the
-    element length the canonical-basis recursions accept, or the number of
-    candidate weights a character computation enumerates."""
+    element length the canonical-basis recursions accept, the number of
+    candidate weights a character computation enumerates, or the order of a
+    Weyl group the loader tabulates (`root_datum.MAX_WEYL_ORDER`, 1152)."""
 
 
 class InvariantViolation(AlcoveHeckeError):

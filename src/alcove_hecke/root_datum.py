@@ -10,6 +10,12 @@ the sum of positive roots, the section of Y -> Hom(ZR, Z), and the
 distinguished coweight pairing to 1 with every simple root.  Downstream
 modules read these facts and do not re-derive them.
 
+The Weyl group is found by a breadth-first search along the simple
+reflections that records its edges; its multiplication table is read off
+those edges by list lookups, with no matrix product per pair of elements.
+The table holds |W|^2 entries, so groups larger than `MAX_WEYL_ORDER`, the
+order of W(F4), are refused with `BoundsTooLarge`.
+
 >>> d = load_root_datum("A2_adj")
 >>> d.weyl_order, len(d.positive_roots), d.two_rho, d.varsigma
 (6, 3, (2, 2), (1, 1))
@@ -30,6 +36,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .errors import (
+    BoundsTooLarge,
     CartanNotFiniteType,
     DimensionMismatch,
     InvariantViolation,
@@ -40,6 +47,10 @@ from .errors import (
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
+
+# |W(F4)|, the largest Weyl group of rank 4; the multiplication table holds
+# |W|^2 entries
+MAX_WEYL_ORDER = 1_152
 
 PRESETS: dict[str, dict] = {
     # Adjoint data: X is the root lattice, so X/ZR is trivially torsion-free.
@@ -75,13 +86,6 @@ def vec_scale(c: int, a: Vector) -> Vector:
 
 def mat_apply(m: Matrix, v: Vector) -> Vector:
     return tuple([sum(map(mul, row, v)) for row in m])
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -336,29 +340,44 @@ def _generate_root_system(simple_roots: Matrix, simple_coroots: Matrix):
 
 
 def _enumerate_weyl(n: int, simple_roots: Matrix, simple_coroots: Matrix):
-    """The finite Weyl group by breadth-first products of simple reflections.
+    """The finite Weyl group by a breadth-first search along the simple
+    reflections, recording its edges.
 
-    Only the action on X is enumerated.  The pairing is W-invariant, so
+    right[i][k] is the index of w_k s_i, and each element but the identity
+    has a parent p and an index i with w = w_p s_i; its word is that of w_p
+    followed by i.  A new X-action is its parent's by the rank-one update
+    M s_i = M - (M alpha_i)(alpha_i^vee)^T.  Raises `BoundsTooLarge` as soon as
+    the search finds more than `MAX_WEYL_ORDER` elements.
+
+    The multiplication table is built by columns, with no matrix product:
+    column 0 is the identity map, and w_a (w_p s_i) = (w_a w_p) s_i, so the
+    column of w_p s_i is that of w_p mapped through right[i].  The inverse of
+    w_b is the row holding 0 in column b.  The pairing is W-invariant, so
     <w x, y> = <x, w^{-1} y>: the Y-action of w is the transpose of the
     X-action of w^{-1}.
     """
-    ident = identity_matrix(n)
-    gens = [reflection(alpha, coroot) for alpha, coroot in zip(simple_roots, simple_coroots)]
-    words, actions = [()], [ident]
-    index_of = {ident: 0}
-    queue = [0]
-    while queue:
-        cur = queue.pop(0)
-        for i, gen in enumerate(gens):
-            mx = mat_mul(actions[cur], gen)
-            if mx in index_of:
-                continue
-            index_of[mx] = len(actions)
-            words.append(words[cur] + (i,))
-            actions.append(mx)
-            queue.append(index_of[mx])
-    mult = tuple(tuple(index_of[mat_mul(a, b)] for b in actions) for a in actions)
-    inv = tuple(row.index(0) for row in mult)
+    words, actions, parents = [()], [identity_matrix(n)], []
+    index_of = {actions[0]: 0}
+    right = [[] for _ in simple_roots]
+    for cur, m in enumerate(actions):  # the list grows as the search runs
+        for i, (alpha, coroot) in enumerate(zip(simple_roots, simple_coroots)):
+            m_alpha = mat_apply(m, alpha)
+            mx = tuple(
+                tuple([a - c * b for a, b in zip(row, coroot)]) for row, c in zip(m, m_alpha)
+            )
+            k = index_of.setdefault(mx, len(actions))
+            if k == len(actions):
+                if k == MAX_WEYL_ORDER:
+                    raise BoundsTooLarge(f"the Weyl group has more than {MAX_WEYL_ORDER} elements")
+                words.append(words[cur] + (i,))
+                actions.append(mx)
+                parents.append((cur, i))
+            right[i].append(k)
+    cols = [list(range(len(actions)))]
+    for p, i in parents:
+        cols.append(list(map(right[i].__getitem__, cols[p])))
+    mult = tuple(zip(*cols))
+    inv = tuple(col.index(0) for col in cols)
     elements = tuple(
         WeylElement(k, words[k], actions[k], tuple(zip(*actions[inv[k]])))
         for k in range(len(actions))

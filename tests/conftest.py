@@ -29,6 +29,29 @@ RANK3 = {
     },
 }
 
+
+def type_a(n):
+    """The adjoint datum of type A_n: unit simple roots, the Cartan matrix's
+    columns as simple coroots."""
+    return {
+        "simple_roots": [[int(i == j) for j in range(n)] for i in range(n)],
+        "simple_coroots": [[2 * (i == j) - (abs(i - j) == 1) for i in range(n)] for j in range(n)],
+    }
+
+
+# adjoint rank-4 data: the simple roots are the unit vectors, the simple
+# coroots as listed; F4 has the largest Weyl group the loader accepts
+RANK4 = {
+    name: {"simple_roots": [[int(i == j) for j in range(4)] for i in range(4)],
+           "simple_coroots": coroots}
+    for name, coroots in {
+        "A4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+        "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+        "B4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -2, 2]],
+        "F4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, -1], [0, 0, -1, 2]],
+    }.items()
+}
+
 # adjoint data whose Dynkin components interleave their indices: the simple
 # roots are the unit vectors, the simple coroots as listed
 INTERLEAVED = {

@@ -12,7 +12,8 @@ from alcove_hecke.errors import InvariantViolation
 from alcove_hecke.ext_weyl import ExtWeylElement
 from alcove_hecke.hecke import HeckeElement
 from alcove_hecke.laurent import ONE, V, V_INV, ZERO, LaurentPolynomial
-from alcove_hecke.root_datum import pair, reflection, solve_smith, vec_add, vec_neg, vec_scale, vec_sub
+from alcove_hecke.root_datum import (identity_matrix, pair, reflection, solve_smith, vec_add, vec_neg,
+                                     vec_scale, vec_sub)
 
 
 @contextlib.contextmanager
@@ -235,6 +236,41 @@ def hecke_product(ext, a, b):
         for w, q in acc.items():
             out[w] = out.get(w, ZERO) + q
     return HeckeElement(out)
+
+
+def mat_mul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
+    )
+
+
+def weyl_tables_by_products(simple_roots, simple_coroots):
+    """The finite Weyl group by breadth-first matrix products of simple
+    reflections, and its multiplication table by one matrix product and one
+    matrix-keyed lookup per pair of elements: (words, X-actions, Y-actions,
+    table, inverses).  The Y-actions are products of the reflections
+    y -> y - <alpha_i, y> alpha_i^vee along the same words."""
+    ident = identity_matrix(len(simple_roots[0]))
+    gens = [reflection(alpha, coroot) for alpha, coroot in zip(simple_roots, simple_coroots)]
+    y_gens = [reflection(coroot, alpha) for alpha, coroot in zip(simple_roots, simple_coroots)]
+    words, actions, y_actions = [()], [ident], [ident]
+    index_of = {ident: 0}
+    queue = [0]
+    while queue:
+        cur = queue.pop(0)
+        for i, gen in enumerate(gens):
+            mx = mat_mul(actions[cur], gen)
+            if mx in index_of:
+                continue
+            index_of[mx] = len(actions)
+            words.append(words[cur] + (i,))
+            actions.append(mx)
+            y_actions.append(mat_mul(y_actions[cur], y_gens[i]))
+            queue.append(index_of[mx])
+    mult = tuple(tuple(index_of[mat_mul(a, b)] for b in actions) for a in actions)
+    inv = tuple(row.index(0) for row in mult)
+    return words, actions, y_actions, mult, inv
 
 
 def cartan_components(cartan):

@@ -12,7 +12,7 @@ from alcove_hecke.cli import main
 from alcove_hecke.engine import build_engine
 from alcove_hecke.hecke import MAX_HECKE_LENGTH
 from alcove_hecke.satake_char import MAX_CHAR_BOX
-from conftest import CUSTOM, plant_length_sign_flip
+from conftest import CUSTOM, plant_length_sign_flip, type_a
 from oracles import bruhat_recursive, deep_recursion, porder_recursive
 
 
@@ -318,6 +318,15 @@ def test_datum_descriptor_typed_error(capsys, tmp_path, content):
     path = tmp_path / "datum.json"
     path.write_text(content)
     malformed(capsys, "datum", "check", "--datum", str(path))
+
+
+def test_datum_check_weyl_order_bound(capsys, tmp_path):
+    # type A6: |W| = 5040 > MAX_WEYL_ORDER
+    path = tmp_path / "a6.json"
+    path.write_text(json.dumps(type_a(6)))
+    code = main(["datum", "check", "--datum", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2 and "BoundsTooLarge" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag", ["--maxlen", "--samples"])

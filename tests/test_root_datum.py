@@ -2,11 +2,13 @@ import dataclasses
 import hashlib
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
 
 from alcove_hecke.errors import (
+    BoundsTooLarge,
     CartanNotFiniteType,
     DimensionMismatch,
     InvariantViolation,
@@ -17,14 +19,15 @@ from alcove_hecke.errors import (
 from alcove_hecke import root_datum
 from alcove_hecke.laurent import ONE, LaurentPolynomial
 from alcove_hecke.root_datum import (
+    MAX_WEYL_ORDER,
     load_root_datum,
     pair,
     smith_normal_form,
     solve_smith,
     vec_neg,
 )
-from conftest import CUSTOM, INTERLEAVED, RANK3, SEMISIMPLE
-from oracles import cartan_components, highest_root_index
+from conftest import CUSTOM, INTERLEAVED, RANK3, RANK4, SEMISIMPLE, type_a
+from oracles import cartan_components, highest_root_index, weyl_tables_by_products
 
 # degrees of the fundamental invariants, used as the Poincare-series oracle
 DEGREES = {
@@ -244,10 +247,40 @@ def field_digests(d):
 LOADER_DIGESTS = Path(__file__).parent / "data" / "loader_digests.json"
 
 
-@pytest.mark.parametrize("name", SEMISIMPLE + list(CUSTOM) + list(RANK3))
+@pytest.mark.parametrize("name", SEMISIMPLE + list(CUSTOM) + list(RANK3) + list(RANK4))
 def test_loaded_fields_match_pinned_digests(name):
     # every field the loader derives, against the digests in tests/data; a
     # mismatch names the field that changed
     want = json.loads(LOADER_DIGESTS.read_text(encoding="utf-8"))[name]
-    spec = CUSTOM.get(name) or RANK3.get(name) or name
+    spec = {**CUSTOM, **RANK3, **RANK4}.get(name, name)
     assert field_digests(load_root_datum(spec)) == want
+
+
+@pytest.mark.parametrize("name", SEMISIMPLE + list(CUSTOM) + list(RANK3) + list(INTERLEAVED) + ["A4"])
+def test_weyl_tables_match_the_product_oracle(name):
+    # the tables read off the search's edges against matrix products per pair
+    d = load_root_datum({**CUSTOM, **RANK3, **INTERLEAVED, **RANK4}.get(name, name))
+    words, x_actions, y_actions, mult, inv = weyl_tables_by_products(d.simple_roots, d.simple_coroots)
+    assert [e.word for e in d.weyl_elements] == words
+    assert [e.x_action for e in d.weyl_elements] == x_actions
+    assert [e.y_action for e in d.weyl_elements] == y_actions
+    assert d.weyl_mult == mult
+    assert d.weyl_inv == inv
+
+
+def test_weyl_order_bound():
+    # W(F4) is the largest group loaded; W(A6), of order 5040, is refused by
+    # the search itself, before a table of 5040^2 entries is built
+    assert MAX_WEYL_ORDER == 1_152
+    assert load_root_datum(RANK4["F4"]).weyl_order == MAX_WEYL_ORDER
+    start = time.perf_counter()
+    with pytest.raises(BoundsTooLarge, match="more than 1152 elements"):
+        load_root_datum(type_a(6))
+    assert time.perf_counter() - start < 10
+
+
+def test_weyl_order_bound_refuses_one_element_more(monkeypatch):
+    # |W(A3)| = 24: the search stops at its 24th element when the bound is 23
+    monkeypatch.setattr(root_datum, "MAX_WEYL_ORDER", 23)
+    with pytest.raises(BoundsTooLarge, match="more than 23 elements"):
+        load_root_datum(CUSTOM["A3"])
