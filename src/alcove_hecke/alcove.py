@@ -8,8 +8,10 @@ are stored as integer numerator vectors over that denominator.
 The tests look at x^{-1}.p0, and for x = w t_lambda that point is
 x^{-1}.p0 = w^{-1}(p0) - h lambda (in numerators).  The model therefore keeps
 one row per finite Weyl index w, holding <alpha, w^{-1}(p0)> for the simple
-roots, and decides each test from that row and one small dot product per
-simple root: <alpha_i, x^{-1}.p0> = row[i] - h <alpha_i, lambda>.  Simple
+roots (in numerators <w alpha, varsigma>, the signed height of the root
+w alpha, read off w's root permutation), and decides each test from that
+row and one small dot product per simple root:
+<alpha_i, x^{-1}.p0> = row[i] - h <alpha_i, lambda>.  Simple
 roots suffice for the chamber test too: every positive root is a
 nonnegative integer combination of simple roots, so a point pairs positively
 with every positive root exactly when it does with every simple root.
@@ -58,10 +60,12 @@ class AlcoveModel:
         for beta in d.positive_roots:
             if not 0 < pair(beta, d.varsigma) < h:
                 raise InvariantViolation(f"base point {d.varsigma} leaves the fundamental alcove")
-        # per Weyl index w: <alpha, w^{-1}(p0)> for the simple roots alpha
+        # per Weyl index w: <alpha, w^{-1}(p0)> for the simple roots alpha, in
+        # numerators the signed height of the root w alpha
+        heights = d.root_heights + tuple(-ht for ht in d.root_heights)
+        simple = [d.roots.index(alpha) for alpha in d.simple_roots]
         self._simple_rows = tuple(
-            tuple(pair(alpha, d.act_y(d.weyl_inv[w], d.varsigma)) for alpha in d.simple_roots)
-            for w in range(d.weyl_order)
+            tuple([heights[perm[j]] for j in simple]) for perm in d.root_perms
         )
         self.data = Memo(self._alcove_data)
 

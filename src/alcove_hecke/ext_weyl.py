@@ -21,8 +21,10 @@ root theta, and s = s_beta t_{k beta^vee} (t_{theta^vee} s_theta when affine).
 Descents need no length: for x = w t_lambda and a = w^{-1} beta, s x < x
 exactly when <a, lambda> < [a < 0] - k, i.e. when x^{-1} sends beta + k delta
 to a negative affine root.  A table per Weyl index stores (a, [a < 0] - k)
-for each generator; the left-step rows read their descent bits from it, and
-the Bruhat walk reads them from the rows.
+for each generator, read off the root permutation of w^{-1}; the left-step
+rows read their descent bits from it, and the Bruhat walk reads them from
+the rows.  The Weyl part s_beta of each generator is the element that sends
+every simple root alpha to alpha - <alpha, beta^vee> beta.
 
 >>> from alcove_hecke.root_datum import load_root_datum
 >>> for g, root in ExtWeyl(load_root_datum("A2_adj")).affine_roots.items():
@@ -56,7 +58,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import InvariantViolation, MalformedInput
 from .memo import Memo
-from .root_datum import RootDatum, Vector, pair, reflection, vec_neg, vec_scale
+from .root_datum import RootDatum, Vector, pair, vec_neg, vec_scale, vec_sub
 
 GEN_LETTERS = "abcdefgh"
 
@@ -103,11 +105,21 @@ class ExtWeyl:
         for c, (theta, theta_vee) in enumerate(zip(datum.highest_roots, datum.highest_short_coroots)):
             self.affine_roots[AffineGenerator("affine", c)] = (vec_neg(theta), vec_neg(theta_vee), 1)
         self.generators: list[AffineGenerator] = list(self.affine_roots)
-        weyl_index = {el.x_action: el.index for el in datum.weyl_elements}
-        self._gen_elements = {
-            g: ExtWeylElement(weyl_index[reflection(beta, beta_vee)], vec_scale(k, beta_vee))
-            for g, (beta, beta_vee, k) in self.affine_roots.items()
+        roots, n_pos = datum.roots, len(datum.positive_roots)
+        root_index = {beta: j for j, beta in enumerate(roots)}
+        # a Weyl element is fixed by where it sends the simple roots, and s_beta
+        # sends alpha to alpha - <alpha, beta^vee> beta
+        simple = [root_index[alpha] for alpha in datum.simple_roots]
+        weyl_index = {
+            tuple(map(perm.__getitem__, simple)): w for w, perm in enumerate(datum.root_perms)
         }
+        self._gen_elements = {}
+        for g, (beta, beta_vee, k) in self.affine_roots.items():
+            images = tuple(
+                root_index[vec_sub(alpha, vec_scale(pair(alpha, beta_vee), beta))]
+                for alpha in datum.simple_roots
+            )
+            self._gen_elements[g] = ExtWeylElement(weyl_index[images], vec_scale(k, beta_vee))
         self._gen_by_element = {el: g for g, el in self._gen_elements.items()}
         self._gen_by_name = {g.name: g for g in self.generators}
         if len(datum.components) == 1:
@@ -118,12 +130,13 @@ class ExtWeyl:
         # it with u the longest element of a finite parabolic subgroup
         self.lengths_add_w0 = Memo(self._lengths_add_w0)
 
-        # per Weyl index, each generator's descent pair (a, [a < 0] - k)
-        positive = set(datum.positive_roots)
+        # per Weyl index w, each generator's descent pair (a, [a < 0] - k): a is
+        # the root w^{-1} beta, read off w^{-1}'s root permutation
+        at = [(root_index[beta], k) for beta, _, k in self.affine_roots.values()]
         rows = []
         for w_inv in datum.weyl_inv:
-            moved = [(datum.act_x(w_inv, beta), k) for beta, _, k in self.affine_roots.values()]
-            rows.append(tuple((a, (a not in positive) - k) for a, k in moved))
+            perm = datum.root_perms[w_inv]
+            rows.append(tuple([(roots[perm[j]], (perm[j] >= n_pos) - k) for j, k in at]))
         self._descent_rows = tuple(rows)
 
     # -- group arithmetic ------------------------------------------------

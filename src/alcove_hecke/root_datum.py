@@ -5,22 +5,32 @@ character lattice X) and simple coroots (coordinates in the cocharacter
 lattice Y); the pairing X x Y -> Z is the coordinate dot product.  The loader
 validates the data (finite-type Cartan matrix, torsion-free X/ZR) and derives
 everything downstream modules need: positive roots and coroots, the finite
-Weyl group with its action matrices and root sign flips, the longest element,
-the sum of positive roots, the section of Y -> Hom(ZR, Z), and the
-distinguished coweight pairing to 1 with every simple root.  Downstream
-modules read these facts and do not re-derive them.
+Weyl group with its action matrices, root permutations and root sign flips,
+the longest element, the sum of positive roots, the section of
+Y -> Hom(ZR, Z), and the distinguished coweight pairing to 1 with every
+simple root.  Downstream modules read these facts and do not re-derive them.
 
-The Weyl group is found by a breadth-first search along the simple
-reflections that records its edges; its multiplication table is read off
-those edges by list lookups, with no matrix product per pair of elements.
-The table holds |W|^2 entries, so groups larger than `MAX_WEYL_ORDER`, the
-order of W(F4), are refused with `BoundsTooLarge`.
+The root closure keeps each simple reflection's permutation of `roots`, the
+positive roots followed by their negatives.  The Weyl group is found by a
+breadth-first search that composes these permutations, knows an element by
+where it sends the simple roots and records its edges; only a new element
+gets an X-action, by one rank-one update, and the multiplication table is
+read off the edges by list lookups.  The table holds |W|^2 entries, so
+groups larger than `MAX_WEYL_ORDER`, the order of W(F4), are refused with
+`BoundsTooLarge`.  Sign flips are read off the permutations by index, and
+the loader checks that each w makes as many positive roots negative as its
+length.
 
 >>> d = load_root_datum("A2_adj")
 >>> d.weyl_order, len(d.positive_roots), d.two_rho, d.varsigma
 (6, 3, (2, 2), (1, 1))
 >>> pair(d.two_rho, d.simple_coroots[0])
 2
+>>> d.roots
+((0, 1), (1, 0), (1, 1), (0, -1), (-1, 0), (-1, -1))
+>>> s1 = d.weyl_elements[1]
+>>> s1.word, d.root_perms[s1.index], d.root_sign_flips[s1.index]
+((0,), (2, 4, 0, 5, 1, 3), (False, True, False))
 >>> e = load_root_datum("A1xA1_adj")
 >>> e.components, e.highest_roots
 (((0,), (1,)), ((1, 0), (0, 1)))
@@ -90,12 +100,6 @@ def mat_apply(m: Matrix, v: Vector) -> Vector:
 
 def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def reflection(root: Vector, coroot: Vector) -> Matrix:
-    """The action x -> x - <x, coroot> root on X."""
-    n = len(root)
-    return tuple(tuple(int(r == c) - root[r] * coroot[c] for c in range(n)) for r in range(n))
 
 
 # --- small exact integer linear algebra (Smith normal form based) ---
@@ -246,6 +250,7 @@ class RootDatum:
     cartan: Matrix
     positive_roots: Matrix
     positive_coroots: Matrix
+    roots: Matrix  # the positive roots, then their negatives in the same order
     root_heights: tuple[int, ...]
     coroot_in_simple: Matrix  # coordinates of each positive coroot in simple coroots
     weyl_elements: tuple[WeylElement, ...]
@@ -253,6 +258,8 @@ class RootDatum:
     weyl_inv: Vector
     # per Weyl index w, for each positive root alpha: whether w(alpha) < 0
     root_sign_flips: tuple[tuple[bool, ...], ...]
+    # per Weyl index w, for each root beta: the index in `roots` of w(beta)
+    root_perms: tuple[tuple[int, ...], ...]
     w0: int
     two_rho: Vector
     varsigma: Vector
@@ -313,18 +320,26 @@ def _generate_root_system(simple_roots: Matrix, simple_coroots: Matrix):
     sum of their coordinates, so the supports give the Dynkin components:
     each component is a maximal support, and its highest root is the last
     root supported on all of it.
+
+    The closure computes s_i(beta) for every positive root beta and keeps
+    it: with the roots listed positive first, then their negatives in the
+    same order, each s_i is returned as its permutation of that list, and
+    s_i(-beta) = -s_i(beta) gives the second half.
     """
     rank = len(simple_roots)
     unit = identity_matrix(rank)
     pos = {simple_roots[i]: (simple_coroots[i], unit[i], unit[i]) for i in range(rank)}
+    images = {}  # beta -> (s_1 beta, ..., s_r beta)
     frontier = list(simple_roots)
     while frontier:
         beta = frontier.pop()
         beta_vee, coords, coords_vee = pos[beta]
+        images[beta] = row = []
         for i in range(rank):
             # s_i(beta) = beta - <beta, alpha_i^vee> alpha_i, same shape on coroots
             c = pair(beta, simple_coroots[i])
             new_root = vec_sub(beta, vec_scale(c, simple_roots[i]))
+            row.append(new_root)
             if new_root in pos or vec_neg(new_root) in pos:
                 continue
             cc = pair(simple_roots[i], beta_vee)
@@ -335,19 +350,37 @@ def _generate_root_system(simple_roots: Matrix, simple_coroots: Matrix):
             )
             frontier.append(new_root)
     order = sorted(pos, key=lambda beta: (sum(pos[beta][1]), beta))
-    # the roots, then their coroots, simple-root and simple-coroot coordinates
-    return (tuple(order), *(tuple(pos[beta][k] for beta in order) for k in range(3)))
+    n = len(order)
+    index = {beta: k for k, beta in enumerate(order)}
+    index.update((vec_neg(beta), n + k) for k, beta in enumerate(order))
+    perms = []
+    for i in range(rank):
+        top = [index[images[beta][i]] for beta in order]
+        perms.append(tuple(top + [(k + n) % (2 * n) for k in top]))
+    # the roots, then their coroots, simple-root and simple-coroot
+    # coordinates, then each simple reflection's root permutation
+    return (tuple(order), *(tuple(pos[beta][k] for beta in order) for k in range(3)), tuple(perms))
 
 
-def _enumerate_weyl(n: int, simple_roots: Matrix, simple_coroots: Matrix):
+def _enumerate_weyl(
+    n: int, roots: Matrix, simple_roots: Matrix, simple_coroots: Matrix, simple_perms
+):
     """The finite Weyl group by a breadth-first search along the simple
     reflections, recording its edges.
 
+    Each element is found as a permutation of `roots`: perm[j] is the index
+    of w(roots[j]), and w s_i has the permutation perm o perm_{s_i}, with
+    perm_{s_i} from `simple_perms`.  W acts faithfully on the roots, and a
+    linear map of their span is fixed by its images of the simple roots, so
+    those r indices are the key that tells a new element from a known one.
+
     right[i][k] is the index of w_k s_i, and each element but the identity
     has a parent p and an index i with w = w_p s_i; its word is that of w_p
-    followed by i.  A new X-action is its parent's by the rank-one update
-    M s_i = M - (M alpha_i)(alpha_i^vee)^T.  Raises `BoundsTooLarge` as soon as
-    the search finds more than `MAX_WEYL_ORDER` elements.
+    followed by i.  Only a new element gets its permutation and X-action:
+    its parent's by the rank-one update M s_i = M - (M alpha_i)(alpha_i^vee)^T,
+    where M alpha_i = w_p(alpha_i) is read off the parent's permutation.
+    Raises `BoundsTooLarge` as soon as the search finds more than
+    `MAX_WEYL_ORDER` elements.
 
     The multiplication table is built by columns, with no matrix product:
     column 0 is the identity map, and w_a (w_p s_i) = (w_a w_p) s_i, so the
@@ -356,21 +389,25 @@ def _enumerate_weyl(n: int, simple_roots: Matrix, simple_coroots: Matrix):
     <w x, y> = <x, w^{-1} y>: the Y-action of w is the transpose of the
     X-action of w^{-1}.
     """
-    words, actions, parents = [()], [identity_matrix(n)], []
-    index_of = {actions[0]: 0}
+    simple = [roots.index(alpha) for alpha in simple_roots]
+    # where s_i sends each simple root, so that w s_i's key is r reads of w's permutation
+    moved = [[p[j] for j in simple] for p in simple_perms]
+    perms, words, actions, parents = [tuple(range(len(roots)))], [()], [identity_matrix(n)], []
+    index_of = {tuple(simple): 0}
     right = [[] for _ in simple_roots]
-    for cur, m in enumerate(actions):  # the list grows as the search runs
-        for i, (alpha, coroot) in enumerate(zip(simple_roots, simple_coroots)):
-            m_alpha = mat_apply(m, alpha)
-            mx = tuple(
-                tuple([a - c * b for a, b in zip(row, coroot)]) for row, c in zip(m, m_alpha)
-            )
-            k = index_of.setdefault(mx, len(actions))
-            if k == len(actions):
+    for cur, perm in enumerate(perms):  # the list grows as the search runs
+        for i, s_perm in enumerate(simple_perms):
+            k = index_of.setdefault(tuple(map(perm.__getitem__, moved[i])), len(perms))
+            if k == len(perms):
                 if k == MAX_WEYL_ORDER:
                     raise BoundsTooLarge(f"the Weyl group has more than {MAX_WEYL_ORDER} elements")
+                m_alpha, coroot = roots[perm[simple[i]]], simple_coroots[i]
+                actions.append(tuple(
+                    tuple([a - c * b for a, b in zip(row, coroot)])
+                    for row, c in zip(actions[cur], m_alpha)
+                ))
+                perms.append(tuple(map(perm.__getitem__, s_perm)))
                 words.append(words[cur] + (i,))
-                actions.append(mx)
                 parents.append((cur, i))
             right[i].append(k)
     cols = [list(range(len(actions)))]
@@ -382,7 +419,7 @@ def _enumerate_weyl(n: int, simple_roots: Matrix, simple_coroots: Matrix):
         WeylElement(k, words[k], actions[k], tuple(zip(*actions[inv[k]])))
         for k in range(len(actions))
     )
-    return elements, mult, inv
+    return elements, mult, inv, tuple(perms)
 
 
 def load_root_datum(spec) -> RootDatum:
@@ -459,19 +496,31 @@ def load_root_datum(spec) -> RootDatum:
     if any(pair(alpha, varsigma) != 1 for alpha in simple_roots):
         raise InvariantViolation(f"varsigma {varsigma} does not pair to 1 with every simple root")
 
-    pos_roots, pos_coroots, root_coords, coroot_coords = _generate_root_system(
+    pos_roots, pos_coroots, root_coords, coroot_coords, simple_perms = _generate_root_system(
         simple_roots, simple_coroots
     )
     heights = tuple(map(sum, root_coords))
     two_rho = tuple(sum(beta[i] for beta in pos_roots) for i in range(dim))
+    n_pos = len(pos_roots)
+    roots = pos_roots + tuple(map(vec_neg, pos_roots))
 
-    elements, mult, inv = _enumerate_weyl(dim, simple_roots, simple_coroots)
+    elements, mult, inv, perms = _enumerate_weyl(
+        dim, roots, simple_roots, simple_coroots, simple_perms
+    )
+    # w(beta) < 0 exactly when its index lies past the positive roots, and
+    # the length of w is the number of positive roots it makes negative
+    # (Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.7)
+    flips = tuple(tuple(j >= n_pos for j in perm[:n_pos]) for perm in perms)
+    for el, flip in zip(elements, flips):
+        if sum(flip) != el.length:
+            raise InvariantViolation(
+                f"Weyl element {el.word} of length {el.length} makes"
+                f" {sum(flip)} positive roots negative"
+            )
+    # so an element of length |Phi+| is w0, sending every positive root to a negative one
     w0 = max(range(len(elements)), key=lambda k: elements[k].length)
-    if elements[w0].length != len(pos_roots):
+    if elements[w0].length != n_pos:
         raise MalformedInput("longest-element length does not match the root count")
-    neg = {vec_neg(beta) for beta in pos_roots}
-    if {mat_apply(elements[w0].x_action, beta) for beta in pos_roots} != neg:
-        raise MalformedInput("w0 does not send positive roots to negative roots")
 
     coroot_rows = [[simple_coroots[j][i] for j in range(rank)] for i in range(dim)]
     coroot_smith = tuple(tuple(map(tuple, f)) for f in smith_normal_form(coroot_rows))
@@ -485,7 +534,6 @@ def load_root_datum(spec) -> RootDatum:
     comps = sorted({s for s in supports if not any(s < t for t in supports)}, key=sorted)
     tops = [max(k for k, s in enumerate(supports) if s == comp) for comp in comps]
 
-    positive = set(pos_roots)
     return RootDatum(
         x_rank=dim,
         y_rank=dim,
@@ -494,15 +542,14 @@ def load_root_datum(spec) -> RootDatum:
         cartan=cartan,
         positive_roots=pos_roots,
         positive_coroots=pos_coroots,
+        roots=roots,
         root_heights=heights,
         coroot_in_simple=coroot_coords,
         weyl_elements=elements,
         weyl_mult=mult,
         weyl_inv=inv,
-        root_sign_flips=tuple(
-            tuple(mat_apply(w.x_action, beta) not in positive for beta in pos_roots)
-            for w in elements
-        ),
+        root_sign_flips=flips,
+        root_perms=perms,
         w0=w0,
         two_rho=two_rho,
         varsigma=varsigma,

@@ -63,11 +63,13 @@ class SatakeChar:
             self._two_rho_vee = vec_add(self._two_rho_vee, cv)
         # the W-invariant form B(lam, mu) = sum_{alpha > 0} <alpha, lam><alpha, mu>
         # on Y, read against each positive coroot beta as one pairing:
-        # B(lam, beta) = <b_beta, lam> with b_beta = sum_{alpha > 0} <alpha, beta> alpha
+        # B(lam, beta) = <b_beta, lam> with b_beta = sum_{alpha > 0} <alpha, beta> alpha,
+        # each <alpha, beta> computed once
+        pos = datum.positive_roots
+        columns = tuple(zip(*pos))
         self._form_rows = tuple(
-            tuple(sum(pair(alpha, beta) * alpha[r] for alpha in datum.positive_roots)
-                  for r in range(datum.x_rank))
-            for beta in datum.positive_coroots
+            tuple(sum(map(scalar_mul, coeffs, col)) for col in columns)
+            for coeffs in ([pair(alpha, beta) for alpha in pos] for beta in datum.positive_coroots)
         )
 
     # -- lattice helpers ---------------------------------------------------

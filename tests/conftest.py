@@ -65,6 +65,14 @@ INTERLEAVED = {
     }.items()
 }
 
+# every datum the table oracles run on, and the descriptor of each name
+EVERY_DATUM = SEMISIMPLE + list(CUSTOM) + list(RANK3) + list(INTERLEAVED) + list(RANK4)
+
+
+def descriptor(name):
+    return {**CUSTOM, **RANK3, **INTERLEAVED, **RANK4}.get(name, name)
+
+
 _cache = {}
 
 

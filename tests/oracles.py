@@ -12,7 +12,7 @@ from alcove_hecke.errors import InvariantViolation
 from alcove_hecke.ext_weyl import ExtWeylElement
 from alcove_hecke.hecke import HeckeElement
 from alcove_hecke.laurent import ONE, V, V_INV, ZERO, LaurentPolynomial
-from alcove_hecke.root_datum import (identity_matrix, pair, reflection, solve_smith, vec_add, vec_neg,
+from alcove_hecke.root_datum import (identity_matrix, pair, solve_smith, vec_add, vec_neg,
                                      vec_scale, vec_sub)
 
 
@@ -69,6 +69,16 @@ def in_wexts_positive_roots(alc, x):
     d, h = alc.datum, alc.denominator
     q = d.act_y(d.weyl_inv[x.w], d.varsigma)
     return all(pair(beta, q) > h * pair(beta, x.t) for beta in d.positive_roots)
+
+
+def simple_rows_by_action(alc):
+    """Per Weyl index w, <alpha, w^{-1}(varsigma)> for the simple roots
+    alpha, by the Y-action of w^{-1}."""
+    d = alc.datum
+    return tuple(
+        tuple(pair(alpha, d.act_y(d.weyl_inv[w], d.varsigma)) for alpha in d.simple_roots)
+        for w in range(d.weyl_order)
+    )
 
 
 def hermite_rows(basis):
@@ -236,6 +246,12 @@ def hecke_product(ext, a, b):
         for w, q in acc.items():
             out[w] = out.get(w, ZERO) + q
     return HeckeElement(out)
+
+
+def reflection(root, coroot):
+    """The action x -> x - <x, coroot> root on X, as a matrix."""
+    n = len(root)
+    return tuple(tuple(int(r == c) - root[r] * coroot[c] for c in range(n)) for r in range(n))
 
 
 def mat_mul(a, b):

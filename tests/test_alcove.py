@@ -4,11 +4,13 @@ from typing import NamedTuple
 
 import pytest
 
+from alcove_hecke.alcove import AlcoveModel
 from alcove_hecke.engine import build_engine
 from alcove_hecke.errors import InvariantViolation
-from alcove_hecke.ext_weyl import ExtWeylElement
-from alcove_hecke.root_datum import Vector, pair, vec_add, vec_scale
-from oracles import in_wexts_positive_roots
+from alcove_hecke.ext_weyl import ExtWeyl, ExtWeylElement
+from alcove_hecke.root_datum import Vector, load_root_datum, pair, vec_add, vec_scale
+from conftest import EVERY_DATUM, descriptor
+from oracles import in_wexts_positive_roots, simple_rows_by_action
 
 
 # -- the action on rational points, the oracle for the per-Weyl-index tables --
@@ -202,6 +204,15 @@ def test_alcove_tests_match_action_oracle(datum_engine):
         assert alc.in_wexts(x) == _oracle_in_wexts(alc, x)
         assert alc.in_wres(x) == all(0 < c < h for c in simple)
         assert alc.box_coords(x) == tuple(-((-c) // h) for c in simple)
+
+
+@pytest.mark.parametrize("name", EVERY_DATUM)
+def test_simple_rows_match_the_y_action_oracle(name):
+    # the signed heights read off the root permutations against the Y-action
+    # of w^{-1} applied to varsigma
+    d = load_root_datum(descriptor(name))
+    alc = AlcoveModel(ExtWeyl(d))
+    assert alc._simple_rows == simple_rows_by_action(alc)
 
 
 def test_push_steps_is_smallest_push(datum_engine):

@@ -9,7 +9,7 @@ from alcove_hecke.ext_weyl import ExtWeyl, ExtWeylElement
 from alcove_hecke.hecke import _first_step
 from alcove_hecke.parabolic import is_finitary
 from alcove_hecke.root_datum import _principal_minors_positive, load_root_datum, pair
-from conftest import CUSTOM, INTERLEAVED, RANK3, SEMISIMPLE
+from conftest import EVERY_DATUM, descriptor
 from oracles import (
     affine_cartan_entry,
     bruhat_recursive,
@@ -277,11 +277,11 @@ def test_affine_generator_names(b2):
     assert b2.ext.gen_by_name("s0") == b2.ext.gen_by_name("s0a")
 
 
-@pytest.mark.parametrize("name", SEMISIMPLE + list(CUSTOM) + list(RANK3) + list(INTERLEAVED))
+@pytest.mark.parametrize("name", EVERY_DATUM)
 def test_affine_roots_give_the_tables_by_kind(name):
     # generator elements, descent rows and affine Cartan entries read off the
     # one table of affine simple roots, against one branch per generator kind
-    ext = ExtWeyl(load_root_datum({**CUSTOM, **RANK3, **INTERLEAVED}.get(name, name)))
+    ext = ExtWeyl(load_root_datum(descriptor(name)))
     assert {g: ext.gen_element(g) for g in ext.generators} == generator_elements_by_kind(ext)
     assert ext._descent_rows == descent_rows_by_kind(ext)
     roots = ext.affine_roots

@@ -154,8 +154,8 @@ real_closure = root_datum._generate_root_system
 
 
 def planted_closure(simple_roots, simple_coroots):
-    roots, coroots, coords, coroot_coords = real_closure(simple_roots, simple_coroots)
-    return roots, coroots, coords, coroot_coords[:-1] + ((1, 0),)
+    roots, coroots, coords, coroot_coords, perms = real_closure(simple_roots, simple_coroots)
+    return roots, coroots, coords, coroot_coords[:-1] + ((1, 0),), perms
 
 
 root_datum._generate_root_system = planted_closure
@@ -166,6 +166,26 @@ except InvariantViolation:
 else:
     raise SystemExit("coroot coordinate check vanished")
 root_datum._generate_root_system = real_closure
+
+real_search = root_datum._enumerate_weyl
+
+
+def planted_search(*args):
+    elements, mult, inv, perms = real_search(*args)
+    perm = list(perms[1])
+    n = len(perm) // 2
+    perm[0], perm[n] = perm[n], perm[0]
+    return elements, mult, inv, perms[:1] + (tuple(perm),) + perms[2:]
+
+
+root_datum._enumerate_weyl = planted_search
+try:
+    build_engine("A2_adj")
+except InvariantViolation:
+    pass
+else:
+    raise SystemExit("length check vanished")
+root_datum._enumerate_weyl = real_search
 
 real_solve = root_datum.solve_smith
 root_datum.solve_smith = lambda factors, rhs: [2 * c for c in real_solve(factors, rhs)]

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from alcove_hecke.alcove import AlcoveModel
 from alcove_hecke.errors import (
     BoundsTooLarge,
     CartanNotFiniteType,
@@ -17,16 +18,27 @@ from alcove_hecke.errors import (
     UnknownPreset,
 )
 from alcove_hecke import root_datum
+from alcove_hecke.ext_weyl import ExtWeyl
 from alcove_hecke.laurent import ONE, LaurentPolynomial
 from alcove_hecke.root_datum import (
     MAX_WEYL_ORDER,
     load_root_datum,
+    mat_apply,
     pair,
     smith_normal_form,
     solve_smith,
     vec_neg,
 )
-from conftest import CUSTOM, INTERLEAVED, RANK3, RANK4, SEMISIMPLE, type_a
+from conftest import (
+    CUSTOM,
+    EVERY_DATUM,
+    INTERLEAVED,
+    RANK3,
+    RANK4,
+    SEMISIMPLE,
+    descriptor,
+    type_a,
+)
 from oracles import cartan_components, highest_root_index, weyl_tables_by_products
 
 # degrees of the fundamental invariants, used as the Poincare-series oracle
@@ -111,7 +123,7 @@ def test_dominance(a1):
 
 @pytest.mark.parametrize("name", list(DEGREES))
 def test_poincare_polynomial(name):
-    d = load_root_datum({**CUSTOM, **RANK3}.get(name, name))
+    d = load_root_datum(descriptor(name))
     got = LaurentPolynomial()
     for el in d.weyl_elements:
         got = got + LaurentPolynomial.monomial(2 * el.length)
@@ -208,19 +220,62 @@ def test_coroot_lattice_check_at_load_raises(monkeypatch):
     real = root_datum._generate_root_system
 
     def planted(simple_roots, simple_coroots):
-        roots, coroots, coords, coroot_coords = real(simple_roots, simple_coroots)
-        return roots, coroots, coords, coroot_coords[:-1] + ((1, 0),)
+        roots, coroots, coords, coroot_coords, perms = real(simple_roots, simple_coroots)
+        return roots, coroots, coords, coroot_coords[:-1] + ((1, 0),), perms
 
     monkeypatch.setattr(root_datum, "_generate_root_system", planted)
     with pytest.raises(InvariantViolation, match=r"\(1, 0\) do not rebuild coroot \(1, 1\)"):
         load_root_datum("A2_adj")
 
 
+def test_length_check_at_load_raises(monkeypatch):
+    # s1 of A2_adj with the images of the root (0, 1) and of its negative
+    # swapped: it sends (0, 1) to -(1, 1), so it makes two positive roots
+    # negative while its word has length one
+    real = root_datum._enumerate_weyl
+
+    def planted(*args):
+        elements, mult, inv, perms = real(*args)
+        perm = list(perms[1])
+        n = len(perm) // 2
+        perm[0], perm[n] = perm[n], perm[0]
+        return elements, mult, inv, perms[:1] + (tuple(perm),) + perms[2:]
+
+    monkeypatch.setattr(root_datum, "_enumerate_weyl", planted)
+    with pytest.raises(InvariantViolation, match=r"length 1 makes 2 positive roots negative"):
+        load_root_datum("A2_adj")
+
+
+@pytest.mark.parametrize("name", EVERY_DATUM)
+def test_root_permutations_match_the_x_actions(name):
+    # each element's root permutation and sign flips against its X-action
+    # applied to every root
+    d = load_root_datum(descriptor(name))
+    assert d.roots == d.positive_roots + tuple(map(vec_neg, d.positive_roots))
+    positive = set(d.positive_roots)
+    for el, perm, flips in zip(d.weyl_elements, d.root_perms, d.root_sign_flips, strict=True):
+        images = [mat_apply(el.x_action, beta) for beta in d.roots]
+        assert [d.roots[j] for j in perm] == images
+        assert flips == tuple(image not in positive for image in images[: len(positive)])
+
+
+def test_per_element_tables_apply_no_matrix(monkeypatch):
+    # the sign flips, descent rows, generator indices and alcove rows of F4
+    # are read off the root permutations: loading the datum and building its
+    # ExtWeyl and AlcoveModel apply a matrix fewer times than |W|
+    calls = []
+    real = root_datum.mat_apply
+    monkeypatch.setattr(root_datum, "mat_apply", lambda m, v: calls.append(v) or real(m, v))
+    d = load_root_datum(RANK4["F4"])
+    AlcoveModel(ExtWeyl(d))
+    assert 0 < len(calls) < d.weyl_order
+
+
 @pytest.mark.parametrize("name", SEMISIMPLE + list(CUSTOM) + list(RANK3) + list(INTERLEAVED))
 def test_components_and_highest_roots_from_supports(name):
     # the maximal root supports and the last root on each against a search of
     # the Dynkin graph and the root of greatest height on each component
-    d = load_root_datum({**CUSTOM, **RANK3, **INTERLEAVED}.get(name, name))
+    d = load_root_datum(descriptor(name))
     comps = cartan_components(d.cartan)
     assert d.components == tuple(map(tuple, comps))
     tops = [highest_root_index(d, comp) for comp in comps]
@@ -252,14 +307,13 @@ def test_loaded_fields_match_pinned_digests(name):
     # every field the loader derives, against the digests in tests/data; a
     # mismatch names the field that changed
     want = json.loads(LOADER_DIGESTS.read_text(encoding="utf-8"))[name]
-    spec = {**CUSTOM, **RANK3, **RANK4}.get(name, name)
-    assert field_digests(load_root_datum(spec)) == want
+    assert field_digests(load_root_datum(descriptor(name))) == want
 
 
 @pytest.mark.parametrize("name", SEMISIMPLE + list(CUSTOM) + list(RANK3) + list(INTERLEAVED) + ["A4"])
 def test_weyl_tables_match_the_product_oracle(name):
     # the tables read off the search's edges against matrix products per pair
-    d = load_root_datum({**CUSTOM, **RANK3, **INTERLEAVED, **RANK4}.get(name, name))
+    d = load_root_datum(descriptor(name))
     words, x_actions, y_actions, mult, inv = weyl_tables_by_products(d.simple_roots, d.simple_coroots)
     assert [e.word for e in d.weyl_elements] == words
     assert [e.x_action for e in d.weyl_elements] == x_actions
