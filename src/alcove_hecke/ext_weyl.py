@@ -33,10 +33,15 @@ every simple root alpha to alpha - <alpha, beta^vee> beta.
 ('s2', ((0, 1), (-1, 2), 0))
 ('s0a', ((-1, -1), (-1, -1), 1))
 
-`mul` takes two O(1) paths before the general product: a left factor with
-zero translation (a finite generator, an element of a finite parabolic
-subgroup, w0) only multiplies Weyl indices, and a right factor with the
-identity Weyl index (a translation) only adds translations.
+The finite Weyl group is kept as root permutations, so `mul` reads the
+product of Weyl indices a b from a row of a's products, built the first time
+a is a left factor: a b sends each simple root where a's permutation sends
+b's image of it, and the table of simple-root images that finds the
+generators' Weyl parts gives its index.  `mul` takes two O(1) paths before
+the general product: a left factor with zero translation (a finite
+generator, an element of a finite parabolic subgroup, w0) only multiplies
+Weyl indices, and a right factor with the identity Weyl index (a
+translation) only adds translations.
 
 The Bruhat order compares x and y only within one W_aff-coset, and
 x y^{-1} lies in W_aff exactly when lambda_x - lambda_y lies in the coroot
@@ -113,6 +118,11 @@ class ExtWeyl:
         weyl_index = {
             tuple(map(perm.__getitem__, simple)): w for w, perm in enumerate(datum.root_perms)
         }
+        # a's row: a b sends the simple roots where a sends b's key in weyl_index
+        perms = datum.root_perms
+        self._weyl_rows = Memo(
+            lambda a: [weyl_index[tuple(map(perms[a].__getitem__, key))] for key in weyl_index]
+        )
         self._gen_elements = {}
         for g, (beta, beta_vee, k) in self.affine_roots.items():
             images = tuple(
@@ -120,7 +130,6 @@ class ExtWeyl:
                 for alpha in datum.simple_roots
             )
             self._gen_elements[g] = ExtWeylElement(weyl_index[images], vec_scale(k, beta_vee))
-        self._gen_by_element = {el: g for g, el in self._gen_elements.items()}
         self._gen_by_name = {g.name: g for g in self.generators}
         if len(datum.components) == 1:
             self._gen_by_name.setdefault("s0", self.generators[-1])
@@ -156,14 +165,14 @@ class ExtWeyl:
     def mul(self, a: ExtWeylElement, b: ExtWeylElement) -> ExtWeylElement:
         t1 = a.t
         if t1 == self.identity.t:  # a = w1: (w1)(w2 t2) = (w1 w2) t2
-            return ExtWeylElement(self.datum.weyl_mult[a.w][b.w], b.t)
+            return ExtWeylElement(self._weyl_rows[a.w][b.w], b.t)
         if not b.w:  # b = t2: (w1 t1) t2 = w1 t_{t1 + t2}
             return ExtWeylElement(a.w, tuple(map(add, t1, b.t)))
         # (w1 t1)(w2 t2) = (w1 w2) t_{w2^{-1}(t1) + t2}, in one pass over the rows
         t = tuple(
             [sum(map(scalar_mul, row, t1)) + c for row, c in zip(self._inv_y_action[b.w], b.t)]
         )
-        return ExtWeylElement(self.datum.weyl_mult[a.w][b.w], t)
+        return ExtWeylElement(self._weyl_rows[a.w][b.w], t)
 
     def mul_many(self, *els: ExtWeylElement) -> ExtWeylElement:
         return functools.reduce(self.mul, els) if els else self.identity
@@ -179,11 +188,11 @@ class ExtWeyl:
 
     def _length_formula(self, x: ExtWeylElement) -> int:
         d = self.datum
-        flips = d.root_sign_flips[x.w]
+        n_pos = len(d.positive_roots)
         total = 0
-        for k, alpha in enumerate(d.positive_roots):
+        for j, alpha in zip(d.root_perms[x.w], d.positive_roots):
             c = pair(alpha, x.t)
-            total += abs(1 + c) if flips[k] else abs(c)
+            total += abs(1 + c) if j >= n_pos else abs(c)
         return total
 
     def _lengths_add_w0(self, key: tuple[ExtWeylElement, ExtWeylElement]) -> bool:
@@ -242,22 +251,6 @@ class ExtWeyl:
             cur = row[k][0]
         raise InvariantViolation(f"{x} of length {self.length(x)} has more left descents in a row")
 
-    def omega_left_form(
-        self, x: ExtWeylElement, strategy: str = "min"
-    ) -> tuple[ExtWeylElement, list[AffineGenerator]]:
-        """Write x = omega * s_1' ... s_r' (length-zero part on the left).
-
-        The conjugated letters stay in S_aff because the length-zero subgroup
-        acts on the affine Weyl group by Coxeter group automorphisms.
-        """
-        word, omega = self.reduced_expression(x, strategy=strategy)
-        omega_inv = self.inv(omega)
-        out = []
-        for g in word:
-            conj = self.mul_many(omega_inv, self._gen_elements[g], omega)
-            out.append(self._gen_by_element[conj])
-        return omega, out
-
     def word_to_element(self, word: Iterable[AffineGenerator]) -> ExtWeylElement:
         return self.mul_many(*(self._gen_elements[g] for g in word))
 
@@ -295,7 +288,9 @@ class ExtWeyl:
             return answer
         lx, ly = self.length(x), self.length(y)
         passed = []
-        while True:
+        # y's length drops by one per step, so a descent table that is wrong
+        # shows up as more than length(y) steps, not as an endless loop
+        for _ in range(ly + 1):
             if x == y:
                 answer = True
                 break
@@ -307,11 +302,17 @@ class ExtWeyl:
             if answer is not None:
                 break
             passed.append(key)
-            k, y = next((k, sy) for k, (sy, down) in enumerate(steps[y]) if down)
+            step = next(((k, sy) for k, (sy, down) in enumerate(steps[y]) if down), None)
+            if step is None:
+                raise InvariantViolation(f"{y} of length {ly} has no left descent")
+            k, y = step
             ly -= 1
             sx, down = steps[x][k]
             if down:
                 x, lx = sx, lx - 1
+        else:
+            y = passed[0][1]
+            raise InvariantViolation(f"{y} of length {self.length(y)} has more left descents in a row")
         for key in passed:
             table.put(key, answer)
         return answer

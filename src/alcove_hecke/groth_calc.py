@@ -216,10 +216,14 @@ class GrothCalc:
             raise NotRestricted(f"{self.ext.format_element(x)} is not restricted")
         ext = self.ext
         y = ext.mul_many(ExtWeylElement(0, self.datum.varsigma), ext.w0, ext.inv(x))
-        omega, word = ext.omega_left_form(y, strategy=strategy)
-        f = self.xi_omega(self.seed_filtration(), ext.inv(omega))
+        # y = s_1 ... s_r omega, and omega^{-1} (1 + s) = (1 + omega^{-1} s omega) omega^{-1}:
+        # crossing the walls of the word first and relabelling by omega^{-1}
+        # last gives the product of the conjugated word
+        word, omega = ext.reduced_expression(y, strategy)
+        f = self.seed_filtration()
         for g in word:
             f = self.xi_s(f, g)
+        f = self.xi_omega(f, ext.inv(omega))
         tri = self.alc.triangle(x)
         if f.mult(x) != 1:
             raise InvariantViolation(f"bottom multiplicity {f.mult(x)} at {x}")

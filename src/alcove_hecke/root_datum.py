@@ -5,21 +5,20 @@ character lattice X) and simple coroots (coordinates in the cocharacter
 lattice Y); the pairing X x Y -> Z is the coordinate dot product.  The loader
 validates the data (finite-type Cartan matrix, torsion-free X/ZR) and derives
 everything downstream modules need: positive roots and coroots, the finite
-Weyl group with its action matrices, root permutations and root sign flips,
-the longest element, the sum of positive roots, the section of
+Weyl group with its action matrices, root permutations and inverses, the
+longest element, the sum of positive roots, the section of
 Y -> Hom(ZR, Z), and the distinguished coweight pairing to 1 with every
 simple root.  Downstream modules read these facts and do not re-derive them.
 
 The root closure keeps each simple reflection's permutation of `roots`, the
 positive roots followed by their negatives.  The Weyl group is found by a
-breadth-first search that composes these permutations, knows an element by
-where it sends the simple roots and records its edges; only a new element
-gets an X-action, by one rank-one update, and the multiplication table is
-read off the edges by list lookups.  The table holds |W|^2 entries, so
-groups larger than `MAX_WEYL_ORDER`, the order of W(F4), are refused with
-`BoundsTooLarge`.  Sign flips are read off the permutations by index, and
-the loader checks that each w makes as many positive roots negative as its
-length.
+breadth-first search that composes these permutations and knows an element
+by where it sends the simple roots; only a new element gets an X-action, by
+one rank-one update.  The group is kept as these permutations: products are
+left to `ExtWeyl`, inverses are read off the search's keys, and w makes the
+positive root beta negative exactly when its permutation sends beta past the
+positive roots.  The loader checks that each w makes as many positive roots
+negative as its length.
 
 >>> d = load_root_datum("A2_adj")
 >>> d.weyl_order, len(d.positive_roots), d.two_rho, d.varsigma
@@ -29,8 +28,8 @@ length.
 >>> d.roots
 ((0, 1), (1, 0), (1, 1), (0, -1), (-1, 0), (-1, -1))
 >>> s1 = d.weyl_elements[1]
->>> s1.word, d.root_perms[s1.index], d.root_sign_flips[s1.index]
-((0,), (2, 4, 0, 5, 1, 3), (False, True, False))
+>>> s1.word, d.root_perms[s1.index], d.weyl_inv[s1.index]
+((0,), (2, 4, 0, 5, 1, 3), 1)
 >>> e = load_root_datum("A1xA1_adj")
 >>> e.components, e.highest_roots
 (((0,), (1,)), ((1, 0), (0, 1)))
@@ -58,8 +57,9 @@ from .errors import (
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
 
-# |W(F4)|, the largest Weyl group of rank 4; the multiplication table holds
-# |W|^2 entries
+# |W(F4)|, the largest Weyl group of rank 4.  `ExtWeyl` builds a row of |W|
+# products the first time an element is a left factor, and every element can
+# be one, so a long run can still hold |W|^2 entries
 MAX_WEYL_ORDER = 1_152
 
 PRESETS: dict[str, dict] = {
@@ -254,11 +254,9 @@ class RootDatum:
     root_heights: tuple[int, ...]
     coroot_in_simple: Matrix  # coordinates of each positive coroot in simple coroots
     weyl_elements: tuple[WeylElement, ...]
-    weyl_mult: Matrix  # multiplication table on Weyl indices
     weyl_inv: Vector
-    # per Weyl index w, for each positive root alpha: whether w(alpha) < 0
-    root_sign_flips: tuple[tuple[bool, ...], ...]
-    # per Weyl index w, for each root beta: the index in `roots` of w(beta)
+    # per Weyl index w, for each root beta: the index in `roots` of w(beta);
+    # w(beta) < 0 exactly when that index lies past the positive roots
     root_perms: tuple[tuple[int, ...], ...]
     w0: int
     two_rho: Vector
@@ -366,7 +364,7 @@ def _enumerate_weyl(
     n: int, roots: Matrix, simple_roots: Matrix, simple_coroots: Matrix, simple_perms
 ):
     """The finite Weyl group by a breadth-first search along the simple
-    reflections, recording its edges.
+    reflections.
 
     Each element is found as a permutation of `roots`: perm[j] is the index
     of w(roots[j]), and w s_i has the permutation perm o perm_{s_i}, with
@@ -374,27 +372,23 @@ def _enumerate_weyl(
     linear map of their span is fixed by its images of the simple roots, so
     those r indices are the key that tells a new element from a known one.
 
-    right[i][k] is the index of w_k s_i, and each element but the identity
-    has a parent p and an index i with w = w_p s_i; its word is that of w_p
-    followed by i.  Only a new element gets its permutation and X-action:
-    its parent's by the rank-one update M s_i = M - (M alpha_i)(alpha_i^vee)^T,
-    where M alpha_i = w_p(alpha_i) is read off the parent's permutation.
-    Raises `BoundsTooLarge` as soon as the search finds more than
-    `MAX_WEYL_ORDER` elements.
+    Each element but the identity is first reached as w = w_p s_i, and its
+    word is that of w_p followed by i.  Only a new element gets its
+    permutation and X-action: its parent's by the rank-one update
+    M s_i = M - (M alpha_i)(alpha_i^vee)^T, where M alpha_i = w_p(alpha_i) is
+    read off the parent's permutation.  Raises `BoundsTooLarge` as soon as
+    the search finds more than `MAX_WEYL_ORDER` elements.
 
-    The multiplication table is built by columns, with no matrix product:
-    column 0 is the identity map, and w_a (w_p s_i) = (w_a w_p) s_i, so the
-    column of w_p s_i is that of w_p mapped through right[i].  The inverse of
-    w_b is the row holding 0 in column b.  The pairing is W-invariant, so
-    <w x, y> = <x, w^{-1} y>: the Y-action of w is the transpose of the
-    X-action of w^{-1}.
+    w^{-1} sends alpha_i to the root that w sends to alpha_i, so the key of
+    w^{-1} is the positions where w's permutation holds the simple roots.
+    The pairing is W-invariant, so <w x, y> = <x, w^{-1} y>: the Y-action of
+    w is the transpose of the X-action of w^{-1}.
     """
     simple = [roots.index(alpha) for alpha in simple_roots]
     # where s_i sends each simple root, so that w s_i's key is r reads of w's permutation
     moved = [[p[j] for j in simple] for p in simple_perms]
-    perms, words, actions, parents = [tuple(range(len(roots)))], [()], [identity_matrix(n)], []
+    perms, words, actions = [tuple(range(len(roots)))], [()], [identity_matrix(n)]
     index_of = {tuple(simple): 0}
-    right = [[] for _ in simple_roots]
     for cur, perm in enumerate(perms):  # the list grows as the search runs
         for i, s_perm in enumerate(simple_perms):
             k = index_of.setdefault(tuple(map(perm.__getitem__, moved[i])), len(perms))
@@ -408,18 +402,12 @@ def _enumerate_weyl(
                 ))
                 perms.append(tuple(map(perm.__getitem__, s_perm)))
                 words.append(words[cur] + (i,))
-                parents.append((cur, i))
-            right[i].append(k)
-    cols = [list(range(len(actions)))]
-    for p, i in parents:
-        cols.append(list(map(right[i].__getitem__, cols[p])))
-    mult = tuple(zip(*cols))
-    inv = tuple(col.index(0) for col in cols)
+    inv = tuple(index_of[tuple(map(perm.index, simple))] for perm in perms)
     elements = tuple(
         WeylElement(k, words[k], actions[k], tuple(zip(*actions[inv[k]])))
         for k in range(len(actions))
     )
-    return elements, mult, inv, tuple(perms)
+    return elements, inv, tuple(perms)
 
 
 def load_root_datum(spec) -> RootDatum:
@@ -504,18 +492,16 @@ def load_root_datum(spec) -> RootDatum:
     n_pos = len(pos_roots)
     roots = pos_roots + tuple(map(vec_neg, pos_roots))
 
-    elements, mult, inv, perms = _enumerate_weyl(
-        dim, roots, simple_roots, simple_coroots, simple_perms
-    )
+    elements, inv, perms = _enumerate_weyl(dim, roots, simple_roots, simple_coroots, simple_perms)
     # w(beta) < 0 exactly when its index lies past the positive roots, and
     # the length of w is the number of positive roots it makes negative
     # (Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.7)
-    flips = tuple(tuple(j >= n_pos for j in perm[:n_pos]) for perm in perms)
-    for el, flip in zip(elements, flips):
-        if sum(flip) != el.length:
+    for el, perm in zip(elements, perms):
+        flips = sum(j >= n_pos for j in perm[:n_pos])
+        if flips != el.length:
             raise InvariantViolation(
                 f"Weyl element {el.word} of length {el.length} makes"
-                f" {sum(flip)} positive roots negative"
+                f" {flips} positive roots negative"
             )
     # so an element of length |Phi+| is w0, sending every positive root to a negative one
     w0 = max(range(len(elements)), key=lambda k: elements[k].length)
@@ -546,9 +532,7 @@ def load_root_datum(spec) -> RootDatum:
         root_heights=heights,
         coroot_in_simple=coroot_coords,
         weyl_elements=elements,
-        weyl_mult=mult,
         weyl_inv=inv,
-        root_sign_flips=flips,
         root_perms=perms,
         w0=w0,
         two_rho=two_rho,

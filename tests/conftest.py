@@ -82,11 +82,11 @@ def plant_length_sign_flip(monkeypatch):
     absorbed by the length complement identity and go unnoticed there."""
 
     def flipped(ext, x):
-        flips = ext.datum.root_sign_flips[x.w]
+        n_pos = len(ext.datum.positive_roots)
         total = 0
-        for k, alpha in enumerate(ext.datum.positive_roots):
+        for j, alpha in zip(ext.datum.root_perms[x.w], ext.datum.positive_roots):
             c = pair(alpha, x.t)
-            total += abs(c) if flips[k] else abs(1 + c)
+            total += abs(c) if j >= n_pos else abs(1 + c)
         return total
 
     monkeypatch.setattr(ExtWeyl, "_length_formula", flipped)

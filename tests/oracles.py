@@ -377,3 +377,28 @@ def affine_cartan_entry(ext, a, b):
         return vec_neg(d.highest_roots[g.index]), vec_neg(d.highest_short_coroots[g.index])
 
     return pair(root_coroot(a)[0], root_coroot(b)[1])
+
+
+def omega_left_form(ext, x, strategy="min"):
+    """Write x = omega * s_1' ... s_r' (length-zero part on the left), each
+    s_i' = omega^{-1} s_i omega for the `strategy` word x = s_1 ... s_r omega.
+
+    The conjugated letters stay in S_aff because the length-zero subgroup
+    acts on the affine Weyl group by Coxeter group automorphisms."""
+    word, omega = ext.reduced_expression(x, strategy=strategy)
+    omega_inv = ext.inv(omega)
+    by_element = {ext.gen_element(g): g for g in ext.generators}
+    return omega, [by_element[ext.mul_many(omega_inv, ext.gen_element(g), omega)] for g in word]
+
+
+def projective_filtration_conjugated(groth, x, strategy="min"):
+    """The projective filtration's multiset by relabelling the seed by
+    omega^{-1} first, then crossing the walls of the conjugated word
+    s_1' ... s_r' of y = t_varsigma w0 x^{-1} = omega s_1' ... s_r'."""
+    ext = groth.ext
+    y = ext.mul_many(ExtWeylElement(0, groth.datum.varsigma), ext.w0, ext.inv(x))
+    omega, word = omega_left_form(ext, y, strategy)
+    f = groth.xi_omega(groth.seed_filtration(), ext.inv(omega))
+    for g in word:
+        f = groth.xi_s(f, g)
+    return f

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -9,13 +10,15 @@ from alcove_hecke.ext_weyl import ExtWeyl, ExtWeylElement
 from alcove_hecke.hecke import _first_step
 from alcove_hecke.parabolic import is_finitary
 from alcove_hecke.root_datum import _principal_minors_positive, load_root_datum, pair
-from conftest import EVERY_DATUM, descriptor
+from conftest import EVERY_DATUM, RANK4, descriptor
 from oracles import (
     affine_cartan_entry,
     bruhat_recursive,
     deep_recursion,
     descent_rows_by_kind,
     generator_elements_by_kind,
+    mat_mul,
+    omega_left_form,
 )
 
 
@@ -143,7 +146,7 @@ def test_reduced_expression_round_trip(any_engine):
         word, omega = ext.reduced_expression(x)
         assert len(word) == ext.length(x)
         assert ext.mul(ext.word_to_element(word), omega) == x
-        om2, word2 = ext.omega_left_form(x)
+        om2, word2 = omega_left_form(ext, x)
         assert ext.mul(om2, ext.word_to_element(word2)) == x
 
 
@@ -316,10 +319,13 @@ def test_element_is_named_tuple(a1):
 
 
 def _product_by_rows(ext, a, b):
-    """(w1 t1)(w2 t2) = (w1 w2) t_{w2^{-1}(t1) + t2}, by the general formula."""
+    """(w1 t1)(w2 t2) = (w1 w2) t_{w2^{-1}(t1) + t2}, by the general formula,
+    with w1 w2 the element whose X-action is the product of theirs."""
     d = ext.datum
+    index = {e.x_action: e.index for e in d.weyl_elements}
+    w = index[mat_mul(d.weyl_elements[a.w].x_action, d.weyl_elements[b.w].x_action)]
     t = tuple(c + e for c, e in zip(d.act_y(d.weyl_inv[b.w], a.t), b.t))
-    return ExtWeylElement(d.weyl_mult[a.w][b.w], t)
+    return ExtWeylElement(w, t)
 
 
 def _seeded_pairs(ext, rng, count, bound):
@@ -366,3 +372,35 @@ def test_wrong_descent_table_raises(b2):
     ext._descent_rows = tuple(tuple((b, 10**6) for b, _ in row) for row in ext._descent_rows)
     with pytest.raises(InvariantViolation, match="more left descents"):
         ext.reduced_expression(ext.parse_element("s1 s2 : -2,1"))
+
+
+@pytest.mark.parametrize("name", ["D4", "B4", "F4"])
+def test_weyl_products_and_inverses_match_x_actions(name):
+    # products from rows built on demand and inverses read off the search's
+    # keys, against X-action matrix products on a seeded sample of pairs
+    ext = ExtWeyl(load_root_datum(RANK4[name]))
+    actions = [e.x_action for e in ext.datum.weyl_elements]
+    index = {m: w for w, m in enumerate(actions)}
+    zero = ext.identity.t
+    rng = random.Random(59)
+    for _ in range(2000):
+        a, b = (ExtWeylElement(rng.randrange(len(actions)), zero) for _ in range(2))
+        assert ext.mul(a, b) == ExtWeylElement(index[mat_mul(actions[a.w], actions[b.w])], zero)
+        assert mat_mul(actions[a.w], actions[ext.inv(a).w]) == actions[0]
+
+
+@pytest.mark.parametrize("name, fault", [
+    ("A2_adj", "has no left descent"), ("B2_adj", "has more left descents in a row")])
+def test_wrong_descent_table_ends_the_bruhat_walk(name, fault):
+    # descent rows read from w instead of w^{-1}, on non-abelian data: the
+    # walk meets a y of positive length with no left descent (A2), or makes
+    # x and y descend together past y's length (B2); both end with the typed
+    # error instead of a bare StopIteration or an endless loop
+    ext = ExtWeyl(load_root_datum(name))
+    ext._descent_rows = tuple(ext._descent_rows[w_inv] for w_inv in ext.datum.weyl_inv)
+    rng = random.Random(37)
+    start = time.perf_counter()
+    with pytest.raises(InvariantViolation, match=fault):
+        for _ in range(300):
+            ext.bruhat_leq(ext.random_element(rng, 3), ext.random_element(rng, 3))
+    assert time.perf_counter() - start < 10

@@ -13,6 +13,8 @@ from alcove_hecke.errors import (
 from alcove_hecke.ext_weyl import ExtWeylElement
 from alcove_hecke.groth_calc import COVERMA, VERMA, FiltrationMultiset
 from alcove_hecke.parabolic import min_rep
+from conftest import CUSTOM, RANK3, SEMISIMPLE, engine_for
+from oracles import projective_filtration_conjugated
 
 
 def test_seed_filtration(any_engine):
@@ -102,6 +104,17 @@ def test_projective_filtration_sweep(any_engine):
         for z in filt.support():
             assert any_engine.order.leq(x, z)
             assert any_engine.order.leq(z, alc.triangle(x))
+
+
+@pytest.mark.parametrize("name", SEMISIMPLE + ["G2", "A3"] + list(RANK3))
+def test_projective_filtration_matches_the_conjugated_route(name):
+    # the word of y = s_1 ... s_r omega crossed first, then relabelled by
+    # omega^{-1}, against relabelling first and crossing the conjugated word
+    eng = engine_for(name) if name in SEMISIMPLE + list(CUSTOM) else build_engine(RANK3[name])
+    for x in eng.alc.restricted_elements():
+        for strategy in ("min", "max"):
+            want = projective_filtration_conjugated(eng.groth, x, strategy)
+            assert eng.groth.projective_filtration(x, strategy).mults == want.mults, (x, strategy)
 
 
 @pytest.mark.parametrize("strategy", ["mni", ""])

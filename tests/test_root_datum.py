@@ -3,11 +3,13 @@ import hashlib
 import json
 import random
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from alcove_hecke.alcove import AlcoveModel
+from alcove_hecke.engine import build_engine
 from alcove_hecke.errors import (
     BoundsTooLarge,
     CartanNotFiniteType,
@@ -18,7 +20,7 @@ from alcove_hecke.errors import (
     UnknownPreset,
 )
 from alcove_hecke import root_datum
-from alcove_hecke.ext_weyl import ExtWeyl
+from alcove_hecke.ext_weyl import ExtWeyl, ExtWeylElement
 from alcove_hecke.laurent import ONE, LaurentPolynomial
 from alcove_hecke.root_datum import (
     MAX_WEYL_ORDER,
@@ -235,11 +237,11 @@ def test_length_check_at_load_raises(monkeypatch):
     real = root_datum._enumerate_weyl
 
     def planted(*args):
-        elements, mult, inv, perms = real(*args)
+        elements, inv, perms = real(*args)
         perm = list(perms[1])
         n = len(perm) // 2
         perm[0], perm[n] = perm[n], perm[0]
-        return elements, mult, inv, perms[:1] + (tuple(perm),) + perms[2:]
+        return elements, inv, perms[:1] + (tuple(perm),) + perms[2:]
 
     monkeypatch.setattr(root_datum, "_enumerate_weyl", planted)
     with pytest.raises(InvariantViolation, match=r"length 1 makes 2 positive roots negative"):
@@ -253,10 +255,11 @@ def test_root_permutations_match_the_x_actions(name):
     d = load_root_datum(descriptor(name))
     assert d.roots == d.positive_roots + tuple(map(vec_neg, d.positive_roots))
     positive = set(d.positive_roots)
-    for el, perm, flips in zip(d.weyl_elements, d.root_perms, d.root_sign_flips, strict=True):
+    for el, perm in zip(d.weyl_elements, d.root_perms, strict=True):
         images = [mat_apply(el.x_action, beta) for beta in d.roots]
         assert [d.roots[j] for j in perm] == images
-        assert flips == tuple(image not in positive for image in images[: len(positive)])
+        flips = [j >= len(positive) for j in perm[: len(positive)]]
+        assert flips == [image not in positive for image in images[: len(positive)]]
 
 
 def test_per_element_tables_apply_no_matrix(monkeypatch):
@@ -312,25 +315,40 @@ def test_loaded_fields_match_pinned_digests(name):
 
 @pytest.mark.parametrize("name", SEMISIMPLE + list(CUSTOM) + list(RANK3) + list(INTERLEAVED) + ["A4"])
 def test_weyl_tables_match_the_product_oracle(name):
-    # the tables read off the search's edges against matrix products per pair
+    # the search's words, actions and inverses, and the Weyl products that
+    # ExtWeyl reads off the root permutations, against matrix products per pair
     d = load_root_datum(descriptor(name))
     words, x_actions, y_actions, mult, inv = weyl_tables_by_products(d.simple_roots, d.simple_coroots)
     assert [e.word for e in d.weyl_elements] == words
     assert [e.x_action for e in d.weyl_elements] == x_actions
     assert [e.y_action for e in d.weyl_elements] == y_actions
-    assert d.weyl_mult == mult
+    ext, zero = ExtWeyl(d), (0,) * d.y_rank
+    weyl = [ExtWeylElement(w, zero) for w in range(d.weyl_order)]
+    assert tuple(tuple(ext.mul(a, b).w for b in weyl) for a in weyl) == mult
     assert d.weyl_inv == inv
 
 
 def test_weyl_order_bound():
     # W(F4) is the largest group loaded; W(A6), of order 5040, is refused by
-    # the search itself, before a table of 5040^2 entries is built
+    # the search itself, before its 5040 permutations and actions are built
     assert MAX_WEYL_ORDER == 1_152
     assert load_root_datum(RANK4["F4"]).weyl_order == MAX_WEYL_ORDER
     start = time.perf_counter()
     with pytest.raises(BoundsTooLarge, match="more than 1152 elements"):
         load_root_datum(type_a(6))
     assert time.perf_counter() - start < 10
+
+
+def test_f4_engine_builds_in_little_memory():
+    # the finite Weyl group is kept as its 1,152 root permutations: products
+    # are built in rows on demand, so no |W|^2 table is allocated at build
+    tracemalloc.start()
+    try:
+        build_engine(RANK4["F4"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_weyl_order_bound_refuses_one_element_more(monkeypatch):

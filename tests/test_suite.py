@@ -136,16 +136,16 @@ def test_proj_filtration_on_rank3_data(tmp_path, name, differ):
 
 def test_proj_filtration_fault_on_the_max_word(monkeypatch, tmp_path, capsys):
     # a max word that loses its last letter misses an endpoint label; the min
-    # word is sound, so only an x with two reduced words (on G2) shows it
+    # word is sound, so only the max-word run of the check shows it
     path = tmp_path / "G2.json"
     path.write_text(json.dumps(CUSTOM["G2"]), encoding="utf-8")
-    real = ExtWeyl.omega_left_form
+    real = ExtWeyl.reduced_expression
 
     def short_max(ext, x, strategy="min"):
-        omega, word = real(ext, x, strategy)
-        return omega, word[:-1] if strategy == "max" else word
+        word, omega = real(ext, x, strategy)
+        return (word[:-1] if strategy == "max" else word), omega
 
-    monkeypatch.setattr(ExtWeyl, "omega_left_form", short_max)
+    monkeypatch.setattr(ExtWeyl, "reduced_expression", short_max)
     check = run_suite(str(path), names=["proj-filtration"]).checks[0]
     assert check.status == "fail" and check.detail.startswith("max word: ")
     argv = shlex.split(check.counterexample["command"])
