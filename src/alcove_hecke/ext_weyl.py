@@ -7,8 +7,8 @@ simple generators, the length-zero subgroup, reduced expressions, and the
 Bruhat order.
 
 All operations are pure over an immutable root datum.  Lengths, left-step
-rows, the coroot-lattice test and Bruhat comparisons are memoized per
-instance in `Memo` tables, which carry that module's concurrency caveat.
+rows, coset classes and Bruhat comparisons are memoized per instance in
+`Memo` tables, which carry that module's concurrency caveat.
 The left-step row of x holds (s x, s x < x) for every affine generator s, in
 the order of `ExtWeyl.generators`: descents, reduced words and the Hecke
 recursions read their products and descent bits from it, so an element
@@ -43,21 +43,41 @@ generator, an element of a finite parabolic subgroup, w0) only multiplies
 Weyl indices, and a right factor with the identity Weyl index (a
 translation) only adds translations.
 
-The Bruhat order compares x and y only within one W_aff-coset, and
-x y^{-1} lies in W_aff exactly when lambda_x - lambda_y lies in the coroot
-lattice (`same_coset`, memoized per difference; the periodic order asks it
-before it translates a pair).  Within a coset, `_bruhat_aff` reads the pair
-from its table before it looks up either length, so a pair asked again
-costs one lookup.  Otherwise it decides x <= y by a loop down y's descent
-chain, so its depth is not bounded by Python's recursion limit, and it
-stores its one answer under every pair of the chain it passed.
+W_aff is the set of w t_lambda with lambda in the coroot lattice, so the
+W_aff-coset of x = w t_lambda is the class of lambda in Y / ZPhi^vee.  With
+the Smith factors U A V = D of the simple coroots (`RootDatum.coroot_smith`)
+that class is ((U lambda)_i mod d_i) over the rows i with d_i != 1, where
+d_i = 0 past the rank; it is zero exactly on the coroot lattice.  One table
+keyed on the translation holds the classes, and `same_coset`,
+`in_affine_subgroup` and `omega_of` read it.  `omega_of(x)` is the
+length-zero element of x's coset, found once per class by
+`reduced_expression` and kept in a second table; both are bounded, since
+Y / ZPhi^vee is infinite when the datum has a central torus.
+
+>>> ext = ExtWeyl(load_root_datum("A2_adj"))
+>>> x = ext.parse_element("s1 : 1,0")
+>>> omega = ext.omega_of(x)
+>>> ext.format_element(omega), ext.length(omega)
+('s1 s2 : 0,-1', 0)
+>>> ext.same_coset(x, omega), ext.in_affine_subgroup(ext.mul(ext.inv(omega), x))
+(True, True)
+>>> ext.same_coset(x, ext.translation((0, 1)))
+False
+
+The Bruhat order compares x and y only within one W_aff-coset
+(`same_coset`; the periodic order asks it before it translates a pair).
+Within a coset, `_bruhat_aff` reads the pair from its table before it looks
+up either length, so a pair asked again costs one lookup.  Otherwise it
+decides x <= y by a loop down y's descent chain, so its depth is not bounded
+by Python's recursion limit, and it stores its one answer under every pair of
+the chain it passed.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from operator import add, sub
+from operator import add
 from operator import mul as scalar_mul
 from typing import Iterable, NamedTuple
 
@@ -96,9 +116,17 @@ class ExtWeyl:
         self._left_steps = Memo(self._left_step_row)
         # (x, y) -> x <= y within one coset; the walk fills it with `put`
         self._bruhat = Memo(lambda key: self._bruhat_aff(*key))
-        # keyed on the translation: W_aff is the set of w t_lam with lam in
-        # the coroot lattice
-        self._in_coroot_lattice = Memo(datum.coroot_lattice_contains)
+        # translation -> coset class, from the Smith rows as in the module
+        # docstring; class -> its length-zero element, filled with `put` by
+        # `omega_of`
+        u, d, _ = datum.coroot_smith
+        self._class_rows = [
+            (row, d[i][i] if i < datum.rank else 0)
+            for i, row in enumerate(u)
+            if i >= datum.rank or d[i][i] != 1
+        ]
+        self._classes = Memo(self._coset_class)
+        self._omegas = Memo(None)
         # Y-action matrix of w^{-1}, per Weyl index w: the rows `mul` reads
         self._inv_y_action = tuple(datum.weyl_elements[i].y_action for i in datum.weyl_inv)
 
@@ -254,15 +282,33 @@ class ExtWeyl:
     def word_to_element(self, word: Iterable[AffineGenerator]) -> ExtWeylElement:
         return self.mul_many(*(self._gen_elements[g] for g in word))
 
-    def in_affine_subgroup(self, x: ExtWeylElement) -> bool:
-        return self._in_coroot_lattice[x.t]
+    # -- W_aff-cosets --------------------------------------------------------
 
-    # -- Bruhat order ------------------------------------------------------
+    def _coset_class(self, lam: Vector) -> tuple[int, ...]:
+        out = []
+        for row, d in self._class_rows:
+            c = sum(map(scalar_mul, row, lam))
+            out.append(c % d if d else c)
+        return tuple(out)
+
+    def in_affine_subgroup(self, x: ExtWeylElement) -> bool:
+        return not any(self._classes[x.t])
 
     def same_coset(self, x: ExtWeylElement, y: ExtWeylElement) -> bool:
         """Whether x and y lie in one W_aff-coset."""
-        # x y^{-1} lies in W_aff exactly when lam_x - lam_y is in the coroot lattice
-        return self._in_coroot_lattice[tuple(map(sub, x.t, y.t))]
+        return self._classes[x.t] == self._classes[y.t]
+
+    def omega_of(self, x: ExtWeylElement) -> ExtWeylElement:
+        """The length-zero element of x's W_aff-coset, so that omega^{-1} x
+        lies in W_aff; one `reduced_expression` per coset class."""
+        cls = self._classes[x.t]
+        omega = self._omegas.get(cls)
+        if omega is None:
+            omega = self.reduced_expression(x)[1]
+            self._omegas.put(cls, omega)
+        return omega
+
+    # -- Bruhat order ------------------------------------------------------
 
     def bruhat_leq(self, x: ExtWeylElement, y: ExtWeylElement) -> bool:
         """Extended Bruhat order: comparable only within one W_aff-coset."""

@@ -33,9 +33,8 @@ minimal representatives W_ext^S.  The regular module is the parabolic module
 for the empty set of finite reflections, with M_y = H_y, so one recursion,
 `HeckeAlgebra._canonical`, computes the canonical elements of both, each
 module with its own table.  A length-zero element is its own canonical
-element; outside W_aff the element of x = omega aff is that of aff relabeled
-by the length-zero omega; otherwise C_s = H_s + v, for the first left descent
-s of x, acts on the element of s x, term by term in three cases:
+element; otherwise C_s = H_s + v, for the first left descent s of x, acts on
+the element of s x, term by term in three cases:
 
     sy < y:                  M_sy + v^{-1} M_y
     sy > y, sy in module:    M_sy + v M_y
@@ -49,6 +48,14 @@ with the length of each term, carried through the recursion, so `inverse_m`,
 which back-substitutes the inverse polynomials m^{x,y} from the spherical
 elements, looks up no length per term and stops at the first term shorter
 than y.
+
+The recursion stays in the W_aff-coset of x and ends at that coset's
+length-zero element.  Left multiplication by a length-zero omega maps
+H_y to H_{omega y} and M_y to M_{omega y}, so it only relabels both modules
+(Iwahori-Matsumoto).  The tables therefore hold elements of W_aff only.  For
+x = omega aff outside W_aff, with omega = `ExtWeyl.omega_of(x)`, `kl_basis`
+and `spherical_basis` return the entry of aff relabeled by omega without
+storing the copy, and `inverse_m` answers (x, y) as (aff, omega^{-1} y).
 
 Two independent routes check the recursion.  `suite.bar_invariance_solver`
 re-derives `kl_basis` from bar invariance alone, by back-substitution against
@@ -207,6 +214,8 @@ class HeckeAlgebra:
         self.ext = alc.ext
         self._kl = Memo(lambda x: self._canonical(x, self._kl, None))
         self._spherical = Memo(lambda w: self._canonical(w, self._spherical, alc.in_wexts))
+        # (x, y) in W_aff -> m^{x,y}
+        self._inverse = Memo(lambda key: self._back_substitute(*key))
 
     # -- standard basis arithmetic ---------------------------------------
 
@@ -244,68 +253,77 @@ class HeckeAlgebra:
 
     # -- canonical basis ---------------------------------------------------
 
+    def _waff_part(self, x: ExtWeylElement) -> tuple[ExtWeylElement | None, ExtWeylElement]:
+        """(omega, omega^{-1} x) for the length-zero omega of x's W_aff-coset,
+        with omega None when x lies in W_aff."""
+        ext = self.ext
+        if ext.in_affine_subgroup(x):
+            return None, x
+        omega = ext.omega_of(x)
+        aff = ext.mul(ext.inv(omega), x)
+        if not ext.in_affine_subgroup(aff):
+            raise InvariantViolation(f"{omega} is not the length-zero element of the coset of {x}")
+        return omega, aff
+
+    def _relabeled(self, omega, support):
+        """The support of the canonical element of aff as that of omega aff."""
+        mul = self.ext.mul
+        return {mul(omega, y): p for y, p in support.items()}
+
     def kl_basis(self, x: ExtWeylElement) -> HeckeElement:
         """The canonical basis element attached to x, in the standard basis.
 
         Raises `BoundsTooLarge` when x is longer than `MAX_HECKE_LENGTH`.
         """
-        return _shared(self._kl[x].support)
+        omega, aff = self._waff_part(x)
+        support = self._kl[aff].support
+        return _shared(support if omega is None else self._relabeled(omega, support))
 
     def _canonical(self, x: ExtWeylElement, table: Memo, in_module) -> _Canonical:
         """The canonical element of x in the module whose elements `table`
         memoizes: the regular module on W_ext when in_module is None, the
-        spherical module on W_ext^S when in_module is its membership test."""
+        spherical module on W_ext^S when in_module is its membership test.
+        It recurses within x's W_aff-coset, so the tables, asked only about
+        elements of W_aff, hold no others."""
         ext = self.ext
         lx = ext.length(x)
         if lx > MAX_HECKE_LENGTH:
             raise BoundsTooLarge(f"{ext.format_element(x)} has length {lx} > {MAX_HECKE_LENGTH}")
         if lx == 0:
             return _Canonical(MappingProxyType({x: ONE}), (0,))
-        if not ext.in_affine_subgroup(x):
-            # x = omega aff with omega of length zero, and left multiplication
-            # by omega relabels; aff is in W_aff, the subgroup being normal,
-            # and in W_ext^S when x is
-            _, omega = ext.reduced_expression(x)
-            aff = ext.mul(ext.inv(omega), x)
-            if not ext.in_affine_subgroup(aff):
-                raise InvariantViolation(f"{x} has no length-zero left factor leaving W_aff")
-            base = table[aff]
-            support = {ext.mul(omega, y): p for y, p in base.support.items()}
-            lengths = base.lengths
-        else:
-            i, rest = _first_step(ext, x)
-            base = table[rest]
-            out: dict[ExtWeylElement, Coeffs] = {}
-            known = {}  # len y for every y reached
-            # (H_s + v) M_y on the three kinds of y in the module
-            for (y, p), ly in zip(base.support.items(), base.lengths):
-                p = p.coeffs
-                sy, down = ext.left_steps(y)[i]
+        i, rest = _first_step(ext, x)
+        base = table[rest]
+        out: dict[ExtWeylElement, Coeffs] = {}
+        known = {}  # len y for every y reached
+        # (H_s + v) M_y on the three kinds of y in the module
+        for (y, p), ly in zip(base.support.items(), base.lengths):
+            p = p.coeffs
+            sy, down = ext.left_steps(y)[i]
+            known[y] = ly
+            if down:
+                known[sy] = ly - 1
+                _addmul(out, sy, p, _UNIT)
+                _addmul(out, y, p, _V_INV)
+            elif in_module is None or in_module(sy):
+                known[sy] = ly + 1
+                _addmul(out, sy, p, _UNIT)
+                _addmul(out, y, p, _V)
+            else:  # sy = y t with t finite simple, and H_t acts by v^{-1}
+                _addmul(out, y, p, _V_PLUS_VINV)
+        # subtract c0 times the canonical element of w for every w != x
+        # whose coefficient has constant term c0; a subtracted element
+        # changes no constant term but the one at w, so one pass over the
+        # snapshot suffices
+        for w, c0 in [(w, p[0]) for w, p in out.items() if w != x and p.get(0)]:
+            minus_c0 = {0: -c0}
+            entry = table[w]
+            for (y, q), ly in zip(entry.support.items(), entry.lengths):
                 known[y] = ly
-                if down:
-                    known[sy] = ly - 1
-                    _addmul(out, sy, p, _UNIT)
-                    _addmul(out, y, p, _V_INV)
-                elif in_module is None or in_module(sy):
-                    known[sy] = ly + 1
-                    _addmul(out, sy, p, _UNIT)
-                    _addmul(out, y, p, _V)
-                else:  # sy = y t with t finite simple, and H_t acts by v^{-1}
-                    _addmul(out, y, p, _V_PLUS_VINV)
-            # subtract c0 times the canonical element of w for every w != x
-            # whose coefficient has constant term c0; a subtracted element
-            # changes no constant term but the one at w, so one pass over the
-            # snapshot suffices
-            for w, c0 in [(w, p[0]) for w, p in out.items() if w != x and p.get(0)]:
-                minus_c0 = {0: -c0}
-                entry = table[w]
-                for (y, q), ly in zip(entry.support.items(), entry.lengths):
-                    known[y] = ly
-                    _addmul(out, y, q.coeffs, minus_c0)
-            support = _freeze(out)
-            order = sorted(support, key=known.__getitem__, reverse=True)
-            support = {y: support[y] for y in order}
-            lengths = tuple(known[y] for y in order)
+                _addmul(out, y, q.coeffs, minus_c0)
+        support = _freeze(out)
+        order = sorted(support, key=known.__getitem__, reverse=True)
+        support = {y: support[y] for y in order}
+        lengths = tuple(known[y] for y in order)
         # unitriangular, with every lower coefficient in vZ[v]
         if support.get(x) != ONE:
             raise InvariantViolation(f"canonical basis not unitriangular at {x}")
@@ -333,7 +351,9 @@ class HeckeAlgebra:
         """The canonical element N_w = sum_y mbar(y, w) M_y, as a read-only map
         y -> mbar(y, w); w is at most `MAX_HECKE_LENGTH` long."""
         self._require_spherical(w)
-        return self._spherical[w].support
+        omega, aff = self._waff_part(w)
+        support = self._spherical[aff].support
+        return support if omega is None else MappingProxyType(self._relabeled(omega, support))
 
     def spherical_lower_set(self, x: ExtWeylElement) -> list[ExtWeylElement]:
         """Minimal representatives below x, sorted by decreasing length."""
@@ -344,16 +364,31 @@ class HeckeAlgebra:
     def inverse_m(self, x: ExtWeylElement, y: ExtWeylElement) -> LaurentPolynomial:
         """Entry m^{x,y} of the inverse of the spherical canonical matrix.
 
-        Defined by M_x = sum_y (-1)^{len(y)+len(x)} m^{x,y} N_y and computed
-        by unitriangular back-substitution over the transitive support
-        closure of N_x, by decreasing length: m^{x,z} is zero off it.  Each
-        m^{x,u}, once complete, is pushed onto the support of N_u, whose
-        terms come by decreasing length, up to the first one shorter than y;
-        the closure is walked no lower than y.  Closure members lie in W_ext^S
-        by construction, so their elements are read from the table directly.
+        Defined by M_x = sum_y (-1)^{len(y)+len(x)} m^{x,y} N_y, so m^{x,y} is
+        zero unless y lies in the W_aff-coset of x.  A length-zero omega only
+        relabels the module, so m^{x,y} = m^{omega^{-1} x, omega^{-1} y} for
+        the omega of x's coset: each answer is kept under that pair of W_aff
+        elements, and a query is computed once per orbit of the length-zero
+        subgroup.
         """
         self._require_spherical(x)
         self._require_spherical(y)
+        ext = self.ext
+        if not ext.same_coset(x, y):
+            return ZERO
+        omega, x = self._waff_part(x)
+        if omega is not None:
+            y = ext.mul(ext.inv(omega), y)
+        return self._inverse[x, y]
+
+    def _back_substitute(self, x: ExtWeylElement, y: ExtWeylElement) -> LaurentPolynomial:
+        """m^{x,y} for x, y in W_aff, by unitriangular back-substitution over
+        the transitive support closure of N_x, by decreasing length: m^{x,z}
+        is zero off it.  Each m^{x,u}, once complete, is pushed onto the
+        support of N_u, whose terms come by decreasing length, up to the first
+        one shorter than y; the closure is walked no lower than y.  Closure
+        members lie in W_ext^S by construction, so their elements are read
+        from the table directly."""
         ext = self.ext
         ly = ext.length(y)
         values: dict[ExtWeylElement, Coeffs] = {x: {0: 1}}

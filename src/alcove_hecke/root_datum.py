@@ -302,9 +302,6 @@ class RootDatum:
             raise DimensionMismatch("one value per simple root required")
         return mat_apply(self.section, coords)
 
-    def coroot_lattice_contains(self, lam: Vector) -> bool:
-        return solve_smith(self.coroot_smith, self.check_y(lam)) is not None
-
 
 def _generate_root_system(simple_roots: Matrix, simple_coroots: Matrix):
     """Closure of the simple root/coroot pairs under simple reflections.

@@ -12,6 +12,7 @@ from alcove_hecke.errors import InvariantViolation
 from alcove_hecke.ext_weyl import ExtWeylElement
 from alcove_hecke.hecke import HeckeElement
 from alcove_hecke.laurent import ONE, V, V_INV, ZERO, LaurentPolynomial
+from alcove_hecke.memo import Memo
 from alcove_hecke.root_datum import (identity_matrix, pair, solve_smith, vec_add, vec_neg,
                                      vec_scale, vec_sub)
 
@@ -49,6 +50,46 @@ def _bruhat_aff(ext, x, y, table):
         sx, down = ext.left_steps(x)[k]
         table[key] = _bruhat_aff(ext, sx if down else x, sy, table)
     return table[key]
+
+
+def coroot_lattice_contains(d, lam):
+    """Whether lam lies in the coroot lattice, by one Smith solve of the
+    simple-coroot system."""
+    return solve_smith(d.coroot_smith, d.check_y(lam)) is not None
+
+
+def per_coset_tables(hecke):
+    """The regular and the spherical canonical-element tables of the
+    recursion run directly on each element asked, in its own W_aff-coset:
+    nothing is moved into W_aff by a length-zero element, nothing relabeled."""
+    regular = Memo(lambda x: hecke._canonical(x, regular, None))
+    spherical = Memo(lambda w: hecke._canonical(w, spherical, hecke.alc.in_wexts))
+    return regular, spherical
+
+
+def inverse_m_per_coset(hecke, spherical, x):
+    """m^{x,z} for every z in the support closure of N_x, back-substituted
+    over a table of `per_coset_tables` by decreasing length: for z != x,
+    m^{x,z} = -sum_u (-1)^{len u + len z} m^{x,u} mbar(z, u) over the u
+    already solved."""
+    ext = hecke.ext
+    closure, stack = {x}, [x]
+    while stack:
+        for z in spherical[stack.pop()].support:
+            if z not in closure:
+                closure.add(z)
+                stack.append(z)
+    values = {}
+    for z in sorted(closure, key=ext.length, reverse=True):
+        lz = ext.length(z)
+        acc = ONE if z == x else ZERO
+        for u, m in values.items():
+            p = spherical[u].support.get(z)
+            if p:
+                term = m * p
+                acc = acc + (term if (ext.length(u) + lz) % 2 else -term)
+        values[z] = acc
+    return values
 
 
 def pushed(eng, x, n):

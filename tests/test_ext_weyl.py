@@ -9,11 +9,12 @@ from alcove_hecke.errors import InvariantViolation, MalformedInput
 from alcove_hecke.ext_weyl import ExtWeyl, ExtWeylElement
 from alcove_hecke.hecke import _first_step
 from alcove_hecke.parabolic import is_finitary
-from alcove_hecke.root_datum import _principal_minors_positive, load_root_datum, pair
+from alcove_hecke.root_datum import _principal_minors_positive, load_root_datum, pair, vec_sub
 from conftest import EVERY_DATUM, RANK4, descriptor
 from oracles import (
     affine_cartan_entry,
     bruhat_recursive,
+    coroot_lattice_contains,
     deep_recursion,
     descent_rows_by_kind,
     generator_elements_by_kind,
@@ -353,7 +354,8 @@ def test_mul_fast_paths_match_row_formula(datum_engine):
 
 
 def test_coset_test_matches_product(datum_engine):
-    # bruhat_leq decides the coset on lam_x - lam_y, then recurses within it
+    # bruhat_leq decides the coset from the classes of lam_x and lam_y, then
+    # recurses within it; the oracle solves for lam_x - lam_y
     ext = datum_engine.ext
     rng = random.Random(67)
     tops = list(_short_elements(ext, rng, 8, 4))
@@ -361,9 +363,29 @@ def test_coset_test_matches_product(datum_engine):
     elements += [ext.random_element(rng, 3) for _ in range(30)]
     for x in elements:
         for y in tops + elements[:10]:
-            same = ext.in_affine_subgroup(ext.mul(x, ext.inv(y)))
-            assert ext._in_coroot_lattice[tuple(a - b for a, b in zip(x.t, y.t))] == same
+            same = coroot_lattice_contains(ext.datum, vec_sub(x.t, y.t))
+            assert ext.in_affine_subgroup(ext.mul(x, ext.inv(y))) == same
             assert ext.bruhat_leq(x, y) == (same and ext._bruhat_aff(x, y)), (x, y)
+
+
+@pytest.mark.parametrize("name", EVERY_DATUM)
+def test_coset_classes_match_the_smith_solve(name):
+    # same_coset, in_affine_subgroup and omega_of read one table of classes;
+    # the oracle solves for the translation, or the difference, in the
+    # simple coroots
+    ext = ExtWeyl(load_root_datum(descriptor(name)))
+    d = ext.datum
+    rng = random.Random(71)
+    xs = [ext.random_element(rng, 3) for _ in range(40)]
+    for x in xs:
+        assert ext.in_affine_subgroup(x) == coroot_lattice_contains(d, x.t)
+        omega = ext.omega_of(x)
+        assert ext.length(omega) == 0
+        assert coroot_lattice_contains(d, ext.mul(ext.inv(omega), x).t)
+        for y in xs[:10]:
+            same = coroot_lattice_contains(d, vec_sub(x.t, y.t))
+            assert ext.same_coset(x, y) == same
+            assert (ext.omega_of(y) == omega) == same
 
 
 def test_wrong_descent_table_raises(b2):

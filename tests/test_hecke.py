@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import shlex
@@ -13,7 +14,9 @@ from alcove_hecke.suite import _waff_ball, bar_invariance_solver, run_suite, sph
 from alcove_hecke.hecke import MAX_HECKE_LENGTH, HeckeAlgebra, HeckeElement
 from alcove_hecke.laurent import ONE, V, V_INV, ZERO, LaurentPolynomial
 from conftest import CUSTOM, SEMISIMPLE, engine_for
-from oracles import hecke_combination, hecke_product, mbar
+from alcove_hecke.root_datum import vec_sub
+from oracles import (coroot_lattice_contains, hecke_combination, hecke_product,
+                     inverse_m_per_coset, mbar, per_coset_tables)
 
 
 def test_quadratic_relation(a1):
@@ -219,15 +222,76 @@ def test_kl_bar_invariance(any_engine):
 
 
 def test_kl_omega_equivariance(any_engine):
+    # C_{omega x} = omega C_x, with both sides from the recursion run in the
+    # element's own coset, and kl_basis (which relabels an entry of W_aff)
+    # against that route
     ext, hecke = any_engine.ext, any_engine.hecke
+    regular, _ = per_coset_tables(hecke)
     rng = random.Random(17)
     omegas = ext.enumerate_omega(2)
     for _ in range(25):
         x = ext.random_element(rng, 2)
         om = omegas[rng.randrange(len(omegas))]
-        base = hecke.kl_basis(x)
-        shifted = hecke.kl_basis(ext.mul(om, x))
-        assert {ext.mul(om, y): p for y, p in base.items()} == dict(shifted.items())
+        shifted = dict(regular[ext.mul(om, x)].support)
+        assert {ext.mul(om, y): p for y, p in regular[x].support.items()} == shifted
+        assert dict(hecke.kl_basis(ext.mul(om, x)).items()) == shifted
+
+
+# Cayley-ball radius in W_aff per datum, translated into every coset
+PER_COSET = {"A1_adj": 10, "A2_adj": 7, "B2_adj": 7, "A1xA1_adj": 6, "G2": 6, "GL2": 8}
+
+
+@pytest.mark.parametrize("name", list(PER_COSET))
+def test_tables_on_waff_match_the_per_coset_route(name):
+    # outside W_aff, kl_basis, spherical_basis and inverse_m read entries of
+    # W_aff elements; the oracle runs the recursion, and back-substitutes
+    # m^{x,z}, in each coset itself
+    eng = engine_for(name)
+    ext, hecke = eng.ext, eng.hecke
+    regular, spherical = per_coset_tables(hecke)
+    # a finite window of length-zero elements, each in a coset of its own
+    omegas = ext.enumerate_omega(1 if name == "GL2" else 2)
+    assert len(omegas) > 1 or name == "G2"
+    for a, b in itertools.combinations(omegas, 2):
+        assert not coroot_lattice_contains(eng.datum, vec_sub(a.t, b.t))
+    ball = _waff_ball(eng, PER_COSET[name])
+    for om in omegas:
+        xs = [ext.mul(om, a) for a in ball]
+        for x in xs:
+            assert dict(hecke.kl_basis(x).items()) == dict(regular[x].support), x
+        window = sorted((x for x in xs if eng.alc.in_wexts(x)), key=ext.length)
+        for w in window:
+            assert dict(hecke.spherical_basis(w)) == dict(spherical[w].support), w
+        for x in window[-2:]:
+            want = inverse_m_per_coset(hecke, spherical, x)
+            assert len(want) > 1
+            assert {z: hecke.inverse_m(x, z) for z in want} == want
+            for other in omegas:
+                if other != om:
+                    assert hecke.inverse_m(x, other) == ZERO
+
+
+@pytest.mark.parametrize("name, bound", [("A2_adj", 108), ("B2_adj", 102)])
+def test_sweep_tables_hold_waff_elements_only(name, bound):
+    # the length-14 sweep: its spherical table holds only elements of W_aff,
+    # no more than the W_aff members of the window's closures, and each
+    # orbit of the length-zero subgroup on its queries is back-substituted once
+    eng = build_engine(name)
+    ext, alc, hecke = eng.ext, eng.alc, eng.hecke
+    window = spherical_window(eng, 14)
+    omegas = ext.enumerate_omega(2)
+    for w in window:
+        hecke.inverse_m(alc.triangle(w), w)
+    assert all(ext.in_affine_subgroup(w) for w in hecke._spherical)
+    assert len(hecke._spherical) <= bound
+    assert len(hecke._inverse) * len(omegas) == len(window)
+    computed = []
+    real = hecke._inverse.fn
+    hecke._inverse.fn = lambda key: computed.append(key) or real(key)
+    for om in omegas:
+        for w in window[-5:]:
+            assert hecke.inverse_m(ext.mul(om, alc.triangle(w)), ext.mul(om, w))
+    assert computed == []
 
 
 def test_dihedral_closed_form(a1):

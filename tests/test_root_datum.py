@@ -41,7 +41,8 @@ from conftest import (
     descriptor,
     type_a,
 )
-from oracles import cartan_components, highest_root_index, weyl_tables_by_products
+from oracles import (cartan_components, coroot_lattice_contains, highest_root_index,
+                     weyl_tables_by_products)
 
 # degrees of the fundamental invariants, used as the Poincare-series oracle
 DEGREES = {
@@ -211,8 +212,8 @@ def test_coroot_solves_use_the_stored_factors(monkeypatch, datum_engine):
     monkeypatch.setattr(root_datum, "smith_normal_form", refactor)
     for k, cv in enumerate(d.positive_coroots):
         assert tuple(solve_smith(d.coroot_smith, cv)) == d.coroot_in_simple[k]
-        assert d.coroot_lattice_contains(cv)
-    assert d.coroot_lattice_contains(vec_neg(d.positive_coroots[-1]))
+        assert coroot_lattice_contains(d, cv)
+    assert coroot_lattice_contains(d, vec_neg(d.positive_coroots[-1]))
 
 
 def test_coroot_lattice_check_at_load_raises(monkeypatch):
