@@ -115,7 +115,7 @@ class ExtWeyl:
         self._lengths = Memo(self._length_formula)
         self._left_steps = Memo(self._left_step_row)
         # (x, y) -> x <= y within one coset; the walk fills it with `put`
-        self._bruhat = Memo(lambda key: self._bruhat_aff(*key))
+        self._bruhat = Memo(None)
         # translation -> coset class, from the Smith rows as in the module
         # docstring; class -> its length-zero element, filled with `put` by
         # `omega_of`

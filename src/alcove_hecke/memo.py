@@ -10,8 +10,9 @@ partition counts and parabolic subgroups.  A table never holds more than
 emptied first, so a long-running process stays bounded at the price of
 recomputation.  `Memo.put` stores a value computed outside the table under
 the same cap; a table whose values need more than the key, such as the
-length-zero element of a coset class, is built with fn None and filled only
-by `put`.
+length-zero element of a coset class, or are learned several at a time, such
+as the Bruhat comparisons a walk passes, is built with fn None and filled
+only by `put`.
 Emptying is safe in the middle of a recursion because callers use the
 returned values, never the table's contents.
 

@@ -6,8 +6,8 @@ result does not depend on the chosen translation.  Comparisons are kept in a
 `Memo` table because the multiplicity calculator asks the same ones
 repeatedly.
 
-A pair in two W_aff-cosets is incomparable, which the coroot-lattice test on
-lambda_x - lambda_y decides with no translation.  Otherwise the pair is
+A pair in two W_aff-cosets is incomparable, which `ExtWeyl.same_coset`
+decides from the classes of lambda_x and lambda_y.  Otherwise the pair is
 translated by the smallest common coweight.  For x = w t_lambda,
 x t_mu = w t_{lambda + mu} keeps the Weyl part, and it lies in W_ext^S exactly
 when <alpha_i, lambda_x + mu> <= 0 for every simple root, where lambda_x is

@@ -5,7 +5,7 @@ character lattice X) and simple coroots (coordinates in the cocharacter
 lattice Y); the pairing X x Y -> Z is the coordinate dot product.  The loader
 validates the data (finite-type Cartan matrix, torsion-free X/ZR) and derives
 everything downstream modules need: positive roots and coroots, the finite
-Weyl group with its action matrices, root permutations and inverses, the
+Weyl group with its Y-action matrices, root permutations and inverses, the
 longest element, the sum of positive roots, the section of
 Y -> Hom(ZR, Z), and the distinguished coweight pairing to 1 with every
 simple root.  Downstream modules read these facts and do not re-derive them.
@@ -13,7 +13,7 @@ simple root.  Downstream modules read these facts and do not re-derive them.
 The root closure keeps each simple reflection's permutation of `roots`, the
 positive roots followed by their negatives.  The Weyl group is found by a
 breadth-first search that composes these permutations and knows an element
-by where it sends the simple roots; only a new element gets an X-action, by
+by where it sends the simple roots; only a new element gets a Y-action, by
 one rank-one update.  The group is kept as these permutations: products are
 left to `ExtWeyl`, inverses are read off the search's keys, and w makes the
 positive root beta negative exactly when its permutation sends beta past the
@@ -229,11 +229,11 @@ def _det(m: list[list[int]]) -> int:
 
 @dataclass(frozen=True)
 class WeylElement:
-    """One element of the finite Weyl group, with cached action data."""
+    """One element of the finite Weyl group: its reduced word and its action
+    on Y.  Its permutation of the roots is in `RootDatum.root_perms`."""
 
     index: int
     word: tuple[int, ...]  # reduced word in simple reflection indices
-    x_action: Matrix  # action on X-vectors
     y_action: Matrix  # action on Y-vectors
 
     @property
@@ -289,9 +289,6 @@ class RootDatum:
     def is_dominant(self, lam: Vector) -> bool:
         lam = self.check_y(lam)
         return all(pair(alpha, lam) >= 0 for alpha in self.simple_roots)
-
-    def act_x(self, w: int, v: Vector) -> Vector:
-        return mat_apply(self.weyl_elements[w].x_action, v)
 
     def act_y(self, w: int, v: Vector) -> Vector:
         return mat_apply(self.weyl_elements[w].y_action, v)
@@ -357,9 +354,7 @@ def _generate_root_system(simple_roots: Matrix, simple_coroots: Matrix):
     return (tuple(order), *(tuple(pos[beta][k] for beta in order) for k in range(3)), tuple(perms))
 
 
-def _enumerate_weyl(
-    n: int, roots: Matrix, simple_roots: Matrix, simple_coroots: Matrix, simple_perms
-):
+def _enumerate_weyl(n: int, roots: Matrix, coroots: Matrix, simple_roots: Matrix, simple_perms):
     """The finite Weyl group by a breadth-first search along the simple
     reflections.
 
@@ -371,15 +366,15 @@ def _enumerate_weyl(
 
     Each element but the identity is first reached as w = w_p s_i, and its
     word is that of w_p followed by i.  Only a new element gets its
-    permutation and X-action: its parent's by the rank-one update
-    M s_i = M - (M alpha_i)(alpha_i^vee)^T, where M alpha_i = w_p(alpha_i) is
-    read off the parent's permutation.  Raises `BoundsTooLarge` as soon as
-    the search finds more than `MAX_WEYL_ORDER` elements.
+    permutation and Y-action: s_i sends y to y - <alpha_i, y> alpha_i^vee, so
+    N s_i = N - (N alpha_i^vee)(alpha_i)^T for the parent's Y-action N, and
+    N alpha_i^vee = w_p(alpha_i)^vee is the coroot of the root that the
+    parent's permutation names, read from `coroots`, which is aligned with
+    `roots`.  Raises `BoundsTooLarge` as soon as the search finds more than
+    `MAX_WEYL_ORDER` elements.
 
     w^{-1} sends alpha_i to the root that w sends to alpha_i, so the key of
     w^{-1} is the positions where w's permutation holds the simple roots.
-    The pairing is W-invariant, so <w x, y> = <x, w^{-1} y>: the Y-action of
-    w is the transpose of the X-action of w^{-1}.
     """
     simple = [roots.index(alpha) for alpha in simple_roots]
     # where s_i sends each simple root, so that w s_i's key is r reads of w's permutation
@@ -392,18 +387,15 @@ def _enumerate_weyl(
             if k == len(perms):
                 if k == MAX_WEYL_ORDER:
                     raise BoundsTooLarge(f"the Weyl group has more than {MAX_WEYL_ORDER} elements")
-                m_alpha, coroot = roots[perm[simple[i]]], simple_coroots[i]
+                n_coroot, alpha = coroots[perm[simple[i]]], simple_roots[i]
                 actions.append(tuple(
-                    tuple([a - c * b for a, b in zip(row, coroot)])
-                    for row, c in zip(actions[cur], m_alpha)
+                    tuple([a - c * b for a, b in zip(row, alpha)])
+                    for row, c in zip(actions[cur], n_coroot)
                 ))
                 perms.append(tuple(map(perm.__getitem__, s_perm)))
                 words.append(words[cur] + (i,))
     inv = tuple(index_of[tuple(map(perm.index, simple))] for perm in perms)
-    elements = tuple(
-        WeylElement(k, words[k], actions[k], tuple(zip(*actions[inv[k]])))
-        for k in range(len(actions))
-    )
+    elements = tuple(map(WeylElement, range(len(perms)), words, actions))
     return elements, inv, tuple(perms)
 
 
@@ -489,7 +481,8 @@ def load_root_datum(spec) -> RootDatum:
     n_pos = len(pos_roots)
     roots = pos_roots + tuple(map(vec_neg, pos_roots))
 
-    elements, inv, perms = _enumerate_weyl(dim, roots, simple_roots, simple_coroots, simple_perms)
+    coroots = pos_coroots + tuple(map(vec_neg, pos_coroots))
+    elements, inv, perms = _enumerate_weyl(dim, roots, coroots, simple_roots, simple_perms)
     # w(beta) < 0 exactly when its index lies past the positive roots, and
     # the length of w is the number of positive roots it makes negative
     # (Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.7)

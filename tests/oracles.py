@@ -13,8 +13,8 @@ from alcove_hecke.ext_weyl import ExtWeylElement
 from alcove_hecke.hecke import HeckeElement
 from alcove_hecke.laurent import ONE, V, V_INV, ZERO, LaurentPolynomial
 from alcove_hecke.memo import Memo
-from alcove_hecke.root_datum import (identity_matrix, pair, solve_smith, vec_add, vec_neg,
-                                     vec_scale, vec_sub)
+from alcove_hecke.root_datum import (identity_matrix, mat_apply, pair, solve_smith, vec_add,
+                                     vec_neg, vec_scale, vec_sub)
 
 
 @contextlib.contextmanager
@@ -302,6 +302,19 @@ def mat_mul(a, b):
     )
 
 
+def x_actions_by_words(d):
+    """Each Weyl element's action on X, as the product of the simple
+    reflections x -> x - <x, alpha_i^vee> alpha_i along its word."""
+    gens = [reflection(alpha, coroot) for alpha, coroot in zip(d.simple_roots, d.simple_coroots)]
+    actions = []
+    for el in d.weyl_elements:
+        m = identity_matrix(d.x_rank)
+        for i in el.word:
+            m = mat_mul(m, gens[i])
+        actions.append(m)
+    return actions
+
+
 def weyl_tables_by_products(simple_roots, simple_coroots):
     """The finite Weyl group by breadth-first matrix products of simple
     reflections, and its multiplication table by one matrix product and one
@@ -370,9 +383,10 @@ def generator_elements_by_kind(ext):
     simple reflection, and the affine generator of a component with highest
     root theta is t_{theta^vee} s_theta = s_theta t_{-theta^vee}."""
     d = ext.datum
+    actions = x_actions_by_words(d)
 
     def reflection_index(root, coroot):
-        return next(el.index for el in d.weyl_elements if el.x_action == reflection(root, coroot))
+        return actions.index(reflection(root, coroot))
 
     out = {}
     for g in ext.generators:
@@ -392,16 +406,17 @@ def descent_rows_by_kind(ext):
     affine s x < x when <a, lam> >= t, t = 1 + [a < 0], stored as
     (-a, 1 - t)."""
     d = ext.datum
+    actions = x_actions_by_words(d)
     positive = set(d.positive_roots)
     rows = []
     for w in range(d.weyl_order):
         row = []
         for g in ext.generators:
             if g.kind == "finite":
-                a = d.act_x(d.weyl_inv[w], d.simple_roots[g.index])
+                a = mat_apply(actions[d.weyl_inv[w]], d.simple_roots[g.index])
                 row.append((a, 0 if a in positive else 1))
             else:
-                a = d.act_x(d.weyl_inv[w], d.highest_roots[g.index])
+                a = mat_apply(actions[d.weyl_inv[w]], d.highest_roots[g.index])
                 row.append((vec_neg(a), 0 if a in positive else -1))
         rows.append(tuple(row))
     return tuple(rows)

@@ -20,6 +20,7 @@ from oracles import (
     generator_elements_by_kind,
     mat_mul,
     omega_left_form,
+    x_actions_by_words,
 )
 
 
@@ -321,10 +322,10 @@ def test_element_is_named_tuple(a1):
 
 def _product_by_rows(ext, a, b):
     """(w1 t1)(w2 t2) = (w1 w2) t_{w2^{-1}(t1) + t2}, by the general formula,
-    with w1 w2 the element whose X-action is the product of theirs."""
+    with w1 w2 the element whose Y-action is the product of theirs."""
     d = ext.datum
-    index = {e.x_action: e.index for e in d.weyl_elements}
-    w = index[mat_mul(d.weyl_elements[a.w].x_action, d.weyl_elements[b.w].x_action)]
+    index = {e.y_action: e.index for e in d.weyl_elements}
+    w = index[mat_mul(d.weyl_elements[a.w].y_action, d.weyl_elements[b.w].y_action)]
     t = tuple(c + e for c, e in zip(d.act_y(d.weyl_inv[b.w], a.t), b.t))
     return ExtWeylElement(w, t)
 
@@ -399,16 +400,19 @@ def test_wrong_descent_table_raises(b2):
 @pytest.mark.parametrize("name", ["D4", "B4", "F4"])
 def test_weyl_products_and_inverses_match_x_actions(name):
     # products from rows built on demand and inverses read off the search's
-    # keys, against X-action matrix products on a seeded sample of pairs
+    # keys, against matrix products on a seeded sample of pairs: of the
+    # X-actions, the products of reflections along each word, and of the
+    # Y-actions the search builds
     ext = ExtWeyl(load_root_datum(RANK4[name]))
-    actions = [e.x_action for e in ext.datum.weyl_elements]
-    index = {m: w for w, m in enumerate(actions)}
+    y_actions = [e.y_action for e in ext.datum.weyl_elements]
     zero = ext.identity.t
-    rng = random.Random(59)
-    for _ in range(2000):
-        a, b = (ExtWeylElement(rng.randrange(len(actions)), zero) for _ in range(2))
-        assert ext.mul(a, b) == ExtWeylElement(index[mat_mul(actions[a.w], actions[b.w])], zero)
-        assert mat_mul(actions[a.w], actions[ext.inv(a).w]) == actions[0]
+    for actions in (x_actions_by_words(ext.datum), y_actions):
+        index = {m: w for w, m in enumerate(actions)}
+        rng = random.Random(59)
+        for _ in range(2000):
+            a, b = (ExtWeylElement(rng.randrange(len(actions)), zero) for _ in range(2))
+            assert ext.mul(a, b) == ExtWeylElement(index[mat_mul(actions[a.w], actions[b.w])], zero)
+            assert mat_mul(actions[a.w], actions[ext.inv(a).w]) == actions[0]
 
 
 @pytest.mark.parametrize("name, fault", [

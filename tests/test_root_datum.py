@@ -42,7 +42,7 @@ from conftest import (
     type_a,
 )
 from oracles import (cartan_components, coroot_lattice_contains, highest_root_index,
-                     weyl_tables_by_products)
+                     weyl_tables_by_products, x_actions_by_words)
 
 # degrees of the fundamental invariants, used as the Poincare-series oracle
 DEGREES = {
@@ -156,7 +156,8 @@ def test_two_rho_pairs_to_two(any_engine):
 
 def test_w0_negates_positive_roots(any_engine):
     d = any_engine.datum
-    sent = {d.act_x(d.w0, beta) for beta in d.positive_roots}
+    n_pos = len(d.positive_roots)
+    sent = {d.roots[j] for j in d.root_perms[d.w0][:n_pos]}
     assert sent == {vec_neg(beta) for beta in d.positive_roots}
     assert d.weyl_elements[d.w0].length == len(d.positive_roots)
 
@@ -251,14 +252,18 @@ def test_length_check_at_load_raises(monkeypatch):
 
 @pytest.mark.parametrize("name", EVERY_DATUM)
 def test_root_permutations_match_the_x_actions(name):
-    # each element's root permutation and sign flips against its X-action
-    # applied to every root
+    # each element's root permutation and sign flips against its X-action,
+    # the product of reflections along its word, applied to every root; and
+    # against its Y-action applied to the coroots, as w(beta^vee) = w(beta)^vee
     d = load_root_datum(descriptor(name))
     assert d.roots == d.positive_roots + tuple(map(vec_neg, d.positive_roots))
+    coroots = d.positive_coroots + tuple(map(vec_neg, d.positive_coroots))
     positive = set(d.positive_roots)
-    for el, perm in zip(d.weyl_elements, d.root_perms, strict=True):
-        images = [mat_apply(el.x_action, beta) for beta in d.roots]
+    x_actions = x_actions_by_words(d)
+    for el, perm, x_action in zip(d.weyl_elements, d.root_perms, x_actions, strict=True):
+        images = [mat_apply(x_action, beta) for beta in d.roots]
         assert [d.roots[j] for j in perm] == images
+        assert [coroots[j] for j in perm] == [mat_apply(el.y_action, cv) for cv in coroots]
         flips = [j >= len(positive) for j in perm[: len(positive)]]
         assert flips == [image not in positive for image in images[: len(positive)]]
 
@@ -297,9 +302,9 @@ def test_varsigma_check_at_load_raises(monkeypatch):
 
 def field_digests(d):
     """A short digest of every `RootDatum` field, the Weyl elements spelled
-    out as (index, word, X-action, Y-action)."""
+    out as (index, word, Y-action)."""
     values = {f.name: getattr(d, f.name) for f in dataclasses.fields(d)}
-    values["weyl_elements"] = [(e.index, e.word, e.x_action, e.y_action) for e in d.weyl_elements]
+    values["weyl_elements"] = [(e.index, e.word, e.y_action) for e in d.weyl_elements]
     return {k: hashlib.sha256(json.dumps(v).encode()).hexdigest()[:16] for k, v in values.items()}
 
 
@@ -316,12 +321,11 @@ def test_loaded_fields_match_pinned_digests(name):
 
 @pytest.mark.parametrize("name", SEMISIMPLE + list(CUSTOM) + list(RANK3) + list(INTERLEAVED) + ["A4"])
 def test_weyl_tables_match_the_product_oracle(name):
-    # the search's words, actions and inverses, and the Weyl products that
+    # the search's words, Y-actions and inverses, and the Weyl products that
     # ExtWeyl reads off the root permutations, against matrix products per pair
     d = load_root_datum(descriptor(name))
-    words, x_actions, y_actions, mult, inv = weyl_tables_by_products(d.simple_roots, d.simple_coroots)
+    words, _, y_actions, mult, inv = weyl_tables_by_products(d.simple_roots, d.simple_coroots)
     assert [e.word for e in d.weyl_elements] == words
-    assert [e.x_action for e in d.weyl_elements] == x_actions
     assert [e.y_action for e in d.weyl_elements] == y_actions
     ext, zero = ExtWeyl(d), (0,) * d.y_rank
     weyl = [ExtWeylElement(w, zero) for w in range(d.weyl_order)]
