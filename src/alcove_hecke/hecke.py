@@ -43,11 +43,10 @@ the element of s x, term by term in three cases:
 The third case never occurs in the regular module.  Constant terms below x
 are then cleared by subtracting canonical elements read from the same table,
 and the result is checked to be unitriangular with lower coefficients in
-vZ[v].  Each memoized element keeps its support in order of decreasing length,
-with the length of each term, carried through the recursion, so `inverse_m`,
-which back-substitutes the inverse polynomials m^{x,y} from the spherical
-elements, looks up no length per term and stops at the first term shorter
-than y.
+vZ[v].  Each table entry is the read-only map y -> coefficient, in no
+particular order; `inverse_m`, which back-substitutes the inverse polynomials
+m^{x,y} from the spherical elements, reads the length of each term from
+`ExtWeyl.length` and skips the terms shorter than y.
 
 The recursion stays in the W_aff-coset of x and ends at that coset's
 length-zero element.  Left multiplication by a length-zero omega maps
@@ -65,13 +64,26 @@ third case: it expands sum_y mbar(y, w) H_y C_{w0} from `spherical_basis(w)`
 and `kl_basis(w0)` and compares it with the full-group C_{w w0} coefficient
 by coefficient, so mbar(y, w) must be h(y w0, w w0), the Kazhdan-Lusztig
 polynomial of the *maximal* coset representatives.
+
+On A1, the spherical canonical element of the translation w = "e : -2", and
+its m-triangle entry m^{tri(w), w} = v^{len w0}:
+
+>>> from alcove_hecke.engine import build_engine
+>>> eng = build_engine("A1_adj")
+>>> ext, hecke = eng.ext, eng.hecke
+>>> w = ext.parse_element("e : -2")
+>>> sorted((ext.format_element(y), str(p)) for y, p in hecke.spherical_basis(w).items())
+[('e : -2', '1*v^0'), ('e : 0', '1*v^2'), ('s1 : -2', '1*v^1')]
+>>> tri = eng.alc.triangle(w)
+>>> ext.format_element(tri), str(hecke.inverse_m(tri, w))
+('s1 : -4', '1*v^1')
 """
 
 from __future__ import annotations
 
 import heapq
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .alcove import AlcoveModel
 from .errors import BoundsTooLarge, InvariantViolation, NotSpherical
@@ -167,14 +179,6 @@ def _first_step(ext, x: ExtWeylElement) -> tuple[int, ExtWeylElement] | None:
         if down:
             return i, sx
     return None
-
-
-class _Canonical(NamedTuple):
-    """A memoized canonical element: the read-only map y -> coefficient, in
-    order of decreasing len y, and len y for each y in the map's order."""
-
-    support: Mapping[ExtWeylElement, LaurentPolynomial]
-    lengths: tuple[int, ...]
 
 
 class HeckeElement:
@@ -276,36 +280,35 @@ class HeckeAlgebra:
         Raises `BoundsTooLarge` when x is longer than `MAX_HECKE_LENGTH`.
         """
         omega, aff = self._waff_part(x)
-        support = self._kl[aff].support
+        support = self._kl[aff]
         return _shared(support if omega is None else self._relabeled(omega, support))
 
-    def _canonical(self, x: ExtWeylElement, table: Memo, in_module) -> _Canonical:
-        """The canonical element of x in the module whose elements `table`
-        memoizes: the regular module on W_ext when in_module is None, the
-        spherical module on W_ext^S when in_module is its membership test.
-        It recurses within x's W_aff-coset, so the tables, asked only about
-        elements of W_aff, hold no others."""
+    def _canonical(
+        self, x: ExtWeylElement, table: Memo, in_module
+    ) -> Mapping[ExtWeylElement, LaurentPolynomial]:
+        """The canonical element of x, as the read-only map y -> coefficient,
+        in the module whose elements `table` memoizes: the regular module on
+        W_ext when in_module is None, the spherical module on W_ext^S when
+        in_module is its membership test.  It recurses within x's
+        W_aff-coset, so the tables, asked only about elements of W_aff, hold
+        no others."""
         ext = self.ext
         lx = ext.length(x)
         if lx > MAX_HECKE_LENGTH:
             raise BoundsTooLarge(f"{ext.format_element(x)} has length {lx} > {MAX_HECKE_LENGTH}")
         if lx == 0:
-            return _Canonical(MappingProxyType({x: ONE}), (0,))
+            return MappingProxyType({x: ONE})
         i, rest = _first_step(ext, x)
         base = table[rest]
         out: dict[ExtWeylElement, Coeffs] = {}
-        known = {}  # len y for every y reached
         # (H_s + v) M_y on the three kinds of y in the module
-        for (y, p), ly in zip(base.support.items(), base.lengths):
+        for y, p in base.items():
             p = p.coeffs
             sy, down = ext.left_steps(y)[i]
-            known[y] = ly
             if down:
-                known[sy] = ly - 1
                 _addmul(out, sy, p, _UNIT)
                 _addmul(out, y, p, _V_INV)
             elif in_module is None or in_module(sy):
-                known[sy] = ly + 1
                 _addmul(out, sy, p, _UNIT)
                 _addmul(out, y, p, _V)
             else:  # sy = y t with t finite simple, and H_t acts by v^{-1}
@@ -316,14 +319,9 @@ class HeckeAlgebra:
         # snapshot suffices
         for w, c0 in [(w, p[0]) for w, p in out.items() if w != x and p.get(0)]:
             minus_c0 = {0: -c0}
-            entry = table[w]
-            for (y, q), ly in zip(entry.support.items(), entry.lengths):
-                known[y] = ly
+            for y, q in table[w].items():
                 _addmul(out, y, q.coeffs, minus_c0)
         support = _freeze(out)
-        order = sorted(support, key=known.__getitem__, reverse=True)
-        support = {y: support[y] for y in order}
-        lengths = tuple(known[y] for y in order)
         # unitriangular, with every lower coefficient in vZ[v]
         if support.get(x) != ONE:
             raise InvariantViolation(f"canonical basis not unitriangular at {x}")
@@ -332,7 +330,7 @@ class HeckeAlgebra:
                 raise InvariantViolation(
                     f"lower coefficient {p} at {y} in the canonical element of {x}"
                 )
-        return _Canonical(MappingProxyType(support), lengths)
+        return MappingProxyType(support)
 
     def kl_poly(self, y: ExtWeylElement, x: ExtWeylElement) -> LaurentPolynomial:
         return self.kl_basis(x).coeff(y)
@@ -343,16 +341,12 @@ class HeckeAlgebra:
         if not self.alc.in_wexts(x):
             raise NotSpherical(f"{self.ext.format_element(x)} is not a minimal coset representative")
 
-    def _check_degree(self, p: LaurentPolynomial, bound: int) -> None:
-        if p and not (-bound <= p.min_exponent() and p.max_exponent() <= bound):
-            raise InvariantViolation(f"{p} exceeds the degree bound {bound}")
-
     def spherical_basis(self, w: ExtWeylElement) -> Mapping[ExtWeylElement, LaurentPolynomial]:
         """The canonical element N_w = sum_y mbar(y, w) M_y, as a read-only map
         y -> mbar(y, w); w is at most `MAX_HECKE_LENGTH` long."""
         self._require_spherical(w)
         omega, aff = self._waff_part(w)
-        support = self._spherical[aff].support
+        support = self._spherical[aff]
         return support if omega is None else MappingProxyType(self._relabeled(omega, support))
 
     def spherical_lower_set(self, x: ExtWeylElement) -> list[ExtWeylElement]:
@@ -384,34 +378,31 @@ class HeckeAlgebra:
     def _back_substitute(self, x: ExtWeylElement, y: ExtWeylElement) -> LaurentPolynomial:
         """m^{x,y} for x, y in W_aff, by unitriangular back-substitution over
         the transitive support closure of N_x, by decreasing length: m^{x,z}
-        is zero off it.  Each m^{x,u}, once complete, is pushed onto the
-        support of N_u, whose terms come by decreasing length, up to the first
-        one shorter than y; the closure is walked no lower than y.  Closure
+        is zero off it.  A heap keyed by length pops each member u after every
+        longer one, so m^{x,u} is complete when it pops; it is then pushed
+        onto the terms of N_u no shorter than y, their lengths read from
+        `ExtWeyl.length`, so the closure is walked no lower than y.  Closure
         members lie in W_ext^S by construction, so their elements are read
         from the table directly."""
         ext = self.ext
         ly = ext.length(y)
         values: dict[ExtWeylElement, Coeffs] = {x: {0: 1}}
         heap = [(-ext.length(x), x)]  # every longer member of the closure pops first
-        result: Coeffs = {}
-        while heap:
+        while heap and heap[0][1] != y:  # no other member as short as y is pushed
             neg_lu, u = heapq.heappop(heap)
             m = values.pop(u)
-            if u == y:
-                result = m
-                break
             if not any(m.values()):
                 continue
             minus_m = {k: -c for k, c in m.items()}
-            entry = self._spherical[u]
-            for (z, p), lz in zip(entry.support.items(), entry.lengths):
-                if lz < ly:
-                    break  # the rest is shorter still
-                if z == u or (lz == ly and z != y):
+            for z, p in self._spherical[u].items():
+                lz = ext.length(z)
+                if lz < ly or z == u or (lz == ly and z != y):
                     continue
                 if z not in values:
                     heapq.heappush(heap, (-lz, z))
                 _addmul(values, z, p.coeffs, m if (lz - neg_lu) % 2 else minus_m)
-        result = LaurentPolynomial(result)
-        self._check_degree(result, ext.length(x) + ext.length(ext.w0))
+        result = LaurentPolynomial(values.get(y, {}))
+        bound = ext.length(x) + ext.length(ext.w0)
+        if result and not (-bound <= result.min_exponent() and result.max_exponent() <= bound):
+            raise InvariantViolation(f"{result} exceeds the degree bound {bound}")
         return result

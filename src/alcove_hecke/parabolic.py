@@ -36,8 +36,10 @@ def is_finitary(ext: ExtWeyl, gens) -> bool:
 
 def make_parabolic(ext: ExtWeyl, gens) -> FinitarySubset:
     gens = tuple(sorted(set(gens)))
+    names = [g.name for g in gens]
     if not is_finitary(ext, gens):
-        raise NotFinitary(f"generators {[g.name for g in gens]} span an infinite group")
+        raise NotFinitary(f"generators {names} span an infinite group")
+    bound = ext.datum.weyl_order  # a finite subgroup of W_aff fixes a point, so embeds in W
     elements = {ext.identity}
     frontier = [ext.identity]
     while frontier:
@@ -47,11 +49,13 @@ def make_parabolic(ext: ExtWeyl, gens) -> FinitarySubset:
             if nxt not in elements:
                 elements.add(nxt)
                 frontier.append(nxt)
+                if len(elements) > bound:
+                    raise InvariantViolation(f"generators {names} make more than |W| = {bound} elements")
     ordered = sorted(elements, key=lambda e: (ext.length(e), e))
     longest = ordered[-1]
     lengths = [ext.length(e) for e in ordered]
     if lengths.count(lengths[-1]) != 1:
-        raise InvariantViolation(f"generators {[g.name for g in gens]} have no unique longest element")
+        raise InvariantViolation(f"generators {names} have no unique longest element")
     return FinitarySubset(generators=gens, elements=tuple(ordered), longest=longest)
 
 

@@ -250,8 +250,9 @@ def check_lengths_add(env: _Env):
     ext = eng.ext
     bound = min(10, env.kl_maxlen + 2)
     count = 0
+    lams = list(antidominant_translations(eng, bound))
     for w in spherical_window(eng, bound):
-        for lam in antidominant_translations(eng, bound):
+        for lam in lams:
             t = ExtWeylElement(0, lam)
             if ext.length(ext.mul(w, t)) != ext.length(w) + ext.length(t):
                 ce = {"w": env.fmt(w), "lambda": list(lam),
@@ -351,8 +352,9 @@ def check_per_order_weights(env: _Env):
     ext, d = eng.ext, eng.datum
     rng = env.rng("per-order-weights")
     w0 = d.w0
+    restricted = eng.alc.restricted_elements()
     for _ in range(min(200, env.samples)):
-        y = rng.choice(eng.alc.restricted_elements())
+        y = rng.choice(restricted)
         nu = tuple(rng.randint(-2, 2) for _ in range(d.y_rank))
         mu = nu
         for cv in d.positive_coroots:

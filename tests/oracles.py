@@ -75,7 +75,7 @@ def inverse_m_per_coset(hecke, spherical, x):
     ext = hecke.ext
     closure, stack = {x}, [x]
     while stack:
-        for z in spherical[stack.pop()].support:
+        for z in spherical[stack.pop()]:
             if z not in closure:
                 closure.add(z)
                 stack.append(z)
@@ -84,7 +84,7 @@ def inverse_m_per_coset(hecke, spherical, x):
         lz = ext.length(z)
         acc = ONE if z == x else ZERO
         for u, m in values.items():
-            p = spherical[u].support.get(z)
+            p = spherical[u].get(z)
             if p:
                 term = m * p
                 acc = acc + (term if (ext.length(u) + lz) % 2 else -term)

@@ -8,7 +8,7 @@ import alcove_hecke
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(alcove_hecke.__path__))
 # modules whose docstrings carry worked examples
-WITH_EXAMPLES = {"alcove", "laurent", "root_datum", "ext_weyl"}
+WITH_EXAMPLES = {"alcove", "laurent", "root_datum", "ext_weyl", "hecke"}
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -8,6 +8,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 SCRIPT = """
+from types import MappingProxyType
+
 from alcove_hecke.engine import build_engine
 from alcove_hecke.errors import FlavorMismatch, InvariantViolation
 from alcove_hecke.groth_calc import FiltrationMultiset
@@ -27,11 +29,9 @@ from alcove_hecke import suite
 eng = build_engine("A1_adj")
 ext, hecke = eng.ext, eng.hecke
 top = ext.mul(ext.parse_element("s1 : -2"), ext.w0)
-entry = hecke._kl[top]
-wrong = dict(entry.support)
-lengths = tuple(n for y, n in zip(wrong, entry.lengths) if y != ext.identity)
+wrong = dict(hecke._kl[top])
 del wrong[ext.identity]
-hecke._kl[top] = entry._replace(support=wrong, lengths=lengths)
+hecke._kl[top] = MappingProxyType(wrong)
 suite.build_engine = lambda datum: eng
 if suite.run_suite("A1_adj", names=["spherical-identities"]).passed:
     raise SystemExit("zeta coset check vanished")
@@ -42,11 +42,9 @@ ext, hecke = eng.ext, eng.hecke
 
 w = ext.parse_element("s1 : -4")
 rest = next(sw for sw, down in ext.left_steps(w) if down)
-entry = hecke._spherical[rest]
-wrong = dict(entry.support)
-lengths = tuple(n for y, n in zip(wrong, entry.lengths) if y != rest)
+wrong = dict(hecke._spherical[rest])
 del wrong[rest]
-hecke._spherical[rest] = entry._replace(support=wrong, lengths=lengths)
+hecke._spherical[rest] = MappingProxyType(wrong)
 try:
     hecke.spherical_basis(w)
 except InvariantViolation:

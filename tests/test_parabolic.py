@@ -176,3 +176,15 @@ def test_unique_longest_element_check_raises():
     ext.length = lambda x: 0
     with pytest.raises(InvariantViolation, match="unique longest"):
         make_parabolic(ext, [ext.gen_by_name("s1")])
+
+
+def test_parabolic_closure_is_bounded_by_the_weyl_order(monkeypatch):
+    # s1's element planted as a translation: the closure {t^k} is infinite,
+    # and must be refused once it holds more than |W| elements
+    ext = build_engine("A1_adj").ext
+    s1 = ext.gen_by_name("s1")
+    real = ext.gen_element
+    t = ext.translation(ext.datum.simple_coroots[0])
+    monkeypatch.setattr(ext, "gen_element", lambda g: t if g == s1 else real(g))
+    with pytest.raises(InvariantViolation, match="more than"):
+        make_parabolic(ext, [s1])

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from alcove_hecke import cli, suite
+from alcove_hecke.alcove import AlcoveModel
 from alcove_hecke.engine import build_engine
 from alcove_hecke.errors import BoundsTooLarge, InvariantViolation, MalformedInput, Unrepresentable
 from alcove_hecke.ext_weyl import ExtWeyl
@@ -293,6 +294,30 @@ def test_mult_triangle_alone_reports_the_m_triangle_failure(monkeypatch):
     check = run_suite("A1_adj", names=["mult-triangle"]).checks[0]
     assert (check.status, check.detail) == ("fail", "inverse polynomial is not v^{len(w0)}")
     assert shlex.split(check.counterexample["command"])[1:3] == ["hecke", "inverse-m"]
+
+
+def test_window_checks_enumerate_once_per_run(monkeypatch):
+    # per-order-weights draws from one list of restricted elements, and
+    # lengths-add pairs its whole window with one list of translations
+    calls = {"restricted": 0, "translations": 0}
+    restricted, translations = AlcoveModel.restricted_elements, suite.antidominant_translations
+
+    def counted_restricted(alc):
+        calls["restricted"] += 1
+        return restricted(alc)
+
+    def counted_translations(engine, maxlen):
+        calls["translations"] += 1
+        return translations(engine, maxlen)
+
+    monkeypatch.setattr(AlcoveModel, "restricted_elements", counted_restricted)
+    monkeypatch.setattr(suite, "antidominant_translations", counted_translations)
+    assert run_suite("A2_adj", names=["per-order-weights"]).passed
+    assert calls["restricted"] == 1
+    calls["restricted"] = 0
+    assert run_suite("A2_adj", names=["lengths-add"]).passed
+    # one list for the pairs, and one inside spherical_window
+    assert calls["translations"] == 2
 
 
 @pytest.mark.parametrize("name", ["G2", "A3"])
