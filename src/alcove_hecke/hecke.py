@@ -7,7 +7,15 @@ involution follows its own recursion bar(H_s b) = H_s^{-1} bar(b),
 bar(H_omega) = H_omega, and writes into one accumulator: a length-zero term is added with
 its exponents negated, and each group of terms sharing a first left descent s
 is barred as a whole and multiplied by H_s^{-1} straight into the output, by
-H_s^{-1} H_w = H_sw, plus (v - v^{-1}) H_w when sw > w.
+H_s^{-1} H_w = H_sw, plus (v - v^{-1}) H_w when sw > w.  Before that
+recursion, `bar` tries one left factor: an input a = (H_s + v) b, for s a
+left descent of a longest term, is barred as (H_s^{-1} + v^{-1}) bar(b), the
+same H_s^{-1} step plus a v^{-1} shift, with b half of a's support.  Every
+canonical element of positive length has such a factor (C_x lies in
+(H_s + v) H for each left descent s of x).  The factor is found by pairing
+each term w with sw < w and comparing a_sw with v a_w coefficient by
+coefficient, so the result is exact for any input, bar invariant or not, and
+an input with no factor, such as a single H_y, takes the recursion alone.
 Computations are interval-local: only the Bruhat lower set of the target
 element is ever materialized, and results live in bounded `Memo` tables.
 Every step from w to s w, with its descent bit, is read from the left-step
@@ -152,24 +160,50 @@ def _bar(ext, a: dict, out: dict) -> None:
     for i, rest in groups.items():
         barred: dict[ExtWeylElement, Coeffs] = {}
         _bar(ext, rest, barred)
-        # H_s^{-1} H_w = H_sw, plus (v - v^{-1}) H_w when sw > w
-        for w, p in barred.items():
-            sw, down = ext.left_steps(w)[i]
-            if not down:
-                acc = out.get(w)
-                if acc is None:
-                    out[w] = acc = {}
-                get = acc.get
-                for k, c in p.items():
-                    acc[k + 1] = get(k + 1, 0) + c
-                    acc[k - 1] = get(k - 1, 0) - c
-            acc = out.get(sw)
+        _add_inverse_gen(ext, i, barred, out)
+
+
+def _add_inverse_gen(ext, i: int, barred: dict, out: dict) -> None:
+    """Adds H_s^{-1} barred into out, for s = ext.generators[i]; the dicts of
+    barred, fresh ones of the caller's own, are handed over to out."""
+    # H_s^{-1} H_w = H_sw, plus (v - v^{-1}) H_w when sw > w
+    for w, p in barred.items():
+        sw, down = ext.left_steps(w)[i]
+        if not down:
+            acc = out.get(w)
             if acc is None:
-                out[sw] = p  # no longer read here
-            else:
-                get = acc.get
-                for k, c in p.items():
-                    acc[k] = get(k, 0) + c
+                out[w] = acc = {}
+            get = acc.get
+            for k, c in p.items():
+                acc[k + 1] = get(k + 1, 0) + c
+                acc[k - 1] = get(k - 1, 0) - c
+        acc = out.get(sw)
+        if acc is None:
+            out[sw] = p  # no longer read here
+        else:
+            get = acc.get
+            for k, c in p.items():
+                acc[k] = get(k, 0) + c
+
+
+def _left_factor(ext, a: dict, i: int) -> dict | None:
+    """The raw b with a = (H_s + v) b, for s = ext.generators[i], or None when
+    there is none.  The coefficient dicts of a hold no zeros, and b holds the
+    same dicts, on the y with sy > y.
+
+    (H_s + v) H_y is H_sy + v H_y for sy > y, so a factors exactly when its
+    terms pair off as w and sw < w with a_sw = v a_w, and then b_sw = a_w."""
+    b = {}
+    for w, p in a.items():
+        sw, down = ext.left_steps(w)[i]
+        if down:
+            q = a.get(sw)
+            if q is None or len(q) != len(p) or any(q.get(k + 1) != c for k, c in p.items()):
+                return None
+            b[sw] = p
+    # the partners sw are len(b) distinct terms with an ascent at s; a
+    # factors when no other term is left
+    return b if 2 * len(b) == len(a) else None
 
 
 def _first_step(ext, x: ExtWeylElement) -> tuple[int, ExtWeylElement] | None:
@@ -250,9 +284,32 @@ class HeckeAlgebra:
         H_w = H_s H_{sw} at its first left descent s; the terms sharing s are
         barred together as H_s^{-1} times the bar of their rest, which is
         added into the one accumulator of the result.
+
+        First, for each left descent s of one longest term, a is tested for
+        a left factor a = (H_s + v) b: every term w with sw < w must have
+        a_sw = v a_w, compared coefficient by coefficient, and every other
+        term must be such an sw; then b_sw = a_w.  On the first s that
+        passes, a is barred as (H_s^{-1} + v^{-1}) bar(b), the recursion
+        running on b only.  Since the factor is checked exactly, the result
+        is the bar involution of a whatever a is; the test reads none of
+        the canonical-basis recursion's constants or products, so a fault
+        there cannot cancel out inside bar(c) == c.
         """
+        ext = self.ext
+        raw = _raw(a)
         out: dict[ExtWeylElement, Coeffs] = {}
-        _bar(self.ext, _raw(a), out)
+        # a longest term w of a = (H_s + v) b has sw < w
+        for i, (_, down) in enumerate(ext.left_steps(max(raw, key=ext.length)) if raw else ()):
+            if down and (b := _left_factor(ext, raw, i)) is not None:
+                # bar(H_s + v) = H_s^{-1} + v^{-1}
+                barred: dict[ExtWeylElement, Coeffs] = {}
+                _bar(ext, b, barred)
+                for w, p in barred.items():
+                    out[w] = {k - 1: c for k, c in p.items()}
+                _add_inverse_gen(ext, i, barred, out)
+                break
+        else:
+            _bar(ext, raw, out)
         return HeckeElement(_freeze(out))
 
     # -- canonical basis ---------------------------------------------------

@@ -199,6 +199,94 @@ def test_bar_matches_operator_oracle(datum_engine):
         assert hecke.bar(c) == _bar_by_operators(hecke, c) == c
 
 
+# -- bar's left-factor step: a = (H_s + v) b is barred as (H_s^{-1} + v^{-1}) bar(b)
+
+
+@pytest.fixture(scope="module", params=SEMISIMPLE + ["G2", "A3"])
+def factor_engine(request):
+    return engine_for(request.param)
+
+
+def _factor_descents(hecke, a):
+    """The i with a = (H_s + v) b for s = ext.generators[i], by bar's own test."""
+    ext, raw = hecke.ext, hecke_module._raw(a)
+    return [
+        i for i in range(len(ext.generators))
+        if hecke_module._left_factor(ext, raw, i) is not None
+    ]
+
+
+def _window(eng, seed, count, radius):
+    """`count` seeded elements of W_aff at lengths 1..radius (the Cayley-graph
+    distance from the identity is the length)."""
+    ball = _waff_ball(eng, radius)
+    return random.Random(seed).sample(sorted(x for x, d in ball.items() if d >= 1), count)
+
+
+def test_bar_factor_step_matches_oracles(factor_engine):
+    ext, hecke = factor_engine.ext, factor_engine.hecke
+    rng = random.Random(43)
+    for x in _window(factor_engine, 43, 3, 4):
+        c = hecke.kl_basis(x)
+        i = rng.choice([i for i, (_, down) in enumerate(ext.left_steps(x)) if down])
+        g = ext.generators[i]
+        # (H_s + v)(b + v^2 H_u) for a random term u of the b with C_x = (H_s + v) b
+        u = rng.choice(sorted(sw for sw, down in (ext.left_steps(w)[i] for w in c.support) if down))
+        lift = _left_mul_gen_by_operators(hecke, g, HeckeElement({u: V * V}), V)
+        lifted = hecke_combination([(ONE, c), (ONE, lift)])
+        assert hecke.bar(lifted) != lifted and i in _factor_descents(hecke, lifted)
+        for a in (c, lifted):
+            # one coefficient of one pair changed: no factor through any s
+            w = rng.choice(sorted(a.support))
+            near = dict(a.items())
+            near[w] = near[w] + LaurentPolynomial.monomial(rng.randint(-2, 3))
+            near = HeckeElement(near)
+            assert _factor_descents(hecke, a) and not _factor_descents(hecke, near)
+            for e in (a, near):
+                assert hecke.bar(e) == _bar_by_terms(hecke, e) == _bar_by_operators(hecke, e)
+        assert hecke.bar(c) == c
+
+
+def _descent_identity_failures(hecke, xs):
+    """The (x, i) with s = ext.generators[i] a left descent of x and
+    kl_basis(x) not of the form (H_s + v) b."""
+    ext = hecke.ext
+    return [
+        (x, i)
+        for x in xs
+        for i, (_, down) in enumerate(ext.left_steps(x))
+        if down and i not in _factor_descents(hecke, hecke.kl_basis(x))
+    ]
+
+
+def test_kl_basis_factors_through_every_left_descent(monkeypatch, factor_engine):
+    # C_x lies in (H_s + v) H for every left descent s of x (Kazhdan-Lusztig
+    # 1979), the identity h(sy, x) = v h(y, x) for sy < y of du Cloux; so bar
+    # takes its factor step on every C_x of positive length and bars half of it
+    ext, hecke = factor_engine.ext, factor_engine.hecke
+    xs = _window(factor_engine, 47, 12, 6)
+    assert _descent_identity_failures(hecke, xs) == []
+    first = []
+    real_bar = hecke_module._bar
+
+    def spied(ext, a, out):
+        first.append(len(a))
+        real_bar(ext, a, out)
+
+    monkeypatch.setattr(hecke_module, "_bar", spied)
+    for x in xs:
+        first.clear()
+        c = hecke.kl_basis(x)
+        assert hecke.bar(c) == c and 2 * first[0] == len(c.support)
+
+
+def test_descent_identity_catches_planted_down_case(monkeypatch, factor_engine):
+    # the down case (H_s + v) M_y = M_sy + v^{-1} M_y planted as M_sy + v M_y
+    monkeypatch.setattr(hecke_module, "_V_INV", {1: 1})
+    hecke = HeckeAlgebra(factor_engine.alc)
+    assert _descent_identity_failures(hecke, _window(factor_engine, 47, 12, 6))
+
+
 def test_kl_normalization(any_engine):
     ext, hecke = any_engine.ext, any_engine.hecke
     rng = random.Random(11)
@@ -675,6 +763,31 @@ def test_planted_down_case_fails_bar_invariance(monkeypatch, preset):
     report = run_suite(preset, names=["kl-bar-invariance"])
     assert [c.name for c in report.checks] == ["kl-bar-invariance"]
     assert not report.passed
+
+
+def _plant_factored_entry(eng):
+    """The `_kl` entry of the suite's first kl-bar-invariance draw x replaced
+    by C_x + (H_s + v) v^2 H_sx, for a left descent s of x: it still factors
+    through s, so bar takes its factor step, but it is not bar invariant."""
+    ext, hecke = eng.ext, eng.hecke
+    _, x = hecke._waff_part(ext.random_element(random.Random("0:kl-bar"), 3))
+    i, sx = hecke_module._first_step(ext, x)
+    wrong = dict(hecke._kl[x])
+    wrong[x] = wrong[x] + V * V
+    wrong[sx] = wrong[sx] + V * V * V
+    assert i in _factor_descents(hecke, HeckeElement(wrong))
+    hecke._kl[x] = MappingProxyType(wrong)
+    return eng
+
+
+@pytest.mark.parametrize("preset", ["A2_adj", "B2_adj"])
+def test_planted_factored_entry_fails_bar_invariance(monkeypatch, preset):
+    # the planted entry factors, so the suite's bar takes its factor step on
+    # it; that step is exact, so the check must still see bar(c) != c
+    build = suite.build_engine
+    monkeypatch.setattr(suite, "build_engine", lambda datum: _plant_factored_entry(build(datum)))
+    check = run_suite(preset, names=["kl-bar-invariance"]).checks[0]
+    assert (check.status, check.detail) == ("fail", "canonical basis element is not bar invariant")
 
 
 def _drop_identity_term(eng):
