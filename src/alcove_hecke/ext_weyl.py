@@ -127,6 +127,10 @@ class ExtWeyl:
         ]
         self._classes = Memo(self._coset_class)
         self._omegas = Memo(None)
+        # Weyl index -> its reduced word as `format_element` writes it
+        self._weyl_words = Memo(
+            lambda w: " ".join(f"s{i + 1}" for i in datum.weyl_elements[w].word) or "e"
+        )
         # Y-action matrix of w^{-1}, per Weyl index w: the rows `mul` reads
         self._inv_y_action = tuple(datum.weyl_elements[i].y_action for i in datum.weyl_inv)
 
@@ -395,9 +399,7 @@ class ExtWeyl:
         return acc
 
     def format_element(self, x: ExtWeylElement) -> str:
-        word = self.datum.weyl_elements[x.w].word
-        head = " ".join(f"s{i + 1}" for i in word) if word else "e"
-        return f"{head} : {','.join(str(c) for c in x.t)}"
+        return f"{self._weyl_words[x.w]} : {','.join(str(c) for c in x.t)}"
 
     def random_element(self, rng, bound: int) -> ExtWeylElement:
         w = rng.randrange(self.datum.weyl_order)

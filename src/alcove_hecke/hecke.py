@@ -23,17 +23,16 @@ row of w that `ExtWeyl.left_steps` keeps, so the recursions, which revisit
 the same elements many times, pay no group product or length per term.
 
 Coefficients are built in raw accumulators: plain dicts mapping an element
-to its coefficient dict {exponent: integer}.  Updates go through
-`_addmul(out, w, coeffs, q)`, which adds q * coeffs to out[w] in place for a
-small raw multiplier q (1, v^{+-1}, v +- v^{-1}, an integer, or the running
-polynomial of `inverse_m`), or, in `_bar`, are exponent shifts written in
-place; `_freeze` drops zeros and wraps each finished coefficient in one
-`LaurentPolynomial`, so no polynomial is built per term.  The accumulators
-read the `coeffs` dicts of memoized polynomials and of the module constants
-directly, so those dicts are never written to: an accumulator entry is a dict
-of its own from its first write on (`_addmul` copies or builds a fresh
-product, and `_bar` hands over only dicts its own recursion built), and only
-later writes land in place.
+to its coefficient dict {exponent: integer}, written in place by inline
+loops (the multipliers 1, v^{+-1} and -c0 of `_canonical`, the fused
+update of `_back_substitute`, the shifts of `_bar`) or by `_addmul`.
+The accumulators read the `coeffs` dicts of memoized polynomials and of the
+module constants directly, so those dicts are never written to: an
+accumulator entry is a dict of its own from its first write on (a copy, a
+comprehension, a fresh product, or a dict `_bar`'s own recursion built).
+Since every accumulator is dropped once frozen, `_freeze` hands each finished
+dict over to its polynomial (`LaurentPolynomial._adopt`), rebuilding only a
+dict that holds a zero, so no finished coefficient is copied.
 
 The left spherical module is the quotient by the left ideal generated by
 H_s - v^{-1} for finite simple s; its standard basis M_y is indexed by the
@@ -106,10 +105,10 @@ MAX_HECKE_LENGTH = 150
 Coeffs = dict[int, int]  # a raw coefficient, exponent -> integer; zeros stay until it is frozen
 
 _UNIT: Coeffs = {0: 1}
-_V: Coeffs = {1: 1}
-_V_INV: Coeffs = {-1: 1}
 _V_PLUS_VINV: Coeffs = {1: 1, -1: 1}
 _VINV_MINUS_V: Coeffs = {-1: 1, 1: -1}
+# the exponent shift of M_y in the down case sy < y: M_sy + v^{-1} M_y
+_DOWN_SHIFT = -1
 
 
 def _addmul(out: dict, w: ExtWeylElement, coeffs: Coeffs, q: Coeffs) -> None:
@@ -127,12 +126,16 @@ def _addmul(out: dict, w: ExtWeylElement, coeffs: Coeffs, q: Coeffs) -> None:
 
 
 def _freeze(out: dict) -> dict[ExtWeylElement, LaurentPolynomial]:
-    """The finished accumulator, each nonzero coefficient wrapped once."""
+    """The finished accumulator, whose entries are dicts of its own, each
+    nonzero one adopted by a polynomial: a dict holding a zero is rebuilt
+    without it, and a term that cancelled entirely is dropped."""
     frozen = {}
+    adopt = LaurentPolynomial._adopt
     for w, c in out.items():
-        p = LaurentPolynomial(c)
-        if p:
-            frozen[w] = p
+        if 0 in c.values():
+            c = {k: d for k, d in c.items() if d}
+        if c:
+            frozen[w] = adopt(c)
     return frozen
 
 
@@ -348,7 +351,8 @@ class HeckeAlgebra:
         W_ext when in_module is None, the spherical module on W_ext^S when
         in_module is its membership test.  It recurses within x's
         W_aff-coset, so the tables, asked only about elements of W_aff, hold
-        no others."""
+        no others.  In the product, a partner sy gets M_y's coefficient added
+        (copied when new), and y gets it shifted by `_DOWN_SHIFT` or by +1."""
         ext = self.ext
         lx = ext.length(x)
         if lx > MAX_HECKE_LENGTH:
@@ -358,16 +362,27 @@ class HeckeAlgebra:
         i, rest = _first_step(ext, x)
         base = table[rest]
         out: dict[ExtWeylElement, Coeffs] = {}
+        get, steps, down_shift = out.get, ext.left_steps, _DOWN_SHIFT
         # (H_s + v) M_y on the three kinds of y in the module
         for y, p in base.items():
             p = p.coeffs
-            sy, down = ext.left_steps(y)[i]
-            if down:
-                _addmul(out, sy, p, _UNIT)
-                _addmul(out, y, p, _V_INV)
-            elif in_module is None or in_module(sy):
-                _addmul(out, sy, p, _UNIT)
-                _addmul(out, y, p, _V)
+            sy, down = steps(y)[i]
+            if down or in_module is None or in_module(sy):
+                # M_sy + v^{-1} M_y when sy < y, M_sy + v M_y when sy > y
+                acc = get(sy)
+                if acc is None:
+                    out[sy] = p.copy()
+                else:
+                    for k, c in p.items():
+                        acc[k] = acc.get(k, 0) + c
+                shift = down_shift if down else 1
+                acc = get(y)
+                if acc is None:
+                    out[y] = {k + shift: c for k, c in p.items()}
+                else:
+                    for k, c in p.items():
+                        k += shift
+                        acc[k] = acc.get(k, 0) + c
             else:  # sy = y t with t finite simple, and H_t acts by v^{-1}
                 _addmul(out, y, p, _V_PLUS_VINV)
         # subtract c0 times the canonical element of w for every w != x
@@ -375,9 +390,13 @@ class HeckeAlgebra:
         # changes no constant term but the one at w, so one pass over the
         # snapshot suffices
         for w, c0 in [(w, p[0]) for w, p in out.items() if w != x and p.get(0)]:
-            minus_c0 = {0: -c0}
             for y, q in table[w].items():
-                _addmul(out, y, q.coeffs, minus_c0)
+                acc = get(y)
+                if acc is None:
+                    out[y] = {k: -c0 * c for k, c in q.coeffs.items()}
+                else:
+                    for k, c in q.coeffs.items():
+                        acc[k] = acc.get(k, 0) - c0 * c
         support = _freeze(out)
         # unitriangular, with every lower coefficient in vZ[v]
         if support.get(x) != ONE:
@@ -440,24 +459,34 @@ class HeckeAlgebra:
         onto the terms of N_u no shorter than y, their lengths read from
         `ExtWeyl.length`, so the closure is walked no lower than y.  Closure
         members lie in W_ext^S by construction, so their elements are read
-        from the table directly."""
-        ext = self.ext
-        ly = ext.length(y)
+        from the table directly.  The nonzero terms of m^{x,u} are listed
+        once per u, and each kept z is updated in one fused loop; z's entry is
+        created, and z pushed, only when it is new."""
+        ext, spherical, push = self.ext, self._spherical, heapq.heappush
+        length = ext.length
+        ly = length(y)
         values: dict[ExtWeylElement, Coeffs] = {x: {0: 1}}
-        heap = [(-ext.length(x), x)]  # every longer member of the closure pops first
+        heap = [(-length(x), x)]  # every longer member of the closure pops first
         while heap and heap[0][1] != y:  # no other member as short as y is pushed
             neg_lu, u = heapq.heappop(heap)
-            m = values.pop(u)
-            if not any(m.values()):
+            plus = [(j, d) for j, d in values.pop(u).items() if d]
+            if not plus:
                 continue
-            minus_m = {k: -c for k, c in m.items()}
-            for z, p in self._spherical[u].items():
-                lz = ext.length(z)
+            minus = [(j, -d) for j, d in plus]
+            for z, p in spherical[u].items():
+                lz = length(z)
                 if lz < ly or z == u or (lz == ly and z != y):
                     continue
-                if z not in values:
-                    heapq.heappush(heap, (-lz, z))
-                _addmul(values, z, p.coeffs, m if (lz - neg_lu) % 2 else minus_m)
+                acc = values.get(z)
+                if acc is None:
+                    values[z] = acc = {}
+                    push(heap, (-lz, z))
+                p = p.coeffs.items()
+                # with the sign (-1)^{len(z) + len(u) + 1}
+                for j, d in plus if (lz - neg_lu) % 2 else minus:
+                    for k, c in p:
+                        k += j
+                        acc[k] = acc.get(k, 0) + d * c
         result = LaurentPolynomial(values.get(y, {}))
         bound = ext.length(x) + ext.length(ext.w0)
         if result and not (-bound <= result.min_exponent() and result.max_exponent() <= bound):

@@ -22,6 +22,14 @@ class LaurentPolynomial:
         self.coeffs = {k: c for k, c in (coeffs or {}).items() if c != 0}
 
     @classmethod
+    def _adopt(cls, coeffs: dict[int, int]) -> "LaurentPolynomial":
+        """The polynomial whose `coeffs` is coeffs itself, handed over: a
+        dict with no zero value that no one writes to afterwards."""
+        p = cls.__new__(cls)
+        p.coeffs = coeffs
+        return p
+
+    @classmethod
     def monomial(cls, exponent: int, coefficient: int = 1) -> "LaurentPolynomial":
         return cls({exponent: coefficient})
 

@@ -1,14 +1,14 @@
 """The package's one memo table.
 
 Every memoized recursion in the engine keeps its results in a `Memo`:
-lengths, left-step rows, Weyl product rows, W_aff-coset classes and the
-length-zero element of each class, alcove data, Bruhat and periodic-order
-comparisons, spherical tests, the canonical elements of W_aff in both
-modules, the inverse polynomials m^{x,y} on pairs in W_aff, characters,
-partition counts and parabolic subgroups.  A table never holds more than
-`MEMO_CAP` entries: when a new value would exceed the cap, the table is
-emptied first, so a long-running process stays bounded at the price of
-recomputation.  `Memo.put` stores a value computed outside the table under
+lengths, left-step rows, Weyl product rows, Weyl word strings, W_aff-coset
+classes and the length-zero element of each class, alcove data, Bruhat and
+periodic-order comparisons, spherical tests, the canonical elements of W_aff
+in both modules, the inverse polynomials m^{x,y} on pairs in W_aff,
+characters, partition counts and parabolic subgroups.  A table never holds
+more than `MEMO_CAP` entries: when a new value would exceed the cap, the
+table is emptied first, so a long-running process stays bounded at the price
+of recomputation.  `Memo.put` stores a value computed outside the table under
 the same cap; a table whose values need more than the key, such as the
 length-zero element of a coset class, or are learned several at a time, such
 as the Bruhat comparisons a walk passes, is built with fn None and filled

@@ -282,7 +282,7 @@ def test_kl_basis_factors_through_every_left_descent(monkeypatch, factor_engine)
 
 def test_descent_identity_catches_planted_down_case(monkeypatch, factor_engine):
     # the down case (H_s + v) M_y = M_sy + v^{-1} M_y planted as M_sy + v M_y
-    monkeypatch.setattr(hecke_module, "_V_INV", {1: 1})
+    monkeypatch.setattr(hecke_module, "_DOWN_SHIFT", 1)
     hecke = HeckeAlgebra(factor_engine.alc)
     assert _descent_identity_failures(hecke, _window(factor_engine, 47, 12, 6))
 
@@ -578,6 +578,46 @@ def test_memoized_values_are_never_written(name):
     assert {k: after[k] for k in before} == before
 
 
+def test_freeze_adopts_owned_dicts(a1):
+    # a zero-free accumulator entry becomes its polynomial's coeffs as it is;
+    # a coefficient that cancelled to 0 and a term that cancelled entirely
+    # are dropped
+    ext = a1.ext
+    kept, cancelled, gone = (ext.translation((t,)) for t in (0, 2, 4))
+    out = {kept: {1: 2, 3: -1}, cancelled: {0: 0, 2: 5}, gone: {1: 0, -1: 0}}
+    frozen = hecke_module._freeze(out)
+    assert frozen[kept].coeffs is out[kept]
+    assert frozen[cancelled].coeffs == {2: 5}
+    assert set(frozen) == {kept, cancelled}
+
+
+@pytest.mark.parametrize("name", ["B2_adj", "G2"])
+def test_stored_coefficients_own_their_dicts(name):
+    # every coefficient the tables keep after a sweep window was adopted
+    # from an accumulator entry of its own: no two share one dict, and none
+    # is a module constant's, apart from ONE at the identity
+    eng = build_engine(G2 if name == "G2" else name)
+    alc, hecke = eng.alc, eng.hecke
+    for w in spherical_window(eng, 6):
+        hecke.inverse_m(alc.triangle(w), w)
+        hecke.kl_basis(w)
+    coeffs = [
+        p.coeffs
+        for table in (hecke._kl, hecke._spherical)
+        for e in table.values()
+        for p in e.values()
+        if p is not ONE
+    ]
+    constants = [p.coeffs for p in (ONE, V, V_INV, ZERO)] + [
+        c
+        for n, c in vars(hecke_module).items()
+        if n.startswith("_") and not n.startswith("__") and isinstance(c, dict)
+    ]
+    ids = {id(c) for c in coeffs}
+    assert len(coeffs) > 100 and len(ids) == len(coeffs)
+    assert not ids & {id(c) for c in constants}
+
+
 def test_no_laurent_temporaries_in_the_hot_loops(monkeypatch):
     # kl_basis, bar(C_x), one sweep inverse_m and the bar-invariance solver
     # on B2 build every coefficient in raw dicts: no Laurent operator runs,
@@ -599,6 +639,9 @@ def test_no_laurent_temporaries_in_the_hot_loops(monkeypatch):
 
     for name in ("__init__", "__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "bar"):
         monkeypatch.setattr(LaurentPolynomial, name, counted(name, getattr(LaurentPolynomial, name)))
+    # a polynomial adopting a finished dict counts as one constructed
+    adopt = LaurentPolynomial._adopt.__func__
+    monkeypatch.setattr(LaurentPolynomial, "_adopt", classmethod(counted("__init__", adopt)))
     frozen = []
     real_freeze = hecke_module._freeze
 
@@ -759,7 +802,7 @@ def test_planted_down_case_fails_bar_invariance(monkeypatch, preset):
     # the regular and the spherical module share one recursion, so a fault in
     # its down case, (H_s + v) M_y = M_sy + v^{-1} M_y planted as M_sy + v M_y,
     # reaches kl_basis and the suite's bar-invariance check must report it
-    monkeypatch.setattr(hecke_module, "_V_INV", {1: 1})
+    monkeypatch.setattr(hecke_module, "_DOWN_SHIFT", 1)
     report = run_suite(preset, names=["kl-bar-invariance"])
     assert [c.name for c in report.checks] == ["kl-bar-invariance"]
     assert not report.passed

@@ -52,6 +52,20 @@ except InvariantViolation:
 else:
     raise SystemExit("spherical unitriangularity check vanished")
 
+from alcove_hecke.laurent import ONE
+
+planted = build_engine("A1_adj").hecke
+y = ext.parse_element("s1 : -2")
+wrong = dict(planted._spherical[rest])
+wrong[y] = wrong[y] + ONE
+planted._spherical[rest] = MappingProxyType(wrong)
+try:
+    planted.spherical_basis(w)
+except InvariantViolation:
+    pass
+else:
+    raise SystemExit("spherical vZ[v] check vanished")
+
 groth = eng.groth
 try:
     groth.xi_omega(groth.seed_filtration(), ext.gen_element(ext.generators[0]))
