@@ -52,7 +52,10 @@ keyed on the translation holds the classes, and `same_coset`,
 `in_affine_subgroup` and `omega_of` read it.  `omega_of(x)` is the
 length-zero element of x's coset, found once per class by
 `reduced_expression` and kept in a second table; both are bounded, since
-Y / ZPhi^vee is infinite when the datum has a central torus.
+Y / ZPhi^vee is infinite when the datum has a central torus.  `omegas` lists
+the length-zero subgroup Omega ~ Y / ZPhi^vee class by class: range(d_i) on
+each row with d_i > 1 and the fixed `TORUS_WINDOW` on a central-torus row
+(d_i = 0), each class c lifted to t_lambda with U lambda = c for `omega_of`.
 
 >>> ext = ExtWeyl(load_root_datum("A2_adj"))
 >>> x = ext.parse_element("s1 : 1,0")
@@ -83,9 +86,12 @@ from typing import Iterable, NamedTuple
 
 from .errors import InvariantViolation, MalformedInput
 from .memo import Memo
-from .root_datum import RootDatum, Vector, pair, vec_neg, vec_scale, vec_sub
+from .root_datum import (RootDatum, Vector, pair, smith_normal_form, solve_smith, vec_neg,
+                         vec_scale, vec_sub)
 
 GEN_LETTERS = "abcdefgh"
+# the classes `ExtWeyl.omegas` lists on a central-torus row, of infinitely many
+TORUS_WINDOW = range(-2, 3)
 
 
 class ExtWeylElement(NamedTuple):
@@ -245,16 +251,6 @@ class ExtWeyl:
         """The row of (s x, s x < x) over `generators`, in generator order."""
         return self._left_steps[x]
 
-    def enumerate_omega(self, bound: int) -> list[ExtWeylElement]:
-        """All length-zero elements whose translation has sup-norm <= bound."""
-        found = []
-        for w in range(self.datum.weyl_order):
-            for t in itertools.product(range(-bound, bound + 1), repeat=self.datum.y_rank):
-                x = ExtWeylElement(w, t)
-                if self.length(x) == 0:
-                    found.append(x)
-        return sorted(found)
-
     # -- reduced expressions ----------------------------------------------
 
     def reduced_expression(
@@ -311,6 +307,15 @@ class ExtWeyl:
             omega = self.reduced_expression(x)[1]
             self._omegas.put(cls, omega)
         return omega
+
+    def omegas(self) -> list[ExtWeylElement]:
+        """The length-zero elements, sorted: one per W_aff-coset class, as
+        listed in the module docstring."""
+        u, d, _ = self.datum.coroot_smith
+        classes = [range(d[i][i]) if i < self.datum.rank else TORUS_WINDOW for i in range(len(u))]
+        lift = smith_normal_form([list(row) for row in u])
+        lifts = (solve_smith(lift, c) for c in itertools.product(*classes))
+        return sorted(self.omega_of(self.translation(lam)) for lam in lifts)
 
     # -- Bruhat order ------------------------------------------------------
 

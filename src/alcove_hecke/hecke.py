@@ -319,10 +319,13 @@ class HeckeAlgebra:
 
     def _waff_part(self, x: ExtWeylElement) -> tuple[ExtWeylElement | None, ExtWeylElement]:
         """(omega, omega^{-1} x) for the length-zero omega of x's W_aff-coset,
-        with omega None when x lies in W_aff."""
+        with omega None when x lies in W_aff; x's length is checked before `omega_of` walks x."""
         ext = self.ext
         if ext.in_affine_subgroup(x):
             return None, x
+        lx = ext.length(x)
+        if lx > MAX_HECKE_LENGTH:
+            raise BoundsTooLarge(f"{ext.format_element(x)} has length {lx} > {MAX_HECKE_LENGTH}")
         omega = ext.omega_of(x)
         aff = ext.mul(ext.inv(omega), x)
         if not ext.in_affine_subgroup(aff):

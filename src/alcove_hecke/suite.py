@@ -212,7 +212,7 @@ def check_length_formula(env: _Env):
                   "command": env.cmd("wext", "len", "--elt", x)}
             return False, "length formula disagrees with Cayley-graph distance", ce
     rng = env.rng("length-formula")
-    omegas = ext.enumerate_omega(2)
+    omegas = ext.omegas()
     for _ in range(env.samples):
         x = ext.random_element(rng, 4)
         word, _ = ext.reduced_expression(x)
@@ -583,7 +583,7 @@ def check_kl_invariance(env: _Env):
     rng = env.rng("kl-bar")
     solver_hits = 0
     solved = set()
-    omegas = ext.enumerate_omega(2)
+    omegas = ext.omegas()
     for _ in range(min(40, env.samples)):
         x = ext.random_element(rng, 3)
         table = hecke.kl_basis(x)
@@ -810,7 +810,7 @@ def check_groth_basics(env: _Env):
     doubled = groth.xi_s(seed, g)
     if doubled.total() != 2 * seed.total():
         return False, "wall-crossing does not double the total", None
-    omegas = ext.enumerate_omega(2)
+    omegas = ext.omegas()
     if groth.xi_omega(seed, ext.identity).mults != seed.mults:
         return False, "identity relabeling is not the identity", None
     rng = env.rng("groth-basics")

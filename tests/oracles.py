@@ -5,6 +5,7 @@ only to check the current one against.
 """
 
 import contextlib
+import itertools
 import sys
 from fractions import Fraction
 
@@ -50,6 +51,18 @@ def _bruhat_aff(ext, x, y, table):
         sx, down = ext.left_steps(x)[k]
         table[key] = _bruhat_aff(ext, sx if down else x, sy, table)
     return table[key]
+
+
+def omegas_by_box(ext, bound):
+    """All length-zero elements whose translation has sup-norm <= bound,
+    sorted: a scan of the |W| (2 bound + 1)^n pairs (w, t), one length each."""
+    found = []
+    for w in range(ext.datum.weyl_order):
+        for t in itertools.product(range(-bound, bound + 1), repeat=ext.datum.y_rank):
+            x = ExtWeylElement(w, t)
+            if ext.length(x) == 0:
+                found.append(x)
+    return sorted(found)
 
 
 def coroot_lattice_contains(d, lam):

@@ -1,7 +1,10 @@
 import ast
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -377,16 +380,33 @@ def test_hecke_length_bound(capsys):
 @pytest.mark.parametrize("argv, literal, error", [
     (["hecke", "inverse-m", "--x", "e : 1", "--y", "e : 0"], "e : 1", "NotSpherical"),
     (["hecke", "kl", "--x", "e : 0", "--y", "e : -250"], "e : -250", "BoundsTooLarge"),
+    (["hecke", "kl", "--x", "e : 0", "--y", "s1 : -251"], "s1 : -251 has", "BoundsTooLarge"),
+    (["hecke", "inverse-m", "--x", "e : -251", "--y", "e : -251"], "e : -251 has",
+     "BoundsTooLarge"),
     (["groth", "phi-simple", "--elt", "e : 1"], "e : 1", "NotSpherical"),
     (["groth", "proj-filtration", "--elt", "e : -2"], "e : -2 is not restricted", "NotRestricted"),
     (["groth", "avstar", "--gens", "s1", "--filt", "{dir}/e0.json"], "e : 0", "NotSpherical"),
-], ids=["inverse-m", "kl-length", "phi-simple", "proj-filtration", "avstar"])
+], ids=["inverse-m", "kl-length", "kl-length-outside-waff", "inverse-m-length-outside-waff",
+        "phi-simple", "proj-filtration", "avstar"])
 def test_typed_errors_name_the_typed_literal(capsys, tmp_path, argv, literal, error):
     # the element in a typed error reads as the literal on the command line
     (tmp_path / "e0.json").write_text(json.dumps([{"label": "e : 0", "mult": 1}]))
     code = main([a.replace("{dir}", str(tmp_path)) for a in argv] + ["--datum", "A1_adj"])
     err = capsys.readouterr().err
     assert code == 2 and err.startswith(f"error: {error}: ") and literal in err, err
+
+
+def test_a_huge_element_outside_waff_is_refused_at_once():
+    # its length is read before any reduced word of it is walked
+    literal = "s1 : -99999999999999999999"
+    proc = subprocess.run(
+        [sys.executable, "-m", "alcove_hecke.cli", "hecke", "kl", "--datum", "A1_adj",
+         "--x", "e : 0", "--y", literal],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: BoundsTooLarge: {literal} has length"), proc.stderr
 
 
 def test_mtriangle_sweep_on_a_datum_with_a_central_torus(capsys, tmp_path):

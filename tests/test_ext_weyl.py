@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import time
@@ -9,7 +10,8 @@ from alcove_hecke.errors import InvariantViolation, MalformedInput
 from alcove_hecke.ext_weyl import ExtWeyl, ExtWeylElement
 from alcove_hecke.hecke import _first_step
 from alcove_hecke.parabolic import is_finitary
-from alcove_hecke.root_datum import _principal_minors_positive, load_root_datum, pair, vec_sub
+from alcove_hecke.root_datum import (_det, _principal_minors_positive, load_root_datum, pair,
+                                     vec_sub)
 from conftest import EVERY_DATUM, RANK4, descriptor
 from oracles import (
     affine_cartan_entry,
@@ -20,6 +22,7 @@ from oracles import (
     generator_elements_by_kind,
     mat_mul,
     omega_left_form,
+    omegas_by_box,
     x_actions_by_words,
 )
 
@@ -79,13 +82,13 @@ def test_omega_membership(a1, a2):
     ts_s = ext.parse_element("s1 : -1")  # = t_varsigma * s
     assert ext.length(ts_s) == 0
     assert ext.length(ext.parse_element("s1 : 0")) != 0
-    assert len(ext.enumerate_omega(2)) == 2
-    assert len(a2.ext.enumerate_omega(2)) == 3
+    assert len(ext.omegas()) == 2
+    assert len(a2.ext.omegas()) == 3
 
 
 def test_omega_is_a_group(any_engine):
     ext = any_engine.ext
-    omegas = ext.enumerate_omega(2)
+    omegas = ext.omegas()
     for a in omegas:
         assert ext.length(ext.inv(a)) == 0
         for b in omegas:
@@ -155,7 +158,7 @@ def test_reduced_expression_round_trip(any_engine):
 def test_length_zero_invariance_and_subadditivity(any_engine):
     ext = any_engine.ext
     rng = random.Random(23)
-    omegas = ext.enumerate_omega(2)
+    omegas = ext.omegas()
     for _ in range(1000):
         x = ext.random_element(rng, 4)
         y = ext.random_element(rng, 4)
@@ -180,7 +183,7 @@ def test_bruhat_examples(a1):
 
 def _short_elements(ext, rng, count, maxlen):
     """Seeded elements s_1 ... s_r omega with r <= maxlen, over several W_aff-cosets."""
-    omegas = ext.enumerate_omega(1)
+    omegas = ext.omegas()
     for _ in range(count):
         word = [rng.choice(ext.generators) for _ in range(rng.randint(0, maxlen))]
         yield ext.mul(ext.word_to_element(word), rng.choice(omegas))
@@ -387,6 +390,41 @@ def test_coset_classes_match_the_smith_solve(name):
             same = coroot_lattice_contains(d, vec_sub(x.t, y.t))
             assert ext.same_coset(x, y) == same
             assert (ext.omega_of(y) == omega) == same
+
+
+# every datum of EVERY_DATUM but GL2 is semisimple, and adjoint: its simple
+# roots are the unit vectors, a basis of X, so Y is the coweight lattice
+SEMISIMPLE_DATA = [name for name in EVERY_DATUM if name != "GL2"]
+
+
+@pytest.mark.parametrize("name", SEMISIMPLE_DATA)
+def test_omegas_match_the_box_scan(name):
+    # one length-zero element per coset class, against a scan of every (w, t)
+    # with small t; on rank 4 bound 1 already finds them all (bound 2 is
+    # |W| 5^4 lengths, 720,000 on F4)
+    ext = ExtWeyl(load_root_datum(descriptor(name)))
+    assert ext.omegas() == omegas_by_box(ext, 1 if name in RANK4 else 2)
+
+
+@pytest.mark.parametrize("name", SEMISIMPLE_DATA)
+def test_omegas_count_the_index_of_connection(name):
+    # on adjoint data Omega ~ P^vee / Q^vee, whose order is det(Cartan)
+    d = load_root_datum(descriptor(name))
+    assert abs(_det([list(r) for r in d.simple_roots])) == 1
+    assert len(ExtWeyl(d).omegas()) == _det([list(r) for r in d.cartan])
+
+
+@pytest.mark.parametrize("name", ["A4", "D4", "F4"])
+def test_omegas_cost_one_reduced_word_per_class(name):
+    # counted calls, not time: the box scan with bound 2 asks |W| 5^4 lengths
+    ext = ExtWeyl(load_root_datum(RANK4[name]))
+    calls = collections.Counter()
+    for method in ("reduced_expression", "length"):
+        real = getattr(ext, method)
+        setattr(ext, method, lambda *a, real=real, m=method: calls.update([m]) or real(*a))
+    omegas = ext.omegas()
+    assert 0 < calls["reduced_expression"] <= len(omegas)
+    assert calls["length"] <= 300
 
 
 def test_wrong_descent_table_raises(b2):

@@ -317,7 +317,7 @@ def test_kl_omega_equivariance(any_engine):
     ext, hecke = any_engine.ext, any_engine.hecke
     regular, _ = per_coset_tables(hecke)
     rng = random.Random(17)
-    omegas = ext.enumerate_omega(2)
+    omegas = ext.omegas()
     for _ in range(25):
         x = ext.random_element(rng, 2)
         om = omegas[rng.randrange(len(omegas))]
@@ -339,7 +339,7 @@ def test_tables_on_waff_match_the_per_coset_route(name):
     ext, hecke = eng.ext, eng.hecke
     regular, spherical = per_coset_tables(hecke)
     # a finite window of length-zero elements, each in a coset of its own
-    omegas = ext.enumerate_omega(1 if name == "GL2" else 2)
+    omegas = ext.omegas()
     assert len(omegas) > 1 or name == "G2"
     for a, b in itertools.combinations(omegas, 2):
         assert not coroot_lattice_contains(eng.datum, vec_sub(a.t, b.t))
@@ -368,7 +368,7 @@ def test_sweep_tables_hold_waff_elements_only(name, bound):
     eng = build_engine(name)
     ext, alc, hecke = eng.ext, eng.alc, eng.hecke
     window = spherical_window(eng, 14)
-    omegas = ext.enumerate_omega(2)
+    omegas = ext.omegas()
     for w in window:
         hecke.inverse_m(alc.triangle(w), w)
     assert all(ext.in_affine_subgroup(w) for w in hecke._spherical)

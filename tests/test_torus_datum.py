@@ -7,12 +7,14 @@ canonicalization modulo orthogonal translations, and the infinite
 length-zero subgroup.
 """
 
+import itertools
 import random
 
 import pytest
 
 from alcove_hecke.engine import build_engine
 from alcove_hecke.errors import NotFinitary
+from alcove_hecke.ext_weyl import TORUS_WINDOW, ExtWeyl
 from alcove_hecke.root_datum import load_root_datum, pair
 from oracles import hermite_reduce, hermite_rows
 
@@ -39,9 +41,22 @@ def test_central_translations_have_length_zero(gl2):
     for k in range(-3, 4):
         assert ext.length(ext.translation((k, k))) == 0
     # the length-zero subgroup is infinite; a window still enumerates finitely
-    omegas = ext.enumerate_omega(1)
+    omegas = ext.omegas()
     assert all(ext.length(om) == 0 for om in omegas)
     assert ext.translation((1, 1)) in omegas
+
+
+@pytest.mark.parametrize("spec", [GL2, GL3], ids=["GL2", "GL3"])
+def test_omegas_list_one_element_per_class_of_the_window(spec):
+    # the classes are infinitely many; omegas lists those of TORUS_WINDOW on
+    # the torus row, each as the length-zero element of its own coset
+    ext = ExtWeyl(load_root_datum(spec))
+    omegas = ext.omegas()
+    assert len(omegas) == len(TORUS_WINDOW)
+    for om in omegas:
+        assert ext.length(om) == 0 and ext.omega_of(om) == om
+    for a, b in itertools.combinations(omegas, 2):
+        assert not ext.same_coset(a, b)
 
 
 def test_arithmetic_and_triangle_round_trips(gl2):
