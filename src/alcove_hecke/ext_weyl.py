@@ -10,9 +10,9 @@ All operations are pure over an immutable root datum.  Lengths, left-step
 rows, coset classes and Bruhat comparisons are memoized per instance in
 `Memo` tables, which carry that module's concurrency caveat.
 The left-step row of x holds (s x, s x < x) for every affine generator s, in
-the order of `ExtWeyl.generators`: descents, reduced words and the Hecke
-recursions read their products and descent bits from it, so an element
-visited again costs one lookup instead of a product and two lengths.
+the order of `ExtWeyl.generators`: descents, reduced words, lower sets and
+the Hecke recursions read their products and descent bits from it, so an
+element visited again costs one lookup instead of a product and two lengths.
 
 Each generator s reflects in an affine simple root beta + k delta; its entry
 (beta, beta^vee, k) in `affine_roots` is (alpha_i, alpha_i^vee, 0) for s_i and
@@ -71,9 +71,12 @@ The Bruhat order compares x and y only within one W_aff-coset
 (`same_coset`; the periodic order asks it before it translates a pair).
 Within a coset, `_bruhat_aff` reads the pair from its table before it looks
 up either length, so a pair asked again costs one lookup.  Otherwise it
-decides x <= y by a loop down y's descent chain, so its depth is not bounded
-by Python's recursion limit, and it stores its one answer under every pair of
-the chain it passed.
+decides x <= y by a loop down y's first descents (`first_descent`), so its
+depth is not bounded by Python's recursion limit, and it stores its one
+answer under every pair of the chain it passed.  `bruhat_lower_set` uses
+Deodhar's property Z, [e, x] = [e, s x] u s [e, s x] for a left descent s:
+it closes x's min reduced word from omega leftwards, each s z read off z's
+left-step row.  The walk reads descent bits and the closure row products.
 """
 
 from __future__ import annotations
@@ -251,6 +254,14 @@ class ExtWeyl:
         """The row of (s x, s x < x) over `generators`, in generator order."""
         return self._left_steps[x]
 
+    def first_descent(self, x: ExtWeylElement) -> tuple[int, ExtWeylElement] | None:
+        """(i, s x) for the first left descent s = generators[i] of x, read off
+        x's left-step row, or None at length zero."""
+        for i, (sx, down) in enumerate(self._left_steps[x]):
+            if down:
+                return i, sx
+        return None
+
     # -- reduced expressions ----------------------------------------------
 
     def reduced_expression(
@@ -357,7 +368,7 @@ class ExtWeyl:
             if answer is not None:
                 break
             passed.append(key)
-            step = next(((k, sy) for k, (sy, down) in enumerate(steps[y]) if down), None)
+            step = self.first_descent(y)
             if step is None:
                 raise InvariantViolation(f"{y} of length {ly} has no left descent")
             k, y = step
@@ -373,13 +384,14 @@ class ExtWeyl:
         return answer
 
     def bruhat_lower_set(self, x: ExtWeylElement) -> set[ExtWeylElement]:
-        """All y <= x, via subword products of one reduced expression."""
+        """All y <= x, by property Z: from {omega}, each letter s_k of x's min
+        reduced word s_1 ... s_r omega, from s_r down to s_1, adds s_k z for
+        every z in the set, read off z's left-step row."""
         word, omega = self.reduced_expression(x)
-        partial = {self.identity}
-        for g in word:
-            ge = self._gen_elements[g]
-            partial |= {self.mul(p, ge) for p in partial}
-        return {self.mul(p, omega) for p in partial}
+        lower, steps = {omega}, self._left_steps
+        for i in map(self.generators.index, reversed(word)):
+            lower |= {steps[z][i][0] for z in lower}
+        return lower
 
     # -- element literals ---------------------------------------------------
 

@@ -115,9 +115,6 @@ def _addmul(out: dict, w: ExtWeylElement, coeffs: Coeffs, q: Coeffs) -> None:
     """out[w] += q * coeffs, in place; a new entry is a fresh dict."""
     acc = out.get(w)
     if acc is None:
-        if q is _UNIT:
-            out[w] = coeffs.copy()
-            return
         out[w] = acc = {}
     for j, d in q.items():
         for k, c in coeffs.items():
@@ -149,7 +146,7 @@ def _bar(ext, a: dict, out: dict) -> None:
     dict handed over to out is a fresh one of this call's own."""
     groups: dict[int, dict[ExtWeylElement, Coeffs]] = {}
     for w, p in a.items():
-        step = _first_step(ext, w)
+        step = ext.first_descent(w)
         if step is None:  # a length-zero leaf: v -> v^{-1}
             acc = out.get(w)
             if acc is None:
@@ -207,15 +204,6 @@ def _left_factor(ext, a: dict, i: int) -> dict | None:
     # the partners sw are len(b) distinct terms with an ascent at s; a
     # factors when no other term is left
     return b if 2 * len(b) == len(a) else None
-
-
-def _first_step(ext, x: ExtWeylElement) -> tuple[int, ExtWeylElement] | None:
-    """(i, s x) for the first left descent s = ext.generators[i] of x, or None
-    at length zero."""
-    for i, (sx, down) in enumerate(ext.left_steps(x)):
-        if down:
-            return i, sx
-    return None
 
 
 class HeckeElement:
@@ -362,7 +350,7 @@ class HeckeAlgebra:
             raise BoundsTooLarge(f"{ext.format_element(x)} has length {lx} > {MAX_HECKE_LENGTH}")
         if lx == 0:
             return MappingProxyType({x: ONE})
-        i, rest = _first_step(ext, x)
+        i, rest = ext.first_descent(x)
         base = table[rest]
         out: dict[ExtWeylElement, Coeffs] = {}
         get, steps, down_shift = out.get, ext.left_steps, _DOWN_SHIFT

@@ -372,7 +372,7 @@ def check_bruhat_order(env: _Env):
     eng = env.engine
     ext = eng.ext
     rng = env.rng("bruhat")
-    # lifting recursion vs the subword characterization (independent routes)
+    # the lifting walk (descent bits) vs the subword closure (row products)
     for _ in range(min(300, env.samples)):
         x = ext.random_element(rng, 2)
         lower = ext.bruhat_lower_set(x)

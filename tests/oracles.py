@@ -53,6 +53,18 @@ def _bruhat_aff(ext, x, y, table):
     return table[key]
 
 
+def lower_set_by_products(ext, x):
+    """[e, x] as the subword products of x's min reduced word s_1 ... s_r
+    omega: every partial product times each letter's generator element by
+    `mul`, then every result times omega."""
+    word, omega = ext.reduced_expression(x)
+    partial = {ext.identity}
+    for g in word:
+        ge = ext.gen_element(g)
+        partial |= {ext.mul(p, ge) for p in partial}
+    return {ext.mul(p, omega) for p in partial}
+
+
 def omegas_by_box(ext, bound):
     """All length-zero elements whose translation has sup-norm <= bound,
     sorted: a scan of the |W| (2 bound + 1)^n pairs (w, t), one length each."""

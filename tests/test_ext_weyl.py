@@ -8,7 +8,6 @@ import pytest
 from alcove_hecke.engine import build_engine
 from alcove_hecke.errors import InvariantViolation, MalformedInput
 from alcove_hecke.ext_weyl import ExtWeyl, ExtWeylElement
-from alcove_hecke.hecke import _first_step
 from alcove_hecke.parabolic import is_finitary
 from alcove_hecke.root_datum import (_det, _principal_minors_positive, load_root_datum, pair,
                                      vec_sub)
@@ -20,6 +19,7 @@ from oracles import (
     deep_recursion,
     descent_rows_by_kind,
     generator_elements_by_kind,
+    lower_set_by_products,
     mat_mul,
     omega_left_form,
     omegas_by_box,
@@ -139,7 +139,7 @@ def test_first_left_descent(any_engine):
         row = _left_steps_by_products(ext, x)
         descents = [k for k, (_, down) in enumerate(row) if down]
         first = (descents[0], row[descents[0]][0]) if descents else None
-        assert _first_step(ext, x) == first
+        assert ext.first_descent(x) == first
         assert (not descents) == (ext.length(x) == 0)
 
 
@@ -215,6 +215,43 @@ def test_bruhat_across_cosets_vs_subword_oracle(datum_engine):
         assert ext.bruhat_lower_set(x) == lower
         for y in list(lower) + probes:
             assert ext.bruhat_leq(y, x) == (y in lower), (y, x)
+
+
+@pytest.mark.parametrize("name", EVERY_DATUM)
+def test_lower_set_matches_the_product_closure(name):
+    # the closure over left-step rows against the closure by generator
+    # products, on a seeded window: 20 words of up to 12 letters times
+    # length-zero elements, and below rank 4 ten draws with coordinates in
+    # [-1, 1]; budget about 1.5 s for all 17 data, most of it on B3 and C3
+    ext = ExtWeyl(load_root_datum(descriptor(name)))
+    rng = random.Random(61)
+    window = list(_short_elements(ext, rng, 20, 12))
+    if name not in RANK4:
+        window += [ext.random_element(rng, 1) for _ in range(10)]
+    for x in window:
+        assert ext.bruhat_lower_set(x) == lower_set_by_products(ext, x), x
+
+
+@pytest.mark.parametrize("name", ["A2_adj", "A1xA1_adj", "G2", "B3"])
+def test_lower_set_costs_one_row_per_element(name):
+    # counted calls, not time: a cold call builds at most one left-step row,
+    # of len(generators) products (rank + 1 on irreducible data), per element
+    # of [e, x]; a repeated call only reads rows; neither asks for a
+    # generator element
+    datum = load_root_datum(descriptor(name))
+    rng = random.Random(67)
+    window = list(_short_elements(ExtWeyl(datum), rng, 12, 12))
+    for x in window:
+        ext = ExtWeyl(datum)
+        calls = collections.Counter()
+        for method in ("mul", "gen_element"):
+            real = getattr(ext, method)
+            setattr(ext, method, lambda *a, real=real, m=method: calls.update([m]) or real(*a))
+        lower = ext.bruhat_lower_set(x)
+        assert calls["mul"] <= len(ext.generators) * len(lower) and not calls["gen_element"]
+        calls.clear()
+        assert ext.bruhat_lower_set(x) == lower
+        assert calls == {}
 
 
 def test_bruhat_walk_matches_recursive_oracle(datum_engine):

@@ -814,7 +814,7 @@ def _plant_factored_entry(eng):
     through s, so bar takes its factor step, but it is not bar invariant."""
     ext, hecke = eng.ext, eng.hecke
     _, x = hecke._waff_part(ext.random_element(random.Random("0:kl-bar"), 3))
-    i, sx = hecke_module._first_step(ext, x)
+    i, sx = ext.first_descent(x)
     wrong = dict(hecke._kl[x])
     wrong[x] = wrong[x] + V * V
     wrong[sx] = wrong[sx] + V * V * V

@@ -135,6 +135,17 @@ def test_proj_filtration_on_rank3_data(tmp_path, name, differ):
     )
 
 
+@pytest.mark.parametrize("name", list(RANK3))
+def test_bruhat_order_on_rank3_data(tmp_path, name):
+    # 60 draws of the walk against the lower set, then the order axioms on a
+    # window; budget about 3 s each (the full 300 draws take about 7 s)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(RANK3[name]), encoding="utf-8")
+    check = run_suite(str(path), names=["bruhat-order"], samples=60).checks[0]
+    assert check.status == "pass", check.counterexample
+    assert check.detail == "subword cross-check plus order axioms"
+
+
 def test_proj_filtration_fault_on_the_max_word(monkeypatch, tmp_path, capsys):
     # a max word that loses its last letter misses an endpoint label; the min
     # word is sound, so only the max-word run of the check shows it
