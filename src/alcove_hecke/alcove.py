@@ -39,7 +39,7 @@ from typing import NamedTuple
 from .errors import InvariantViolation, NotFinitary
 from .ext_weyl import ExtWeyl, ExtWeylElement
 from .memo import Memo
-from .root_datum import Vector, pair, vec_neg, vec_sub
+from .root_datum import Vector, pair, vec_add, vec_neg, vec_sub
 
 
 class AlcoveData(NamedTuple):
@@ -113,9 +113,17 @@ class AlcoveModel:
         return self.datum.section_lift(self.data[x].coords)
 
     def triangle(self, x: ExtWeylElement) -> ExtWeylElement:
-        e = self.ext
-        mu = self.box_of(x)
-        return e.mul_many(x, ExtWeylElement(0, mu), e.w0, ExtWeylElement(0, vec_neg(mu)))
+        """x t_mu w0 t_{-mu} for mu = box_of(x).
+
+        mu is read off x's alcove data: lambda = section_lift(1 - c) for the
+        box coordinates c, varsigma = section_lift(1, ..., 1), and the lift
+        is linear, so mu = section_lift(c) = varsigma - lambda.  x t_mu only
+        adds mu to x's translation and t_{-mu} subtracts it, so the one
+        product is (x t_mu) w0.
+        """
+        mu = vec_sub(self.datum.varsigma, self.data[x].lam)
+        y = self.ext.mul(ExtWeylElement(x.w, vec_add(x.t, mu)), self.ext.w0)
+        return ExtWeylElement(y.w, vec_sub(y.t, mu))
 
     def triangle_inverse(self, v: ExtWeylElement) -> ExtWeylElement:
         e = self.ext

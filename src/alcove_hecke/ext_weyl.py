@@ -51,11 +51,12 @@ d_i = 0 past the rank; it is zero exactly on the coroot lattice.  One table
 keyed on the translation holds the classes, and `same_coset`,
 `in_affine_subgroup` and `omega_of` read it.  `omega_of(x)` is the
 length-zero element of x's coset, found once per class by
-`reduced_expression` and kept in a second table; both are bounded, since
-Y / ZPhi^vee is infinite when the datum has a central torus.  `omegas` lists
-the length-zero subgroup Omega ~ Y / ZPhi^vee class by class: range(d_i) on
-each row with d_i > 1 and the fixed `TORUS_WINDOW` on a central-torus row
-(d_i = 0), each class c lifted to t_lambda with U lambda = c for `omega_of`.
+`reduced_expression` and kept in a second table, which `known_omega` reads
+without walking; both tables are bounded, since Y / ZPhi^vee is infinite
+when the datum has a central torus.  `omegas` lists the length-zero
+subgroup Omega ~ Y / ZPhi^vee class by class: range(d_i) on each row with
+d_i > 1 and the fixed `TORUS_WINDOW` on a central-torus row (d_i = 0), each
+class c lifted to t_lambda with U lambda = c for `omega_of`.
 
 >>> ext = ExtWeyl(load_root_datum("A2_adj"))
 >>> x = ext.parse_element("s1 : 1,0")
@@ -309,14 +310,18 @@ class ExtWeyl:
         """Whether x and y lie in one W_aff-coset."""
         return self._classes[x.t] == self._classes[y.t]
 
+    def known_omega(self, x: ExtWeylElement) -> ExtWeylElement | None:
+        """The length-zero element of x's W_aff-coset if `omega_of` has found
+        it already, else None; walks nothing."""
+        return self._omegas.get(self._classes[x.t])
+
     def omega_of(self, x: ExtWeylElement) -> ExtWeylElement:
         """The length-zero element of x's W_aff-coset, so that omega^{-1} x
         lies in W_aff; one `reduced_expression` per coset class."""
-        cls = self._classes[x.t]
-        omega = self._omegas.get(cls)
+        omega = self.known_omega(x)
         if omega is None:
             omega = self.reduced_expression(x)[1]
-            self._omegas.put(cls, omega)
+            self._omegas.put(self._classes[x.t], omega)
         return omega
 
     def omegas(self) -> list[ExtWeylElement]:

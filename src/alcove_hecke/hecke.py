@@ -62,6 +62,10 @@ H_y to H_{omega y} and M_y to M_{omega y}, so it only relabels both modules
 x = omega aff outside W_aff, with omega = `ExtWeyl.omega_of(x)`, `kl_basis`
 and `spherical_basis` return the entry of aff relabeled by omega without
 storing the copy, and `inverse_m` answers (x, y) as (aff, omega^{-1} y).
+Since len(x) = len(aff), the length bound reads aff's length, which the
+tables usually hold already, once x's class has a known omega
+(`ExtWeyl.known_omega`); x's own length is taken only for a class met for
+the first time, before `omega_of` walks x.
 
 Two independent routes check the recursion.  `suite.bar_invariance_solver`
 re-derives `kl_basis` from bar invariance alone, by back-substitution against
@@ -134,6 +138,12 @@ def _freeze(out: dict) -> dict[ExtWeylElement, LaurentPolynomial]:
         if c:
             frozen[w] = adopt(c)
     return frozen
+
+
+def _check_length(ext, x: ExtWeylElement, lx: int) -> None:
+    """Refuses x, of length lx, when it is longer than `MAX_HECKE_LENGTH`."""
+    if lx > MAX_HECKE_LENGTH:
+        raise BoundsTooLarge(f"{ext.format_element(x)} has length {lx} > {MAX_HECKE_LENGTH}")
 
 
 def _raw(a: "HeckeElement") -> dict[ExtWeylElement, Coeffs]:
@@ -305,20 +315,32 @@ class HeckeAlgebra:
 
     # -- canonical basis ---------------------------------------------------
 
-    def _waff_part(self, x: ExtWeylElement) -> tuple[ExtWeylElement | None, ExtWeylElement]:
-        """(omega, omega^{-1} x) for the length-zero omega of x's W_aff-coset,
-        with omega None when x lies in W_aff; x's length is checked before `omega_of` walks x."""
+    def _waff_part(
+        self, x: ExtWeylElement
+    ) -> tuple[ExtWeylElement | None, ExtWeylElement | None, ExtWeylElement]:
+        """(omega, omega^{-1}, omega^{-1} x) for the length-zero omega of x's
+        W_aff-coset, with omega and omega^{-1} None when x lies in W_aff.
+
+        x longer than `MAX_HECKE_LENGTH` raises `BoundsTooLarge` naming x.
+        When the class's omega is known (`ExtWeyl.known_omega`), x's length
+        is read as that of omega^{-1} x, equal to it, which the tables
+        usually hold already; x's own length is taken only for a class not
+        met yet, before `omega_of` walks x to find its omega."""
         ext = self.ext
         if ext.in_affine_subgroup(x):
-            return None, x
-        lx = ext.length(x)
-        if lx > MAX_HECKE_LENGTH:
-            raise BoundsTooLarge(f"{ext.format_element(x)} has length {lx} > {MAX_HECKE_LENGTH}")
-        omega = ext.omega_of(x)
-        aff = ext.mul(ext.inv(omega), x)
+            return None, None, x
+        omega = ext.known_omega(x)
+        known = omega is not None
+        if not known:
+            _check_length(ext, x, ext.length(x))
+            omega = ext.omega_of(x)
+        omega_inv = ext.inv(omega)
+        aff = ext.mul(omega_inv, x)
         if not ext.in_affine_subgroup(aff):
             raise InvariantViolation(f"{omega} is not the length-zero element of the coset of {x}")
-        return omega, aff
+        if known:
+            _check_length(ext, x, ext.length(aff))
+        return omega, omega_inv, aff
 
     def _relabeled(self, omega, support):
         """The support of the canonical element of aff as that of omega aff."""
@@ -330,7 +352,7 @@ class HeckeAlgebra:
 
         Raises `BoundsTooLarge` when x is longer than `MAX_HECKE_LENGTH`.
         """
-        omega, aff = self._waff_part(x)
+        omega, _, aff = self._waff_part(x)
         support = self._kl[aff]
         return _shared(support if omega is None else self._relabeled(omega, support))
 
@@ -346,8 +368,7 @@ class HeckeAlgebra:
         (copied when new), and y gets it shifted by `_DOWN_SHIFT` or by +1."""
         ext = self.ext
         lx = ext.length(x)
-        if lx > MAX_HECKE_LENGTH:
-            raise BoundsTooLarge(f"{ext.format_element(x)} has length {lx} > {MAX_HECKE_LENGTH}")
+        _check_length(ext, x, lx)
         if lx == 0:
             return MappingProxyType({x: ONE})
         i, rest = ext.first_descent(x)
@@ -412,7 +433,7 @@ class HeckeAlgebra:
         """The canonical element N_w = sum_y mbar(y, w) M_y, as a read-only map
         y -> mbar(y, w); w is at most `MAX_HECKE_LENGTH` long."""
         self._require_spherical(w)
-        omega, aff = self._waff_part(w)
+        omega, _, aff = self._waff_part(w)
         support = self._spherical[aff]
         return support if omega is None else MappingProxyType(self._relabeled(omega, support))
 
@@ -430,16 +451,18 @@ class HeckeAlgebra:
         relabels the module, so m^{x,y} = m^{omega^{-1} x, omega^{-1} y} for
         the omega of x's coset: each answer is kept under that pair of W_aff
         elements, and a query is computed once per orbit of the length-zero
-        subgroup.
+        subgroup.  The split of x (`_waff_part`) makes omega^{-1}, which also
+        moves y, and reads x's own length only when x's class has no known
+        omega yet; otherwise the length bound reads omega^{-1} x's.
         """
         self._require_spherical(x)
         self._require_spherical(y)
         ext = self.ext
         if not ext.same_coset(x, y):
             return ZERO
-        omega, x = self._waff_part(x)
+        omega, omega_inv, x = self._waff_part(x)
         if omega is not None:
-            y = ext.mul(ext.inv(omega), y)
+            y = ext.mul(omega_inv, y)
         return self._inverse[x, y]
 
     def _back_substitute(self, x: ExtWeylElement, y: ExtWeylElement) -> LaurentPolynomial:

@@ -65,6 +65,13 @@ def lower_set_by_products(ext, x):
     return {ext.mul(p, omega) for p in partial}
 
 
+def triangle_by_products(alc, x):
+    """x t_mu w0 t_{-mu} for mu = box_of(x), as three products by `mul`."""
+    ext = alc.ext
+    mu = alc.box_of(x)
+    return ext.mul_many(x, ExtWeylElement(0, mu), ext.w0, ExtWeylElement(0, vec_neg(mu)))
+
+
 def omegas_by_box(ext, bound):
     """All length-zero elements whose translation has sup-norm <= bound,
     sorted: a scan of the |W| (2 bound + 1)^n pairs (w, t), one length each."""

@@ -10,7 +10,7 @@ from alcove_hecke.errors import InvariantViolation
 from alcove_hecke.ext_weyl import ExtWeyl, ExtWeylElement
 from alcove_hecke.root_datum import Vector, load_root_datum, pair, vec_add, vec_scale
 from conftest import EVERY_DATUM, descriptor
-from oracles import in_wexts_positive_roots, simple_rows_by_action
+from oracles import in_wexts_positive_roots, simple_rows_by_action, triangle_by_products
 
 
 # -- the action on rational points, the oracle for the per-Weyl-index tables --
@@ -104,6 +104,18 @@ def test_triangle_round_trip(any_engine):
         x = ext.random_element(rng, 4)
         assert alc.triangle_inverse(alc.triangle(x)) == x
         assert alc.triangle(alc.triangle_inverse(x)) == x
+
+
+@pytest.mark.parametrize("name", EVERY_DATUM)
+def test_triangle_matches_the_product_route(name):
+    # mu read off the alcove data as varsigma - lambda and one product by w0,
+    # against box_of's lift of the box coordinates and three products, on
+    # every datum, GL2's central torus included
+    alc = AlcoveModel(ExtWeyl(load_root_datum(descriptor(name))))
+    rng = random.Random(71)
+    for _ in range(200):
+        x = alc.ext.random_element(rng, 3)
+        assert alc.triangle(x) == triangle_by_products(alc, x), x
 
 
 def test_triangle_translation_equivariance(any_engine):

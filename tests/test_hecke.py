@@ -1,7 +1,9 @@
+import collections
 import itertools
 import json
 import random
 import shlex
+import time
 from pathlib import Path
 from types import MappingProxyType
 
@@ -10,6 +12,7 @@ import pytest
 from alcove_hecke import cli, memo, suite
 from alcove_hecke.engine import build_engine
 from alcove_hecke.errors import BoundsTooLarge, InvariantViolation, NotSpherical
+from alcove_hecke.ext_weyl import ExtWeyl
 from alcove_hecke import hecke as hecke_module
 from alcove_hecke.suite import _waff_ball, bar_invariance_solver, run_suite, spherical_window
 from alcove_hecke.hecke import MAX_HECKE_LENGTH, HeckeAlgebra, HeckeElement
@@ -797,6 +800,85 @@ def test_length_bound_is_a_typed_error():
         hecke.spherical_basis(above)
 
 
+HUGE = "99999999999999999999"
+
+
+def _refused_at_once(eng, literal):
+    """Both entry points refuse the element typed as literal, within 1 s
+    each, by a `BoundsTooLarge` that names it."""
+    x = eng.ext.parse_element(literal)
+    for query in (eng.hecke.kl_basis, lambda x: eng.hecke.inverse_m(x, x)):
+        start = time.perf_counter()
+        with pytest.raises(BoundsTooLarge, match=f"^{literal} has length"):
+            query(x)
+        assert time.perf_counter() - start < 1
+
+
+def test_a_huge_element_of_a_known_class_is_refused_at_once():
+    # once "s1 : -1" has found the length-zero element of its class, the
+    # guard reads the length of omega^{-1} x, which equals x's
+    eng = build_engine("A1_adj")
+    ext = eng.ext
+    x = ext.parse_element("s1 : -1")
+    eng.hecke.kl_basis(x)
+    eng.hecke.inverse_m(x, x)
+    literal = f"s1 : -{HUGE}"
+    assert ext.known_omega(ext.parse_element(literal)) is not None
+    _refused_at_once(eng, literal)
+
+
+def test_a_huge_element_of_a_new_torus_class_is_refused_at_once():
+    # its central-torus class lies far outside TORUS_WINDOW, so no omega is
+    # known for it and x's own length is checked before omega_of would walk
+    # its ~10^20 letters
+    eng = build_engine(CUSTOM["GL2"])
+    ext = eng.ext
+    ext.omegas()
+    literal = f"s1 : 0,{HUGE}"
+    assert ext.known_omega(ext.parse_element(literal)) is None
+    _refused_at_once(eng, literal)
+    assert ext.known_omega(ext.parse_element(literal)) is None
+
+
+@pytest.mark.parametrize("name", ["A2_adj", "B2_adj", "G2", "GL2"])
+def test_a_second_query_of_a_known_class_costs_no_length(monkeypatch, name):
+    # counted calls, not time.  The first queries, kl_basis(w) for w = omega a
+    # with a spherical in W_aff, and inverse_m(triangle(w), y) for the
+    # shortest term y of N_triangle(w), find omega's class and fill the tables
+    # below a and over the closure of the triangle's W_aff part.  A second
+    # element of that class whose W_aff part those tables hold, omega s a for
+    # a left descent s of a, or another term u of N_triangle(w), then costs
+    # no length formula and no reduced word in kl_basis or in inverse_m.
+    # G2's omega is the identity, so there every query lies in W_aff.
+    calls = collections.Counter()
+    for method in ("_length_formula", "reduced_expression"):
+        real = getattr(ExtWeyl, method)
+        monkeypatch.setattr(
+            ExtWeyl, method, lambda *a, real=real, m=method: calls.update([m]) or real(*a))
+    probe = build_engine(CUSTOM.get(name, name))
+    omega = max(probe.ext.omegas(), key=lambda om: om != probe.ext.identity)
+    ball = _waff_ball(probe, 4)
+    a = max((x for x in ball if probe.alc.in_wexts(x)), key=ball.get)
+    eng = build_engine(CUSTOM.get(name, name))
+    ext, alc, hecke = eng.ext, eng.alc, eng.hecke
+    w = ext.mul(omega, a)
+    assert ext.in_affine_subgroup(w) == (name == "G2") and ext.known_omega(w) is None
+    hecke.kl_basis(w)
+    tri = alc.triangle(w)
+    # lengths from the probe, so that the engine takes none of its own
+    terms = sorted(hecke.spherical_basis(tri), key=probe.ext.length)
+    y = terms[0]
+    hecke.inverse_m(tri, y)
+    sa = ext.mul(omega, probe.ext.first_descent(a)[1])
+    u = max((z for z in terms[1:-1] if z not in (w, sa)), key=probe.ext.length)
+    calls.clear()
+    assert hecke.kl_basis(sa).coeff(sa) == ONE
+    assert calls == {}
+    got = hecke.inverse_m(u, y)
+    assert calls == {}
+    assert got == probe.hecke.inverse_m(u, y)
+
+
 @pytest.mark.parametrize("preset", ["A1_adj", "A1xA1_adj"])
 def test_planted_down_case_fails_bar_invariance(monkeypatch, preset):
     # the regular and the spherical module share one recursion, so a fault in
@@ -813,7 +895,7 @@ def _plant_factored_entry(eng):
     by C_x + (H_s + v) v^2 H_sx, for a left descent s of x: it still factors
     through s, so bar takes its factor step, but it is not bar invariant."""
     ext, hecke = eng.ext, eng.hecke
-    _, x = hecke._waff_part(ext.random_element(random.Random("0:kl-bar"), 3))
+    x = hecke._waff_part(ext.random_element(random.Random("0:kl-bar"), 3))[-1]
     i, sx = ext.first_descent(x)
     wrong = dict(hecke._kl[x])
     wrong[x] = wrong[x] + V * V

@@ -146,6 +146,31 @@ def test_bruhat_order_on_rank3_data(tmp_path, name):
     assert check.detail == "subword cross-check plus order axioms"
 
 
+def test_bruhat_order_probes_follow_the_seed_only(monkeypatch):
+    # the members of each lower set that the check compares are the same
+    # whatever order the set iterates in: here, once as built and once
+    # rehashed into a table ten times larger
+    probes = []
+    real_leq, real_lower = ExtWeyl.bruhat_leq, ExtWeyl.bruhat_lower_set
+    monkeypatch.setattr(
+        ExtWeyl, "bruhat_leq", lambda ext, y, x: probes.append((y, x)) or real_leq(ext, y, x))
+
+    def rehashed(ext, x):
+        lower = real_lower(ext, x)
+        padding = range(-1, -10 * len(lower), -1)
+        lower.update(padding)
+        lower.difference_update(padding)
+        return lower
+
+    runs = []
+    for lower_set in (real_lower, rehashed):
+        monkeypatch.setattr(ExtWeyl, "bruhat_lower_set", lower_set)
+        probes.clear()
+        assert run_suite("B2_adj", names=["bruhat-order"], samples=20).passed
+        runs.append(list(probes))
+    assert runs[0] == runs[1]
+
+
 def test_proj_filtration_fault_on_the_max_word(monkeypatch, tmp_path, capsys):
     # a max word that loses its last letter misses an endpoint label; the min
     # word is sound, so only the max-word run of the check shows it
