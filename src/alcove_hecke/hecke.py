@@ -26,13 +26,14 @@ Coefficients are built in raw accumulators: plain dicts mapping an element
 to its coefficient dict {exponent: integer}, written in place by inline
 loops (the multipliers 1, v^{+-1} and -c0 of `_canonical`, the fused
 update of `_back_substitute`, the shifts of `_bar`) or by `_addmul`.
-The accumulators read the `coeffs` dicts of memoized polynomials and of the
-module constants directly, so those dicts are never written to: an
-accumulator entry is a dict of its own from its first write on (a copy, a
+The tables hold that raw form, zero-free dicts that the accumulators read
+directly and, like the module constants, never write to: an accumulator
+entry is a dict of its own from its first write on (a copy, a
 comprehension, a fresh product, or a dict `_bar`'s own recursion built).
-Since every accumulator is dropped once frozen, `_freeze` hands each finished
-dict over to its polynomial (`LaurentPolynomial._adopt`), rebuilding only a
-dict that holds a zero, so no finished coefficient is copied.
+Since every accumulator is dropped once frozen, `_freeze` keeps each
+finished dict, rebuilding only one that holds a zero.  Polynomials are made
+only at the API edge (`_edge`), and a returned polynomial shares its stored
+dict; `inverse_m` builds each answer as a polynomial.
 
 The left spherical module is the quotient by the left ideal generated by
 H_s - v^{-1} for finite simple s; its standard basis M_y is indexed by the
@@ -50,7 +51,7 @@ the element of s x, term by term in three cases:
 The third case never occurs in the regular module.  Constant terms below x
 are then cleared by subtracting canonical elements read from the same table,
 and the result is checked to be unitriangular with lower coefficients in
-vZ[v].  Each table entry is the read-only map y -> coefficient, in no
+vZ[v].  Each table entry is the read-only map y -> raw coefficient, in no
 particular order; `inverse_m`, which back-substitutes the inverse polynomials
 m^{x,y} from the spherical elements, reads the length of each term from
 `ExtWeyl.length` and skips the terms shorter than y.
@@ -126,17 +127,16 @@ def _addmul(out: dict, w: ExtWeylElement, coeffs: Coeffs, q: Coeffs) -> None:
             acc[k] = acc.get(k, 0) + d * c
 
 
-def _freeze(out: dict) -> dict[ExtWeylElement, LaurentPolynomial]:
-    """The finished accumulator, whose entries are dicts of its own, each
-    nonzero one adopted by a polynomial: a dict holding a zero is rebuilt
-    without it, and a term that cancelled entirely is dropped."""
+def _freeze(out: dict) -> dict[ExtWeylElement, Coeffs]:
+    """The finished accumulator in the tables' raw form: each entry, a dict of
+    its own, is kept as it is, a dict holding a zero is rebuilt without it,
+    and a term that cancelled entirely is dropped."""
     frozen = {}
-    adopt = LaurentPolynomial._adopt
     for w, c in out.items():
         if 0 in c.values():
             c = {k: d for k, d in c.items() if d}
         if c:
-            frozen[w] = adopt(c)
+            frozen[w] = c
     return frozen
 
 
@@ -151,19 +151,14 @@ def _raw(a: "HeckeElement") -> dict[ExtWeylElement, Coeffs]:
 
 
 def _bar(ext, a: dict, out: dict) -> None:
-    """Adds the bar involution of the raw a into the raw accumulator out, in
-    place; see `HeckeAlgebra.bar`.  The dicts of a are only read, and every
-    dict handed over to out is a fresh one of this call's own."""
+    """Writes the bar involution of the raw a into out, empty on entry; see
+    `HeckeAlgebra.bar`.  The dicts of a are only read, and every dict handed
+    over to out is a fresh one of this call's own."""
     groups: dict[int, dict[ExtWeylElement, Coeffs]] = {}
     for w, p in a.items():
         step = ext.first_descent(w)
-        if step is None:  # a length-zero leaf: v -> v^{-1}
-            acc = out.get(w)
-            if acc is None:
-                out[w] = {-k: c for k, c in p.items()}
-            else:
-                for k, c in p.items():
-                    acc[-k] = acc.get(-k, 0) + c
+        if step is None:  # a length-zero leaf, alone in out at w: v -> v^{-1}
+            out[w] = {-k: c for k, c in p.items()}
         else:
             i, sw = step
             groups.setdefault(i, {})[sw] = p
@@ -271,7 +266,7 @@ class HeckeAlgebra:
             _addmul(out, ws, p.coeffs, _UNIT)
             if ext.length(ws) < ext.length(w):
                 _addmul(out, w, p.coeffs, _VINV_MINUS_V)
-        return HeckeElement(_freeze(out))
+        return _shared(self._edge(_freeze(out)))
 
     def standard_inverse(self, x: ExtWeylElement) -> HeckeElement:
         """H_x^{-1}, which is bar(H_{x^{-1}})."""
@@ -311,7 +306,7 @@ class HeckeAlgebra:
                 break
         else:
             _bar(ext, raw, out)
-        return HeckeElement(_freeze(out))
+        return _shared(self._edge(_freeze(out)))
 
     # -- canonical basis ---------------------------------------------------
 
@@ -342,24 +337,28 @@ class HeckeAlgebra:
             _check_length(ext, x, ext.length(aff))
         return omega, omega_inv, aff
 
-    def _relabeled(self, omega, support):
-        """The support of the canonical element of aff as that of omega aff."""
+    def _edge(self, support: Mapping, omega=None) -> dict[ExtWeylElement, LaurentPolynomial]:
+        """The raw support as polynomials adopting its dicts, not copies, and
+        relabeled from that of aff to that of omega aff when omega is given."""
+        adopt = LaurentPolynomial._adopt
+        if omega is None:
+            return {y: adopt(c) for y, c in support.items()}
         mul = self.ext.mul
-        return {mul(omega, y): p for y, p in support.items()}
+        return {mul(omega, y): adopt(c) for y, c in support.items()}
 
     def kl_basis(self, x: ExtWeylElement) -> HeckeElement:
-        """The canonical basis element attached to x, in the standard basis.
+        """The canonical basis element attached to x, in the standard basis;
+        its polynomials, made at each call, share the stored entry's dicts.
 
         Raises `BoundsTooLarge` when x is longer than `MAX_HECKE_LENGTH`.
         """
         omega, _, aff = self._waff_part(x)
-        support = self._kl[aff]
-        return _shared(support if omega is None else self._relabeled(omega, support))
+        return _shared(self._edge(self._kl[aff], omega))
 
     def _canonical(
         self, x: ExtWeylElement, table: Memo, in_module
-    ) -> Mapping[ExtWeylElement, LaurentPolynomial]:
-        """The canonical element of x, as the read-only map y -> coefficient,
+    ) -> Mapping[ExtWeylElement, Coeffs]:
+        """The canonical element of x, as the read-only map y -> raw coefficient,
         in the module whose elements `table` memoizes: the regular module on
         W_ext when in_module is None, the spherical module on W_ext^S when
         in_module is its membership test.  It recurses within x's
@@ -370,14 +369,13 @@ class HeckeAlgebra:
         lx = ext.length(x)
         _check_length(ext, x, lx)
         if lx == 0:
-            return MappingProxyType({x: ONE})
+            return MappingProxyType({x: _UNIT})
         i, rest = ext.first_descent(x)
         base = table[rest]
         out: dict[ExtWeylElement, Coeffs] = {}
         get, steps, down_shift = out.get, ext.left_steps, _DOWN_SHIFT
         # (H_s + v) M_y on the three kinds of y in the module
         for y, p in base.items():
-            p = p.coeffs
             sy, down = steps(y)[i]
             if down or in_module is None or in_module(sy):
                 # M_sy + v^{-1} M_y when sy < y, M_sy + v M_y when sy > y
@@ -405,19 +403,18 @@ class HeckeAlgebra:
             for y, q in table[w].items():
                 acc = get(y)
                 if acc is None:
-                    out[y] = {k: -c0 * c for k, c in q.coeffs.items()}
+                    out[y] = {k: -c0 * c for k, c in q.items()}
                 else:
-                    for k, c in q.coeffs.items():
+                    for k, c in q.items():
                         acc[k] = acc.get(k, 0) - c0 * c
         support = _freeze(out)
         # unitriangular, with every lower coefficient in vZ[v]
-        if support.get(x) != ONE:
+        if support.get(x) != _UNIT:
             raise InvariantViolation(f"canonical basis not unitriangular at {x}")
         for y, p in support.items():
-            if y != x and p.min_exponent() < 1:
-                raise InvariantViolation(
-                    f"lower coefficient {p} at {y} in the canonical element of {x}"
-                )
+            if y != x and min(p) < 1:
+                raise InvariantViolation(f"lower coefficient {LaurentPolynomial(p)} at {y} "
+                                         f"in the canonical element of {x}")
         return MappingProxyType(support)
 
     def kl_poly(self, y: ExtWeylElement, x: ExtWeylElement) -> LaurentPolynomial:
@@ -431,11 +428,11 @@ class HeckeAlgebra:
 
     def spherical_basis(self, w: ExtWeylElement) -> Mapping[ExtWeylElement, LaurentPolynomial]:
         """The canonical element N_w = sum_y mbar(y, w) M_y, as a read-only map
-        y -> mbar(y, w); w is at most `MAX_HECKE_LENGTH` long."""
+        y -> mbar(y, w), whose polynomials, made at each call, share the stored
+        entry's dicts; w is at most `MAX_HECKE_LENGTH` long."""
         self._require_spherical(w)
         omega, _, aff = self._waff_part(w)
-        support = self._spherical[aff]
-        return support if omega is None else MappingProxyType(self._relabeled(omega, support))
+        return MappingProxyType(self._edge(self._spherical[aff], omega))
 
     def spherical_lower_set(self, x: ExtWeylElement) -> list[ExtWeylElement]:
         """Minimal representatives below x, sorted by decreasing length."""
@@ -495,7 +492,7 @@ class HeckeAlgebra:
                 if acc is None:
                     values[z] = acc = {}
                     push(heap, (-lz, z))
-                p = p.coeffs.items()
+                p = p.items()
                 # with the sign (-1)^{len(z) + len(u) + 1}
                 for j, d in plus if (lz - neg_lu) % 2 else minus:
                     for k, c in p:

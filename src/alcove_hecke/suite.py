@@ -629,14 +629,16 @@ def check_spherical_identities(env: _Env):
     # canonical elements N_z
     x = window[-1]
     lower = hecke.spherical_lower_set(x)
+    # m^{x,z}, its sign (-1)^{len(z) + len(x)} and N_z, once per z
+    rows = [(hecke.inverse_m(x, z), (ext.length(z) + ext.length(x)) % 2, hecke.spherical_basis(z))
+            for z in lower]
     for y in lower:
         acc = ZERO
-        for z in lower:
-            imz = hecke.inverse_m(x, z)
-            mz = hecke.spherical_basis(z).get(y, ZERO)
+        for imz, odd, nz in rows:
+            mz = nz.get(y, ZERO)
             if imz and mz:
                 term = imz * mz
-                acc = acc + (term if (ext.length(z) + ext.length(x)) % 2 == 0 else -term)
+                acc = acc + (-term if odd else term)
         want = ONE if y == x else ZERO
         if acc != want:
             return False, "inverse matrix identity fails", {

@@ -90,10 +90,16 @@ def coroot_lattice_contains(d, lam):
     return solve_smith(d.coroot_smith, d.check_y(lam)) is not None
 
 
+def as_polys(entry):
+    """A table entry y -> raw coefficient dict as the map y -> polynomial."""
+    return {y: LaurentPolynomial(c) for y, c in entry.items()}
+
+
 def per_coset_tables(hecke):
     """The regular and the spherical canonical-element tables of the
     recursion run directly on each element asked, in its own W_aff-coset:
-    nothing is moved into W_aff by a length-zero element, nothing relabeled."""
+    nothing is moved into W_aff by a length-zero element, nothing relabeled.
+    Their entries map y to raw coefficient dicts, as the library's do."""
     regular = Memo(lambda x: hecke._canonical(x, regular, None))
     spherical = Memo(lambda w: hecke._canonical(w, spherical, hecke.alc.in_wexts))
     return regular, spherical
@@ -118,7 +124,7 @@ def inverse_m_per_coset(hecke, spherical, x):
         for u, m in values.items():
             p = spherical[u].get(z)
             if p:
-                term = m * p
+                term = m * LaurentPolynomial(p)
                 acc = acc + (term if (ext.length(u) + lz) % 2 else -term)
         values[z] = acc
     return values

@@ -19,7 +19,7 @@ from alcove_hecke.hecke import MAX_HECKE_LENGTH, HeckeAlgebra, HeckeElement
 from alcove_hecke.laurent import ONE, V, V_INV, ZERO, LaurentPolynomial
 from conftest import CUSTOM, SEMISIMPLE, engine_for
 from alcove_hecke.root_datum import vec_sub
-from oracles import (coroot_lattice_contains, hecke_combination, hecke_product,
+from oracles import (as_polys, coroot_lattice_contains, hecke_combination, hecke_product,
                      inverse_m_per_coset, mbar, per_coset_tables)
 
 
@@ -325,8 +325,8 @@ def test_kl_omega_equivariance(any_engine):
         x = ext.random_element(rng, 2)
         om = omegas[rng.randrange(len(omegas))]
         shifted = dict(regular[ext.mul(om, x)])
-        assert {ext.mul(om, y): p for y, p in regular[x].items()} == shifted
-        assert dict(hecke.kl_basis(ext.mul(om, x)).items()) == shifted
+        assert {ext.mul(om, y): c for y, c in regular[x].items()} == shifted
+        assert dict(hecke.kl_basis(ext.mul(om, x)).items()) == as_polys(shifted)
 
 
 # Cayley-ball radius in W_aff per datum, translated into every coset
@@ -350,10 +350,10 @@ def test_tables_on_waff_match_the_per_coset_route(name):
     for om in omegas:
         xs = [ext.mul(om, a) for a in ball]
         for x in xs:
-            assert dict(hecke.kl_basis(x).items()) == dict(regular[x]), x
+            assert dict(hecke.kl_basis(x).items()) == as_polys(regular[x]), x
         window = sorted((x for x in xs if eng.alc.in_wexts(x)), key=ext.length)
         for w in window:
-            assert dict(hecke.spherical_basis(w)) == dict(spherical[w]), w
+            assert dict(hecke.spherical_basis(w)) == as_polys(spherical[w]), w
         for x in window[-2:]:
             want = inverse_m_per_coset(hecke, spherical, x)
             assert len(want) > 1
@@ -565,10 +565,10 @@ def test_memoized_values_are_never_written(name):
         out = {}
         hecke_module._bar(ext, raw, out)
         read_only = {id(d) for d in raw.values()} | {
-            id(p.coeffs)
+            id(d)
             for table in (hecke._kl, hecke._spherical)
             for e in table.values()
-            for p in e.values()
+            for d in e.values()
         } | {id(p.coeffs) for p in (ONE, V, V_INV, ZERO)}
         assert not read_only & {id(d) for d in out.values()}
         for g in ext.generators:
@@ -582,15 +582,15 @@ def test_memoized_values_are_never_written(name):
 
 
 def test_freeze_adopts_owned_dicts(a1):
-    # a zero-free accumulator entry becomes its polynomial's coeffs as it is;
-    # a coefficient that cancelled to 0 and a term that cancelled entirely
+    # a zero-free accumulator entry is stored as it is, the very dict; a
+    # coefficient that cancelled to 0 and a term that cancelled entirely
     # are dropped
     ext = a1.ext
     kept, cancelled, gone = (ext.translation((t,)) for t in (0, 2, 4))
     out = {kept: {1: 2, 3: -1}, cancelled: {0: 0, 2: 5}, gone: {1: 0, -1: 0}}
     frozen = hecke_module._freeze(out)
-    assert frozen[kept].coeffs is out[kept]
-    assert frozen[cancelled].coeffs == {2: 5}
+    assert frozen[kept] is out[kept]
+    assert frozen[cancelled] == {2: 5}
     assert set(frozen) == {kept, cancelled}
 
 
@@ -598,19 +598,21 @@ def test_freeze_adopts_owned_dicts(a1):
 def test_stored_coefficients_own_their_dicts(name):
     # every coefficient the tables keep after a sweep window was adopted
     # from an accumulator entry of its own: no two share one dict, and none
-    # is a module constant's, apart from ONE at the identity
+    # is a module constant's, apart from the one unit dict that every
+    # length-zero entry shares, as it shared ONE's
     eng = build_engine(G2 if name == "G2" else name)
-    alc, hecke = eng.alc, eng.hecke
+    ext, alc, hecke = eng.ext, eng.alc, eng.hecke
     for w in spherical_window(eng, 6):
         hecke.inverse_m(alc.triangle(w), w)
         hecke.kl_basis(w)
-    coeffs = [
-        p.coeffs
-        for table in (hecke._kl, hecke._spherical)
-        for e in table.values()
-        for p in e.values()
-        if p is not ONE
-    ]
+    unit = hecke_module._UNIT
+    coeffs = []
+    for table in (hecke._kl, hecke._spherical):
+        for x, e in table.items():
+            for y, c in e.items():
+                assert (c is unit) == (ext.length(x) == 0), (x, y)
+                if c is not unit:
+                    coeffs.append(c)
     constants = [p.coeffs for p in (ONE, V, V_INV, ZERO)] + [
         c
         for n, c in vars(hecke_module).items()
@@ -667,6 +669,28 @@ def test_no_laurent_temporaries_in_the_hot_loops(monkeypatch):
     assert ops == {}
     # the bar expansions of the H_y, and one polynomial per solved coefficient
     assert len(solved) < constructed <= sum(frozen) + len(solved)
+
+
+def test_inverse_m_makes_one_polynomial_per_back_substitution(monkeypatch):
+    # the tables hold raw dicts, so a cold m-triangle sweep makes no polynomial
+    # for a stored term: exactly one, its answer, per `_inverse` miss
+    eng = build_engine("A2_adj")
+    ext, alc, hecke = eng.ext, eng.alc, eng.hecke
+    window = spherical_window(eng, 6)
+    want = LaurentPolynomial.monomial(ext.length(ext.w0))
+    made = collections.Counter()
+    init, adopt = LaurentPolynomial.__init__, LaurentPolynomial._adopt.__func__
+    monkeypatch.setattr(
+        LaurentPolynomial, "__init__", lambda p, *a: made.update(["__init__"]) or init(p, *a))
+    monkeypatch.setattr(
+        LaurentPolynomial, "_adopt", classmethod(lambda cls, c: made.update(["_adopt"]) or adopt(cls, c)))
+    misses = []
+    real = hecke._inverse.fn
+    hecke._inverse.fn = lambda key: misses.append(key) or real(key)
+    for w in window:
+        assert hecke.inverse_m(alc.triangle(w), w) == want
+    assert len(misses) == len(hecke._inverse) > 10
+    assert dict(made) == {"__init__": len(misses)}
 
 
 def test_degree_bound_assertion(a2):
@@ -897,11 +921,11 @@ def _plant_factored_entry(eng):
     ext, hecke = eng.ext, eng.hecke
     x = hecke._waff_part(ext.random_element(random.Random("0:kl-bar"), 3))[-1]
     i, sx = ext.first_descent(x)
-    wrong = dict(hecke._kl[x])
+    wrong = as_polys(hecke._kl[x])
     wrong[x] = wrong[x] + V * V
     wrong[sx] = wrong[sx] + V * V * V
     assert i in _factor_descents(hecke, HeckeElement(wrong))
-    hecke._kl[x] = MappingProxyType(wrong)
+    hecke._kl[x] = MappingProxyType({y: p.coeffs for y, p in wrong.items()})
     return eng
 
 

@@ -52,12 +52,10 @@ except InvariantViolation:
 else:
     raise SystemExit("spherical unitriangularity check vanished")
 
-from alcove_hecke.laurent import ONE
-
 planted = build_engine("A1_adj").hecke
 y = ext.parse_element("s1 : -2")
 wrong = dict(planted._spherical[rest])
-wrong[y] = wrong[y] + ONE
+wrong[y] = {**wrong[y], 0: wrong[y].get(0, 0) + 1}  # plus 1, outside vZ[v]
 planted._spherical[rest] = MappingProxyType(wrong)
 try:
     planted.spherical_basis(w)

@@ -3,6 +3,7 @@ import random
 import shlex
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -54,6 +55,18 @@ def test_report_matches_golden(preset, as_file, tmp_path):
         arg = str(tmp_path / f"{preset}.json")
         Path(arg).write_text(json.dumps({"preset": preset}), encoding="utf-8")
     assert run_suite(arg).to_tsv() == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", ["G2", "A3"])
+def test_custom_report_matches_golden(name, tmp_path):
+    # the G2 and A3 reports, byte for byte, of every check but
+    # kl-bar-invariance: its draws ignore --maxlen, and it takes most of
+    # these data's time
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(CUSTOM[name]), encoding="utf-8")
+    names = [check for check, _ in suite.CHECKS if check != "kl-bar-invariance"]
+    golden = Path(__file__).parent / "data" / f"suite_{name}.tsv"
+    assert run_suite(str(path), names=names).to_tsv() == golden.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("preset", ["A1_adj", "B2_adj"])
@@ -422,3 +435,138 @@ def test_awext_counterexample_command_runs(monkeypatch, preset, gens):
     assert ("--gens" in argv) == (gens > 0)
     monkeypatch.undo()
     assert cli.main(argv[1:]) == 0
+
+
+# -- planted faults in the Hecke checks' failure branches ---------------------
+
+
+def _rerun_planted(monkeypatch, preset, check, plant, **kwargs):
+    """The failing result of `check` on one engine run twice: once to fill its
+    tables, then again after plant(engine) has rewritten entries, so the
+    rerun reads every entry from its table and no recursion builds on a
+    planted one.  The payload's command parses and names the datum."""
+    eng = build_engine(preset)
+    monkeypatch.setattr(suite, "build_engine", lambda datum: eng)
+    assert run_suite(preset, names=[check], **kwargs).passed
+    plant(eng)
+    return _failed(run_suite(preset, names=[check], **kwargs), preset)
+
+
+def _failed(report, preset):
+    (result,) = report.checks
+    assert result.status == "fail"
+    argv = shlex.split(result.counterexample["command"])
+    args = cli.build_parser().parse_args(argv[1:])
+    flag = "--preset" if args.command == "suite" else "--datum"
+    assert argv[argv.index(flag) + 1] == preset
+    return result
+
+
+def _rewrite(eng, table, lengths, change):
+    """Every entry of table, raw, whose element has its length in lengths,
+    replaced by change(x, entry) as a read-only map."""
+    for x in [x for x in table if eng.ext.length(x) in lengths]:
+        table[x] = MappingProxyType(change(x, dict(table[x])))
+
+
+def _at_identity(eng, change):
+    """The entry's coefficient at the identity, which every C_x of W_aff has,
+    replaced by change(coefficient)."""
+    e = eng.ext.identity
+    return lambda x, entry: {**entry, e: change(entry[e])}
+
+
+def test_kl_dihedral_fails_on_a_planted_exponent(monkeypatch, capsys):
+    # every lower coefficient v^k of positive length planted as v^{k+2}
+    def plant(eng):
+        _rewrite(eng, eng.hecke._kl, range(1, 11), lambda x, entry: {
+            y: c if y == x else {k + 2: d for k, d in c.items()} for y, c in entry.items()})
+
+    check = _rerun_planted(monkeypatch, "A1_adj", "kl-dihedral", plant)
+    assert check.detail == "closed form fails"
+    ce = check.counterexample
+    argv = shlex.split(ce["command"])
+    assert argv[1:3] == ["hecke", "kl"]
+    assert (argv[argv.index("--x") + 1], argv[argv.index("--y") + 1]) == (ce["y"], ce["x"])
+    # the command prints the true coefficient, not the planted one
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert cli.main(argv[1:]) == 0
+    ext = build_engine("A1_adj").ext
+    lx, ly = (ext.length(ext.parse_element(ce[k])) for k in ("x", "y"))
+    assert json.loads(capsys.readouterr().out)["h"] == str(LaurentPolynomial.monomial(lx - ly))
+    assert ce["got"] == str(LaurentPolynomial.monomial(lx - ly + 2))
+
+
+def test_kl_dihedral_solver_fails_on_a_dropped_term(monkeypatch):
+    # the identity's term dropped from C_x up to length 6: every coefficient
+    # left still has the closed form, so only the solver can see it
+    def plant(eng):
+        e = eng.ext.identity
+        _rewrite(eng, eng.hecke._kl, range(1, 7),
+                 lambda x, entry: {y: c for y, c in entry.items() if y != e})
+
+    check = _rerun_planted(monkeypatch, "A1_adj", "kl-dihedral", plant)
+    assert check.detail == "bar-invariance solver disagrees"
+    ext = build_engine("A1_adj").ext
+    assert 1 <= ext.length(ext.parse_element(check.counterexample["x"])) <= 6
+
+
+def test_kl_bar_invariance_fails_on_a_right_relabeling(monkeypatch):
+    # outside W_aff, C_{omega a} planted as C_a H_omega, the element of a
+    # omega: bar invariant and nonnegative, but not omega C_a
+    real = HeckeAlgebra._edge
+
+    def right(hecke, support, omega=None):
+        out = real(hecke, support)
+        return out if omega is None else {hecke.ext.mul(y, omega): p for y, p in out.items()}
+
+    monkeypatch.setattr(HeckeAlgebra, "_edge", right)
+    check = _failed(run_suite("A1_adj", names=["kl-bar-invariance"]), "A1_adj")
+    assert check.detail == "length-zero relabeling fails"
+
+
+def test_kl_bar_invariance_solver_fails_on_a_planted_unit(monkeypatch):
+    # C_x + H_e for x of length 2 to 5, the lengths the solver takes: bar
+    # invariant, nonnegative, relabeled alike; A2's first draw has length 3
+    def plant(eng):
+        _rewrite(eng, eng.hecke._kl, range(2, 6), _at_identity(
+            eng, lambda c: {**c, 0: c.get(0, 0) + 1}))
+
+    check = _rerun_planted(monkeypatch, "A2_adj", "kl-bar-invariance", plant)
+    assert check.detail == "bar-invariance solver disagrees"
+    ext = build_engine("A2_adj").ext
+    first = ext.random_element(random.Random("0:kl-bar"), 3)
+    assert check.counterexample["element"] == ext.format_element(first)
+
+
+@pytest.mark.parametrize("plant, detail", [
+    (lambda c: {k: -d for k, d in c.items()}, "negative Kazhdan-Lusztig coefficient"),
+    (lambda c: {**c, 0: c.get(0, 0) + 1}, "bar-invariance solver disagrees"),
+])
+def test_kl_bar_invariance_top_up_fails_on_a_planted_entry(monkeypatch, plant, detail):
+    # one draw, of length 0 on A1, so the solver elements all come from the
+    # Cayley-ball top-up; their C_x, lengths 2 to 5, planted at the identity
+    ext = build_engine("A1_adj").ext
+    assert ext.length(ext.random_element(random.Random("0:kl-bar"), 3)) == 0
+    check = _rerun_planted(
+        monkeypatch, "A1_adj", "kl-bar-invariance",
+        lambda eng: _rewrite(eng, eng.hecke._kl, range(2, 6), _at_identity(eng, plant)),
+        samples=1)
+    assert check.detail == detail
+    assert 2 <= ext.length(ext.parse_element(check.counterexample["element"])) <= 5
+
+
+def test_spherical_identities_fails_on_a_planted_spherical_entry(monkeypatch):
+    # every lower coefficient of N_z times v: with the m^{x,z} as computed,
+    # the sum at a label y != x with m^{x,y} != 0 becomes +-m^{x,y} (1 - v)
+    def plant(eng):
+        _rewrite(eng, eng.hecke._spherical, range(1, 99), lambda x, entry: {
+            y: c if y == x else {k + 1: d for k, d in c.items()} for y, c in entry.items()})
+
+    check = _rerun_planted(monkeypatch, "B2_adj", "spherical-identities", plant)
+    assert check.detail == "inverse matrix identity fails"
+    ce = check.counterexample
+    argv = shlex.split(ce["command"])
+    assert argv[1:3] == ["hecke", "inverse-m"]
+    assert (argv[argv.index("--x") + 1], argv[argv.index("--y") + 1]) == (ce["x"], ce["y"])
