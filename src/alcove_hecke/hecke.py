@@ -17,13 +17,28 @@ each term w with sw < w and comparing a_sw with v a_w coefficient by
 coefficient, so the result is exact for any input, bar invariant or not, and
 an input with no factor, such as a single H_y, takes the recursion alone.
 Computations are interval-local: only the Bruhat lower set of the target
-element is ever materialized, and results live in bounded `Memo` tables.
-Every step from w to s w, with its descent bit, is read from the left-step
-row of w that `ExtWeyl.left_steps` keeps, so the recursions, which revisit
-the same elements many times, pay no group product or length per term.
+element is ever materialized.
+
+The recursions run on numbers.  One store, `_Store`, numbers each element
+of W_aff the Hecke layer meets and keeps per number the element, its length
+(read once from `ExtWeyl.length`), its left-step row of (number of s w,
+s w < w) over `ExtWeyl.generators` (built from `ExtWeyl.left_steps` the
+first time it is read) and its W_ext^S bit (filled the first time the
+spherical recursion asks).  So a term costs list reads and int-keyed
+lookups, with no group product, length or element hash.  The tables `_kl`,
+`_spherical` and `_inverse` are `Memo`s keyed on numbers, made by the store.
+Elements appear only at the API edge: `_waff_part` splits an element asked
+into omega and the number of its W_aff part, and `_edge` turns an entry into
+polynomials over elements, relabeled by omega; the store remembers each
+split and relabel made there.  A running recursion holds numbers, so the
+store empties its numbers, splits and tables together, and only as a public
+query (`kl_basis`, `spherical_basis`, `inverse_m`, `bar`) starts, when it
+holds `MEMO_CAP` numbers and splits or more: it may exceed the cap while one
+query runs.  Each table may also empty itself mid-recursion, as every `Memo`
+may, since a recursion reads only the values it was handed.
 
 Coefficients are built in raw accumulators: plain dicts mapping an element
-to its coefficient dict {exponent: integer}, written in place by inline
+number to its coefficient dict {exponent: integer}, written in place by inline
 loops (the multipliers 1, v^{+-1} and -c0 of `_canonical`, the fused
 update of `_back_substitute`, the shifts of `_bar`) or by `_addmul`.
 The tables hold that raw form, zero-free dicts that the accumulators read
@@ -53,18 +68,18 @@ are then cleared by subtracting canonical elements read from the same table,
 and the result is checked to be unitriangular with lower coefficients in
 vZ[v].  Each table entry is the read-only map y -> raw coefficient, in no
 particular order; `inverse_m`, which back-substitutes the inverse polynomials
-m^{x,y} from the spherical elements, reads the length of each term from
-`ExtWeyl.length` and skips the terms shorter than y.
+m^{x,y} from the spherical elements, reads the length of each term from the
+store and skips the terms shorter than y.
 
 The recursion stays in the W_aff-coset of x and ends at that coset's
 length-zero element.  Left multiplication by a length-zero omega maps
 H_y to H_{omega y} and M_y to M_{omega y}, so it only relabels both modules
-(Iwahori-Matsumoto).  The tables therefore hold elements of W_aff only.  For
+(Iwahori-Matsumoto).  The store therefore numbers elements of W_aff only.  For
 x = omega aff outside W_aff, with omega = `ExtWeyl.omega_of(x)`, `kl_basis`
 and `spherical_basis` return the entry of aff relabeled by omega without
 storing the copy, and `inverse_m` answers (x, y) as (aff, omega^{-1} y).
 Since len(x) = len(aff), the length bound reads aff's length, which the
-tables usually hold already, once x's class has a known omega
+store usually holds already, once x's class has a known omega
 (`ExtWeyl.known_omega`); x's own length is taken only for a class met for
 the first time, before `omega_of` walks x.
 
@@ -97,6 +112,7 @@ import heapq
 from types import MappingProxyType
 from typing import Mapping
 
+from . import memo
 from .alcove import AlcoveModel
 from .errors import BoundsTooLarge, InvariantViolation, NotSpherical
 from .ext_weyl import AffineGenerator, ExtWeylElement
@@ -116,7 +132,86 @@ _VINV_MINUS_V: Coeffs = {-1: 1, 1: -1}
 _DOWN_SHIFT = -1
 
 
-def _addmul(out: dict, w: ExtWeylElement, coeffs: Coeffs, q: Coeffs) -> None:
+class _Store:
+    """The numbers of the W_aff elements the Hecke layer meets, what the
+    recursions read per number, and the tables keyed on numbers; see the
+    module docstring for when it empties."""
+
+    __slots__ = ("ext", "alc", "numbers", "elements", "lengths", "rows", "bits", "splits", "relabels",
+                 "tables")
+
+    def __init__(self, alc: AlcoveModel):
+        self.ext, self.alc = alc.ext, alc
+        self.numbers: dict[ExtWeylElement, int] = {}
+        self.elements: list[ExtWeylElement] = []
+        self.lengths: list[int] = []
+        # per number, its left-step row ((number of s x, s x < x), ...) and
+        # its W_ext^S bit, each None until first read
+        self.rows: list[tuple[tuple[int, bool], ...] | None] = []
+        self.bits: list[bool | None] = []
+        # x outside W_aff -> (omega, omega^{-1}, number of omega^{-1} x), and
+        # omega -> (omega^{-1}, {number of a: omega a}), for each x = omega a
+        # asked at the edge or made there by a relabel
+        self.splits: dict[ExtWeylElement, tuple[ExtWeylElement, ExtWeylElement, int]] = {}
+        self.relabels: dict[ExtWeylElement, tuple[ExtWeylElement, dict[int, ExtWeylElement]]] = {}
+        self.tables: list[Memo] = []
+
+    def table(self, fn) -> Memo:
+        """A new `Memo` keyed on numbers, emptied with them."""
+        table = Memo(fn)
+        self.tables.append(table)
+        return table
+
+    def number(self, x: ExtWeylElement) -> int:
+        n = self.numbers.get(x)
+        if n is None:
+            n = self.numbers[x] = len(self.elements)
+            self.elements.append(x)
+            self.lengths.append(self.ext.length(x))
+            self.rows.append(None)
+            self.bits.append(None)
+        return n
+
+    def row(self, n: int) -> tuple[tuple[int, bool], ...]:
+        """The left-step row of n, built from `ExtWeyl.left_steps`; callers
+        read `rows[n]` first and call this only when it is None."""
+        number = self.number
+        row = tuple([(number(sx), down) for sx, down in self.ext.left_steps(self.elements[n])])
+        self.rows[n] = row
+        return row
+
+    def first_descent(self, n: int) -> tuple[int, int] | None:
+        """(i, number of s x) for the first left descent s = generators[i] of
+        the element x numbered n, or None at length zero."""
+        for i, (sx, down) in enumerate(self.rows[n] or self.row(n)):
+            if down:
+                return i, sx
+        return None
+
+    def relabeled(self, omega: ExtWeylElement) -> tuple[ExtWeylElement, dict[int, ExtWeylElement]]:
+        """(omega^{-1}, {number of a: omega a}) for the length-zero omega."""
+        entry = self.relabels.get(omega)
+        if entry is None:
+            entry = self.relabels[omega] = (self.ext.inv(omega), {})
+        return entry
+
+    def in_wexts(self, n: int) -> bool:
+        bit = self.bits[n]
+        if bit is None:
+            bit = self.bits[n] = self.alc.in_wexts(self.elements[n])
+        return bit
+
+    def bound(self) -> None:
+        """Empties the numbers, the splits and every table together when the
+        store holds `MEMO_CAP` numbers and splits or more; called only as a
+        public query starts."""
+        if len(self.elements) + len(self.splits) >= memo.MEMO_CAP:
+            for part in (self.numbers, self.elements, self.lengths, self.rows, self.bits,
+                         self.splits, self.relabels, *self.tables):
+                part.clear()
+
+
+def _addmul(out: dict, w: int, coeffs: Coeffs, q: Coeffs) -> None:
     """out[w] += q * coeffs, in place; a new entry is a fresh dict."""
     acc = out.get(w)
     if acc is None:
@@ -127,7 +222,7 @@ def _addmul(out: dict, w: ExtWeylElement, coeffs: Coeffs, q: Coeffs) -> None:
             acc[k] = acc.get(k, 0) + d * c
 
 
-def _freeze(out: dict) -> dict[ExtWeylElement, Coeffs]:
+def _freeze(out: dict) -> dict:
     """The finished accumulator in the tables' raw form: each entry, a dict of
     its own, is kept as it is, a dict holding a zero is rebuilt without it,
     and a term that cancelled entirely is dropped."""
@@ -146,34 +241,51 @@ def _check_length(ext, x: ExtWeylElement, lx: int) -> None:
         raise BoundsTooLarge(f"{ext.format_element(x)} has length {lx} > {MAX_HECKE_LENGTH}")
 
 
-def _raw(a: "HeckeElement") -> dict[ExtWeylElement, Coeffs]:
-    return {w: p.coeffs for w, p in a.support.items()}
+def _bar_factored(store: _Store, a: dict[int, Coeffs]) -> dict[int, Coeffs]:
+    """The bar involution of the raw, numbered a, unfrozen; see
+    `HeckeAlgebra.bar`.  The dicts of a are only read."""
+    out: dict[int, Coeffs] = {}
+    longest = max(a, key=store.lengths.__getitem__)
+    # a longest term w of a = (H_s + v) b has sw < w
+    for i, (_, down) in enumerate(store.rows[longest] or store.row(longest)):
+        if down and (b := _left_factor(store, a, i)) is not None:
+            # bar(H_s + v) = H_s^{-1} + v^{-1}
+            barred: dict[int, Coeffs] = {}
+            _bar(store, b, barred)
+            for w, p in barred.items():
+                out[w] = {k - 1: c for k, c in p.items()}
+            _add_inverse_gen(store, i, barred, out)
+            return out
+    _bar(store, a, out)
+    return out
 
 
-def _bar(ext, a: dict, out: dict) -> None:
-    """Writes the bar involution of the raw a into out, empty on entry; see
-    `HeckeAlgebra.bar`.  The dicts of a are only read, and every dict handed
-    over to out is a fresh one of this call's own."""
-    groups: dict[int, dict[ExtWeylElement, Coeffs]] = {}
+def _bar(store: _Store, a: dict, out: dict) -> None:
+    """Writes the bar involution of the raw, numbered a into out, empty on
+    entry; see `HeckeAlgebra.bar`.  The dicts of a are only read, and every
+    dict handed over to out is a fresh one of this call's own."""
+    groups: dict[int, dict[int, Coeffs]] = {}
+    rows, row = store.rows, store.row
     for w, p in a.items():
-        step = ext.first_descent(w)
-        if step is None:  # a length-zero leaf, alone in out at w: v -> v^{-1}
+        for i, (sw, down) in enumerate(rows[w] or row(w)):
+            if down:
+                groups.setdefault(i, {})[sw] = p
+                break
+        else:  # a length-zero leaf, alone in out at w: v -> v^{-1}
             out[w] = {-k: c for k, c in p.items()}
-        else:
-            i, sw = step
-            groups.setdefault(i, {})[sw] = p
     for i, rest in groups.items():
-        barred: dict[ExtWeylElement, Coeffs] = {}
-        _bar(ext, rest, barred)
-        _add_inverse_gen(ext, i, barred, out)
+        barred: dict[int, Coeffs] = {}
+        _bar(store, rest, barred)
+        _add_inverse_gen(store, i, barred, out)
 
 
-def _add_inverse_gen(ext, i: int, barred: dict, out: dict) -> None:
+def _add_inverse_gen(store: _Store, i: int, barred: dict, out: dict) -> None:
     """Adds H_s^{-1} barred into out, for s = ext.generators[i]; the dicts of
     barred, fresh ones of the caller's own, are handed over to out."""
+    rows, row = store.rows, store.row
     # H_s^{-1} H_w = H_sw, plus (v - v^{-1}) H_w when sw > w
     for w, p in barred.items():
-        sw, down = ext.left_steps(w)[i]
+        sw, down = (rows[w] or row(w))[i]
         if not down:
             acc = out.get(w)
             if acc is None:
@@ -191,16 +303,17 @@ def _add_inverse_gen(ext, i: int, barred: dict, out: dict) -> None:
                 acc[k] = get(k, 0) + c
 
 
-def _left_factor(ext, a: dict, i: int) -> dict | None:
+def _left_factor(store: _Store, a: dict, i: int) -> dict | None:
     """The raw b with a = (H_s + v) b, for s = ext.generators[i], or None when
     there is none.  The coefficient dicts of a hold no zeros, and b holds the
     same dicts, on the y with sy > y.
 
     (H_s + v) H_y is H_sy + v H_y for sy > y, so a factors exactly when its
     terms pair off as w and sw < w with a_sw = v a_w, and then b_sw = a_w."""
+    rows, row = store.rows, store.row
     b = {}
     for w, p in a.items():
-        sw, down = ext.left_steps(w)[i]
+        sw, down = (rows[w] or row(w))[i]
         if down:
             q = a.get(sw)
             if q is None or len(q) != len(p) or any(q.get(k + 1) != c for k, c in p.items()):
@@ -246,10 +359,12 @@ class HeckeAlgebra:
     def __init__(self, alc: AlcoveModel):
         self.alc = alc
         self.ext = alc.ext
-        self._kl = Memo(lambda x: self._canonical(x, self._kl, None))
-        self._spherical = Memo(lambda w: self._canonical(w, self._spherical, alc.in_wexts))
-        # (x, y) in W_aff -> m^{x,y}
-        self._inverse = Memo(lambda key: self._back_substitute(*key))
+        self._lw0 = len(alc.datum.positive_roots)  # the length of w0
+        self._store = store = _Store(alc)
+        self._kl = store.table(lambda x: self._canonical(x, self._kl, False))
+        self._spherical = store.table(lambda w: self._canonical(w, self._spherical, True))
+        # (x, y) numbered in W_aff -> m^{x,y}
+        self._inverse = store.table(lambda key: self._back_substitute(*key))
 
     # -- standard basis arithmetic ---------------------------------------
 
@@ -266,7 +381,8 @@ class HeckeAlgebra:
             _addmul(out, ws, p.coeffs, _UNIT)
             if ext.length(ws) < ext.length(w):
                 _addmul(out, w, p.coeffs, _VINV_MINUS_V)
-        return _shared(self._edge(_freeze(out)))
+        adopt = LaurentPolynomial._adopt
+        return _shared({w: adopt(c) for w, c in _freeze(out).items()})
 
     def standard_inverse(self, x: ExtWeylElement) -> HeckeElement:
         """H_x^{-1}, which is bar(H_{x^{-1}})."""
@@ -276,75 +392,92 @@ class HeckeAlgebra:
         """The bar involution: v -> v^{-1}, H_w -> (H_{w^{-1}})^{-1}.
 
         A ring map with bar(H_s) = H_s^{-1} = H_s + v - v^{-1} and
-        bar(H_omega) = H_omega.  Each term of positive length is split as
-        H_w = H_s H_{sw} at its first left descent s; the terms sharing s are
-        barred together as H_s^{-1} times the bar of their rest, which is
-        added into the one accumulator of the result.
+        bar(H_omega) = H_omega, so the terms of a in the W_aff-coset of a
+        length-zero omega are barred as omega times the bar of their W_aff
+        parts.  Each term of positive length is split as H_w = H_s H_{sw} at
+        its first left descent s; the terms sharing s are barred together as
+        H_s^{-1} times the bar of their rest, which is added into the one
+        accumulator of the result.
 
-        First, for each left descent s of one longest term, a is tested for
-        a left factor a = (H_s + v) b: every term w with sw < w must have
-        a_sw = v a_w, compared coefficient by coefficient, and every other
-        term must be such an sw; then b_sw = a_w.  On the first s that
-        passes, a is barred as (H_s^{-1} + v^{-1}) bar(b), the recursion
-        running on b only.  Since the factor is checked exactly, the result
-        is the bar involution of a whatever a is; the test reads none of
-        the canonical-basis recursion's constants or products, so a fault
-        there cannot cancel out inside bar(c) == c.
+        First, for each left descent s of one longest term, a coset's part b'
+        is tested for a left factor b' = (H_s + v) b: every term w with
+        sw < w must have b'_sw = v b'_w, compared coefficient by coefficient,
+        and every other term must be such an sw; then b_sw = b'_w.  On the
+        first s that passes, b' is barred as (H_s^{-1} + v^{-1}) bar(b), the
+        recursion running on b only.  Since the factor is checked exactly,
+        the result is the bar involution of a whatever a is; the test reads
+        none of the canonical-basis recursion's constants or products, so a
+        fault there cannot cancel out inside bar(c) == c.
+
+        A term outside W_aff longer than `MAX_HECKE_LENGTH` raises
+        `BoundsTooLarge`, as in `kl_basis` (see `_waff_part`).
         """
-        ext = self.ext
-        raw = _raw(a)
-        out: dict[ExtWeylElement, Coeffs] = {}
-        # a longest term w of a = (H_s + v) b has sw < w
-        for i, (_, down) in enumerate(ext.left_steps(max(raw, key=ext.length)) if raw else ()):
-            if down and (b := _left_factor(ext, raw, i)) is not None:
-                # bar(H_s + v) = H_s^{-1} + v^{-1}
-                barred: dict[ExtWeylElement, Coeffs] = {}
-                _bar(ext, b, barred)
-                for w, p in barred.items():
-                    out[w] = {k - 1: c for k, c in p.items()}
-                _add_inverse_gen(ext, i, barred, out)
-                break
-        else:
-            _bar(ext, raw, out)
-        return _shared(self._edge(_freeze(out)))
+        self._store.bound()
+        groups: dict[ExtWeylElement | None, dict[int, Coeffs]] = {}
+        for w, p in a.support.items():
+            omega, _, n = self._waff_part(w)
+            groups.setdefault(omega, {})[n] = p.coeffs
+        out: dict[ExtWeylElement, LaurentPolynomial] = {}
+        for omega, raw in groups.items():
+            out.update(self._edge(_freeze(_bar_factored(self._store, raw)), omega))
+        return _shared(out)
 
     # -- canonical basis ---------------------------------------------------
 
     def _waff_part(
         self, x: ExtWeylElement
-    ) -> tuple[ExtWeylElement | None, ExtWeylElement | None, ExtWeylElement]:
-        """(omega, omega^{-1}, omega^{-1} x) for the length-zero omega of x's
-        W_aff-coset, with omega and omega^{-1} None when x lies in W_aff.
+    ) -> tuple[ExtWeylElement | None, ExtWeylElement | None, int]:
+        """(omega, omega^{-1}, the number of omega^{-1} x) for the length-zero
+        omega of x's W_aff-coset, with omega and omega^{-1} None when x lies
+        in W_aff; a split met before is read from the store.
 
-        x longer than `MAX_HECKE_LENGTH` raises `BoundsTooLarge` naming x.
-        When the class's omega is known (`ExtWeyl.known_omega`), x's length
-        is read as that of omega^{-1} x, equal to it, which the tables
-        usually hold already; x's own length is taken only for a class not
-        met yet, before `omega_of` walks x to find its omega."""
-        ext = self.ext
+        x outside W_aff and longer than `MAX_HECKE_LENGTH` raises
+        `BoundsTooLarge` naming x.  When the class's omega is known
+        (`ExtWeyl.known_omega`), x's length is read as that of omega^{-1} x,
+        equal to it, which the store usually holds already; x's own length
+        is taken only for a class not met yet, before `omega_of` walks x to
+        find its omega."""
+        ext, store = self.ext, self._store
+        n = store.numbers.get(x)
+        if n is not None:
+            return None, None, n
+        split = store.splits.get(x)
+        if split is not None:
+            return split
         if ext.in_affine_subgroup(x):
-            return None, None, x
+            return None, None, store.number(x)
         omega = ext.known_omega(x)
         known = omega is not None
         if not known:
             _check_length(ext, x, ext.length(x))
             omega = ext.omega_of(x)
-        omega_inv = ext.inv(omega)
+        omega_inv, made = store.relabeled(omega)
         aff = ext.mul(omega_inv, x)
         if not ext.in_affine_subgroup(aff):
             raise InvariantViolation(f"{omega} is not the length-zero element of the coset of {x}")
+        n = store.number(aff)
         if known:
-            _check_length(ext, x, ext.length(aff))
-        return omega, omega_inv, aff
+            _check_length(ext, x, store.lengths[n])
+        made[n] = x
+        store.splits[x] = split = (omega, omega_inv, n)
+        return split
 
-    def _edge(self, support: Mapping, omega=None) -> dict[ExtWeylElement, LaurentPolynomial]:
-        """The raw support as polynomials adopting its dicts, not copies, and
-        relabeled from that of aff to that of omega aff when omega is given."""
-        adopt = LaurentPolynomial._adopt
+    def _edge(self, support: Mapping[int, Coeffs], omega=None) -> dict[ExtWeylElement, LaurentPolynomial]:
+        """The raw, numbered support as polynomials over elements, adopting
+        its dicts, not copies, and relabeled from that of aff to that of
+        omega aff when omega is given; the store keeps each relabel's split."""
+        adopt, elements = LaurentPolynomial._adopt, self._store.elements
         if omega is None:
-            return {y: adopt(c) for y, c in support.items()}
-        mul = self.ext.mul
-        return {mul(omega, y): adopt(c) for y, c in support.items()}
+            return {elements[y]: adopt(c) for y, c in support.items()}
+        mul, splits, out = self.ext.mul, self._store.splits, {}
+        omega_inv, made = self._store.relabeled(omega)
+        for y, c in support.items():
+            z = made.get(y)
+            if z is None:
+                z = made[y] = mul(omega, elements[y])
+                splits[z] = (omega, omega_inv, y)
+            out[z] = adopt(c)
+        return out
 
     def kl_basis(self, x: ExtWeylElement) -> HeckeElement:
         """The canonical basis element attached to x, in the standard basis;
@@ -352,49 +485,51 @@ class HeckeAlgebra:
 
         Raises `BoundsTooLarge` when x is longer than `MAX_HECKE_LENGTH`.
         """
-        omega, _, aff = self._waff_part(x)
-        return _shared(self._edge(self._kl[aff], omega))
+        self._store.bound()
+        omega, _, n = self._waff_part(x)
+        return _shared(self._edge(self._kl[n], omega))
 
-    def _canonical(
-        self, x: ExtWeylElement, table: Memo, in_module
-    ) -> Mapping[ExtWeylElement, Coeffs]:
-        """The canonical element of x, as the read-only map y -> raw coefficient,
-        in the module whose elements `table` memoizes: the regular module on
-        W_ext when in_module is None, the spherical module on W_ext^S when
-        in_module is its membership test.  It recurses within x's
-        W_aff-coset, so the tables, asked only about elements of W_aff, hold
-        no others.  In the product, a partner sy gets M_y's coefficient added
-        (copied when new), and y gets it shifted by `_DOWN_SHIFT` or by +1."""
-        ext = self.ext
-        lx = ext.length(x)
-        _check_length(ext, x, lx)
+    def _canonical(self, x: int, table: Memo, spherical: bool) -> Mapping[int, Coeffs]:
+        """The canonical element of the element numbered x, as the read-only
+        map y -> raw coefficient over numbers, in the module whose elements
+        `table` memoizes: the regular module on W_ext, or the spherical
+        module on W_ext^S when spherical is true.  It recurses within W_aff,
+        so the tables hold no other elements.  In the product, a partner sy
+        gets M_y's coefficient added (copied when new), and y gets it
+        shifted by `_DOWN_SHIFT` or by +1."""
+        store = self._store
+        lx = store.lengths[x]
+        _check_length(self.ext, store.elements[x], lx)
         if lx == 0:
             return MappingProxyType({x: _UNIT})
-        i, rest = ext.first_descent(x)
+        i, rest = store.first_descent(x)
         base = table[rest]
-        out: dict[ExtWeylElement, Coeffs] = {}
-        get, steps, down_shift = out.get, ext.left_steps, _DOWN_SHIFT
+        out: dict[int, Coeffs] = {}
+        get, rows, row, bits, down_shift = out.get, store.rows, store.row, store.bits, _DOWN_SHIFT
         # (H_s + v) M_y on the three kinds of y in the module
         for y, p in base.items():
-            sy, down = steps(y)[i]
-            if down or in_module is None or in_module(sy):
-                # M_sy + v^{-1} M_y when sy < y, M_sy + v M_y when sy > y
-                acc = get(sy)
-                if acc is None:
-                    out[sy] = p.copy()
-                else:
-                    for k, c in p.items():
-                        acc[k] = acc.get(k, 0) + c
-                shift = down_shift if down else 1
-                acc = get(y)
-                if acc is None:
-                    out[y] = {k + shift: c for k, c in p.items()}
-                else:
-                    for k, c in p.items():
-                        k += shift
-                        acc[k] = acc.get(k, 0) + c
-            else:  # sy = y t with t finite simple, and H_t acts by v^{-1}
-                _addmul(out, y, p, _V_PLUS_VINV)
+            sy, down = (rows[y] or row(y))[i]
+            if spherical and not down:
+                bit = bits[sy]
+                if not (store.in_wexts(sy) if bit is None else bit):
+                    # sy = y t with t finite simple, and H_t acts by v^{-1}
+                    _addmul(out, y, p, _V_PLUS_VINV)
+                    continue
+            # M_sy + v^{-1} M_y when sy < y, M_sy + v M_y when sy > y
+            acc = get(sy)
+            if acc is None:
+                out[sy] = p.copy()
+            else:
+                for k, c in p.items():
+                    acc[k] = acc.get(k, 0) + c
+            shift = down_shift if down else 1
+            acc = get(y)
+            if acc is None:
+                out[y] = {k + shift: c for k, c in p.items()}
+            else:
+                for k, c in p.items():
+                    k += shift
+                    acc[k] = acc.get(k, 0) + c
         # subtract c0 times the canonical element of w for every w != x
         # whose coefficient has constant term c0; a subtracted element
         # changes no constant term but the one at w, so one pass over the
@@ -410,11 +545,12 @@ class HeckeAlgebra:
         support = _freeze(out)
         # unitriangular, with every lower coefficient in vZ[v]
         if support.get(x) != _UNIT:
-            raise InvariantViolation(f"canonical basis not unitriangular at {x}")
+            raise InvariantViolation(f"canonical basis not unitriangular at {store.elements[x]}")
         for y, p in support.items():
             if y != x and min(p) < 1:
-                raise InvariantViolation(f"lower coefficient {LaurentPolynomial(p)} at {y} "
-                                         f"in the canonical element of {x}")
+                raise InvariantViolation(f"lower coefficient {LaurentPolynomial(p)} at "
+                                         f"{store.elements[y]} in the canonical element of "
+                                         f"{store.elements[x]}")
         return MappingProxyType(support)
 
     def kl_poly(self, y: ExtWeylElement, x: ExtWeylElement) -> LaurentPolynomial:
@@ -430,9 +566,10 @@ class HeckeAlgebra:
         """The canonical element N_w = sum_y mbar(y, w) M_y, as a read-only map
         y -> mbar(y, w), whose polynomials, made at each call, share the stored
         entry's dicts; w is at most `MAX_HECKE_LENGTH` long."""
+        self._store.bound()
         self._require_spherical(w)
-        omega, _, aff = self._waff_part(w)
-        return MappingProxyType(self._edge(self._spherical[aff], omega))
+        omega, _, n = self._waff_part(w)
+        return MappingProxyType(self._edge(self._spherical[n], omega))
 
     def spherical_lower_set(self, x: ExtWeylElement) -> list[ExtWeylElement]:
         """Minimal representatives below x, sorted by decreasing length."""
@@ -446,46 +583,49 @@ class HeckeAlgebra:
         Defined by M_x = sum_y (-1)^{len(y)+len(x)} m^{x,y} N_y, so m^{x,y} is
         zero unless y lies in the W_aff-coset of x.  A length-zero omega only
         relabels the module, so m^{x,y} = m^{omega^{-1} x, omega^{-1} y} for
-        the omega of x's coset: each answer is kept under that pair of W_aff
-        elements, and a query is computed once per orbit of the length-zero
-        subgroup.  The split of x (`_waff_part`) makes omega^{-1}, which also
-        moves y, and reads x's own length only when x's class has no known
-        omega yet; otherwise the length bound reads omega^{-1} x's.
+        the omega of x's coset: each answer is kept under the numbers of that
+        pair of W_aff elements, and a query is computed once per orbit of the
+        length-zero subgroup.  The split of x (`_waff_part`) gives
+        omega^{-1}, which also moves y, and reads x's own length only when
+        x's class has no known omega yet; otherwise the length bound reads
+        omega^{-1} x's.
         """
+        self._store.bound()
         self._require_spherical(x)
         self._require_spherical(y)
         ext = self.ext
         if not ext.same_coset(x, y):
             return ZERO
-        omega, omega_inv, x = self._waff_part(x)
+        omega, omega_inv, n = self._waff_part(x)
         if omega is not None:
             y = ext.mul(omega_inv, y)
-        return self._inverse[x, y]
+        return self._inverse[n, self._store.number(y)]
 
-    def _back_substitute(self, x: ExtWeylElement, y: ExtWeylElement) -> LaurentPolynomial:
-        """m^{x,y} for x, y in W_aff, by unitriangular back-substitution over
-        the transitive support closure of N_x, by decreasing length: m^{x,z}
-        is zero off it.  A heap keyed by length pops each member u after every
-        longer one, so m^{x,u} is complete when it pops; it is then pushed
-        onto the terms of N_u no shorter than y, their lengths read from
-        `ExtWeyl.length`, so the closure is walked no lower than y.  Closure
-        members lie in W_ext^S by construction, so their elements are read
-        from the table directly.  The nonzero terms of m^{x,u} are listed
-        once per u, and each kept z is updated in one fused loop; z's entry is
-        created, and z pushed, only when it is new."""
-        ext, spherical, push = self.ext, self._spherical, heapq.heappush
-        length = ext.length
-        ly = length(y)
-        values: dict[ExtWeylElement, Coeffs] = {x: {0: 1}}
-        heap = [(-length(x), x)]  # every longer member of the closure pops first
+    def _back_substitute(self, x: int, y: int) -> LaurentPolynomial:
+        """m^{x,y} for the elements of W_aff numbered x and y, by unitriangular
+        back-substitution over the transitive support closure of N_x, by
+        decreasing length: m^{x,z} is zero off it.  A heap keyed by length
+        pops each member u after every longer one, so m^{x,u} is complete
+        when it pops; it is then pushed onto the terms of N_u no shorter than
+        y, their lengths read from the store, so the closure is walked no
+        lower than y.  Closure members lie in W_ext^S by construction, so
+        their elements are read from the table directly.  The nonzero terms
+        of m^{x,u} are listed once per u, and each kept z is updated in one
+        fused loop; z's entry is created, and z pushed, only when it is
+        new."""
+        spherical, push, pop = self._spherical, heapq.heappush, heapq.heappop
+        lengths = self._store.lengths
+        ly = lengths[y]
+        values: dict[int, Coeffs] = {x: {0: 1}}
+        heap = [(-lengths[x], x)]  # every longer member of the closure pops first
         while heap and heap[0][1] != y:  # no other member as short as y is pushed
-            neg_lu, u = heapq.heappop(heap)
+            neg_lu, u = pop(heap)
             plus = [(j, d) for j, d in values.pop(u).items() if d]
             if not plus:
                 continue
             minus = [(j, -d) for j, d in plus]
             for z, p in spherical[u].items():
-                lz = length(z)
+                lz = lengths[z]
                 if lz < ly or z == u or (lz == ly and z != y):
                     continue
                 acc = values.get(z)
@@ -499,7 +639,7 @@ class HeckeAlgebra:
                         k += j
                         acc[k] = acc.get(k, 0) + d * c
         result = LaurentPolynomial(values.get(y, {}))
-        bound = ext.length(x) + ext.length(ext.w0)
+        bound = lengths[x] + self._lw0
         if result and not (-bound <= result.min_exponent() and result.max_exponent() <= bound):
             raise InvariantViolation(f"{result} exceeds the degree bound {bound}")
         return result

@@ -5,13 +5,16 @@ only to check the current one against.
 """
 
 import contextlib
+import heapq
 import itertools
 import sys
+from collections.abc import Mapping
 from fractions import Fraction
+from types import MappingProxyType
 
-from alcove_hecke.errors import InvariantViolation
+from alcove_hecke.errors import BoundsTooLarge, InvariantViolation
 from alcove_hecke.ext_weyl import ExtWeylElement
-from alcove_hecke.hecke import HeckeElement
+from alcove_hecke.hecke import MAX_HECKE_LENGTH, HeckeElement
 from alcove_hecke.laurent import ONE, V, V_INV, ZERO, LaurentPolynomial
 from alcove_hecke.memo import Memo
 from alcove_hecke.root_datum import (identity_matrix, mat_apply, pair, solve_smith, vec_add,
@@ -95,14 +98,123 @@ def as_polys(entry):
     return {y: LaurentPolynomial(c) for y, c in entry.items()}
 
 
+def _add_shifted(out, w, coeffs, shift, scale=1):
+    """out[w] += scale * v^shift * coeffs, in place, on a dict of out's own."""
+    acc = out.setdefault(w, {})
+    for k, c in coeffs.items():
+        acc[k + shift] = acc.get(k + shift, 0) + scale * c
+
+
+def canonical(ext, x, table, in_module):
+    """The canonical element of x, element-keyed, as the read-only map
+    y -> raw coefficient: the regular module when in_module is None, the
+    spherical module when it is the W_ext^S test.  The recursion the library
+    ran on elements before it numbered them, with its own constants: (H_s + v)
+    times the canonical element of s x, read off `ExtWeyl.left_steps`, then
+    the constant terms below x cleared by canonical elements of `table`."""
+    lx = ext.length(x)
+    if lx > MAX_HECKE_LENGTH:
+        raise BoundsTooLarge(f"{ext.format_element(x)} has length {lx} > {MAX_HECKE_LENGTH}")
+    if lx == 0:
+        return MappingProxyType({x: {0: 1}})
+    i, rest = ext.first_descent(x)
+    out = {}
+    for y, p in table[rest].items():
+        sy, down = ext.left_steps(y)[i]
+        if down or in_module is None or in_module(sy):
+            # M_sy + v^{-1} M_y when sy < y, M_sy + v M_y when sy > y
+            _add_shifted(out, sy, p, 0)
+            _add_shifted(out, y, p, -1 if down else 1)
+        else:  # sy = y t with t finite simple: (v + v^{-1}) M_y
+            _add_shifted(out, y, p, 1)
+            _add_shifted(out, y, p, -1)
+    for w, c0 in [(w, p.get(0, 0)) for w, p in out.items() if w != x and p.get(0)]:
+        for y, q in table[w].items():
+            _add_shifted(out, y, q, 0, -c0)
+    support = {}
+    for y, p in out.items():
+        p = {k: c for k, c in p.items() if c}
+        if p:
+            support[y] = p
+    if support.get(x) != {0: 1}:
+        raise InvariantViolation(f"canonical basis not unitriangular at {x}")
+    for y, p in support.items():
+        if y != x and min(p) < 1:
+            raise InvariantViolation(f"lower coefficient at {y} in the canonical element of {x}")
+    return MappingProxyType(support)
+
+
+def back_substitute(ext, spherical, x, y):
+    """m^{x,y} for x, y in one coset, element-keyed, over a spherical table
+    of `canonical`: by decreasing length over the support closure of N_x,
+    each length read from `ExtWeyl.length`, walked no lower than y."""
+    ly = ext.length(y)
+    values = {x: {0: 1}}
+    heap = [(-ext.length(x), x)]
+    while heap and heap[0][1] != y:
+        neg_lu, u = heapq.heappop(heap)
+        m = {j: d for j, d in values.pop(u).items() if d}
+        for z, p in spherical[u].items():
+            lz = ext.length(z)
+            if lz < ly or z == u or (lz == ly and z != y):
+                continue
+            if z not in values:
+                values[z] = {}
+                heapq.heappush(heap, (-lz, z))
+            sign = 1 if (lz - neg_lu) % 2 else -1
+            for j, d in m.items():
+                _add_shifted(values, z, p, j, sign * d)
+    result = LaurentPolynomial(values.get(y, {}))
+    bound = ext.length(x) + ext.length(ext.w0)
+    if result and not (-bound <= result.min_exponent() and result.max_exponent() <= bound):
+        raise InvariantViolation(f"{result} exceeds the degree bound {bound}")
+    return result
+
+
 def per_coset_tables(hecke):
     """The regular and the spherical canonical-element tables of the
-    recursion run directly on each element asked, in its own W_aff-coset:
-    nothing is moved into W_aff by a length-zero element, nothing relabeled.
-    Their entries map y to raw coefficient dicts, as the library's do."""
-    regular = Memo(lambda x: hecke._canonical(x, regular, None))
-    spherical = Memo(lambda w: hecke._canonical(w, spherical, hecke.alc.in_wexts))
+    element-keyed recursion (`canonical`) run directly on each element
+    asked, in its own W_aff-coset: nothing is moved into W_aff by a
+    length-zero element, nothing relabeled.  Their entries map y to raw
+    coefficient dicts, as the library's do over numbers."""
+    ext = hecke.ext
+    regular = Memo(lambda x: canonical(ext, x, regular, None))
+    spherical = Memo(lambda w: canonical(ext, w, spherical, hecke.alc.in_wexts))
     return regular, spherical
+
+
+class ElementTable(Mapping):
+    """A number-keyed table of a `HeckeAlgebra` (`_kl` or `_spherical`), read
+    and planted by element of W_aff: an entry reads as the map element ->
+    raw coefficient dict, holding the stored dicts themselves, and an entry
+    written is stored as the read-only map over the elements' numbers."""
+
+    def __init__(self, hecke, table):
+        self.store, self.table = hecke._store, table
+
+    def element(self, n):
+        return self.store.elements[n]
+
+    def __getitem__(self, x):
+        elements = self.store.elements
+        return {elements[y]: c for y, c in self.table[self.store.number(x)].items()}
+
+    def __setitem__(self, x, entry):
+        number = self.store.number
+        self.table[number(x)] = MappingProxyType({number(y): c for y, c in entry.items()})
+
+    def __iter__(self):
+        return iter([self.store.elements[n] for n in self.table])
+
+    def __len__(self):
+        return len(self.table)
+
+
+def numbered(hecke, a):
+    """The HeckeElement a, all of whose terms lie in W_aff, in the raw form
+    over numbers that `hecke`'s bar helpers read."""
+    number = hecke._store.number
+    return {number(w): p.coeffs for w, p in a.items()}
 
 
 def inverse_m_per_coset(hecke, spherical, x):

@@ -17,10 +17,11 @@ from alcove_hecke import hecke as hecke_module
 from alcove_hecke.suite import _waff_ball, bar_invariance_solver, run_suite, spherical_window
 from alcove_hecke.hecke import MAX_HECKE_LENGTH, HeckeAlgebra, HeckeElement
 from alcove_hecke.laurent import ONE, V, V_INV, ZERO, LaurentPolynomial
-from conftest import CUSTOM, SEMISIMPLE, engine_for
+from conftest import CUSTOM, EVERY_DATUM, SEMISIMPLE, descriptor, engine_for
 from alcove_hecke.root_datum import vec_sub
-from oracles import (as_polys, coroot_lattice_contains, hecke_combination, hecke_product,
-                     inverse_m_per_coset, mbar, per_coset_tables)
+from oracles import (ElementTable, as_polys, back_substitute, coroot_lattice_contains,
+                     hecke_combination, hecke_product, inverse_m_per_coset, mbar, numbered,
+                     per_coset_tables)
 
 
 def test_quadratic_relation(a1):
@@ -212,10 +213,10 @@ def factor_engine(request):
 
 def _factor_descents(hecke, a):
     """The i with a = (H_s + v) b for s = ext.generators[i], by bar's own test."""
-    ext, raw = hecke.ext, hecke_module._raw(a)
+    raw = numbered(hecke, a)
     return [
-        i for i in range(len(ext.generators))
-        if hecke_module._left_factor(ext, raw, i) is not None
+        i for i in range(len(hecke.ext.generators))
+        if hecke_module._left_factor(hecke._store, raw, i) is not None
     ]
 
 
@@ -374,7 +375,7 @@ def test_sweep_tables_hold_waff_elements_only(name, bound):
     omegas = ext.omegas()
     for w in window:
         hecke.inverse_m(alc.triangle(w), w)
-    assert all(ext.in_affine_subgroup(w) for w in hecke._spherical)
+    assert all(ext.in_affine_subgroup(w) for w in ElementTable(hecke, hecke._spherical))
     assert len(hecke._spherical) <= bound
     assert len(hecke._inverse) * len(omegas) == len(window)
     computed = []
@@ -561,9 +562,9 @@ def test_memoized_values_are_never_written(name):
         bar_invariance_solver(eng, x)
         # bar hands over to its output only dicts it built itself: none of
         # its input's, and none memoized or constant
-        raw = hecke_module._raw(c)
+        raw = numbered(hecke, c)
         out = {}
-        hecke_module._bar(ext, raw, out)
+        hecke_module._bar(hecke._store, raw, out)
         read_only = {id(d) for d in raw.values()} | {
             id(d)
             for table in (hecke._kl, hecke._spherical)
@@ -608,7 +609,7 @@ def test_stored_coefficients_own_their_dicts(name):
     unit = hecke_module._UNIT
     coeffs = []
     for table in (hecke._kl, hecke._spherical):
-        for x, e in table.items():
+        for x, e in ElementTable(hecke, table).items():
             for y, c in e.items():
                 assert (c is unit) == (ext.length(x) == 0), (x, y)
                 if c is not unit:
@@ -788,7 +789,8 @@ def test_inverse_m_does_not_depend_on_the_order_of_an_entry(monkeypatch, name):
     monkeypatch.setattr(HeckeAlgebra, "_canonical", reversed_canonical)
     hecke = build_engine(datum).hecke
     assert {key: hecke.inverse_m(*key) for key in want} == want
-    assert any(list(hecke._spherical[w]) != list(plain.hecke._spherical[w]) for w in hecke._spherical)
+    stored, built = (ElementTable(h, h._spherical) for h in (hecke, plain.hecke))
+    assert any(list(stored[w]) != list(built[w]) for w in stored)
 
 
 def test_spherical_basis_rejects_non_minimal(a1):
@@ -801,9 +803,10 @@ def test_spherical_basis_unitriangularity_check_raises(a1):
     hecke = HeckeAlgebra(a1.alc)
     w = ext.parse_element("s1 : -4")
     rest = next(sw for sw, down in ext.left_steps(w) if down)
-    wrong = dict(hecke._spherical[rest])
+    spherical = ElementTable(hecke, hecke._spherical)
+    wrong = dict(spherical[rest])
     del wrong[rest]  # (H_s + v) N_rest then has no M_w term
-    hecke._spherical[rest] = MappingProxyType(wrong)
+    spherical[rest] = wrong
     with pytest.raises(InvariantViolation):
         hecke.spherical_basis(w)
 
@@ -919,13 +922,14 @@ def _plant_factored_entry(eng):
     by C_x + (H_s + v) v^2 H_sx, for a left descent s of x: it still factors
     through s, so bar takes its factor step, but it is not bar invariant."""
     ext, hecke = eng.ext, eng.hecke
-    x = hecke._waff_part(ext.random_element(random.Random("0:kl-bar"), 3))[-1]
+    kl = ElementTable(hecke, hecke._kl)
+    x = kl.element(hecke._waff_part(ext.random_element(random.Random("0:kl-bar"), 3))[-1])
     i, sx = ext.first_descent(x)
-    wrong = as_polys(hecke._kl[x])
+    wrong = as_polys(kl[x])
     wrong[x] = wrong[x] + V * V
     wrong[sx] = wrong[sx] + V * V * V
     assert i in _factor_descents(hecke, HeckeElement(wrong))
-    hecke._kl[x] = MappingProxyType({y: p.coeffs for y, p in wrong.items()})
+    kl[x] = {y: p.coeffs for y, p in wrong.items()}
     return eng
 
 
@@ -944,9 +948,10 @@ def _drop_identity_term(eng):
     h(w0, s0 w0) = mbar(e, s0)."""
     ext = eng.ext
     top = ext.mul(ext.parse_element("s1 : -2"), ext.w0)
-    wrong = dict(eng.hecke._kl[top])
+    kl = ElementTable(eng.hecke, eng.hecke._kl)
+    wrong = dict(kl[top])
     del wrong[ext.identity]
-    eng.hecke._kl[top] = MappingProxyType(wrong)
+    kl[top] = wrong
     return eng
 
 
@@ -983,3 +988,139 @@ def test_spherical_identities_catches_planted_faults(monkeypatch, tmp_path, caps
     capsys.readouterr()
     assert cli.main(argv[1:]) == 0
     assert json.loads(capsys.readouterr().out)["h"] == ce["want" if plant == "third-case" else "got"]
+
+
+# -- the numbered store against the element-keyed route ----------------------
+
+
+def _relabeled_window(eng, seed, count, radius):
+    """`count` seeded elements of W_aff within `radius` steps of the identity,
+    each moved into the coset of a seeded length-zero omega."""
+    rng = random.Random(seed)
+    omegas = eng.ext.omegas()
+    ball = sorted(_waff_ball(eng, radius))
+    return [eng.ext.mul(rng.choice(omegas), a) for a in rng.sample(ball, min(count, len(ball)))]
+
+
+@pytest.mark.parametrize("name", EVERY_DATUM)
+def test_numbered_engine_matches_the_element_keyed_oracle(name):
+    # kl_basis, spherical_basis, inverse_m and bar of a cold engine, on
+    # seeded elements moved out of W_aff by a length-zero omega, against the
+    # element-keyed recursion and back-substitution run in each coset itself
+    # and against bar term by term
+    eng = build_engine(descriptor(name))
+    ext, hecke = eng.ext, eng.hecke
+    regular, spherical = per_coset_tables(hecke)
+    rank2 = eng.datum.rank <= 2
+    rng = random.Random(f"numbered:{name}")
+    for x in _relabeled_window(eng, f"numbered:{name}", 12, 4 if rank2 else 3):
+        c = hecke.kl_basis(x)
+        assert dict(c.items()) == as_polys(regular[x]), x
+        assert hecke.bar(c) == c
+        # one coefficient changed, so no longer bar invariant
+        w = rng.choice(sorted(c.support))
+        near = HeckeElement({**c.support, w: c.coeff(w) + LaurentPolynomial.monomial(rng.randint(-2, 2))})
+        assert hecke.bar(near) == _bar_by_operators(hecke, near)
+    window = sorted((w for w in _relabeled_window(eng, f"spherical:{name}", 80, 6 if rank2 else 4)
+                     if eng.alc.in_wexts(w)), key=ext.length)
+    assert len(window) >= 3
+    for w in window:
+        assert dict(hecke.spherical_basis(w)) == as_polys(spherical[w]), w
+    for x in window[-2:]:
+        closure = sorted(inverse_m_per_coset(hecke, spherical, x))
+        assert len(closure) > 1
+        for z in rng.sample(closure, min(8, len(closure))):
+            assert hecke.inverse_m(x, z) == back_substitute(ext, spherical, x, z), (x, z)
+
+
+STORE_CAP = 40
+
+
+def _track_recursions(monkeypatch):
+    """A list holding the depth of the Hecke recursions running now, kept by
+    wrappers that also check, on leaving, that the store has not shrunk
+    while they ran: a running recursion holds numbers."""
+    depth = [0]
+
+    def tracked(fn, store_of):
+        def wrapper(*args):
+            store = store_of(args)
+            held = len(store.elements)
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+                assert len(store.elements) >= held
+
+        return wrapper
+
+    for name in ("_canonical", "_back_substitute"):
+        monkeypatch.setattr(HeckeAlgebra, name, tracked(getattr(HeckeAlgebra, name), lambda a: a[0]._store))
+    monkeypatch.setattr(hecke_module, "_bar", tracked(hecke_module._bar, lambda a: a[0]))
+    return depth
+
+
+@pytest.mark.parametrize("name", ["A2_adj", "B2_adj", "G2"])
+def test_store_empties_only_as_a_query_starts(monkeypatch, name):
+    # under a small cap, every table emptied again and again: the answers
+    # are an unbounded engine's, the store holds fewer numbers and splits
+    # than the cap whenever a query starts, and it empties only there
+    datum = G2 if name == "G2" else name
+    plain = build_engine(datum)
+    alc = plain.alc
+    xs = _relabeled_window(plain, f"cap:{name}", 10, 4)
+    window = spherical_window(plain, 4)
+    queries = [("kl_basis", (x,)) for x in xs]
+    queries += [("spherical_basis", (w,)) for w in window[-6:]]
+    queries += [("inverse_m", (alc.triangle(w), w)) for w in window]
+    want = [getattr(plain.hecke, query)(*args) for query, args in queries]
+    bars = [plain.hecke.bar(c) for c in want[:len(xs)]]
+    monkeypatch.setattr(memo, "MEMO_CAP", STORE_CAP)
+    depth = _track_recursions(monkeypatch)
+    emptied = []
+    real_bound = hecke_module._Store.bound
+
+    def spied_bound(store):
+        assert depth[0] == 0
+        held = len(store.elements)
+        real_bound(store)
+        if len(store.elements) < held:
+            emptied.append(held)
+        assert len(store.elements) + len(store.splits) < STORE_CAP
+
+    monkeypatch.setattr(hecke_module._Store, "bound", spied_bound)
+    tiny = build_engine(datum).hecke
+    for (query, args), value in zip(queries, want):
+        assert getattr(tiny, query)(*args) == value, (query, args)
+    for c, barred in zip(want, bars):
+        assert tiny.bar(c) == barred
+    assert len(emptied) > 3 and max(emptied) >= STORE_CAP
+
+
+def test_a_cold_sweep_takes_one_length_and_one_row_per_number(monkeypatch):
+    # counted calls: a cold m-triangle sweep over the A2 window of length 6
+    # reads the length and the left-step row of each numbered element of
+    # W_aff once, and then from the store; the only other lengths are those
+    # of one element outside W_aff per coset class met, read by the length
+    # guard and by `omega_of`'s walk
+    eng = build_engine("A2_adj")
+    ext, alc, hecke = eng.ext, eng.alc, eng.hecke
+    pairs = [(alc.triangle(w), w) for w in spherical_window(eng, 6)]
+    calls = collections.Counter()
+    for method in ("length", "left_steps"):
+        real = getattr(ExtWeyl, method)
+        monkeypatch.setattr(
+            ExtWeyl, method, lambda ext, x, real=real, m=method: calls.update([(m, x)]) or real(ext, x))
+    want = LaurentPolynomial.monomial(len(eng.datum.positive_roots))
+    for x, w in pairs:
+        assert hecke.inverse_m(x, w) == want
+    numbers = hecke._store.numbers
+    assert len(numbers) > len(pairs)
+    inside = {key: n for key, n in calls.items() if ext.in_affine_subgroup(key[1])}
+    assert set(n for n in inside.values()) == {1}
+    assert {x for _, x in inside} <= set(numbers)
+    assert sum(method == "left_steps" for method, _ in inside) > 10
+    outside = {key: n for key, n in calls.items() if key not in inside}
+    assert {method for method, _ in outside} == {"length"}
+    assert list(outside.values()) == [2] * (len(ext.omegas()) - 1)

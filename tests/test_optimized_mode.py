@@ -5,15 +5,15 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 SCRIPT = """
-from types import MappingProxyType
-
 from alcove_hecke.engine import build_engine
 from alcove_hecke.errors import FlavorMismatch, InvariantViolation
 from alcove_hecke.groth_calc import FiltrationMultiset
 from alcove_hecke.hecke import HeckeElement
+from oracles import ElementTable
 
 if __debug__:
     raise SystemExit("not running under -O")
@@ -29,9 +29,10 @@ from alcove_hecke import suite
 eng = build_engine("A1_adj")
 ext, hecke = eng.ext, eng.hecke
 top = ext.mul(ext.parse_element("s1 : -2"), ext.w0)
-wrong = dict(hecke._kl[top])
+kl = ElementTable(hecke, hecke._kl)
+wrong = dict(kl[top])
 del wrong[ext.identity]
-hecke._kl[top] = MappingProxyType(wrong)
+kl[top] = wrong
 suite.build_engine = lambda datum: eng
 if suite.run_suite("A1_adj", names=["spherical-identities"]).passed:
     raise SystemExit("zeta coset check vanished")
@@ -42,9 +43,10 @@ ext, hecke = eng.ext, eng.hecke
 
 w = ext.parse_element("s1 : -4")
 rest = next(sw for sw, down in ext.left_steps(w) if down)
-wrong = dict(hecke._spherical[rest])
+spherical = ElementTable(hecke, hecke._spherical)
+wrong = dict(spherical[rest])
 del wrong[rest]
-hecke._spherical[rest] = MappingProxyType(wrong)
+spherical[rest] = wrong
 try:
     hecke.spherical_basis(w)
 except InvariantViolation:
@@ -54,9 +56,10 @@ else:
 
 planted = build_engine("A1_adj").hecke
 y = ext.parse_element("s1 : -2")
-wrong = dict(planted._spherical[rest])
+spherical = ElementTable(planted, planted._spherical)
+wrong = dict(spherical[rest])
 wrong[y] = {**wrong[y], 0: wrong[y].get(0, 0) + 1}  # plus 1, outside vZ[v]
-planted._spherical[rest] = MappingProxyType(wrong)
+spherical[rest] = wrong
 try:
     planted.spherical_basis(w)
 except InvariantViolation:
@@ -226,7 +229,8 @@ print("checks raise under -O")
 
 
 def test_checks_survive_optimized_mode():
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    # the tests directory for the element-keyed table view of `oracles`
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=120
     )

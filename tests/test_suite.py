@@ -3,7 +3,6 @@ import random
 import shlex
 from fractions import Fraction
 from pathlib import Path
-from types import MappingProxyType
 
 import pytest
 
@@ -17,7 +16,7 @@ from alcove_hecke.laurent import ONE, LaurentPolynomial
 from alcove_hecke.root_datum import PRESETS
 from alcove_hecke.suite import bar_invariance_solver, run_suite, spherical_window
 from conftest import CUSTOM, RANK3, SEMISIMPLE, plant_length_sign_flip
-from oracles import bar_invariance_gauss_jordan
+from oracles import ElementTable, bar_invariance_gauss_jordan
 
 
 def test_report_structure():
@@ -463,10 +462,11 @@ def _failed(report, preset):
 
 
 def _rewrite(eng, table, lengths, change):
-    """Every entry of table, raw, whose element has its length in lengths,
-    replaced by change(x, entry) as a read-only map."""
+    """Every entry of table, raw and by element, whose element has its length
+    in lengths, replaced by change(x, entry)."""
+    table = ElementTable(eng.hecke, table)
     for x in [x for x in table if eng.ext.length(x) in lengths]:
-        table[x] = MappingProxyType(change(x, dict(table[x])))
+        table[x] = change(x, dict(table[x]))
 
 
 def _at_identity(eng, change):
