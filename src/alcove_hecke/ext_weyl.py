@@ -6,13 +6,35 @@ length.  On top of the group arithmetic this module provides the affine
 simple generators, the length-zero subgroup, reduced expressions, and the
 Bruhat order.
 
-All operations are pure over an immutable root datum.  Lengths, left-step
-rows, coset classes and Bruhat comparisons are memoized per instance in
-`Memo` tables, which carry that module's concurrency caveat.
-The left-step row of x holds (s x, s x < x) for every affine generator s, in
-the order of `ExtWeyl.generators`: descents, reduced words, lower sets and
-the Hecke recursions read their products and descent bits from it, so an
-element visited again costs one lookup instead of a product and two lengths.
+All operations are pure over an immutable root datum.  Lengths, coset
+classes and Weyl product rows are memoized per instance in `Memo` tables,
+which carry that module's concurrency caveat.
+
+The walks run on numbers.  `number` numbers each element that a walk or the
+Hecke layer meets, and per number the context keeps the element
+(`elements`), its length (`lengths`) and its left-step row (`rows`) of
+(number of s x, s x < x) over `generators`, built by `row` when first read.
+A row numbers a new neighbour with the length its descent bit gives,
+len(x) -/+ 1, so only a walk's start takes the length formula.  Reduced
+words, the Bruhat walk, lower sets and the Hecke recursions read the rows;
+`left_steps` and `first_descent` are element views of them.  Tables keyed
+on numbers are registered with `numbered`, and `start_query` empties them
+with the numbers once these reach `MEMO_CAP`.  It runs only as a public query
+starts (`reduced_expression`, `bruhat_leq` past its coset test,
+`bruhat_lower_set`, the Hecke queries), never while a walk or recursion
+holds numbers, so `omega_of`, called mid-query, walks without it.  A walk
+holds its chain of rows, up to len(generators) + 1 numbers a step, so one
+from an element longer than `MEMO_CAP` / (len(generators) + 1) is refused.
+
+>>> from alcove_hecke.root_datum import load_root_datum
+>>> ext = ExtWeyl(load_root_datum("A1_adj"))
+>>> n = ext.number(ext.translation((-2,)))
+>>> [(ext.format_element(ext.elements[m]), ext.lengths[m], down) for m, down in ext.row(n)]
+[('s1 : -2', 1, True), ('s1 : -4', 3, False)]
+>>> ext.reduced_expression(ext.translation((-40000,)))
+Traceback (most recent call last):
+...
+alcove_hecke.errors.BoundsTooLarge: e : -40000 has length 40000 > 33333, too long to walk under MEMO_CAP
 
 Each generator s reflects in an affine simple root beta + k delta; its entry
 (beta, beta^vee, k) in `affine_roots` is (alpha_i, alpha_i^vee, 0) for s_i and
@@ -22,11 +44,10 @@ Descents need no length: for x = w t_lambda and a = w^{-1} beta, s x < x
 exactly when <a, lambda> < [a < 0] - k, i.e. when x^{-1} sends beta + k delta
 to a negative affine root.  A table per Weyl index stores (a, [a < 0] - k)
 for each generator, read off the root permutation of w^{-1}; the left-step
-rows read their descent bits from it, and the Bruhat walk reads them from
-the rows.  The Weyl part s_beta of each generator is the element that sends
-every simple root alpha to alpha - <alpha, beta^vee> beta.
+rows read their descent bits from it.  The Weyl part s_beta of each
+generator is the element that sends every simple root alpha to
+alpha - <alpha, beta^vee> beta.
 
->>> from alcove_hecke.root_datum import load_root_datum
 >>> for g, root in ExtWeyl(load_root_datum("A2_adj")).affine_roots.items():
 ...     print((g.name, root))
 ('s1', ((1, 0), (2, -1), 0))
@@ -50,8 +71,8 @@ that class is ((U lambda)_i mod d_i) over the rows i with d_i != 1, where
 d_i = 0 past the rank; it is zero exactly on the coroot lattice.  One table
 keyed on the translation holds the classes, and `same_coset`,
 `in_affine_subgroup` and `omega_of` read it.  `omega_of(x)` is the
-length-zero element of x's coset, found once per class by
-`reduced_expression` and kept in a second table, which `known_omega` reads
+length-zero element of x's coset, found once per class by a walk down
+x's rows and kept in a second table, which `known_omega` reads
 without walking; both tables are bounded, since Y / ZPhi^vee is infinite
 when the datum has a central torus.  `omegas` lists the length-zero
 subgroup Omega ~ Y / ZPhi^vee class by class: range(d_i) on each row with
@@ -70,14 +91,13 @@ False
 
 The Bruhat order compares x and y only within one W_aff-coset
 (`same_coset`; the periodic order asks it before it translates a pair).
-Within a coset, `_bruhat_aff` reads the pair from its table before it looks
-up either length, so a pair asked again costs one lookup.  Otherwise it
-decides x <= y by a loop down y's first descents (`first_descent`), so its
-depth is not bounded by Python's recursion limit, and it stores its one
-answer under every pair of the chain it passed.  `bruhat_lower_set` uses
-Deodhar's property Z, [e, x] = [e, s x] u s [e, s x] for a left descent s:
-it closes x's min reduced word from omega leftwards, each s z read off z's
-left-step row.  The walk reads descent bits and the closure row products.
+Within a coset, `_bruhat_aff` reads the pair of numbers from its table, a
+`Memo` emptied with the numbers, so a pair asked again costs one lookup.
+Otherwise it decides x <= y by a loop down y's first descents, so its depth
+is not bounded by Python's recursion limit, and it stores its one answer
+under every pair of the chain it passed.  `bruhat_lower_set` uses Deodhar's
+property Z, [e, x] = [e, s x] u s [e, s x] for a left descent s: it closes
+x's min reduced word from omega leftwards, each s z read off z's row.
 """
 
 from __future__ import annotations
@@ -88,8 +108,9 @@ from operator import add
 from operator import mul as scalar_mul
 from typing import Iterable, NamedTuple
 
-from .errors import InvariantViolation, MalformedInput
-from .memo import Memo
+from . import memo
+from .errors import BoundsTooLarge, InvariantViolation, MalformedInput
+from .memo import MEMO_CAP, Memo
 from .root_datum import (RootDatum, Vector, pair, smith_normal_form, solve_smith, vec_neg,
                          vec_scale, vec_sub)
 
@@ -122,10 +143,13 @@ class ExtWeyl:
     def __init__(self, datum: RootDatum):
         self.datum = datum
         self.identity = ExtWeylElement(0, (0,) * datum.y_rank)
-        self._lengths = Memo(self._length_formula)
-        self._left_steps = Memo(self._left_step_row)
-        # (x, y) -> x <= y within one coset; the walk fills it with `put`
-        self._bruhat = Memo(None)
+        self._lengths = Memo(self._length_formula)  # of elements not numbered
+        # x -> its number, and per number its element, length and row (None
+        # until first read), as in the module docstring
+        self.numbers, self.elements, self.lengths, self.rows = {}, [], [], []
+        self._numbered: list = [self.numbers, self.elements, self.lengths, self.rows]
+        # (number of x, number of y) -> x <= y, filled by the walk with `put`
+        self._bruhat = self.numbered(Memo(None))
         # translation -> coset class, from the Smith rows as in the module
         # docstring; class -> its length-zero element, filled with `put` by
         # `omega_of`
@@ -226,7 +250,8 @@ class ExtWeyl:
     # -- length and the length-zero subgroup -----------------------------
 
     def length(self, x: ExtWeylElement) -> int:
-        return self._lengths[x]
+        n = self.numbers.get(x)
+        return self._lengths[x] if n is None else self.lengths[n]
 
     def _length_formula(self, x: ExtWeylElement) -> int:
         d = self.datum
@@ -242,26 +267,62 @@ class ExtWeyl:
         total = self.length(u) + self.length(x) + self.length(self.w0)
         return self.length(self.mul_many(u, x, self.w0)) == total
 
-    def _left_step_row(self, x: ExtWeylElement) -> tuple[tuple[ExtWeylElement, bool], ...]:
-        t = x.t
-        return tuple(
-            [
-                (self.mul(self._gen_elements[g], x), sum(map(scalar_mul, b, t)) < c)
-                for g, (b, c) in zip(self.generators, self._descent_rows[x.w])
-            ]
-        )
+    # -- the numbering ------------------------------------------------------
 
-    def left_steps(self, x: ExtWeylElement) -> tuple[tuple[ExtWeylElement, bool], ...]:
-        """The row of (s x, s x < x) over `generators`, in generator order."""
-        return self._left_steps[x]
+    def number(self, x: ExtWeylElement, lx: int | None = None) -> int:
+        """x's number; a new x is numbered with length lx, or with the length
+        formula's when lx is None."""
+        n = self.numbers.get(x)
+        if n is None:
+            n = self.numbers[x] = len(self.elements)
+            self.elements.append(x)
+            self.lengths.append(self._length_formula(x) if lx is None else lx)
+            self.rows.append(None)
+        return n
 
-    def first_descent(self, x: ExtWeylElement) -> tuple[int, ExtWeylElement] | None:
-        """(i, s x) for the first left descent s = generators[i] of x, read off
-        x's left-step row, or None at length zero."""
-        for i, (sx, down) in enumerate(self._left_steps[x]):
+    def row(self, n: int) -> tuple[tuple[int, bool], ...]:
+        """The left-step row of the element numbered n, each new s x numbered
+        with the length its descent bit gives; callers read `rows[n]` first
+        and call this only when it is None."""
+        x, lx = self.elements[n], self.lengths[n]
+        t, row = x.t, []
+        for g, (b, c) in zip(self.generators, self._descent_rows[x.w]):
+            down = sum(map(scalar_mul, b, t)) < c
+            sx = self.mul(self._gen_elements[g], x)
+            row.append((self.number(sx, lx - 1 if down else lx + 1), down))
+        self.rows[n] = row = tuple(row)
+        return row
+
+    def numbered(self, table):
+        """Registers a table keyed on numbers, to empty with them; returns it."""
+        self._numbered.append(table)
+        return table
+
+    def start_query(self, held: int = 0) -> None:
+        """Empties the numbers and every table registered with `numbered` once
+        the numbers and the `held` entries a caller counts with them reach
+        `MEMO_CAP`; called only as a public query starts, holding no number."""
+        if len(self.elements) + held >= memo.MEMO_CAP:
+            for table in self._numbered:
+                table.clear()
+
+    def _first_step(self, n: int) -> tuple[int, int] | None:
+        """(i, number of s x) for the first left descent s = generators[i] of
+        the element numbered n, or None at length zero."""
+        for i, (sx, down) in enumerate(self.rows[n] or self.row(n)):
             if down:
                 return i, sx
         return None
+
+    def left_steps(self, x: ExtWeylElement) -> tuple[tuple[ExtWeylElement, bool], ...]:
+        """The row of (s x, s x < x) over `generators`, in generator order."""
+        n, elements = self.number(x), self.elements
+        return tuple([(elements[sx], down) for sx, down in self.rows[n] or self.row(n)])
+
+    def first_descent(self, x: ExtWeylElement) -> tuple[int, ExtWeylElement] | None:
+        """(i, s x) for the first left descent s = generators[i] of x, or None."""
+        step = self._first_step(self.number(x))
+        return step and (step[0], self.elements[step[1]])
 
     # -- reduced expressions ----------------------------------------------
 
@@ -277,19 +338,36 @@ class ExtWeyl:
         """
         if strategy not in ("min", "max"):
             raise MalformedInput(f"unknown reduced-expression strategy {strategy!r}")
-        word: list[AffineGenerator] = []
-        cur = x
+        self.start_query()
+        word, n = self._walk(x, strategy)
+        return [self.generators[k] for k in word], self.elements[n]
+
+    def _walk(self, x: ExtWeylElement, strategy: str = "min") -> tuple[list[int], int]:
+        """x's reduced word as generator indices, peeled as `reduced_expression`
+        describes, and the number of its omega."""
+        n = self.number(x)
+        lx = self.lengths[n]
+        self._check_walk(x, lx)
+        rows, row, word = self.rows, self.row, []
         # each descent lowers the length by one, so a descent table that is
         # wrong shows up as more than length(x) steps, not as an endless loop
-        for _ in range(self.length(x) + 1):
-            row = self._left_steps[cur]
-            descents = [k for k, (_, down) in enumerate(row) if down]
+        for _ in range(lx + 1):
+            steps = rows[n] or row(n)
+            descents = [k for k, (_, down) in enumerate(steps) if down]
             if not descents:
-                return word, cur
+                return word, n
             k = descents[0] if strategy == "min" else descents[-1]
-            word.append(self.generators[k])
-            cur = row[k][0]
-        raise InvariantViolation(f"{x} of length {self.length(x)} has more left descents in a row")
+            word.append(k)
+            n = steps[k][0]
+        raise InvariantViolation(f"{x} of length {lx} has more left descents in a row")
+
+    def _check_walk(self, x: ExtWeylElement, lx: int) -> None:
+        """Refuses a walk from x, of length lx, too long to number under
+        `MEMO_CAP` as loaded: a cap lowered later refuses no more walks."""
+        bound = MEMO_CAP // (len(self.generators) + 1)
+        if lx > bound:
+            raise BoundsTooLarge(f"{self.format_element(x)} has length {lx} > {bound}, "
+                                 "too long to walk under MEMO_CAP")
 
     def word_to_element(self, word: Iterable[AffineGenerator]) -> ExtWeylElement:
         return self.mul_many(*(self._gen_elements[g] for g in word))
@@ -317,10 +395,11 @@ class ExtWeyl:
 
     def omega_of(self, x: ExtWeylElement) -> ExtWeylElement:
         """The length-zero element of x's W_aff-coset, so that omega^{-1} x
-        lies in W_aff; one `reduced_expression` per coset class."""
+        lies in W_aff; one walk per coset class, which empties nothing, so
+        it may run mid-query."""
         omega = self.known_omega(x)
         if omega is None:
-            omega = self.reduced_expression(x)[1]
+            omega = self.elements[self._walk(x)[1]]
             self._omegas.put(self._classes[x.t], omega)
         return omega
 
@@ -341,6 +420,7 @@ class ExtWeyl:
             return True
         if not self.same_coset(x, y):
             return False
+        self.start_query()
         return self._bruhat_aff(x, y)
 
     def _bruhat_aff(self, x: ExtWeylElement, y: ExtWeylElement) -> bool:
@@ -351,38 +431,40 @@ class ExtWeyl:
         lengths (y's drops by one per step, x's when it descends too) and ends
         at x == y, at len x >= len y, or at a pair already in the table.  Every
         pair it passed has that same answer, so each is stored with `put`.
-        A pair asked again is read from the table before either length.
+        A pair asked again is read from the table before any row.
         """
-        table, steps = self._bruhat, self._left_steps
-        answer = table.get((x, y))
+        table, lengths, rows, row = self._bruhat, self.lengths, self.rows, self.row
+        nx, ny = self.number(x), self.number(y)
+        answer = table.get((nx, ny))
         if answer is not None:
             return answer
-        lx, ly = self.length(x), self.length(y)
+        lx, ly = lengths[nx], lengths[ny]
+        if lx < ly:
+            self._check_walk(y, ly)
         passed = []
         # y's length drops by one per step, so a descent table that is wrong
         # shows up as more than length(y) steps, not as an endless loop
         for _ in range(ly + 1):
-            if x == y:
+            if nx == ny:
                 answer = True
                 break
             if lx >= ly:
                 answer = False
                 break
-            key = (x, y)
+            key = (nx, ny)
             answer = table.get(key)
             if answer is not None:
                 break
             passed.append(key)
-            step = self.first_descent(y)
+            step = self._first_step(ny)
             if step is None:
-                raise InvariantViolation(f"{y} of length {ly} has no left descent")
-            k, y = step
+                raise InvariantViolation(f"{self.elements[ny]} of length {ly} has no left descent")
+            k, ny = step
             ly -= 1
-            sx, down = steps[x][k]
+            sx, down = (rows[nx] or row(nx))[k]
             if down:
-                x, lx = sx, lx - 1
+                nx, lx = sx, lx - 1
         else:
-            y = passed[0][1]
             raise InvariantViolation(f"{y} of length {self.length(y)} has more left descents in a row")
         for key in passed:
             table.put(key, answer)
@@ -391,12 +473,13 @@ class ExtWeyl:
     def bruhat_lower_set(self, x: ExtWeylElement) -> set[ExtWeylElement]:
         """All y <= x, by property Z: from {omega}, each letter s_k of x's min
         reduced word s_1 ... s_r omega, from s_r down to s_1, adds s_k z for
-        every z in the set, read off z's left-step row."""
-        word, omega = self.reduced_expression(x)
-        lower, steps = {omega}, self._left_steps
-        for i in map(self.generators.index, reversed(word)):
-            lower |= {steps[z][i][0] for z in lower}
-        return lower
+        every z in the set, read off z's row."""
+        self.start_query()
+        word, n = self._walk(x)
+        lower, rows, row = {n}, self.rows, self.row
+        for k in reversed(word):
+            lower |= {(rows[z] or row(z))[k][0] for z in lower}
+        return set(map(self.elements.__getitem__, lower))
 
     # -- element literals ---------------------------------------------------
 

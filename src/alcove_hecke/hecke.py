@@ -19,23 +19,19 @@ an input with no factor, such as a single H_y, takes the recursion alone.
 Computations are interval-local: only the Bruhat lower set of the target
 element is ever materialized.
 
-The recursions run on numbers.  One store, `_Store`, numbers each element
-of W_aff the Hecke layer meets and keeps per number the element, its length
-(read once from `ExtWeyl.length`), its left-step row of (number of s w,
-s w < w) over `ExtWeyl.generators` (built from `ExtWeyl.left_steps` the
-first time it is read) and its W_ext^S bit (filled the first time the
-spherical recursion asks).  So a term costs list reads and int-keyed
-lookups, with no group product, length or element hash.  The tables `_kl`,
-`_spherical` and `_inverse` are `Memo`s keyed on numbers, made by the store.
-Elements appear only at the API edge: `_waff_part` splits an element asked
-into omega and the number of its W_aff part, and `_edge` turns an entry into
-polynomials over elements, relabeled by omega; the store remembers each
-split and relabel made there.  A running recursion holds numbers, so the
-store empties its numbers, splits and tables together, and only as a public
-query (`kl_basis`, `spherical_basis`, `inverse_m`, `bar`) starts, when it
-holds `MEMO_CAP` numbers and splits or more: it may exceed the cap while one
-query runs.  Each table may also empty itself mid-recursion, as every `Memo`
-may, since a recursion reads only the values it was handed.
+The recursions run on `ExtWeyl`'s numbers, reading each term's length and
+left-step row from its lists, so a term costs list reads and int-keyed
+lookups, with no group product, length or element hash.  Per number the
+Hecke layer keeps only its own: the W_ext^S bit and the tables `_kl`,
+`_spherical` and `_inverse`, all `Memo`s.  Elements appear only at the API
+edge: `_waff_part` splits an element asked into omega and the number of its
+W_aff part, and `_edge` turns an entry into polynomials over elements,
+relabeled by omega; each split and relabel made there is remembered.  All of
+these are registered with `ExtWeyl.numbered`, so they empty with the
+numbers, only as a public query (`kl_basis`, `spherical_basis`, `inverse_m`,
+`bar`) starts, the splits counted with the numbers against `MEMO_CAP`.  Each
+`Memo` may also empty itself mid-recursion, since a recursion reads only the
+values it was handed.
 
 Coefficients are built in raw accumulators: plain dicts mapping an element
 number to its coefficient dict {exponent: integer}, written in place by inline
@@ -68,20 +64,19 @@ are then cleared by subtracting canonical elements read from the same table,
 and the result is checked to be unitriangular with lower coefficients in
 vZ[v].  Each table entry is the read-only map y -> raw coefficient, in no
 particular order; `inverse_m`, which back-substitutes the inverse polynomials
-m^{x,y} from the spherical elements, reads the length of each term from the
-store and skips the terms shorter than y.
+m^{x,y} from the spherical elements, reads the length of each term from
+`ExtWeyl.lengths` and skips the terms shorter than y.
 
 The recursion stays in the W_aff-coset of x and ends at that coset's
 length-zero element.  Left multiplication by a length-zero omega maps
 H_y to H_{omega y} and M_y to M_{omega y}, so it only relabels both modules
-(Iwahori-Matsumoto).  The store therefore numbers elements of W_aff only.  For
+(Iwahori-Matsumoto).  The tables therefore hold elements of W_aff only.  For
 x = omega aff outside W_aff, with omega = `ExtWeyl.omega_of(x)`, `kl_basis`
 and `spherical_basis` return the entry of aff relabeled by omega without
 storing the copy, and `inverse_m` answers (x, y) as (aff, omega^{-1} y).
-Since len(x) = len(aff), the length bound reads aff's length, which the
-store usually holds already, once x's class has a known omega
-(`ExtWeyl.known_omega`); x's own length is taken only for a class met for
-the first time, before `omega_of` walks x.
+The length bound, on every element asked, reads aff's length, equal to x's,
+once x's class has a known omega (`ExtWeyl.known_omega`), and x's own only
+for a class met for the first time, before `omega_of` walks x.
 
 Two independent routes check the recursion.  `suite.bar_invariance_solver`
 re-derives `kl_basis` from bar invariance alone, by back-substitution against
@@ -112,10 +107,9 @@ import heapq
 from types import MappingProxyType
 from typing import Mapping
 
-from . import memo
 from .alcove import AlcoveModel
 from .errors import BoundsTooLarge, InvariantViolation, NotSpherical
-from .ext_weyl import AffineGenerator, ExtWeylElement
+from .ext_weyl import AffineGenerator, ExtWeyl, ExtWeylElement
 from .laurent import ONE, ZERO, LaurentPolynomial
 from .memo import Memo
 
@@ -130,85 +124,6 @@ _V_PLUS_VINV: Coeffs = {1: 1, -1: 1}
 _VINV_MINUS_V: Coeffs = {-1: 1, 1: -1}
 # the exponent shift of M_y in the down case sy < y: M_sy + v^{-1} M_y
 _DOWN_SHIFT = -1
-
-
-class _Store:
-    """The numbers of the W_aff elements the Hecke layer meets, what the
-    recursions read per number, and the tables keyed on numbers; see the
-    module docstring for when it empties."""
-
-    __slots__ = ("ext", "alc", "numbers", "elements", "lengths", "rows", "bits", "splits", "relabels",
-                 "tables")
-
-    def __init__(self, alc: AlcoveModel):
-        self.ext, self.alc = alc.ext, alc
-        self.numbers: dict[ExtWeylElement, int] = {}
-        self.elements: list[ExtWeylElement] = []
-        self.lengths: list[int] = []
-        # per number, its left-step row ((number of s x, s x < x), ...) and
-        # its W_ext^S bit, each None until first read
-        self.rows: list[tuple[tuple[int, bool], ...] | None] = []
-        self.bits: list[bool | None] = []
-        # x outside W_aff -> (omega, omega^{-1}, number of omega^{-1} x), and
-        # omega -> (omega^{-1}, {number of a: omega a}), for each x = omega a
-        # asked at the edge or made there by a relabel
-        self.splits: dict[ExtWeylElement, tuple[ExtWeylElement, ExtWeylElement, int]] = {}
-        self.relabels: dict[ExtWeylElement, tuple[ExtWeylElement, dict[int, ExtWeylElement]]] = {}
-        self.tables: list[Memo] = []
-
-    def table(self, fn) -> Memo:
-        """A new `Memo` keyed on numbers, emptied with them."""
-        table = Memo(fn)
-        self.tables.append(table)
-        return table
-
-    def number(self, x: ExtWeylElement) -> int:
-        n = self.numbers.get(x)
-        if n is None:
-            n = self.numbers[x] = len(self.elements)
-            self.elements.append(x)
-            self.lengths.append(self.ext.length(x))
-            self.rows.append(None)
-            self.bits.append(None)
-        return n
-
-    def row(self, n: int) -> tuple[tuple[int, bool], ...]:
-        """The left-step row of n, built from `ExtWeyl.left_steps`; callers
-        read `rows[n]` first and call this only when it is None."""
-        number = self.number
-        row = tuple([(number(sx), down) for sx, down in self.ext.left_steps(self.elements[n])])
-        self.rows[n] = row
-        return row
-
-    def first_descent(self, n: int) -> tuple[int, int] | None:
-        """(i, number of s x) for the first left descent s = generators[i] of
-        the element x numbered n, or None at length zero."""
-        for i, (sx, down) in enumerate(self.rows[n] or self.row(n)):
-            if down:
-                return i, sx
-        return None
-
-    def relabeled(self, omega: ExtWeylElement) -> tuple[ExtWeylElement, dict[int, ExtWeylElement]]:
-        """(omega^{-1}, {number of a: omega a}) for the length-zero omega."""
-        entry = self.relabels.get(omega)
-        if entry is None:
-            entry = self.relabels[omega] = (self.ext.inv(omega), {})
-        return entry
-
-    def in_wexts(self, n: int) -> bool:
-        bit = self.bits[n]
-        if bit is None:
-            bit = self.bits[n] = self.alc.in_wexts(self.elements[n])
-        return bit
-
-    def bound(self) -> None:
-        """Empties the numbers, the splits and every table together when the
-        store holds `MEMO_CAP` numbers and splits or more; called only as a
-        public query starts."""
-        if len(self.elements) + len(self.splits) >= memo.MEMO_CAP:
-            for part in (self.numbers, self.elements, self.lengths, self.rows, self.bits,
-                         self.splits, self.relabels, *self.tables):
-                part.clear()
 
 
 def _addmul(out: dict, w: int, coeffs: Coeffs, q: Coeffs) -> None:
@@ -241,31 +156,31 @@ def _check_length(ext, x: ExtWeylElement, lx: int) -> None:
         raise BoundsTooLarge(f"{ext.format_element(x)} has length {lx} > {MAX_HECKE_LENGTH}")
 
 
-def _bar_factored(store: _Store, a: dict[int, Coeffs]) -> dict[int, Coeffs]:
+def _bar_factored(ext: ExtWeyl, a: dict[int, Coeffs]) -> dict[int, Coeffs]:
     """The bar involution of the raw, numbered a, unfrozen; see
     `HeckeAlgebra.bar`.  The dicts of a are only read."""
     out: dict[int, Coeffs] = {}
-    longest = max(a, key=store.lengths.__getitem__)
+    longest = max(a, key=ext.lengths.__getitem__)
     # a longest term w of a = (H_s + v) b has sw < w
-    for i, (_, down) in enumerate(store.rows[longest] or store.row(longest)):
-        if down and (b := _left_factor(store, a, i)) is not None:
+    for i, (_, down) in enumerate(ext.rows[longest] or ext.row(longest)):
+        if down and (b := _left_factor(ext, a, i)) is not None:
             # bar(H_s + v) = H_s^{-1} + v^{-1}
             barred: dict[int, Coeffs] = {}
-            _bar(store, b, barred)
+            _bar(ext, b, barred)
             for w, p in barred.items():
                 out[w] = {k - 1: c for k, c in p.items()}
-            _add_inverse_gen(store, i, barred, out)
+            _add_inverse_gen(ext, i, barred, out)
             return out
-    _bar(store, a, out)
+    _bar(ext, a, out)
     return out
 
 
-def _bar(store: _Store, a: dict, out: dict) -> None:
+def _bar(ext: ExtWeyl, a: dict, out: dict) -> None:
     """Writes the bar involution of the raw, numbered a into out, empty on
     entry; see `HeckeAlgebra.bar`.  The dicts of a are only read, and every
     dict handed over to out is a fresh one of this call's own."""
     groups: dict[int, dict[int, Coeffs]] = {}
-    rows, row = store.rows, store.row
+    rows, row = ext.rows, ext.row
     for w, p in a.items():
         for i, (sw, down) in enumerate(rows[w] or row(w)):
             if down:
@@ -275,14 +190,14 @@ def _bar(store: _Store, a: dict, out: dict) -> None:
             out[w] = {-k: c for k, c in p.items()}
     for i, rest in groups.items():
         barred: dict[int, Coeffs] = {}
-        _bar(store, rest, barred)
-        _add_inverse_gen(store, i, barred, out)
+        _bar(ext, rest, barred)
+        _add_inverse_gen(ext, i, barred, out)
 
 
-def _add_inverse_gen(store: _Store, i: int, barred: dict, out: dict) -> None:
+def _add_inverse_gen(ext: ExtWeyl, i: int, barred: dict, out: dict) -> None:
     """Adds H_s^{-1} barred into out, for s = ext.generators[i]; the dicts of
     barred, fresh ones of the caller's own, are handed over to out."""
-    rows, row = store.rows, store.row
+    rows, row = ext.rows, ext.row
     # H_s^{-1} H_w = H_sw, plus (v - v^{-1}) H_w when sw > w
     for w, p in barred.items():
         sw, down = (rows[w] or row(w))[i]
@@ -303,14 +218,14 @@ def _add_inverse_gen(store: _Store, i: int, barred: dict, out: dict) -> None:
                 acc[k] = get(k, 0) + c
 
 
-def _left_factor(store: _Store, a: dict, i: int) -> dict | None:
+def _left_factor(ext: ExtWeyl, a: dict, i: int) -> dict | None:
     """The raw b with a = (H_s + v) b, for s = ext.generators[i], or None when
     there is none.  The coefficient dicts of a hold no zeros, and b holds the
     same dicts, on the y with sy > y.
 
     (H_s + v) H_y is H_sy + v H_y for sy > y, so a factors exactly when its
     terms pair off as w and sw < w with a_sw = v a_w, and then b_sw = a_w."""
-    rows, row = store.rows, store.row
+    rows, row = ext.rows, ext.row
     b = {}
     for w, p in a.items():
         sw, down = (rows[w] or row(w))[i]
@@ -360,11 +275,18 @@ class HeckeAlgebra:
         self.alc = alc
         self.ext = alc.ext
         self._lw0 = len(alc.datum.positive_roots)  # the length of w0
-        self._store = store = _Store(alc)
-        self._kl = store.table(lambda x: self._canonical(x, self._kl, False))
-        self._spherical = store.table(lambda w: self._canonical(w, self._spherical, True))
+        numbered, elements = self.ext.numbered, self.ext.elements
+        self._kl = numbered(Memo(lambda x: self._canonical(x, self._kl, False)))
+        self._spherical = numbered(Memo(lambda w: self._canonical(w, self._spherical, True)))
         # (x, y) numbered in W_aff -> m^{x,y}
-        self._inverse = store.table(lambda key: self._back_substitute(*key))
+        self._inverse = numbered(Memo(lambda key: self._back_substitute(*key)))
+        # number -> its W_ext^S bit
+        self._bits = numbered(Memo(lambda n: alc.in_wexts(elements[n])))
+        # x -> (omega, omega^{-1}, number of omega^{-1} x), and omega ->
+        # (omega^{-1}, {number of a: omega a}), for each x = omega a asked at
+        # the edge or made there by a relabel
+        self._splits: dict = numbered({})
+        self._relabels: dict = numbered({})
 
     # -- standard basis arithmetic ---------------------------------------
 
@@ -409,17 +331,17 @@ class HeckeAlgebra:
         none of the canonical-basis recursion's constants or products, so a
         fault there cannot cancel out inside bar(c) == c.
 
-        A term outside W_aff longer than `MAX_HECKE_LENGTH` raises
-        `BoundsTooLarge`, as in `kl_basis` (see `_waff_part`).
+        A term longer than `MAX_HECKE_LENGTH` raises `BoundsTooLarge`, as in
+        `kl_basis` (see `_waff_part`).
         """
-        self._store.bound()
+        self.ext.start_query(len(self._splits))
         groups: dict[ExtWeylElement | None, dict[int, Coeffs]] = {}
         for w, p in a.support.items():
             omega, _, n = self._waff_part(w)
             groups.setdefault(omega, {})[n] = p.coeffs
         out: dict[ExtWeylElement, LaurentPolynomial] = {}
         for omega, raw in groups.items():
-            out.update(self._edge(_freeze(_bar_factored(self._store, raw)), omega))
+            out.update(self._edge(_freeze(_bar_factored(self.ext, raw)), omega))
         return _shared(out)
 
     # -- canonical basis ---------------------------------------------------
@@ -429,48 +351,45 @@ class HeckeAlgebra:
     ) -> tuple[ExtWeylElement | None, ExtWeylElement | None, int]:
         """(omega, omega^{-1}, the number of omega^{-1} x) for the length-zero
         omega of x's W_aff-coset, with omega and omega^{-1} None when x lies
-        in W_aff; a split met before is read from the store.
-
-        x outside W_aff and longer than `MAX_HECKE_LENGTH` raises
-        `BoundsTooLarge` naming x.  When the class's omega is known
-        (`ExtWeyl.known_omega`), x's length is read as that of omega^{-1} x,
-        equal to it, which the store usually holds already; x's own length
-        is taken only for a class not met yet, before `omega_of` walks x to
-        find its omega."""
-        ext, store = self.ext, self._store
-        n = store.numbers.get(x)
-        if n is not None:
-            return None, None, n
-        split = store.splits.get(x)
+        in W_aff; a split asked before is read back.  x longer than
+        `MAX_HECKE_LENGTH`, in W_aff or not, raises `BoundsTooLarge` naming x,
+        its length read as in the module docstring."""
+        ext = self.ext
+        split = self._splits.get(x)
         if split is not None:
             return split
         if ext.in_affine_subgroup(x):
-            return None, None, store.number(x)
-        omega = ext.known_omega(x)
-        known = omega is not None
-        if not known:
-            _check_length(ext, x, ext.length(x))
+            split = None, None, ext.number(x)
+        else:
+            if ext.known_omega(x) is None:
+                _check_length(ext, x, ext.lengths[ext.number(x)])
             omega = ext.omega_of(x)
-        omega_inv, made = store.relabeled(omega)
-        aff = ext.mul(omega_inv, x)
-        if not ext.in_affine_subgroup(aff):
-            raise InvariantViolation(f"{omega} is not the length-zero element of the coset of {x}")
-        n = store.number(aff)
-        if known:
-            _check_length(ext, x, store.lengths[n])
-        made[n] = x
-        store.splits[x] = split = (omega, omega_inv, n)
+            omega_inv, made = self._relabeled(omega)
+            aff = ext.mul(omega_inv, x)
+            if not ext.in_affine_subgroup(aff):
+                raise InvariantViolation(f"{omega} is not the length-zero element of the coset of {x}")
+            split = omega, omega_inv, ext.number(aff)
+            made[split[2]] = x
+        _check_length(ext, x, ext.lengths[split[2]])
+        self._splits[x] = split
         return split
+
+    def _relabeled(self, omega: ExtWeylElement) -> tuple[ExtWeylElement, dict[int, ExtWeylElement]]:
+        """(omega^{-1}, {number of a: omega a}) for the length-zero omega."""
+        entry = self._relabels.get(omega)
+        if entry is None:
+            entry = self._relabels[omega] = (self.ext.inv(omega), {})
+        return entry
 
     def _edge(self, support: Mapping[int, Coeffs], omega=None) -> dict[ExtWeylElement, LaurentPolynomial]:
         """The raw, numbered support as polynomials over elements, adopting
         its dicts, not copies, and relabeled from that of aff to that of
-        omega aff when omega is given; the store keeps each relabel's split."""
-        adopt, elements = LaurentPolynomial._adopt, self._store.elements
+        omega aff when omega is given; each relabel's split is remembered."""
+        adopt, elements = LaurentPolynomial._adopt, self.ext.elements
         if omega is None:
             return {elements[y]: adopt(c) for y, c in support.items()}
-        mul, splits, out = self.ext.mul, self._store.splits, {}
-        omega_inv, made = self._store.relabeled(omega)
+        mul, splits, out = self.ext.mul, self._splits, {}
+        omega_inv, made = self._relabeled(omega)
         for y, c in support.items():
             z = made.get(y)
             if z is None:
@@ -485,7 +404,7 @@ class HeckeAlgebra:
 
         Raises `BoundsTooLarge` when x is longer than `MAX_HECKE_LENGTH`.
         """
-        self._store.bound()
+        self.ext.start_query(len(self._splits))
         omega, _, n = self._waff_part(x)
         return _shared(self._edge(self._kl[n], omega))
 
@@ -497,24 +416,22 @@ class HeckeAlgebra:
         so the tables hold no other elements.  In the product, a partner sy
         gets M_y's coefficient added (copied when new), and y gets it
         shifted by `_DOWN_SHIFT` or by +1."""
-        store = self._store
-        lx = store.lengths[x]
-        _check_length(self.ext, store.elements[x], lx)
+        ext = self.ext
+        lx = ext.lengths[x]
+        _check_length(ext, ext.elements[x], lx)
         if lx == 0:
             return MappingProxyType({x: _UNIT})
-        i, rest = store.first_descent(x)
-        base = table[rest]
         out: dict[int, Coeffs] = {}
-        get, rows, row, bits, down_shift = out.get, store.rows, store.row, store.bits, _DOWN_SHIFT
+        get, rows, row, bits, down_shift = out.get, ext.rows, ext.row, self._bits, _DOWN_SHIFT
+        i, rest = next((i, sx) for i, (sx, down) in enumerate(rows[x] or row(x)) if down)
+        base = table[rest]
         # (H_s + v) M_y on the three kinds of y in the module
         for y, p in base.items():
             sy, down = (rows[y] or row(y))[i]
-            if spherical and not down:
-                bit = bits[sy]
-                if not (store.in_wexts(sy) if bit is None else bit):
-                    # sy = y t with t finite simple, and H_t acts by v^{-1}
-                    _addmul(out, y, p, _V_PLUS_VINV)
-                    continue
+            if spherical and not down and not bits[sy]:
+                # sy = y t with t finite simple, and H_t acts by v^{-1}
+                _addmul(out, y, p, _V_PLUS_VINV)
+                continue
             # M_sy + v^{-1} M_y when sy < y, M_sy + v M_y when sy > y
             acc = get(sy)
             if acc is None:
@@ -545,12 +462,12 @@ class HeckeAlgebra:
         support = _freeze(out)
         # unitriangular, with every lower coefficient in vZ[v]
         if support.get(x) != _UNIT:
-            raise InvariantViolation(f"canonical basis not unitriangular at {store.elements[x]}")
+            raise InvariantViolation(f"canonical basis not unitriangular at {ext.elements[x]}")
         for y, p in support.items():
             if y != x and min(p) < 1:
                 raise InvariantViolation(f"lower coefficient {LaurentPolynomial(p)} at "
-                                         f"{store.elements[y]} in the canonical element of "
-                                         f"{store.elements[x]}")
+                                         f"{ext.elements[y]} in the canonical element of "
+                                         f"{ext.elements[x]}")
         return MappingProxyType(support)
 
     def kl_poly(self, y: ExtWeylElement, x: ExtWeylElement) -> LaurentPolynomial:
@@ -566,7 +483,7 @@ class HeckeAlgebra:
         """The canonical element N_w = sum_y mbar(y, w) M_y, as a read-only map
         y -> mbar(y, w), whose polynomials, made at each call, share the stored
         entry's dicts; w is at most `MAX_HECKE_LENGTH` long."""
-        self._store.bound()
+        self.ext.start_query(len(self._splits))
         self._require_spherical(w)
         omega, _, n = self._waff_part(w)
         return MappingProxyType(self._edge(self._spherical[n], omega))
@@ -590,7 +507,7 @@ class HeckeAlgebra:
         x's class has no known omega yet; otherwise the length bound reads
         omega^{-1} x's.
         """
-        self._store.bound()
+        self.ext.start_query(len(self._splits))
         self._require_spherical(x)
         self._require_spherical(y)
         ext = self.ext
@@ -599,7 +516,7 @@ class HeckeAlgebra:
         omega, omega_inv, n = self._waff_part(x)
         if omega is not None:
             y = ext.mul(omega_inv, y)
-        return self._inverse[n, self._store.number(y)]
+        return self._inverse[n, ext.number(y)]
 
     def _back_substitute(self, x: int, y: int) -> LaurentPolynomial:
         """m^{x,y} for the elements of W_aff numbered x and y, by unitriangular
@@ -607,14 +524,14 @@ class HeckeAlgebra:
         decreasing length: m^{x,z} is zero off it.  A heap keyed by length
         pops each member u after every longer one, so m^{x,u} is complete
         when it pops; it is then pushed onto the terms of N_u no shorter than
-        y, their lengths read from the store, so the closure is walked no
+        y, their lengths read from `ExtWeyl.lengths`, so the closure is walked no
         lower than y.  Closure members lie in W_ext^S by construction, so
         their elements are read from the table directly.  The nonzero terms
         of m^{x,u} are listed once per u, and each kept z is updated in one
         fused loop; z's entry is created, and z pushed, only when it is
         new."""
         spherical, push, pop = self._spherical, heapq.heappush, heapq.heappop
-        lengths = self._store.lengths
+        lengths = self.ext.lengths
         ly = lengths[y]
         values: dict[int, Coeffs] = {x: {0: 1}}
         heap = [(-lengths[x], x)]  # every longer member of the closure pops first

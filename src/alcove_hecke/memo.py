@@ -1,25 +1,22 @@
 """The package's one memo table.
 
 Every memoized recursion in the engine keeps its results in a `Memo`:
-lengths, left-step rows, Weyl product rows, Weyl word strings, W_aff-coset
-classes and the length-zero element of each class, alcove data, Bruhat and
-periodic-order comparisons, spherical tests, the canonical elements of W_aff
-in both modules and the inverse polynomials m^{x,y} on pairs in W_aff (both
-keyed on element numbers), characters, partition counts and parabolic
-subgroups.  A table never holds
-more than `MEMO_CAP` entries: when a new value would exceed the cap, the
-table is emptied first, so a long-running process stays bounded at the price
-of recomputation.  `Memo.put` stores a value computed outside the table under
-the same cap; a table whose values need more than the key, such as the
-length-zero element of a coset class, or are learned several at a time, such
-as the Bruhat comparisons a walk passes, is built with fn None and filled
-only by `put`.
-Emptying is safe in the middle of a recursion because callers use the
-returned values, never the table's contents.
-The Hecke layer's element numbers, with their lengths, left-step rows and
-W_ext^S bits, are not a `Memo`: the store in `hecke.py` owns them together
-with the Hecke tables, and, unlike a `Memo`, empties only between queries, as
-a public query starts, because a running recursion holds numbers.
+lengths, Weyl product rows, Weyl word strings, W_aff-coset classes and the
+length-zero element of each class, alcove data, periodic-order comparisons,
+spherical tests, characters, partition counts and parabolic subgroups, and,
+keyed on element numbers, Bruhat comparisons, W_ext^S bits, the canonical
+elements of W_aff in both modules and the inverse polynomials m^{x,y}.  A
+table never holds more than `MEMO_CAP` entries: when a new value would
+exceed the cap, the table is emptied first, so a long-running process stays
+bounded at the price of recomputation.  `Memo.put` stores a value computed
+outside the table under the same cap; a table whose values need more than
+the key, such as the length-zero element of a coset class, or are learned
+several at a time, such as the Bruhat comparisons a walk passes, is built
+with fn None and filled only by `put`.  Emptying is safe in the middle of a
+recursion because callers use the returned values, never the table's
+contents.  Element numbers are not a `Memo`: `ExtWeyl` owns them with their
+lengths and rows, and empties them with every table keyed on them only as a
+public query starts, because a running walk or recursion holds numbers.
 
 A table is a plain dict and is not locked: confine its owner to one
 execution context, or guard it for concurrent reads with exclusive writes.

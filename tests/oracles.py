@@ -190,21 +190,21 @@ class ElementTable(Mapping):
     written is stored as the read-only map over the elements' numbers."""
 
     def __init__(self, hecke, table):
-        self.store, self.table = hecke._store, table
+        self.ext, self.table = hecke.ext, table
 
     def element(self, n):
-        return self.store.elements[n]
+        return self.ext.elements[n]
 
     def __getitem__(self, x):
-        elements = self.store.elements
-        return {elements[y]: c for y, c in self.table[self.store.number(x)].items()}
+        elements = self.ext.elements
+        return {elements[y]: c for y, c in self.table[self.ext.number(x)].items()}
 
     def __setitem__(self, x, entry):
-        number = self.store.number
+        number = self.ext.number
         self.table[number(x)] = MappingProxyType({number(y): c for y, c in entry.items()})
 
     def __iter__(self):
-        return iter([self.store.elements[n] for n in self.table])
+        return iter([self.ext.elements[n] for n in self.table])
 
     def __len__(self):
         return len(self.table)
@@ -212,8 +212,8 @@ class ElementTable(Mapping):
 
 def numbered(hecke, a):
     """The HeckeElement a, all of whose terms lie in W_aff, in the raw form
-    over numbers that `hecke`'s bar helpers read."""
-    number = hecke._store.number
+    over `ExtWeyl` numbers that `hecke`'s bar helpers read."""
+    number = hecke.ext.number
     return {number(w): p.coeffs for w, p in a.items()}
 
 

@@ -409,6 +409,26 @@ def test_a_huge_element_outside_waff_is_refused_at_once():
     assert proc.stderr.startswith(f"error: BoundsTooLarge: {literal} has length"), proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["wext", "reduce", "--elt", "e : -100000000"],
+    ["wext", "bruhat", "--lhs", "e : 0", "--rhs", "e : -100000000"],
+    ["wext", "porder", "--lhs", "e : 0", "--rhs", "e : -100000000"],
+    ["hecke", "inverse-m", "--x", "e : -100000000", "--y", "e : -100000000"],
+], ids=["reduce", "bruhat", "porder", "inverse-m"])
+def test_a_walk_too_long_to_number_is_refused_at_once(argv):
+    # a walk holds every number it makes: one from an element of W_aff too
+    # long to number under MEMO_CAP is refused before it starts, and the
+    # Hecke guard refuses the same element in W_aff too
+    literal = "e : -100000000"
+    proc = subprocess.run(
+        [sys.executable, "-m", "alcove_hecke.cli", *argv, "--datum", "A1_adj"],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: BoundsTooLarge: {literal} has length"), proc.stderr
+
+
 def test_mtriangle_sweep_on_a_datum_with_a_central_torus(capsys, tmp_path):
     # the sweep enumerates the restricted elements, an infinite set on GL2
     path = tmp_path / "gl2.json"

@@ -453,15 +453,16 @@ def test_omegas_count_the_index_of_connection(name):
 
 @pytest.mark.parametrize("name", ["A4", "D4", "F4"])
 def test_omegas_cost_one_reduced_word_per_class(name):
-    # counted calls, not time: the box scan with bound 2 asks |W| 5^4 lengths
+    # counted calls, not time: the box scan with bound 2 asks |W| 5^4 lengths;
+    # a walk takes the length formula at its start only
     ext = ExtWeyl(load_root_datum(RANK4[name]))
     calls = collections.Counter()
-    for method in ("reduced_expression", "length"):
+    for method in ("_walk", "_length_formula"):
         real = getattr(ext, method)
         setattr(ext, method, lambda *a, real=real, m=method: calls.update([m]) or real(*a))
     omegas = ext.omegas()
-    assert 0 < calls["reduced_expression"] <= len(omegas)
-    assert calls["length"] <= 300
+    assert 0 < calls["_walk"] <= len(omegas)
+    assert calls["_length_formula"] <= calls["_walk"]
 
 
 def test_wrong_descent_table_raises(b2):

@@ -216,7 +216,7 @@ def _factor_descents(hecke, a):
     raw = numbered(hecke, a)
     return [
         i for i in range(len(hecke.ext.generators))
-        if hecke_module._left_factor(hecke._store, raw, i) is not None
+        if hecke_module._left_factor(hecke.ext, raw, i) is not None
     ]
 
 
@@ -502,8 +502,8 @@ def test_kl_table_stays_bounded(monkeypatch, a1):
 
 
 def test_kl_and_bar_agree_under_tiny_memo_cap(monkeypatch, b2):
-    # every table, left-step rows included, is emptied again and again in the
-    # middle of the recursions; the results must not change
+    # every table is emptied again and again in the middle of the
+    # recursions; the results must not change
     ext = b2.ext
     rng = random.Random(41)
     xs = [x for x in (ext.random_element(rng, 2) for _ in range(40)) if 2 <= ext.length(x) <= 5]
@@ -524,8 +524,12 @@ def test_kl_and_bar_agree_under_tiny_memo_cap(monkeypatch, b2):
         assert dict(tiny.hecke.spherical_basis(w)) == spherical[w]
     for z, m in inverse.items():
         assert tiny.hecke.inverse_m(top, z) == m
-    assert len(tiny.ext._left_steps) <= 4
     assert len(tiny.hecke._spherical) <= 4
+    # the rows go with the numbers, which the next query start empties
+    # together with every table keyed on them
+    tiny.ext.start_query()
+    assert not tiny.ext.rows and not tiny.ext.numbers
+    assert not tiny.hecke._kl and not tiny.hecke._spherical and not tiny.hecke._splits
 
 
 @pytest.mark.parametrize("name", ["B2_adj", "G2"])
@@ -564,7 +568,7 @@ def test_memoized_values_are_never_written(name):
         # its input's, and none memoized or constant
         raw = numbered(hecke, c)
         out = {}
-        hecke_module._bar(hecke._store, raw, out)
+        hecke_module._bar(hecke.ext, raw, out)
         read_only = {id(d) for d in raw.values()} | {
             id(d)
             for table in (hecke._kl, hecke._spherical)
@@ -867,6 +871,23 @@ def test_a_huge_element_of_a_new_torus_class_is_refused_at_once():
     assert ext.known_omega(ext.parse_element(literal)) is None
 
 
+@pytest.mark.parametrize("name, lam", [("A1_adj", (2000,)), ("A1_adj", (-151,)), ("A1_adj", (-152,)),
+                                       ("GL2", (0, 151))])
+def test_bar_refuses_every_term_past_the_length_bound(name, lam):
+    # in W_aff or not, one guard for bar as for kl_basis: a term longer than
+    # MAX_HECKE_LENGTH is refused by a typed error naming it, before any
+    # recursion ("e : 2000" used to end in a RecursionError)
+    eng = build_engine(CUSTOM.get(name, name))
+    ext, hecke = eng.ext, eng.hecke
+    x = ext.translation(lam)
+    assert ext.length(x) > MAX_HECKE_LENGTH
+    a = HeckeElement({ext.identity: ONE, x: V})
+    with pytest.raises(BoundsTooLarge, match=f"^{ext.format_element(x)} has length"):
+        hecke.bar(a)
+    with pytest.raises(BoundsTooLarge, match=f"^{ext.format_element(x)} has length"):
+        hecke.kl_basis(x)
+
+
 @pytest.mark.parametrize("name", ["A2_adj", "B2_adj", "G2", "GL2"])
 def test_a_second_query_of_a_known_class_costs_no_length(monkeypatch, name):
     # counted calls, not time.  The first queries, kl_basis(w) for w = omega a
@@ -1037,90 +1058,142 @@ STORE_CAP = 40
 
 
 def _track_recursions(monkeypatch):
-    """A list holding the depth of the Hecke recursions running now, kept by
-    wrappers that also check, on leaving, that the store has not shrunk
-    while they ran: a running recursion holds numbers."""
+    """A list holding the depth of the walks and Hecke recursions running now,
+    and of the Hecke edge's splits, kept by wrappers that also check, on
+    leaving, that the numbers have not shrunk while they ran: a running walk
+    or recursion holds numbers."""
     depth = [0]
 
-    def tracked(fn, store_of):
+    def tracked(fn, ext_of):
         def wrapper(*args):
-            store = store_of(args)
-            held = len(store.elements)
+            ext = ext_of(args)
+            held = len(ext.elements)
             depth[0] += 1
             try:
                 return fn(*args)
             finally:
                 depth[0] -= 1
-                assert len(store.elements) >= held
+                assert len(ext.elements) >= held
 
         return wrapper
 
-    for name in ("_canonical", "_back_substitute"):
-        monkeypatch.setattr(HeckeAlgebra, name, tracked(getattr(HeckeAlgebra, name), lambda a: a[0]._store))
+    for name in ("_canonical", "_back_substitute", "_waff_part"):
+        monkeypatch.setattr(HeckeAlgebra, name, tracked(getattr(HeckeAlgebra, name), lambda a: a[0].ext))
+    for name in ("_walk", "_bruhat_aff"):
+        monkeypatch.setattr(ExtWeyl, name, tracked(getattr(ExtWeyl, name), lambda a: a[0]))
     monkeypatch.setattr(hecke_module, "_bar", tracked(hecke_module._bar, lambda a: a[0]))
     return depth
 
 
+def _fresh_class_bars(eng, count):
+    """`count` sums of two standard elements of GL2, each term in a W_aff-coset
+    class of its own, met by no other sum: `bar` walks each term's class
+    while it holds the numbers of the terms before."""
+    ext = eng.ext
+    a = ext.parse_element("s1 s0a : 0,0")
+    return [HeckeElement({ext.mul(ext.translation((k, 0)), a): ONE,
+                          ext.mul(ext.translation((k + 1, 0)), a): V})
+            for k in range(10, 10 + 2 * count, 2)]
+
+
 @pytest.mark.parametrize("name", ["A2_adj", "B2_adj", "G2"])
 def test_store_empties_only_as_a_query_starts(monkeypatch, name):
-    # under a small cap, every table emptied again and again: the answers
-    # are an unbounded engine's, the store holds fewer numbers and splits
-    # than the cap whenever a query starts, and it empties only there
+    # under a small cap, every table emptied again and again, with the group's
+    # walks and the Hecke queries interleaved on one numbering, and GL2 bars
+    # whose terms' classes are walked mid-query: the answers are an
+    # unbounded engine's, fewer than the cap are numbered whenever a query
+    # starts, and the numbers empty only there, outside every walk and
+    # recursion
     datum = G2 if name == "G2" else name
-    plain = build_engine(datum)
-    alc = plain.alc
+    plain, plain_gl2 = build_engine(datum), build_engine(CUSTOM["GL2"])
+    ext, alc = plain.ext, plain.alc
     xs = _relabeled_window(plain, f"cap:{name}", 10, 4)
     window = spherical_window(plain, 4)
-    queries = [("kl_basis", (x,)) for x in xs]
-    queries += [("spherical_basis", (w,)) for w in window[-6:]]
-    queries += [("inverse_m", (alc.triangle(w), w)) for w in window]
-    want = [getattr(plain.hecke, query)(*args) for query, args in queries]
-    bars = [plain.hecke.bar(c) for c in want[:len(xs)]]
+    queries = [("hecke", "kl_basis", (x,)) for x in xs]
+    queries += [("ext", "reduced_expression", (x,)) for x in xs[:4]]
+    queries += [("ext", "bruhat_lower_set", (x,)) for x in xs[4:7]]
+    queries += [("hecke", "spherical_basis", (w,)) for w in window[-6:]]
+    queries += [("ext", "bruhat_leq", (y, x)) for x in xs[:3] for y in sorted(ext.bruhat_lower_set(x))[::3]]
+    queries += [("hecke", "inverse_m", (alc.triangle(w), w)) for w in window]
+    queries += [("gl2", "bar", (a,)) for a in _fresh_class_bars(plain_gl2, 4)]
+    random.Random(f"interleave:{name}").shuffle(queries)
+    layers = {"ext": plain.ext, "hecke": plain.hecke, "gl2": plain_gl2.hecke}
+    want = [getattr(layers[layer], query)(*args) for layer, query, args in queries]
+    kl = [c for (_, query, _), c in zip(queries, want) if query == "kl_basis"]
+    bars = [plain.hecke.bar(c) for c in kl]
     monkeypatch.setattr(memo, "MEMO_CAP", STORE_CAP)
     depth = _track_recursions(monkeypatch)
     emptied = []
-    real_bound = hecke_module._Store.bound
+    real_start = ExtWeyl.start_query
 
-    def spied_bound(store):
+    def spied_start(ext, held=0):
         assert depth[0] == 0
-        held = len(store.elements)
-        real_bound(store)
-        if len(store.elements) < held:
-            emptied.append(held)
-        assert len(store.elements) + len(store.splits) < STORE_CAP
+        numbered = len(ext.elements)
+        real_start(ext, held)
+        if len(ext.elements) < numbered:
+            emptied.append(numbered)
+            # the numbers and every table keyed on them, together
+            assert not any(ext._numbered)
+        else:
+            assert numbered + held < STORE_CAP
 
-    monkeypatch.setattr(hecke_module._Store, "bound", spied_bound)
-    tiny = build_engine(datum).hecke
-    for (query, args), value in zip(queries, want):
-        assert getattr(tiny, query)(*args) == value, (query, args)
-    for c, barred in zip(want, bars):
-        assert tiny.bar(c) == barred
+    monkeypatch.setattr(ExtWeyl, "start_query", spied_start)
+    tiny, tiny_gl2 = build_engine(datum), build_engine(CUSTOM["GL2"])
+    layers = {"ext": tiny.ext, "hecke": tiny.hecke, "gl2": tiny_gl2.hecke}
+    for (layer, query, args), value in zip(queries, want):
+        assert getattr(layers[layer], query)(*args) == value, (query, args)
+    for c, barred in zip(kl, bars):
+        assert tiny.hecke.bar(c) == barred
     assert len(emptied) > 3 and max(emptied) >= STORE_CAP
 
 
 def test_a_cold_sweep_takes_one_length_and_one_row_per_number(monkeypatch):
     # counted calls: a cold m-triangle sweep over the A2 window of length 6
-    # reads the length and the left-step row of each numbered element of
-    # W_aff once, and then from the store; the only other lengths are those
-    # of one element outside W_aff per coset class met, read by the length
-    # guard and by `omega_of`'s walk
-    eng = build_engine("A2_adj")
-    ext, alc, hecke = eng.ext, eng.alc, eng.hecke
-    pairs = [(alc.triangle(w), w) for w in spherical_window(eng, 6)]
+    # builds the row of each number once, and takes the length formula once
+    # for each element asked or split at the Hecke edge, where a walk may
+    # start, and for no row's neighbour, whose length its descent bit gives;
+    # outside W_aff that is one element per coset class met
     calls = collections.Counter()
-    for method in ("length", "left_steps"):
+    for method in ("_length_formula", "row"):
         real = getattr(ExtWeyl, method)
         monkeypatch.setattr(
             ExtWeyl, method, lambda ext, x, real=real, m=method: calls.update([(m, x)]) or real(ext, x))
+    eng = build_engine("A2_adj")
+    ext, alc, hecke = eng.ext, eng.alc, eng.hecke
+    pairs = [(alc.triangle(w), w) for w in spherical_window(eng, 6)]
+    calls.clear()
     want = LaurentPolynomial.monomial(len(eng.datum.positive_roots))
     for x, w in pairs:
         assert hecke.inverse_m(x, w) == want
-    numbers = hecke._store.numbers
-    assert len(numbers) > len(pairs)
-    inside = {key: n for key, n in calls.items() if ext.in_affine_subgroup(key[1])}
-    assert set(n for n in inside.values()) == {1}
-    assert {x for _, x in inside} <= set(numbers)
-    assert sum(method == "left_steps" for method, _ in inside) > 10
-    outside = {key: n for key, n in calls.items() if key not in inside}
-    assert {method for method, _ in outside} == {"length"}
-    assert list(outside.values()) == [2] * (len(ext.omegas()) - 1)
+    assert set(calls.values()) == {1}
+    rows = [n for method, n in calls if method == "row"]
+    assert len(rows) > 10 and max(rows) < len(ext.elements)
+    lengths = {x for method, x in calls if method == "_length_formula"}
+    asked = {z for pair in pairs for z in pair}
+    asked |= {ext.mul(ext.inv(ext.omega_of(z)), z) for z in asked}
+    assert lengths <= asked and len(lengths) < len(ext.elements) / 4
+    outside = [x for x in lengths if not ext.in_affine_subgroup(x)]
+    assert len(outside) == len(ext.omegas()) - 1
+
+
+@pytest.mark.parametrize("name", EVERY_DATUM)
+def test_lengths_read_off_descent_bits_match_the_formula(name):
+    # after a seeded Hecke sweep, a Bruhat pass and reduced words, every
+    # numbered length, most of them read off a neighbour's descent bit,
+    # equals the length formula
+    eng = build_engine(descriptor(name))
+    ext, hecke = eng.ext, eng.hecke
+    rank2 = eng.datum.rank <= 2
+    for x in _relabeled_window(eng, f"lengths:{name}", 6, 4 if rank2 else 3):
+        hecke.kl_basis(x)
+        hecke.bar(hecke.standard(x))
+        ext.reduced_expression(x, "max")
+    for w in _relabeled_window(eng, f"spherical:{name}", 20, 4 if rank2 else 3):
+        if eng.alc.in_wexts(w):
+            hecke.spherical_basis(w)
+    rng = random.Random(f"lengths:{name}")
+    for _ in range(40):
+        x = ext.random_element(rng, 2)
+        ext.bruhat_leq(x, ext.mul(x, ext.random_element(rng, 1)))
+    formula = [ext._length_formula(x) for x in ext.elements]
+    assert len(formula) > 15 and formula == ext.lengths
