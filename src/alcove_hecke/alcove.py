@@ -1,20 +1,18 @@
 """Alcove geometry for W_ext: membership tests, boxes, and the triangle map.
 
-Every test is decided on the single interior sample point p0 = varsigma / h,
-where h is one plus the maximal height of a positive root, so all pairings
-<beta, p0> = height(beta) / h are exact with one shared denominator.  Points
-are stored as integer numerator vectors over that denominator.
-
-The tests look at x^{-1}.p0, and for x = w t_lambda that point is
-x^{-1}.p0 = w^{-1}(p0) - h lambda (in numerators).  The model therefore keeps
-one row per finite Weyl index w, holding <alpha, w^{-1}(p0)> for the simple
-roots (in numerators <w alpha, varsigma>, the signed height of the root
-w alpha, read off w's root permutation), and decides each test from that
-row and one small dot product per simple root:
-<alpha_i, x^{-1}.p0> = row[i] - h <alpha_i, lambda>.  Simple
-roots suffice for the chamber test too: every positive root is a
-nonnegative integer combination of simple roots, so a point pairs positively
-with every positive root exactly when it does with every simple root.
+For x = w t_lambda and any p0 in the fundamental alcove, x^{-1}.p0 =
+w^{-1}(p0) - lambda pairs with a simple root alpha_i as
+<w alpha_i, p0> - <alpha_i, lambda>, and 0 < |<beta, p0>| < 1 for every root
+beta, so x's box coordinate c_i = ceil <alpha_i, x^{-1}.p0> is the integer
+[w alpha_i > 0] - <alpha_i, lambda> (Jantzen, Representations of Algebraic
+Groups, II.6).  The model keeps one table, `_signs[w]` = ([w alpha_i > 0])_i,
+read off w's root permutation: x lies in W_ext^S when every c_i >= 1 and is
+restricted when every c_i = 1.  Simple roots suffice for the chamber test:
+every positive root is a nonnegative integer combination of simple roots.
+So w t_lambda is restricted exactly when every <alpha_i, lambda> is
+[w alpha_i > 0] - 1; the section lift of that pattern gives
+`restricted_reps[w]`, on semisimple data the only restricted element of
+Weyl index w.
 
 What the order and the parabolic tests ask about an element, its box
 coordinates and its restricted split x = y t_lambda, is decided once per x
@@ -23,12 +21,12 @@ for the same elements' boxes thousands of times.  The split is checked to be
 restricted when it is first computed.
 
 >>> from alcove_hecke.engine import build_engine
->>> eng = build_engine("A1_adj")
+>>> eng = build_engine("A2_adj")
 >>> alc, ext = eng.alc, eng.ext
->>> [alc.in_wexts(ext.translation((n,))) for n in (-1, 0, 1)]
-[True, True, False]
->>> alc.box_coords(ext.translation((-2,))), alc.box_coords(ext.parse_element("s1 : 0"))
-((3,), (0,))
+>>> alc.box_coords(ext.translation((-2, 1))), alc.box_coords(ext.parse_element("s1 : 0,0"))
+((3, 0), (0, 1))
+>>> [ext.format_element(y) for y in alc.restricted_elements()]
+['e : 0,0', 's1 : -1,0', 's2 : 0,-1', 's1 s2 : 0,-1', 's2 s1 : -1,0', 's1 s2 s1 : -1,-1']
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from typing import NamedTuple
 from .errors import InvariantViolation, NotFinitary
 from .ext_weyl import ExtWeyl, ExtWeylElement
 from .memo import Memo
-from .root_datum import Vector, pair, vec_add, vec_neg, vec_sub
+from .root_datum import Vector, vec_add, vec_neg, vec_sub
 
 
 class AlcoveData(NamedTuple):
@@ -55,44 +53,40 @@ class AlcoveModel:
     def __init__(self, ext: ExtWeyl):
         self.ext = ext
         d = self.datum = ext.datum
-        h = self.denominator = 1 + max(d.root_heights)
-        # p0 lies in the fundamental alcove: 0 < <beta, p0> < h for beta > 0
-        for beta in d.positive_roots:
-            if not 0 < pair(beta, d.varsigma) < h:
-                raise InvariantViolation(f"base point {d.varsigma} leaves the fundamental alcove")
-        # per Weyl index w: <alpha, w^{-1}(p0)> for the simple roots alpha, in
-        # numerators the signed height of the root w alpha
-        heights = d.root_heights + tuple(-ht for ht in d.root_heights)
+        # per Weyl index w: [w alpha_i > 0] for the simple roots alpha_i
+        n_pos = len(d.positive_roots)
         simple = [d.roots.index(alpha) for alpha in d.simple_roots]
-        self._simple_rows = tuple(
-            tuple([heights[perm[j]] for j in simple]) for perm in d.root_perms
-        )
+        self._signs = tuple(tuple([int(perm[j] < n_pos) for j in simple]) for perm in d.root_perms)
         self.data = Memo(self._alcove_data)
+        # Weyl index w -> w t_lambda with lambda the lift of [w alpha_i > 0] - 1
+        self.restricted_reps = Memo(
+            lambda w: ExtWeylElement(w, d.section_lift(tuple([b - 1 for b in self._signs[w]])))
+        )
 
     def in_wexts(self, x: ExtWeylElement) -> bool:
-        """Minimal-coset-representative test: x^{-1}(A_fund) in the dominant cone."""
-        h, t = self.denominator, x.t
-        for r, alpha in zip(self._simple_rows[x.w], self.datum.simple_roots):
-            if r <= h * sum(map(scalar_mul, alpha, t)):
+        """Minimal-coset-representative test: every box coordinate is >= 1."""
+        t = x.t
+        for b, alpha in zip(self._signs[x.w], self.datum.simple_roots):
+            if sum(map(scalar_mul, alpha, t)) >= b:
                 return False
         return True
 
     def in_wres(self, x: ExtWeylElement) -> bool:
-        """Restricted test: x^{-1}(A_fund) inside the fundamental box."""
-        h, t = self.denominator, x.t
-        for r, alpha in zip(self._simple_rows[x.w], self.datum.simple_roots):
-            if not 0 < r - h * sum(map(scalar_mul, alpha, t)) < h:
+        """Restricted test: every box coordinate is 1."""
+        t = x.t
+        for b, alpha in zip(self._signs[x.w], self.datum.simple_roots):
+            if sum(map(scalar_mul, alpha, t)) != b - 1:
                 return False
         return True
 
     def box_coords(self, x: ExtWeylElement) -> tuple[int, ...]:
-        """ceil <alpha, x^{-1}.p0> / h for each simple root alpha."""
+        """ceil <alpha, x^{-1}.p0> for each simple root alpha."""
         return self.data[x].coords
 
     def _box_coords(self, x: ExtWeylElement) -> tuple[int, ...]:
-        h, t = self.denominator, x.t
-        rows = zip(self._simple_rows[x.w], self.datum.simple_roots)
-        return tuple([-((h * sum(map(scalar_mul, alpha, t)) - r) // h) for r, alpha in rows])
+        t = x.t
+        rows = zip(self._signs[x.w], self.datum.simple_roots)
+        return tuple([b - sum(map(scalar_mul, alpha, t)) for b, alpha in rows])
 
     def _alcove_data(self, x: ExtWeylElement) -> AlcoveData:
         """x's box coordinates c and its split x = y t_lambda with y restricted.
@@ -108,27 +102,25 @@ class AlcoveModel:
             raise InvariantViolation(f"{x} t_{vec_neg(lam)} = {y} is not restricted")
         return AlcoveData(coords, y, lam)
 
-    def box_of(self, x: ExtWeylElement) -> Vector:
-        """Canonical mu in Y with <alpha, mu> = ceil <alpha, x^{-1}.p0>."""
-        return self.datum.section_lift(self.data[x].coords)
-
     def triangle(self, x: ExtWeylElement) -> ExtWeylElement:
-        """x t_mu w0 t_{-mu} for mu = box_of(x).
+        """x t_mu w0 t_{-mu} for mu = section_lift(box_coords(x)).
 
         mu is read off x's alcove data: lambda = section_lift(1 - c) for the
         box coordinates c, varsigma = section_lift(1, ..., 1), and the lift
-        is linear, so mu = section_lift(c) = varsigma - lambda.  x t_mu only
-        adds mu to x's translation and t_{-mu} subtracts it, so the one
-        product is (x t_mu) w0.
+        is linear, so mu = varsigma - lambda.  x t_mu only adds mu to x's
+        translation and t_{-mu} subtracts it, so the one product is
+        (x t_mu) w0.
         """
         mu = vec_sub(self.datum.varsigma, self.data[x].lam)
         y = self.ext.mul(ExtWeylElement(x.w, vec_add(x.t, mu)), self.ext.w0)
         return ExtWeylElement(y.w, vec_sub(y.t, mu))
 
     def triangle_inverse(self, v: ExtWeylElement) -> ExtWeylElement:
-        e = self.ext
-        shift = vec_sub(self.box_of(v), self.datum.varsigma)
-        return e.mul_many(v, ExtWeylElement(0, shift), e.w0, ExtWeylElement(0, vec_neg(shift)))
+        """The inverse of `triangle`: v t_{-lambda} w0 t_lambda = y w0 t_lambda
+        for the split v = y t_lambda, one product."""
+        data = self.data[v]
+        z = self.ext.mul(data.restricted, self.ext.w0)
+        return ExtWeylElement(z.w, vec_add(z.t, data.lam))
 
     def res_decompose(self, x: ExtWeylElement) -> tuple[ExtWeylElement, Vector]:
         """Split x = y t_lambda with y restricted, deterministically (see
@@ -137,21 +129,9 @@ class AlcoveModel:
         return data.restricted, data.lam
 
     def restricted_elements(self) -> list[ExtWeylElement]:
-        """All restricted elements; `NotFinitary` unless the datum is semisimple.
-
-        A restricted element w t_lambda has <alpha, lambda> in {-1, 0} for
-        every simple alpha, so for semisimple data it is enough to scan the
-        lifts of those pairing patterns.
-        """
-        import itertools
-
+        """All restricted elements, one per Weyl index (`restricted_reps`);
+        `NotFinitary` unless the datum is semisimple."""
         d = self.datum
         if d.orthogonal_basis:
             raise NotFinitary("restricted elements form an infinite set for this datum")
-        out = []
-        for w in range(d.weyl_order):
-            for cs in itertools.product((-1, 0), repeat=d.rank):
-                x = ExtWeylElement(w, d.section_lift(cs))
-                if self.in_wres(x):
-                    out.append(x)
-        return sorted(out)
+        return sorted(self.restricted_reps[w] for w in range(d.weyl_order))

@@ -18,13 +18,13 @@ A row numbers a new neighbour with the length its descent bit gives,
 len(x) -/+ 1, so only a walk's start takes the length formula.  Reduced
 words, the Bruhat walk, lower sets and the Hecke recursions read the rows;
 `left_steps` and `first_descent` are element views of them.  Tables keyed
-on numbers are registered with `numbered`, and `start_query` empties them
-with the numbers once these reach `MEMO_CAP`.  It runs only as a public query
-starts (`reduced_expression`, `bruhat_leq` past its coset test,
-`bruhat_lower_set`, the Hecke queries), never while a walk or recursion
-holds numbers, so `omega_of`, called mid-query, walks without it.  A walk
-holds its chain of rows, up to len(generators) + 1 numbers a step, so one
-from an element longer than `MEMO_CAP` / (len(generators) + 1) is refused.
+on numbers are registered weakly with `numbered`, and `start_query` empties
+the live ones with the numbers once these reach `MEMO_CAP`.  It runs only
+as a public query starts (`reduced_expression`, `bruhat_leq` past its coset
+test, `bruhat_lower_set`, the Hecke queries), never while a walk or
+recursion holds numbers, so `omega_of`, called mid-query, walks without it.
+A walk holds its chain of rows, up to len(generators) + 1 numbers a step,
+so one from x longer than `MEMO_CAP` / (len(generators) + 1) is refused.
 
 >>> from alcove_hecke.root_datum import load_root_datum
 >>> ext = ExtWeyl(load_root_datum("A1_adj"))
@@ -104,6 +104,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from operator import add
 from operator import mul as scalar_mul
 from typing import Iterable, NamedTuple
@@ -147,7 +148,7 @@ class ExtWeyl:
         # x -> its number, and per number its element, length and row (None
         # until first read), as in the module docstring
         self.numbers, self.elements, self.lengths, self.rows = {}, [], [], []
-        self._numbered: list = [self.numbers, self.elements, self.lengths, self.rows]
+        self._numbered: list[weakref.ref] = []  # tables registered with `numbered`
         # (number of x, number of y) -> x <= y, filled by the walk with `put`
         self._bruhat = self.numbered(Memo(None))
         # translation -> coset class, from the Smith rows as in the module
@@ -293,18 +294,22 @@ class ExtWeyl:
         self.rows[n] = row = tuple(row)
         return row
 
-    def numbered(self, table):
-        """Registers a table keyed on numbers, to empty with them; returns it."""
-        self._numbered.append(table)
+    def numbered(self, table: Memo) -> Memo:
+        """Registers a table keyed on numbers, to empty with them, weakly, so
+        it lives only as long as its owner; returns it."""
+        self._numbered = [ref for ref in self._numbered if ref() is not None]
+        self._numbered.append(weakref.ref(table))
         return table
 
     def start_query(self, held: int = 0) -> None:
-        """Empties the numbers and every table registered with `numbered` once
-        the numbers and the `held` entries a caller counts with them reach
+        """Empties the numbers and every live table registered with `numbered`
+        once they and the `held` entries a caller counts with them reach
         `MEMO_CAP`; called only as a public query starts, holding no number."""
         if len(self.elements) + held >= memo.MEMO_CAP:
-            for table in self._numbered:
-                table.clear()
+            tables = [ref() for ref in self._numbered]
+            for table in [self.numbers, self.elements, self.lengths, self.rows, *tables]:
+                if table is not None:
+                    table.clear()
 
     def _first_step(self, n: int) -> tuple[int, int] | None:
         """(i, number of s x) for the first left descent s = generators[i] of

@@ -28,7 +28,7 @@ from .errors import FlavorMismatch, InvariantViolation, MalformedInput, NotRestr
 from .ext_weyl import AffineGenerator, ExtWeylElement
 from .orders import PeriodicOrder
 from .parabolic import FinitarySubset, in_awext, min_rep
-from .root_datum import Vector, pair, vec_add, vec_neg, vec_sub
+from .root_datum import Vector, vec_neg, vec_sub
 from .satake_char import SatakeChar
 
 COVERMA = "coVerma"
@@ -103,17 +103,19 @@ class GrothCalc:
     def simple_label(self, x: ExtWeylElement) -> SimpleLabel:
         """Canonical split x = rep * t_shift through the fixed section.
 
-        With x = y t_lam and y = w t_tau restricted, rep is w t_{tau'} with
-        tau' = section_lift(<alpha_i, tau>).  The section is a right inverse
-        of the simple roots, so tau' pairs with every simple root as tau does,
-        and tau - tau' lies in the root-orthogonal sublattice: tau' is the
-        canonical representative of tau modulo it, and it moves into the
-        shift.  On semisimple data tau' = tau.
+        rep is `restricted_reps[w]` for x's Weyl index w: the restricted
+        element w t_tau with tau in the section's image, so x = w t_{x.t}
+        splits with shift x.t - tau.  The restricted factor y of x shares w,
+        and its translation differs from tau only in the root-orthogonal
+        sublattice; on semisimple data rep = y.
+
+        >>> from alcove_hecke.engine import build_engine
+        >>> eng = build_engine("A1_adj")
+        >>> eng.groth.simple_label(eng.ext.parse_element("s1 : 2"))
+        SimpleLabel(rep=ExtWeylElement(w=1, t=(-1,)), shift=(3,))
         """
-        d = self.datum
-        y, lam = self.alc.res_decompose(x)
-        tau = d.section_lift(tuple([pair(alpha, y.t) for alpha in d.simple_roots]))
-        return SimpleLabel(ExtWeylElement(y.w, tau), vec_add(vec_sub(y.t, tau), lam))
+        rep = self.alc.restricted_reps[x.w]
+        return SimpleLabel(rep, vec_sub(x.t, rep.t))
 
     def label_element(self, label: SimpleLabel) -> ExtWeylElement:
         return self.ext.mul(label.rep, ExtWeylElement(0, label.shift))

@@ -284,9 +284,9 @@ class HeckeAlgebra:
         self._bits = numbered(Memo(lambda n: alc.in_wexts(elements[n])))
         # x -> (omega, omega^{-1}, number of omega^{-1} x), and omega ->
         # (omega^{-1}, {number of a: omega a}), for each x = omega a asked at
-        # the edge or made there by a relabel
-        self._splits: dict = numbered({})
-        self._relabels: dict = numbered({})
+        # the edge or made there by a relabel, counted with the numbers
+        self._splits = numbered(Memo(None))
+        self._relabels = numbered(Memo(None))
 
     # -- standard basis arithmetic ---------------------------------------
 

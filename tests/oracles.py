@@ -14,6 +14,7 @@ from types import MappingProxyType
 
 from alcove_hecke.errors import BoundsTooLarge, InvariantViolation
 from alcove_hecke.ext_weyl import ExtWeylElement
+from alcove_hecke.groth_calc import SimpleLabel
 from alcove_hecke.hecke import MAX_HECKE_LENGTH, HeckeElement
 from alcove_hecke.laurent import ONE, V, V_INV, ZERO, LaurentPolynomial
 from alcove_hecke.memo import Memo
@@ -68,11 +69,61 @@ def lower_set_by_products(ext, x):
     return {ext.mul(p, omega) for p in partial}
 
 
+def box_coords_by_point(alc, x):
+    """ceil <alpha, x^{-1}.p0> for the simple roots alpha, on the rational
+    point p0 = varsigma / h: x^{-1}.p0 = w^{-1}(varsigma) / h - lambda, in
+    numerators over h by the Y-action of w^{-1}."""
+    d, h = alc.datum, denominator(alc.datum)
+    q = d.act_y(d.weyl_inv[x.w], d.varsigma)
+    return tuple(-((h * pair(alpha, x.t) - pair(alpha, q)) // h) for alpha in d.simple_roots)
+
+
 def triangle_by_products(alc, x):
-    """x t_mu w0 t_{-mu} for mu = box_of(x), as three products by `mul`."""
+    """x t_mu w0 t_{-mu} for mu the lift of x's box coordinates on the
+    rational point, as three products by `mul`."""
     ext = alc.ext
-    mu = alc.box_of(x)
+    mu = alc.datum.section_lift(box_coords_by_point(alc, x))
     return ext.mul_many(x, ExtWeylElement(0, mu), ext.w0, ExtWeylElement(0, vec_neg(mu)))
+
+
+def triangle_inverse_by_products(alc, v):
+    """v t_s w0 t_{-s} for s = mu - varsigma, mu the lift of v's box
+    coordinates on the rational point, as three products by `mul`."""
+    ext = alc.ext
+    shift = vec_sub(alc.datum.section_lift(box_coords_by_point(alc, v)), alc.datum.varsigma)
+    return ext.mul_many(v, ExtWeylElement(0, shift), ext.w0, ExtWeylElement(0, vec_neg(shift)))
+
+
+def denominator(d):
+    """h = 1 + the largest height of a positive root: varsigma / h lies in
+    the fundamental alcove, 0 < <beta, varsigma> < h for every beta > 0."""
+    return 1 + max(d.root_heights)
+
+
+def restricted_by_scan(alc):
+    """All restricted elements of a semisimple datum, sorted: for each Weyl
+    index w, the lifts of the 2^rank pairing patterns in {-1, 0}, each kept
+    when its box coordinates on the rational point are all 1."""
+    d = alc.datum
+    out = []
+    for w in range(d.weyl_order):
+        for cs in itertools.product((-1, 0), repeat=d.rank):
+            x = ExtWeylElement(w, d.section_lift(cs))
+            if all(c == 1 for c in box_coords_by_point(alc, x)):
+                out.append(x)
+    return sorted(out)
+
+
+def simple_label_by_lift(groth, x):
+    """x's simple label through its restricted split x = y t_lam, y = w t_tau,
+    lam the lift of 1 - c for the box coordinates c on the rational point:
+    rep w t_{tau'} for tau' the section lift of tau's simple-root pairings,
+    shift tau - tau' + lam."""
+    d = groth.datum
+    lam = d.section_lift(tuple([1 - c for c in box_coords_by_point(groth.alc, x)]))
+    y = ExtWeylElement(x.w, vec_sub(x.t, lam))
+    tau = d.section_lift(tuple([pair(alpha, y.t) for alpha in d.simple_roots]))
+    return SimpleLabel(ExtWeylElement(y.w, tau), vec_add(vec_sub(y.t, tau), lam))
 
 
 def omegas_by_box(ext, bound):
@@ -257,7 +308,7 @@ def porder_recursive(eng, x, y):
 def in_wexts_positive_roots(alc, x):
     """The chamber test over every positive root: x^{-1}.p0 pairs positively
     with each beta > 0, from the point w^{-1}(p0) - h lambda itself."""
-    d, h = alc.datum, alc.denominator
+    d, h = alc.datum, denominator(alc.datum)
     q = d.act_y(d.weyl_inv[x.w], d.varsigma)
     return all(pair(beta, q) > h * pair(beta, x.t) for beta in d.positive_roots)
 

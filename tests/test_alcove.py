@@ -6,18 +6,20 @@ import pytest
 
 from alcove_hecke.alcove import AlcoveModel
 from alcove_hecke.engine import build_engine
-from alcove_hecke.errors import InvariantViolation
+from alcove_hecke.errors import InvariantViolation, NotFinitary
 from alcove_hecke.ext_weyl import ExtWeyl, ExtWeylElement
 from alcove_hecke.root_datum import Vector, load_root_datum, pair, vec_add, vec_scale
 from conftest import EVERY_DATUM, descriptor
-from oracles import in_wexts_positive_roots, simple_rows_by_action, triangle_by_products
+from oracles import (denominator, in_wexts_positive_roots, restricted_by_scan,
+                     simple_label_by_lift, simple_rows_by_action, triangle_by_products,
+                     triangle_inverse_by_products)
 
 
 # -- the action on rational points, the oracle for the per-Weyl-index tables --
 
 
 class AlcovePoint(NamedTuple):
-    """Numerators of a rational point of Y x R over the model denominator."""
+    """Numerators of a rational point of Y x R over the datum's denominator."""
 
     nums: Vector
 
@@ -31,7 +33,7 @@ def act(alc, x, p):
     """(w t_lambda) . p = w(p) + w(lambda), exactly."""
     d = alc.datum
     moved = d.act_y(x.w, p.nums)
-    shift = vec_scale(alc.denominator, d.act_y(x.w, x.t))
+    shift = vec_scale(denominator(d), d.act_y(x.w, x.t))
     return AlcovePoint(vec_add(moved, shift))
 
 
@@ -51,7 +53,7 @@ def test_act_examples(a1):
     assert act(alc, ext.identity, p0) == p0
     moved = act(alc, ext.translation(a1.datum.varsigma), p0)
     assert moved.nums == tuple(
-        a + alc.denominator * b for a, b in zip(p0.nums, a1.datum.varsigma)
+        a + denominator(a1.datum) * b for a, b in zip(p0.nums, a1.datum.varsigma)
     )
 
 
@@ -86,9 +88,9 @@ def test_in_wres_scan(a1):
 
 
 def test_box_examples(a1):
-    alc, ext = a1.alc, a1.ext
-    assert alc.box_of(ext.translation((-2,))) == (3,)
-    assert alc.box_of(ext.identity) == (1,)
+    alc, ext, lift = a1.alc, a1.ext, a1.datum.section_lift
+    assert lift(alc.box_coords(ext.translation((-2,)))) == (3,)
+    assert lift(alc.box_coords(ext.identity)) == (1,)
 
 
 def test_triangle_examples(a1):
@@ -109,8 +111,8 @@ def test_triangle_round_trip(any_engine):
 @pytest.mark.parametrize("name", EVERY_DATUM)
 def test_triangle_matches_the_product_route(name):
     # mu read off the alcove data as varsigma - lambda and one product by w0,
-    # against box_of's lift of the box coordinates and three products, on
-    # every datum, GL2's central torus included
+    # against the lift of the box coordinates and three products, on every
+    # datum, GL2's central torus included
     alc = AlcoveModel(ExtWeyl(load_root_datum(descriptor(name))))
     rng = random.Random(71)
     for _ in range(200):
@@ -190,7 +192,7 @@ def test_base_point_is_interior(any_engine):
 
     for beta in any_engine.datum.positive_roots:
         c = pair(beta, base_point(alc).nums)
-        assert 0 < c < alc.denominator
+        assert 0 < c < denominator(any_engine.datum)
 
 
 # -- the per-Weyl-index tables against the action on the base point ----------
@@ -208,7 +210,7 @@ def _oracle_in_wexts(alc, x):
 
 def test_alcove_tests_match_action_oracle(datum_engine):
     alc, ext, d = datum_engine.alc, datum_engine.ext, datum_engine.datum
-    h = alc.denominator
+    h = denominator(d)
     rng = random.Random(101)
     for _ in range(1000):
         x = ext.random_element(rng, 5)
@@ -220,11 +222,84 @@ def test_alcove_tests_match_action_oracle(datum_engine):
 
 @pytest.mark.parametrize("name", EVERY_DATUM)
 def test_simple_rows_match_the_y_action_oracle(name):
-    # the signed heights read off the root permutations against the Y-action
-    # of w^{-1} applied to varsigma
+    # the signs [w alpha > 0] read off the root permutations against the sign
+    # of <alpha, w^{-1}(varsigma)>, by the Y-action of w^{-1}
     d = load_root_datum(descriptor(name))
     alc = AlcoveModel(ExtWeyl(d))
-    assert alc._simple_rows == simple_rows_by_action(alc)
+    signs = tuple(tuple(int(r > 0) for r in row) for row in simple_rows_by_action(alc))
+    assert alc._signs == signs
+
+
+@pytest.mark.parametrize("name", EVERY_DATUM)
+def test_restricted_elements_match_the_scan(name):
+    # one restricted element per Weyl index, restricted_reps[w], against the
+    # scan of the 2^rank lifts on the rational base point; the reps are
+    # restricted on GL2 too, whose restricted elements form an infinite set
+    alc = AlcoveModel(ExtWeyl(load_root_datum(descriptor(name))))
+    d = alc.datum
+    reps = [alc.restricted_reps[w] for w in range(d.weyl_order)]
+    assert all(y.w == w and alc.in_wres(y) for w, y in enumerate(reps))
+    if d.orthogonal_basis:
+        with pytest.raises(NotFinitary):
+            alc.restricted_elements()
+        return
+    restricted = alc.restricted_elements()
+    assert restricted == restricted_by_scan(alc) == sorted(reps)
+    assert len(restricted) == d.weyl_order
+
+
+@pytest.mark.parametrize("name", EVERY_DATUM)
+def test_triangle_inverse_and_labels_match_the_old_routes(name):
+    # triangle_inverse as y w0 t_lambda off the split, against three products
+    # by mul, and the simple labels read off restricted_reps, against the
+    # section lift of the restricted factor's pairings, on seeded elements and
+    # one element of each Weyl index; on GL2 the label's rep drops the
+    # central part of the restricted factor's translation
+    eng = build_engine(descriptor(name))
+    alc, groth, d = eng.alc, eng.groth, eng.datum
+    rng = random.Random(73)
+    xs = [alc.ext.random_element(rng, 3) for _ in range(200)]
+    xs += [ExtWeylElement(w, tuple(rng.randint(-2, 2) for _ in range(d.y_rank)))
+           for w in range(d.weyl_order)]
+    moved = 0
+    for x in xs:
+        assert alc.triangle_inverse(x) == triangle_inverse_by_products(alc, x), x
+        label = groth.simple_label(x)
+        assert label == simple_label_by_lift(groth, x), x
+        moved += label.rep != alc.res_decompose(x)[0]
+    assert (moved > 0) == bool(d.orthogonal_basis)
+
+
+def test_fast_routes_skip_the_old_work(monkeypatch):
+    # restricted_elements scans nothing, a label lifts nothing once the reps
+    # are known, and triangle_inverse makes one product
+    eng = build_engine("B2_adj")
+    alc, ext = eng.alc, eng.ext
+    xs = [ext.random_element(random.Random(k), 4) for k in range(50)]
+    for x in xs:
+        alc.res_decompose(x)
+    calls = {"in_wres": 0, "section_lift": 0, "mul": 0}
+
+    def counted(cls, name):
+        real = getattr(cls, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(cls, name, spy)
+
+    counted(AlcoveModel, "in_wres")
+    assert len(alc.restricted_elements()) == eng.datum.weyl_order
+    assert calls["in_wres"] == 0
+    counted(type(eng.datum), "section_lift")
+    for x in xs:
+        eng.groth.simple_label(x)
+    assert calls["section_lift"] == 0
+    counted(ExtWeyl, "mul")
+    for x in xs:
+        alc.triangle_inverse(x)
+    assert calls["mul"] == len(xs)
 
 
 def test_push_steps_is_smallest_push(datum_engine):

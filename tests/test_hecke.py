@@ -1,9 +1,11 @@
 import collections
+import gc
 import itertools
 import json
 import random
 import shlex
 import time
+import weakref
 from pathlib import Path
 from types import MappingProxyType
 
@@ -1132,8 +1134,9 @@ def test_store_empties_only_as_a_query_starts(monkeypatch, name):
         real_start(ext, held)
         if len(ext.elements) < numbered:
             emptied.append(numbered)
-            # the numbers and every table keyed on them, together
-            assert not any(ext._numbered)
+            # the numbers and every live table keyed on them, together
+            assert not any([ext.numbers, ext.elements, ext.lengths, ext.rows,
+                            *(ref() for ref in ext._numbered)])
         else:
             assert numbered + held < STORE_CAP
 
@@ -1145,6 +1148,30 @@ def test_store_empties_only_as_a_query_starts(monkeypatch, name):
     for c, barred in zip(kl, bars):
         assert tiny.hecke.bar(c) == barred
     assert len(emptied) > 3 and max(emptied) >= STORE_CAP
+
+
+def test_registry_holds_the_hecke_tables_weakly(monkeypatch):
+    # an extra algebra on the engine's alcove model is freed once dropped:
+    # the numbering registers its tables weakly, and they are all it holds of
+    # the algebra; a live second algebra's tables still empty with the numbers
+    eng = build_engine("A1_adj")
+    ext, x = eng.ext, eng.ext.translation((-2,))
+    dropped = HeckeAlgebra(eng.alc)
+    dropped.kl_basis(x)
+    gone = weakref.ref(dropped)
+    del dropped
+    gc.collect()
+    assert gone() is None
+    second = HeckeAlgebra(eng.alc)
+    second.inverse_m(eng.alc.triangle(x), x)
+    second.bar(second.kl_basis(ext.mul(ext.omegas()[-1], x)))
+    tables = [second._kl, second._spherical, second._inverse, second._bits,
+              second._splits, second._relabels]
+    assert all(tables)
+    monkeypatch.setattr(memo, "MEMO_CAP", len(ext.elements))
+    eng.hecke.kl_basis(x)
+    assert not any(tables)
+    assert second.kl_basis(x) == eng.hecke.kl_basis(x)
 
 
 def test_a_cold_sweep_takes_one_length_and_one_row_per_number(monkeypatch):
