@@ -33,18 +33,52 @@ numbers, only as a public query (`kl_basis`, `spherical_basis`, `inverse_m`,
 `Memo` may also empty itself mid-recursion, since a recursion reads only the
 values it was handed.
 
-Coefficients are built in raw accumulators: plain dicts mapping an element
-number to its coefficient dict {exponent: integer}, written in place by inline
-loops (the multipliers 1, v^{+-1} and -c0 of `_canonical`, the fused
-update of `_back_substitute`, the shifts of `_bar`) or by `_addmul`.
-The tables hold that raw form, zero-free dicts that the accumulators read
-directly and, like the module constants, never write to: an accumulator
-entry is a dict of its own from its first write on (a copy, a
-comprehension, a fresh product, or a dict `_bar`'s own recursion built).
-Since every accumulator is dropped once frozen, `_freeze` keeps each
-finished dict, rebuilding only one that holds a zero.  Polynomials are made
-only at the API edge (`_edge`), and a returned polynomial shares its stored
-dict; `inverse_m` builds each answer as a polynomial.
+Every coefficient inside this module is one Python int, the polynomial
+evaluated at v = 2^slot (Kronecker substitution), so that adding two
+coefficients, shifting one by v^{+-1}, scaling it by an integer, multiplying
+two and comparing two are each one big-int operation, and an int, unlike a
+dict, cannot be written by whoever shares it.  Digits are balanced: the int
+is sum_k c_k 2^{(k - low) slot}, and it decodes to the true c_k as long as
+each lies in [-2^(slot-1), 2^(slot-1)) (`_pack`, `_unpack`).  Then v p is
+`p << slot`, and v^{-1} p is `p >> slot`, exact when p's lowest digit is 0.
+
+The tables `_kl` and `_spherical` hold each coefficient at `SLOT` bits and
+low = -1, one digit below v^0, so the v^{-1} of the down case drops no term.
+The unit is `_UNIT` = 1 << SLOT: the unitriangular check compares the entry
+at x with it, and the vZ[v] check is p & `_LOW` == 0 (no v^{-1} or v^0
+digit); the constant term c0 of a correction is read off the v^0 digit.
+`_back_substitute` keeps each m^{x,u} at low = 0, since every pushed
+mbar(z, u), z != u, lies in vZ[v]: a step adds m (p >> SLOT).  Every stored
+term, every m^{x,u} popped and every answer is checked, in O(its size), to
+have each digit in [-2^HEAD, 2^HEAD) (`_fits`: 2^HEAD added to each digit,
+the bits outside [0, 2^(HEAD+1)) masked).  So, with each c0 at most 2^HEAD
+in size (checked), a digit of an accumulator is a sum of at most n terms of
+size at most 2^(2 HEAD), where n counts the additions into it: two product
+terms and one per correction in `_canonical`, and the digits of each popped
+m in `_back_substitute`.  With n below `_ADDS` = 2^(SLOT - 2 HEAD - 3)
+(checked), the sum is below 2^(SLOT - 3) in size, well inside the balanced
+range, so every finished digit is the true coefficient: SLOT >= 2 HEAD +
+bits(n) + 3, which leaves 2^29 additions at SLOT = 96 and HEAD = 32.  Past
+any of these bounds a recursion raises `BoundsTooLarge` naming the element,
+and never returns a wrong polynomial.
+
+`bar` computes rev(bar(a)), rev mapping v to v^{-1} on coefficients.  Unlike
+bar, rev . bar is Z[v, v^{-1}]-linear, so a length-zero leaf is kept as it
+is, the factor step's v^{-1} becomes v (`p << slot`), and H_s^{-1} H_w adds
+v^{-1} - v at w (`(p >> slot) - (p << slot)`); the result is decoded with
+its exponents negated.  Each call packs its input at a width of its own
+(`_width`).  An H_s^{-1} step at most triples the l1 norm of what it acts on
+and the factor step at most quadruples it, so for terms of length at most l
+every partial sum is below (4/3) 3^l ||a||_1, which slot = bits(||a||_1) +
+bits(3^l) + 2 holds; the offset low = (lowest exponent) - l leaves room for
+l shifts by v^{-1}, so each `>> slot` is exact.  `right_mul_gen` packs the
+same way, for one step.
+
+Polynomials are made only at the API edge: `_edge` decodes a table value
+through one bounded `Memo`, `_polys`, keyed on the value, not on numbers, so
+it is not registered with the numbers, and equal coefficients share one
+`LaurentPolynomial`.  `bar` and `right_mul_gen` decode each term of their
+result once, and `inverse_m` each answer.
 
 The left spherical module is the quotient by the left ideal generated by
 H_s - v^{-1} for finite simple s; its standard basis M_y is indexed by the
@@ -62,7 +96,7 @@ the element of s x, term by term in three cases:
 The third case never occurs in the regular module.  Constant terms below x
 are then cleared by subtracting canonical elements read from the same table,
 and the result is checked to be unitriangular with lower coefficients in
-vZ[v].  Each table entry is the read-only map y -> raw coefficient, in no
+vZ[v].  Each table entry is the read-only map y -> packed coefficient, in no
 particular order; `inverse_m`, which back-substitutes the inverse polynomials
 m^{x,y} from the spherical elements, reads the length of each term from
 `ExtWeyl.lengths` and skips the terms shorter than y.
@@ -117,37 +151,74 @@ from .memo import Memo
 # longer elements are refused up front rather than failing deep in it
 MAX_HECKE_LENGTH = 150
 
-Coeffs = dict[int, int]  # a raw coefficient, exponent -> integer; zeros stay until it is frozen
-
-_UNIT: Coeffs = {0: 1}
-_V_PLUS_VINV: Coeffs = {1: 1, -1: 1}
-_VINV_MINUS_V: Coeffs = {-1: 1, 1: -1}
-# the exponent shift of M_y in the down case sy < y: M_sy + v^{-1} M_y
+# a stored coefficient is packed at SLOT bits a digit, each digit in
+# [-2^HEAD, 2^HEAD); see the module docstring for SLOT >= 2 HEAD + bits(n) + 3
+SLOT = 96
+HEAD = 32
+_ADDS = 1 << (SLOT - 2 * HEAD - 3)  # the additions into one accumulator stay below
+_UNIT = 1 << SLOT  # 1, at low = -1
+_LOW = (1 << 2 * SLOT) - 1  # the digits of v^{-1} and v^0
+# the exponent shift of M_y in the down case sy < y, -1 or 1: M_sy + v^{-1} M_y
 _DOWN_SHIFT = -1
+# v + v^{-1} at low = -1, the multiplier of M_y in the third case
+_V_PLUS_VINV = 1 << 2 * SLOT | 1
 
 
-def _addmul(out: dict, w: int, coeffs: Coeffs, q: Coeffs) -> None:
-    """out[w] += q * coeffs, in place; a new entry is a fresh dict."""
-    acc = out.get(w)
-    if acc is None:
-        out[w] = acc = {}
-    for j, d in q.items():
-        for k, c in coeffs.items():
-            k += j
-            acc[k] = acc.get(k, 0) + d * c
+def _pack(coeffs: Mapping[int, int], slot: int = SLOT, low: int = -1) -> int:
+    """The coefficient {exponent: integer} as one int, digit k - low holding
+    v^k's; every exponent is at least low."""
+    return sum(c << (k - low) * slot for k, c in coeffs.items())
 
 
-def _freeze(out: dict) -> dict:
-    """The finished accumulator in the tables' raw form: each entry, a dict of
-    its own, is kept as it is, a dict holding a zero is rebuilt without it,
-    and a term that cancelled entirely is dropped."""
-    frozen = {}
-    for w, c in out.items():
-        if 0 in c.values():
-            c = {k: d for k, d in c.items() if d}
-        if c:
-            frozen[w] = c
-    return frozen
+def _unpack(p: int, slot: int = SLOT, low: int = -1, sign: int = 1) -> dict[int, int]:
+    """The zero-free {exponent: integer} of the packed p, read in balanced
+    digits: `_pack`'s inverse when every coefficient lies in
+    [-2^(slot-1), 2^(slot-1)), with each exponent times sign."""
+    coeffs = {}
+    if p:
+        skip = ((p & -p).bit_length() - 1) // slot  # zero digits at the bottom
+        p >>= skip * slot
+        k, half, digit = low + skip, 1 << (slot - 1), (1 << slot) - 1
+        while p:
+            c = ((p + half) & digit) - half
+            if c:
+                coeffs[sign * k] = c
+            p = (p - c) >> slot
+            k += 1
+    return coeffs
+
+
+def _masks(d: int) -> tuple[int, int]:
+    """(bias, outside) over d digits of SLOT bits: p + bias, with 2^HEAD added
+    to each digit, has no bit in outside exactly when p is sum_{k<d} c_k
+    2^{k SLOT} with every c_k in [-2^HEAD, 2^HEAD)."""
+    ones = sum(1 << k * SLOT for k in range(d))
+    return ones << HEAD, ~(((1 << (HEAD + 1)) - 1) * ones)
+
+
+_MASKS = tuple(_masks(d) for d in range(64))  # up to v^61 at low = -1
+
+
+def _fits(p: int) -> bool:
+    """Whether every digit of p, packed at SLOT bits, lies in [-2^HEAD,
+    2^HEAD).  A p that does has |p| >= 2^(t SLOT - 1) for its top digit t,
+    so the bit_length // SLOT + 1 digits checked reach t."""
+    bias, outside = _masks_of(p.bit_length() // SLOT + 1)
+    return not (p + bias) & outside
+
+
+def _masks_of(d: int) -> tuple[int, int]:
+    """`_masks(d)`, read from `_MASKS` when it holds it."""
+    return _MASKS[d] if d < len(_MASKS) else _masks(d)
+
+
+def _width(coeffs: list[Mapping[int, int]], steps: int) -> tuple[int, int]:
+    """(slot, low) packing the coefficients `coeffs` for at most `steps`
+    H_s^{-1} steps and one factor step: room for steps v^{-1} shifts below the
+    lowest exponent, and slot bits for any partial sum (module docstring)."""
+    norm = sum(abs(c) for p in coeffs for c in p.values())
+    low = min(min(p) for p in coeffs) - steps
+    return norm.bit_length() + (3**steps).bit_length() + 2, low
 
 
 def _check_length(ext, x: ExtWeylElement, lx: int) -> None:
@@ -156,82 +227,67 @@ def _check_length(ext, x: ExtWeylElement, lx: int) -> None:
         raise BoundsTooLarge(f"{ext.format_element(x)} has length {lx} > {MAX_HECKE_LENGTH}")
 
 
-def _bar_factored(ext: ExtWeyl, a: dict[int, Coeffs]) -> dict[int, Coeffs]:
-    """The bar involution of the raw, numbered a, unfrozen; see
-    `HeckeAlgebra.bar`.  The dicts of a are only read."""
-    out: dict[int, Coeffs] = {}
+def _bar_factored(ext: ExtWeyl, a: dict[int, int], slot: int) -> dict[int, int]:
+    """rev(bar(a)) for the numbered a, packed at slot bits, zeros kept; see
+    `HeckeAlgebra.bar`."""
     longest = max(a, key=ext.lengths.__getitem__)
     # a longest term w of a = (H_s + v) b has sw < w
     for i, (_, down) in enumerate(ext.rows[longest] or ext.row(longest)):
-        if down and (b := _left_factor(ext, a, i)) is not None:
-            # bar(H_s + v) = H_s^{-1} + v^{-1}
-            barred: dict[int, Coeffs] = {}
-            _bar(ext, b, barred)
-            for w, p in barred.items():
-                out[w] = {k - 1: c for k, c in p.items()}
-            _add_inverse_gen(ext, i, barred, out)
+        if down and (b := _left_factor(ext, a, i, slot)) is not None:
+            # bar(H_s + v) = H_s^{-1} + v^{-1}, and rev turns v^{-1} into v
+            barred: dict[int, int] = {}
+            _bar(ext, b, barred, slot)
+            out = {w: p << slot for w, p in barred.items()}
+            _add_inverse_gen(ext, i, barred, out, slot)
             return out
-    _bar(ext, a, out)
+    out = {}
+    _bar(ext, a, out, slot)
     return out
 
 
-def _bar(ext: ExtWeyl, a: dict, out: dict) -> None:
-    """Writes the bar involution of the raw, numbered a into out, empty on
-    entry; see `HeckeAlgebra.bar`.  The dicts of a are only read, and every
-    dict handed over to out is a fresh one of this call's own."""
-    groups: dict[int, dict[int, Coeffs]] = {}
+def _bar(ext: ExtWeyl, a: dict, out: dict, slot: int) -> None:
+    """Writes rev(bar(a)) for the numbered a, packed at slot bits, into out,
+    empty on entry; see `HeckeAlgebra.bar`."""
+    groups: dict[int, dict[int, int]] = {}
     rows, row = ext.rows, ext.row
     for w, p in a.items():
         for i, (sw, down) in enumerate(rows[w] or row(w)):
             if down:
                 groups.setdefault(i, {})[sw] = p
                 break
-        else:  # a length-zero leaf, alone in out at w: v -> v^{-1}
-            out[w] = {-k: c for k, c in p.items()}
+        else:  # a length-zero leaf, alone in out at w: rev(bar(p)) = p
+            out[w] = p
     for i, rest in groups.items():
-        barred: dict[int, Coeffs] = {}
-        _bar(ext, rest, barred)
-        _add_inverse_gen(ext, i, barred, out)
+        barred: dict[int, int] = {}
+        _bar(ext, rest, barred, slot)
+        _add_inverse_gen(ext, i, barred, out, slot)
 
 
-def _add_inverse_gen(ext: ExtWeyl, i: int, barred: dict, out: dict) -> None:
-    """Adds H_s^{-1} barred into out, for s = ext.generators[i]; the dicts of
-    barred, fresh ones of the caller's own, are handed over to out."""
-    rows, row = ext.rows, ext.row
+def _add_inverse_gen(ext: ExtWeyl, i: int, barred: dict, out: dict, slot: int) -> None:
+    """Adds rev(H_s^{-1} c) into out, for s = ext.generators[i] and
+    barred = rev(c), every term of which has a zero lowest digit."""
+    rows, row, get = ext.rows, ext.row, out.get
     # H_s^{-1} H_w = H_sw, plus (v - v^{-1}) H_w when sw > w
     for w, p in barred.items():
         sw, down = (rows[w] or row(w))[i]
         if not down:
-            acc = out.get(w)
-            if acc is None:
-                out[w] = acc = {}
-            get = acc.get
-            for k, c in p.items():
-                acc[k + 1] = get(k + 1, 0) + c
-                acc[k - 1] = get(k - 1, 0) - c
-        acc = out.get(sw)
-        if acc is None:
-            out[sw] = p  # no longer read here
-        else:
-            get = acc.get
-            for k, c in p.items():
-                acc[k] = get(k, 0) + c
+            out[w] = get(w, 0) + (p >> slot) - (p << slot)
+        out[sw] = get(sw, 0) + p
 
 
-def _left_factor(ext: ExtWeyl, a: dict, i: int) -> dict | None:
-    """The raw b with a = (H_s + v) b, for s = ext.generators[i], or None when
-    there is none.  The coefficient dicts of a hold no zeros, and b holds the
-    same dicts, on the y with sy > y.
+def _left_factor(ext: ExtWeyl, a: dict, i: int, slot: int) -> dict | None:
+    """The b with a = (H_s + v) b, for s = ext.generators[i], or None when
+    there is none; a is numbered, packed at slot bits with no zero value, and
+    b holds a's values, on the y with sy > y.
 
     (H_s + v) H_y is H_sy + v H_y for sy > y, so a factors exactly when its
     terms pair off as w and sw < w with a_sw = v a_w, and then b_sw = a_w."""
-    rows, row = ext.rows, ext.row
+    rows, row, get = ext.rows, ext.row, a.get
     b = {}
     for w, p in a.items():
         sw, down = (rows[w] or row(w))[i]
         if down:
-            q = a.get(sw)
-            if q is None or len(q) != len(p) or any(q.get(k + 1) != c for k, c in p.items()):
+            if get(sw) != p << slot:
                 return None
             b[sw] = p
     # the partners sw are len(b) distinct terms with an ascent at s; a
@@ -287,6 +343,8 @@ class HeckeAlgebra:
         # the edge or made there by a relabel, counted with the numbers
         self._splits = numbered(Memo(None))
         self._relabels = numbered(Memo(None))
+        # packed table value -> its polynomial, keyed on values, not numbers
+        self._polys = Memo(lambda p: LaurentPolynomial._adopt(_unpack(p)))
 
     # -- standard basis arithmetic ---------------------------------------
 
@@ -296,15 +354,19 @@ class HeckeAlgebra:
     def right_mul_gen(self, a: HeckeElement, g: AffineGenerator) -> HeckeElement:
         """a * H_s for the generator s = g."""
         ext = self.ext
+        if not a.support:
+            return _shared({})
         ge = ext.gen_element(g)
-        out: dict[ExtWeylElement, Coeffs] = {}
+        slot, low = _width([p.coeffs for p in a.support.values()], 1)
+        out: dict[ExtWeylElement, int] = {}
         for w, p in a.support.items():
-            ws = ext.mul(w, ge)
-            _addmul(out, ws, p.coeffs, _UNIT)
+            ws, p = ext.mul(w, ge), _pack(p.coeffs, slot, low)
+            out[ws] = out.get(ws, 0) + p
             if ext.length(ws) < ext.length(w):
-                _addmul(out, w, p.coeffs, _VINV_MINUS_V)
+                # H_w H_s = H_ws + (v^{-1} - v) H_w when ws < w
+                out[w] = out.get(w, 0) + (p >> slot) - (p << slot)
         adopt = LaurentPolynomial._adopt
-        return _shared({w: adopt(c) for w, c in _freeze(out).items()})
+        return _shared({w: adopt(_unpack(p, slot, low)) for w, p in out.items() if p})
 
     def standard_inverse(self, x: ExtWeylElement) -> HeckeElement:
         """H_x^{-1}, which is bar(H_{x^{-1}})."""
@@ -329,19 +391,31 @@ class HeckeAlgebra:
         recursion running on b only.  Since the factor is checked exactly,
         the result is the bar involution of a whatever a is; the test reads
         none of the canonical-basis recursion's constants or products, so a
-        fault there cannot cancel out inside bar(c) == c.
+        fault there cannot cancel out inside bar(c) == c.  The recursion
+        computes rev(bar(a)) on coefficients packed at a width of this
+        call's own (module docstring).
 
         A term longer than `MAX_HECKE_LENGTH` raises `BoundsTooLarge`, as in
         `kl_basis` (see `_waff_part`).
         """
-        self.ext.start_query(len(self._splits))
-        groups: dict[ExtWeylElement | None, dict[int, Coeffs]] = {}
+        ext = self.ext
+        ext.start_query(len(self._splits))
+        groups: dict[ExtWeylElement | None, dict[int, dict[int, int]]] = {}
         for w, p in a.support.items():
             omega, _, n = self._waff_part(w)
             groups.setdefault(omega, {})[n] = p.coeffs
+        if not groups:
+            return _shared({})
+        lengths = ext.lengths
+        slot, low = _width([c for raw in groups.values() for c in raw.values()],
+                           max(lengths[n] for raw in groups.values() for n in raw))
+        adopt = LaurentPolynomial._adopt
         out: dict[ExtWeylElement, LaurentPolynomial] = {}
         for omega, raw in groups.items():
-            out.update(self._edge(_freeze(_bar_factored(self.ext, raw)), omega))
+            barred = _bar_factored(ext, {n: _pack(c, slot, low) for n, c in raw.items()}, slot)
+            # bar(a) = rev(rev(bar(a))): the exponents negated
+            out.update(self._to_elements(
+                {n: adopt(_unpack(p, slot, low, -1)) for n, p in barred.items() if p}, omega))
         return _shared(out)
 
     # -- canonical basis ---------------------------------------------------
@@ -381,26 +455,32 @@ class HeckeAlgebra:
             entry = self._relabels[omega] = (self.ext.inv(omega), {})
         return entry
 
-    def _edge(self, support: Mapping[int, Coeffs], omega=None) -> dict[ExtWeylElement, LaurentPolynomial]:
-        """The raw, numbered support as polynomials over elements, adopting
-        its dicts, not copies, and relabeled from that of aff to that of
-        omega aff when omega is given; each relabel's split is remembered."""
-        adopt, elements = LaurentPolynomial._adopt, self.ext.elements
+    def _edge(self, support: Mapping[int, int], omega=None) -> dict[ExtWeylElement, LaurentPolynomial]:
+        """The table entry support, numbered and packed, as polynomials over
+        elements, each decoded through `_polys`, relabeled as in `_to_elements`."""
+        polys = self._polys
+        return self._to_elements({y: polys[c] for y, c in support.items()}, omega)
+
+    def _to_elements(self, support: dict[int, LaurentPolynomial], omega) -> dict[ExtWeylElement, LaurentPolynomial]:
+        """The numbered support over elements, relabeled from that of aff to
+        that of omega aff when omega is given; each relabel's split is
+        remembered."""
+        elements = self.ext.elements
         if omega is None:
-            return {elements[y]: adopt(c) for y, c in support.items()}
+            return {elements[y]: p for y, p in support.items()}
         mul, splits, out = self.ext.mul, self._splits, {}
         omega_inv, made = self._relabeled(omega)
-        for y, c in support.items():
+        for y, p in support.items():
             z = made.get(y)
             if z is None:
                 z = made[y] = mul(omega, elements[y])
                 splits[z] = (omega, omega_inv, y)
-            out[z] = adopt(c)
+            out[z] = p
         return out
 
     def kl_basis(self, x: ExtWeylElement) -> HeckeElement:
         """The canonical basis element attached to x, in the standard basis;
-        its polynomials, made at each call, share the stored entry's dicts.
+        equal coefficients share one polynomial (`_polys`).
 
         Raises `BoundsTooLarge` when x is longer than `MAX_HECKE_LENGTH`.
         """
@@ -408,66 +488,69 @@ class HeckeAlgebra:
         omega, _, n = self._waff_part(x)
         return _shared(self._edge(self._kl[n], omega))
 
-    def _canonical(self, x: int, table: Memo, spherical: bool) -> Mapping[int, Coeffs]:
+    def _canonical(self, x: int, table: Memo, spherical: bool) -> Mapping[int, int]:
         """The canonical element of the element numbered x, as the read-only
-        map y -> raw coefficient over numbers, in the module whose elements
+        map y -> packed coefficient over numbers, in the module whose elements
         `table` memoizes: the regular module on W_ext, or the spherical
         module on W_ext^S when spherical is true.  It recurses within W_aff,
         so the tables hold no other elements.  In the product, a partner sy
-        gets M_y's coefficient added (copied when new), and y gets it
-        shifted by `_DOWN_SHIFT` or by +1."""
+        gets M_y's coefficient added, and y gets it shifted by `_DOWN_SHIFT`
+        or by +1, or times `_V_PLUS_VINV` in the third case."""
         ext = self.ext
-        lx = ext.lengths[x]
-        _check_length(ext, ext.elements[x], lx)
+        elements, lx = ext.elements, ext.lengths[x]
+        _check_length(ext, elements[x], lx)
         if lx == 0:
             return MappingProxyType({x: _UNIT})
-        out: dict[int, Coeffs] = {}
-        get, rows, row, bits, down_shift = out.get, ext.rows, ext.row, self._bits, _DOWN_SHIFT
+        out: dict[int, int] = {}
+        get, rows, row, bits = out.get, ext.rows, ext.row, self._bits
+        down_by_v, third = _DOWN_SHIFT > 0, _V_PLUS_VINV
         i, rest = next((i, sx) for i, (sx, down) in enumerate(rows[x] or row(x)) if down)
-        base = table[rest]
         # (H_s + v) M_y on the three kinds of y in the module
-        for y, p in base.items():
+        for y, p in table[rest].items():
             sy, down = (rows[y] or row(y))[i]
             if spherical and not down and not bits[sy]:
                 # sy = y t with t finite simple, and H_t acts by v^{-1}
-                _addmul(out, y, p, _V_PLUS_VINV)
+                out[y] = get(y, 0) + (p * third >> SLOT)
                 continue
             # M_sy + v^{-1} M_y when sy < y, M_sy + v M_y when sy > y
-            acc = get(sy)
-            if acc is None:
-                out[sy] = p.copy()
-            else:
-                for k, c in p.items():
-                    acc[k] = acc.get(k, 0) + c
-            shift = down_shift if down else 1
-            acc = get(y)
-            if acc is None:
-                out[y] = {k + shift: c for k, c in p.items()}
-            else:
-                for k, c in p.items():
-                    k += shift
-                    acc[k] = acc.get(k, 0) + c
+            out[sy] = get(sy, 0) + p
+            out[y] = get(y, 0) + (p << SLOT if not down or down_by_v else p >> SLOT)
         # subtract c0 times the canonical element of w for every w != x
-        # whose coefficient has constant term c0; a subtracted element
-        # changes no constant term but the one at w, so one pass over the
-        # snapshot suffices
-        for w, c0 in [(w, p[0]) for w, p in out.items() if w != x and p.get(0)]:
+        # whose coefficient has constant term c0, read off its two lowest
+        # digits; a subtracted element changes no constant term but the one
+        # at w, so one pass over the snapshot suffices
+        corrections = [(w, c0) for w, p in out.items()
+                       if w != x and p & _LOW and (c0 := _unpack(p & _LOW).get(0))]
+        fmt = ext.format_element
+        if len(corrections) + 2 >= _ADDS:
+            raise BoundsTooLarge(f"{len(corrections)} corrections in the canonical element of "
+                                 f"{fmt(elements[x])}")
+        for w, c0 in corrections:
+            if abs(c0) > 1 << HEAD:
+                raise BoundsTooLarge(f"constant term {c0} at {fmt(elements[w])} in the canonical "
+                                     f"element of {fmt(elements[x])}")
             for y, q in table[w].items():
-                acc = get(y)
-                if acc is None:
-                    out[y] = {k: -c0 * c for k, c in q.items()}
-                else:
-                    for k, c in q.items():
-                        acc[k] = acc.get(k, 0) - c0 * c
-        support = _freeze(out)
+                out[y] = get(y, 0) - c0 * q
+        # a term of the canonical element of x has degree below lx, so one
+        # check over its digits 0 to lx passes it when it fits; a term it
+        # fails is checked over its own digits
+        bias, outside = _masks_of(lx + 1)
+        support = {}
+        for y, p in out.items():
+            if p:
+                if (p + bias) & outside and not _fits(p):
+                    raise BoundsTooLarge(f"a coefficient at {fmt(elements[y])} in the canonical "
+                                         f"element of {fmt(elements[x])} is 2^{HEAD} or more "
+                                         "in size")
+                support[y] = p
         # unitriangular, with every lower coefficient in vZ[v]
         if support.get(x) != _UNIT:
-            raise InvariantViolation(f"canonical basis not unitriangular at {ext.elements[x]}")
+            raise InvariantViolation(f"canonical basis not unitriangular at {elements[x]}")
         for y, p in support.items():
-            if y != x and min(p) < 1:
-                raise InvariantViolation(f"lower coefficient {LaurentPolynomial(p)} at "
-                                         f"{ext.elements[y]} in the canonical element of "
-                                         f"{ext.elements[x]}")
+            if y != x and p & _LOW:
+                raise InvariantViolation(f"lower coefficient {LaurentPolynomial(_unpack(p))} at "
+                                         f"{elements[y]} in the canonical element of "
+                                         f"{elements[x]}")
         return MappingProxyType(support)
 
     def kl_poly(self, y: ExtWeylElement, x: ExtWeylElement) -> LaurentPolynomial:
@@ -481,8 +564,8 @@ class HeckeAlgebra:
 
     def spherical_basis(self, w: ExtWeylElement) -> Mapping[ExtWeylElement, LaurentPolynomial]:
         """The canonical element N_w = sum_y mbar(y, w) M_y, as a read-only map
-        y -> mbar(y, w), whose polynomials, made at each call, share the stored
-        entry's dicts; w is at most `MAX_HECKE_LENGTH` long."""
+        y -> mbar(y, w), its polynomials decoded as in `kl_basis`; w is at
+        most `MAX_HECKE_LENGTH` long."""
         self.ext.start_query(len(self._splits))
         self._require_spherical(w)
         omega, _, n = self._waff_part(w)
@@ -526,36 +609,44 @@ class HeckeAlgebra:
         when it pops; it is then pushed onto the terms of N_u no shorter than
         y, their lengths read from `ExtWeyl.lengths`, so the closure is walked no
         lower than y.  Closure members lie in W_ext^S by construction, so
-        their elements are read from the table directly.  The nonzero terms
-        of m^{x,u} are listed once per u, and each kept z is updated in one
-        fused loop; z's entry is created, and z pushed, only when it is
-        new."""
+        their elements are read from the table directly.  Each m^{x,u} is
+        packed at low = 0 (module docstring) and checked as it pops, and each
+        kept z is updated by one product; z's entry is created, and z pushed,
+        only when it is new."""
         spherical, push, pop = self._spherical, heapq.heappush, heapq.heappop
-        lengths = self.ext.lengths
+        ext = self.ext
+        lengths, elements, fmt = ext.lengths, ext.elements, ext.format_element
         ly = lengths[y]
-        values: dict[int, Coeffs] = {x: {0: 1}}
+        values: dict[int, int] = {x: 1}
         heap = [(-lengths[x], x)]  # every longer member of the closure pops first
+        adds = 0  # an upper bound on the products summed into one digit
         while heap and heap[0][1] != y:  # no other member as short as y is pushed
             neg_lu, u = pop(heap)
-            plus = [(j, d) for j, d in values.pop(u).items() if d]
-            if not plus:
+            m = values.pop(u)
+            if not m:
                 continue
-            minus = [(j, -d) for j, d in plus]
+            adds += m.bit_length() // SLOT + 1
+            if not _fits(m) or adds >= _ADDS:
+                raise BoundsTooLarge(f"m^{{x,y}} at x = {fmt(elements[x])}, y = {fmt(elements[u])} "
+                                     f"is 2^{HEAD} or more in size, or sums {adds} products")
+            minus = -m
             for z, p in spherical[u].items():
                 lz = lengths[z]
                 if lz < ly or z == u or (lz == ly and z != y):
                     continue
+                # with the sign (-1)^{len(z) + len(u) + 1}; p lies in vZ[v]
+                p = (p >> SLOT) * (m if (lz - neg_lu) % 2 else minus)
                 acc = values.get(z)
                 if acc is None:
-                    values[z] = acc = {}
+                    values[z] = p
                     push(heap, (-lz, z))
-                p = p.items()
-                # with the sign (-1)^{len(z) + len(u) + 1}
-                for j, d in plus if (lz - neg_lu) % 2 else minus:
-                    for k, c in p:
-                        k += j
-                        acc[k] = acc.get(k, 0) + d * c
-        result = LaurentPolynomial(values.get(y, {}))
+                else:
+                    values[z] = acc + p
+        m = values.get(y, 0)
+        if not _fits(m):
+            raise BoundsTooLarge(f"m^{{x,y}} at x = {fmt(elements[x])}, y = {fmt(elements[y])} "
+                                 f"is 2^{HEAD} or more in size")
+        result = LaurentPolynomial(_unpack(m, SLOT, 0))
         bound = lengths[x] + self._lw0
         if result and not (-bound <= result.min_exponent() and result.max_exponent() <= bound):
             raise InvariantViolation(f"{result} exceeds the degree bound {bound}")

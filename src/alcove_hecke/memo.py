@@ -6,7 +6,9 @@ length-zero element of each class, alcove data, the restricted element of
 each Weyl index, periodic-order comparisons, spherical tests, characters,
 partition counts and parabolic subgroups, and, keyed on element numbers,
 Bruhat comparisons, W_ext^S bits, the canonical elements of W_aff in both
-modules and the inverse polynomials m^{x,y}.  A table never holds more than
+modules (each coefficient one packed int) and the inverse polynomials
+m^{x,y}, and, keyed on a packed coefficient, the polynomial it decodes to at
+the Hecke edge.  A table never holds more than
 `MEMO_CAP` entries: when a new value would exceed the cap, the table is
 emptied first, so a long-running process stays bounded at the price of
 recomputation.  `Memo.put` stores a value computed outside the table under

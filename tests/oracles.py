@@ -15,7 +15,7 @@ from types import MappingProxyType
 from alcove_hecke.errors import BoundsTooLarge, InvariantViolation
 from alcove_hecke.ext_weyl import ExtWeylElement
 from alcove_hecke.groth_calc import SimpleLabel
-from alcove_hecke.hecke import MAX_HECKE_LENGTH, HeckeElement
+from alcove_hecke.hecke import MAX_HECKE_LENGTH, HeckeElement, _pack, _unpack, _width
 from alcove_hecke.laurent import ONE, V, V_INV, ZERO, LaurentPolynomial
 from alcove_hecke.memo import Memo
 from alcove_hecke.root_datum import (identity_matrix, mat_apply, pair, solve_smith, vec_add,
@@ -237,8 +237,8 @@ def per_coset_tables(hecke):
 class ElementTable(Mapping):
     """A number-keyed table of a `HeckeAlgebra` (`_kl` or `_spherical`), read
     and planted by element of W_aff: an entry reads as the map element ->
-    raw coefficient dict, holding the stored dicts themselves, and an entry
-    written is stored as the read-only map over the elements' numbers."""
+    raw coefficient dict, each stored int unpacked, and an entry written is
+    packed and stored as the read-only map over the elements' numbers."""
 
     def __init__(self, hecke, table):
         self.ext, self.table = hecke.ext, table
@@ -248,11 +248,11 @@ class ElementTable(Mapping):
 
     def __getitem__(self, x):
         elements = self.ext.elements
-        return {elements[y]: c for y, c in self.table[self.ext.number(x)].items()}
+        return {elements[y]: _unpack(c) for y, c in self.table[self.ext.number(x)].items()}
 
     def __setitem__(self, x, entry):
         number = self.ext.number
-        self.table[number(x)] = MappingProxyType({number(y): c for y, c in entry.items()})
+        self.table[number(x)] = MappingProxyType({number(y): _pack(c) for y, c in entry.items()})
 
     def __iter__(self):
         return iter([self.ext.elements[n] for n in self.table])
@@ -262,10 +262,13 @@ class ElementTable(Mapping):
 
 
 def numbered(hecke, a):
-    """The HeckeElement a, all of whose terms lie in W_aff, in the raw form
-    over `ExtWeyl` numbers that `hecke`'s bar helpers read."""
-    number = hecke.ext.number
-    return {number(w): p.coeffs for w, p in a.items()}
+    """(packed, slot, low) for the HeckeElement a, all of whose terms lie in
+    W_aff: a over `ExtWeyl` numbers, packed at the width slot and offset low
+    that `hecke.bar` would take, in the form its helpers read."""
+    ext = hecke.ext
+    raw = {ext.number(w): p.coeffs for w, p in a.items()}
+    slot, low = _width(list(raw.values()), max(ext.lengths[n] for n in raw))
+    return {n: _pack(c, slot, low) for n, c in raw.items()}, slot, low
 
 
 def inverse_m_per_coset(hecke, spherical, x):

@@ -3,6 +3,7 @@ import gc
 import itertools
 import json
 import random
+import re
 import shlex
 import time
 import weakref
@@ -215,10 +216,10 @@ def factor_engine(request):
 
 def _factor_descents(hecke, a):
     """The i with a = (H_s + v) b for s = ext.generators[i], by bar's own test."""
-    raw = numbered(hecke, a)
+    packed, slot, _ = numbered(hecke, a)
     return [
         i for i in range(len(hecke.ext.generators))
-        if hecke_module._left_factor(hecke.ext, raw, i) is not None
+        if hecke_module._left_factor(hecke.ext, packed, i, slot) is not None
     ]
 
 
@@ -275,9 +276,9 @@ def test_kl_basis_factors_through_every_left_descent(monkeypatch, factor_engine)
     first = []
     real_bar = hecke_module._bar
 
-    def spied(ext, a, out):
+    def spied(ext, a, out, slot):
         first.append(len(a))
-        real_bar(ext, a, out)
+        real_bar(ext, a, out, slot)
 
     monkeypatch.setattr(hecke_module, "_bar", spied)
     for x in xs:
@@ -291,6 +292,97 @@ def test_descent_identity_catches_planted_down_case(monkeypatch, factor_engine):
     monkeypatch.setattr(hecke_module, "_DOWN_SHIFT", 1)
     hecke = HeckeAlgebra(factor_engine.alc)
     assert _descent_identity_failures(hecke, _window(factor_engine, 47, 12, 6))
+
+
+# -- packed coefficients: one int per coefficient, v = 2^slot ---------------
+
+
+def test_pack_round_trip():
+    # signed coefficients, negative exponents and the extreme digits
+    # +-(2^HEAD - 1) unpack to themselves at the tables' width and at a bar
+    # width just wide enough; the table check admits digits in
+    # [-2^HEAD, 2^HEAD) and refuses 2^HEAD and -2^HEAD - 1
+    slot, head = hecke_module.SLOT, hecke_module.HEAD
+    pack, unpack, fits = hecke_module._pack, hecke_module._unpack, hecke_module._fits
+    top = (1 << head) - 1
+    rng = random.Random(53)
+    for _ in range(300):
+        low = rng.randint(-6, 0)
+        coeffs = {k: rng.choice([top, -top, rng.randint(-top, top), rng.randint(-3, 3)])
+                  for k in rng.sample(range(low, low + 12), rng.randint(0, 6))}
+        coeffs = {k: c for k, c in coeffs.items() if c}
+        for width in (slot, head + 2):
+            assert unpack(pack(coeffs, width, low), width, low) == coeffs
+        p = pack(coeffs, slot, low)
+        assert fits(p) and p == pack(coeffs, slot, low - 1) >> slot
+        k = rng.randint(low, low + 12)
+        for c in (1 << head, -(1 << head) - 1):
+            assert not fits(pack({**coeffs, k: c}, slot, low))
+        assert fits(pack({**coeffs, k: -(1 << head)}, slot, low))
+    assert unpack(0) == {} and pack({}) == 0
+    assert unpack(hecke_module._UNIT) == {0: 1} and unpack(hecke_module._V_PLUS_VINV) == {-1: 1, 1: 1}
+
+
+def test_coefficient_past_head_is_refused():
+    # a stored coefficient of 2^HEAD makes the next recursion that reads it
+    # raise BoundsTooLarge naming the element, in both tables, and never
+    # return a polynomial: one lower term of C_{sx}, or of N_{sw}, planted at
+    # v; and, copied to a partner of C_x's product as its constant term, one
+    # past 2^HEAD, which the corrections refuse to scale by
+    eng = build_engine("B2_adj")
+    ext, alc = eng.ext, eng.alc
+    big = 1 << hecke_module.HEAD
+    x = next(x for x, d in _waff_ball(eng, 4).items() if d == 4)
+    w = next(w for w in spherical_window(eng, 6) if ext.length(w) == 4)
+    kl_case = ("_kl", x, lambda h: h.kl_basis(x))
+    spherical_case = ("_spherical", w, lambda h: h.spherical_basis(w))
+    for (table, top, ask), plant, refused in ((kl_case, {1: big}, "or more in size"),
+                                              (spherical_case, {1: big}, "or more in size"),
+                                              (kl_case, {0: big + 1}, "constant term")):
+        hecke = HeckeAlgebra(alc)
+        stored = ElementTable(hecke, getattr(hecke, table))
+        rest = ext.first_descent(top)[1]
+        entry = stored[rest]
+        y = next(y for y in sorted(entry) if y != rest)
+        entry[y] = {**entry[y], **plant}
+        stored[rest] = entry
+        with pytest.raises(BoundsTooLarge, match=re.escape(ext.format_element(top))) as err:
+            ask(hecke)
+        assert refused in str(err.value)
+    # m^{x,y} = mbar(y, x) for len(x) - len(y) odd and y next below x in the
+    # closure, so a planted mbar(y, x) of 2^HEAD is refused as it pops or
+    # answers (-2^HEAD, the other end of the digit range, is admitted)
+    hecke = HeckeAlgebra(alc)
+    tri = alc.triangle(w)
+    spherical = ElementTable(hecke, hecke._spherical)
+    entry = spherical[tri]
+    y = max((y for y in entry if (ext.length(tri) - ext.length(y)) % 2), key=ext.length)
+    entry[y] = {1: big}
+    spherical[tri] = entry
+    with pytest.raises(BoundsTooLarge, match=re.escape(ext.format_element(tri))):
+        for z in hecke.spherical_lower_set(tri):
+            hecke.inverse_m(tri, z)
+
+
+@pytest.mark.parametrize("name", ["A2_adj", "B2_adj", "G2"])
+def test_bar_width_holds_long_inputs_and_large_coefficients(name):
+    # each bar call packs at a width and offset of its own: a length-8 input
+    # with a 10^40 coefficient and negative exponents, and C_x of length 8
+    # with one coefficient changed, against the term-by-term operator oracle
+    eng = engine_for(name)
+    ext, hecke = eng.ext, eng.hecke
+    rng = random.Random(61)
+    eight = sorted(x for x, d in _waff_ball(eng, 8).items() if d == 8)
+    x, y = rng.sample(eight, 2)
+    a = HeckeElement({x: LaurentPolynomial({-3: 10**40, 2: -7}),
+                      y: LaurentPolynomial({0: -(10**40) + 1}),
+                      ext.identity: V_INV})
+    assert hecke.bar(a) == _bar_by_operators(hecke, a)
+    c = dict(hecke.kl_basis(x).items())
+    w = rng.choice(sorted(c))
+    c[w] = c[w] + LaurentPolynomial.monomial(rng.randint(-2, 3), rng.choice([-5, 3]))
+    near = HeckeElement(c)
+    assert hecke.bar(near) == _bar_by_operators(hecke, near) != near
 
 
 def test_kl_normalization(any_engine):
@@ -536,8 +628,8 @@ def test_kl_and_bar_agree_under_tiny_memo_cap(monkeypatch, b2):
 
 @pytest.mark.parametrize("name", ["B2_adj", "G2"])
 def test_memoized_values_are_never_written(name):
-    # the raw accumulators read memoized coefficient dicts and the module's
-    # constants in place: using them in every product, in bar and in the
+    # the packed accumulators read memoized coefficients and the module's
+    # constants: using them in every product, in bar and in the
     # bar-invariance solver must leave them as they were
     eng = build_engine(G2 if name == "G2" else name)
     ext, alc, hecke = eng.ext, eng.alc, eng.hecke
@@ -557,7 +649,8 @@ def test_memoized_values_are_never_written(name):
             **{
                 n: str(c)
                 for n, c in vars(hecke_module).items()
-                if n.startswith("_") and not n.startswith("__") and isinstance(c, (dict, tuple))
+                if n.startswith("_") and not n.startswith("__")
+                and isinstance(c, (dict, tuple, int))
             },
         }
 
@@ -566,18 +659,16 @@ def test_memoized_values_are_never_written(name):
         c = hecke.kl_basis(x)
         hecke.bar(c)
         bar_invariance_solver(eng, x)
-        # bar hands over to its output only dicts it built itself: none of
-        # its input's, and none memoized or constant
-        raw = numbered(hecke, c)
+        # bar's recursion leaves its input as it was and writes ints only:
+        # rev(bar(c)) = rev(c), c being bar invariant
+        packed, slot, low = numbered(hecke, c)
+        given = dict(packed)
         out = {}
-        hecke_module._bar(hecke.ext, raw, out)
-        read_only = {id(d) for d in raw.values()} | {
-            id(d)
-            for table in (hecke._kl, hecke._spherical)
-            for e in table.values()
-            for d in e.values()
-        } | {id(p.coeffs) for p in (ONE, V, V_INV, ZERO)}
-        assert not read_only & {id(d) for d in out.values()}
+        hecke_module._bar(hecke.ext, packed, out, slot)
+        assert packed == given and all(type(p) is int for p in out.values())
+        assert {n: p for n, p in out.items() if p} == {
+            ext.number(w): hecke_module._pack({-k: d for k, d in p.coeffs.items()}, slot, low)
+            for w, p in c.items()}
         for g in ext.generators:
             hecke.right_mul_gen(c, g)
     for w in window[-4:]:
@@ -588,52 +679,52 @@ def test_memoized_values_are_never_written(name):
     assert {k: after[k] for k in before} == before
 
 
-def test_freeze_adopts_owned_dicts(a1):
-    # a zero-free accumulator entry is stored as it is, the very dict; a
-    # coefficient that cancelled to 0 and a term that cancelled entirely
-    # are dropped
+def test_cancelled_terms_are_dropped(a1):
+    # a term of the product that the constant-term corrections cancel to 0 is
+    # not stored: C_t planted as H_t + 3 H_e makes (H_s + v) C_t hold 3 H_s
+    # and 3v H_e, and subtracting 3 C_s = 3 (H_s + v H_e) leaves H_st + v H_t
     ext = a1.ext
-    kept, cancelled, gone = (ext.translation((t,)) for t in (0, 2, 4))
-    out = {kept: {1: 2, 3: -1}, cancelled: {0: 0, 2: 5}, gone: {1: 0, -1: 0}}
-    frozen = hecke_module._freeze(out)
-    assert frozen[kept] is out[kept]
-    assert frozen[cancelled] == {2: 5}
-    assert set(frozen) == {kept, cancelled}
+    hecke = HeckeAlgebra(a1.alc)
+    x = ext.parse_element("e : -2")
+    i, t = ext.first_descent(x)
+    s = ext.gen_element(ext.generators[i])
+    assert ext.length(x) == 2 and ext.mul(s, t) == x
+    kl = ElementTable(hecke, hecke._kl)
+    kl[t] = {t: {0: 1}, ext.identity: {0: 3}}
+    assert kl[s] == {s: {0: 1}, ext.identity: {1: 1}}
+    assert dict(hecke.kl_basis(x).items()) == {x: ONE, t: V}
+    assert kl[x] == {x: {0: 1}, t: {1: 1}}
 
 
 @pytest.mark.parametrize("name", ["B2_adj", "G2"])
 def test_stored_coefficients_own_their_dicts(name):
-    # every coefficient the tables keep after a sweep window was adopted
-    # from an accumulator entry of its own: no two share one dict, and none
-    # is a module constant's, apart from the one unit dict that every
-    # length-zero entry shares, as it shared ONE's
+    # every coefficient the tables keep after a sweep window is a nonzero
+    # int at the tables' width: 1 << SLOT exactly at the entry's own element,
+    # so each length-zero entry is {x: 1 << SLOT}, and every digit of it
+    # within 2^HEAD in size, so it unpacks and packs back to itself
     eng = build_engine(G2 if name == "G2" else name)
     ext, alc, hecke = eng.ext, eng.alc, eng.hecke
     for w in spherical_window(eng, 6):
         hecke.inverse_m(alc.triangle(w), w)
         hecke.kl_basis(w)
-    unit = hecke_module._UNIT
+    unit = 1 << hecke_module.SLOT
     coeffs = []
     for table in (hecke._kl, hecke._spherical):
-        for x, e in ElementTable(hecke, table).items():
+        for n, e in table.items():
+            x = ext.elements[n]
+            if ext.length(x) == 0:
+                assert dict(e) == {n: unit}, x
             for y, c in e.items():
-                assert (c is unit) == (ext.length(x) == 0), (x, y)
-                if c is not unit:
-                    coeffs.append(c)
-    constants = [p.coeffs for p in (ONE, V, V_INV, ZERO)] + [
-        c
-        for n, c in vars(hecke_module).items()
-        if n.startswith("_") and not n.startswith("__") and isinstance(c, dict)
-    ]
-    ids = {id(c) for c in coeffs}
-    assert len(coeffs) > 100 and len(ids) == len(coeffs)
-    assert not ids & {id(c) for c in constants}
+                assert type(c) is int and c and (c == unit) == (y == n), (x, y)
+                assert hecke_module._fits(c) and hecke_module._pack(hecke_module._unpack(c)) == c
+                coeffs.append(c)
+    assert len(coeffs) > 100
 
 
 def test_no_laurent_temporaries_in_the_hot_loops(monkeypatch):
     # kl_basis, bar(C_x), one sweep inverse_m and the bar-invariance solver
-    # on B2 build every coefficient in raw dicts: no Laurent operator runs,
-    # and a polynomial is constructed only for a finished coefficient
+    # on B2 build every coefficient in packed ints: no Laurent operator runs,
+    # and a polynomial is constructed only for a finished, unpacked coefficient
     eng = build_engine("B2_adj")
     ext, alc, hecke = eng.ext, eng.alc, eng.hecke
     x = min(x for x, d in _waff_ball(eng, 6).items() if d == 6)
@@ -654,28 +745,27 @@ def test_no_laurent_temporaries_in_the_hot_loops(monkeypatch):
     # a polynomial adopting a finished dict counts as one constructed
     adopt = LaurentPolynomial._adopt.__func__
     monkeypatch.setattr(LaurentPolynomial, "_adopt", classmethod(counted("__init__", adopt)))
-    frozen = []
-    real_freeze = hecke_module._freeze
+    unpacked = []
+    real_unpack = hecke_module._unpack
 
-    def freeze(out):
-        result = real_freeze(out)
-        frozen.append(len(result))
-        return result
+    def unpack(*args):
+        unpacked.append(1)
+        return real_unpack(*args)
 
-    monkeypatch.setattr(hecke_module, "_freeze", freeze)
+    monkeypatch.setattr(hecke_module, "_unpack", unpack)
     c = hecke.kl_basis(x)
     assert hecke.bar(c) == c
     assert hecke.inverse_m(tri, w) == want
     constructed = ops.pop("__init__")
     assert ops == {}
-    assert 0 < constructed <= sum(frozen) + 1  # and the value inverse_m returns
-    frozen.clear()
+    assert 0 < constructed <= len(unpacked) + 1  # and the value inverse_m returns
+    unpacked.clear()
     solved = bar_invariance_solver(eng, x)
     assert solved == dict(c.items())
     constructed = ops.pop("__init__")
     assert ops == {}
     # the bar expansions of the H_y, and one polynomial per solved coefficient
-    assert len(solved) < constructed <= sum(frozen) + len(solved)
+    assert len(solved) < constructed <= len(unpacked) + len(solved)
 
 
 def test_inverse_m_makes_one_polynomial_per_back_substitution(monkeypatch):
@@ -991,7 +1081,7 @@ def test_spherical_identities_catches_planted_faults(monkeypatch, tmp_path, caps
         preset = str(tmp_path / f"{name}.json")
         Path(preset).write_text(json.dumps(CUSTOM[name]), encoding="utf-8")
     if plant == "third-case":
-        monkeypatch.setattr(hecke_module, "_V_PLUS_VINV", {-1: 1})
+        monkeypatch.setattr(hecke_module, "_V_PLUS_VINV", hecke_module._pack({-1: 1}))
     else:
         build = suite.build_engine
         monkeypatch.setattr(suite, "build_engine", lambda datum: _drop_identity_term(build(datum)))

@@ -67,6 +67,23 @@ except InvariantViolation:
 else:
     raise SystemExit("spherical vZ[v] check vanished")
 
+from alcove_hecke.errors import BoundsTooLarge
+from alcove_hecke.hecke import HEAD
+
+oversized = build_engine("A1_adj").hecke
+x = ext.parse_element("e : -2")
+sx = ext.first_descent(x)[1]
+kl = ElementTable(oversized, oversized._kl)
+wrong = dict(kl[sx])
+wrong[ext.identity] = {1: 1 << HEAD}  # v 2^HEAD, past the packed digit bound
+kl[sx] = wrong
+try:
+    oversized.kl_basis(x)
+except BoundsTooLarge:
+    pass
+else:
+    raise SystemExit("packed coefficient size check vanished")
+
 groth = eng.groth
 try:
     groth.xi_omega(groth.seed_filtration(), ext.gen_element(ext.generators[0]))
