@@ -15,7 +15,9 @@ constructed projective objects is likewise field-dependent and deliberately
 not computed; callers get the full multiset together with the order
 constraints that hold for its support.
 
-All transforms are pure over immutable inputs and safe to parallelize.
+All transforms are pure over immutable inputs, but they fill unlocked `Memo`
+tables and `ExtWeyl`'s numbering, so `memo.py`'s rule holds: one execution
+context per engine.
 """
 
 from __future__ import annotations

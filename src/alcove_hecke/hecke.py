@@ -34,33 +34,53 @@ numbers, only as a public query (`kl_basis`, `spherical_basis`, `inverse_m`,
 values it was handed.
 
 Every coefficient inside this module is one Python int, the polynomial
-evaluated at v = 2^slot (Kronecker substitution), so that adding two
-coefficients, shifting one by v^{+-1}, scaling it by an integer, multiplying
-two and comparing two are each one big-int operation, and an int, unlike a
-dict, cannot be written by whoever shares it.  Digits are balanced: the int
-is sum_k c_k 2^{(k - low) slot}, and it decodes to the true c_k as long as
-each lies in [-2^(slot-1), 2^(slot-1)) (`_pack`, `_unpack`).  Then v p is
+evaluated at a power of two (Kronecker substitution), so that adding two
+coefficients, shifting one by a power of v, scaling it by an integer,
+multiplying two and comparing two are each one big-int operation, and an int,
+unlike a dict, cannot be written by whoever shares it.  Digits are balanced:
+packed at slot bits, offset low and step, the int is sum_k c_k
+2^{(k - low) / step * slot}, and it decodes to the true c_k as long as each
+lies in [-2^(slot-1), 2^(slot-1)) (`_pack`, `_unpack`).  At step 1, v p is
 `p << slot`, and v^{-1} p is `p >> slot`, exact when p's lowest digit is 0.
 
-The tables `_kl` and `_spherical` hold each coefficient at `SLOT` bits and
-low = -1, one digit below v^0, so the v^{-1} of the down case drops no term.
-The unit is `_UNIT` = 1 << SLOT: the unitriangular check compares the entry
-at x with it, and the vZ[v] check is p & `_LOW` == 0 (no v^{-1} or v^0
-digit); the constant term c0 of a correction is read off the v^0 digit.
-`_back_substitute` keeps each m^{x,u} at low = 0, since every pushed
-mbar(z, u), z != u, lies in vZ[v]: a step adds m (p >> SLOT).  Every stored
-term, every m^{x,u} popped and every answer is checked, in O(its size), to
-have each digit in [-2^HEAD, 2^HEAD) (`_fits`: 2^HEAD added to each digit,
-the bits outside [0, 2^(HEAD+1)) masked).  So, with each c0 at most 2^HEAD
-in size (checked), a digit of an accumulator is a sum of at most n terms of
-size at most 2^(2 HEAD), where n counts the additions into it: two product
-terms and one per correction in `_canonical`, and the digits of each popped
-m in `_back_substitute`.  With n below `_ADDS` = 2^(SLOT - 2 HEAD - 3)
+The tables `_kl` and `_spherical` store at step 2, one `SLOT`-bit digit per
+degree of v^2.  By Kazhdan-Lusztig parity, the coefficient at y of the
+canonical element of x, in either module, has only exponents of the parity e
+of len(x) - len(y).  e is read from `ExtWeyl.lengths`, never stored, and the
+coefficient sits at low = e - 2, so digit j holds v^(2j - 2 + e): v^0 (e = 0)
+and v^1 (e = 1) both in digit 1, with one digit below them.  `_pack` raises
+`InvariantViolation` on an exponent of the other parity rather than drop it,
+and since one int decodes two ways, `_polys` keys on the value and e.
+Multiplying by v^{+-1} flips e, so each v^{+-1} step of the recursion is no
+shift or one `SLOT` shift, chosen by the e of the term it acts on: v p is p at
+e = 0 and `p << SLOT` at e = 1, and v^{-1} p is `p >> SLOT` at e = 0 (exact,
+since a lower term of even parity lies in v^2 Z[v]) and p at e = 1.  In the
+product below, a partner sy keeps p as it is, its parity against x being that
+of y against s x; the third case multiplies by `_V_PLUS_VINV`, v + v^{-1} at
+e = 1 (digits 0 and 1), and shifts the product down at e = 0.  The unit is
+`_UNIT` = 1 << SLOT: the unitriangular check compares the entry at x with it,
+and the vZ[v] check is p & `_LOW`[e] == 0 (no digit below v^2 at e = 0, none
+below v^1 at e = 1).  Only a term of e = 0 has a constant term c0, read off
+digit 1, so only such terms take a correction.  `_back_substitute` keeps each
+m^{x,u}, of the parity e of len(x) - len(u), at low = e, since every pushed
+mbar(z, u), z != u, lies in vZ[v]: a step adds m (p >> SLOT), shifted once
+more when both parities are odd (v v = v^2 is one digit up), and the answer
+decodes at the parity of len(x) - len(y).
+
+Every stored term, every m^{x,u} popped and every answer is checked, in O(its
+size), to have each digit in [-2^HEAD, 2^HEAD) (`_fits`: 2^HEAD added to each
+digit, the bits outside [0, 2^(HEAD+1)) masked).  So, with each c0 at most
+2^HEAD in size (checked), a digit of an accumulator is a sum of at most n
+terms of size at most 2^(2 HEAD), where n counts the additions into it: two
+product terms and one per correction in `_canonical`, and the digits of each
+popped m in `_back_substitute`.  With n below `_ADDS` = 2^(SLOT - 2 HEAD - 3)
 (checked), the sum is below 2^(SLOT - 3) in size, well inside the balanced
 range, so every finished digit is the true coefficient: SLOT >= 2 HEAD +
-bits(n) + 3, which leaves 2^29 additions at SLOT = 96 and HEAD = 32.  Past
-any of these bounds a recursion raises `BoundsTooLarge` naming the element,
-and never returns a wrong polynomial.
+bits(n) + 3, which leaves 2^29 additions at SLOT = 64 and HEAD = 16, or 32
+bits per degree of v.  The largest coefficient measured on the rank-2 and
+rank-3 data, 678 on G2, takes 10 bits, so HEAD = 16 leaves it a factor of
+96.  Past any of these bounds a recursion raises `BoundsTooLarge`
+naming the element, and never returns a wrong polynomial.
 
 `bar` computes rev(bar(a)), rev mapping v to v^{-1} on coefficients.  Unlike
 bar, rev . bar is Z[v, v^{-1}]-linear, so a length-zero leaf is kept as it
@@ -74,9 +94,13 @@ bits(3^l) + 2 holds; the offset low = (lowest exponent) - l leaves room for
 l shifts by v^{-1}, so each `>> slot` is exact.  `right_mul_gen` packs the
 same way, for one step.
 
+Equal values are stored as one int: `_canonical` reads each finished term
+from `_pool`, a `Memo` keyed on the value and owned by the algebra.  It holds
+at most `MEMO_CAP` ints; it is not registered with the numbers, since its
+keys are values, and emptying it loses only sharing, never a value.
 Polynomials are made only at the API edge: `_edge` decodes a table value
-through one bounded `Memo`, `_polys`, keyed on the value, not on numbers, so
-it is not registered with the numbers, and equal coefficients share one
+through one bounded `Memo`, `_polys`, keyed on the value and its parity, not
+on numbers, so it is not registered either, and equal coefficients share one
 `LaurentPolynomial`.  `bar` and `right_mul_gen` decode each term of their
 result once, and `inverse_m` each answer.
 
@@ -153,24 +177,30 @@ MAX_HECKE_LENGTH = 150
 
 # a stored coefficient is packed at SLOT bits a digit, each digit in
 # [-2^HEAD, 2^HEAD); see the module docstring for SLOT >= 2 HEAD + bits(n) + 3
-SLOT = 96
-HEAD = 32
+SLOT = 64
+HEAD = 16
 _ADDS = 1 << (SLOT - 2 * HEAD - 3)  # the additions into one accumulator stay below
-_UNIT = 1 << SLOT  # 1, at low = -1
-_LOW = (1 << 2 * SLOT) - 1  # the digits of v^{-1} and v^0
+_UNIT = 1 << SLOT  # 1, of parity 0
+# the digits below vZ[v] of a stored coefficient of parity 0 (v^{-2}, v^0) and
+# of parity 1 (v^{-1})
+_LOW = ((1 << 2 * SLOT) - 1, (1 << SLOT) - 1)
 # the exponent shift of M_y in the down case sy < y, -1 or 1: M_sy + v^{-1} M_y
 _DOWN_SHIFT = -1
-# v + v^{-1} at low = -1, the multiplier of M_y in the third case
-_V_PLUS_VINV = 1 << 2 * SLOT | 1
+# v + v^{-1}, of parity 1, the multiplier of M_y in the third case
+_V_PLUS_VINV = 1 << SLOT | 1
 
 
-def _pack(coeffs: Mapping[int, int], slot: int = SLOT, low: int = -1) -> int:
-    """The coefficient {exponent: integer} as one int, digit k - low holding
-    v^k's; every exponent is at least low."""
-    return sum(c << (k - low) * slot for k, c in coeffs.items())
+def _pack(coeffs: Mapping[int, int], slot: int = SLOT, low: int = -1, step: int = 1) -> int:
+    """The coefficient {exponent: integer} as one int, digit (k - low) / step
+    holding v^k's; every exponent is at least low.  With step 2, an exponent
+    of the other parity than low raises `InvariantViolation`."""
+    if step != 1 and any((k - low) % step for k in coeffs):
+        raise InvariantViolation(f"{dict(coeffs)} has an exponent other than {low} mod {step}")
+    return sum(c << (k - low) // step * slot for k, c in coeffs.items())
 
 
-def _unpack(p: int, slot: int = SLOT, low: int = -1, sign: int = 1) -> dict[int, int]:
+def _unpack(p: int, slot: int = SLOT, low: int = -1, step: int = 1,
+            sign: int = 1) -> dict[int, int]:
     """The zero-free {exponent: integer} of the packed p, read in balanced
     digits: `_pack`'s inverse when every coefficient lies in
     [-2^(slot-1), 2^(slot-1)), with each exponent times sign."""
@@ -178,14 +208,26 @@ def _unpack(p: int, slot: int = SLOT, low: int = -1, sign: int = 1) -> dict[int,
     if p:
         skip = ((p & -p).bit_length() - 1) // slot  # zero digits at the bottom
         p >>= skip * slot
-        k, half, digit = low + skip, 1 << (slot - 1), (1 << slot) - 1
+        k, step = sign * (low + skip * step), sign * step
+        half, digit = 1 << (slot - 1), (1 << slot) - 1
         while p:
             c = ((p + half) & digit) - half
             if c:
-                coeffs[sign * k] = c
+                coeffs[k] = c
             p = (p - c) >> slot
-            k += 1
+            k += step
     return coeffs
+
+
+def _pack_table(coeffs: Mapping[int, int], e: int) -> int:
+    """A table coefficient of parity e packed: at `SLOT` bits, step 2 and
+    low = e - 2, so a coefficient of the other parity raises."""
+    return _pack(coeffs, SLOT, e - 2, 2)
+
+
+def _unpack_table(p: int, e: int) -> dict[int, int]:
+    """The table coefficient p of parity e unpacked."""
+    return _unpack(p, SLOT, e - 2, 2)
 
 
 def _masks(d: int) -> tuple[int, int]:
@@ -196,7 +238,9 @@ def _masks(d: int) -> tuple[int, int]:
     return ones << HEAD, ~(((1 << (HEAD + 1)) - 1) * ones)
 
 
-_MASKS = tuple(_masks(d) for d in range(64))  # up to v^61 at low = -1
+# the digits 0 to l // 2 + 1 of a stored coefficient, up to v^l, for every
+# length l up to MAX_HECKE_LENGTH
+_MASKS = tuple(_masks(d) for d in range(MAX_HECKE_LENGTH // 2 + 3))
 
 
 def _fits(p: int) -> bool:
@@ -343,8 +387,11 @@ class HeckeAlgebra:
         # the edge or made there by a relabel, counted with the numbers
         self._splits = numbered(Memo(None))
         self._relabels = numbered(Memo(None))
-        # packed table value -> its polynomial, keyed on values, not numbers
-        self._polys = Memo(lambda p: LaurentPolynomial._adopt(_unpack(p)))
+        # (packed table value, its parity) -> its polynomial, and the one
+        # stored int of each value: keyed on values, not numbers, so neither
+        # is registered, and emptying the pool loses only sharing
+        self._polys = Memo(lambda key: LaurentPolynomial._adopt(_unpack_table(*key)))
+        self._pool = Memo(lambda p: p)
 
     # -- standard basis arithmetic ---------------------------------------
 
@@ -415,7 +462,7 @@ class HeckeAlgebra:
             barred = _bar_factored(ext, {n: _pack(c, slot, low) for n, c in raw.items()}, slot)
             # bar(a) = rev(rev(bar(a))): the exponents negated
             out.update(self._to_elements(
-                {n: adopt(_unpack(p, slot, low, -1)) for n, p in barred.items() if p}, omega))
+                {n: adopt(_unpack(p, slot, low, 1, -1)) for n, p in barred.items() if p}, omega))
         return _shared(out)
 
     # -- canonical basis ---------------------------------------------------
@@ -455,11 +502,14 @@ class HeckeAlgebra:
             entry = self._relabels[omega] = (self.ext.inv(omega), {})
         return entry
 
-    def _edge(self, support: Mapping[int, int], omega=None) -> dict[ExtWeylElement, LaurentPolynomial]:
-        """The table entry support, numbered and packed, as polynomials over
-        elements, each decoded through `_polys`, relabeled as in `_to_elements`."""
-        polys = self._polys
-        return self._to_elements({y: polys[c] for y, c in support.items()}, omega)
+    def _edge(self, support: Mapping[int, int], lx: int,
+              omega=None) -> dict[ExtWeylElement, LaurentPolynomial]:
+        """The table entry support of an element of length lx, numbered and
+        packed, as polynomials over elements, each decoded through `_polys` at
+        its parity, relabeled as in `_to_elements`."""
+        polys, lengths = self._polys, self.ext.lengths
+        return self._to_elements(
+            {y: polys[c, (lx - lengths[y]) & 1] for y, c in support.items()}, omega)
 
     def _to_elements(self, support: dict[int, LaurentPolynomial], omega) -> dict[ExtWeylElement, LaurentPolynomial]:
         """The numbered support over elements, relabeled from that of aff to
@@ -486,7 +536,7 @@ class HeckeAlgebra:
         """
         self.ext.start_query(len(self._splits))
         omega, _, n = self._waff_part(x)
-        return _shared(self._edge(self._kl[n], omega))
+        return _shared(self._edge(self._kl[n], self.ext.lengths[n], omega))
 
     def _canonical(self, x: int, table: Memo, spherical: bool) -> Mapping[int, int]:
         """The canonical element of the element numbered x, as the read-only
@@ -497,7 +547,7 @@ class HeckeAlgebra:
         gets M_y's coefficient added, and y gets it shifted by `_DOWN_SHIFT`
         or by +1, or times `_V_PLUS_VINV` in the third case."""
         ext = self.ext
-        elements, lx = ext.elements, ext.lengths[x]
+        elements, lengths, lx = ext.elements, ext.lengths, ext.lengths[x]
         _check_length(ext, elements[x], lx)
         if lx == 0:
             return MappingProxyType({x: _UNIT})
@@ -505,22 +555,32 @@ class HeckeAlgebra:
         get, rows, row, bits = out.get, ext.rows, ext.row, self._bits
         down_by_v, third = _DOWN_SHIFT > 0, _V_PLUS_VINV
         i, rest = next((i, sx) for i, (sx, down) in enumerate(rows[x] or row(x)) if down)
-        # (H_s + v) M_y on the three kinds of y in the module
+        lrest = lx - 1
+        # (H_s + v) M_y on the three kinds of y in the module; p has the
+        # parity odd of len(sx) - len(y), so v p is p << SLOT when odd, else
+        # p, and v^{-1} p is p when odd, else p >> SLOT
         for y, p in table[rest].items():
             sy, down = (rows[y] or row(y))[i]
+            odd = (lrest - lengths[y]) & 1
             if spherical and not down and not bits[sy]:
                 # sy = y t with t finite simple, and H_t acts by v^{-1}
-                out[y] = get(y, 0) + (p * third >> SLOT)
+                out[y] = get(y, 0) + (p * third if odd else p * third >> SLOT)
                 continue
             # M_sy + v^{-1} M_y when sy < y, M_sy + v M_y when sy > y
             out[sy] = get(sy, 0) + p
-            out[y] = get(y, 0) + (p << SLOT if not down or down_by_v else p >> SLOT)
+            if not down or down_by_v:
+                out[y] = get(y, 0) + (p << SLOT if odd else p)
+            else:
+                out[y] = get(y, 0) + (p if odd else p >> SLOT)
         # subtract c0 times the canonical element of w for every w != x
-        # whose coefficient has constant term c0, read off its two lowest
-        # digits; a subtracted element changes no constant term but the one
-        # at w, so one pass over the snapshot suffices
+        # whose coefficient has constant term c0, which only a term of
+        # parity 0 has, read off its two lowest digits; a subtracted element
+        # changes no constant term but the one at w, so one pass over the
+        # snapshot suffices
+        low = _LOW[0]
         corrections = [(w, c0) for w, p in out.items()
-                       if w != x and p & _LOW and (c0 := _unpack(p & _LOW).get(0))]
+                       if w != x and not (lx - lengths[w]) & 1 and p & low
+                       and (c0 := _unpack_table(p & low, 0).get(0))]
         fmt = ext.format_element
         if len(corrections) + 2 >= _ADDS:
             raise BoundsTooLarge(f"{len(corrections)} corrections in the canonical element of "
@@ -531,26 +591,28 @@ class HeckeAlgebra:
                                      f"element of {fmt(elements[x])}")
             for y, q in table[w].items():
                 out[y] = get(y, 0) - c0 * q
-        # a term of the canonical element of x has degree below lx, so one
-        # check over its digits 0 to lx passes it when it fits; a term it
-        # fails is checked over its own digits
-        bias, outside = _masks_of(lx + 1)
-        support = {}
+        # a term of the canonical element of x has degree at most lx, so one
+        # check over its digits 0 to lx // 2 + 1 passes it when it fits; a
+        # term it fails is checked over its own digits.  Equal values are
+        # stored as one int, read from the pool
+        bias, outside = _masks_of(lx // 2 + 2)
+        support, pool = {}, self._pool
         for y, p in out.items():
             if p:
                 if (p + bias) & outside and not _fits(p):
                     raise BoundsTooLarge(f"a coefficient at {fmt(elements[y])} in the canonical "
                                          f"element of {fmt(elements[x])} is 2^{HEAD} or more "
                                          "in size")
-                support[y] = p
+                support[y] = pool[p]
         # unitriangular, with every lower coefficient in vZ[v]
         if support.get(x) != _UNIT:
             raise InvariantViolation(f"canonical basis not unitriangular at {elements[x]}")
         for y, p in support.items():
-            if y != x and p & _LOW:
-                raise InvariantViolation(f"lower coefficient {LaurentPolynomial(_unpack(p))} at "
-                                         f"{elements[y]} in the canonical element of "
-                                         f"{elements[x]}")
+            odd = (lx - lengths[y]) & 1
+            if y != x and p & _LOW[odd]:
+                poly = LaurentPolynomial(_unpack_table(p, odd))
+                raise InvariantViolation(f"lower coefficient {poly} at {elements[y]} in the "
+                                         f"canonical element of {elements[x]}")
         return MappingProxyType(support)
 
     def kl_poly(self, y: ExtWeylElement, x: ExtWeylElement) -> LaurentPolynomial:
@@ -569,7 +631,7 @@ class HeckeAlgebra:
         self.ext.start_query(len(self._splits))
         self._require_spherical(w)
         omega, _, n = self._waff_part(w)
-        return MappingProxyType(self._edge(self._spherical[n], omega))
+        return MappingProxyType(self._edge(self._spherical[n], self.ext.lengths[n], omega))
 
     def spherical_lower_set(self, x: ExtWeylElement) -> list[ExtWeylElement]:
         """Minimal representatives below x, sorted by decreasing length."""
@@ -610,13 +672,13 @@ class HeckeAlgebra:
         y, their lengths read from `ExtWeyl.lengths`, so the closure is walked no
         lower than y.  Closure members lie in W_ext^S by construction, so
         their elements are read from the table directly.  Each m^{x,u} is
-        packed at low = 0 (module docstring) and checked as it pops, and each
-        kept z is updated by one product; z's entry is created, and z pushed,
-        only when it is new."""
+        packed at step 2 and low = its parity (module docstring) and checked
+        as it pops, and each kept z is updated by one product; z's entry is
+        created, and z pushed, only when it is new."""
         spherical, push, pop = self._spherical, heapq.heappush, heapq.heappop
         ext = self.ext
         lengths, elements, fmt = ext.lengths, ext.elements, ext.format_element
-        ly = lengths[y]
+        lx, ly = lengths[x], lengths[y]
         values: dict[int, int] = {x: 1}
         heap = [(-lengths[x], x)]  # every longer member of the closure pops first
         adds = 0  # an upper bound on the products summed into one digit
@@ -629,13 +691,15 @@ class HeckeAlgebra:
             if not _fits(m) or adds >= _ADDS:
                 raise BoundsTooLarge(f"m^{{x,y}} at x = {fmt(elements[x])}, y = {fmt(elements[u])} "
                                      f"is 2^{HEAD} or more in size, or sums {adds} products")
-            minus = -m
+            # times mbar(z, u) of odd parity, a product of two odd parities
+            # is one digit higher
+            plus, minus = m << SLOT if (lx + neg_lu) & 1 else m, -m
             for z, p in spherical[u].items():
                 lz = lengths[z]
                 if lz < ly or z == u or (lz == ly and z != y):
                     continue
                 # with the sign (-1)^{len(z) + len(u) + 1}; p lies in vZ[v]
-                p = (p >> SLOT) * (m if (lz - neg_lu) % 2 else minus)
+                p = (p >> SLOT) * (plus if (lz + neg_lu) & 1 else minus)
                 acc = values.get(z)
                 if acc is None:
                     values[z] = p
@@ -646,7 +710,7 @@ class HeckeAlgebra:
         if not _fits(m):
             raise BoundsTooLarge(f"m^{{x,y}} at x = {fmt(elements[x])}, y = {fmt(elements[y])} "
                                  f"is 2^{HEAD} or more in size")
-        result = LaurentPolynomial(_unpack(m, SLOT, 0))
+        result = LaurentPolynomial(_unpack(m, SLOT, (lx - ly) & 1, 2))
         bound = lengths[x] + self._lw0
         if result and not (-bound <= result.min_exponent() and result.max_exponent() <= bound):
             raise InvariantViolation(f"{result} exceeds the degree bound {bound}")

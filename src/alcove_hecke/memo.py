@@ -7,8 +7,9 @@ each Weyl index, periodic-order comparisons, spherical tests, characters,
 partition counts and parabolic subgroups, and, keyed on element numbers,
 Bruhat comparisons, W_ext^S bits, the canonical elements of W_aff in both
 modules (each coefficient one packed int) and the inverse polynomials
-m^{x,y}, and, keyed on a packed coefficient, the polynomial it decodes to at
-the Hecke edge.  A table never holds more than
+m^{x,y}, and, keyed on values, the one stored int of each packed coefficient
+(the Hecke pool) and, per packed coefficient and parity, the polynomial it
+decodes to at the Hecke edge.  A table never holds more than
 `MEMO_CAP` entries: when a new value would exceed the cap, the table is
 emptied first, so a long-running process stays bounded at the price of
 recomputation.  `Memo.put` stores a value computed outside the table under

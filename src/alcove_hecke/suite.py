@@ -10,6 +10,7 @@ runner executes them sequentially and assembles the report in order.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import random
@@ -103,7 +104,7 @@ def _preset_type(datum) -> str | None:
 
 
 class _Env:
-    def __init__(self, engine: Engine, preset, kind, seed, samples, kl_maxlen):
+    def __init__(self, engine: Engine | None, preset, kind, seed, samples, kl_maxlen):
         self.engine = engine
         self.preset = preset
         self.kind = kind  # the preset type of the datum, or None
@@ -895,17 +896,19 @@ def run_suite(
         raise BoundsTooLarge(f"kl_maxlen {kl_maxlen} > {MAX_KL_LEN}")
     if samples > MAX_SAMPLES:
         raise BoundsTooLarge(f"samples {samples} > {MAX_SAMPLES}")
-    engine = build_engine(datum)
-    env = _Env(engine, preset, kind, seed, samples, kl_maxlen)
+    env = _Env(None, preset, kind, seed, samples, kl_maxlen)
     report = SuiteReport(preset, seed, samples, kl_maxlen)
     for name, fn in CHECKS:
         if names is not None and name not in names:
             continue
+        if env.engine is None:
+            env.engine = build_engine(datum)
         start = time.monotonic()
+        crashed = False
         try:
             ok, detail, ce = fn(env)
         except Exception as exc:  # a crashing check is a failing check
-            ok, detail, ce = False, f"exception: {exc!r}", None
+            ok, detail, ce, crashed = False, f"exception: {exc!r}", None, True
         if not ok:
             ce = dict(ce or {})
             ce.setdefault("command", _command(
@@ -921,4 +924,11 @@ def run_suite(
                 duration=time.monotonic() - start,
             )
         )
+        if crashed:
+            # a check that raised fails alone: its engine goes, with whatever
+            # its tables hold (all the memory, after a MemoryError), and so do
+            # the values shared between checks; the next check builds afresh
+            env.engine = None
+            env.shared.clear()
+            gc.collect()  # the engine's tables form reference cycles
     return report

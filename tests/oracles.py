@@ -15,7 +15,8 @@ from types import MappingProxyType
 from alcove_hecke.errors import BoundsTooLarge, InvariantViolation
 from alcove_hecke.ext_weyl import ExtWeylElement
 from alcove_hecke.groth_calc import SimpleLabel
-from alcove_hecke.hecke import MAX_HECKE_LENGTH, HeckeElement, _pack, _unpack, _width
+from alcove_hecke.hecke import (MAX_HECKE_LENGTH, HeckeElement, _pack, _pack_table, _unpack_table,
+                                _width)
 from alcove_hecke.laurent import ONE, V, V_INV, ZERO, LaurentPolynomial
 from alcove_hecke.memo import Memo
 from alcove_hecke.root_datum import (identity_matrix, mat_apply, pair, solve_smith, vec_add,
@@ -237,8 +238,10 @@ def per_coset_tables(hecke):
 class ElementTable(Mapping):
     """A number-keyed table of a `HeckeAlgebra` (`_kl` or `_spherical`), read
     and planted by element of W_aff: an entry reads as the map element ->
-    raw coefficient dict, each stored int unpacked, and an entry written is
-    packed and stored as the read-only map over the elements' numbers."""
+    raw coefficient dict, each stored int unpacked at the parity of
+    len(x) - len(y), and an entry written is packed the same way, so a
+    coefficient of the other parity raises `InvariantViolation`, and stored
+    as the read-only map over the elements' numbers."""
 
     def __init__(self, hecke, table):
         self.ext, self.table = hecke.ext, table
@@ -246,13 +249,18 @@ class ElementTable(Mapping):
     def element(self, n):
         return self.ext.elements[n]
 
+    def _parity(self, x, y):
+        return (self.ext.length(x) - self.ext.length(y)) % 2
+
     def __getitem__(self, x):
         elements = self.ext.elements
-        return {elements[y]: _unpack(c) for y, c in self.table[self.ext.number(x)].items()}
+        return {(y := elements[n]): _unpack_table(c, self._parity(x, y))
+                for n, c in self.table[self.ext.number(x)].items()}
 
     def __setitem__(self, x, entry):
         number = self.ext.number
-        self.table[number(x)] = MappingProxyType({number(y): _pack(c) for y, c in entry.items()})
+        self.table[number(x)] = MappingProxyType(
+            {number(y): _pack_table(c, self._parity(x, y)) for y, c in entry.items()})
 
     def __iter__(self):
         return iter([self.ext.elements[n] for n in self.table])

@@ -299,36 +299,43 @@ def test_descent_identity_catches_planted_down_case(monkeypatch, factor_engine):
 
 def test_pack_round_trip():
     # signed coefficients, negative exponents and the extreme digits
-    # +-(2^HEAD - 1) unpack to themselves at the tables' width and at a bar
-    # width just wide enough; the table check admits digits in
+    # +-(2^HEAD - 1) unpack to themselves at the tables' width, one digit per
+    # degree of v^2 at either parity, and at a bar width just wide enough,
+    # one digit per degree of v; the table check admits digits in
     # [-2^HEAD, 2^HEAD) and refuses 2^HEAD and -2^HEAD - 1
     slot, head = hecke_module.SLOT, hecke_module.HEAD
+    assert slot >= 2 * head + 29 + 3  # 2^29 additions into one digit
     pack, unpack, fits = hecke_module._pack, hecke_module._unpack, hecke_module._fits
     top = (1 << head) - 1
     rng = random.Random(53)
     for _ in range(300):
-        low = rng.randint(-6, 0)
+        low, step = rng.randint(-6, 0), rng.choice([1, 2])
         coeffs = {k: rng.choice([top, -top, rng.randint(-top, top), rng.randint(-3, 3)])
-                  for k in rng.sample(range(low, low + 12), rng.randint(0, 6))}
+                  for k in rng.sample(range(low, low + 12 * step, step), rng.randint(0, 6))}
         coeffs = {k: c for k, c in coeffs.items() if c}
         for width in (slot, head + 2):
-            assert unpack(pack(coeffs, width, low), width, low) == coeffs
-        p = pack(coeffs, slot, low)
-        assert fits(p) and p == pack(coeffs, slot, low - 1) >> slot
-        k = rng.randint(low, low + 12)
+            assert unpack(pack(coeffs, width, low, step), width, low, step) == coeffs
+        p = pack(coeffs, slot, low, step)
+        assert fits(p) and p == pack(coeffs, slot, low - step, step) >> slot
+        k = low + step * rng.randint(0, 12)
         for c in (1 << head, -(1 << head) - 1):
-            assert not fits(pack({**coeffs, k: c}, slot, low))
-        assert fits(pack({**coeffs, k: -(1 << head)}, slot, low))
+            assert not fits(pack({**coeffs, k: c}, slot, low, step))
+        assert fits(pack({**coeffs, k: -(1 << head)}, slot, low, step))
     assert unpack(0) == {} and pack({}) == 0
-    assert unpack(hecke_module._UNIT) == {0: 1} and unpack(hecke_module._V_PLUS_VINV) == {-1: 1, 1: 1}
+    # a table coefficient of parity 0 or 1 sits at low = parity - 2, so v^0
+    # and v^1 share digit 1: the unit, and v + v^{-1} of parity 1
+    assert unpack(hecke_module._UNIT, slot, -2, 2) == {0: 1}
+    assert unpack(hecke_module._V_PLUS_VINV, slot, -1, 2) == {-1: 1, 1: 1}
+    assert pack({1: 1}, slot, -1, 2) == hecke_module._UNIT == pack({0: 1}, slot, -2, 2)
 
 
 def test_coefficient_past_head_is_refused():
     # a stored coefficient of 2^HEAD makes the next recursion that reads it
     # raise BoundsTooLarge naming the element, in both tables, and never
-    # return a polynomial: one lower term of C_{sx}, or of N_{sw}, planted at
-    # v; and, copied to a partner of C_x's product as its constant term, one
-    # past 2^HEAD, which the corrections refuse to scale by
+    # return a polynomial: one lower term of C_{sx}, or of N_{sw}, of odd
+    # parity planted at v; and, on a term of even parity, copied to a partner
+    # of C_x's product as its constant term, one past 2^HEAD, which the
+    # corrections refuse to scale by
     eng = build_engine("B2_adj")
     ext, alc = eng.ext, eng.alc
     big = 1 << hecke_module.HEAD
@@ -343,7 +350,8 @@ def test_coefficient_past_head_is_refused():
         stored = ElementTable(hecke, getattr(hecke, table))
         rest = ext.first_descent(top)[1]
         entry = stored[rest]
-        y = next(y for y in sorted(entry) if y != rest)
+        y = next(y for y in sorted(entry)
+                 if y != rest and (ext.length(rest) - ext.length(y) - min(plant)) % 2 == 0)
         entry[y] = {**entry[y], **plant}
         stored[rest] = entry
         with pytest.raises(BoundsTooLarge, match=re.escape(ext.format_element(top))) as err:
@@ -681,27 +689,32 @@ def test_memoized_values_are_never_written(name):
 
 def test_cancelled_terms_are_dropped(a1):
     # a term of the product that the constant-term corrections cancel to 0 is
-    # not stored: C_t planted as H_t + 3 H_e makes (H_s + v) C_t hold 3 H_s
-    # and 3v H_e, and subtracting 3 C_s = 3 (H_s + v H_e) leaves H_st + v H_t
+    # not stored: for x = sts, C_ts planted without its v^2 H_e term makes
+    # (H_s + v) C_ts hold H_s and v H_e, and subtracting C_s = H_s + v H_e
+    # leaves H_sts + v H_ts + v H_st + v^2 H_t
     ext = a1.ext
     hecke = HeckeAlgebra(a1.alc)
-    x = ext.parse_element("e : -2")
-    i, t = ext.first_descent(x)
+    x, e = ext.parse_element("s1 : -4"), ext.identity
+    i, ts = ext.first_descent(x)
     s = ext.gen_element(ext.generators[i])
-    assert ext.length(x) == 2 and ext.mul(s, t) == x
+    t = next(ext.gen_element(g) for g in ext.generators if ext.gen_element(g) != s)
+    st = ext.mul(s, t)
+    assert ext.length(x) == 3 and ext.mul(s, ts) == x and ext.mul(t, s) == ts
     kl = ElementTable(hecke, hecke._kl)
-    kl[t] = {t: {0: 1}, ext.identity: {0: 3}}
-    assert kl[s] == {s: {0: 1}, ext.identity: {1: 1}}
-    assert dict(hecke.kl_basis(x).items()) == {x: ONE, t: V}
-    assert kl[x] == {x: {0: 1}, t: {1: 1}}
+    kl[ts] = {ts: {0: 1}, s: {1: 1}, t: {1: 1}}
+    assert kl[s] == {s: {0: 1}, e: {1: 1}}
+    assert dict(hecke.kl_basis(x).items()) == {x: ONE, ts: V, st: V, t: V * V}
+    assert kl[x] == {x: {0: 1}, ts: {1: 1}, st: {1: 1}, t: {2: 1}}
 
 
 @pytest.mark.parametrize("name", ["B2_adj", "G2"])
 def test_stored_coefficients_own_their_dicts(name):
     # every coefficient the tables keep after a sweep window is a nonzero
-    # int at the tables' width: 1 << SLOT exactly at the entry's own element,
-    # so each length-zero entry is {x: 1 << SLOT}, and every digit of it
-    # within 2^HEAD in size, so it unpacks and packs back to itself
+    # int at the tables' width: 1 << SLOT, the unit at parity 0 (and v at
+    # parity 1), exactly at the entry's own element among the terms of
+    # parity 0, so each length-zero entry is {x: 1 << SLOT}, and every digit
+    # of it within 2^HEAD in size, so it unpacks and packs back to itself at
+    # its parity
     eng = build_engine(G2 if name == "G2" else name)
     ext, alc, hecke = eng.ext, eng.alc, eng.hecke
     for w in spherical_window(eng, 6):
@@ -715,10 +728,64 @@ def test_stored_coefficients_own_their_dicts(name):
             if ext.length(x) == 0:
                 assert dict(e) == {n: unit}, x
             for y, c in e.items():
-                assert type(c) is int and c and (c == unit) == (y == n), (x, y)
-                assert hecke_module._fits(c) and hecke_module._pack(hecke_module._unpack(c)) == c
+                e = (ext.length(x) - ext.lengths[y]) % 2
+                assert type(c) is int and c and (c == unit and e == 0) == (y == n), (x, y)
+                assert hecke_module._fits(c)
+                assert hecke_module._pack_table(hecke_module._unpack_table(c, e), e) == c
                 coeffs.append(c)
     assert len(coeffs) > 100
+
+
+@pytest.mark.parametrize("name, maxlen", [("A2_adj", 14), ("B2_adj", 14), ("G2", 4)])
+def test_answers_have_kazhdan_lusztig_parity(name, maxlen):
+    # the tables store a coefficient at y of the entry of x with one digit
+    # per degree of v^2, its parity len(x) - len(y) read from the lengths:
+    # after the m-triangle sweep window and the C_w of its elements, every
+    # stored coefficient, as kl_basis and spherical_basis decode it, and
+    # every m^{x,y} answered over the window and the lower sets of its four
+    # longest elements, has only exponents of that parity
+    eng = build_engine(G2 if name == "G2" else name)
+    ext, alc, hecke = eng.ext, eng.alc, eng.hecke
+    window = spherical_window(eng, maxlen)
+    answers = {}
+    for w in window:
+        tri = alc.triangle(w)
+        answers[tri, w] = hecke.inverse_m(tri, w)
+        hecke.kl_basis(w)
+    for w in window[-4:]:
+        for y in hecke.spherical_lower_set(w):
+            answers[w, y] = hecke.inverse_m(w, y)
+    entries = [(ext.elements[n], hecke.kl_basis) for n in list(hecke._kl)]
+    entries += [(ext.elements[n], hecke.spherical_basis) for n in list(hecke._spherical)]
+    terms = 0
+    for x, basis in entries:
+        for y, p in dict(basis(x).items()).items():
+            assert {(k - ext.length(x) + ext.length(y)) % 2 for k in p.coeffs} == {0}, (x, y, p)
+            terms += 1
+    for (x, y), m in answers.items():
+        assert {(k - ext.length(x) + ext.length(y)) % 2 for k in m.coeffs} <= {0}, (x, y, m)
+    assert terms > 100 and sum(1 for m in answers.values() if m) > 10
+
+
+@pytest.mark.parametrize("name", ["A2_adj", "B2_adj", "G2"])
+def test_wrong_parity_coefficient_is_refused(name):
+    # a coefficient of the other parity than len(x) - len(y) has no digit
+    # to go in: planting one, alone or next to a right one, at a lower term
+    # or at x, raises InvariantViolation, and the entry and its canonical
+    # element stay as they were
+    eng = build_engine(G2 if name == "G2" else name)
+    ext, hecke = eng.ext, eng.hecke
+    x = spherical_window(eng, 6)[-1]
+    want = dict(hecke.kl_basis(x).items())
+    kl = ElementTable(hecke, hecke._kl)
+    entry = kl[x]
+    for y in (min(entry, key=ext.length), x):
+        odd = (ext.length(x) - ext.length(y) + 1) % 2
+        for plant in ({odd: 1}, {**entry[y], odd + 2: -3}):
+            with pytest.raises(InvariantViolation, match="other than"):
+                kl[x] = {**entry, y: plant}
+            assert kl[x] == entry
+    assert dict(hecke.kl_basis(x).items()) == want
 
 
 def test_no_laurent_temporaries_in_the_hot_loops(monkeypatch):

@@ -58,7 +58,13 @@ planted = build_engine("A1_adj").hecke
 y = ext.parse_element("s1 : -2")
 spherical = ElementTable(planted, planted._spherical)
 wrong = dict(spherical[rest])
-wrong[y] = {**wrong[y], 0: wrong[y].get(0, 0) + 1}  # plus 1, outside vZ[v]
+try:
+    spherical[rest] = {**wrong, y: {**wrong[y], 0: 1}}  # len(rest) - len(y) is odd
+except InvariantViolation:
+    pass
+else:
+    raise SystemExit("coefficient parity check vanished")
+wrong[y] = {**wrong[y], -1: wrong[y].get(-1, 0) + 1}  # plus v^{-1}, outside vZ[v]
 spherical[rest] = wrong
 try:
     planted.spherical_basis(w)

@@ -1,6 +1,7 @@
 import json
 import random
 import shlex
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -476,6 +477,12 @@ def _at_identity(eng, change):
     return lambda x, entry: {**entry, e: change(entry[e])}
 
 
+def _plus_unit(c):
+    """c plus the bar-invariant unit of its parity: 1 when its exponents are
+    even, v + v^{-1} when they are odd."""
+    return {**c, **{k: c.get(k, 0) + 1 for k in ((-1, 1) if min(c) % 2 else (0,))}}
+
+
 def test_kl_dihedral_fails_on_a_planted_exponent(monkeypatch, capsys):
     # every lower coefficient v^k of positive length planted as v^{k+2}
     def plant(eng):
@@ -512,13 +519,47 @@ def test_kl_dihedral_solver_fails_on_a_dropped_term(monkeypatch):
     assert 1 <= ext.length(ext.parse_element(check.counterexample["x"])) <= 6
 
 
+def test_a_raising_check_fails_alone(monkeypatch):
+    # a MemoryError planted in the first kl_basis call, which B2's
+    # kl-bar-invariance makes: that check fails naming it, its engine is
+    # dropped and collected, the next check runs on a fresh one, and every
+    # other row is the unplanted run's, durations aside
+    def rows(report):
+        return [(c.name, c.status, c.detail, c.counterexample) for c in report.checks]
+
+    want = rows(run_suite("B2_adj"))
+    real, calls = HeckeAlgebra.kl_basis, []
+
+    def planted(hecke, x):
+        calls.append(x)
+        if len(calls) == 1:
+            raise MemoryError
+        return real(hecke, x)
+
+    build, engines = suite.build_engine, []
+
+    def built(datum):
+        eng = build(datum)
+        engines.append(weakref.ref(eng))
+        return eng
+
+    monkeypatch.setattr(HeckeAlgebra, "kl_basis", planted)
+    monkeypatch.setattr(suite, "build_engine", built)
+    got = rows(run_suite("B2_adj"))
+    names = [c[0] for c in want]
+    at = names.index("kl-bar-invariance")
+    assert got[at][:3] == ("kl-bar-invariance", "fail", "exception: MemoryError()")
+    assert got[:at] == want[:at] and got[at + 1:] == want[at + 1:]
+    assert len(engines) == 2 and engines[0]() is None and len(calls) > 1
+
+
 def test_kl_bar_invariance_fails_on_a_right_relabeling(monkeypatch):
     # outside W_aff, C_{omega a} planted as C_a H_omega, the element of a
     # omega: bar invariant and nonnegative, but not omega C_a
     real = HeckeAlgebra._edge
 
-    def right(hecke, support, omega=None):
-        out = real(hecke, support)
+    def right(hecke, support, lx, omega=None):
+        out = real(hecke, support, lx)
         return out if omega is None else {hecke.ext.mul(y, omega): p for y, p in out.items()}
 
     monkeypatch.setattr(HeckeAlgebra, "_edge", right)
@@ -527,11 +568,11 @@ def test_kl_bar_invariance_fails_on_a_right_relabeling(monkeypatch):
 
 
 def test_kl_bar_invariance_solver_fails_on_a_planted_unit(monkeypatch):
-    # C_x + H_e for x of length 2 to 5, the lengths the solver takes: bar
+    # C_x + H_e for x of length 2 to 5, the lengths the solver takes, or
+    # C_x + (v + v^{-1}) H_e at odd length, of the parity of len(x): bar
     # invariant, nonnegative, relabeled alike; A2's first draw has length 3
     def plant(eng):
-        _rewrite(eng, eng.hecke._kl, range(2, 6), _at_identity(
-            eng, lambda c: {**c, 0: c.get(0, 0) + 1}))
+        _rewrite(eng, eng.hecke._kl, range(2, 6), _at_identity(eng, _plus_unit))
 
     check = _rerun_planted(monkeypatch, "A2_adj", "kl-bar-invariance", plant)
     assert check.detail == "bar-invariance solver disagrees"
@@ -542,7 +583,7 @@ def test_kl_bar_invariance_solver_fails_on_a_planted_unit(monkeypatch):
 
 @pytest.mark.parametrize("plant, detail", [
     (lambda c: {k: -d for k, d in c.items()}, "negative Kazhdan-Lusztig coefficient"),
-    (lambda c: {**c, 0: c.get(0, 0) + 1}, "bar-invariance solver disagrees"),
+    (lambda c: _plus_unit(c), "bar-invariance solver disagrees"),
 ])
 def test_kl_bar_invariance_top_up_fails_on_a_planted_entry(monkeypatch, plant, detail):
     # one draw, of length 0 on A1, so the solver elements all come from the
@@ -558,11 +599,12 @@ def test_kl_bar_invariance_top_up_fails_on_a_planted_entry(monkeypatch, plant, d
 
 
 def test_spherical_identities_fails_on_a_planted_spherical_entry(monkeypatch):
-    # every lower coefficient of N_z times v: with the m^{x,z} as computed,
-    # the sum at a label y != x with m^{x,y} != 0 becomes +-m^{x,y} (1 - v)
+    # every lower coefficient of N_z times v^2, which keeps its parity: with
+    # the m^{x,z} as computed, the sum at a label y != x with m^{x,y} != 0
+    # becomes +-m^{x,y} (1 - v^2)
     def plant(eng):
         _rewrite(eng, eng.hecke._spherical, range(1, 99), lambda x, entry: {
-            y: c if y == x else {k + 1: d for k, d in c.items()} for y, c in entry.items()})
+            y: c if y == x else {k + 2: d for k, d in c.items()} for y, c in entry.items()})
 
     check = _rerun_planted(monkeypatch, "B2_adj", "spherical-identities", plant)
     assert check.detail == "inverse matrix identity fails"
