@@ -301,11 +301,11 @@ class ExtWeyl:
         self._numbered.append(weakref.ref(table))
         return table
 
-    def start_query(self, held: int = 0) -> None:
+    def start_query(self) -> None:
         """Empties the numbers and every live table registered with `numbered`
-        once they and the `held` entries a caller counts with them reach
-        `MEMO_CAP`; called only as a public query starts, holding no number."""
-        if len(self.elements) + held >= memo.MEMO_CAP:
+        once the numbers reach `MEMO_CAP`; called only as a public query
+        starts, holding no number."""
+        if len(self.elements) >= memo.MEMO_CAP:
             tables = [ref() for ref in self._numbered]
             for table in [self.numbers, self.elements, self.lengths, self.rows, *tables]:
                 if table is not None:

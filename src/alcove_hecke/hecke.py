@@ -2,20 +2,22 @@
 
 Standard basis elements H_w are indexed by W_ext; multiplication follows
 H_x H_y = H_{xy} when lengths add and H_s^2 = H_e + (v^{-1} - v) H_s; the
-one product offered is by a generator, a H_s in `right_mul_gen`.  The bar
-involution follows its own recursion bar(H_s b) = H_s^{-1} bar(b),
-bar(H_omega) = H_omega, and writes into one accumulator: a length-zero term is added with
-its exponents negated, and each group of terms sharing a first left descent s
-is barred as a whole and multiplied by H_s^{-1} straight into the output, by
-H_s^{-1} H_w = H_sw, plus (v - v^{-1}) H_w when sw > w.  Before that
-recursion, `bar` tries one left factor: an input a = (H_s + v) b, for s a
-left descent of a longest term, is barred as (H_s^{-1} + v^{-1}) bar(b), the
-same H_s^{-1} step plus a v^{-1} shift, with b half of a's support.  Every
-canonical element of positive length has such a factor (C_x lies in
-(H_s + v) H for each left descent s of x).  The factor is found by pairing
-each term w with sw < w and comparing a_sw with v a_w coefficient by
-coefficient, so the result is exact for any input, bar invariant or not, and
-an input with no factor, such as a single H_y, takes the recursion alone.
+one product offered is by a generator, a H_s in `right_mul_gen`, in plain
+`LaurentPolynomial` arithmetic: the reference product that `bar` is checked
+against, sharing none of its packed code.  The bar involution follows its own
+recursion bar(H_s b) = H_s^{-1} bar(b), bar(H_omega) = H_omega, and writes
+into one accumulator: a length-zero term is added with its exponents negated,
+and each group of terms sharing a first left descent s is barred as a whole
+and multiplied by H_s^{-1} straight into the output, by H_s^{-1} H_w = H_sw,
+plus (v - v^{-1}) H_w when sw > w.  Before that recursion, `bar` tries one
+left factor: an input a = (H_s + v) b, for s a left descent of a longest
+term, is barred as (H_s^{-1} + v^{-1}) bar(b), the same H_s^{-1} step plus a
+v^{-1} shift, with b half of a's support.  Every canonical element of
+positive length has such a factor (C_x lies in (H_s + v) H for each left
+descent s of x).  The factor is found by pairing each term w with sw < w and
+comparing a_sw with v a_w coefficient by coefficient, so the result is exact
+for any input, bar invariant or not, and an input with no factor, such as a
+single H_y, takes the recursion alone.
 Computations are interval-local: only the Bruhat lower set of the target
 element is ever materialized.
 
@@ -29,15 +31,15 @@ W_aff part, and `_edge` turns an entry into polynomials over elements,
 relabeled by omega; each split and relabel made there is remembered.  All of
 these are registered with `ExtWeyl.numbered`, so they empty with the
 numbers, only as a public query (`kl_basis`, `spherical_basis`, `inverse_m`,
-`bar`) starts, the splits counted with the numbers against `MEMO_CAP`.  Each
-`Memo` may also empty itself mid-recursion, since a recursion reads only the
-values it was handed.
+`bar`) starts.  Each `Memo`, the splits too (written by `Memo.put`), may also
+empty itself mid-recursion, since a recursion reads only the values it was
+handed.
 
-Every coefficient inside this module is one Python int, the polynomial
-evaluated at a power of two (Kronecker substitution), so that adding two
-coefficients, shifting one by a power of v, scaling it by an integer,
-multiplying two and comparing two are each one big-int operation, and an int,
-unlike a dict, cannot be written by whoever shares it.  Digits are balanced:
+Every coefficient inside `bar` and the recursions is one Python int, the
+polynomial evaluated at a power of two (Kronecker substitution), so that
+adding two coefficients, shifting one by a power of v, scaling it by an
+integer, multiplying two and comparing two are each one big-int operation,
+and an int, unlike a dict, cannot be written by whoever shares it.  Digits are balanced:
 packed at slot bits, offset low and step, the int is sum_k c_k
 2^{(k - low) / step * slot}, and it decodes to the true c_k as long as each
 lies in [-2^(slot-1), 2^(slot-1)) (`_pack`, `_unpack`).  At step 1, v p is
@@ -91,8 +93,7 @@ its exponents negated.  Each call packs its input at a width of its own
 and the factor step at most quadruples it, so for terms of length at most l
 every partial sum is below (4/3) 3^l ||a||_1, which slot = bits(||a||_1) +
 bits(3^l) + 2 holds; the offset low = (lowest exponent) - l leaves room for
-l shifts by v^{-1}, so each `>> slot` is exact.  `right_mul_gen` packs the
-same way, for one step.
+l shifts by v^{-1}, so each `>> slot` is exact.
 
 Equal values are stored as one int: `_canonical` reads each finished term
 from `_pool`, a `Memo` keyed on the value and owned by the algebra.  It holds
@@ -101,8 +102,8 @@ keys are values, and emptying it loses only sharing, never a value.
 Polynomials are made only at the API edge: `_edge` decodes a table value
 through one bounded `Memo`, `_polys`, keyed on the value and its parity, not
 on numbers, so it is not registered either, and equal coefficients share one
-`LaurentPolynomial`.  `bar` and `right_mul_gen` decode each term of their
-result once, and `inverse_m` each answer.
+`LaurentPolynomial`.  `bar` decodes each term of its result once, and
+`inverse_m` each answer.
 
 The left spherical module is the quotient by the left ideal generated by
 H_s - v^{-1} for finite simple s; its standard basis M_y is indexed by the
@@ -168,7 +169,7 @@ from typing import Mapping
 from .alcove import AlcoveModel
 from .errors import BoundsTooLarge, InvariantViolation, NotSpherical
 from .ext_weyl import AffineGenerator, ExtWeyl, ExtWeylElement
-from .laurent import ONE, ZERO, LaurentPolynomial
+from .laurent import ONE, V, V_INV, ZERO, LaurentPolynomial
 from .memo import Memo
 
 # the canonical-basis recursion nests a few Python frames per length step, so
@@ -184,8 +185,6 @@ _UNIT = 1 << SLOT  # 1, of parity 0
 # the digits below vZ[v] of a stored coefficient of parity 0 (v^{-2}, v^0) and
 # of parity 1 (v^{-1})
 _LOW = ((1 << 2 * SLOT) - 1, (1 << SLOT) - 1)
-# the exponent shift of M_y in the down case sy < y, -1 or 1: M_sy + v^{-1} M_y
-_DOWN_SHIFT = -1
 # v + v^{-1}, of parity 1, the multiplier of M_y in the third case
 _V_PLUS_VINV = 1 << SLOT | 1
 
@@ -238,22 +237,16 @@ def _masks(d: int) -> tuple[int, int]:
     return ones << HEAD, ~(((1 << (HEAD + 1)) - 1) * ones)
 
 
-# the digits 0 to l // 2 + 1 of a stored coefficient, up to v^l, for every
-# length l up to MAX_HECKE_LENGTH
-_MASKS = tuple(_masks(d) for d in range(MAX_HECKE_LENGTH // 2 + 3))
+# `_masks(d)` per number d of digits checked
+_MASKS = Memo(_masks)
 
 
 def _fits(p: int) -> bool:
     """Whether every digit of p, packed at SLOT bits, lies in [-2^HEAD,
     2^HEAD).  A p that does has |p| >= 2^(t SLOT - 1) for its top digit t,
     so the bit_length // SLOT + 1 digits checked reach t."""
-    bias, outside = _masks_of(p.bit_length() // SLOT + 1)
+    bias, outside = _MASKS[p.bit_length() // SLOT + 1]
     return not (p + bias) & outside
-
-
-def _masks_of(d: int) -> tuple[int, int]:
-    """`_masks(d)`, read from `_MASKS` when it holds it."""
-    return _MASKS[d] if d < len(_MASKS) else _masks(d)
 
 
 def _width(coeffs: list[Mapping[int, int]], steps: int) -> tuple[int, int]:
@@ -384,7 +377,7 @@ class HeckeAlgebra:
         self._bits = numbered(Memo(lambda n: alc.in_wexts(elements[n])))
         # x -> (omega, omega^{-1}, number of omega^{-1} x), and omega ->
         # (omega^{-1}, {number of a: omega a}), for each x = omega a asked at
-        # the edge or made there by a relabel, counted with the numbers
+        # the edge or made there by a relabel
         self._splits = numbered(Memo(None))
         self._relabels = numbered(Memo(None))
         # (packed table value, its parity) -> its polynomial, and the one
@@ -399,21 +392,17 @@ class HeckeAlgebra:
         return HeckeElement({w: ONE})
 
     def right_mul_gen(self, a: HeckeElement, g: AffineGenerator) -> HeckeElement:
-        """a * H_s for the generator s = g."""
+        """a * H_s for the generator s = g, in plain polynomial arithmetic."""
         ext = self.ext
-        if not a.support:
-            return _shared({})
         ge = ext.gen_element(g)
-        slot, low = _width([p.coeffs for p in a.support.values()], 1)
-        out: dict[ExtWeylElement, int] = {}
-        for w, p in a.support.items():
-            ws, p = ext.mul(w, ge), _pack(p.coeffs, slot, low)
-            out[ws] = out.get(ws, 0) + p
+        out: dict[ExtWeylElement, LaurentPolynomial] = {}
+        for w, p in a.items():
+            ws = ext.mul(w, ge)
+            out[ws] = out.get(ws, ZERO) + p
             if ext.length(ws) < ext.length(w):
                 # H_w H_s = H_ws + (v^{-1} - v) H_w when ws < w
-                out[w] = out.get(w, 0) + (p >> slot) - (p << slot)
-        adopt = LaurentPolynomial._adopt
-        return _shared({w: adopt(_unpack(p, slot, low)) for w, p in out.items() if p})
+                out[w] = out.get(w, ZERO) + (V_INV - V) * p
+        return HeckeElement(out)
 
     def standard_inverse(self, x: ExtWeylElement) -> HeckeElement:
         """H_x^{-1}, which is bar(H_{x^{-1}})."""
@@ -446,7 +435,7 @@ class HeckeAlgebra:
         `kl_basis` (see `_waff_part`).
         """
         ext = self.ext
-        ext.start_query(len(self._splits))
+        ext.start_query()
         groups: dict[ExtWeylElement | None, dict[int, dict[int, int]]] = {}
         for w, p in a.support.items():
             omega, _, n = self._waff_part(w)
@@ -492,14 +481,15 @@ class HeckeAlgebra:
             split = omega, omega_inv, ext.number(aff)
             made[split[2]] = x
         _check_length(ext, x, ext.lengths[split[2]])
-        self._splits[x] = split
+        self._splits.put(x, split)
         return split
 
     def _relabeled(self, omega: ExtWeylElement) -> tuple[ExtWeylElement, dict[int, ExtWeylElement]]:
         """(omega^{-1}, {number of a: omega a}) for the length-zero omega."""
         entry = self._relabels.get(omega)
         if entry is None:
-            entry = self._relabels[omega] = (self.ext.inv(omega), {})
+            entry = self.ext.inv(omega), {}
+            self._relabels.put(omega, entry)
         return entry
 
     def _edge(self, support: Mapping[int, int], lx: int,
@@ -524,7 +514,7 @@ class HeckeAlgebra:
             z = made.get(y)
             if z is None:
                 z = made[y] = mul(omega, elements[y])
-                splits[z] = (omega, omega_inv, y)
+                splits.put(z, (omega, omega_inv, y))
             out[z] = p
         return out
 
@@ -534,7 +524,7 @@ class HeckeAlgebra:
 
         Raises `BoundsTooLarge` when x is longer than `MAX_HECKE_LENGTH`.
         """
-        self.ext.start_query(len(self._splits))
+        self.ext.start_query()
         omega, _, n = self._waff_part(x)
         return _shared(self._edge(self._kl[n], self.ext.lengths[n], omega))
 
@@ -544,8 +534,8 @@ class HeckeAlgebra:
         `table` memoizes: the regular module on W_ext, or the spherical
         module on W_ext^S when spherical is true.  It recurses within W_aff,
         so the tables hold no other elements.  In the product, a partner sy
-        gets M_y's coefficient added, and y gets it shifted by `_DOWN_SHIFT`
-        or by +1, or times `_V_PLUS_VINV` in the third case."""
+        gets M_y's coefficient added, and y gets it shifted by -1 or +1, or
+        times `_V_PLUS_VINV` in the third case."""
         ext = self.ext
         elements, lengths, lx = ext.elements, ext.lengths, ext.lengths[x]
         _check_length(ext, elements[x], lx)
@@ -553,7 +543,7 @@ class HeckeAlgebra:
             return MappingProxyType({x: _UNIT})
         out: dict[int, int] = {}
         get, rows, row, bits = out.get, ext.rows, ext.row, self._bits
-        down_by_v, third = _DOWN_SHIFT > 0, _V_PLUS_VINV
+        third = _V_PLUS_VINV
         i, rest = next((i, sx) for i, (sx, down) in enumerate(rows[x] or row(x)) if down)
         lrest = lx - 1
         # (H_s + v) M_y on the three kinds of y in the module; p has the
@@ -568,10 +558,10 @@ class HeckeAlgebra:
                 continue
             # M_sy + v^{-1} M_y when sy < y, M_sy + v M_y when sy > y
             out[sy] = get(sy, 0) + p
-            if not down or down_by_v:
-                out[y] = get(y, 0) + (p << SLOT if odd else p)
-            else:
+            if down:
                 out[y] = get(y, 0) + (p if odd else p >> SLOT)
+            else:
+                out[y] = get(y, 0) + (p << SLOT if odd else p)
         # subtract c0 times the canonical element of w for every w != x
         # whose coefficient has constant term c0, which only a term of
         # parity 0 has, read off its two lowest digits; a subtracted element
@@ -595,7 +585,7 @@ class HeckeAlgebra:
         # check over its digits 0 to lx // 2 + 1 passes it when it fits; a
         # term it fails is checked over its own digits.  Equal values are
         # stored as one int, read from the pool
-        bias, outside = _masks_of(lx // 2 + 2)
+        bias, outside = _MASKS[lx // 2 + 2]
         support, pool = {}, self._pool
         for y, p in out.items():
             if p:
@@ -628,7 +618,7 @@ class HeckeAlgebra:
         """The canonical element N_w = sum_y mbar(y, w) M_y, as a read-only map
         y -> mbar(y, w), its polynomials decoded as in `kl_basis`; w is at
         most `MAX_HECKE_LENGTH` long."""
-        self.ext.start_query(len(self._splits))
+        self.ext.start_query()
         self._require_spherical(w)
         omega, _, n = self._waff_part(w)
         return MappingProxyType(self._edge(self._spherical[n], self.ext.lengths[n], omega))
@@ -652,7 +642,7 @@ class HeckeAlgebra:
         x's class has no known omega yet; otherwise the length bound reads
         omega^{-1} x's.
         """
-        self.ext.start_query(len(self._splits))
+        self.ext.start_query()
         self._require_spherical(x)
         self._require_spherical(y)
         ext = self.ext

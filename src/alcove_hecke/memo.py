@@ -19,9 +19,9 @@ as the Bruhat comparisons a walk passes, is built with fn None and filled
 only by `put`.  Emptying is safe in the middle of a recursion because callers
 use the returned values, never the table's contents.  Element numbers are not
 a `Memo`: `ExtWeyl` owns them with their lengths and rows, and empties them
-with every live table keyed on them (the Hecke edge's splits too, fn None but
-written directly) only as a public query starts, because a running walk or
-recursion holds numbers.
+with every live table keyed on them (the Hecke edge's splits too, which hold
+numbers in their values) only as a public query starts, because a running
+walk or recursion holds numbers.
 
 A table is a plain dict and is not locked: confine its owner to one
 execution context, or guard it for concurrent reads with exclusive writes.

@@ -111,7 +111,6 @@ class _Env:
         self.seed = seed
         self.samples = samples
         self.kl_maxlen = kl_maxlen
-        self.shared: dict = {}
 
     def rng(self, name: str) -> random.Random:
         return random.Random(f"{self.seed}:{name}")
@@ -665,34 +664,36 @@ def check_spherical_identities(env: _Env):
     return True, f"matrix identity on {len(lower)} labels; zeta at {env.fmt(shown)}", None
 
 
-def check_m_triangle(env: _Env):
+def _m_triangle(env: _Env):
+    """({w: (m^{tri(w), w}, tri(w))} over the spherical window, failure): the
+    failure of the first w whose entry is not v^{len(w0)}, or None.  Run
+    again on one engine, it reads the memoized `inverse_m` answers."""
     eng = env.engine
     ext, alc, hecke = eng.ext, eng.alc, eng.hecke
-    lw0 = ext.length(ext.w0)
-    want = LaurentPolynomial.monomial(lw0)
+    want = LaurentPolynomial.monomial(ext.length(ext.w0))
     values = {}
     for w in spherical_window(eng, env.kl_maxlen):
         tri = alc.triangle(w)
         got = hecke.inverse_m(tri, w)
         values[w] = (got, tri)
         if got != want:
-            return False, "inverse polynomial is not v^{len(w0)}", {
+            return values, (False, "inverse polynomial is not v^{len(w0)}", {
                 "w": env.fmt(w), "triangle": env.fmt(tri), "got": str(got),
-                "command": env.cmd("hecke", "inverse-m", "--x", tri, "--y", w)}
-    env.shared["mtriangle"] = values
-    return True, f"exact on {len(values)} elements up to length {env.kl_maxlen}", None
+                "command": env.cmd("hecke", "inverse-m", "--x", tri, "--y", w)})
+    return values, None
+
+
+def check_m_triangle(env: _Env):
+    values, failure = _m_triangle(env)
+    return failure or (True, f"exact on {len(values)} elements up to length {env.kl_maxlen}", None)
 
 
 def check_mult_triangle(env: _Env):
-    eng = env.engine
-    ext = eng.ext
+    ext = env.engine.ext
     lw0 = ext.length(ext.w0)
-    values = env.shared.get("mtriangle")
-    if values is None:
-        ok, detail, ce = check_m_triangle(env)
-        if not ok:
-            return ok, detail, ce
-        values = env.shared["mtriangle"]
+    values, failure = _m_triangle(env)
+    if failure:
+        return failure
     for w, (poly, tri) in values.items():
         sign = -1 if (ext.length(w) + ext.length(tri)) % 2 else 1
         if sign * poly.evaluate(-1) != 1:
@@ -926,9 +927,8 @@ def run_suite(
         )
         if crashed:
             # a check that raised fails alone: its engine goes, with whatever
-            # its tables hold (all the memory, after a MemoryError), and so do
-            # the values shared between checks; the next check builds afresh
+            # its tables hold (all the memory, after a MemoryError); the next
+            # check builds afresh
             env.engine = None
-            env.shared.clear()
             gc.collect()  # the engine's tables form reference cycles
     return report

@@ -157,13 +157,15 @@ def _add_shifted(out, w, coeffs, shift, scale=1):
         acc[k + shift] = acc.get(k + shift, 0) + scale * c
 
 
-def canonical(ext, x, table, in_module):
+def canonical(ext, x, table, in_module, down_shift=-1):
     """The canonical element of x, element-keyed, as the read-only map
     y -> raw coefficient: the regular module when in_module is None, the
     spherical module when it is the W_ext^S test.  The recursion the library
     ran on elements before it numbered them, with its own constants: (H_s + v)
     times the canonical element of s x, read off `ExtWeyl.left_steps`, then
-    the constant terms below x cleared by canonical elements of `table`."""
+    the constant terms below x cleared by canonical elements of `table`.  In
+    the down case sy < y, M_y is shifted by v^down_shift; a shift of 1 plants
+    the fault M_sy + v M_y."""
     lx = ext.length(x)
     if lx > MAX_HECKE_LENGTH:
         raise BoundsTooLarge(f"{ext.format_element(x)} has length {lx} > {MAX_HECKE_LENGTH}")
@@ -176,7 +178,7 @@ def canonical(ext, x, table, in_module):
         if down or in_module is None or in_module(sy):
             # M_sy + v^{-1} M_y when sy < y, M_sy + v M_y when sy > y
             _add_shifted(out, sy, p, 0)
-            _add_shifted(out, y, p, -1 if down else 1)
+            _add_shifted(out, y, p, down_shift if down else 1)
         else:  # sy = y t with t finite simple: (v + v^{-1}) M_y
             _add_shifted(out, y, p, 1)
             _add_shifted(out, y, p, -1)
@@ -267,6 +269,24 @@ class ElementTable(Mapping):
 
     def __len__(self):
         return len(self.table)
+
+
+def planted_canonical(down_shift):
+    """A stand-in for `HeckeAlgebra._canonical`: `canonical` with the given
+    down-case shift, run on the element of the number asked over the
+    algebra's own table, read through `ElementTable`, and its entry packed at
+    the parity of each term, as the library stores it."""
+
+    def _canonical(hecke, x, table, spherical):
+        ext = hecke.ext
+        element = ext.elements[x]
+        entry = canonical(ext, element, ElementTable(hecke, table),
+                          hecke.alc.in_wexts if spherical else None, down_shift)
+        lx = ext.length(element)
+        return MappingProxyType({ext.number(y): _pack_table(c, (lx - ext.length(y)) % 2)
+                                 for y, c in entry.items()})
+
+    return _canonical
 
 
 def numbered(hecke, a):

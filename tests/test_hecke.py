@@ -24,7 +24,7 @@ from conftest import CUSTOM, EVERY_DATUM, SEMISIMPLE, descriptor, engine_for
 from alcove_hecke.root_datum import vec_sub
 from oracles import (ElementTable, as_polys, back_substitute, coroot_lattice_contains,
                      hecke_combination, hecke_product, inverse_m_per_coset, mbar, numbered,
-                     per_coset_tables)
+                     per_coset_tables, planted_canonical)
 
 
 def test_quadratic_relation(a1):
@@ -195,6 +195,30 @@ def test_left_mul_gen_matches_operator_oracle(datum_engine):
             assert hecke_product(ext, h_s, a) == _left_mul_gen_by_operators(hecke, g, a)
 
 
+def test_right_mul_gen_is_the_plain_reference_product(monkeypatch, oracle_engine):
+    # a H_s, the product that bar is checked against, equals the product by
+    # words on mixed-parity elements, and reads none of bar's packed code
+    ext, hecke = oracle_engine.ext, oracle_engine.hecke
+    calls = []
+
+    def spied(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in ("_pack", "_unpack", "_width"):
+        monkeypatch.setattr(hecke_module, name, spied(name, getattr(hecke_module, name)))
+    rng = random.Random(59)
+    for a in _random_elements(ext, rng, 8, 4):
+        for g in ext.generators:
+            h_s = hecke.standard(ext.gen_element(g))
+            assert hecke.right_mul_gen(a, g) == hecke_product(ext, a, h_s)
+    assert calls == []
+    hecke.bar(a)  # the spies see bar's calls
+    assert {"_pack", "_unpack", "_width"} <= set(calls)
+
+
 def test_bar_matches_operator_oracle(datum_engine):
     ext, hecke = datum_engine.ext, datum_engine.hecke
     rng = random.Random(31)
@@ -289,9 +313,13 @@ def test_kl_basis_factors_through_every_left_descent(monkeypatch, factor_engine)
 
 def test_descent_identity_catches_planted_down_case(monkeypatch, factor_engine):
     # the down case (H_s + v) M_y = M_sy + v^{-1} M_y planted as M_sy + v M_y
-    monkeypatch.setattr(hecke_module, "_DOWN_SHIFT", 1)
-    hecke = HeckeAlgebra(factor_engine.alc)
-    assert _descent_identity_failures(hecke, _window(factor_engine, 47, 12, 6))
+    # in the element-keyed recursion installed over the library's: with the
+    # true shift it passes, so the plant alone makes it fail
+    xs = _window(factor_engine, 47, 12, 6)
+    monkeypatch.setattr(HeckeAlgebra, "_canonical", planted_canonical(-1))
+    assert _descent_identity_failures(HeckeAlgebra(factor_engine.alc), xs) == []
+    monkeypatch.setattr(HeckeAlgebra, "_canonical", planted_canonical(1))
+    assert _descent_identity_failures(HeckeAlgebra(factor_engine.alc), xs)
 
 
 # -- packed coefficients: one int per coefficient, v = 2^slot ---------------
@@ -634,6 +662,31 @@ def test_kl_and_bar_agree_under_tiny_memo_cap(monkeypatch, b2):
     assert not tiny.hecke._kl and not tiny.hecke._spherical and not tiny.hecke._splits
 
 
+@pytest.mark.parametrize("name", ["A2_adj", "B2_adj"])
+def test_splits_stay_under_the_cap(monkeypatch, name):
+    # the edge's splits, written for every element asked outside W_aff and
+    # every relabeled term, are held to the cap like every other table, within
+    # each query, and the answers are an engine's at the default cap
+    plain = build_engine(name)
+    ext = plain.ext
+    xs = [x for x in _relabeled_window(plain, f"splits:{name}", 12, 4)
+          if not ext.in_affine_subgroup(x)]
+    assert len(xs) >= 6
+    kl = {x: plain.hecke.kl_basis(x) for x in xs}
+    bars = {x: plain.hecke.bar(plain.hecke.standard(x)) for x in xs}
+    cap = 6
+    monkeypatch.setattr(memo, "MEMO_CAP", cap)
+    tiny = build_engine(name).hecke
+    for x in xs:
+        assert tiny.kl_basis(x) == kl[x]
+        assert len(tiny._splits) <= cap
+        assert tiny.bar(kl[x]) == kl[x]
+        assert len(tiny._splits) <= cap
+        assert tiny.bar(tiny.standard(x)) == bars[x]
+        assert len(tiny._splits) <= cap
+    assert max(len(c.support) for c in kl.values()) > cap
+
+
 @pytest.mark.parametrize("name", ["B2_adj", "G2"])
 def test_memoized_values_are_never_written(name):
     # the packed accumulators read memoized coefficients and the module's
@@ -658,7 +711,13 @@ def test_memoized_values_are_never_written(name):
                 n: str(c)
                 for n, c in vars(hecke_module).items()
                 if n.startswith("_") and not n.startswith("__")
-                and isinstance(c, (dict, tuple, int))
+                and isinstance(c, (dict, tuple, int)) and not isinstance(c, memo.Memo)
+            },
+            # a module-level table, entry by entry
+            **{
+                (n, k): str(v)
+                for n, c in vars(hecke_module).items() if isinstance(c, memo.Memo)
+                for k, v in c.items()
             },
         }
 
@@ -1090,8 +1149,11 @@ def test_a_second_query_of_a_known_class_costs_no_length(monkeypatch, name):
 def test_planted_down_case_fails_bar_invariance(monkeypatch, preset):
     # the regular and the spherical module share one recursion, so a fault in
     # its down case, (H_s + v) M_y = M_sy + v^{-1} M_y planted as M_sy + v M_y,
-    # reaches kl_basis and the suite's bar-invariance check must report it
-    monkeypatch.setattr(hecke_module, "_DOWN_SHIFT", 1)
+    # reaches kl_basis and the suite's bar-invariance check must report it;
+    # the element-keyed recursion installed with the true shift passes
+    monkeypatch.setattr(HeckeAlgebra, "_canonical", planted_canonical(-1))
+    assert run_suite(preset, names=["kl-bar-invariance"]).passed
+    monkeypatch.setattr(HeckeAlgebra, "_canonical", planted_canonical(1))
     report = run_suite(preset, names=["kl-bar-invariance"])
     assert [c.name for c in report.checks] == ["kl-bar-invariance"]
     assert not report.passed
@@ -1285,17 +1347,17 @@ def test_store_empties_only_as_a_query_starts(monkeypatch, name):
     emptied = []
     real_start = ExtWeyl.start_query
 
-    def spied_start(ext, held=0):
+    def spied_start(ext):
         assert depth[0] == 0
         numbered = len(ext.elements)
-        real_start(ext, held)
+        real_start(ext)
         if len(ext.elements) < numbered:
             emptied.append(numbered)
             # the numbers and every live table keyed on them, together
             assert not any([ext.numbers, ext.elements, ext.lengths, ext.rows,
                             *(ref() for ref in ext._numbered)])
         else:
-            assert numbered + held < STORE_CAP
+            assert numbered < STORE_CAP
 
     monkeypatch.setattr(ExtWeyl, "start_query", spied_start)
     tiny, tiny_gl2 = build_engine(datum), build_engine(CUSTOM["GL2"])
