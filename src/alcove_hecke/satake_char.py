@@ -6,27 +6,43 @@ the Weyl/induced-module character), computed by the Freudenthal recursion in
 exact integer arithmetic; a brute-force Kostant-partition evaluation and the
 Weyl dimension formula are provided as independent cross-checks.
 
-The recursion runs over the dominant weights below the highest weight only,
-in order of depth below it.  Each multiplicity, once known, is written onto
-the whole W-orbit of its dominant weight, so the weights nu + k beta that the
-recursion reads at nu are looked up directly: their dominant representatives
-lie higher and were filled in first.
+The recursion runs over the dominant weights below the highest weight mu
+only.  They are found by a walk down from mu: a step subtracts a positive
+coroot beta and is kept when every simple-root pairing, lowered by
+<alpha_i, beta>, stays nonnegative.  Every dominant weight below mu is reached
+so, through dominant weights (Stembridge, *The partial order of dominant
+weights*, 1998).  A weight's depth is the height of its gap to mu, and the
+recursion takes the weights in order of depth.  Each multiplicity, once
+known, is written onto the whole W-orbit of its dominant weight.  A weight
+nu + k beta (k > 0) that the recursion reads at nu has its dominant
+representative above nu + k beta, hence above nu and at a smaller depth, so it
+is filled in first.  The weights on the string nu + beta, nu + 2 beta, ... are
+unbroken, so the sum over k ends at the first one that is not a weight.
+
+On A2 the module of highest weight (1, 1) is the adjoint one: six roots and
+the zero weight twice.
+
+>>> from alcove_hecke.root_datum import load_root_datum
+>>> sat = SatakeChar(load_root_datum("A2_adj"))
+>>> wm = sat.weight_multiplicities((1, 1))
+>>> len(wm.multiplicities), wm.mult((0, 0)), wm.total(), sat.weyl_dimension((1, 1))
+(7, 2, 8, 8)
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from operator import le, mul as scalar_mul
+from operator import add, mul as scalar_mul, sub
 
 from .errors import BoundsTooLarge, InvariantViolation, NotDominant
 from .memo import Memo
 from .root_datum import (RootDatum, Vector, identity_matrix, mat_apply, pair, solve_smith,
                          vec_add, vec_scale, vec_sub)
 
-# the recursion enumerates a box of candidate weights below the highest one,
-# so a highest weight whose box is larger is refused before it is enumerated
+# a stated bound on the input: the box of gap coordinates between the highest
+# and the lowest weight (not enumerated) may hold this many points, and a
+# highest weight with a larger box is refused before the walk starts
 MAX_CHAR_BOX = 40_000
 
 
@@ -49,14 +65,19 @@ class SatakeChar:
         self.datum = datum
         self._chars = Memo(self._freudenthal)
         self._partitions = Memo(self._count_partitions)
-        # per Weyl index, the Kostant term in linear form
+        # per Weyl index, the Kostant term in linear form; per highest weight,
+        # every term's sign and the part of its coordinates that mu fixes
         self._kostant_rows = Memo(self._kostant_row)
+        self._kostant_terms = Memo(self._kostant_terms_of)
         # coroot data in simple-coroot coordinates
         self._coroot_coords = list(datum.coroot_in_simple)
-        # the simple coroots as columns, and the Y-action of every Weyl element
-        self._coroot_columns = tuple(
-            tuple(cv[r] for cv in datum.simple_coroots) for r in range(datum.y_rank)
+        # each positive coroot as a step of the dominant walk: the coroot, its
+        # height and its simple-root pairings
+        self._walk_steps = tuple(
+            (beta, sum(bc), tuple(pair(alpha, beta) for alpha in datum.simple_roots))
+            for beta, bc in zip(datum.positive_coroots, self._coroot_coords)
         )
+        # the Y-action of every Weyl element
         self._y_actions = tuple(el.y_action for el in datum.weyl_elements)
         self._two_rho_vee = (0,) * datum.y_rank
         for cv in datum.positive_coroots:
@@ -81,8 +102,10 @@ class SatakeChar:
     # -- Freudenthal recursion ----------------------------------------------
 
     def weight_multiplicities(self, mu: Vector) -> WeightMultiset:
-        """The character of highest weight mu; `BoundsTooLarge` when its box of
-        candidate weights holds more than `MAX_CHAR_BOX`."""
+        """The character of highest weight mu; `BoundsTooLarge` when the box of
+        gap coordinates between mu and its lowest weight holds more than
+        `MAX_CHAR_BOX` points (a bound on the input: only the dominant weights
+        below mu are visited)."""
         mu = self.datum.check_y(mu)
         if not self.datum.is_dominant(mu):
             raise NotDominant(f"{mu} is not dominant")
@@ -98,35 +121,34 @@ class SatakeChar:
         if box > MAX_CHAR_BOX:
             raise BoundsTooLarge(f"{mu} has {box} > {MAX_CHAR_BOX} candidate weights")
 
-        # dominant candidates: mu minus box combinations of simple coroots, each
-        # decided by one row product, <alpha_i, nu> = <alpha_i, mu> - (C cs)_i
-        top = [pair(alpha, mu) for alpha in d.simple_roots]
-        dominant: list[tuple[Vector, Vector]] = []  # (weight, gap coords)
-        for cs in itertools.product(*(range(c + 1) for c in span)):
-            if all(map(le, mat_apply(d.cartan, cs), top)):
-                dominant.append((vec_sub(mu, mat_apply(self._coroot_columns, cs)), cs))
-        dominant.sort(key=lambda t: (sum(t[1]), t[0]))
+        # the dominant weights below mu, walked down by positive coroots, each
+        # with its depth: the height of its gap to mu
+        depth = {mu: 0}
+        queue = [(mu, 0, tuple(pair(alpha, mu) for alpha in d.simple_roots))]
+        for nu, h, pairs in queue:  # grows as it is read
+            for beta, height, beta_pairs in self._walk_steps:
+                low = tuple(map(sub, pairs, beta_pairs))
+                if min(low) >= 0:
+                    lower = vec_sub(nu, beta)
+                    if lower not in depth:
+                        depth[lower] = h + height
+                        queue.append((lower, h + height, low))
 
         # each multiplicity is written onto the whole W-orbit of its dominant
         # weight; a weight nu + k beta above nu has its dominant representative
-        # at a smaller gap depth, so it is already filled in when nu reads it
+        # at a smaller depth, so it is already filled in when nu reads it, and
+        # the string nu + k beta ends at the first weight not filled in
         full: dict[Vector, int] = {}
-        for nu, cs in dominant:
+        for nu in sorted(depth, key=lambda nu: (depth[nu], nu)):
             if nu == mu:
                 m = 1
             else:
                 numerator = 0
-                for beta, bc, row in zip(d.positive_coroots, self._coroot_coords, self._form_rows):
-                    k = 1
-                    while True:
-                        higher = vec_add(nu, vec_scale(k, beta))
-                        gap = tuple(a - k * b for a, b in zip(cs, bc))
-                        if any(g < 0 for g in gap):
-                            break
-                        m_h = full.get(higher, 0)
-                        if m_h:
-                            numerator += 2 * m_h * pair(row, higher)
-                        k += 1
+                for beta, row in zip(d.positive_coroots, self._form_rows):
+                    higher = vec_add(nu, beta)
+                    while higher in full:
+                        numerator += 2 * full[higher] * pair(row, higher)
+                        higher = vec_add(higher, beta)
                 # denominator |mu+rho|^2 - |nu+rho|^2 = B(mu+nu+2rho, mu-nu)
                 lhs, rhs = vec_add(vec_add(mu, nu), self._two_rho_vee), vec_sub(mu, nu)
                 denom = sum(pair(alpha, lhs) * pair(alpha, rhs) for alpha in d.positive_roots)
@@ -182,11 +204,20 @@ class SatakeChar:
         if gap is None:
             return 0
         total = 0
+        for sign, base in self._kostant_terms[mu]:
+            coords = tuple(map(add, base, gap))
+            if min(coords, default=0) >= 0:
+                total += sign * self._partition_count(coords, 0)
+        return total
+
+    def _kostant_terms_of(self, mu: Vector) -> tuple[tuple[int, list[int]], ...]:
+        """Per Weyl element w, sign(w) and the coordinates of w(mu + rho) -
+        (mu + rho); the Kostant term of w adds those of mu - nu."""
+        terms = []
         for w in range(self.datum.weyl_order):
             sign, shift, rows = self._kostant_rows[w]
-            coords = [s + g + sum(map(scalar_mul, row, mu)) for s, g, row in zip(shift, gap, rows)]
-            total += sign * self.kostant_partition(coords)
-        return total
+            terms.append((sign, [s + sum(map(scalar_mul, row, mu)) for s, row in zip(shift, rows)]))
+        return tuple(terms)
 
     def _kostant_row(self, w: int) -> tuple[int, list[int], list[Vector]]:
         """sign(w), the coordinates of w(rho) - rho, and the rows of the map taking

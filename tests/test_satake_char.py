@@ -1,11 +1,14 @@
 import itertools
+import json
 
 import pytest
 
 from alcove_hecke import satake_char
 from alcove_hecke.errors import InvariantViolation, NotDominant
-from alcove_hecke.root_datum import pair, solve_smith, vec_add, vec_scale, vec_sub
+from alcove_hecke.root_datum import load_root_datum, pair, solve_smith, vec_add, vec_scale, vec_sub
 from alcove_hecke.satake_char import SatakeChar
+from alcove_hecke.suite import run_suite
+from conftest import CUSTOM, INTERLEAVED, RANK3, SEMISIMPLE, descriptor
 from oracles import kostant_multiplicity_per_term
 
 
@@ -106,7 +109,7 @@ def test_kostant_off_the_coroot_lattice(a1):
     assert a1.satake.kostant_multiplicity((2,), (1,)) == 0
 
 
-# -- the former grid route, kept as an oracle for the orbit fill ---------------
+# -- the former grid route, kept as an oracle for the walk and the orbit fill --
 
 
 def dominant_representative(d, nu):
@@ -160,8 +163,12 @@ def grid_multiplicities(sat, mu):
     return {nu: m for nu, m in full.items() if m}
 
 
-def test_orbit_fill_matches_grid_route(datum_engine):
-    d, sat = datum_engine.datum, datum_engine.satake
+# on the rank-3 and interleaved data the walk steps by the positive coroots of
+# several Dynkin components, and of both lengths on B, C and G
+@pytest.mark.parametrize("name", SEMISIMPLE + list(CUSTOM) + list(RANK3) + list(INTERLEAVED))
+def test_orbit_fill_matches_grid_route(name):
+    sat = SatakeChar(load_root_datum(descriptor(name)))
+    d = sat.datum
     bound = 2 if d.rank > 1 else 5
     for cs in itertools.product(range(bound + 1), repeat=d.rank):
         mu = d.section_lift(cs)
@@ -170,6 +177,34 @@ def test_orbit_fill_matches_grid_route(datum_engine):
         rep = dominant_representative(d, nu)
         assert d.is_dominant(rep)
         assert any(d.act_y(w, nu) == rep for w in range(d.weyl_order))
+
+
+@pytest.mark.parametrize("name", ["B2_adj", "G2"])
+def test_walk_skipping_a_coroot_fails(name, monkeypatch, tmp_path):
+    # a planted walk that never steps down by the last positive coroot, in
+    # every SatakeChar built from here on: some dominant weight goes unvisited
+    init = SatakeChar.__init__
+
+    def planted(self, datum):
+        init(self, datum)
+        self._walk_steps = self._walk_steps[:-1]
+
+    monkeypatch.setattr(SatakeChar, "__init__", planted)
+    sat = SatakeChar(load_root_datum(descriptor(name)))
+
+    def agrees(mu):
+        try:
+            return dict(sat.weight_multiplicities(mu).items()) == grid_multiplicities(sat, mu)
+        except InvariantViolation:
+            return False
+
+    assert not all(agrees(sat.datum.section_lift(cs)) for cs in itertools.product(range(3), repeat=2))
+    preset = name
+    if name in CUSTOM:
+        preset = tmp_path / f"{name}.json"
+        preset.write_text(json.dumps(CUSTOM[name]), encoding="utf-8")
+    report = run_suite(str(preset), names=["freudenthal-kostant"])
+    assert [c.status for c in report.checks] == ["fail"]
 
 
 def test_kostant_linear_form_matches_per_term_oracle(datum_engine, monkeypatch):
