@@ -14,11 +14,12 @@ So w t_lambda is restricted exactly when every <alpha_i, lambda> is
 `restricted_reps[w]`, on semisimple data the only restricted element of
 Weyl index w.
 
-What the order and the parabolic tests ask about an element, its box
-coordinates and its restricted split x = y t_lambda, is decided once per x
-and kept in a bounded `Memo` table of `AlcoveData`: the periodic order asks
-for the same elements' boxes thousands of times.  The split is checked to be
-restricted when it is first computed.
+What the triangle map, the simple labels and the parabolic tests ask about
+an element, its box coordinates and its restricted split x = y t_lambda, is
+decided once per x and kept in a bounded `Memo` table of `AlcoveData`.  The
+periodic order reads no entry of it: it needs the box coordinates of w t_0
+only, which are the signs.  The split is checked to be restricted when it is
+first computed.
 
 >>> from alcove_hecke.engine import build_engine
 >>> eng = build_engine("A2_adj")

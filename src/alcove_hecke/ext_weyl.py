@@ -21,8 +21,9 @@ words, the Bruhat walk, lower sets and the Hecke recursions read the rows;
 on numbers are registered weakly with `numbered`, and `start_query` empties
 the live ones with the numbers once these reach `MEMO_CAP`.  It runs only
 as a public query starts (`reduced_expression`, `bruhat_leq` past its coset
-test, `bruhat_lower_set`, the Hecke queries), never while a walk or
-recursion holds numbers, so `omega_of`, called mid-query, walks without it.
+test, `bruhat_lower_set`, a periodic-order comparison, the Hecke queries),
+never while a walk or recursion holds numbers, so `omega_of`, called
+mid-query, walks without it.
 A walk holds its chain of rows, up to len(generators) + 1 numbers a step,
 so one from x longer than `MEMO_CAP` / (len(generators) + 1) is refused.
 
@@ -90,7 +91,8 @@ class c lifted to t_lambda with U lambda = c for `omega_of`.
 False
 
 The Bruhat order compares x and y only within one W_aff-coset
-(`same_coset`; the periodic order asks it before it translates a pair).
+(`same_coset`; the periodic order tests the class of lambda_y - lambda_x
+before it translates a pair, and enters `_bruhat_aff` past this test).
 Within a coset, `_bruhat_aff` reads the pair of numbers from its table, a
 `Memo` emptied with the numbers, so a pair asked again costs one lookup.
 Otherwise it decides x <= y by a loop down y's first descents, so its depth

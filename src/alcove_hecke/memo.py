@@ -3,12 +3,13 @@
 Every memoized recursion in the engine keeps its results in a `Memo`:
 lengths, Weyl product rows, Weyl word strings, W_aff-coset classes and the
 length-zero element of each class, alcove data, the restricted element of
-each Weyl index, periodic-order comparisons, spherical tests, characters,
-partition counts, the Kostant terms of each highest weight and parabolic
-subgroups, and, keyed on element numbers, Bruhat comparisons, W_ext^S
-bits, the canonical elements of W_aff in both modules (each coefficient one
-packed int) and the inverse polynomials
-m^{x,y}, and, keyed on values, the one stored int of each packed coefficient
+each Weyl index, periodic-order comparisons (one per translation class) and
+the box coordinates of each w t_0 less one that they read, spherical tests,
+characters, partition counts, the Kostant terms of each highest weight and
+parabolic subgroups, and, keyed on element numbers, Bruhat comparisons,
+W_ext^S bits, the canonical elements of W_aff in both modules (each
+coefficient one packed int) and the inverse polynomials m^{x,y}, and, keyed
+on values, the one stored int of each packed coefficient
 (the Hecke pool) and, per packed coefficient and parity, the polynomial it
 decodes to at the Hecke edge.  A table never holds more than
 `MEMO_CAP` entries: when a new value would exceed the cap, the table is

@@ -198,13 +198,12 @@ class SatakeChar:
         """Weight multiplicity by the Kostant alternating sum (brute force)."""
         mu = self.datum.check_y(mu)
         nu = self.datum.check_y(nu)
-        if not self.datum.is_dominant(mu):
-            raise NotDominant(f"{mu} is not dominant")
+        terms = self._kostant_terms[mu]  # tests mu's dominance once per mu
         gap = self._gap_coords(mu, nu)
         if gap is None:
             return 0
         total = 0
-        for sign, base in self._kostant_terms[mu]:
+        for sign, base in terms:
             coords = tuple(map(add, base, gap))
             if min(coords, default=0) >= 0:
                 total += sign * self._partition_count(coords, 0)
@@ -212,7 +211,10 @@ class SatakeChar:
 
     def _kostant_terms_of(self, mu: Vector) -> tuple[tuple[int, list[int]], ...]:
         """Per Weyl element w, sign(w) and the coordinates of w(mu + rho) -
-        (mu + rho); the Kostant term of w adds those of mu - nu."""
+        (mu + rho); the Kostant term of w adds those of mu - nu.  A mu that is
+        not dominant raises `NotDominant`, and the table stores nothing for it."""
+        if not self.datum.is_dominant(mu):
+            raise NotDominant(f"{mu} is not dominant")
         terms = []
         for w in range(self.datum.weyl_order):
             sign, shift, rows = self._kostant_rows[w]

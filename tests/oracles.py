@@ -329,6 +329,13 @@ def pushed(eng, x, n):
     return eng.ext.mul(x, eng.ext.translation(vec_scale(-n, eng.datum.varsigma)))
 
 
+def common_push(eng, x, y):
+    """The largest mu with x t_mu and y t_mu both in W_ext^S, read from the
+    box coordinates of x and y themselves: the lift of min(c_i(x), c_i(y)) - 1."""
+    low = [min(a, b) - 1 for a, b in zip(eng.alc.box_coords(x), eng.alc.box_coords(y))]
+    return eng.datum.section_lift(tuple(low))
+
+
 def porder_recursive(eng, x, y):
     """The periodic order through group-product pushes and the recursive
     Bruhat comparison."""

@@ -10,7 +10,7 @@ from alcove_hecke.errors import InvariantViolation, NotFinitary
 from alcove_hecke.ext_weyl import ExtWeyl, ExtWeylElement
 from alcove_hecke.root_datum import Vector, load_root_datum, pair, vec_add, vec_scale
 from conftest import EVERY_DATUM, descriptor
-from oracles import (denominator, in_wexts_positive_roots, restricted_by_scan,
+from oracles import (common_push, denominator, in_wexts_positive_roots, restricted_by_scan,
                      simple_label_by_lift, simple_rows_by_action, triangle_by_products,
                      triangle_inverse_by_products)
 
@@ -319,13 +319,13 @@ def test_push_steps_is_smallest_push(datum_engine):
 
 
 def test_common_push_is_smallest(datum_engine):
-    # x t_mu and y t_mu lie in W_ext^S, and raising any simple-root pairing of
-    # mu by one takes one of them out
-    alc, ext, order, d = datum_engine.alc, datum_engine.ext, datum_engine.order, datum_engine.datum
+    # the oracle's push: x t_mu and y t_mu lie in W_ext^S, and raising any
+    # simple-root pairing of mu by one takes one of them out
+    alc, ext, d = datum_engine.alc, datum_engine.ext, datum_engine.datum
     rng = random.Random(107)
     for _ in range(300):
         x, y = ext.random_element(rng, 4), ext.random_element(rng, 4)
-        mu = order._common_push(x, y)
+        mu = common_push(datum_engine, x, y)
         assert all(_oracle_in_wexts(alc, ext.mul(z, ext.translation(mu))) for z in (x, y))
         for i in range(d.rank):
             up = vec_add(mu, d.section_lift(tuple(int(i == j) for j in range(d.rank))))
@@ -335,10 +335,11 @@ def test_common_push_is_smallest(datum_engine):
 def test_push_check_raises():
     order = build_engine("A1_adj").order
     ext = order.ext
-    # t_2 and e share a coset, and t_2 lies outside W_ext^S
-    order._common_push = lambda x, y: (0,)
+    # e and t_2 share a coset, and the class representative (e t_0, e t_2)
+    # needs the push t_{-2}: a lift to zero leaves t_2 outside W_ext^S
+    order._lift = lambda low: (0,)
     with pytest.raises(InvariantViolation, match="leaves W_ext"):
-        order.leq(ext.translation((2,)), ext.identity)
+        order.leq(ext.identity, ext.translation((2,)))
 
 
 def test_res_decompose_check_raises():

@@ -8,7 +8,9 @@ import alcove_hecke
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(alcove_hecke.__path__))
 # modules whose docstrings carry worked examples
-WITH_EXAMPLES = {"alcove", "laurent", "root_datum", "ext_weyl", "hecke", "groth_calc", "satake_char"}
+WITH_EXAMPLES = {
+    "alcove", "laurent", "root_datum", "ext_weyl", "hecke", "groth_calc", "satake_char", "orders",
+}
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -13,6 +13,7 @@ from alcove_hecke.errors import (
 from alcove_hecke.ext_weyl import ExtWeylElement
 from alcove_hecke.groth_calc import COVERMA, VERMA, FiltrationMultiset
 from alcove_hecke.parabolic import min_rep
+from alcove_hecke.root_datum import vec_sub
 from conftest import CUSTOM, RANK3, SEMISIMPLE, engine_for
 from oracles import projective_filtration_conjugated
 
@@ -127,7 +128,7 @@ def test_projective_filtration_sandwich_check_raises():
     eng = build_engine("A2_adj")
     x = eng.ext.identity
     z = next(z for z in sorted(eng.groth.projective_filtration(x).support()) if z != x)
-    eng.order._leq[(x, z)] = False
+    eng.order._leq[(x.w, z.w, vec_sub(z.t, x.t))] = False
     with pytest.raises(InvariantViolation):
         eng.groth.projective_filtration(x)
 

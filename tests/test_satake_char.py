@@ -231,6 +231,27 @@ def test_kostant_linear_form_matches_per_term_oracle(datum_engine, monkeypatch):
     assert len(solves) == queries
 
 
+def test_kostant_tests_dominance_once_per_mu(a2, monkeypatch):
+    # the dominance test runs where mu's terms are filled: once for a dominant
+    # mu over many queries, and on every query of a mu that is not dominant,
+    # whose failed fill stores nothing
+    d = a2.datum
+    sat = SatakeChar(d)
+    wm = sat.weight_multiplicities((2, 1))
+    calls = []
+    real = type(d).is_dominant
+    monkeypatch.setattr(type(d), "is_dominant", lambda datum, lam: calls.append(lam) or real(datum, lam))
+    for _ in range(3):
+        for nu in sorted(wm.multiplicities) + [(5, 5), (0, 1)]:
+            assert sat.kostant_multiplicity((2, 1), nu) == wm.mult(nu)
+    assert calls == [(2, 1)]
+    del calls[:]
+    for _ in range(3):
+        with pytest.raises(NotDominant):
+            sat.kostant_multiplicity((1, -1), (0, 0))
+    assert calls == [(1, -1)] * 3 and (1, -1) not in sat._kostant_terms
+
+
 # -- planted faults: each library check raises InvariantViolation --------------
 
 

@@ -14,7 +14,8 @@ from alcove_hecke.errors import BoundsTooLarge, InvariantViolation, MalformedInp
 from alcove_hecke.ext_weyl import ExtWeyl
 from alcove_hecke.hecke import HeckeAlgebra, HeckeElement
 from alcove_hecke.laurent import ONE, LaurentPolynomial
-from alcove_hecke.root_datum import PRESETS
+from alcove_hecke.orders import PeriodicOrder
+from alcove_hecke.root_datum import PRESETS, vec_sub
 from alcove_hecke.suite import bar_invariance_solver, run_suite, spherical_window
 from conftest import CUSTOM, RANK3, SEMISIMPLE, plant_length_sign_flip
 from oracles import ElementTable, bar_invariance_gauss_jordan
@@ -182,6 +183,18 @@ def test_bruhat_order_probes_follow_the_seed_only(monkeypatch):
         assert run_suite("B2_adj", names=["bruhat-order"], samples=20).passed
         runs.append(list(probes))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("key", [
+    lambda x, y: (x.w, y.w, vec_sub(x.t, y.t)),
+    lambda x, y: (x.w, x.w, vec_sub(y.t, x.t)),
+], ids=["x.t-y.t", "no-y.w"])
+def test_per_order_part2_catches_a_planted_key(monkeypatch, key):
+    # a pair and its translate read one entry of the order's table, so part 2
+    # decides the translate by a pushdown; a wrong key then shows
+    monkeypatch.setattr(PeriodicOrder, "leq", lambda order, x, y: x == y or order._leq[key(x, y)])
+    check = run_suite("A2_adj", names=["per-order-properties"]).checks[0]
+    assert (check.status, check.detail) == ("fail", "part 2: order not translation invariant")
 
 
 def test_proj_filtration_fault_on_the_max_word(monkeypatch, tmp_path, capsys):
