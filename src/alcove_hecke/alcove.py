@@ -5,21 +5,17 @@ w^{-1}(p0) - lambda pairs with a simple root alpha_i as
 <w alpha_i, p0> - <alpha_i, lambda>, and 0 < |<beta, p0>| < 1 for every root
 beta, so x's box coordinate c_i = ceil <alpha_i, x^{-1}.p0> is the integer
 [w alpha_i > 0] - <alpha_i, lambda> (Jantzen, Representations of Algebraic
-Groups, II.6).  The model keeps one table, `_signs[w]` = ([w alpha_i > 0])_i,
-read off w's root permutation: x lies in W_ext^S when every c_i >= 1 and is
-restricted when every c_i = 1.  Simple roots suffice for the chamber test:
-every positive root is a nonnegative integer combination of simple roots.
-So w t_lambda is restricted exactly when every <alpha_i, lambda> is
-[w alpha_i > 0] - 1; the section lift of that pattern gives
-`restricted_reps[w]`, on semisimple data the only restricted element of
-Weyl index w.
-
-What the triangle map, the simple labels and the parabolic tests ask about
-an element, its box coordinates and its restricted split x = y t_lambda, is
-decided once per x and kept in a bounded `Memo` table of `AlcoveData`.  The
-periodic order reads no entry of it: it needs the box coordinates of w t_0
-only, which are the signs.  The split is checked to be restricted when it is
-first computed.
+Groups, II.6).  The model keeps one table, `tops[w]` = ([w alpha_i > 0] - 1)_i,
+read off w's root permutation: the box coordinates of w t_0, less one.  So
+c_i = tops[w]_i + 1 - <alpha_i, lambda>: x lies in W_ext^S when every
+<alpha_i, lambda> is at most tops[w]_i (every c_i >= 1), and is restricted
+when every one equals it (every c_i = 1).  Simple roots suffice for the
+chamber test: every positive root is a nonnegative integer combination of
+simple roots.  The lift of tops[w] is `restricted_reps[w]`, on semisimple
+data the only restricted element of Weyl index w.  The rest is computed
+when asked, in O(rank) pairings and with no table per element: the box
+coordinates, the restricted split x = y t_lambda (checked to be restricted
+each time) and the triangle map.  The periodic order reads `tops` alone.
 
 >>> from alcove_hecke.engine import build_engine
 >>> eng = build_engine("A2_adj")
@@ -33,7 +29,6 @@ first computed.
 from __future__ import annotations
 
 from operator import mul as scalar_mul
-from typing import NamedTuple
 
 from .errors import InvariantViolation, NotFinitary
 from .ext_weyl import ExtWeyl, ExtWeylElement
@@ -41,93 +36,68 @@ from .memo import Memo
 from .root_datum import Vector, vec_add, vec_neg, vec_sub
 
 
-class AlcoveData(NamedTuple):
-    """Per-element alcove data: x = restricted * t_lam, with the box
-    coordinates of x, from which lam is read."""
-
-    coords: tuple[int, ...]
-    restricted: ExtWeylElement
-    lam: Vector
-
-
 class AlcoveModel:
     def __init__(self, ext: ExtWeyl):
         self.ext = ext
         d = self.datum = ext.datum
-        # per Weyl index w: [w alpha_i > 0] for the simple roots alpha_i
+        # per Weyl index w: [w alpha_i > 0] - 1 for the simple roots alpha_i
         n_pos = len(d.positive_roots)
         simple = [d.roots.index(alpha) for alpha in d.simple_roots]
-        self._signs = tuple(tuple([int(perm[j] < n_pos) for j in simple]) for perm in d.root_perms)
-        self.data = Memo(self._alcove_data)
-        # Weyl index w -> w t_lambda with lambda the lift of [w alpha_i > 0] - 1
-        self.restricted_reps = Memo(
-            lambda w: ExtWeylElement(w, d.section_lift(tuple([b - 1 for b in self._signs[w]])))
-        )
+        self.tops = tuple(tuple([(perm[j] < n_pos) - 1 for j in simple]) for perm in d.root_perms)
+        # Weyl index w -> w t_lambda with lambda the lift of tops[w]
+        self.restricted_reps = Memo(lambda w: ExtWeylElement(w, d.section_lift(self.tops[w])))
 
     def in_wexts(self, x: ExtWeylElement) -> bool:
         """Minimal-coset-representative test: every box coordinate is >= 1."""
         t = x.t
-        for b, alpha in zip(self._signs[x.w], self.datum.simple_roots):
-            if sum(map(scalar_mul, alpha, t)) >= b:
+        for top, alpha in zip(self.tops[x.w], self.datum.simple_roots):
+            if sum(map(scalar_mul, alpha, t)) > top:
                 return False
         return True
 
     def in_wres(self, x: ExtWeylElement) -> bool:
         """Restricted test: every box coordinate is 1."""
         t = x.t
-        for b, alpha in zip(self._signs[x.w], self.datum.simple_roots):
-            if sum(map(scalar_mul, alpha, t)) != b - 1:
+        for top, alpha in zip(self.tops[x.w], self.datum.simple_roots):
+            if sum(map(scalar_mul, alpha, t)) != top:
                 return False
         return True
 
     def box_coords(self, x: ExtWeylElement) -> tuple[int, ...]:
         """ceil <alpha, x^{-1}.p0> for each simple root alpha."""
-        return self.data[x].coords
+        return self._box_coords(x)
 
     def _box_coords(self, x: ExtWeylElement) -> tuple[int, ...]:
         t = x.t
-        rows = zip(self._signs[x.w], self.datum.simple_roots)
-        return tuple([b - sum(map(scalar_mul, alpha, t)) for b, alpha in rows])
+        rows = zip(self.tops[x.w], self.datum.simple_roots)
+        return tuple([top + 1 - sum(map(scalar_mul, alpha, t)) for top, alpha in rows])
 
-    def _alcove_data(self, x: ExtWeylElement) -> AlcoveData:
-        """x's box coordinates c and its split x = y t_lambda with y restricted.
-
-        lambda is the canonical lift of alpha |-> 1 - c_alpha, and then
-        y = x t_{-lambda} keeps x's Weyl part and subtracts lambda from its
-        translation.
-        """
-        coords = self._box_coords(x)
-        lam = self.datum.section_lift(tuple([1 - c for c in coords]))
+    def res_decompose(self, x: ExtWeylElement) -> tuple[ExtWeylElement, Vector]:
+        """Split x = y t_lambda with y restricted: lambda is the lift of
+        alpha |-> 1 - c_alpha for x's box coordinates c, and y = x t_{-lambda}
+        keeps x's Weyl part and subtracts lambda from its translation."""
+        lam = self.datum.section_lift(tuple([1 - c for c in self._box_coords(x)]))
         y = ExtWeylElement(x.w, vec_sub(x.t, lam))
         if not self.in_wres(y):
             raise InvariantViolation(f"{x} t_{vec_neg(lam)} = {y} is not restricted")
-        return AlcoveData(coords, y, lam)
+        return y, lam
 
     def triangle(self, x: ExtWeylElement) -> ExtWeylElement:
         """x t_mu w0 t_{-mu} for mu = section_lift(box_coords(x)).
 
-        mu is read off x's alcove data: lambda = section_lift(1 - c) for the
-        box coordinates c, varsigma = section_lift(1, ..., 1), and the lift
-        is linear, so mu = varsigma - lambda.  x t_mu only adds mu to x's
-        translation and t_{-mu} subtracts it, so the one product is
-        (x t_mu) w0.
+        x t_mu only adds mu to x's translation and t_{-mu} subtracts it, so
+        the one product is (x t_mu) w0.
         """
-        mu = vec_sub(self.datum.varsigma, self.data[x].lam)
+        mu = self.datum.section_lift(self.box_coords(x))
         y = self.ext.mul(ExtWeylElement(x.w, vec_add(x.t, mu)), self.ext.w0)
         return ExtWeylElement(y.w, vec_sub(y.t, mu))
 
     def triangle_inverse(self, v: ExtWeylElement) -> ExtWeylElement:
         """The inverse of `triangle`: v t_{-lambda} w0 t_lambda = y w0 t_lambda
         for the split v = y t_lambda, one product."""
-        data = self.data[v]
-        z = self.ext.mul(data.restricted, self.ext.w0)
-        return ExtWeylElement(z.w, vec_add(z.t, data.lam))
-
-    def res_decompose(self, x: ExtWeylElement) -> tuple[ExtWeylElement, Vector]:
-        """Split x = y t_lambda with y restricted, deterministically (see
-        `_alcove_data`)."""
-        data = self.data[x]
-        return data.restricted, data.lam
+        y, lam = self.res_decompose(v)
+        z = self.ext.mul(y, self.ext.w0)
+        return ExtWeylElement(z.w, vec_add(z.t, lam))
 
     def restricted_elements(self) -> list[ExtWeylElement]:
         """All restricted elements, one per Weyl index (`restricted_reps`);

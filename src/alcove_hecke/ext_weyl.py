@@ -6,9 +6,9 @@ length.  On top of the group arithmetic this module provides the affine
 simple generators, the length-zero subgroup, reduced expressions, and the
 Bruhat order.
 
-All operations are pure over an immutable root datum.  Lengths, coset
-classes and Weyl product rows are memoized per instance in `Memo` tables,
-which carry that module's concurrency caveat.
+All operations are pure over an immutable root datum.  Coset classes and
+Weyl product rows are memoized per instance in `Memo` tables, which carry
+that module's concurrency caveat; lengths are kept only with the numbers.
 
 The walks run on numbers.  `number` numbers each element that a walk or the
 Hecke layer meets, and per number the context keeps the element
@@ -146,7 +146,6 @@ class ExtWeyl:
     def __init__(self, datum: RootDatum):
         self.datum = datum
         self.identity = ExtWeylElement(0, (0,) * datum.y_rank)
-        self._lengths = Memo(self._length_formula)  # of elements not numbered
         # x -> its number, and per number its element, length and row (None
         # until first read), as in the module docstring
         self.numbers, self.elements, self.lengths, self.rows = {}, [], [], []
@@ -254,7 +253,7 @@ class ExtWeyl:
 
     def length(self, x: ExtWeylElement) -> int:
         n = self.numbers.get(x)
-        return self._lengths[x] if n is None else self.lengths[n]
+        return self._length_formula(x) if n is None else self.lengths[n]
 
     def _length_formula(self, x: ExtWeylElement) -> int:
         d = self.datum

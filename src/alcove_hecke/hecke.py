@@ -218,12 +218,6 @@ def _unpack(p: int, slot: int = SLOT, low: int = -1, step: int = 1,
     return coeffs
 
 
-def _pack_table(coeffs: Mapping[int, int], e: int) -> int:
-    """A table coefficient of parity e packed: at `SLOT` bits, step 2 and
-    low = e - 2, so a coefficient of the other parity raises."""
-    return _pack(coeffs, SLOT, e - 2, 2)
-
-
 def _unpack_table(p: int, e: int) -> dict[int, int]:
     """The table coefficient p of parity e unpacked."""
     return _unpack(p, SLOT, e - 2, 2)

@@ -1,17 +1,16 @@
 """The package's one memo table.
 
 Every memoized recursion in the engine keeps its results in a `Memo`:
-lengths, Weyl product rows, Weyl word strings, W_aff-coset classes and the
-length-zero element of each class, alcove data, the restricted element of
-each Weyl index, periodic-order comparisons (one per translation class) and
-the box coordinates of each w t_0 less one that they read, spherical tests,
-characters, partition counts, the Kostant terms of each highest weight and
-parabolic subgroups, and, keyed on element numbers, Bruhat comparisons,
-W_ext^S bits, the canonical elements of W_aff in both modules (each
-coefficient one packed int) and the inverse polynomials m^{x,y}, and, keyed
-on values, the one stored int of each packed coefficient
-(the Hecke pool) and, per packed coefficient and parity, the polynomial it
-decodes to at the Hecke edge.  A table never holds more than
+Weyl product rows, Weyl word strings, W_aff-coset classes and the
+length-zero element of each class, the restricted element of each Weyl
+index, periodic-order comparisons (one per translation class), spherical
+tests, characters, partition counts, the Kostant terms of each highest
+weight and parabolic subgroups, and, keyed on element numbers, Bruhat
+comparisons, W_ext^S bits, the canonical elements of W_aff in both modules
+(each coefficient one packed int) and the inverse polynomials m^{x,y}, and,
+keyed on values, the one stored int of each packed coefficient (the Hecke
+pool) and, per packed coefficient and parity, the polynomial it decodes to
+at the Hecke edge.  A table never holds more than
 `MEMO_CAP` entries: when a new value would exceed the cap, the table is
 emptied first, so a long-running process stays bounded at the price of
 recomputation.  `Memo.put` stores a value computed outside the table under

@@ -18,8 +18,8 @@ class exactly when delta lies in the coroot lattice (`in_affine_subgroup`
 of t_delta).  Otherwise the representative x_0 = w_x t_0, y_0 = w_y t_delta
 is translated by one common coweight mu.  The box coordinates of
 w t_lambda are c_i = [w alpha_i > 0] - <alpha_i, lambda> (see `alcove`), so
-those of the representative are read from `AlcoveModel`'s Weyl signs alone:
-c_i(x_0) = [w_x alpha_i > 0] and c_i(y_0) = [w_y alpha_i > 0] - <alpha_i, delta>.
+those of the representative, less one, are read from `AlcoveModel.tops`
+alone: c_i(x_0) - 1 = tops[w_x]_i and c_i(y_0) - 1 = tops[w_y]_i - <alpha_i, delta>.
 w t_lambda lies in W_ext^S when every c_i >= 1, and t_mu lowers each c_i by
 <alpha_i, mu>, so mu is the section lift of low_i = min(c_i(x_0), c_i(y_0)) - 1:
 the largest push that keeps both in W_ext^S, where the Bruhat walk is
@@ -61,15 +61,13 @@ class PeriodicOrder:
         self.ext = alc.ext
         self._simple = alc.datum.simple_roots
         self._lift = alc.datum.section_lift
-        # Weyl index w -> [w alpha_i > 0] - 1, the box coordinates of w t_0 less one
-        self._tops = Memo(lambda w: tuple([b - 1 for b in alc._signs[w]]))
         # (x.w, y.w, y.t - x.t) -> x <= y, one entry per translation class
         self._leq = Memo(self._compare)
 
     def _push_steps(self, x: ExtWeylElement) -> int:
         """Smallest N >= 0 with x t_{-N varsigma} in W_ext^S."""
         # pushing by N varsigma lowers every <alpha_i, lambda_x> = 1 - c_i by N
-        return max([0] + [1 - c for c in self.alc.data[x].coords])
+        return max([0] + [1 - c for c in self.alc.box_coords(x)])
 
     def leq(self, x: ExtWeylElement, y: ExtWeylElement) -> bool:
         if x == y:
@@ -84,7 +82,8 @@ class PeriodicOrder:
             return False
         simple = self._simple
         pairings = [sum(map(mul, alpha, delta)) for alpha in simple]
-        low = tuple(map(min, self._tops[wx], map(sub, self._tops[wy], pairings)))
+        tops = self.alc.tops
+        low = tuple(map(min, tops[wx], map(sub, tops[wy], pairings)))
         mu = self._lift(low)
         if any(map(gt, [sum(map(mul, alpha, mu)) for alpha in simple], low)):
             raise InvariantViolation(

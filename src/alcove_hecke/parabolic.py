@@ -3,7 +3,18 @@
 For a finitary A inside the affine generator set, this module enumerates the
 finite parabolic subgroup W_A, finds its longest element, and implements the
 three representative tests (minimal-spherical, restricted, and the periodic
-representative set) together with the coset representative map.
+representative set) together with the coset representative map.  The
+periodic test reads x's Weyl index alone, so each x t_lambda shares x's answer:
+
+>>> from alcove_hecke.engine import build_engine
+>>> eng = build_engine("A2_adj")
+>>> ext, alc, a = eng.ext, eng.alc, eng.parabolic(["s1", "s2"])
+>>> x, t = ext.parse_element("s1 : 2,-1"), ext.translation((3, -5))
+>>> r = min_rep(alc, x, a)
+>>> ext.format_element(r), r in [ext.mul(u, x) for u in a.elements]
+('s1 s2 s1 : 2,-1', True)
+>>> [in_awext(alc, z, a) for z in (x, ext.mul(x, t), r, ext.mul(r, t))]
+[False, False, True, True]
 """
 
 from __future__ import annotations
@@ -73,13 +84,16 @@ def in_awext_res(alc: AlcoveModel, x: ExtWeylElement, a: FinitarySubset) -> bool
 
 
 def in_awext(alc: AlcoveModel, x: ExtWeylElement, a: FinitarySubset) -> bool:
-    """Membership in the periodic representative set for W_A cosets.
+    """Membership in the periodic representative set for W_A cosets: the
+    spherical test on x's restricted factor y, x = y t_lambda.
 
-    The restricted factor y of x is restricted by construction, so only the
-    spherical test is left to decide on it.
+    It is decided on rep = `restricted_reps[w]` for x's Weyl index w, with no
+    split.  y and rep are restricted of index w, so y = rep t_nu with nu
+    orthogonal to every root.  W fixes such a nu, so t_nu is central, and z t_nu
+    has z's length since the length formula reads only root pairings: lengths
+    add in u y w0 = (u rep w0) t_nu exactly when they add in u rep w0.
     """
-    y, _ = alc.res_decompose(x)
-    return in_awext_s(alc, y, a)
+    return in_awext_s(alc, alc.restricted_reps[x.w], a)
 
 
 def min_rep(alc: AlcoveModel, x: ExtWeylElement, a: FinitarySubset) -> ExtWeylElement:

@@ -15,7 +15,7 @@ from types import MappingProxyType
 from alcove_hecke.errors import BoundsTooLarge, InvariantViolation
 from alcove_hecke.ext_weyl import ExtWeylElement
 from alcove_hecke.groth_calc import SimpleLabel
-from alcove_hecke.hecke import (MAX_HECKE_LENGTH, HeckeElement, _pack, _pack_table, _unpack_table,
+from alcove_hecke.hecke import (MAX_HECKE_LENGTH, SLOT, HeckeElement, _pack, _unpack_table,
                                 _width)
 from alcove_hecke.laurent import ONE, V, V_INV, ZERO, LaurentPolynomial
 from alcove_hecke.memo import Memo
@@ -262,7 +262,7 @@ class ElementTable(Mapping):
     def __setitem__(self, x, entry):
         number = self.ext.number
         self.table[number(x)] = MappingProxyType(
-            {number(y): _pack_table(c, self._parity(x, y)) for y, c in entry.items()})
+            {number(y): _pack(c, SLOT, self._parity(x, y) - 2, 2) for y, c in entry.items()})
 
     def __iter__(self):
         return iter([self.ext.elements[n] for n in self.table])
@@ -283,7 +283,7 @@ def planted_canonical(down_shift):
         entry = canonical(ext, element, ElementTable(hecke, table),
                           hecke.alc.in_wexts if spherical else None, down_shift)
         lx = ext.length(element)
-        return MappingProxyType({ext.number(y): _pack_table(c, (lx - ext.length(y)) % 2)
+        return MappingProxyType({ext.number(y): _pack(c, SLOT, (lx - ext.length(y)) % 2 - 2, 2)
                                  for y, c in entry.items()})
 
     return _canonical

@@ -110,8 +110,8 @@ def test_triangle_round_trip(any_engine):
 
 @pytest.mark.parametrize("name", EVERY_DATUM)
 def test_triangle_matches_the_product_route(name):
-    # mu read off the alcove data as varsigma - lambda and one product by w0,
-    # against the lift of the box coordinates and three products, on every
+    # mu lifted from the box coordinates and one product by w0, against the
+    # lift of the rational point's box coordinates and three products, on every
     # datum, GL2's central torus included, on seeded elements and one element
     # of each Weyl index, which short draws miss on rank 4
     alc = AlcoveModel(ExtWeyl(load_root_datum(descriptor(name))))
@@ -226,12 +226,12 @@ def test_alcove_tests_match_action_oracle(datum_engine):
 
 @pytest.mark.parametrize("name", EVERY_DATUM)
 def test_simple_rows_match_the_y_action_oracle(name):
-    # the signs [w alpha > 0] read off the root permutations against the sign
-    # of <alpha, w^{-1}(varsigma)>, by the Y-action of w^{-1}
+    # the tops [w alpha > 0] - 1 read off the root permutations against the
+    # sign of <alpha, w^{-1}(varsigma)>, by the Y-action of w^{-1}
     d = load_root_datum(descriptor(name))
     alc = AlcoveModel(ExtWeyl(d))
     signs = tuple(tuple(int(r > 0) for r in row) for row in simple_rows_by_action(alc))
-    assert alc._signs == signs
+    assert alc.tops == tuple(tuple(b - 1 for b in row) for row in signs)
 
 
 @pytest.mark.parametrize("name", EVERY_DATUM)
@@ -280,8 +280,6 @@ def test_fast_routes_skip_the_old_work(monkeypatch):
     eng = build_engine("B2_adj")
     alc, ext = eng.alc, eng.ext
     xs = [ext.random_element(random.Random(k), 4) for k in range(50)]
-    for x in xs:
-        alc.res_decompose(x)
     calls = {"in_wres": 0, "section_lift": 0, "mul": 0}
 
     def counted(cls, name):
@@ -343,7 +341,7 @@ def test_push_check_raises():
 
 
 def test_res_decompose_check_raises():
-    # the per-element table computes box coordinates with the private helper
+    # res_decompose reads the box coordinates through the private helper
     alc = build_engine("A1_adj").alc
     alc._box_coords = lambda x: (0,)
     with pytest.raises(InvariantViolation, match="is not restricted"):

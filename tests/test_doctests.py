@@ -10,6 +10,7 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(alcove_hecke.__path__))
 # modules whose docstrings carry worked examples
 WITH_EXAMPLES = {
     "alcove", "laurent", "root_datum", "ext_weyl", "hecke", "groth_calc", "satake_char", "orders",
+    "parabolic",
 }
 
 

@@ -154,9 +154,10 @@ def test_direct_push_matches_group_product(datum_engine):
 def test_leq_matches_push_oracle(datum_engine):
     # the class push against the N varsigma push of the oracle, on random
     # pairs, pairs with far-apart boxes, pairs deep in W_ext^S (where the push
-    # is a pull) and pairs in two cosets; a comparison reads no alcove data
-    # and makes no membership test, and hands the walk one translate
-    # x t_nu, y t_nu that lies in W_ext^S
+    # is a pull) and pairs in two cosets; a comparison reads no per-element
+    # alcove fact (no split, no box coordinates) and makes no membership
+    # test, and hands the walk one translate x t_nu, y t_nu that lies in
+    # W_ext^S
     eng = build_engine(datum_engine.datum)
     ext, order, alc, d = eng.ext, eng.order, eng.alc, eng.datum
     calls = []
@@ -164,6 +165,9 @@ def test_leq_matches_push_oracle(datum_engine):
     real_in_wexts = alc.in_wexts
     alc.in_wexts = lambda z: calls.append("in_wexts") or real_in_wexts(z)
     rng = random.Random(97)
+
+    def refuse(z):
+        raise AssertionError(f"the order read a per-element alcove fact of {z}")
 
     def far(x):
         # x u for u in W_aff with a long translation: same coset, far box
@@ -185,11 +189,11 @@ def test_leq_matches_push_oracle(datum_engine):
         if x == y or class_key(x, y) in order._leq:
             continue
         del calls[:]
-        data, alc.data = alc.data, None  # any read of alcove data raises
+        alc.res_decompose = alc.box_coords = alc._box_coords = refuse
         try:
             got = order.leq(x, y)
         finally:
-            alc.data = data
+            del alc.res_decompose, alc.box_coords, alc._box_coords
         if not same_coset(ext, x, y):
             crossed += 1
             assert got is False and calls == []

@@ -15,6 +15,7 @@ from alcove_hecke.parabolic import (
     min_rep,
 )
 from alcove_hecke.root_datum import pair
+from conftest import EVERY_DATUM, descriptor
 
 
 def test_make_parabolic_examples(a1):
@@ -168,6 +169,28 @@ def test_memoized_spherical_test_matches_length_sum(any_engine):
         # in_awext skips the restricted test on res_decompose's factor
         x, a = ext.random_element(rng, 3), rng.choice(subsets)
         assert in_awext(alc, x, a) == in_awext_res(alc, alc.res_decompose(x)[0], a)
+
+
+@pytest.mark.parametrize("name", EVERY_DATUM)
+def test_in_awext_reads_the_weyl_index(name, monkeypatch):
+    # in_awext decides on restricted_reps[x.w] with no split, against its
+    # definition, the spherical test on x's restricted factor, over every finitary
+    # generator subset and seeded draws; on GL2 the draws' translations have
+    # a central part, so the factor and the representative differ
+    eng = build_engine(descriptor(name))
+    alc, ext = eng.alc, eng.ext
+    gens = ext.generators
+    subsets = [make_parabolic(ext, sub) for k in range(len(gens) + 1)
+               for sub in itertools.combinations(gens, k) if is_finitary(ext, sub)]
+    rng = random.Random(89)
+    draws = [(a, ext.random_element(rng, 4)) for a in subsets for _ in range(100)]
+    want = [in_awext_s(alc, alc.res_decompose(x)[0], a) for a, x in draws]
+    assert any(want) and not all(want)
+    calls = []
+    split = alc.res_decompose
+    monkeypatch.setattr(alc, "res_decompose", lambda x: calls.append(x) or split(x))
+    assert [in_awext(alc, x, a) for a, x in draws] == want
+    assert calls == []
 
 
 def test_unique_longest_element_check_raises():
